@@ -58,13 +58,24 @@ BENCHMARK(BM_HeapSortVsStdSort)
     ->Args({1 << 17, 1});
 
 void BM_DoubleHeapReplacement(benchmark::State& state) {
-  // The inner loop of 2WRS: pop one side, push a replacement.
+  // The inner loop of 2WRS: pop one side, push a replacement. Random keys
+  // land anywhere in their heap; monotone keys lie beyond every key on
+  // their side (below the BottomHeap, above the TopHeap), the shape of
+  // mixed input, where each push stops at once and the record a pop moves
+  // from the last leaf sinks back to the bottom.
   const size_t capacity = static_cast<size_t>(state.range(0));
+  const bool monotone = state.range(1) != 0;
   Random rng(3);
+  Key low = 0;
+  Key high = 0;
+  auto next_key = [&](HeapSide side) {
+    if (!monotone) return static_cast<Key>(rng.Uniform(1 << 30));
+    return side == HeapSide::kBottom ? --low : ++high;
+  };
   DoubleHeap heap(capacity);
   while (!heap.Full()) {
-    heap.Push(rng.OneIn2() ? HeapSide::kBottom : HeapSide::kTop,
-              TaggedRecord{static_cast<Key>(rng.Uniform(1 << 30)), 0});
+    const HeapSide side = rng.OneIn2() ? HeapSide::kBottom : HeapSide::kTop;
+    heap.Push(side, TaggedRecord{next_key(side), 0});
   }
   for (auto _ : state) {
     const HeapSide side = heap.Empty(HeapSide::kBottom) ? HeapSide::kTop
@@ -74,12 +85,14 @@ void BM_DoubleHeapReplacement(benchmark::State& state) {
                                               : HeapSide::kTop);
     TaggedRecord record = heap.Pop(side);
     benchmark::DoNotOptimize(record);
-    record.key = static_cast<Key>(rng.Uniform(1 << 30));
+    record.key = next_key(side);
     heap.Push(side, record);
   }
   state.SetItemsProcessed(state.iterations());
+  state.SetLabel(monotone ? "monotone" : "random");
 }
-BENCHMARK(BM_DoubleHeapReplacement)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17);
+BENCHMARK(BM_DoubleHeapReplacement)
+    ->ArgsProduct({{1 << 10, 1 << 14, 1 << 17}, {0, 1}});
 
 // Ablation (DESIGN.md §2.2): the paper's single-array DoubleHeap versus the
 // naive layout of two independently allocated heaps.

@@ -91,7 +91,6 @@ void Run() {
       ExternalSortResult result;
       Stopwatch watch;
       CheckOk(sorter.Sort(&source, out, &result), "unsharded sort");
-      CheckOk(source.status(), "read input");
       total = watch.ElapsedSeconds();
       sort = result.total_seconds;
       bytes_read = result.bytes_read;

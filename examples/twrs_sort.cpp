@@ -394,11 +394,6 @@ int main(int argc, char** argv) {
       fprintf(stderr, "sort: %s\n", s.ToString().c_str());
       return 1;
     }
-    if (!source.status().ok()) {
-      fprintf(stderr, "read input: %s\n",
-              source.status().ToString().c_str());
-      return 1;
-    }
     if (options.limit > 0) {
       printf("top-%llu (%s) via %s: %llu of %llu records kept\n",
              static_cast<unsigned long long>(options.limit),

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/record.h"
+#include "util/status.h"
 
 namespace twrs {
 
@@ -17,8 +18,14 @@ class RecordSource {
  public:
   virtual ~RecordSource() = default;
 
-  /// Produces the next record in `*key`; returns false at end of stream.
+  /// Produces the next record in `*key`; returns false at end of stream
+  /// or on error.
   virtual bool Next(Key* key) = 0;
+
+  /// Why the stream ended: OK at a true end of input, the error otherwise.
+  /// A sort returns it once the source is drained, so a failed read can
+  /// never pass for a short input.
+  virtual Status status() const { return Status::OK(); }
 };
 
 /// RecordSource over an in-memory vector (test and example helper).

@@ -6,6 +6,7 @@
 
 #include "merge/external_sorter.h"
 #include "simd/kernels.h"
+#include "workload/generators.h"
 
 namespace twrs {
 
@@ -126,22 +127,7 @@ class Context {
     ExternalSorter sorter(env_, sort_options);
     const std::string sorted_path = NextTempPath();
 
-    class FileSource : public RecordSource {
-     public:
-      FileSource(Env* env, const std::string& path, size_t block_bytes)
-          : reader_(env, path, block_bytes) {}
-      bool Next(Key* key) override {
-        bool eof = false;
-        if (!reader_.status().ok()) return false;
-        if (!reader_.Next(key, &eof).ok()) return false;
-        return !eof;
-      }
-
-     private:
-      RecordReader reader_;
-    };
-
-    FileSource bucket_source(env_, path, options_.block_bytes);
+    FileRecordSource bucket_source(env_, path, options_.block_bytes);
     TWRS_RETURN_IF_ERROR(sorter.Sort(&bucket_source, sorted_path, nullptr));
     RecordReader sorted(env_, sorted_path, options_.block_bytes);
     TWRS_RETURN_IF_ERROR(sorted.status());

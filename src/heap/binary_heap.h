@@ -6,6 +6,8 @@
 #include <utility>
 #include <vector>
 
+#include "heap/sift_kernel.h"
+
 namespace twrs {
 
 /// Array-backed binary heap (§3.1 of the paper).
@@ -15,6 +17,7 @@ namespace twrs {
 /// a max-heap. The tree is stored level by level in a contiguous array with
 /// the classic index mapping: parent(i) = (i-1)/2, children 2i+1 and 2i+2
 /// (§3.1.2), giving O(log n) Push/Pop with zero allocation after Reserve.
+/// The sifts are SiftKernel's.
 template <typename T, typename HigherPriority>
 class BinaryHeap {
  public:
@@ -36,16 +39,18 @@ class BinaryHeap {
   /// Adds an element ("upheap", §3.1.1).
   void Push(const T& value) {
     slots_.push_back(value);
-    SiftUp(slots_.size() - 1);
+    Kernel().SiftUp(slots_.size() - 1, value);
   }
 
   /// Removes and returns the highest-priority element ("downheap", §3.1.1).
   T Pop() {
     assert(!slots_.empty());
-    T top = slots_.front();
-    slots_.front() = slots_.back();
+    T top = std::move(slots_.front());
+    T last = std::move(slots_.back());
     slots_.pop_back();
-    if (!slots_.empty()) SiftDown(0);
+    if (!slots_.empty()) {
+      Kernel().SiftDownFromRoot(slots_.size(), std::move(last));
+    }
     return top;
   }
 
@@ -60,36 +65,15 @@ class BinaryHeap {
 
   /// Verifies the heap property everywhere; O(n). Test helper.
   bool IsValidHeap() const {
-    for (size_t i = 1; i < slots_.size(); ++i) {
-      if (prior_(slots_[i], slots_[(i - 1) / 2])) return false;
-    }
-    return true;
+    return SiftKernel<const T, HigherPriority>(slots_.data(), prior_)
+        .IsHeap(slots_.size());
   }
 
   void Clear() { slots_.clear(); }
 
  private:
-  void SiftUp(size_t i) {
-    while (i > 0) {
-      size_t parent = (i - 1) / 2;
-      if (!prior_(slots_[i], slots_[parent])) break;
-      std::swap(slots_[i], slots_[parent]);
-      i = parent;
-    }
-  }
-
-  void SiftDown(size_t i) {
-    const size_t n = slots_.size();
-    for (;;) {
-      size_t best = i;
-      size_t left = 2 * i + 1;
-      size_t right = 2 * i + 2;
-      if (left < n && prior_(slots_[left], slots_[best])) best = left;
-      if (right < n && prior_(slots_[right], slots_[best])) best = right;
-      if (best == i) return;
-      std::swap(slots_[i], slots_[best]);
-      i = best;
-    }
+  SiftKernel<T, HigherPriority> Kernel() {
+    return SiftKernel<T, HigherPriority>(slots_.data(), prior_);
   }
 
   std::vector<T> slots_;

@@ -1,9 +1,44 @@
 #include "heap/double_heap.h"
 
 #include <cassert>
-#include <utility>
+#include <type_traits>
+
+#include "heap/sift_kernel.h"
 
 namespace twrs {
+
+namespace {
+
+// Earlier runs pop first on both sides (§3.3); within a run the BottomHeap
+// is a max-heap and the TopHeap a min-heap.
+struct BottomBefore {
+  bool operator()(const TaggedRecord& a, const TaggedRecord& b) const {
+    if (a.run != b.run) return a.run < b.run;
+    return a.key > b.key;
+  }
+};
+
+struct TopBefore {
+  bool operator()(const TaggedRecord& a, const TaggedRecord& b) const {
+    if (a.run != b.run) return a.run < b.run;
+    return a.key < b.key;
+  }
+};
+
+// The one side dispatch of every sifting operation: `fn` runs on a kernel
+// specialised for the side's order and index direction, so no sift loop
+// branches on the side.
+template <typename Slots, typename Fn>
+decltype(auto) WithKernel(HeapSide side, Slots* slots, Fn&& fn) {
+  using T = std::remove_pointer_t<decltype(slots->data())>;
+  if (side == HeapSide::kBottom) {
+    return fn(SiftKernel<T, BottomBefore>(slots->data()));
+  }
+  return fn(SiftKernel<T, TopBefore, HeapDirection::kBackward>(
+      slots->data() + slots->size()));
+}
+
+}  // namespace
 
 const char* HeapSideName(HeapSide side) {
   return side == HeapSide::kBottom ? "Bottom" : "Top";
@@ -11,19 +46,11 @@ const char* HeapSideName(HeapSide side) {
 
 DoubleHeap::DoubleHeap(size_t capacity) : slots_(capacity) {}
 
-bool DoubleHeap::Before(HeapSide side, const TaggedRecord& a,
-                        const TaggedRecord& b) {
-  if (a.run != b.run) return a.run < b.run;
-  // Within a run the BottomHeap is a max-heap and the TopHeap a min-heap.
-  return side == HeapSide::kBottom ? a.key > b.key : a.key < b.key;
-}
-
 bool DoubleHeap::Push(HeapSide side, const TaggedRecord& record) {
   if (Full()) return false;
-  size_t& n = side == HeapSide::kBottom ? bottom_size_ : top_size_;
-  slots_[Slot(side, n)] = record;
+  size_t& n = SizeOf(side);
+  WithKernel(side, &slots_, [&](auto heap) { heap.SiftUp(n, record); });
   ++n;
-  SiftUp(side, n - 1);
   return true;
 }
 
@@ -34,63 +61,34 @@ const TaggedRecord& DoubleHeap::Top(HeapSide side) const {
 
 TaggedRecord DoubleHeap::Pop(HeapSide side) {
   assert(!Empty(side));
-  size_t& n = side == HeapSide::kBottom ? bottom_size_ : top_size_;
-  TaggedRecord top = slots_[Slot(side, 0)];
-  slots_[Slot(side, 0)] = slots_[Slot(side, n - 1)];
+  size_t& n = SizeOf(side);
   --n;
-  if (n > 0) SiftDown(side, 0);
-  return top;
+  return WithKernel(side, &slots_, [&](auto heap) {
+    const TaggedRecord top = heap.Slot(0);
+    if (n > 0) heap.SiftDownFromRoot(n, heap.Slot(n));
+    return top;
+  });
 }
 
 TaggedRecord DoubleHeap::ReplaceTop(HeapSide side, const TaggedRecord& record) {
   assert(!Empty(side));
-  TaggedRecord evicted = slots_[Slot(side, 0)];
-  slots_[Slot(side, 0)] = record;
-  SiftDown(side, 0);
-  return evicted;
+  const size_t n = SideSize(side);
+  return WithKernel(side, &slots_, [&](auto heap) {
+    const TaggedRecord evicted = heap.Slot(0);
+    heap.SiftDownFromRoot(n, record);
+    return evicted;
+  });
 }
 
 TaggedRecord DoubleHeap::PopLastLeaf(HeapSide side) {
   assert(!Empty(side));
-  size_t& n = side == HeapSide::kBottom ? bottom_size_ : top_size_;
-  TaggedRecord leaf = slots_[Slot(side, n - 1)];
+  size_t& n = SizeOf(side);
   --n;
-  return leaf;
+  return slots_[Slot(side, n)];
 }
 
 bool DoubleHeap::TopIsRun(HeapSide side, uint32_t run) const {
   return !Empty(side) && Top(side).run == run;
-}
-
-void DoubleHeap::SiftUp(HeapSide side, size_t logical) {
-  while (logical > 0) {
-    size_t parent = (logical - 1) / 2;
-    TaggedRecord& child_rec = slots_[Slot(side, logical)];
-    TaggedRecord& parent_rec = slots_[Slot(side, parent)];
-    if (!Before(side, child_rec, parent_rec)) break;
-    std::swap(child_rec, parent_rec);
-    logical = parent;
-  }
-}
-
-void DoubleHeap::SiftDown(HeapSide side, size_t logical) {
-  const size_t n = SideSize(side);
-  for (;;) {
-    size_t best = logical;
-    const size_t left = 2 * logical + 1;
-    const size_t right = 2 * logical + 2;
-    if (left < n &&
-        Before(side, slots_[Slot(side, left)], slots_[Slot(side, best)])) {
-      best = left;
-    }
-    if (right < n &&
-        Before(side, slots_[Slot(side, right)], slots_[Slot(side, best)])) {
-      best = right;
-    }
-    if (best == logical) return;
-    std::swap(slots_[Slot(side, logical)], slots_[Slot(side, best)]);
-    logical = best;
-  }
 }
 
 void DoubleHeap::AppendContents(std::vector<TaggedRecord>* out) const {
@@ -106,11 +104,9 @@ void DoubleHeap::AppendContents(std::vector<TaggedRecord>* out) const {
 bool DoubleHeap::IsValid() const {
   for (HeapSide side : {HeapSide::kBottom, HeapSide::kTop}) {
     const size_t n = SideSize(side);
-    for (size_t i = 1; i < n; ++i) {
-      if (Before(side, slots_[Slot(side, i)], slots_[Slot(side, (i - 1) / 2)])) {
-        return false;
-      }
-    }
+    const bool valid =
+        WithKernel(side, &slots_, [n](auto heap) { return heap.IsHeap(n); });
+    if (!valid) return false;
   }
   return true;
 }

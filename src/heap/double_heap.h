@@ -25,7 +25,8 @@ const char* HeapSideName(HeapSide side);
 /// allocation. Records tagged with a later run sort below all records of an
 /// earlier run on both sides, which is how run boundaries are detected
 /// (§3.3): when a side's top record belongs to a future run, so does
-/// everything beneath it.
+/// everything beneath it. Each side is a SiftKernel view of the array:
+/// Bottom forward from slot 0, Top backward from the last slot.
 class DoubleHeap {
  public:
   /// Creates a double heap with room for `capacity` records in total.
@@ -87,12 +88,9 @@ class DoubleHeap {
                                      : slots_.size() - 1 - logical;
   }
 
-  // True when `a` must be popped before `b` on the given side.
-  static bool Before(HeapSide side, const TaggedRecord& a,
-                     const TaggedRecord& b);
-
-  void SiftUp(HeapSide side, size_t logical);
-  void SiftDown(HeapSide side, size_t logical);
+  size_t& SizeOf(HeapSide side) {
+    return side == HeapSide::kBottom ? bottom_size_ : top_size_;
+  }
 
   std::vector<TaggedRecord> slots_;
   size_t bottom_size_ = 0;

@@ -175,6 +175,8 @@ Status RunGenerationPhase::Run(SortContext* context) {
     // job is cancelled all the same.
     return Status::Cancelled("sort cancelled during run generation");
   }
+  // A failed read ends the stream like EOF; only the source can tell.
+  TWRS_RETURN_IF_ERROR(source_->status());
   context->result.run_gen_seconds = watch.ElapsedSeconds();
   progress_source.reset();  // flush the batched remainder before returning
   if (context->metrics != nullptr) {

@@ -46,6 +46,7 @@ Status DualHeapSelectToFile(Env* env, const ExternalSortOptions& options,
   if (batch > 0 && options.progress != nullptr) {
     options.progress->AddRecordsIngested(batch);
   }
+  TWRS_RETURN_IF_ERROR(source->status());
   result->run_gen.total_records = selector.consumed();
   result->run_gen_seconds = select_watch.ElapsedSeconds();
 

@@ -115,6 +115,7 @@ Status ShardedSorter::Sort(RecordSource* source,
       ++count;
       s = writer.Append(key);
     }
+    if (s.ok()) s = source->status();
     if (s.ok()) s = writer.Finish();
   }
   if (s.ok()) {
@@ -139,8 +140,7 @@ Status ShardedSorter::SortFile(const std::string& input_path,
   TWRS_RETURN_IF_ERROR(Validate());
   if (options_.shards == 1) {
     FileRecordSource source(env_, input_path, options_.sort.block_bytes);
-    TWRS_RETURN_IF_ERROR(SortUnsharded(&source, output_path, result));
-    return source.status();
+    return SortUnsharded(&source, output_path, result);
   }
 
   Stopwatch staging_watch;
@@ -345,10 +345,8 @@ Status ShardedSorter::SortStaged(CountingEnv* env,
             ExternalSorter sorter(env, shard_options);
             FileRecordSource shard_source(env, shard_path,
                                           shard_options.block_bytes);
-            Status s = sorter.SortIntoRange(&shard_source, output_path, range,
-                                            shard_result);
-            if (s.ok()) s = shard_source.status();
-            return s;
+            return sorter.SortIntoRange(&shard_source, output_path, range,
+                                        shard_result);
           });
     }
     // Collect every shard before reporting the first failure, so no task

@@ -214,7 +214,7 @@ bool FileRecordSource::Next(Key* key) {
   return status_.ok() && !eof;
 }
 
-const Status& FileRecordSource::status() const {
+Status FileRecordSource::status() const {
   return status_.ok() ? reader_.status() : status_;
 }
 

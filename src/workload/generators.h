@@ -58,7 +58,7 @@ class FileRecordSource : public RecordSource {
   bool Next(Key* key) override;
 
   /// I/O health of the underlying reader (Next returns false on error).
-  const Status& status() const;
+  Status status() const override;
 
  private:
   RecordReader reader_;

@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <functional>
+#include <utility>
 #include <vector>
+
+#include "core/record.h"
 
 #include "heap/heapsort.h"
 #include "util/random.h"
@@ -143,6 +146,107 @@ TEST(HeapSortTest, MatchesStdSortOnRandomInputs) {
     HeapSort(&values);
     EXPECT_EQ(values, expected);
   }
+}
+
+// Earlier runs first, then keys in `Order` — the RS heap order (§3.3),
+// under which records that compare equal are identical.
+template <typename Order>
+struct RunThenKey {
+  bool operator()(const TaggedRecord& a, const TaggedRecord& b) const {
+    if (a.run != b.run) return a.run < b.run;
+    return Order()(a.key, b.key);
+  }
+};
+
+// The classic top-down, swap-based binary heap (§3.1.1): the reference the
+// hole-based bottom-up SiftKernel must match slot for slot.
+template <typename Before>
+class ReferenceHeap {
+ public:
+  void Push(const TaggedRecord& record) {
+    slots_.push_back(record);
+    for (size_t i = slots_.size() - 1; i > 0;) {
+      const size_t parent = (i - 1) / 2;
+      if (!before_(slots_[i], slots_[parent])) break;
+      std::swap(slots_[i], slots_[parent]);
+      i = parent;
+    }
+  }
+
+  TaggedRecord Pop() {
+    const TaggedRecord top = slots_.front();
+    slots_.front() = slots_.back();
+    slots_.pop_back();
+    const size_t n = slots_.size();
+    for (size_t i = 0;;) {
+      size_t best = i;
+      const size_t left = 2 * i + 1;
+      const size_t right = left + 1;
+      if (left < n && before_(slots_[left], slots_[best])) best = left;
+      if (right < n && before_(slots_[right], slots_[best])) best = right;
+      if (best == i) break;
+      std::swap(slots_[i], slots_[best]);
+      i = best;
+    }
+    return top;
+  }
+
+  TaggedRecord PopLastLeaf() {
+    const TaggedRecord leaf = slots_.back();
+    slots_.pop_back();
+    return leaf;
+  }
+
+  const std::vector<TaggedRecord>& slots() const { return slots_; }
+
+ private:
+  std::vector<TaggedRecord> slots_;
+  Before before_;
+};
+
+// Slot order of `heap`, read off a copy by popping its last leaf repeatedly.
+template <typename Before>
+std::vector<TaggedRecord> Layout(BinaryHeap<TaggedRecord, Before> heap) {
+  std::vector<TaggedRecord> slots(heap.size());
+  for (size_t i = slots.size(); i > 0; --i) slots[i - 1] = heap.PopLastLeaf();
+  return slots;
+}
+
+template <typename Before>
+void ExpectLayoutMatchesReference() {
+  // Few distinct keys and three run tags make ties frequent: the cases
+  // where a bottom-up sift could place a record differently.
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    Random rng(seed);
+    BinaryHeap<TaggedRecord, Before> heap;
+    ReferenceHeap<Before> reference;
+    for (int step = 0; step < 500; ++step) {
+      // 0-2 push, 3 pop, 4 pop-last-leaf.
+      const uint64_t op = heap.empty() ? 0 : rng.Uniform(5);
+      if (op <= 2) {
+        const TaggedRecord record{static_cast<Key>(rng.Uniform(6)),
+                                  static_cast<uint32_t>(rng.Uniform(3))};
+        heap.Push(record);
+        reference.Push(record);
+      } else if (op == 3) {
+        ASSERT_EQ(heap.Pop(), reference.Pop())
+            << "seed " << seed << " step " << step;
+      } else {
+        ASSERT_EQ(heap.PopLastLeaf(), reference.PopLastLeaf())
+            << "seed " << seed << " step " << step;
+      }
+      ASSERT_TRUE(Layout(heap) == reference.slots())
+          << "seed " << seed << " step " << step;
+    }
+  }
+}
+
+TEST(BinaryHeapTest, MinHeapLayoutMatchesTopDownReference) {
+  ExpectLayoutMatchesReference<RunThenKey<std::less<Key>>>();
+}
+
+TEST(BinaryHeapTest, MaxHeapLayoutMatchesTopDownReference) {
+  ExpectLayoutMatchesReference<RunThenKey<std::greater<Key>>>();
 }
 
 }  // namespace

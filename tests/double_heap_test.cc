@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "util/random.h"
@@ -231,6 +232,141 @@ TEST(DoubleHeapTest, DrainAfterMixedInsertsIsSorted) {
     }
     EXPECT_TRUE(std::is_sorted(bottom.rbegin(), bottom.rend()));
     EXPECT_TRUE(std::is_sorted(top.begin(), top.end()));
+  }
+}
+
+// The classic top-down, swap-based double heap (§4.1): the reference the
+// hole-based bottom-up SiftKernel must match slot for slot.
+class ReferenceDoubleHeap {
+ public:
+  explicit ReferenceDoubleHeap(size_t capacity) : slots_(capacity) {}
+
+  size_t SideSize(HeapSide side) const {
+    return side == HeapSide::kBottom ? bottom_ : top_;
+  }
+
+  void Push(HeapSide side, const TaggedRecord& record) {
+    size_t& n = Size(side);
+    slots_[Slot(side, n)] = record;
+    for (size_t i = n++; i > 0;) {
+      const size_t parent = (i - 1) / 2;
+      if (!Before(side, slots_[Slot(side, i)], slots_[Slot(side, parent)])) {
+        break;
+      }
+      std::swap(slots_[Slot(side, i)], slots_[Slot(side, parent)]);
+      i = parent;
+    }
+  }
+
+  TaggedRecord Pop(HeapSide side) {
+    size_t& n = Size(side);
+    const TaggedRecord top = slots_[Slot(side, 0)];
+    slots_[Slot(side, 0)] = slots_[Slot(side, --n)];
+    SiftDown(side);
+    return top;
+  }
+
+  TaggedRecord ReplaceTop(HeapSide side, const TaggedRecord& record) {
+    const TaggedRecord top = slots_[Slot(side, 0)];
+    slots_[Slot(side, 0)] = record;
+    SiftDown(side);
+    return top;
+  }
+
+  TaggedRecord PopLastLeaf(HeapSide side) {
+    return slots_[Slot(side, --Size(side))];
+  }
+
+  std::vector<TaggedRecord> Contents() const {
+    std::vector<TaggedRecord> out;
+    for (size_t i = 0; i < bottom_; ++i) {
+      out.push_back(slots_[Slot(HeapSide::kBottom, i)]);
+    }
+    for (size_t i = 0; i < top_; ++i) {
+      out.push_back(slots_[Slot(HeapSide::kTop, i)]);
+    }
+    return out;
+  }
+
+ private:
+  static bool Before(HeapSide side, const TaggedRecord& a,
+                     const TaggedRecord& b) {
+    if (a.run != b.run) return a.run < b.run;
+    return side == HeapSide::kBottom ? a.key > b.key : a.key < b.key;
+  }
+
+  size_t Slot(HeapSide side, size_t i) const {
+    return side == HeapSide::kBottom ? i : slots_.size() - 1 - i;
+  }
+
+  size_t& Size(HeapSide side) {
+    return side == HeapSide::kBottom ? bottom_ : top_;
+  }
+
+  void SiftDown(HeapSide side) {
+    const size_t n = SideSize(side);
+    for (size_t i = 0;;) {
+      size_t best = i;
+      const size_t left = 2 * i + 1;
+      const size_t right = left + 1;
+      if (left < n &&
+          Before(side, slots_[Slot(side, left)], slots_[Slot(side, best)])) {
+        best = left;
+      }
+      if (right < n &&
+          Before(side, slots_[Slot(side, right)], slots_[Slot(side, best)])) {
+        best = right;
+      }
+      if (best == i) return;
+      std::swap(slots_[Slot(side, i)], slots_[Slot(side, best)]);
+      i = best;
+    }
+  }
+
+  std::vector<TaggedRecord> slots_;
+  size_t bottom_ = 0;
+  size_t top_ = 0;
+};
+
+TEST(DoubleHeapTest, LayoutMatchesTopDownReference) {
+  // Few distinct keys and three run tags, so most comparisons tie on the
+  // run and many on the key too: the cases where a bottom-up sift could
+  // place a record differently from the top-down one.
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    Random rng(seed);
+    const size_t capacity = 1 + rng.Uniform(64);
+    DoubleHeap heap(capacity);
+    ReferenceDoubleHeap reference(capacity);
+    for (int step = 0; step < 1000; ++step) {
+      const HeapSide side = rng.OneIn2() ? HeapSide::kBottom : HeapSide::kTop;
+      const TaggedRecord record{static_cast<Key>(rng.Uniform(6)),
+                                static_cast<uint32_t>(rng.Uniform(3))};
+      // 0-2 push, 3 pop, 4 replace-top, 5 pop-last-leaf: pushes outpace
+      // removals, so the heap spends most steps near capacity.
+      const uint64_t op = heap.Empty(side) ? 0 : rng.Uniform(6);
+      if (op <= 2) {
+        if (heap.Full()) continue;
+        ASSERT_TRUE(heap.Push(side, record));
+        reference.Push(side, record);
+      } else if (op == 3) {
+        ASSERT_EQ(heap.Pop(side), reference.Pop(side))
+            << "seed " << seed << " step " << step;
+      } else if (op == 4) {
+        ASSERT_EQ(heap.ReplaceTop(side, record),
+                  reference.ReplaceTop(side, record))
+            << "seed " << seed << " step " << step;
+      } else {
+        ASSERT_EQ(heap.PopLastLeaf(side), reference.PopLastLeaf(side))
+            << "seed " << seed << " step " << step;
+      }
+      std::vector<TaggedRecord> contents;
+      heap.AppendContents(&contents);
+      ASSERT_EQ(heap.SideSize(HeapSide::kBottom),
+                reference.SideSize(HeapSide::kBottom))
+          << "seed " << seed << " step " << step;
+      ASSERT_TRUE(contents == reference.Contents())
+          << "seed " << seed << " step " << step;
+    }
   }
 }
 

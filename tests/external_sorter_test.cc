@@ -792,6 +792,77 @@ TEST(ExternalSorterTopKTest, CancelDuringDualHeapSelectionCleansUp) {
   EXPECT_EQ(env.FileCount(), 0u);
 }
 
+// MemEnv whose sequential reads of one file fail once `fail_at` bytes of
+// it have been served: a disk error in the middle of the sort's input.
+class FailingInputReadEnv : public MemEnv {
+ public:
+  FailingInputReadEnv(std::string path, size_t fail_at)
+      : path_(std::move(path)), fail_at_(fail_at) {}
+
+  Status NewSequentialFile(const std::string& path,
+                           std::unique_ptr<SequentialFile>* out) override {
+    TWRS_RETURN_IF_ERROR(MemEnv::NewSequentialFile(path, out));
+    if (path == path_) {
+      *out = std::make_unique<FailingFile>(std::move(*out), fail_at_);
+    }
+    return Status::OK();
+  }
+
+ private:
+  class FailingFile : public SequentialFile {
+   public:
+    FailingFile(std::unique_ptr<SequentialFile> base, size_t fail_at)
+        : base_(std::move(base)), fail_at_(fail_at) {}
+
+    Status Read(void* out, size_t n, size_t* bytes_read) override {
+      if (served_ + n > fail_at_) return Status::IOError("injected read error");
+      TWRS_RETURN_IF_ERROR(base_->Read(out, n, bytes_read));
+      served_ += *bytes_read;
+      return Status::OK();
+    }
+
+    Status Skip(uint64_t n) override { return base_->Skip(n); }
+
+   private:
+    std::unique_ptr<SequentialFile> base_;
+    size_t fail_at_;
+    size_t served_ = 0;
+  };
+
+  std::string path_;
+  size_t fail_at_;
+};
+
+TEST(ExternalSorterTest, InputReadErrorFailsFullAndTopKSorts) {
+  WorkloadOptions wl;
+  wl.num_records = 20000;
+  wl.seed = 38;
+  const auto input = Drain(MakeWorkload(Dataset::kRandom, wl).get());
+  const size_t input_bytes = input.size() * kRecordBytes;
+
+  struct Mode {
+    uint64_t limit;
+    TopKStrategy strategy;
+  };
+  for (const Mode mode : {Mode{0, TopKStrategy::kAuto},
+                          Mode{10, TopKStrategy::kDualHeap},
+                          Mode{10, TopKStrategy::kRunPruningMerge}}) {
+    SCOPED_TRACE(::testing::Message() << "limit " << mode.limit << " strategy "
+                                      << static_cast<int>(mode.strategy));
+    FailingInputReadEnv env("in", input_bytes / 2);
+    ASSERT_TWRS_OK(WriteAllRecords(&env, "in", input));
+    ExternalSortOptions options = TopKTestOptions();
+    options.limit = mode.limit;
+    options.topk_strategy = mode.strategy;
+    ExternalSorter sorter(&env, options);
+    FileRecordSource source(&env, "in", options.block_bytes);
+    const Status status = sorter.Sort(&source, "out", nullptr);
+    EXPECT_TRUE(status.IsIOError()) << status.ToString();
+    // Neither scratch nor a truncated output survives; only the input.
+    EXPECT_EQ(env.FileCount(), 1u);
+  }
+}
+
 TEST(VerifySortedFileTest, DetectsDisorder) {
   MemEnv env;
   ASSERT_TWRS_OK(WriteAllRecords(&env, "f", {3, 1, 2}));
