@@ -15,20 +15,22 @@ Status LoadSortStore::Generate(RecordSource* source, RunSink* sink,
     return Status::InvalidArgument("memory_records must be positive");
   }
   const size_t first_run = sink->runs().size();
-  std::vector<Key> block;
-  block.reserve(options_.memory_records);
+  const size_t capacity = options_.memory_records;
+  std::vector<Key> block(capacity);
   for (;;) {
-    block.clear();
-    Key key;
-    while (block.size() < options_.memory_records && source->Next(&key)) {
-      block.push_back(key);
+    size_t filled = 0;
+    while (filled < capacity) {
+      const size_t got =
+          source->NextBatch(block.data() + filled, capacity - filled);
+      if (got == 0) break;
+      filled += got;
     }
-    if (block.empty()) break;
-    simd::SortKeysBlock(block.data(), block.size());
+    if (filled == 0) break;
+    simd::SortKeysBlock(block.data(), filled);
     TWRS_RETURN_IF_ERROR(sink->BeginRun());
-    for (Key k : block) TWRS_RETURN_IF_ERROR(sink->Append(kStream1, k));
+    TWRS_RETURN_IF_ERROR(sink->AppendSorted(block.data(), filled));
     TWRS_RETURN_IF_ERROR(sink->EndRun());
-    if (block.size() < options_.memory_records) break;  // input exhausted
+    if (filled < capacity) break;  // input exhausted
   }
   TWRS_RETURN_IF_ERROR(sink->Finish());
   FillStatsFromSink(*sink, first_run, stats);

@@ -11,9 +11,9 @@
 namespace twrs {
 
 /// A stream of input records. Run generation algorithms consume records one
-/// at a time so that inputs never need to fit in memory — exactly the
-/// database setting the paper targets, where upstream operators feed the
-/// sort incrementally.
+/// at a time (or, for Load-Sort-Store, one batch at a time) so that inputs
+/// never need to fit in memory — exactly the database setting the paper
+/// targets, where upstream operators feed the sort incrementally.
 class RecordSource {
  public:
   virtual ~RecordSource() = default;
@@ -21,6 +21,15 @@ class RecordSource {
   /// Produces the next record in `*key`; returns false at end of stream
   /// or on error.
   virtual bool Next(Key* key) = 0;
+
+  /// Produces up to `cap` records into `out` and returns how many. Like
+  /// Next, 0 means end of stream or error, and status() tells which. The
+  /// default loops Next; sources with a bulk path override it.
+  virtual size_t NextBatch(Key* out, size_t cap) {
+    size_t n = 0;
+    while (n < cap && Next(out + n)) ++n;
+    return n;
+  }
 
   /// Why the stream ended: OK at a true end of input, the error otherwise.
   /// A sort returns it once the source is drained, so a failed read can

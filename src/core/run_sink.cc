@@ -129,15 +129,27 @@ Status FileRunSink::BeginRun() {
   return Status::OK();
 }
 
-Status FileRunSink::Append(RunStream stream, Key key) {
-  if (!in_run_) return Status::InvalidArgument("Append outside a run");
+void FileRunSink::NoteBounds(Key lo, Key hi) {
   if (!have_bounds_) {
-    min_key_ = max_key_ = key;
+    min_key_ = lo;
+    max_key_ = hi;
     have_bounds_ = true;
   } else {
-    min_key_ = std::min(min_key_, key);
-    max_key_ = std::max(max_key_, key);
+    min_key_ = std::min(min_key_, lo);
+    max_key_ = std::max(max_key_, hi);
   }
+}
+
+Status FileRunSink::OpenForwardWriter(RunStream stream) {
+  return MakeAsyncRecordWriter(env_, StreamPath(run_index_, stream),
+                               options_.block_bytes, options_.pool,
+                               options_.async_buffer_bytes, &forward_[stream],
+                               options_.flush_histogram);
+}
+
+Status FileRunSink::Append(RunStream stream, Key key) {
+  if (!in_run_) return Status::InvalidArgument("Append outside a run");
+  NoteBounds(key, key);
   if (StreamIsReverse(stream)) {
     auto& writer = reverse_[stream];
     if (writer == nullptr) {
@@ -148,13 +160,17 @@ Status FileRunSink::Append(RunStream stream, Key key) {
     return writer->Append(key);
   }
   auto& writer = forward_[stream];
-  if (writer == nullptr) {
-    TWRS_RETURN_IF_ERROR(MakeAsyncRecordWriter(
-        env_, StreamPath(run_index_, stream), options_.block_bytes,
-        options_.pool, options_.async_buffer_bytes, &writer,
-        options_.flush_histogram));
-  }
+  if (writer == nullptr) TWRS_RETURN_IF_ERROR(OpenForwardWriter(stream));
   return writer->Append(key);
+}
+
+Status FileRunSink::AppendSorted(const Key* keys, size_t n) {
+  if (!in_run_) return Status::InvalidArgument("Append outside a run");
+  if (n == 0) return Status::OK();
+  NoteBounds(keys[0], keys[n - 1]);
+  auto& writer = forward_[kStream1];
+  if (writer == nullptr) TWRS_RETURN_IF_ERROR(OpenForwardWriter(kStream1));
+  return writer->AppendBatch(keys, n);
 }
 
 Status FileRunSink::EndRun() {

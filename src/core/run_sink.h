@@ -58,6 +58,16 @@ class RunSink {
 
   virtual Status BeginRun() = 0;
   virtual Status Append(RunStream stream, Key key) = 0;
+
+  /// Appends `n` non-decreasing keys to kStream1 in one call — the span
+  /// path of Load-Sort-Store. The default loops Append.
+  virtual Status AppendSorted(const Key* keys, size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      TWRS_RETURN_IF_ERROR(Append(kStream1, keys[i]));
+    }
+    return Status::OK();
+  }
+
   virtual Status EndRun() = 0;
   virtual Status Finish() = 0;
 
@@ -132,10 +142,21 @@ class FileRunSink : public RunSink {
 
   Status BeginRun() override;
   Status Append(RunStream stream, Key key) override;
+
+  /// Writes the span through RecordWriter::AppendBatch; the run's bounds
+  /// come from the span's ends.
+  Status AppendSorted(const Key* keys, size_t n) override;
+
   Status EndRun() override;
   Status Finish() override;
 
  private:
+  /// Widens the current run's key bounds to [lo, hi].
+  void NoteBounds(Key lo, Key hi);
+
+  /// Creates the forward writer of `stream` for the current run.
+  Status OpenForwardWriter(RunStream stream);
+
   std::string StreamPath(uint64_t run, RunStream stream) const;
 
   Env* env_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "simd/kernels.h"
+
 namespace twrs {
 
 namespace {
@@ -226,7 +228,7 @@ Status ReverseRunReader::OpenFile(uint64_t index) {
   return Status::OK();
 }
 
-Status ReverseRunReader::Next(Key* key, bool* eof) {
+Status ReverseRunReader::FillBuffer(bool* eof) {
   TWRS_RETURN_IF_ERROR(status_);
   *eof = false;
   while (buffer_pos_ == buffer_size_) {
@@ -253,8 +255,27 @@ Status ReverseRunReader::Next(Key* key, bool* eof) {
     buffer_pos_ = 0;
     remaining_in_file_ -= got / kRecordBytes;
   }
+  return Status::OK();
+}
+
+Status ReverseRunReader::Next(Key* key, bool* eof) {
+  TWRS_RETURN_IF_ERROR(FillBuffer(eof));
+  if (*eof) return Status::OK();
   *key = DecodeKey(buffer_.data() + buffer_pos_);
   buffer_pos_ += kRecordBytes;
+  return Status::OK();
+}
+
+Status ReverseRunReader::NextBatch(Key* out, size_t max, size_t* got) {
+  *got = 0;
+  bool eof = false;
+  TWRS_RETURN_IF_ERROR(FillBuffer(&eof));
+  if (eof) return Status::OK();
+  const size_t take =
+      std::min(max, (buffer_size_ - buffer_pos_) / kRecordBytes);
+  simd::DecodeKeysBatch(buffer_.data() + buffer_pos_, take, out);
+  buffer_pos_ += take * kRecordBytes;
+  *got = take;
   return Status::OK();
 }
 

@@ -106,6 +106,12 @@ class ReverseRunReader {
   /// Reads the next record into `*key`; sets `*eof` at end of stream.
   Status Next(Key* key, bool* eof);
 
+  /// Decodes up to `max` records into `out` through the simd batch codec,
+  /// from the buffered block only: the next block (or file) is read only
+  /// when nothing is buffered, so a batch never reads ahead of Next's
+  /// schedule. Sets `*got` to the number delivered; 0 means end of stream.
+  Status NextBatch(Key* out, size_t max, size_t* got);
+
   /// Advances past the next `n` records without decoding them. Whole files
   /// are skipped by reading only their header (each file's data region is
   /// contiguous, so a within-file skip is a single Skip on the underlying
@@ -119,6 +125,10 @@ class ReverseRunReader {
 
  private:
   Status OpenFile(uint64_t index);
+
+  /// Refills the buffer when it is drained, opening earlier files as later
+  /// ones run out; sets `*eof` once the whole stream is consumed.
+  Status FillBuffer(bool* eof);
 
   Env* env_;
   std::string base_path_;

@@ -165,8 +165,9 @@ struct ExternalSortOptions {
 };
 
 /// Records the merge phase of a sort configured by `options` actually
-/// keeps resident: one block-sized buffer per merge input stream (plus
-/// read-ahead blocks) and one output buffer. The run-generation heaps —
+/// keeps resident: two block-sized buffers per merge input stream (the
+/// read buffer and the cursor's decoded keys, plus read-ahead blocks) and
+/// one output buffer. The run-generation heaps —
 /// the `memory_records` budget — are gone by then, which is what makes a
 /// mid-sort lease downsize sound.
 size_t MergePhaseMemoryRecords(const ExternalSortOptions& options);

@@ -4,8 +4,6 @@
 #include <limits>
 
 #include "merge/loser_tree.h"
-#include "simd/dispatch.h"
-#include "simd/kernels.h"
 
 namespace twrs {
 
@@ -14,7 +12,8 @@ RunCursor::RunCursor(Env* env, RunInfo run, size_t block_bytes,
     : env_(env),
       run_(std::move(run)),
       block_bytes_(block_bytes),
-      prefetch_blocks_(prefetch_blocks) {}
+      prefetch_blocks_(prefetch_blocks),
+      keys_(std::max<size_t>(1, block_bytes / kRecordBytes)) {}
 
 Status RunCursor::Init() {
   return InitSlice(0, std::numeric_limits<uint64_t>::max());
@@ -22,40 +21,35 @@ Status RunCursor::Init() {
 
 Status RunCursor::InitSlice(uint64_t skip, uint64_t limit) {
   segment_ = 0;
-  valid_ = false;
   forward_.reset();
   reverse_.reset();
   skip_remaining_ = skip;
   limit_remaining_ = limit;
-  return Advance();
+  return Refill();
 }
 
-Status RunCursor::Next() { return Advance(); }
-
-Status RunCursor::Advance() {
-  if (limit_remaining_ == 0) {
-    valid_ = false;
-    return Status::OK();
-  }
-  for (;;) {
-    // Pull from the currently open segment reader, if any.
-    bool eof = true;
+Status RunCursor::Refill() {
+  pos_ = 0;
+  end_ = 0;
+  while (limit_remaining_ > 0) {
+    // Fill from the currently open segment reader, if any. One fill never
+    // reads past the slice's limit.
+    const size_t cap = static_cast<size_t>(
+        std::min<uint64_t>(keys_.size(), limit_remaining_));
+    size_t got = 0;
     if (forward_ != nullptr) {
-      TWRS_RETURN_IF_ERROR(forward_->Next(&current_, &eof));
+      TWRS_RETURN_IF_ERROR(forward_->NextBatch(keys_.data(), cap, &got));
     } else if (reverse_ != nullptr) {
-      TWRS_RETURN_IF_ERROR(reverse_->Next(&current_, &eof));
+      TWRS_RETURN_IF_ERROR(reverse_->NextBatch(keys_.data(), cap, &got));
     }
-    if (!eof) {
-      valid_ = true;
-      --limit_remaining_;
+    if (got > 0) {
+      end_ = got;
+      limit_remaining_ -= got;
       return Status::OK();
     }
     forward_.reset();
     reverse_.reset();
-    if (segment_ == run_.segments.size()) {
-      valid_ = false;
-      return Status::OK();
-    }
+    if (segment_ == run_.segments.size()) return Status::OK();
     const RunSegment& seg = run_.segments[segment_++];
     if (seg.count == 0) continue;
     if (skip_remaining_ >= seg.count) {
@@ -92,188 +86,89 @@ Status RunCursor::Advance() {
     }
     skip_remaining_ = 0;
   }
+  return Status::OK();
 }
 
 namespace {
 
-/// Batches progress increments so the merge loop pays one local add per
-/// record and one atomic add per kBatch; the destructor flushes the
-/// remainder on every exit path (success, cancel, error unwind).
-class BatchedMergeProgress {
- public:
-  static constexpr uint64_t kBatch = 1024;
+/// Records per output block: the merge's unit of one span append, one
+/// cancel poll and one progress add.
+constexpr size_t kOutputBlockKeys = 1024;
 
-  explicit BatchedMergeProgress(ProgressCounters* progress)
-      : progress_(progress) {}
-
-  ~BatchedMergeProgress() {
-    if (progress_ != nullptr && pending_ > 0) {
-      progress_->AddRecordsMerged(pending_);
-    }
-  }
-
-  void Tick() {
-    if (progress_ == nullptr) return;
-    if (++pending_ == kBatch) {
-      progress_->AddRecordsMerged(kBatch);
-      pending_ = 0;
-    }
-  }
-
- private:
-  ProgressCounters* progress_;
-  uint64_t pending_ = 0;
-};
-
-/// Fan-in at or below which a flat min-scan replaces the loser tree. At
-/// these widths the whole candidate set fits in one or two vector loads,
-/// so a branchless simd::MinIndexN beats the tree's pointer chasing.
-constexpr size_t kSmallMergeFanIn = 8;
-
-/// Small-fan-in merge: live cursors' heads sit in a flat array scanned by
-/// MinIndexN each round. Ties resolve to the lowest array index and
-/// exhausted ways are compacted out preserving order, so the emitted key
-/// sequence is byte-identical to the loser tree's (stable lowest-way
-/// tie-break, see loser_tree.h).
-Status MergeSmallFanIn(std::vector<std::unique_ptr<RunCursor>>* cursors,
-                       const CancelToken* cancel,
-                       const std::function<Status(Key)>& emit,
-                       ProgressCounters* progress,
-                       const MergeWindow& window) {
-  Key keys[kSmallMergeFanIn];
-  RunCursor* ways[kSmallMergeFanIn];
-  size_t live = 0;
-  for (auto& cursor : *cursors) {
-    if (cursor->valid()) {
-      keys[live] = cursor->key();
-      ways[live] = cursor.get();
-      ++live;
-    }
-  }
-  // Resolve dispatch once and batch the call counters: one atomic add for
-  // the whole merge instead of one per selected record.
-  const simd::DispatchLevel level = simd::ActiveDispatchLevel();
-  const auto min_index = level == simd::DispatchLevel::kAvx2
-                             ? simd::internal::MinIndexNAvx2
-                             : simd::internal::MinIndexNScalar;
-  uint64_t selections = 0;
-  uint64_t to_skip = window.skip;
-  uint64_t remaining = window.limit;
-  Status status = Status::OK();
-  {
-    BatchedMergeProgress batched(progress);
-    while (live > 0 && remaining > 0) {
-      if (IsCancelled(cancel)) {
-        status = Status::Cancelled("merge cancelled");
-        break;
-      }
-      const size_t idx = min_index(keys, live);
-      ++selections;
-      if (to_skip > 0) {
-        --to_skip;
-      } else {
-        status = emit(keys[idx]);
-        if (!status.ok()) break;
-        batched.Tick();
-        --remaining;
-      }
-      status = ways[idx]->Next();
-      if (!status.ok()) break;
-      if (ways[idx]->valid()) {
-        keys[idx] = ways[idx]->key();
-      } else {
-        for (size_t j = idx + 1; j < live; ++j) {
-          keys[j - 1] = keys[j];
-          ways[j - 1] = ways[j];
-        }
-        --live;
-      }
-    }
-  }
-  simd::AddKernelCalls(simd::Kernel::kMinIndex, level, selections);
-  return status;
-}
-
-}  // namespace
-
-Status MergeRunCursors(std::vector<std::unique_ptr<RunCursor>>* cursors,
-                       const CancelToken* cancel,
-                       const std::function<Status(Key)>& emit,
-                       ProgressCounters* progress, const MergeWindow& window) {
-  const size_t k = cursors->size();
-  if (k <= kSmallMergeFanIn) {
-    return MergeSmallFanIn(cursors, cancel, emit, progress, window);
-  }
-  LoserTree tree(k);
-  for (size_t i = 0; i < k; ++i) {
-    if ((*cursors)[i]->valid()) tree.SetInitial(i, (*cursors)[i]->key());
-  }
-  tree.Build();
-  uint64_t to_skip = window.skip;
-  uint64_t remaining = window.limit;
-  BatchedMergeProgress batched(progress);
-  while (!tree.Exhausted() && remaining > 0) {
-    if (IsCancelled(cancel)) {
-      return Status::Cancelled("merge cancelled");
-    }
-    const size_t w = tree.WinnerIndex();
-    if (to_skip > 0) {
-      --to_skip;
-    } else {
-      TWRS_RETURN_IF_ERROR(emit(tree.WinnerKey()));
-      batched.Tick();
-      --remaining;
-    }
-    TWRS_RETURN_IF_ERROR((*cursors)[w]->Next());
-    if ((*cursors)[w]->valid()) {
-      tree.ReplaceWinner((*cursors)[w]->key());
-    } else {
-      tree.RetireWinner();
-    }
+/// Refills the winning way's drained cursor and replays its path — the
+/// out-of-line half of a merge step, taken once per input block.
+Status RefillWinner(LoserTree* tree, RunCursor* cursor) {
+  TWRS_RETURN_IF_ERROR(cursor->Refill());
+  if (cursor->valid()) {
+    tree->ReplaceWinner(cursor->key());
+  } else {
+    tree->RetireWinner();
   }
   return Status::OK();
 }
 
-Status KWayMerge(Env* env, const std::vector<RunInfo>& runs,
-                 const MergeIoOptions& io,
-                 const std::function<Status(Key)>& emit) {
-  std::vector<std::unique_ptr<RunCursor>> cursors;
-  cursors.reserve(runs.size());
-  for (const RunInfo& run : runs) {
-    cursors.push_back(std::make_unique<RunCursor>(env, run, io.block_bytes,
-                                                  io.prefetch_blocks));
-    TWRS_RETURN_IF_ERROR(cursors.back()->Init());
+/// The merge core: runs the loser tree over `cursors`, gathers the winners
+/// of `window` into output blocks and hands each to `flush(keys, n)`.
+/// Ties break by way index, so the order is stable across cursors.
+template <typename Flush>
+Status MergeBlocks(std::vector<std::unique_ptr<RunCursor>>* cursors,
+                   const MergeIoOptions& io, const MergeWindow& window,
+                   Flush&& flush) {
+  const size_t k = cursors->size();
+  std::vector<RunCursor*> ways(k);
+  LoserTree tree(k);
+  for (size_t i = 0; i < k; ++i) {
+    ways[i] = (*cursors)[i].get();
+    if (ways[i]->valid()) tree.SetInitial(i, ways[i]->key());
   }
-  return MergeRunCursors(&cursors, io.cancel, emit, io.progress);
+  tree.Build();
+  std::vector<Key> block(kOutputBlockKeys);
+  uint64_t to_skip = window.skip;
+  uint64_t remaining = window.limit;
+  while (!tree.Exhausted() && remaining > 0) {
+    if (IsCancelled(io.cancel)) return Status::Cancelled("merge cancelled");
+    // While the window's prefix is being skipped, a round merges into the
+    // block and discards it.
+    const size_t cap = static_cast<size_t>(std::min<uint64_t>(
+        kOutputBlockKeys, to_skip > 0 ? to_skip : remaining));
+    size_t n = 0;
+    for (; n < cap && !tree.Exhausted(); ++n) {
+      RunCursor* cursor = ways[tree.WinnerIndex()];
+      block[n] = tree.WinnerKey();
+      if (cursor->StepInBlock()) {
+        tree.ReplaceWinner(cursor->key());
+      } else {
+        TWRS_RETURN_IF_ERROR(RefillWinner(&tree, cursor));
+      }
+    }
+    if (to_skip > 0) {
+      to_skip -= n;
+      continue;
+    }
+    TWRS_RETURN_IF_ERROR(flush(block.data(), n));
+    if (io.progress != nullptr) io.progress->AddRecordsMerged(n);
+    remaining -= n;
+  }
+  return Status::OK();
 }
 
-Status KWayMerge(Env* env, const std::vector<RunInfo>& runs,
-                 size_t block_bytes,
-                 const std::function<Status(Key)>& emit) {
-  MergeIoOptions io;
-  io.block_bytes = block_bytes;
-  return KWayMerge(env, runs, io, emit);
-}
+}  // namespace
 
 Status MergeCursorsToSink(std::vector<std::unique_ptr<RunCursor>>* cursors,
                           const MergeIoOptions& io, const MergeWindow& window,
                           MergeSink* sink, RunInfo* out) {
   RecordWriter writer(std::make_unique<MergeSinkFile>(sink), io.block_bytes);
   TWRS_RETURN_IF_ERROR(writer.status());
-  bool first = true;
+  // Blocks arrive in merge order, so the run's bounds are the first key of
+  // the first block and the last key of the last.
   Key min_key = 0;
   Key max_key = 0;
-  TWRS_RETURN_IF_ERROR(MergeRunCursors(
-      cursors, io.cancel,
-      [&](Key key) {
-        if (first) {
-          min_key = key;
-          first = false;
-        }
-        max_key = key;
-        return writer.Append(key);
-      },
-      io.progress, window));
+  TWRS_RETURN_IF_ERROR(
+      MergeBlocks(cursors, io, window, [&](const Key* keys, size_t n) {
+        if (writer.count() == 0) min_key = keys[0];
+        max_key = keys[n - 1];
+        return writer.AppendBatch(keys, n);
+      }));
   TWRS_RETURN_IF_ERROR(writer.Finish());
   if (out != nullptr) {
     RunInfo info;

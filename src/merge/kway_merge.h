@@ -1,7 +1,6 @@
 #ifndef TWRS_MERGE_KWAY_MERGE_H_
 #define TWRS_MERGE_KWAY_MERGE_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,13 +36,13 @@ struct MergeIoOptions {
   size_t async_buffer_bytes = kDefaultAsyncBufferBytes;
 
   /// Cooperative cancellation: when non-null, the merge loop polls the
-  /// token every record and unwinds with Status::Cancelled once it fires.
-  /// Must outlive the merge.
+  /// token once per output block (1024 records) and unwinds with
+  /// Status::Cancelled once it fires. Must outlive the merge.
   const CancelToken* cancel = nullptr;
 
-  /// Live progress: when non-null, the merge loop adds every emitted
-  /// record (in batches, to keep the hot path cheap) to
-  /// `progress->AddRecordsMerged`. Must outlive the merge.
+  /// Live progress: when non-null, the merge loop adds each flushed output
+  /// block's record count to `progress->AddRecordsMerged`, so the counter
+  /// is exact once the merge returns. Must outlive the merge.
   ProgressCounters* progress = nullptr;
 
   /// When non-null, the wall time of every flush of the merge output is
@@ -58,11 +57,14 @@ struct MergeIoOptions {
   bool sync_output = false;
 };
 
-/// Streaming cursor over one generated run: iterates its segments in order,
-/// reading forward segments with RecordReader and decreasing segments
-/// through the Appendix-A reverse reader, yielding a single non-decreasing
-/// key sequence. With `prefetch_blocks` > 0, forward segments read through a
-/// PrefetchingSequentialFile that keeps that many blocks in flight.
+/// Block cursor over one generated run: iterates its segments in order,
+/// decoding one block of keys at a time — forward segments through
+/// RecordReader::NextBatch, decreasing segments through the Appendix-A
+/// ReverseRunReader::NextBatch — into a single non-decreasing key sequence.
+/// Stepping within a decoded block is inline; only Refill touches the
+/// readers and returns a Status. With `prefetch_blocks` > 0, forward
+/// segments read through a PrefetchingSequentialFile that keeps that many
+/// blocks in flight.
 class RunCursor {
  public:
   RunCursor(Env* env, RunInfo run, size_t block_bytes = kDefaultBlockBytes,
@@ -77,22 +79,28 @@ class RunCursor {
   /// metadata counts without opening them; within the boundary segment,
   /// forward files skip by byte offset and reverse streams through
   /// ReverseRunReader::SkipRecords, so positioning costs header reads and
-  /// seeks, not a prefix scan.
+  /// seeks, not a prefix scan. The limit also caps every block fill.
   Status InitSlice(uint64_t skip, uint64_t limit);
 
-  bool valid() const { return valid_; }
+  bool valid() const { return pos_ < end_; }
 
   /// Current key. Requires valid().
-  Key key() const { return current_; }
+  Key key() const { return keys_[pos_]; }
+
+  /// Steps to the next key of the decoded block. Returns false once the
+  /// block is used up; the caller then calls Refill.
+  bool StepInBlock() { return ++pos_ < end_; }
+
+  /// Decodes the next block, opening later segments as earlier ones
+  /// drain; valid() turns false at the end of the run (or slice).
+  Status Refill();
 
   /// Advances to the next record; valid() turns false at the end.
-  Status Next();
+  Status Next() { return StepInBlock() ? Status::OK() : Refill(); }
 
   const RunInfo& run() const { return run_; }
 
  private:
-  Status Advance();
-
   Env* env_;
   RunInfo run_;
   size_t block_bytes_;
@@ -102,8 +110,9 @@ class RunCursor {
   std::unique_ptr<ReverseRunReader> reverse_;
   uint64_t skip_remaining_ = 0;
   uint64_t limit_remaining_ = 0;
-  Key current_ = 0;
-  bool valid_ = false;
+  std::vector<Key> keys_;  // the decoded block
+  size_t pos_ = 0;
+  size_t end_ = 0;
 };
 
 /// No-limit sentinel of MergeWindow: "emit until every cursor drains".
@@ -113,40 +122,14 @@ inline constexpr uint64_t kMergeNoLimit = ~uint64_t{0};
 /// the merge order, then emit at most `limit`. The merge loop stops dead
 /// once the window is served — with a limit of K, a top-K merge does k-way
 /// work proportional to skip+K, not to the input volume. Skipped records
-/// are merged (their cursors advance) but never reach emit, the writer, or
-/// progress counters. The default window is the whole stream.
+/// are merged (their cursors advance) but never reach the sink or the
+/// progress counter. The default window is the whole stream.
 struct MergeWindow {
   uint64_t skip = 0;
   uint64_t limit = kMergeNoLimit;
 
   bool whole() const { return skip == 0 && limit == kMergeNoLimit; }
 };
-
-/// Runs the loser tree over already-initialized cursors, emitting the
-/// merged non-decreasing key stream. The shared core of KWayMerge and the
-/// partitioned final merge's ranged partial merges. Polls `cancel` (when
-/// non-null) every record. A non-null `progress` receives every emitted
-/// record via AddRecordsMerged, batched so the per-record cost is a local
-/// increment; the remainder is flushed on every exit path. `window`
-/// restricts emission to a slice of the merge order (top-K and clamped
-/// partition merges); both the small-fan-in and loser-tree paths honor it.
-Status MergeRunCursors(std::vector<std::unique_ptr<RunCursor>>* cursors,
-                       const CancelToken* cancel,
-                       const std::function<Status(Key)>& emit,
-                       ProgressCounters* progress = nullptr,
-                       const MergeWindow& window = MergeWindow());
-
-/// Merges `runs` into a single non-decreasing stream delivered to `emit`
-/// (§2.1.2, k-way merge over a loser tree). `io.block_bytes` is the read
-/// buffer per run — the per-run merge buffer of the paper's setup.
-Status KWayMerge(Env* env, const std::vector<RunInfo>& runs,
-                 const MergeIoOptions& io,
-                 const std::function<Status(Key)>& emit);
-
-/// Synchronous-I/O shorthand for the overload above.
-Status KWayMerge(Env* env, const std::vector<RunInfo>& runs,
-                 size_t block_bytes,
-                 const std::function<Status(Key)>& emit);
 
 /// Merges `runs` through the loser tree into `sink` (record-encoded,
 /// block-buffered). Finishes the sink, so a RangeMergeSink's exact-fill
@@ -158,9 +141,13 @@ Status KWayMergeToSink(Env* env, const std::vector<RunInfo>& runs,
                        RunInfo* out);
 
 /// Merges already-initialized (possibly sliced) cursors into `sink`,
-/// emitting only `window` of the merge order. The record-encoding core
-/// shared by KWayMergeToSink, the limit-aware merges, and the pruned
-/// final merge; same sink/out contract as KWayMergeToSink.
+/// emitting only `window` of the merge order (§2.1.2, k-way merge over a
+/// loser tree). The one merge core: KWayMergeToSink, the limit-aware
+/// merges, the pruned final merge and the partitioned final merge's
+/// partial merges all run through it. Winners are gathered into blocks of
+/// keys; each block is appended to `sink` in one span, and the cancel
+/// token and progress counter are consulted once per block. Same sink/out
+/// contract as KWayMergeToSink.
 Status MergeCursorsToSink(std::vector<std::unique_ptr<RunCursor>>* cursors,
                           const MergeIoOptions& io, const MergeWindow& window,
                           MergeSink* sink, RunInfo* out);

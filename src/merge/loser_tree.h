@@ -3,6 +3,8 @@
 
 #include <cassert>
 #include <cstddef>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "core/record.h"
@@ -11,128 +13,102 @@ namespace twrs {
 
 /// Tournament (loser) tree over k input ways, the classic k-way merge
 /// selector (§2.1.2 implemented with log k comparisons per record instead of
-/// the naive k-1). Internal nodes remember the loser of each match; the
-/// overall winner is the way with the smallest current key. Exhausted ways
-/// rank after every live key.
+/// the naive k-1). Internal nodes cache the {key, rank} of the loser of each
+/// match, so a replay compares cached keys without touching per-way state.
+/// A live way ranks by its index; an exhausted way becomes
+/// {INT64_MAX, way + k}, which sorts after every live entry — a live
+/// INT64_MAX key included — so ties break by way index and exhausted ways
+/// never win while any way is live.
 class LoserTree {
  public:
   /// Creates a tree over `k` ways; all ways start exhausted.
-  explicit LoserTree(size_t k);
+  explicit LoserTree(size_t k)
+      : k_(k), leaves_(k), losers_(k), winner_(Retired(0)) {
+    for (size_t w = 0; w < k; ++w) leaves_[w] = Retired(w);
+  }
 
   /// Sets the initial key of way `w`. Call for each live way, then Build().
-  void SetInitial(size_t w, Key key);
+  void SetInitial(size_t w, Key key) {
+    assert(w < k_ && leaves_[w].rank >= k_);
+    leaves_[w] = Entry{key, w};
+  }
 
   /// Runs the initial tournament.
-  void Build();
+  void Build() {
+    if (k_ == 0) return;
+    // Play bottom-up over a scratch array of match winners; leaves sit at
+    // [k, 2k), internal node n plays the winners of 2n and 2n+1.
+    std::vector<Entry> winner_of(2 * k_);
+    for (size_t w = 0; w < k_; ++w) winner_of[k_ + w] = leaves_[w];
+    for (size_t node = k_ - 1; node >= 1; --node) {
+      const Entry& a = winner_of[2 * node];
+      const Entry& b = winner_of[2 * node + 1];
+      const bool a_wins = Beats(a, b);
+      losers_[node] = a_wins ? b : a;
+      winner_of[node] = a_wins ? a : b;
+    }
+    winner_ = winner_of[1];
+  }
 
   /// Way holding the smallest key. Requires !Exhausted().
   size_t WinnerIndex() const {
     assert(!Exhausted());
-    return winner_;
+    return winner_.rank;
   }
 
   /// Key of the winning way.
   Key WinnerKey() const {
     assert(!Exhausted());
-    return keys_[winner_];
+    return winner_.key;
   }
 
   /// Replaces the winner's key with its next key and replays its path.
-  void ReplaceWinner(Key key);
+  void ReplaceWinner(Key key) {
+    assert(!Exhausted());
+    Replay(Entry{key, winner_.rank}, winner_.rank);
+  }
 
   /// Marks the winning way as exhausted and replays its path.
-  void RetireWinner();
+  void RetireWinner() {
+    assert(!Exhausted());
+    Replay(Retired(winner_.rank), winner_.rank);
+  }
 
   /// True when every way is exhausted.
-  bool Exhausted() const { return live_ == 0; }
+  bool Exhausted() const { return winner_.rank >= k_; }
 
   size_t ways() const { return k_; }
 
  private:
-  // True when way `a` beats (sorts before) way `b`.
-  bool Beats(size_t a, size_t b) const {
-    if (!alive_[a]) return false;
-    if (!alive_[b]) return true;
-    if (keys_[a] != keys_[b]) return keys_[a] < keys_[b];
-    return a < b;  // deterministic tie-break keeps the merge stable
+  struct Entry {
+    Key key;
+    size_t rank;  // way index while live, way + k once exhausted
+  };
+
+  Entry Retired(size_t way) const {
+    return Entry{std::numeric_limits<Key>::max(), way + k_};
   }
 
-  void Replay(size_t way);
+  // Strict (key, rank) order: the merge is stable by way index.
+  static bool Beats(const Entry& a, const Entry& b) {
+    return a.key < b.key || (a.key == b.key && a.rank < b.rank);
+  }
+
+  // Walks from the leaf of `way` to the root carrying its new entry,
+  // swapping with every cached loser that beats it; what reaches the root
+  // is the new winner.
+  void Replay(Entry current, size_t way) {
+    for (size_t node = (k_ + way) / 2; node >= 1; node /= 2) {
+      if (Beats(losers_[node], current)) std::swap(losers_[node], current);
+    }
+    winner_ = current;
+  }
 
   size_t k_;
-  size_t live_ = 0;
-  std::vector<Key> keys_;
-  std::vector<bool> alive_;
-  std::vector<size_t> losers_;  // internal nodes [1, k): loser way indices
-  size_t winner_ = 0;
-  bool built_ = false;
+  std::vector<Entry> leaves_;  // initial entries, read once by Build()
+  std::vector<Entry> losers_;  // internal nodes [1, k): cached losers
+  Entry winner_;
 };
-
-inline LoserTree::LoserTree(size_t k)
-    : k_(k), keys_(k, 0), alive_(k, false), losers_(k, SIZE_MAX) {}
-
-inline void LoserTree::SetInitial(size_t w, Key key) {
-  assert(!built_);
-  assert(!alive_[w]);
-  keys_[w] = key;
-  alive_[w] = true;
-  ++live_;
-}
-
-inline void LoserTree::Build() {
-  built_ = true;
-  if (k_ == 0) return;
-  if (k_ == 1) {
-    winner_ = 0;
-    return;
-  }
-  // Play the tournament bottom-up: winners_of[node] via a scratch array.
-  std::vector<size_t> winner_of(2 * k_);
-  for (size_t w = 0; w < k_; ++w) winner_of[k_ + w] = w;
-  for (size_t node = k_ - 1; node >= 1; --node) {
-    const size_t a = winner_of[2 * node];
-    const size_t b = winner_of[2 * node + 1];
-    if (Beats(a, b)) {
-      winner_of[node] = a;
-      losers_[node] = b;
-    } else {
-      winner_of[node] = b;
-      losers_[node] = a;
-    }
-  }
-  winner_ = winner_of[1];
-}
-
-inline void LoserTree::Replay(size_t way) {
-  if (k_ == 1) {
-    winner_ = 0;
-    return;
-  }
-  size_t node = (k_ + way) / 2;
-  size_t current = way;
-  while (node >= 1) {
-    const size_t opponent = losers_[node];
-    if (opponent != SIZE_MAX && Beats(opponent, current)) {
-      losers_[node] = current;
-      current = opponent;
-    }
-    node /= 2;
-  }
-  winner_ = current;
-}
-
-inline void LoserTree::ReplaceWinner(Key key) {
-  assert(built_ && !Exhausted());
-  keys_[winner_] = key;
-  Replay(winner_);
-}
-
-inline void LoserTree::RetireWinner() {
-  assert(built_ && !Exhausted());
-  alive_[winner_] = false;
-  --live_;
-  Replay(winner_);
-}
 
 }  // namespace twrs
 

@@ -49,8 +49,8 @@ struct MergeOptions {
   bool parallel_leaf_merges = false;
 
   /// Cooperative cancellation: polled between merge steps and, through
-  /// MergeIoOptions, every record inside each k-way merge. Must outlive
-  /// the merge.
+  /// MergeIoOptions, once per output block (1024 records) inside each
+  /// k-way merge. Must outlive the merge.
   const CancelToken* cancel = nullptr;
 
   /// Partitions of the *final* merge step. Values > 1 (with a pool) split
@@ -79,8 +79,9 @@ struct MergeOptions {
   /// SimDiskEnv.
   bool sync_output = true;
 
-  /// Live progress: every record emitted by any merge pass is added (in
-  /// batches) to `progress->AddRecordsMerged`. Must outlive the merge.
+  /// Live progress: every record emitted by any merge pass is added (once
+  /// per output block) to `progress->AddRecordsMerged`. Must outlive the
+  /// merge.
   ProgressCounters* progress = nullptr;
 
   /// When non-null, every flush of a merge output file records its wall

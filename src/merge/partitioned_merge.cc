@@ -123,12 +123,7 @@ Status MergePartition(Env* env, const std::vector<RunInfo>& runs,
     TWRS_RETURN_IF_ERROR(
         cursors.back()->InitSlice(slices[r].skip, slices[r].length));
   }
-  RecordWriter writer(std::make_unique<MergeSinkFile>(sink), io.block_bytes);
-  TWRS_RETURN_IF_ERROR(writer.status());
-  TWRS_RETURN_IF_ERROR(MergeRunCursors(
-      &cursors, io.cancel, [&](Key key) { return writer.Append(key); },
-      io.progress, window));
-  return writer.Finish();
+  return MergeCursorsToSink(&cursors, io, window, sink, nullptr);
 }
 
 /// The serial limited final merge. Clamps every run to the `kept`-record

@@ -15,8 +15,9 @@ namespace {
 
 /// Truncates the input stream once the token fires, so run generation
 /// stops consuming promptly even during a fill phase that emits nothing.
-/// The sink wrapper below turns the cancellation into a Status, so the
-/// early EOF cannot masquerade as a short-but-successful sort.
+/// A batch pays one token check. The sink wrapper below turns the
+/// cancellation into a Status, so the early EOF cannot masquerade as a
+/// short-but-successful sort.
 class CancellableSource : public RecordSource {
  public:
   CancellableSource(RecordSource* base, const CancelToken* cancel)
@@ -27,13 +28,19 @@ class CancellableSource : public RecordSource {
     return base_->Next(key);
   }
 
+  size_t NextBatch(Key* out, size_t cap) override {
+    if (IsCancelled(cancel_)) return 0;
+    return base_->NextBatch(out, cap);
+  }
+
  private:
   RecordSource* base_;
   const CancelToken* cancel_;
 };
 
-/// Forwards to the real sink but fails BeginRun/Append once the token
-/// fires — the per-record cancellation point of the run-generation loop.
+/// Forwards to the real sink but fails BeginRun/Append/AppendSorted once the
+/// token fires — the per-record (per-span for Load-Sort-Store) cancellation
+/// point of the run-generation loop.
 /// EndRun/Finish still forward so the base sink's protocol state stays
 /// consistent while the error unwinds.
 class CancellableSink : public RunSink {
@@ -49,6 +56,11 @@ class CancellableSink : public RunSink {
   Status Append(RunStream stream, Key key) override {
     if (IsCancelled(cancel_)) return CancelledStatus();
     return base_->Append(stream, key);
+  }
+
+  Status AppendSorted(const Key* keys, size_t n) override {
+    if (IsCancelled(cancel_)) return CancelledStatus();
+    return base_->AppendSorted(keys, n);
   }
 
   Status EndRun() override {
@@ -72,9 +84,10 @@ class CancellableSink : public RunSink {
   const CancelToken* cancel_;
 };
 
-/// Counts the records run generation actually consumes, batched so the
-/// per-record cost is a local increment; the destructor flushes the
-/// remainder on every exit path (EOF, cancel truncation, error unwind).
+/// Counts the records run generation actually consumes. Per-record reads
+/// are batched so their cost is a local increment, and the destructor
+/// flushes the remainder on every exit path (EOF, cancel truncation, error
+/// unwind); a NextBatch read adds its count in one call.
 class ProgressSource : public RecordSource {
  public:
   static constexpr uint64_t kBatch = 1024;
@@ -93,6 +106,12 @@ class ProgressSource : public RecordSource {
       pending_ = 0;
     }
     return true;
+  }
+
+  size_t NextBatch(Key* out, size_t cap) override {
+    const size_t n = base_->NextBatch(out, cap);
+    if (n > 0) progress_->AddRecordsIngested(n);
+    return n;
   }
 
  private:

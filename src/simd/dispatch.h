@@ -63,13 +63,11 @@ inline constexpr int kNumKernels = 5;
 const char* KernelName(Kernel kernel);
 
 /// Process-wide count of calls dispatched to `level` for `kernel` since
-/// startup. Hot loops that resolve dispatch once (e.g. the small-fan-in
-/// merge) batch their counts, so this counts kernel *invocations*, which
-/// for batch kernels is calls and for MinIndexN is per-record selections.
+/// startup: one per invocation of a dispatched entry point.
 uint64_t KernelCalls(Kernel kernel, DispatchLevel level);
 
 /// Adds `n` to the (kernel, level) call counter. Dispatched entry points
-/// call this with n=1; batch-resolving call sites add their totals once.
+/// call this with n=1.
 void AddKernelCalls(Kernel kernel, DispatchLevel level, uint64_t n);
 
 /// Mirrors the process-wide kernel call counters into `metrics` as

@@ -37,9 +37,9 @@ void EncodeKeysBatch(const Key* keys, size_t n, uint8_t* out);
 void DecodeKeysBatch(const uint8_t* in, size_t n, Key* keys);
 
 /// Index of the minimum of keys[0..n); ties resolve to the lowest index
-/// (the loser tree's stable tie-break). Requires n >= 1. The fast
-/// selection primitive of small-fan-in merges, where a tournament tree's
-/// pointer chasing costs more than a branchless vector scan.
+/// (the loser tree's stable tie-break). Requires n >= 1. A branchless
+/// vector min-scan over a handful of candidates; the merge core itself
+/// selects through the key-caching loser tree at every fan-in.
 size_t MinIndexN(const Key* keys, size_t n);
 
 /// Fixed-level twins behind the dispatched entry points above. Tests pin

@@ -214,6 +214,13 @@ bool FileRecordSource::Next(Key* key) {
   return status_.ok() && !eof;
 }
 
+size_t FileRecordSource::NextBatch(Key* out, size_t cap) {
+  if (!status_.ok()) return 0;
+  size_t got = 0;
+  status_ = reader_.NextBatch(out, cap, &got);
+  return got;
+}
+
 Status FileRecordSource::status() const {
   return status_.ok() ? reader_.status() : status_;
 }

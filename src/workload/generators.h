@@ -57,6 +57,10 @@ class FileRecordSource : public RecordSource {
 
   bool Next(Key* key) override;
 
+  /// Bulk path through RecordReader::NextBatch. A read error mid-batch
+  /// still delivers the records decoded before it; the next call returns 0.
+  size_t NextBatch(Key* out, size_t cap) override;
+
   /// I/O health of the underlying reader (Next returns false on error).
   Status status() const override;
 

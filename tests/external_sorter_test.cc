@@ -418,6 +418,51 @@ TEST(ExternalSorterCancelTest, CancelMidMergeUnwindsAndCleansUp) {
   EXPECT_EQ(env.FileCount(), 0u);
 }
 
+TEST(ExternalSorterCancelTest, LoadSortStoreCancelMidRunGeneration) {
+  MemEnv env;
+  WorkloadOptions wl;
+  wl.num_records = 20000;
+  wl.seed = 25;
+  auto input = Drain(MakeWorkload(Dataset::kRandom, wl).get());
+
+  CancelToken token;
+  ExternalSortOptions options = CancelTestOptions(&token);
+  options.algorithm = RunGenAlgorithm::kLoadSortStore;
+  ExternalSorter sorter(&env, options);
+  // Fires mid-batch: the batch completes, the next read or span append
+  // sees the token.
+  CancelAfterNSource source(input, 5000, &token);
+  const Status status = sorter.Sort(&source, "out", nullptr);
+  EXPECT_TRUE(status.IsCancelled()) << status.ToString();
+  EXPECT_EQ(env.FileCount(), 0u);
+}
+
+TEST(ExternalSorterTest, LoadSortStoreProgressCountsAreExact) {
+  MemEnv env;
+  WorkloadOptions wl;
+  wl.num_records = 10007;  // not a multiple of any batch or block
+  wl.seed = 26;
+  const auto input = Drain(MakeWorkload(Dataset::kRandom, wl).get());
+  ASSERT_TWRS_OK(WriteAllRecords(&env, "in", input));
+
+  ProgressCounters progress;
+  ExternalSortOptions options;
+  options.algorithm = RunGenAlgorithm::kLoadSortStore;
+  options.memory_records = 1000;
+  options.fan_in = 16;  // one merge pass: every record is merged once
+  options.temp_dir = "tmp";
+  options.block_bytes = 512;
+  options.progress = &progress;
+  ExternalSorter sorter(&env, options);
+  FileRecordSource source(&env, "in", options.block_bytes);
+  ExternalSortResult result;
+  ASSERT_TWRS_OK(sorter.Sort(&source, "out", &result));
+  const JobProgress done = progress.Snapshot();
+  EXPECT_EQ(done.records_ingested, input.size());
+  EXPECT_EQ(done.records_merged, input.size());
+  EXPECT_EQ(result.merge.records_written, input.size());
+}
+
 TEST(ExternalSorterCancelTest, ParallelSortAlsoObservesTheToken) {
   MemEnv env;
   WorkloadOptions wl;
@@ -844,22 +889,115 @@ TEST(ExternalSorterTest, InputReadErrorFailsFullAndTopKSorts) {
     uint64_t limit;
     TopKStrategy strategy;
   };
-  for (const Mode mode : {Mode{0, TopKStrategy::kAuto},
-                          Mode{10, TopKStrategy::kDualHeap},
-                          Mode{10, TopKStrategy::kRunPruningMerge}}) {
-    SCOPED_TRACE(::testing::Message() << "limit " << mode.limit << " strategy "
-                                      << static_cast<int>(mode.strategy));
-    FailingInputReadEnv env("in", input_bytes / 2);
-    ASSERT_TWRS_OK(WriteAllRecords(&env, "in", input));
+  // Load-Sort-Store reads its input through NextBatch, the heaps through
+  // Next: both paths must surface the error.
+  for (const RunGenAlgorithm algorithm :
+       {RunGenAlgorithm::kReplacementSelection,
+        RunGenAlgorithm::kTwoWayReplacementSelection,
+        RunGenAlgorithm::kLoadSortStore}) {
+    for (const Mode mode : {Mode{0, TopKStrategy::kAuto},
+                            Mode{10, TopKStrategy::kDualHeap},
+                            Mode{10, TopKStrategy::kRunPruningMerge}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << RunGenAlgorithmName(algorithm) << " limit "
+                   << mode.limit << " strategy "
+                   << static_cast<int>(mode.strategy));
+      FailingInputReadEnv env("in", input_bytes / 2);
+      ASSERT_TWRS_OK(WriteAllRecords(&env, "in", input));
+      ExternalSortOptions options = TopKTestOptions();
+      options.algorithm = algorithm;
+      options.limit = mode.limit;
+      options.topk_strategy = mode.strategy;
+      ExternalSorter sorter(&env, options);
+      FileRecordSource source(&env, "in", options.block_bytes);
+      const Status status = sorter.Sort(&source, "out", nullptr);
+      EXPECT_TRUE(status.IsIOError()) << status.ToString();
+      // Neither scratch nor a truncated output survives; only the input.
+      EXPECT_EQ(env.FileCount(), 1u);
+    }
+  }
+}
+
+// MemEnv whose `fail_at`-th sequential read of any scratch file (path
+// under "tmp/") fails: a disk error while the merge reads its runs. Run
+// generation only writes scratch files, so every such read is a merge
+// cursor opening a segment or refilling its block. A `fail_at` of 0 never
+// fails and just counts.
+class FailingRunReadEnv : public MemEnv {
+ public:
+  explicit FailingRunReadEnv(uint64_t fail_at) : fail_at_(fail_at) {}
+
+  Status NewSequentialFile(const std::string& path,
+                           std::unique_ptr<SequentialFile>* out) override {
+    TWRS_RETURN_IF_ERROR(MemEnv::NewSequentialFile(path, out));
+    if (path.rfind("tmp/", 0) == 0) {
+      *out = std::make_unique<CountedFile>(std::move(*out), this);
+    }
+    return Status::OK();
+  }
+
+  uint64_t reads() const { return reads_; }
+
+ private:
+  class CountedFile : public SequentialFile {
+   public:
+    CountedFile(std::unique_ptr<SequentialFile> base, FailingRunReadEnv* env)
+        : base_(std::move(base)), env_(env) {}
+
+    Status Read(void* out, size_t n, size_t* bytes_read) override {
+      if (++env_->reads_ == env_->fail_at_) {
+        return Status::IOError("injected run read error");
+      }
+      return base_->Read(out, n, bytes_read);
+    }
+
+    Status Skip(uint64_t n) override { return base_->Skip(n); }
+
+   private:
+    std::unique_ptr<SequentialFile> base_;
+    FailingRunReadEnv* env_;
+  };
+
+  uint64_t fail_at_;
+  uint64_t reads_ = 0;
+};
+
+TEST(ExternalSorterTest, MergeReadErrorFailsTheSort) {
+  WorkloadOptions wl;
+  wl.num_records = 6000;
+  wl.seed = 39;
+  const auto input = Drain(MakeWorkload(Dataset::kRandom, wl).get());
+  for (const RunGenAlgorithm algorithm :
+       {RunGenAlgorithm::kTwoWayReplacementSelection,
+        RunGenAlgorithm::kLoadSortStore}) {
+    SCOPED_TRACE(RunGenAlgorithmName(algorithm));
     ExternalSortOptions options = TopKTestOptions();
-    options.limit = mode.limit;
-    options.topk_strategy = mode.strategy;
-    ExternalSorter sorter(&env, options);
-    FileRecordSource source(&env, "in", options.block_bytes);
-    const Status status = sorter.Sort(&source, "out", nullptr);
-    EXPECT_TRUE(status.IsIOError()) << status.ToString();
-    // Neither scratch nor a truncated output survives; only the input.
-    EXPECT_EQ(env.FileCount(), 1u);
+    options.algorithm = algorithm;
+    // Count the scratch reads of a clean sort first.
+    uint64_t total_reads = 0;
+    {
+      FailingRunReadEnv env(0);
+      ExternalSorter sorter(&env, options);
+      VectorSource source(input);
+      ASSERT_TWRS_OK(sorter.Sort(&source, "out", nullptr));
+      total_reads = env.reads();
+    }
+    ASSERT_GT(total_reads, 8u);
+    // The first read opens a cursor; the middle ones land on block refills
+    // inside the merge loop; the last is a final-pass refill at a run's end.
+    for (const uint64_t fail_at :
+         {uint64_t{1}, uint64_t{2}, total_reads / 3, total_reads / 2,
+          total_reads - 1, total_reads}) {
+      SCOPED_TRACE(::testing::Message() << "read " << fail_at << " of "
+                                        << total_reads);
+      FailingRunReadEnv env(fail_at);
+      ExternalSorter sorter(&env, options);
+      VectorSource source(input);
+      const Status status = sorter.Sort(&source, "out", nullptr);
+      EXPECT_TRUE(status.IsIOError()) << status.ToString();
+      // No scratch and no short output survive.
+      EXPECT_EQ(env.FileCount(), 0u);
+    }
   }
 }
 

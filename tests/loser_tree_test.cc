@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "util/random.h"
@@ -106,6 +108,52 @@ TEST(LoserTreeTest, RandomizedAgainstSortProperty) {
     }
     std::sort(all.begin(), all.end());
     EXPECT_EQ(MergeWithTree(ways), all) << "trial " << trial;
+  }
+}
+
+// Property: over ways of random length (so they retire in random order,
+// some before the first pop) holding keys piled on the numeric limits, the
+// tree emits every (key, way) pair in the order std::stable_sort gives the
+// way-by-way concatenation — ascending key, ties by way index.
+TEST(LoserTreeTest, EmissionEqualsStableSortByKeyThenWay) {
+  constexpr Key kMax = std::numeric_limits<Key>::max();
+  constexpr Key kMin = std::numeric_limits<Key>::min();
+  const Key pool[] = {kMin, kMin + 1, -1, 0, 1, kMax - 1, kMax};
+  Random rng(29);
+  for (size_t k : {1u, 2u, 3u, 5u, 10u, 17u}) {
+    for (int trial = 0; trial < 50; ++trial) {
+      SCOPED_TRACE(::testing::Message() << "k " << k << " trial " << trial);
+      std::vector<std::vector<Key>> ways(k);
+      std::vector<std::pair<Key, size_t>> expect;
+      for (size_t w = 0; w < k; ++w) {
+        ways[w].resize(rng.Uniform(12));
+        for (Key& key : ways[w]) key = pool[rng.Uniform(7)];
+        std::sort(ways[w].begin(), ways[w].end());
+        for (Key key : ways[w]) expect.emplace_back(key, w);
+      }
+      std::stable_sort(expect.begin(), expect.end(),
+                       [](const auto& a, const auto& b) {
+                         return a.first < b.first;
+                       });
+
+      LoserTree tree(k);
+      std::vector<size_t> pos(k, 0);
+      for (size_t w = 0; w < k; ++w) {
+        if (!ways[w].empty()) tree.SetInitial(w, ways[w][0]);
+      }
+      tree.Build();
+      std::vector<std::pair<Key, size_t>> got;
+      while (!tree.Exhausted()) {
+        const size_t w = tree.WinnerIndex();
+        got.emplace_back(tree.WinnerKey(), w);
+        if (++pos[w] < ways[w].size()) {
+          tree.ReplaceWinner(ways[w][pos[w]]);
+        } else {
+          tree.RetireWinner();
+        }
+      }
+      ASSERT_EQ(got, expect);
+    }
   }
 }
 

@@ -28,6 +28,25 @@ std::vector<Key> ReadBack(Env* env, const std::string& base,
   return out;
 }
 
+// Reads the stream back through NextBatch, `max` records per call, with a
+// reader buffer of `buffer_bytes`. A batch comes from one buffered block.
+std::vector<Key> ReadBackBatched(Env* env, const std::string& base,
+                                 size_t max, size_t buffer_bytes) {
+  ReverseRunReader reader(env, base, 0, buffer_bytes);
+  EXPECT_TRUE(reader.status().ok()) << reader.status().ToString();
+  std::vector<Key> out;
+  std::vector<Key> batch(max);
+  for (;;) {
+    size_t got = 0;
+    Status s = reader.NextBatch(batch.data(), max, &got);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    EXPECT_LE(got * kRecordBytes, buffer_bytes);
+    if (!s.ok() || got == 0) break;
+    out.insert(out.end(), batch.begin(), batch.begin() + got);
+  }
+  return out;
+}
+
 // The format must behave identically across page geometries, including ones
 // that force multiple physical files and partial final pages.
 struct Geometry {
@@ -60,6 +79,13 @@ TEST_P(ReverseRunFileTest, DecreasingStreamReadsBackAscending) {
   EXPECT_EQ(ReadBack(&env, "s", writer.num_files()), expected);
   // Self-describing: the reader can discover the file count from file 0.
   EXPECT_EQ(ReadBack(&env, "s", 0), expected);
+  // The batch path yields the same sequence at any batch and buffer size.
+  for (size_t max : {1u, 3u, 8u, 1000u}) {
+    for (size_t buffer_bytes : {64u, 200u, 64u * 1024u}) {
+      EXPECT_EQ(ReadBackBatched(&env, "s", max, buffer_bytes), expected)
+          << "max " << max << " buffer " << buffer_bytes;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "io/mem_env.h"
 #include "merge/kway_merge.h"
 #include "tests/test_util.h"
@@ -133,6 +135,80 @@ TEST(FileRunSinkTest, MultipleRunsGetDistinctFiles) {
   ASSERT_EQ(sink.runs().size(), 3u);
   EXPECT_NE(sink.runs()[0].segments[0].path, sink.runs()[1].segments[0].path);
   EXPECT_NE(sink.runs()[1].segments[0].path, sink.runs()[2].segments[0].path);
+}
+
+TEST(FileRunSinkTest, AppendSortedMatchesPerRecordAppends) {
+  // One span through AppendSorted and the same keys one Append at a time
+  // must leave identical run files and RunInfo; a small block makes the
+  // span straddle several writer flushes.
+  std::vector<Key> keys;
+  for (Key k = -500; k < 700; k += 3) keys.push_back(k);
+  FileRunSinkOptions options;
+  options.block_bytes = 128;
+  MemEnv span_env;
+  MemEnv record_env;
+  FileRunSink span_sink(&span_env, "dir", "t", options);
+  FileRunSink record_sink(&record_env, "dir", "t", options);
+  ASSERT_TWRS_OK(span_sink.BeginRun());
+  ASSERT_TWRS_OK(span_sink.AppendSorted(keys.data(), keys.size()));
+  ASSERT_TWRS_OK(span_sink.EndRun());
+  ASSERT_TWRS_OK(record_sink.BeginRun());
+  for (Key k : keys) ASSERT_TWRS_OK(record_sink.Append(kStream1, k));
+  ASSERT_TWRS_OK(record_sink.EndRun());
+
+  ASSERT_EQ(span_sink.runs().size(), 1u);
+  ASSERT_EQ(record_sink.runs().size(), 1u);
+  const RunInfo& span = span_sink.runs()[0];
+  const RunInfo& record = record_sink.runs()[0];
+  EXPECT_EQ(span.length, record.length);
+  EXPECT_EQ(span.min_key, -500);
+  EXPECT_EQ(span.max_key, keys.back());
+  EXPECT_EQ(span.min_key, record.min_key);
+  EXPECT_EQ(span.max_key, record.max_key);
+  ASSERT_EQ(span.segments.size(), 1u);
+  ASSERT_EQ(record.segments.size(), 1u);
+  EXPECT_EQ(span.segments[0].path, record.segments[0].path);
+  ASSERT_NE(span_env.FileContents(span.segments[0].path), nullptr);
+  EXPECT_EQ(*span_env.FileContents(span.segments[0].path),
+            *record_env.FileContents(record.segments[0].path));
+}
+
+TEST(FileRunSinkTest, AppendSortedWidensBoundsAndSkipsEmptySpans) {
+  MemEnv env;
+  FileRunSink sink(&env, "dir", "t");
+  // An empty span opens no stream file.
+  ASSERT_TWRS_OK(sink.BeginRun());
+  ASSERT_TWRS_OK(sink.AppendSorted(nullptr, 0));
+  ASSERT_TWRS_OK(sink.EndRun());
+  EXPECT_TRUE(sink.runs().empty());
+  EXPECT_EQ(env.FileCount(), 0u);
+  // Spans after per-record appends widen the run's bounds from their ends.
+  const std::vector<Key> low = {-9, -4};
+  const std::vector<Key> high = {50, 60};
+  ASSERT_TWRS_OK(sink.BeginRun());
+  ASSERT_TWRS_OK(sink.Append(kStream4, 3));
+  ASSERT_TWRS_OK(sink.AppendSorted(low.data(), low.size()));
+  ASSERT_TWRS_OK(sink.AppendSorted(high.data(), high.size()));
+  ASSERT_TWRS_OK(sink.EndRun());
+  ASSERT_TWRS_OK(sink.Finish());
+  ASSERT_EQ(sink.runs().size(), 1u);
+  EXPECT_EQ(sink.runs()[0].length, 5u);
+  EXPECT_EQ(sink.runs()[0].min_key, -9);
+  EXPECT_EQ(sink.runs()[0].max_key, 60);
+  // Outside a run, a span is a protocol violation like Append.
+  EXPECT_TRUE(sink.AppendSorted(low.data(), low.size()).IsInvalidArgument());
+}
+
+TEST(CountingRunSinkTest, DefaultAppendSortedLoopsAppend) {
+  CountingRunSink sink;
+  const std::vector<Key> keys = {-3, 1, 8};
+  ASSERT_TWRS_OK(sink.BeginRun());
+  ASSERT_TWRS_OK(sink.AppendSorted(keys.data(), keys.size()));
+  ASSERT_TWRS_OK(sink.EndRun());
+  ASSERT_EQ(sink.runs().size(), 1u);
+  EXPECT_EQ(sink.runs()[0].length, 3u);
+  EXPECT_EQ(sink.runs()[0].min_key, -3);
+  EXPECT_EQ(sink.runs()[0].max_key, 8);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <vector>
 
 #include "io/mem_env.h"
 #include "tests/test_util.h"
@@ -155,6 +157,30 @@ TEST(WorkloadTest, FileSourceMissingFile) {
   Key k;
   EXPECT_FALSE(source.Next(&k));
   EXPECT_FALSE(source.status().ok());
+  EXPECT_EQ(source.NextBatch(&k, 1), 0u);
+  EXPECT_FALSE(source.status().ok());
+}
+
+TEST(WorkloadTest, FileSourceBatchesMatchNextAndDefaultBatch) {
+  MemEnv env;
+  WorkloadOptions wl = Base(1001);
+  ASSERT_TWRS_OK(WriteWorkloadToFile(&env, Dataset::kRandom, wl, "data"));
+  const auto direct = Drain(MakeWorkload(Dataset::kRandom, wl).get());
+  // The bulk override (block reads) and the base class's loop over Next
+  // (a generator source) deliver the same stream, batch after batch.
+  FileRecordSource file_source(&env, "data", 256);
+  std::unique_ptr<RecordSource> generated =
+      MakeWorkload(Dataset::kRandom, wl);
+  for (RecordSource* source : {static_cast<RecordSource*>(&file_source),
+                               generated.get()}) {
+    std::vector<Key> got;
+    Key batch[77];
+    for (size_t n; (n = source->NextBatch(batch, 77)) > 0;) {
+      got.insert(got.end(), batch, batch + n);
+    }
+    ASSERT_TWRS_OK(source->status());
+    EXPECT_EQ(got, direct);
+  }
 }
 
 }  // namespace
