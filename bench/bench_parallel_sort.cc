@@ -77,7 +77,7 @@ void Run() {
 
   // Final-merge thread sweep: worker count fixed at hw, the last pass split
   // into P concurrent partial merges over key-domain partitions (each
-  // writing its byte range of the output through a RangeMergeSink). P = 1
+  // writing its byte range of the output through a RangeWritableFile). P = 1
   // is the serial final pass the other rows above already used. The sweep
   // runs on a flash-like profile (50 us positioning) rather than the
   // rotating-disk model: splitter sampling and boundary search pay a fixed

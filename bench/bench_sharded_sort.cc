@@ -4,7 +4,7 @@
 // sort per shard concurrently on the shared executor, so run generation —
 // the serial bottleneck of the unsharded path — parallelizes across
 // shards; each shard's final merge writes its byte range of the output
-// directly (RangeMergeSink), with no concatenation pass. To keep the
+// directly (RangeWritableFile), with no concatenation pass. To keep the
 // concat-vs-direct-write comparison honest after that pass's removal, the
 // bench also measures a concat-equivalent byte copy of the finished output
 // on the same emulated disk — the wall time the deleted pass would have

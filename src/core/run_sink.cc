@@ -143,8 +143,7 @@ void FileRunSink::NoteBounds(Key lo, Key hi) {
 Status FileRunSink::OpenForwardWriter(RunStream stream) {
   return MakeAsyncRecordWriter(env_, StreamPath(run_index_, stream),
                                options_.block_bytes, options_.pool,
-                               options_.async_buffer_bytes, &forward_[stream],
-                               options_.flush_histogram);
+                               &forward_[stream], options_.flush_histogram);
 }
 
 Status FileRunSink::Append(RunStream stream, Key key) {

@@ -124,11 +124,9 @@ struct FileRunSinkOptions {
   /// and stay synchronous. The pool must outlive the sink.
   ThreadPool* pool = nullptr;
 
-  /// Size of each half of the async double buffer.
-  size_t async_buffer_bytes = kDefaultAsyncBufferBytes;
-
-  /// When non-null (and `pool` is set), every background flush of a
-  /// forward run stream records its wall time here. Must outlive the sink.
+  /// When non-null, every write of a forward run stream that reaches its
+  /// file (background flush or synchronous append) records its wall time
+  /// here. Must outlive the sink.
   LatencyHistogram* flush_histogram = nullptr;
 };
 

@@ -220,22 +220,26 @@ Status PrefetchingSequentialFile::Skip(uint64_t n) {
 
 Status MakeAsyncRecordWriter(Env* env, const std::string& path,
                              size_t block_bytes, ThreadPool* pool,
-                             size_t async_buffer_bytes,
                              std::unique_ptr<RecordWriter>* out,
-                             LatencyHistogram* flush_histogram) {
-  if (pool == nullptr || env->io_capabilities().async_appends) {
-    // Natively async backends (IoUringEnv) already overlap Append with the
-    // caller's compute; wrapping them would only add a copy and a pump
-    // task for overlap the kernel provides.
-    *out = std::make_unique<RecordWriter>(env, path, block_bytes);
+                             LatencyHistogram* flush_histogram,
+                             const MergeOutputRange& range) {
+  std::unique_ptr<WritableFile> file;
+  if (range.positioned) {
+    TWRS_RETURN_IF_ERROR(NewRangeWritableFile(env, path, range, &file));
   } else {
-    std::unique_ptr<WritableFile> file;
     TWRS_RETURN_IF_ERROR(env->NewWritableFile(path, &file));
-    auto async = std::make_unique<AsyncWritableFile>(std::move(file), pool,
-                                                     async_buffer_bytes);
-    async->set_flush_histogram(flush_histogram);
-    *out = std::make_unique<RecordWriter>(std::move(async), block_bytes);
   }
+  // Natively async backends (IoUringEnv) already overlap writes with the
+  // caller's compute; double-buffering them would only add a copy and a
+  // pump task. Without a pool the wrap is a pass-through that times each
+  // write, so the histogram sees real write I/O on every path.
+  if (env->io_capabilities().native_async) pool = nullptr;
+  if (pool != nullptr || flush_histogram != nullptr) {
+    auto async = std::make_unique<AsyncWritableFile>(std::move(file), pool);
+    async->set_flush_histogram(flush_histogram);
+    file = std::move(async);
+  }
+  *out = std::make_unique<RecordWriter>(std::move(file), block_bytes);
   return (*out)->status();
 }
 

@@ -9,6 +9,7 @@
 #include "exec/blocking_queue.h"
 #include "exec/thread_pool.h"
 #include "io/env.h"
+#include "io/range_writable_file.h"
 #include "io/record_io.h"
 #include "util/status.h"
 
@@ -126,19 +127,21 @@ class PrefetchingSequentialFile : public SequentialFile {
   std::thread pump_;
 };
 
-/// Creates `path` through `env` and returns a RecordWriter over it,
-/// writing through an AsyncWritableFile on `pool` — or directly when
-/// `pool` is null or `env` reports async_appends (a natively async
-/// backend needs no pump thread). The single construction point for every
-/// record stream that can be background-flushed (run sink streams, merge
-/// outputs).
-/// A non-null `flush_histogram` records the wall time of every background
-/// flush (pool mode only); it must outlive the writer.
+/// The single construction point for every record stream the engine
+/// writes — run sink streams and every merge output, append or positioned.
+/// Creates `path` through `env` (truncating), or, when `range.positioned`,
+/// opens a RangeWritableFile over that range of the existing file, and
+/// returns a RecordWriter over it. Writes go through an AsyncWritableFile
+/// flushed on `pool` when `pool` is non-null and `env` is not
+/// native_async (a natively async backend needs no pump task).
+/// A non-null `flush_histogram` records the wall time of every write that
+/// reaches the file — background flushes with a pool, synchronous appends
+/// without; it must outlive the writer.
 Status MakeAsyncRecordWriter(Env* env, const std::string& path,
                              size_t block_bytes, ThreadPool* pool,
-                             size_t async_buffer_bytes,
                              std::unique_ptr<RecordWriter>* out,
-                             LatencyHistogram* flush_histogram = nullptr);
+                             LatencyHistogram* flush_histogram = nullptr,
+                             const MergeOutputRange& range = {});
 
 }  // namespace twrs
 

@@ -59,18 +59,15 @@ class RandomRWFile {
   virtual Status Close() = 0;
 };
 
-/// What an Env's file handles already overlap internally. The async
-/// decorators (AsyncWritableFile, PrefetchingSequentialFile, the
-/// double-buffered RangeMergeSink flush) consult this and stay thin —
-/// no pump thread, no extra copy — when the backend is natively async.
+/// Whether an Env's file handles already overlap I/O internally. The
+/// async decorators (AsyncWritableFile behind MakeAsyncRecordWriter,
+/// PrefetchingSequentialFile) consult this and stay thin — no pump
+/// thread, no extra copy — when the backend is natively async.
 struct IoCapabilities {
-  /// WritableFile::Append returns before the data hits the disk; the
-  /// backend overlaps the write with the caller's compute.
-  bool async_appends = false;
-  /// SequentialFile::Read is fed by backend-side read-ahead.
-  bool async_reads = false;
-  /// RandomRWFile::WriteAt is submitted without blocking on completion.
-  bool async_positioned_writes = false;
+  /// Appends, positioned writes and sequential reads are all submitted
+  /// without blocking on completion: writes return before the data hits
+  /// the disk, reads are fed by backend-side read-ahead.
+  bool native_async = false;
 };
 
 /// Selects which Env implementation Env::Default(IoBackend) returns.

@@ -29,7 +29,7 @@ struct MemEnvFile {
 /// concurrent sorts and the exec subsystem's background I/O can share one
 /// MemEnv. Each file additionally carries its own mutex, giving the same
 /// guarantee POSIX gives pwrite: concurrent handles to one file may write
-/// disjoint byte ranges (the RangeMergeSink pattern) without a data race.
+/// disjoint byte ranges (the RangeWritableFile pattern) without a data race.
 class MemEnv : public Env {
  public:
   MemEnv() = default;

@@ -26,7 +26,9 @@ RecordWriter::RecordWriter(std::unique_ptr<WritableFile> file,
 
 RecordWriter::~RecordWriter() {
   // Callers that need the flush outcome call Finish() themselves; by the
-  // time the destructor runs there is nowhere left to report it.
+  // time the destructor runs there is nowhere left to report it. An
+  // unfinished writer is being abandoned, so it is not worth a Sync.
+  sync_on_finish_ = false;
   if (!finished_ && file_ != nullptr) TWRS_IGNORE_STATUS(Finish());
 }
 

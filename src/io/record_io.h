@@ -48,7 +48,9 @@ class RecordWriter {
   Status Finish();
 
   /// Makes Finish Sync the file before closing. Set on final outputs
-  /// (top-K results, empty sort outputs) — not on scratch runs.
+  /// (merge outputs with MergeIoOptions::sync_output, top-K results, empty
+  /// sort outputs) — not on scratch runs. A writer destroyed without
+  /// Finish is not synced.
   void set_sync_on_finish(bool sync) { sync_on_finish_ = sync; }
 
   /// Number of records appended so far.

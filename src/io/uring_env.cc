@@ -954,7 +954,7 @@ class UringSequentialFile : public SequentialFile {
 // ------------------------------------------------ UringRandomRWFile
 // Positioned writes submitted without blocking: WriteAt copies into one of
 // two slots and returns; completions are reaped when slots are reused and
-// on Sync/Close. RangeMergeSink's disjoint-range writers each own a handle
+// on Sync/Close. Disjoint-range writers (RangeWritableFile) each own a handle
 // (and pooled ring), so the sharded output path runs fully overlapped with
 // no pump threads.
 class UringRandomRWFile : public RandomRWFile {
@@ -1334,9 +1334,7 @@ Status IoUringEnv::NewRandomReadFile(const std::string& path,
 
 IoCapabilities IoUringEnv::io_capabilities() const {
   IoCapabilities caps;
-  caps.async_appends = true;
-  caps.async_reads = true;
-  caps.async_positioned_writes = true;
+  caps.native_async = true;
   return caps;
 }
 

@@ -74,7 +74,7 @@ Status RunCursor::Refill() {
         // construction point, so the skip must land on the raw handle.
         TWRS_RETURN_IF_ERROR(file->Skip(skip_remaining_ * kRecordBytes));
       }
-      if (prefetch_blocks_ > 0 && !env_->io_capabilities().async_reads) {
+      if (prefetch_blocks_ > 0 && !env_->io_capabilities().native_async) {
         // A natively async backend (IoUringEnv) already keeps read-ahead
         // blocks in flight; a pump thread on top would only add a copy.
         file = std::make_unique<PrefetchingSequentialFile>(
@@ -154,29 +154,35 @@ Status MergeBlocks(std::vector<std::unique_ptr<RunCursor>>* cursors,
 
 }  // namespace
 
-Status MergeCursorsToSink(std::vector<std::unique_ptr<RunCursor>>* cursors,
+Status MergeCursorsToSink(Env* env,
+                          std::vector<std::unique_ptr<RunCursor>>* cursors,
                           const MergeIoOptions& io, const MergeWindow& window,
-                          MergeSink* sink, RunInfo* out) {
-  RecordWriter writer(std::make_unique<MergeSinkFile>(sink), io.block_bytes);
-  TWRS_RETURN_IF_ERROR(writer.status());
+                          const std::string& output_path,
+                          const MergeOutputRange& range, RunInfo* out) {
+  std::unique_ptr<RecordWriter> writer;
+  TWRS_RETURN_IF_ERROR(MakeAsyncRecordWriter(env, output_path, io.block_bytes,
+                                             io.pool, &writer,
+                                             io.flush_histogram, range));
+  writer->set_sync_on_finish(io.sync_output);
   // Blocks arrive in merge order, so the run's bounds are the first key of
   // the first block and the last key of the last.
   Key min_key = 0;
   Key max_key = 0;
   TWRS_RETURN_IF_ERROR(
       MergeBlocks(cursors, io, window, [&](const Key* keys, size_t n) {
-        if (writer.count() == 0) min_key = keys[0];
+        if (writer->count() == 0) min_key = keys[0];
         max_key = keys[n - 1];
-        return writer.AppendBatch(keys, n);
+        return writer->AppendBatch(keys, n);
       }));
-  TWRS_RETURN_IF_ERROR(writer.Finish());
+  TWRS_RETURN_IF_ERROR(writer->Finish());
   if (out != nullptr) {
     RunInfo info;
     RunSegment seg;
+    seg.path = output_path;
     seg.reverse = false;
-    seg.count = writer.count();
+    seg.count = writer->count();
     info.segments.push_back(std::move(seg));
-    info.length = writer.count();
+    info.length = writer->count();
     info.min_key = min_key;
     info.max_key = max_key;
     *out = std::move(info);
@@ -184,9 +190,10 @@ Status MergeCursorsToSink(std::vector<std::unique_ptr<RunCursor>>* cursors,
   return Status::OK();
 }
 
-Status KWayMergeToSink(Env* env, const std::vector<RunInfo>& runs,
-                       const MergeIoOptions& io, MergeSink* sink,
-                       RunInfo* out) {
+Status KWayMergeToFile(Env* env, const std::vector<RunInfo>& runs,
+                       const MergeIoOptions& io,
+                       const std::string& output_path, RunInfo* out,
+                       const MergeOutputRange& range) {
   std::vector<std::unique_ptr<RunCursor>> cursors;
   cursors.reserve(runs.size());
   for (const RunInfo& run : runs) {
@@ -194,20 +201,8 @@ Status KWayMergeToSink(Env* env, const std::vector<RunInfo>& runs,
                                                   io.prefetch_blocks));
     TWRS_RETURN_IF_ERROR(cursors.back()->Init());
   }
-  return MergeCursorsToSink(&cursors, io, MergeWindow(), sink, out);
-}
-
-Status KWayMergeToFile(Env* env, const std::vector<RunInfo>& runs,
-                       const MergeIoOptions& io,
-                       const std::string& output_path, RunInfo* out) {
-  std::unique_ptr<MergeSink> sink;
-  TWRS_RETURN_IF_ERROR(MakeAppendMergeSink(env, output_path, io.pool,
-                                           io.async_buffer_bytes, &sink,
-                                           io.flush_histogram,
-                                           io.sync_output));
-  TWRS_RETURN_IF_ERROR(KWayMergeToSink(env, runs, io, sink.get(), out));
-  if (out != nullptr) out->segments[0].path = output_path;
-  return Status::OK();
+  return MergeCursorsToSink(env, &cursors, io, MergeWindow(), output_path,
+                            range, out);
 }
 
 Status KWayMergeLimitToFile(Env* env, const std::vector<RunInfo>& runs,
@@ -234,15 +229,8 @@ Status KWayMergeLimitToFile(Env* env, const std::vector<RunInfo>& runs,
   MergeWindow window;
   window.limit = limit;
   if (take_last && sliced_total > limit) window.skip = sliced_total - limit;
-  std::unique_ptr<MergeSink> sink;
-  TWRS_RETURN_IF_ERROR(MakeAppendMergeSink(env, output_path, io.pool,
-                                           io.async_buffer_bytes, &sink,
-                                           io.flush_histogram,
-                                           io.sync_output));
-  TWRS_RETURN_IF_ERROR(MergeCursorsToSink(&cursors, io, window, sink.get(),
-                                          out));
-  if (out != nullptr) out->segments[0].path = output_path;
-  return Status::OK();
+  return MergeCursorsToSink(env, &cursors, io, window, output_path,
+                            MergeOutputRange(), out);
 }
 
 Status KWayMergeToFile(Env* env, const std::vector<RunInfo>& runs,

@@ -10,7 +10,7 @@
 #include "exec/async_io.h"
 #include "exec/thread_pool.h"
 #include "io/env.h"
-#include "io/merge_sink.h"
+#include "io/range_writable_file.h"
 #include "io/record_io.h"
 #include "io/reverse_run_file.h"
 #include "obs/progress.h"
@@ -32,9 +32,6 @@ struct MergeIoOptions {
   /// flushed on this pool, overlapping loser-tree work with output I/O.
   ThreadPool* pool = nullptr;
 
-  /// Size of each half of the output writer's async double buffer.
-  size_t async_buffer_bytes = kDefaultAsyncBufferBytes;
-
   /// Cooperative cancellation: when non-null, the merge loop polls the
   /// token once per output block (1024 records) and unwinds with
   /// Status::Cancelled once it fires. Must outlive the merge.
@@ -45,12 +42,13 @@ struct MergeIoOptions {
   /// is exact once the merge returns. Must outlive the merge.
   ProgressCounters* progress = nullptr;
 
-  /// When non-null, the wall time of every flush of the merge output is
-  /// recorded here (see MakeAppendMergeSink/RangeMergeSink). Must outlive
-  /// the merge.
+  /// When non-null, the wall time of every write of the merge output that
+  /// reaches its file is recorded here (see MakeAsyncRecordWriter). Must
+  /// outlive the merge.
   LatencyHistogram* flush_histogram = nullptr;
 
-  /// Force the merge output to stable storage (Sync) before it is closed.
+  /// Force the merge output to stable storage before it is closed, through
+  /// RecordWriter::set_sync_on_finish.
   /// Set only on the final pass writing the user-visible output;
   /// intermediate runs are re-read and deleted, so syncing them would buy
   /// nothing but write stalls.
@@ -122,7 +120,7 @@ inline constexpr uint64_t kMergeNoLimit = ~uint64_t{0};
 /// the merge order, then emit at most `limit`. The merge loop stops dead
 /// once the window is served — with a limit of K, a top-K merge does k-way
 /// work proportional to skip+K, not to the input volume. Skipped records
-/// are merged (their cursors advance) but never reach the sink or the
+/// are merged (their cursors advance) but never reach the output or the
 /// progress counter. The default window is the whole stream.
 struct MergeWindow {
   uint64_t skip = 0;
@@ -131,26 +129,23 @@ struct MergeWindow {
   bool whole() const { return skip == 0 && limit == kMergeNoLimit; }
 };
 
-/// Merges `runs` through the loser tree into `sink` (record-encoded,
-/// block-buffered). Finishes the sink, so a RangeMergeSink's exact-fill
-/// check runs before this returns. `*out` (if non-null) receives the
-/// record count and key bounds; its segment path is left empty for the
-/// caller, who knows the backing file.
-Status KWayMergeToSink(Env* env, const std::vector<RunInfo>& runs,
-                       const MergeIoOptions& io, MergeSink* sink,
-                       RunInfo* out);
-
-/// Merges already-initialized (possibly sliced) cursors into `sink`,
-/// emitting only `window` of the merge order (§2.1.2, k-way merge over a
-/// loser tree). The one merge core: KWayMergeToSink, the limit-aware
-/// merges, the pruned final merge and the partitioned final merge's
-/// partial merges all run through it. Winners are gathered into blocks of
-/// keys; each block is appended to `sink` in one span, and the cancel
-/// token and progress counter are consulted once per block. Same sink/out
-/// contract as KWayMergeToSink.
-Status MergeCursorsToSink(std::vector<std::unique_ptr<RunCursor>>* cursors,
+/// Merges already-initialized (possibly sliced) cursors, emitting only
+/// `window` of the merge order (§2.1.2, k-way merge over a loser tree).
+/// The one merge core: the file and limit-aware merges, the pruned final
+/// merge and the partitioned final merge's partial merges all run through
+/// it. The output is `output_path` of `env` — created, or when
+/// `range.positioned`, that range of the existing file — written through
+/// MakeAsyncRecordWriter. Winners are gathered into blocks of keys; each
+/// block is appended in one span, and the cancel token and progress
+/// counter are consulted once per block. The writer is finished before
+/// this returns, so a range's exact-fill check has run. `*out` (if
+/// non-null) receives the single forward segment at `output_path` with
+/// its record count and key bounds.
+Status MergeCursorsToSink(Env* env,
+                          std::vector<std::unique_ptr<RunCursor>>* cursors,
                           const MergeIoOptions& io, const MergeWindow& window,
-                          MergeSink* sink, RunInfo* out);
+                          const std::string& output_path,
+                          const MergeOutputRange& range, RunInfo* out);
 
 /// Top-K merge pass: merges `runs` into `output_path` keeping only the
 /// first (take_last = false) or last (take_last = true) `limit` records of
@@ -165,12 +160,13 @@ Status KWayMergeLimitToFile(Env* env, const std::vector<RunInfo>& runs,
                             bool take_last, const std::string& output_path,
                             RunInfo* out);
 
-/// Convenience overload merging into a record file at `output_path`
-/// through an AppendMergeSink (async-flushed when io.pool is set);
-/// returns the resulting single run through `*out` if non-null.
+/// Merges `runs` into a record file at `output_path`, or into `range` of
+/// it (see MergeCursorsToSink); returns the resulting single run through
+/// `*out` if non-null.
 Status KWayMergeToFile(Env* env, const std::vector<RunInfo>& runs,
                        const MergeIoOptions& io,
-                       const std::string& output_path, RunInfo* out);
+                       const std::string& output_path, RunInfo* out,
+                       const MergeOutputRange& range = {});
 
 /// Synchronous-I/O shorthand for the overload above.
 Status KWayMergeToFile(Env* env, const std::vector<RunInfo>& runs,

@@ -56,7 +56,7 @@ struct MergeOptions {
   /// Partitions of the *final* merge step. Values > 1 (with a pool) split
   /// the key domain by sampled splitters and run that many partial
   /// loser-tree merges concurrently, each writing its disjoint byte range
-  /// of the output through a RangeMergeSink — byte-identical to the serial
+  /// of the output through a RangeWritableFile — byte-identical to the serial
   /// pass, since records are bare keys and the sorted stream is unique.
   /// 0 and 1 keep the final pass serial. Stats are unaffected: the final
   /// pass still counts as one merge step writing every record once.

@@ -4,7 +4,6 @@
 #include <memory>
 #include <utility>
 
-#include "io/merge_sink.h"
 #include "io/reverse_run_file.h"
 #include "shard/splitters.h"
 #include "simd/kernels.h"
@@ -106,13 +105,14 @@ struct RunSlice {
 };
 
 /// Merges one partition: every run's slice for partition `j`, written to
-/// its byte range of the shared output through `sink`. `window` restricts
+/// `range` of the shared output at `output_path`. `window` restricts
 /// emission to a slice of the partition's merge order — how a limited
 /// merge clamps the partition straddling the K-record boundary.
 Status MergePartition(Env* env, const std::vector<RunInfo>& runs,
                       const std::vector<RunSlice>& slices,
                       const MergeIoOptions& io, const MergeWindow& window,
-                      MergeSink* sink) {
+                      const std::string& output_path,
+                      const MergeOutputRange& range) {
   std::vector<std::unique_ptr<RunCursor>> cursors;
   cursors.reserve(runs.size());
   for (size_t r = 0; r < runs.size(); ++r) {
@@ -123,7 +123,8 @@ Status MergePartition(Env* env, const std::vector<RunInfo>& runs,
     TWRS_RETURN_IF_ERROR(
         cursors.back()->InitSlice(slices[r].skip, slices[r].length));
   }
-  return MergeCursorsToSink(&cursors, io, window, sink, nullptr);
+  return MergeCursorsToSink(env, &cursors, io, window, output_path, range,
+                            nullptr);
 }
 
 /// The serial limited final merge. Clamps every run to the `kept`-record
@@ -240,23 +241,8 @@ Status PrunedSerialMerge(Env* env, const std::vector<RunInfo>& runs,
     window.skip = sliced_total - kept;
   }
 
-  std::unique_ptr<MergeSink> sink;
-  if (spec.range.positioned) {
-    TWRS_RETURN_IF_ERROR(MakeRangeMergeSink(env, output_path,
-                                            spec.range.offset,
-                                            spec.range.length, io.pool,
-                                            io.async_buffer_bytes, &sink,
-                                            io.flush_histogram,
-                                            io.sync_output));
-  } else {
-    TWRS_RETURN_IF_ERROR(MakeAppendMergeSink(env, output_path, io.pool,
-                                             io.async_buffer_bytes, &sink,
-                                             io.flush_histogram,
-                                             io.sync_output));
-  }
-  TWRS_RETURN_IF_ERROR(MergeCursorsToSink(&cursors, io, window, sink.get(),
-                                          out));
-  if (out != nullptr) out->segments[0].path = output_path;
+  TWRS_RETURN_IF_ERROR(MergeCursorsToSink(env, &cursors, io, window,
+                                          output_path, spec.range, out));
   if (spec.prune != nullptr) *spec.prune = prune;
   return Status::OK();
 }
@@ -410,19 +396,7 @@ Status FinalMergeToOutput(Env* env, const std::vector<RunInfo>& runs,
       return PrunedSerialMerge(env, runs, io, spec, kept, total_records,
                                output_path, out);
     }
-    if (!spec.range.positioned) {
-      return KWayMergeToFile(env, runs, io, output_path, out);
-    }
-    std::unique_ptr<MergeSink> sink;
-    TWRS_RETURN_IF_ERROR(MakeRangeMergeSink(env, output_path,
-                                            spec.range.offset,
-                                            spec.range.length, io.pool,
-                                            io.async_buffer_bytes, &sink,
-                                            io.flush_histogram,
-                                            io.sync_output));
-    TWRS_RETURN_IF_ERROR(KWayMergeToSink(env, runs, io, sink.get(), out));
-    if (out != nullptr) out->segments[0].path = output_path;
-    return Status::OK();
+    return KWayMergeToFile(env, runs, io, output_path, out, spec.range);
   }
 
   // Exact slice boundaries: for each run, the record index where every
@@ -504,21 +478,16 @@ Status FinalMergeToOutput(Env* env, const std::vector<RunInfo>& runs,
     }
     windows[j].skip = inter_lo - p_lo;
     windows[j].limit = inter_hi - inter_lo;
-    const uint64_t length = windows[j].limit * kRecordBytes;
-    const uint64_t partition_offset =
-        spec.range.offset + (inter_lo - win_lo) * kRecordBytes;
+    MergeOutputRange range;
+    range.positioned = true;
+    range.offset = spec.range.offset + (inter_lo - win_lo) * kRecordBytes;
+    range.length = windows[j].limit * kRecordBytes;
     const MergeWindow* window = &windows[j];
     const std::vector<RunSlice>* partition_slices = &slices[j];
     handles.push_back(spec.pool->Submit(
-        [env, &runs, partition_slices, &io, &output_path, partition_offset,
-         length, window] {
-          std::unique_ptr<MergeSink> sink;
-          TWRS_RETURN_IF_ERROR(MakeRangeMergeSink(
-              env, output_path, partition_offset, length, io.pool,
-              io.async_buffer_bytes, &sink, io.flush_histogram,
-              io.sync_output));
+        [env, &runs, partition_slices, &io, &output_path, range, window] {
           return MergePartition(env, runs, *partition_slices, io, *window,
-                                sink.get());
+                                output_path, range);
         }));
   }
   // Collect every partial merge before reporting the first failure, so no

@@ -14,18 +14,6 @@
 
 namespace twrs {
 
-/// Where a final merge puts its bytes. In append mode (the default) the
-/// merge creates `output_path`. In positioned mode it writes into
-/// [offset, offset + `length`) of the *existing* file at `output_path`
-/// via RandomRWFile::WriteAt without truncating — the sharded sorter's
-/// direct-write final pass, where every shard's merge owns one range of
-/// the shared output.
-struct MergeOutputRange {
-  bool positioned = false;
-  uint64_t offset = 0;
-  uint64_t length = 0;  ///< exact bytes the merge must produce
-};
-
 /// What a limited (top-K) final merge avoided: whole runs never opened
 /// because pruning proved they cannot reach the kept window, and records
 /// excluded from the merge by slicing or partition pruning — records that
@@ -48,7 +36,7 @@ struct FinalMergeSpec {
   size_t sample_size = 256;
   uint64_t sample_seed = 1;
 
-  /// Pool the partial merges (and their sinks' background flushes) run on.
+  /// Pool the partial merges run on.
   ThreadPool* pool = nullptr;
 
   /// Top-K: when non-zero only `limit` records are written — the first of
@@ -86,7 +74,7 @@ Status SampleRunKeys(Env* env, const std::vector<RunInfo>& runs,
 /// The final merge step of MergeRuns: merges `runs` into the output
 /// described by `spec`, either as one merge or as `spec.partitions`
 /// concurrent partial loser-tree merges over key-domain slices, each
-/// writing its disjoint byte range through a RangeMergeSink. Output bytes
+/// writing its disjoint byte range through a RangeWritableFile. Output bytes
 /// are identical to the serial pass in every mode (records are bare keys,
 /// so the fully sorted stream is unique). On failure an output file this
 /// call created is removed — a torn positioned file has holes, unlike the

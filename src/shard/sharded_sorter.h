@@ -81,7 +81,7 @@ struct ShardedSortResult {
 /// concurrently on the executor. Shard byte offsets in the output are known
 /// before any sort starts (ranges are disjoint and shard record counts are
 /// exact from the partition pass), so each shard's final merge writes its
-/// [offset, offset+len) of the real output through a RangeMergeSink — the
+/// [offset, offset+len) of the real output through a RangeWritableFile — the
 /// old concatenation pass, one full read + write of the output, is gone.
 /// The output file is byte-identical to what the serial ExternalSorter
 /// produces for the same input.

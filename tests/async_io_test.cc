@@ -7,6 +7,7 @@
 
 #include "exec/thread_pool.h"
 #include "io/mem_env.h"
+#include "obs/latency_histogram.h"
 #include "io/posix_env.h"
 #include "io/record_io.h"
 #include "io/uring_env.h"
@@ -327,22 +328,20 @@ class FakeAsyncEnv : public MemEnv {
  public:
   IoCapabilities io_capabilities() const override {
     IoCapabilities caps;
-    caps.async_appends = true;
-    caps.async_reads = true;
-    caps.async_positioned_writes = true;
+    caps.native_async = true;
     return caps;
   }
 };
 
-TEST(AsyncIoCapabilityTest, AsyncAppendsSkipsThePumpWrapper) {
-  // With async_appends reported, MakeAsyncRecordWriter must hand the file
+TEST(AsyncIoCapabilityTest, NativeAsyncSkipsThePumpWrapper) {
+  // With native_async reported, MakeAsyncRecordWriter must hand the file
   // straight to the RecordWriter — byte-identical output, no pump thread
   // double-buffering the natively-async backend.
   FakeAsyncEnv env;
   ThreadPool pool(2);
   std::unique_ptr<RecordWriter> writer;
   ASSERT_TWRS_OK(
-      MakeAsyncRecordWriter(&env, "records", 512, &pool, 2048, &writer));
+      MakeAsyncRecordWriter(&env, "records", 512, &pool, &writer));
   std::vector<Key> keys(5000);
   std::iota(keys.begin(), keys.end(), 7);
   for (Key k : keys) ASSERT_TWRS_OK(writer->Append(k));
@@ -351,6 +350,29 @@ TEST(AsyncIoCapabilityTest, AsyncAppendsSkipsThePumpWrapper) {
   std::vector<Key> got;
   ASSERT_TWRS_OK(ReadAllRecords(&env, "records", &got));
   EXPECT_TRUE(got == keys);
+}
+
+TEST(AsyncIoCapabilityTest, FactoryTimesEveryWriteThatReachesTheFile) {
+  // One rule on every path: with a histogram, each write that reaches the
+  // backend file is timed — background flushes with a pool, synchronous
+  // appends without one or on a natively async backend.
+  MemEnv mem;
+  FakeAsyncEnv native;
+  ThreadPool pool(2);
+  const struct {
+    Env* env;
+    ThreadPool* pool;
+  } cases[] = {{&mem, nullptr}, {&mem, &pool}, {&native, &pool}};
+  for (const auto& c : cases) {
+    LatencyHistogram histogram;
+    std::unique_ptr<RecordWriter> writer;
+    ASSERT_TWRS_OK(MakeAsyncRecordWriter(c.env, "timed", 512, c.pool,
+                                         &writer, &histogram));
+    for (Key k = 0; k < 1000; ++k) ASSERT_TWRS_OK(writer->Append(k));
+    ASSERT_TWRS_OK(writer->Finish());
+    EXPECT_GT(histogram.TakeSnapshot().count, 0u)
+        << "pool=" << (c.pool != nullptr) << " env=" << (c.env == &native);
+  }
 }
 
 TEST(AsyncIoCapabilityTest, UringBackendRoundTripsThroughTheFactory) {
@@ -369,7 +391,7 @@ TEST(AsyncIoCapabilityTest, UringBackendRoundTripsThroughTheFactory) {
   const std::string path = dir + "/records";
   std::unique_ptr<RecordWriter> writer;
   ASSERT_TWRS_OK(
-      MakeAsyncRecordWriter(&env, path, 512, &pool, 2048, &writer));
+      MakeAsyncRecordWriter(&env, path, 512, &pool, &writer));
   std::vector<Key> keys(20000);
   std::iota(keys.begin(), keys.end(), 1);
   for (Key k : keys) ASSERT_TWRS_OK(writer->Append(k));

@@ -176,7 +176,7 @@ TEST_P(EnvTest, ReopenMissingFileFails) {
   EXPECT_FALSE(env_->ReopenRandomRWFile(Path("missing"), &f).ok());
 }
 
-// --- RandomRWFile contracts the RangeMergeSink positioned-output path
+// --- RandomRWFile contracts the RangeWritableFile positioned-output path
 // --- relies on; pinned down across every backend.
 
 TEST_P(EnvTest, RandomRWWriteAtExtendsAndZeroFillsTheGap) {
@@ -423,12 +423,13 @@ TEST(IoBackendTest, ResolveFollowsRuntimeSupport) {
 TEST(IoBackendTest, DefaultFactoryReturnsSingletons) {
   EXPECT_EQ(Env::Default(IoBackend::kPosix), Env::Default());
   EXPECT_EQ(Env::Default(IoBackend::kDefault), Env::Default());
+  EXPECT_FALSE(Env::Default()->io_capabilities().native_async);
   if (IoUringEnv::IsSupported()) {
     Env* uring = Env::Default(IoBackend::kUring);
     ASSERT_NE(uring, nullptr);
     EXPECT_NE(uring, Env::Default());
     EXPECT_EQ(uring, Env::Default(IoBackend::kUring));  // singleton
-    EXPECT_TRUE(uring->io_capabilities().async_appends);
+    EXPECT_TRUE(uring->io_capabilities().native_async);
   }
 }
 

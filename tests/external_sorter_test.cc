@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <mutex>
 #include <thread>
 #include <tuple>
 
@@ -560,6 +562,192 @@ TEST(ExternalSorterTest, ReportsEngineIoVolume) {
   EXPECT_GE(result.bytes_read, input_bytes);
 }
 
+TEST(ExternalSorterTest, SerialSortTimesRunAndMergeWrites) {
+  // Every write that reaches a file is timed when a registry is given —
+  // also without a pool, where nothing is flushed in the background.
+  MemEnv env;
+  MetricsRegistry metrics;
+  ExternalSortOptions options;
+  options.memory_records = 64;
+  options.twrs = TwoWayOptions::Recommended(64);
+  options.temp_dir = "tmp";
+  options.metrics = &metrics;
+  ExternalSorter sorter(&env, options);
+  WorkloadOptions wl;
+  wl.num_records = 5000;
+  wl.seed = 26;
+  VectorSource source(Drain(MakeWorkload(Dataset::kRandom, wl).get()));
+  ASSERT_TWRS_OK(sorter.Sort(&source, "out", nullptr));
+  for (const char* name :
+       {"run_sink.flush_seconds", "merge_sink.flush_seconds"}) {
+    EXPECT_GT(metrics.Histogram(name)->TakeSnapshot().count, 0u) << name;
+  }
+}
+
+/// Env decorator counting Sync calls per path, on append and positioned
+/// handles alike.
+class SyncCountingEnv : public Env {
+ public:
+  explicit SyncCountingEnv(Env* base) : base_(base) {}
+
+  std::map<std::string, int> syncs() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return syncs_;
+  }
+
+  Status NewWritableFile(const std::string& path,
+                         std::unique_ptr<WritableFile>* out) override {
+    TWRS_RETURN_IF_ERROR(base_->NewWritableFile(path, out));
+    *out = std::make_unique<CountingFile>(std::move(*out), this, path);
+    return Status::OK();
+  }
+  Status NewRandomRWFile(const std::string& path,
+                         std::unique_ptr<RandomRWFile>* out) override {
+    TWRS_RETURN_IF_ERROR(base_->NewRandomRWFile(path, out));
+    *out = std::make_unique<CountingRWFile>(std::move(*out), this, path);
+    return Status::OK();
+  }
+  Status ReopenRandomRWFile(const std::string& path,
+                            std::unique_ptr<RandomRWFile>* out) override {
+    TWRS_RETURN_IF_ERROR(base_->ReopenRandomRWFile(path, out));
+    *out = std::make_unique<CountingRWFile>(std::move(*out), this, path);
+    return Status::OK();
+  }
+  Status NewSequentialFile(const std::string& path,
+                           std::unique_ptr<SequentialFile>* out) override {
+    return base_->NewSequentialFile(path, out);
+  }
+  Status NewRandomReadFile(const std::string& path,
+                           std::unique_ptr<RandomRWFile>* out) override {
+    return base_->NewRandomReadFile(path, out);
+  }
+  bool FileExists(const std::string& path) override {
+    return base_->FileExists(path);
+  }
+  Status RemoveFile(const std::string& path) override {
+    return base_->RemoveFile(path);
+  }
+  Status GetFileSize(const std::string& path, uint64_t* size) override {
+    return base_->GetFileSize(path, size);
+  }
+  Status CreateDirIfMissing(const std::string& path) override {
+    return base_->CreateDirIfMissing(path);
+  }
+  Status RemoveDir(const std::string& path) override {
+    return base_->RemoveDir(path);
+  }
+  Status ListDir(const std::string& path,
+                 std::vector<std::string>* names) override {
+    return base_->ListDir(path, names);
+  }
+
+ private:
+  void Count(const std::string& path) {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++syncs_[path];
+  }
+
+  class CountingFile : public WritableFile {
+   public:
+    CountingFile(std::unique_ptr<WritableFile> base, SyncCountingEnv* env,
+                 std::string path)
+        : base_(std::move(base)), env_(env), path_(std::move(path)) {}
+    Status Append(const void* data, size_t n) override {
+      return base_->Append(data, n);
+    }
+    Status Sync() override {
+      env_->Count(path_);
+      return base_->Sync();
+    }
+    Status Close() override { return base_->Close(); }
+
+   private:
+    std::unique_ptr<WritableFile> base_;
+    SyncCountingEnv* env_;
+    std::string path_;
+  };
+
+  class CountingRWFile : public RandomRWFile {
+   public:
+    CountingRWFile(std::unique_ptr<RandomRWFile> base, SyncCountingEnv* env,
+                   std::string path)
+        : base_(std::move(base)), env_(env), path_(std::move(path)) {}
+    Status WriteAt(uint64_t offset, const void* data, size_t n) override {
+      return base_->WriteAt(offset, data, n);
+    }
+    Status ReadAt(uint64_t offset, void* out, size_t n) override {
+      return base_->ReadAt(offset, out, n);
+    }
+    Status Sync() override {
+      env_->Count(path_);
+      return base_->Sync();
+    }
+    Status Close() override { return base_->Close(); }
+
+   private:
+    std::unique_ptr<RandomRWFile> base_;
+    SyncCountingEnv* env_;
+    std::string path_;
+  };
+
+  Env* base_;
+  mutable std::mutex mu_;
+  std::map<std::string, int> syncs_;
+};
+
+TEST(ExternalSorterTest, OnlyTheFinalOutputIsSynced) {
+  // Durability is paid once, on the user-visible output: every final-merge
+  // writer (append, double-buffered, each partition's range, the pruned
+  // top-K merge) syncs before closing, while run files and intermediate
+  // merges — scratch that is re-read and deleted — never sync.
+  WorkloadOptions wl;
+  wl.num_records = 40000;
+  wl.seed = 27;
+  const std::vector<Key> input =
+      Drain(MakeWorkload(Dataset::kRandom, wl).get());
+  struct Case {
+    const char* name;
+    size_t worker_threads;
+    size_t final_merge_threads;
+    uint64_t limit;
+  };
+  const Case cases[] = {{"serial", 0, 1, 0},
+                        {"pooled", 2, 1, 0},
+                        {"partitioned", 4, 4, 0},
+                        {"run-pruning top-K", 0, 1, 300}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    MemEnv mem;
+    SyncCountingEnv env(&mem);
+    ExternalSortOptions options;
+    options.memory_records = 256;
+    options.twrs = TwoWayOptions::Recommended(256, 3);
+    options.fan_in = 4;  // intermediate merges too
+    options.temp_dir = "tmp";
+    options.block_bytes = 4096;
+    options.parallel.worker_threads = c.worker_threads;
+    options.parallel.final_merge_threads = c.final_merge_threads;
+    options.limit = c.limit;
+    if (c.limit > 0) options.topk_strategy = TopKStrategy::kRunPruningMerge;
+    ExternalSorter sorter(&env, options);
+    VectorSource source(input);
+    ExternalSortResult result;
+    ASSERT_TWRS_OK(sorter.Sort(&source, "out", &result));
+    EXPECT_GT(result.merge.merge_steps, 1u);
+
+    const std::map<std::string, int> syncs = env.syncs();
+    ASSERT_EQ(syncs.count("out"), 1u) << "output never synced";
+    if (c.final_merge_threads > 1) {
+      EXPECT_GT(syncs.at("out"), 1);  // once per partition's range writer
+    } else {
+      EXPECT_EQ(syncs.at("out"), 1);
+    }
+    for (const auto& [path, count] : syncs) {
+      EXPECT_EQ(path, "out") << "scratch file synced " << count << " times";
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Top-K selection (options.limit): every strategy must produce output
 // byte-identical to a full sort truncated to the requested end.
@@ -1062,39 +1250,56 @@ TEST(IoBackendSortTest, UringSortIsByteIdenticalToPosix) {
   PosixEnv posix;
   const std::string dir = twrs::testing::MakeTempDir();
   ASSERT_TWRS_OK(posix.CreateDirIfMissing(dir));
-  WorkloadOptions wl;
-  wl.num_records = 20000;
-  wl.seed = 99;
-  auto input = Drain(MakeWorkload(Dataset::kMixed, wl).get());
+  // Serial on mixed input, then pooled on random input with a 2-way
+  // partitioned final merge: the second case writes the output's ranges
+  // through RangeWritableFile — directly on uring (natively async, no
+  // double buffer) and through AsyncWritableFile on posix.
+  const struct {
+    Dataset dataset;
+    size_t threads;
+  } cases[] = {{Dataset::kMixed, 0}, {Dataset::kRandom, 2}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.threads);
+    WorkloadOptions wl;
+    wl.num_records = 20000;
+    wl.seed = 99;
+    auto input = Drain(MakeWorkload(c.dataset, wl).get());
+    std::string outputs[2];
+    const IoBackend backends[2] = {IoBackend::kPosix, IoBackend::kUring};
+    for (int i = 0; i < 2; ++i) {
+      ExternalSortOptions options;
+      options.memory_records = 512;
+      options.twrs = TwoWayOptions::Recommended(512, 3);
+      options.fan_in = 4;
+      options.temp_dir = dir;
+      options.block_bytes = 4096;
+      options.io_backend = backends[i];
+      options.parallel.worker_threads = c.threads;
+      options.parallel.final_merge_threads = c.threads > 0 ? 2 : 1;
+      ExternalSorter sorter(&posix, options);
+      outputs[i] = dir + "/out_" + IoBackendName(backends[i]) +
+                   std::to_string(c.threads);
+      VectorSource source(input);
+      ExternalSortResult result;
+      ASSERT_TWRS_OK(sorter.Sort(&source, outputs[i], &result));
+      EXPECT_EQ(result.output_records, input.size());
+      // Several runs reach the final merge, so the pooled case partitions.
+      if (c.threads > 0) {
+        EXPECT_GT(result.run_gen.num_runs(), 4u);
+      }
+    }
 
-  std::string outputs[2];
-  const IoBackend backends[2] = {IoBackend::kPosix, IoBackend::kUring};
-  for (int i = 0; i < 2; ++i) {
-    ExternalSortOptions options;
-    options.memory_records = 512;
-    options.twrs = TwoWayOptions::Recommended(512, 3);
-    options.fan_in = 4;
-    options.temp_dir = dir;
-    options.block_bytes = 4096;
-    options.io_backend = backends[i];
-    ExternalSorter sorter(&posix, options);
-    outputs[i] = dir + "/out_" + IoBackendName(backends[i]);
-    VectorSource source(input);
-    ExternalSortResult result;
-    ASSERT_TWRS_OK(sorter.Sort(&source, outputs[i], &result));
-    EXPECT_EQ(result.output_records, input.size());
+    std::vector<Key> via_posix, via_uring;
+    ASSERT_TWRS_OK(ReadAllRecords(&posix, outputs[0], &via_posix));
+    ASSERT_TWRS_OK(ReadAllRecords(&posix, outputs[1], &via_uring));
+    EXPECT_TRUE(via_posix == via_uring)
+        << "posix and uring sorts diverged on identical input";
+    uint64_t count = 0;
+    KeyChecksum checksum;
+    ASSERT_TWRS_OK(VerifySortedFile(&posix, outputs[1], &count, &checksum));
+    EXPECT_EQ(count, input.size());
+    EXPECT_TRUE(checksum == ChecksumOf(input));
   }
-
-  std::vector<Key> via_posix, via_uring;
-  ASSERT_TWRS_OK(ReadAllRecords(&posix, outputs[0], &via_posix));
-  ASSERT_TWRS_OK(ReadAllRecords(&posix, outputs[1], &via_uring));
-  EXPECT_TRUE(via_posix == via_uring)
-      << "posix and uring sorts diverged on identical input";
-  uint64_t count = 0;
-  KeyChecksum checksum;
-  ASSERT_TWRS_OK(VerifySortedFile(&posix, outputs[1], &count, &checksum));
-  EXPECT_EQ(count, input.size());
-  EXPECT_TRUE(checksum == ChecksumOf(input));
 }
 
 TEST(IoBackendSortTest, ExplicitUringFailsLoudlyWhenUnsupported) {

@@ -8,7 +8,6 @@
 
 #include "core/run_sink.h"
 #include "io/mem_env.h"
-#include "io/merge_sink.h"
 #include "tests/test_util.h"
 #include "util/random.h"
 
@@ -249,10 +248,8 @@ void DifferentialTrial(uint64_t seed) {
   if (!slice && window.whole()) {
     ASSERT_TWRS_OK(KWayMergeToFile(&env, runs, io, "out", &out));
   } else {
-    std::unique_ptr<MergeSink> sink;
-    ASSERT_TWRS_OK(MakeAppendMergeSink(&env, "out", nullptr, 0, &sink));
-    ASSERT_TWRS_OK(
-        MergeCursorsToSink(&cursors, io, window, sink.get(), &out));
+    ASSERT_TWRS_OK(MergeCursorsToSink(&env, &cursors, io, window, "out",
+                                      MergeOutputRange(), &out));
   }
   std::vector<Key> got;
   ASSERT_TWRS_OK(ReadAllRecords(&env, "out", &got));
