@@ -1,10 +1,12 @@
 // Micro-benchmarks of run generation throughput (records/second) for
-// Load-Sort-Store, RS and 2WRS across datasets — the CPU-side cost the
-// paper discusses in §6.2 ("the logic of 2WRS is slightly more complex").
+// Load-Sort-Store, RS, batched RS, 2WRS and batched 2WRS across datasets —
+// the CPU-side cost the paper discusses in §6.2 ("the logic of 2WRS is
+// slightly more complex").
 
 #include <benchmark/benchmark.h>
 
 #include "core/batched_replacement_selection.h"
+#include "core/batched_two_way_replacement_selection.h"
 #include "core/load_sort_store.h"
 #include "core/replacement_selection.h"
 #include "core/run_sink.h"
@@ -66,6 +68,14 @@ void BM_TwoWayReplacementSelection(benchmark::State& state) {
   RunGenerator(state, &generator, static_cast<Dataset>(state.range(0)));
 }
 BENCHMARK(BM_TwoWayReplacementSelection)->DenseRange(0, kNumDatasets - 1);
+
+void BM_BatchedTwoWayReplacementSelection(benchmark::State& state) {
+  BatchedTwoWayReplacementSelection generator(
+      TwoWayOptions::Recommended(kMemory));
+  RunGenerator(state, &generator, static_cast<Dataset>(state.range(0)));
+}
+BENCHMARK(BM_BatchedTwoWayReplacementSelection)
+    ->DenseRange(0, kNumDatasets - 1);
 
 }  // namespace
 }  // namespace twrs

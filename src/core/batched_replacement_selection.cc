@@ -1,42 +1,12 @@
 #include "core/batched_replacement_selection.h"
 
 #include <algorithm>
-#include <list>
 #include <vector>
 
-#include "heap/binary_heap.h"
+#include "core/minirun_heap.h"
 #include "simd/kernels.h"
 
 namespace twrs {
-
-namespace {
-
-// One sorted batch being consumed ("minirun", §3.7.1).
-struct Minirun {
-  std::vector<Key> keys;
-  size_t cursor = 0;
-
-  bool Exhausted() const { return cursor == keys.size(); }
-  Key Head() const { return keys[cursor]; }
-};
-
-using MinirunList = std::list<Minirun>;
-
-// Selection entry: the head record of one current minirun.
-struct HeadItem {
-  Key key;
-  uint64_t serial;  // deterministic tie-break
-  MinirunList::iterator minirun;
-};
-
-struct HeadBefore {
-  bool operator()(const HeadItem& a, const HeadItem& b) const {
-    if (a.key != b.key) return a.key < b.key;
-    return a.serial < b.serial;
-  }
-};
-
-}  // namespace
 
 BatchedReplacementSelection::BatchedReplacementSelection(
     BatchedReplacementSelectionOptions options)
@@ -54,57 +24,62 @@ Status BatchedReplacementSelection::Generate(RecordSource* source,
         "batch_records must be in [1, memory_records]");
   }
   const size_t first_run = sink->runs().size();
+  const size_t memory = options_.memory_records;
   const size_t batch = options_.batch_records;
 
-  MinirunList current;   // miniruns feeding the current run
-  MinirunList deferred;  // next-run miniruns (heads below the last output)
-  BinaryHeap<HeadItem, HeadBefore> heads;
+  MinirunArena arena;
+  MinirunHeap<DrainOrder::kAscending> current(&arena);
+  std::vector<Minirun> deferred;  // next-run miniruns (below the last output)
   size_t in_memory = 0;  // unconsumed records across all miniruns
-  uint64_t next_serial = 0;
   bool input_done = false;
   bool have_last_output = false;
   Key last_output = 0;
 
-  auto push_head = [&](MinirunList::iterator it) {
-    heads.Push(HeadItem{it->Head(), next_serial++, it});
+  // Keeps the arena within twice the memory budget before a batch is read
+  // into it: `in_memory` bounds the keys the miniruns hold, not the blocks
+  // they pin, and a straggler left in each batch's block would pin a
+  // batch of keys per record held. Past the bound, the live keys move
+  // into packed blocks.
+  auto bound_arena = [&]() {
+    if (arena.allocated_keys() + batch <= 2 * memory) return;
+    arena.Compact(batch, [&](auto visit) {
+      current.ForEach(visit);
+      for (Minirun& run : deferred) visit(run);
+    });
   };
 
-  // Reads one batch, sorts it, and splits it at the last output: the suffix
-  // extends the current run, the prefix is deferred to the next one.
+  // Reads one batch, sorts it in an arena block, and splits it at the last
+  // output: the suffix extends the current run, the prefix is deferred to
+  // the next one.
   auto read_batch = [&]() -> bool {
     if (input_done) return false;
-    std::vector<Key> keys;
-    keys.reserve(batch);
-    Key key;
-    while (keys.size() < batch && source->Next(&key)) keys.push_back(key);
-    if (keys.size() < batch) input_done = true;
-    if (keys.empty()) return false;
-    simd::SortKeysBlock(keys.data(), keys.size());
-    in_memory += keys.size();
-    size_t boundary = 0;
-    if (have_last_output) {
-      boundary = static_cast<size_t>(
-          std::lower_bound(keys.begin(), keys.end(), last_output) -
-          keys.begin());
+    bound_arena();
+    const uint32_t block = arena.Acquire(batch);
+    Key* keys = arena.data(block);
+    const size_t n = ReadBatch(source, keys, batch);
+    if (n < batch) input_done = true;
+    if (n == 0) {
+      arena.Release(block);
+      return false;
     }
-    if (boundary > 0) {
-      Minirun prefix;
-      prefix.keys.assign(keys.begin(), keys.begin() + boundary);
-      deferred.push_back(std::move(prefix));
+    simd::SortKeysBlock(keys, n);
+    in_memory += n;
+    Key* boundary =
+        have_last_output ? std::lower_bound(keys, keys + n, last_output) : keys;
+    if (boundary > keys) {
+      arena.Retain(block);
+      deferred.push_back(Minirun{keys, boundary, block});
     }
-    if (boundary < keys.size()) {
-      Minirun suffix;
-      suffix.keys.assign(keys.begin() + boundary, keys.end());
-      current.push_back(std::move(suffix));
-      push_head(std::prev(current.end()));
-    }
+    if (boundary < keys + n) current.Push(Minirun{boundary, keys + n, block});
+    arena.Release(block);
     return true;
   };
 
   // Initial fill: load one memory's worth of batches.
-  while (in_memory + batch <= options_.memory_records && read_batch()) {
+  while (in_memory + batch <= memory && read_batch()) {
   }
-  if (current.empty() && deferred.empty()) {
+  if (in_memory == 0) {
+    peak_arena_keys_ = arena.peak_allocated_keys();
     TWRS_RETURN_IF_ERROR(sink->Finish());
     FillStatsFromSink(*sink, first_run, stats);
     return Status::OK();
@@ -112,34 +87,35 @@ Status BatchedReplacementSelection::Generate(RecordSource* source,
 
   TWRS_RETURN_IF_ERROR(sink->BeginRun());
   for (;;) {
-    if (heads.empty()) {
+    if (current.empty()) {
       // Current run complete; promote the deferred miniruns.
       TWRS_RETURN_IF_ERROR(sink->EndRun());
       if (deferred.empty()) break;
       TWRS_RETURN_IF_ERROR(sink->BeginRun());
       have_last_output = false;
-      current = std::move(deferred);
-      deferred.clear();
-      for (auto it = current.begin(); it != current.end(); ++it) {
-        push_head(it);
+      for (const Minirun& run : deferred) {
+        current.Push(run);
+        arena.Release(run.block);
       }
+      deferred.clear();
       continue;
     }
-    const HeadItem item = heads.Pop();
-    TWRS_RETURN_IF_ERROR(sink->Append(kStream1, item.key));
-    last_output = item.key;
-    have_last_output = true;
-    --in_memory;
-    Minirun& minirun = *item.minirun;
-    ++minirun.cursor;
-    if (!minirun.Exhausted()) {
-      push_head(item.minirun);
-    } else {
-      current.erase(item.minirun);
+    // Emit the top minirun's span, stopping where a refill is due: a batch
+    // is read whenever a batch's worth of memory has been released.
+    size_t span = current.TopSpan();
+    if (!input_done) {
+      const size_t refill_at = memory - batch;
+      span = std::min(span, in_memory > refill_at ? in_memory - refill_at : 1);
     }
-    // Refill whenever a batch's worth of memory has been released.
-    if (in_memory + batch <= options_.memory_records) read_batch();
+    const Key* keys = current.TopKeys();
+    TWRS_RETURN_IF_ERROR(sink->AppendSorted(kStream1, keys, span));
+    last_output = keys[span - 1];
+    have_last_output = true;
+    in_memory -= span;
+    current.Consume(span);
+    if (in_memory + batch <= memory) read_batch();
   }
+  peak_arena_keys_ = arena.peak_allocated_keys();
   TWRS_RETURN_IF_ERROR(sink->Finish());
   FillStatsFromSink(*sink, first_run, stats);
   return Status::OK();

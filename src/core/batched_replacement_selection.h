@@ -2,6 +2,7 @@
 #define TWRS_CORE_BATCHED_REPLACEMENT_SELECTION_H_
 
 #include <cstddef>
+#include <cstdint>
 
 #include "core/run_generator.h"
 
@@ -23,8 +24,9 @@ struct BatchedReplacementSelectionOptions {
 ///
 /// Instead of inserting input records into one large heap, records are read
 /// in batches, each batch is sorted into a *minirun*, and the selection
-/// structure only merges the minirun heads — so its size is the number of
-/// miniruns, not the number of records. Replacing a popped record touches
+/// structure (a MinirunHeap, shared with batched 2WRS) only merges the
+/// minirun heads — so its size is the number of miniruns, not the number
+/// of records. Replacing a popped record touches
 /// one sorted array sequentially instead of walking a heap branch, which is
 /// what removes most cache misses. Records of a new batch that are smaller
 /// than the last output cannot extend the current run; they form a deferred
@@ -41,8 +43,14 @@ class BatchedReplacementSelection : public RunGenerator {
 
   std::string name() const override { return "BatchedRS"; }
 
+  /// The most keys the minirun blocks held allocated during the last
+  /// Generate(): at most 2 × `memory_records`, plus one packed block
+  /// (under two batches) while they are being compacted.
+  uint64_t peak_arena_keys() const { return peak_arena_keys_; }
+
  private:
   BatchedReplacementSelectionOptions options_;
+  uint64_t peak_arena_keys_ = 0;
 };
 
 }  // namespace twrs

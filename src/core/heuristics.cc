@@ -1,9 +1,19 @@
 #include "core/heuristics.h"
 
-#include <cmath>
-#include <cstdlib>
+#include <cstdint>
 
 namespace twrs {
+
+namespace {
+
+// |a - b| without the signed overflow of subtracting keys more than 2^63
+// apart.
+uint64_t Distance(Key a, Key b) {
+  return a > b ? static_cast<uint64_t>(a) - static_cast<uint64_t>(b)
+               : static_cast<uint64_t>(b) - static_cast<uint64_t>(a);
+}
+
+}  // namespace
 
 const char* InputHeuristicName(InputHeuristic h) {
   switch (h) {
@@ -147,10 +157,10 @@ HeapSide HeuristicEngine::ChooseOutputSide(const DoubleHeap& heap) {
                  : HeapSide::kTop;
     case OutputHeuristic::kMinDistance: {
       if (!has_first_output_) return RandomSide();
-      const double db = std::abs(
-          static_cast<double>(heap.Top(HeapSide::kBottom).key - first_output_));
-      const double dt = std::abs(
-          static_cast<double>(heap.Top(HeapSide::kTop).key - first_output_));
+      const double db = static_cast<double>(
+          Distance(heap.Top(HeapSide::kBottom).key, first_output_));
+      const double dt = static_cast<double>(
+          Distance(heap.Top(HeapSide::kTop).key, first_output_));
       if (db == dt) return RandomSide();
       return db < dt ? HeapSide::kBottom : HeapSide::kTop;
     }

@@ -18,17 +18,11 @@ Status LoadSortStore::Generate(RecordSource* source, RunSink* sink,
   const size_t capacity = options_.memory_records;
   std::vector<Key> block(capacity);
   for (;;) {
-    size_t filled = 0;
-    while (filled < capacity) {
-      const size_t got =
-          source->NextBatch(block.data() + filled, capacity - filled);
-      if (got == 0) break;
-      filled += got;
-    }
+    const size_t filled = ReadBatch(source, block.data(), capacity);
     if (filled == 0) break;
     simd::SortKeysBlock(block.data(), filled);
     TWRS_RETURN_IF_ERROR(sink->BeginRun());
-    TWRS_RETURN_IF_ERROR(sink->AppendSorted(block.data(), filled));
+    TWRS_RETURN_IF_ERROR(sink->AppendSorted(kStream1, block.data(), filled));
     TWRS_RETURN_IF_ERROR(sink->EndRun());
     if (filled < capacity) break;  // input exhausted
   }

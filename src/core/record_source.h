@@ -37,6 +37,19 @@ class RecordSource {
   virtual Status status() const { return Status::OK(); }
 };
 
+/// Reads up to `cap` records into `out` through NextBatch, stopping early
+/// only at the end of the stream (or an error, which `status()` reports).
+/// Returns the count read.
+inline size_t ReadBatch(RecordSource* source, Key* out, size_t cap) {
+  size_t filled = 0;
+  while (filled < cap) {
+    const size_t got = source->NextBatch(out + filled, cap - filled);
+    if (got == 0) break;
+    filled += got;
+  }
+  return filled;
+}
+
 /// RecordSource over an in-memory vector (test and example helper).
 class VectorSource : public RecordSource {
  public:

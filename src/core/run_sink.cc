@@ -36,15 +36,35 @@ Status CountingRunSink::BeginRun() {
   return Status::OK();
 }
 
+void CountingRunSink::NoteBounds(Key lo, Key hi) {
+  if (!have_bounds_) {
+    min_key_ = lo;
+    max_key_ = hi;
+    have_bounds_ = true;
+  } else {
+    min_key_ = std::min(min_key_, lo);
+    max_key_ = std::max(max_key_, hi);
+  }
+}
+
 Status CountingRunSink::Append(RunStream, Key key) {
   if (!in_run_) return Status::InvalidArgument("Append outside a run");
   ++current_length_;
-  if (!have_bounds_) {
-    min_key_ = max_key_ = key;
-    have_bounds_ = true;
+  NoteBounds(key, key);
+  return Status::OK();
+}
+
+Status CountingRunSink::AppendSorted(RunStream stream, const Key* keys,
+                                     size_t n) {
+  if (!in_run_) return Status::InvalidArgument("Append outside a run");
+  if (n == 0) return Status::OK();
+  current_length_ += n;
+  const Key first = keys[0];
+  const Key last = keys[n - 1];
+  if (StreamIsReverse(stream)) {
+    NoteBounds(last, first);
   } else {
-    min_key_ = std::min(min_key_, key);
-    max_key_ = std::max(max_key_, key);
+    NoteBounds(first, last);
   }
   return Status::OK();
 }
@@ -73,16 +93,24 @@ Status CollectingRunSink::BeginRun() {
 }
 
 Status CollectingRunSink::Append(RunStream stream, Key key) {
+  return AppendSorted(stream, &key, 1);
+}
+
+Status CollectingRunSink::AppendSorted(RunStream stream, const Key* keys,
+                                       size_t n) {
   if (!in_run_) return Status::InvalidArgument("Append outside a run");
+  if (n == 0) return Status::OK();
   std::vector<Key>& s = streams_[stream];
-  if (!s.empty()) {
-    const bool ok = StreamIsReverse(stream) ? key <= s.back() : key >= s.back();
-    if (!ok) {
+  const bool decreasing = StreamIsReverse(stream);
+  Key prev = s.empty() ? keys[0] : s.back();
+  for (size_t i = 0; i < n; ++i) {
+    if (decreasing ? keys[i] > prev : keys[i] < prev) {
       return Status::InvalidArgument(std::string("stream ordering violated: ") +
                                      StreamSuffix(stream));
     }
+    prev = keys[i];
   }
-  s.push_back(key);
+  s.insert(s.end(), keys, keys + n);
   return Status::OK();
 }
 
@@ -140,7 +168,15 @@ void FileRunSink::NoteBounds(Key lo, Key hi) {
   }
 }
 
-Status FileRunSink::OpenForwardWriter(RunStream stream) {
+Status FileRunSink::OpenWriter(RunStream stream) {
+  if (StreamIsReverse(stream)) {
+    auto& writer = reverse_[stream];
+    if (writer != nullptr) return Status::OK();
+    writer = std::make_unique<ReverseRunWriter>(
+        env_, StreamPath(run_index_, stream), options_.reverse);
+    return writer->status();
+  }
+  if (forward_[stream] != nullptr) return Status::OK();
   return MakeAsyncRecordWriter(env_, StreamPath(run_index_, stream),
                                options_.block_bytes, options_.pool,
                                &forward_[stream], options_.flush_histogram);
@@ -149,27 +185,23 @@ Status FileRunSink::OpenForwardWriter(RunStream stream) {
 Status FileRunSink::Append(RunStream stream, Key key) {
   if (!in_run_) return Status::InvalidArgument("Append outside a run");
   NoteBounds(key, key);
-  if (StreamIsReverse(stream)) {
-    auto& writer = reverse_[stream];
-    if (writer == nullptr) {
-      writer = std::make_unique<ReverseRunWriter>(
-          env_, StreamPath(run_index_, stream), options_.reverse);
-      TWRS_RETURN_IF_ERROR(writer->status());
-    }
-    return writer->Append(key);
-  }
-  auto& writer = forward_[stream];
-  if (writer == nullptr) TWRS_RETURN_IF_ERROR(OpenForwardWriter(stream));
-  return writer->Append(key);
+  TWRS_RETURN_IF_ERROR(OpenWriter(stream));
+  if (StreamIsReverse(stream)) return reverse_[stream]->Append(key);
+  return forward_[stream]->Append(key);
 }
 
-Status FileRunSink::AppendSorted(const Key* keys, size_t n) {
+Status FileRunSink::AppendSorted(RunStream stream, const Key* keys,
+                                 size_t n) {
   if (!in_run_) return Status::InvalidArgument("Append outside a run");
   if (n == 0) return Status::OK();
+  TWRS_RETURN_IF_ERROR(OpenWriter(stream));
+  if (StreamIsReverse(stream)) {
+    TWRS_RETURN_IF_ERROR(reverse_[stream]->AppendBatch(keys, n));
+    NoteBounds(keys[n - 1], keys[0]);
+    return Status::OK();
+  }
   NoteBounds(keys[0], keys[n - 1]);
-  auto& writer = forward_[kStream1];
-  if (writer == nullptr) TWRS_RETURN_IF_ERROR(OpenForwardWriter(kStream1));
-  return writer->AppendBatch(keys, n);
+  return forward_[stream]->AppendBatch(keys, n);
 }
 
 Status FileRunSink::EndRun() {

@@ -59,11 +59,12 @@ class RunSink {
   virtual Status BeginRun() = 0;
   virtual Status Append(RunStream stream, Key key) = 0;
 
-  /// Appends `n` non-decreasing keys to kStream1 in one call — the span
-  /// path of Load-Sort-Store. The default loops Append.
-  virtual Status AppendSorted(const Key* keys, size_t n) {
+  /// Appends `n` keys to `stream` in one call, already in that stream's
+  /// order (non-decreasing for streams 1 and 3, non-increasing for 2 and
+  /// 4) — the span path of every run generator. The default loops Append.
+  virtual Status AppendSorted(RunStream stream, const Key* keys, size_t n) {
     for (size_t i = 0; i < n; ++i) {
-      TWRS_RETURN_IF_ERROR(Append(kStream1, keys[i]));
+      TWRS_RETURN_IF_ERROR(Append(stream, keys[i]));
     }
     return Status::OK();
   }
@@ -84,10 +85,13 @@ class CountingRunSink : public RunSink {
  public:
   Status BeginRun() override;
   Status Append(RunStream stream, Key key) override;
+  Status AppendSorted(RunStream stream, const Key* keys, size_t n) override;
   Status EndRun() override;
   Status Finish() override;
 
  private:
+  void NoteBounds(Key lo, Key hi);
+
   bool in_run_ = false;
   uint64_t current_length_ = 0;
   bool have_bounds_ = false;
@@ -101,6 +105,7 @@ class CollectingRunSink : public RunSink {
  public:
   Status BeginRun() override;
   Status Append(RunStream stream, Key key) override;
+  Status AppendSorted(RunStream stream, const Key* keys, size_t n) override;
   Status EndRun() override;
   Status Finish() override;
 
@@ -141,9 +146,10 @@ class FileRunSink : public RunSink {
   Status BeginRun() override;
   Status Append(RunStream stream, Key key) override;
 
-  /// Writes the span through RecordWriter::AppendBatch; the run's bounds
-  /// come from the span's ends.
-  Status AppendSorted(const Key* keys, size_t n) override;
+  /// Writes the span through RecordWriter::AppendBatch (increasing
+  /// streams) or ReverseRunWriter::AppendBatch (decreasing streams); the
+  /// run's bounds come from the span's ends.
+  Status AppendSorted(RunStream stream, const Key* keys, size_t n) override;
 
   Status EndRun() override;
   Status Finish() override;
@@ -152,8 +158,8 @@ class FileRunSink : public RunSink {
   /// Widens the current run's key bounds to [lo, hi].
   void NoteBounds(Key lo, Key hi);
 
-  /// Creates the forward writer of `stream` for the current run.
-  Status OpenForwardWriter(RunStream stream);
+  /// Creates the writer of `stream` for the current run if it has none.
+  Status OpenWriter(RunStream stream);
 
   std::string StreamPath(uint64_t run, RunStream stream) const;
 

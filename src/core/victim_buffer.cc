@@ -15,12 +15,26 @@ void VictimBuffer::Add(Key key) {
   values_.push_back(key);
 }
 
+void VictimBuffer::AddSpan(const Key* keys, size_t n) {
+  values_.insert(values_.end(), keys, keys + n);
+}
+
+namespace {
+
+// Width of the gap between sorted neighbours lo <= hi. Two keys can be up
+// to 2^64 - 1 apart, which overflows Key but not its unsigned twin.
+uint64_t GapWidth(Key lo, Key hi) {
+  return static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+}
+
+}  // namespace
+
 size_t VictimBuffer::LargestGapIndex() {
   simd::SortKeysBlock(values_.data(), values_.size());
   size_t best = 0;
-  Key best_gap = values_[1] - values_[0];
+  uint64_t best_gap = GapWidth(values_[0], values_[1]);
   for (size_t i = 1; i + 1 < values_.size(); ++i) {
-    const Key gap = values_[i + 1] - values_[i];
+    const uint64_t gap = GapWidth(values_[i], values_[i + 1]);
     if (gap > best_gap) {
       best_gap = gap;
       best = i;
@@ -58,9 +72,9 @@ Status VictimBuffer::BootstrapSplit(std::vector<Key>* lows,
     // would narrow the range while everything left outside is lost to the
     // next run.
     have_admissible = false;
-    Key best_width = 0;
+    uint64_t best_width = 0;
     for (size_t i = 0; i + 1 < values_.size(); ++i) {
-      const Key width = values_[i + 1] - values_[i];
+      const uint64_t width = GapWidth(values_[i], values_[i + 1]);
       if (population(values_[i], values_[i + 1]) > capacity_) continue;
       if (!have_admissible || width > best_width) {
         gap = i;
@@ -117,15 +131,14 @@ Status VictimBuffer::FlushActive(RunSink* sink) {
     return Status::OK();
   }
   const size_t gap = LargestGapIndex();
-  for (size_t i = 0; i <= gap; ++i) {
-    TWRS_RETURN_IF_ERROR(sink->Append(kStream3, values_[i]));
-  }
-  for (size_t i = values_.size(); i > gap + 1; --i) {
-    TWRS_RETURN_IF_ERROR(sink->Append(kStream2, values_[i - 1]));
-  }
   // The flushed ranges nest: the new valid range is inside the old one.
   range_lo_ = values_[gap];
   range_hi_ = values_[gap + 1];
+  TWRS_RETURN_IF_ERROR(sink->AppendSorted(kStream3, values_.data(), gap + 1));
+  // Stream 2 takes the upper part largest first.
+  std::reverse(values_.begin() + gap + 1, values_.end());
+  TWRS_RETURN_IF_ERROR(sink->AppendSorted(kStream2, values_.data() + gap + 1,
+                                          values_.size() - gap - 1));
   values_.clear();
   return Status::OK();
 }
@@ -133,9 +146,8 @@ Status VictimBuffer::FlushActive(RunSink* sink) {
 Status VictimBuffer::FlushFinal(RunSink* sink) {
   if (values_.empty()) return Status::OK();
   simd::SortKeysBlock(values_.data(), values_.size());
-  for (Key v : values_) {
-    TWRS_RETURN_IF_ERROR(sink->Append(kStream3, v));
-  }
+  TWRS_RETURN_IF_ERROR(
+      sink->AppendSorted(kStream3, values_.data(), values_.size()));
   values_.clear();
   return Status::OK();
 }

@@ -44,6 +44,9 @@ class VictimBuffer {
   size_t size() const { return values_.size(); }
   size_t capacity() const { return capacity_; }
 
+  /// The records held, in no particular order.
+  const std::vector<Key>& contents() const { return values_; }
+
   /// True when the valid range is set and contains `key` (inclusive).
   bool RangeContains(Key key) const {
     return range_set_ && range_lo_ <= key && key <= range_hi_;
@@ -51,6 +54,11 @@ class VictimBuffer {
 
   /// Adds a record; requires !Full().
   void Add(Key key);
+
+  /// Adds `n` records at once, possibly past capacity; the caller then
+  /// flushes a Full() buffer. For a batch of input whose records are
+  /// already counted against memory, so the overfill holds no extra ones.
+  void AddSpan(const Key* keys, size_t n);
 
   /// Counts records currently in memory with keys strictly inside an open
   /// interval. Supplied by the caller so gap selection can avoid ranges

@@ -132,18 +132,65 @@ Status ReverseRunWriter::Append(Key key) {
   EncodeKey(key, page_.data() + page_pos_);
   ++file_record_count_;
   ++count_;
-  if (page_pos_ == 0) {
-    status_ = FlushPage(current_page_, /*partial=*/false);
-    TWRS_RETURN_IF_ERROR(status_);
-    if (current_page_ == 1) {
-      status_ = FinalizeCurrentFile();
-      TWRS_RETURN_IF_ERROR(status_);
-    } else {
-      --current_page_;
-      page_pos_ = options_.page_bytes;
+  if (page_pos_ == 0) TWRS_RETURN_IF_ERROR(AdvancePage());
+  return Status::OK();
+}
+
+Status ReverseRunWriter::AppendBatch(const Key* keys, size_t n) {
+  TWRS_RETURN_IF_ERROR(status_);
+  if (finished_) {
+    return Status::InvalidArgument("Append after Finish");
+  }
+  if (n == 0) return Status::OK();
+  Key prev = has_last_key_ ? last_key_ : keys[0];
+  for (size_t i = 0; i < n; ++i) {
+    if (keys[i] > prev) {
+      status_ = Status::InvalidArgument(
+          "reverse run stream keys must be non-increasing");
+      return status_;
     }
+    prev = keys[i];
+  }
+  has_last_key_ = true;
+  last_key_ = keys[n - 1];
+  size_t done = 0;
+  while (done < n) {
+    if (!file_open_) {
+      status_ = OpenNextFile();
+      TWRS_RETURN_IF_ERROR(status_);
+    }
+    // The page fills back to front, so the chunk lands in reverse: encode
+    // it forward, then swap the records end for end.
+    const size_t take =
+        std::min<size_t>(n - done, page_pos_ / kRecordBytes);
+    page_pos_ -= take * kRecordBytes;
+    uint8_t* lo = page_.data() + page_pos_;
+    simd::EncodeKeysBatch(keys + done, take, lo);
+    uint8_t* hi = lo + (take - 1) * kRecordBytes;
+    for (; lo < hi; lo += kRecordBytes, hi -= kRecordBytes) {
+      uint8_t tmp[kRecordBytes];
+      std::memcpy(tmp, lo, kRecordBytes);
+      std::memcpy(lo, hi, kRecordBytes);
+      std::memcpy(hi, tmp, kRecordBytes);
+    }
+    file_record_count_ += take;
+    count_ += take;
+    done += take;
+    if (page_pos_ == 0) TWRS_RETURN_IF_ERROR(AdvancePage());
   }
   return Status::OK();
+}
+
+Status ReverseRunWriter::AdvancePage() {
+  status_ = FlushPage(current_page_, /*partial=*/false);
+  TWRS_RETURN_IF_ERROR(status_);
+  if (current_page_ == 1) {
+    status_ = FinalizeCurrentFile();
+  } else {
+    --current_page_;
+    page_pos_ = options_.page_bytes;
+  }
+  return status_;
 }
 
 Status ReverseRunWriter::Finish() {

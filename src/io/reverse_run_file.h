@@ -52,6 +52,13 @@ class ReverseRunWriter {
   /// checked and violations return Status::InvalidArgument.
   Status Append(Key key);
 
+  /// Appends `n` non-increasing keys, encoding them a page at a time
+  /// through simd::EncodeKeysBatch. The file bytes equal those of `n`
+  /// Append calls. If the span breaks the order (within itself or against
+  /// the last key appended), nothing is written and InvalidArgument is
+  /// returned, as Append does.
+  Status AppendBatch(const Key* keys, size_t n);
+
   /// Finalizes the current file, patches the file count into file 0's
   /// header, and closes everything.
   Status Finish();
@@ -69,6 +76,10 @@ class ReverseRunWriter {
   Status OpenNextFile();
   Status FlushPage(uint64_t page, bool partial);
   Status FinalizeCurrentFile();
+
+  /// Flushes the page just filled and moves to the next page down, closing
+  /// the file after its last data page.
+  Status AdvancePage();
 
   Env* env_;
   std::string base_path_;

@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "core/batched_replacement_selection.h"
+#include "core/batched_two_way_replacement_selection.h"
 #include "core/load_sort_store.h"
 #include "core/replacement_selection.h"
 #include "core/run_generator.h"
@@ -42,6 +43,11 @@ std::unique_ptr<RunGenerator> MakeRunGenerator(RunGenAlgorithm algorithm,
     case RunGenAlgorithm::kTwoWayReplacementSelection: {
       TwoWayOptions options = twrs;
       options.memory_records = memory_records;
+      // The §5.3 recommended pair runs batched; every other pair runs the
+      // record-at-a-time reference.
+      if (BatchedTwoWayReplacementSelection::Supports(options)) {
+        return std::make_unique<BatchedTwoWayReplacementSelection>(options);
+      }
       return std::make_unique<TwoWayReplacementSelection>(options);
     }
     case RunGenAlgorithm::kLoadSortStore: {

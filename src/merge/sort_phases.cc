@@ -39,8 +39,8 @@ class CancellableSource : public RecordSource {
 };
 
 /// Forwards to the real sink but fails BeginRun/Append/AppendSorted once the
-/// token fires — the per-record (per-span for Load-Sort-Store) cancellation
-/// point of the run-generation loop.
+/// token fires — the per-record or per-span cancellation point of the
+/// run-generation loop.
 /// EndRun/Finish still forward so the base sink's protocol state stays
 /// consistent while the error unwinds.
 class CancellableSink : public RunSink {
@@ -58,9 +58,9 @@ class CancellableSink : public RunSink {
     return base_->Append(stream, key);
   }
 
-  Status AppendSorted(const Key* keys, size_t n) override {
+  Status AppendSorted(RunStream stream, const Key* keys, size_t n) override {
     if (IsCancelled(cancel_)) return CancelledStatus();
-    return base_->AppendSorted(keys, n);
+    return base_->AppendSorted(stream, keys, n);
   }
 
   Status EndRun() override {

@@ -101,6 +101,66 @@ TEST(BatchedRsTest, MatchesRsRunCountsApproximately) {
   EXPECT_LT(ratio, 1.4);
 }
 
+// A source that serves records through NextBatch only.
+class BatchOnlySource : public VectorSource {
+ public:
+  using VectorSource::VectorSource;
+
+  bool Next(Key* key) override {
+    if (in_batch_) return VectorSource::Next(key);
+    ADD_FAILURE() << "a single record was read outside NextBatch";
+    return false;
+  }
+  size_t NextBatch(Key* out, size_t cap) override {
+    in_batch_ = true;
+    const size_t n = VectorSource::NextBatch(out, cap);
+    in_batch_ = false;
+    return n;
+  }
+
+ private:
+  bool in_batch_ = false;
+};
+
+TEST(BatchedRsTest, ReadsInBatchesWithinMemory) {
+  WorkloadOptions wl;
+  wl.num_records = 20000;
+  wl.seed = 3;
+  const auto input = Drain(MakeWorkload(Dataset::kRandom, wl).get());
+  for (size_t batch : {1u, 7u, 50u, 200u}) {
+    BatchOnlySource base(input);
+    testing::MemoryLedger ledger(200);
+    testing::LedgerSource source(&base, &ledger);
+    CollectingRunSink collecting;
+    testing::LedgerSink sink(&collecting, &ledger);
+    ASSERT_TWRS_OK(Make(200, batch)->Generate(&source, &sink, nullptr));
+    ExpectValidRuns(collecting.collected(), input);
+    EXPECT_EQ(ledger.max_held(), 200u) << batch;
+  }
+}
+
+TEST(BatchedRsTest, StragglersDoNotPinTheirBatchBlocks) {
+  // One straggler a batch, deferred to the next run (late) or held by the
+  // current run until it ends (far ahead): each would pin its batch's
+  // block, a batch of keys per record held, unless the arena compacts.
+  // The key blocks stay within 2 x memory, plus one packed block while
+  // they are compacted.
+  constexpr size_t kMemory = 4096;
+  for (size_t batch : {64u, 1024u}) {
+    for (Key offset : {Key{-40 * static_cast<Key>(kMemory)}, Key{1} << 50}) {
+      SCOPED_TRACE(::testing::Message() << "batch " << batch << " offset "
+                                        << offset);
+      const std::vector<Key> input =
+          testing::RisingWithStragglers(200000, batch, offset);
+      auto generator = Make(kMemory, batch);
+      const auto result = GenerateRuns(generator.get(), input);
+      ExpectValidRuns(result.runs, input);
+      EXPECT_GT(generator->peak_arena_keys(), kMemory / 2);
+      EXPECT_LE(generator->peak_arena_keys(), 2 * kMemory + 2 * batch);
+    }
+  }
+}
+
 // Correctness must hold across datasets and batch geometries.
 using BatchedParam = std::tuple<int, int>;  // dataset, batch size
 

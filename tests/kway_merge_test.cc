@@ -187,7 +187,7 @@ RunInfo WriteRun(Env* env, const std::string& prefix,
       }
     }
   } else {
-    EXPECT_TWRS_OK(sink.AppendSorted(keys.data(), keys.size()));
+    EXPECT_TWRS_OK(sink.AppendSorted(kStream1, keys.data(), keys.size()));
   }
   EXPECT_TWRS_OK(sink.EndRun());
   EXPECT_TWRS_OK(sink.Finish());

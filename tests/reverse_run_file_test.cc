@@ -126,6 +126,63 @@ TEST(ReverseRunFileBasicTest, IncreasingKeyIsRejected) {
   EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
 }
 
+// Appends `keys` through AppendBatch in consecutive spans of `span`
+// records.
+Status AppendInSpans(ReverseRunWriter* writer, const std::vector<Key>& keys,
+                     size_t span) {
+  for (size_t i = 0; i < keys.size(); i += span) {
+    TWRS_RETURN_IF_ERROR(writer->AppendBatch(
+        keys.data() + i, std::min(span, keys.size() - i)));
+  }
+  return Status::OK();
+}
+
+TEST(ReverseRunFileBasicTest, AppendBatchWritesTheBytesOfAppend) {
+  // 8 records a page and 3 data pages a file: spans of every length cross
+  // page and file boundaries at every offset.
+  ReverseRunFileOptions options;
+  options.pages_per_file = 4;
+  options.page_bytes = 64;
+  std::vector<Key> keys;
+  for (Key k = 500; k > -500; k -= 7) keys.push_back(k);
+  keys.push_back(keys.back());  // a duplicate
+  MemEnv record_env;
+  ReverseRunWriter record_writer(&record_env, "s", options);
+  for (Key k : keys) ASSERT_TWRS_OK(record_writer.Append(k));
+  ASSERT_TWRS_OK(record_writer.Finish());
+  ASSERT_GT(record_writer.num_files(), 2u);
+  for (size_t span : {1u, 3u, 8u, 13u, 24u, 1000u}) {
+    MemEnv span_env;
+    ReverseRunWriter span_writer(&span_env, "s", options);
+    ASSERT_TWRS_OK(AppendInSpans(&span_writer, keys, span));
+    ASSERT_TWRS_OK(span_writer.Finish());
+    EXPECT_EQ(span_writer.count(), record_writer.count());
+    ASSERT_EQ(span_writer.num_files(), record_writer.num_files());
+    for (uint64_t f = 0; f < record_writer.num_files(); ++f) {
+      const std::string name = ReverseRunWriter::FileName("s", f);
+      ASSERT_NE(span_env.FileContents(name), nullptr);
+      EXPECT_EQ(*span_env.FileContents(name), *record_env.FileContents(name))
+          << "span " << span << " file " << f;
+    }
+  }
+}
+
+TEST(ReverseRunFileBasicTest, AppendBatchRejectsOrderViolations) {
+  MemEnv env;
+  ReverseRunWriter inside(&env, "a");
+  const std::vector<Key> rising = {9, 7, 8};
+  EXPECT_TRUE(inside.AppendBatch(rising.data(), rising.size())
+                  .IsInvalidArgument());
+  EXPECT_EQ(inside.count(), 0u);  // nothing of the bad span was written
+
+  ReverseRunWriter across(&env, "b");
+  ASSERT_TWRS_OK(across.Append(5));
+  const std::vector<Key> above = {6, 1};
+  EXPECT_TRUE(across.AppendBatch(above.data(), above.size())
+                  .IsInvalidArgument());
+  EXPECT_EQ(across.count(), 1u);
+}
+
 TEST(ReverseRunFileBasicTest, NegativeKeysRoundTrip) {
   MemEnv env;
   ReverseRunFileOptions options;

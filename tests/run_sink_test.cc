@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "io/mem_env.h"
@@ -150,7 +152,7 @@ TEST(FileRunSinkTest, AppendSortedMatchesPerRecordAppends) {
   FileRunSink span_sink(&span_env, "dir", "t", options);
   FileRunSink record_sink(&record_env, "dir", "t", options);
   ASSERT_TWRS_OK(span_sink.BeginRun());
-  ASSERT_TWRS_OK(span_sink.AppendSorted(keys.data(), keys.size()));
+  ASSERT_TWRS_OK(span_sink.AppendSorted(kStream1, keys.data(), keys.size()));
   ASSERT_TWRS_OK(span_sink.EndRun());
   ASSERT_TWRS_OK(record_sink.BeginRun());
   for (Key k : keys) ASSERT_TWRS_OK(record_sink.Append(kStream1, k));
@@ -178,7 +180,7 @@ TEST(FileRunSinkTest, AppendSortedWidensBoundsAndSkipsEmptySpans) {
   FileRunSink sink(&env, "dir", "t");
   // An empty span opens no stream file.
   ASSERT_TWRS_OK(sink.BeginRun());
-  ASSERT_TWRS_OK(sink.AppendSorted(nullptr, 0));
+  ASSERT_TWRS_OK(sink.AppendSorted(kStream1, nullptr, 0));
   ASSERT_TWRS_OK(sink.EndRun());
   EXPECT_TRUE(sink.runs().empty());
   EXPECT_EQ(env.FileCount(), 0u);
@@ -187,8 +189,8 @@ TEST(FileRunSinkTest, AppendSortedWidensBoundsAndSkipsEmptySpans) {
   const std::vector<Key> high = {50, 60};
   ASSERT_TWRS_OK(sink.BeginRun());
   ASSERT_TWRS_OK(sink.Append(kStream4, 3));
-  ASSERT_TWRS_OK(sink.AppendSorted(low.data(), low.size()));
-  ASSERT_TWRS_OK(sink.AppendSorted(high.data(), high.size()));
+  ASSERT_TWRS_OK(sink.AppendSorted(kStream1, low.data(), low.size()));
+  ASSERT_TWRS_OK(sink.AppendSorted(kStream1, high.data(), high.size()));
   ASSERT_TWRS_OK(sink.EndRun());
   ASSERT_TWRS_OK(sink.Finish());
   ASSERT_EQ(sink.runs().size(), 1u);
@@ -196,19 +198,143 @@ TEST(FileRunSinkTest, AppendSortedWidensBoundsAndSkipsEmptySpans) {
   EXPECT_EQ(sink.runs()[0].min_key, -9);
   EXPECT_EQ(sink.runs()[0].max_key, 60);
   // Outside a run, a span is a protocol violation like Append.
-  EXPECT_TRUE(sink.AppendSorted(low.data(), low.size()).IsInvalidArgument());
+  EXPECT_TRUE(sink.AppendSorted(kStream1, low.data(), low.size()).IsInvalidArgument());
 }
 
-TEST(CountingRunSinkTest, DefaultAppendSortedLoopsAppend) {
+TEST(CountingRunSinkTest, AppendSortedCountsTheSpanAndItsBounds) {
   CountingRunSink sink;
   const std::vector<Key> keys = {-3, 1, 8};
+  const std::vector<Key> falling = {20, 15, -7};
   ASSERT_TWRS_OK(sink.BeginRun());
-  ASSERT_TWRS_OK(sink.AppendSorted(keys.data(), keys.size()));
+  ASSERT_TWRS_OK(sink.AppendSorted(kStream1, keys.data(), keys.size()));
   ASSERT_TWRS_OK(sink.EndRun());
-  ASSERT_EQ(sink.runs().size(), 1u);
+  // A decreasing stream's span has its bounds the other way round.
+  ASSERT_TWRS_OK(sink.BeginRun());
+  ASSERT_TWRS_OK(sink.AppendSorted(kStream2, falling.data(), falling.size()));
+  ASSERT_TWRS_OK(sink.EndRun());
+  ASSERT_EQ(sink.runs().size(), 2u);
   EXPECT_EQ(sink.runs()[0].length, 3u);
   EXPECT_EQ(sink.runs()[0].min_key, -3);
   EXPECT_EQ(sink.runs()[0].max_key, 8);
+  EXPECT_EQ(sink.runs()[1].length, 3u);
+  EXPECT_EQ(sink.runs()[1].min_key, -7);
+  EXPECT_EQ(sink.runs()[1].max_key, 20);
+}
+
+// The keys of one run split across the four streams, each in its order.
+struct StreamKeys {
+  std::vector<Key> streams[kNumRunStreams];
+};
+
+StreamKeys FourStreams() {
+  StreamKeys out;
+  for (Key k = -1000; k < -600; k += 3) out.streams[kStream4].push_back(k);
+  std::reverse(out.streams[kStream4].begin(), out.streams[kStream4].end());
+  for (Key k = -600; k < -300; k += 2) out.streams[kStream3].push_back(k);
+  for (Key k = 100; k > -300; k -= 5) out.streams[kStream2].push_back(k);
+  for (Key k = 100; k < 900; k += 4) out.streams[kStream1].push_back(k);
+  return out;
+}
+
+TEST(FileRunSinkTest, SpansMatchPerRecordAppendsOnEveryStream) {
+  // Small blocks and reverse files of 3 data pages of 8 records make the
+  // spans cross writer flushes, pages and reverse-file boundaries.
+  FileRunSinkOptions options;
+  options.block_bytes = 128;
+  options.reverse.pages_per_file = 4;
+  options.reverse.page_bytes = 64;
+  const StreamKeys keys = FourStreams();
+  MemEnv record_env;
+  FileRunSink record_sink(&record_env, "dir", "t", options);
+  ASSERT_TWRS_OK(record_sink.BeginRun());
+  for (int s = 0; s < kNumRunStreams; ++s) {
+    for (Key k : keys.streams[s]) {
+      ASSERT_TWRS_OK(record_sink.Append(static_cast<RunStream>(s), k));
+    }
+  }
+  ASSERT_TWRS_OK(record_sink.EndRun());
+  ASSERT_EQ(record_sink.runs().size(), 1u);
+  const RunInfo& record = record_sink.runs()[0];
+  ASSERT_EQ(record.segments.size(), 4u);
+
+  for (size_t span : {1u, 5u, 8u, 17u, 1000u}) {
+    MemEnv span_env;
+    FileRunSink span_sink(&span_env, "dir", "t", options);
+    ASSERT_TWRS_OK(span_sink.BeginRun());
+    for (int s = 0; s < kNumRunStreams; ++s) {
+      const std::vector<Key>& stream = keys.streams[s];
+      for (size_t i = 0; i < stream.size(); i += span) {
+        ASSERT_TWRS_OK(span_sink.AppendSorted(
+            static_cast<RunStream>(s), stream.data() + i,
+            std::min(span, stream.size() - i)));
+      }
+    }
+    ASSERT_TWRS_OK(span_sink.EndRun());
+    ASSERT_EQ(span_sink.runs().size(), 1u);
+    const RunInfo& got = span_sink.runs()[0];
+    EXPECT_EQ(got.length, record.length);
+    EXPECT_EQ(got.min_key, record.min_key);
+    EXPECT_EQ(got.max_key, record.max_key);
+    ASSERT_EQ(got.segments.size(), record.segments.size());
+    for (size_t i = 0; i < got.segments.size(); ++i) {
+      const RunSegment& a = got.segments[i];
+      const RunSegment& b = record.segments[i];
+      EXPECT_EQ(a.path, b.path);
+      EXPECT_EQ(a.count, b.count);
+      ASSERT_EQ(a.num_files, b.num_files);
+      std::vector<std::string> files = {a.path};
+      if (a.reverse) {
+        files.clear();
+        for (uint64_t f = 0; f < a.num_files; ++f) {
+          files.push_back(ReverseRunWriter::FileName(a.path, f));
+        }
+      }
+      for (const std::string& file : files) {
+        ASSERT_NE(span_env.FileContents(file), nullptr) << file;
+        EXPECT_EQ(*span_env.FileContents(file),
+                  *record_env.FileContents(file))
+            << "span " << span << " " << file;
+      }
+    }
+  }
+}
+
+TEST(FileRunSinkTest, SpansOutOfStreamOrderAreRejected) {
+  // As Append does, a decreasing stream rejects a key above its last one.
+  MemEnv env;
+  FileRunSink sink(&env, "dir", "t");
+  ASSERT_TWRS_OK(sink.BeginRun());
+  const std::vector<Key> rising = {3, 4};
+  EXPECT_TRUE(sink.AppendSorted(kStream4, rising.data(), rising.size())
+                  .IsInvalidArgument());
+  MemEnv env2;
+  FileRunSink sink2(&env2, "dir", "t");
+  ASSERT_TWRS_OK(sink2.BeginRun());
+  ASSERT_TWRS_OK(sink2.Append(kStream2, 10));
+  const std::vector<Key> above = {11, 2};
+  EXPECT_TRUE(sink2.AppendSorted(kStream2, above.data(), above.size())
+                  .IsInvalidArgument());
+}
+
+TEST(CollectingRunSinkTest, SpansOutOfStreamOrderAreRejected) {
+  CollectingRunSink sink;
+  ASSERT_TWRS_OK(sink.BeginRun());
+  const std::vector<Key> up = {1, 5, 9};
+  const std::vector<Key> down = {19, 15, 11};
+  ASSERT_TWRS_OK(sink.AppendSorted(kStream3, up.data(), up.size()));
+  ASSERT_TWRS_OK(sink.AppendSorted(kStream2, down.data(), down.size()));
+  // Within the span and against the stream's last key, both directions.
+  EXPECT_TRUE(sink.AppendSorted(kStream1, down.data(), down.size())
+                  .IsInvalidArgument());
+  EXPECT_TRUE(sink.AppendSorted(kStream4, up.data(), up.size())
+                  .IsInvalidArgument());
+  EXPECT_TRUE(sink.AppendSorted(kStream3, up.data(), up.size())
+                  .IsInvalidArgument());
+  EXPECT_TRUE(sink.AppendSorted(kStream2, down.data(), down.size())
+                  .IsInvalidArgument());
+  ASSERT_TWRS_OK(sink.EndRun());
+  ASSERT_EQ(sink.collected().size(), 1u);
+  EXPECT_EQ(sink.collected()[0], std::vector<Key>({1, 5, 9, 11, 15, 19}));
 }
 
 }  // namespace

@@ -79,6 +79,102 @@ inline void ExpectValidRuns(const std::vector<std::vector<Key>>& runs,
       << "runs are not a permutation of the input";
 }
 
+/// Rising keys 10, 20, 30, ... in which the last of every `every` records
+/// is a straggler, moved by `offset` from its place: a negative offset
+/// makes a late key that only a later run can take, a large positive one
+/// a key the current run holds until its end. A batched generator reading
+/// `every` records a batch keeps one straggler from each batch long after
+/// the rest of the batch has left.
+inline std::vector<Key> RisingWithStragglers(size_t records, size_t every,
+                                             Key offset) {
+  std::vector<Key> keys(records);
+  for (size_t i = 0; i < records; ++i) {
+    keys[i] = static_cast<Key>(10 * i);
+    if (i % every == every - 1) keys[i] += offset;
+  }
+  return keys;
+}
+
+/// Counts the records a run generator has read and emitted, and checks at
+/// every read and every emission that it never holds more than `memory`
+/// records. LedgerSource and LedgerSink below feed it.
+class MemoryLedger {
+ public:
+  explicit MemoryLedger(uint64_t memory) : memory_(memory) {}
+
+  void Read(uint64_t n) {
+    read_ += n;
+    Check();
+  }
+  void Emitted(uint64_t n) {
+    emitted_ += n;
+    Check();
+  }
+  uint64_t max_held() const { return max_held_; }
+
+ private:
+  void Check() {
+    ASSERT_LE(emitted_, read_);
+    max_held_ = std::max(max_held_, read_ - emitted_);
+    EXPECT_LE(read_ - emitted_, memory_)
+        << "read " << read_ << " emitted " << emitted_;
+  }
+
+  uint64_t memory_;
+  uint64_t read_ = 0;
+  uint64_t emitted_ = 0;
+  uint64_t max_held_ = 0;
+};
+
+/// Counts every record read through it into a MemoryLedger.
+class LedgerSource : public RecordSource {
+ public:
+  LedgerSource(RecordSource* base, MemoryLedger* ledger)
+      : base_(base), ledger_(ledger) {}
+
+  bool Next(Key* key) override {
+    if (!base_->Next(key)) return false;
+    ledger_->Read(1);
+    return true;
+  }
+  size_t NextBatch(Key* out, size_t cap) override {
+    const size_t n = base_->NextBatch(out, cap);
+    ledger_->Read(n);
+    return n;
+  }
+
+ private:
+  RecordSource* base_;
+  MemoryLedger* ledger_;
+};
+
+/// Counts every record emitted through it into a MemoryLedger.
+class LedgerSink : public RunSink {
+ public:
+  LedgerSink(RunSink* base, MemoryLedger* ledger)
+      : base_(base), ledger_(ledger) {}
+
+  Status BeginRun() override { return base_->BeginRun(); }
+  Status Append(RunStream stream, Key key) override {
+    ledger_->Emitted(1);
+    return base_->Append(stream, key);
+  }
+  Status AppendSorted(RunStream stream, const Key* keys, size_t n) override {
+    ledger_->Emitted(n);
+    return base_->AppendSorted(stream, keys, n);
+  }
+  Status EndRun() override {
+    Status s = base_->EndRun();
+    runs_ = base_->runs();
+    return s;
+  }
+  Status Finish() override { return base_->Finish(); }
+
+ private:
+  RunSink* base_;
+  MemoryLedger* ledger_;
+};
+
 /// Creates a unique scratch directory under /tmp for PosixEnv tests.
 inline std::string MakeTempDir() {
   std::string templ = "/tmp/twrs_test_XXXXXX";

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <tuple>
 
 #include "core/record_source.h"
 #include "core/run_sink.h"
 #include "tests/test_util.h"
+#include "util/random.h"
 #include "workload/generators.h"
 
 namespace twrs {
@@ -162,6 +164,24 @@ TEST(TwoWayRsTest, StatsCountersAreConsistent) {
   EXPECT_EQ(stats.total_records, input.size());
   EXPECT_EQ(stats.num_runs(), sink.collected().size());
   EXPECT_GT(stats.victim_records, 0u);  // mixed input exercises the victim
+}
+
+TEST(TwoWayRsTest, FullRangeKeysSortUnderEveryOutputHeuristic) {
+  // Keys spread over all of int64, extremes included, so gap widths and
+  // MinDistance's distances exceed INT64_MAX (the UBSan build checks that
+  // none of them overflows).
+  Random rng(31);
+  std::vector<Key> input = {std::numeric_limits<Key>::min(),
+                            std::numeric_limits<Key>::max(), 0, -1};
+  for (int i = 0; i < 4000; ++i) input.push_back(static_cast<Key>(rng.Next()));
+  for (int out_h = 0; out_h < kNumOutputHeuristics; ++out_h) {
+    TwoWayOptions options = BaseOptions(64);
+    options.output_heuristic = static_cast<OutputHeuristic>(out_h);
+    TwoWayReplacementSelection twrs(options);
+    auto result = GenerateRuns(&twrs, input);
+    ExpectValidRuns(result.runs, input);
+    EXPECT_EQ(result.stats.total_records, input.size());
+  }
 }
 
 // Every combination of input heuristic, output heuristic, buffer setup and

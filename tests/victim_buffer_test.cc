@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "core/run_sink.h"
 #include "tests/test_util.h"
 
@@ -113,6 +116,43 @@ TEST(VictimBufferTest, TiesInGapSelectionPickFirstLargest) {
   EXPECT_EQ(victim.range_hi(), 11);
   EXPECT_EQ(lows, std::vector<Key>({1}));
   EXPECT_EQ(highs, std::vector<Key>({11, 21, 31}));
+}
+
+TEST(VictimBufferTest, GapWidthsSpanTheWholeKeyRange) {
+  // INT64_MIN..100 is wider than INT64_MAX: as a signed difference it
+  // overflows, and the narrow gap (100, 101) used to win.
+  constexpr Key kMin = std::numeric_limits<Key>::min();
+  constexpr Key kMax = std::numeric_limits<Key>::max();
+  const std::vector<Key> sample = {kMin, 100, 101, 102};
+  std::vector<Key> lows;
+  std::vector<Key> highs;
+  // Both gap rules: the plain largest gap and the population-guarded one.
+  for (bool guarded : {false, true}) {
+    VictimBuffer victim(4);
+    for (Key k : sample) victim.Add(k);
+    ASSERT_TWRS_OK(victim.BootstrapSplit(
+        &lows, &highs,
+        guarded ? VictimBuffer::RangePopulation(
+                      [](Key, Key) -> uint64_t { return 0; })
+                : nullptr));
+    EXPECT_EQ(victim.range_lo(), kMin) << guarded;
+    EXPECT_EQ(victim.range_hi(), 100) << guarded;
+    EXPECT_EQ(lows, std::vector<Key>({kMin}));
+    EXPECT_EQ(highs, std::vector<Key>({100, 101, 102}));
+  }
+  // The active flush picks its gap by the same widths.
+  VictimBuffer victim(3);
+  RecordingSink sink;
+  for (Key k : {kMin, Key{200}, kMax}) victim.Add(k);
+  ASSERT_TWRS_OK(victim.BootstrapSplit(&lows, &highs));
+  EXPECT_EQ(victim.range_lo(), kMin);
+  EXPECT_EQ(victim.range_hi(), 200);
+  for (Key k : {kMin + 1, Key{100}, Key{101}}) victim.Add(k);
+  ASSERT_TWRS_OK(victim.FlushActive(&sink));
+  EXPECT_EQ(sink.appends[kStream3], std::vector<Key>({kMin + 1}));
+  EXPECT_EQ(sink.appends[kStream2], std::vector<Key>({101, 100}));
+  EXPECT_EQ(victim.range_lo(), kMin + 1);
+  EXPECT_EQ(victim.range_hi(), 100);
 }
 
 TEST(VictimBufferTest, ResetForNewRunClearsRange) {
