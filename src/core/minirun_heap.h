@@ -81,9 +81,15 @@ class MinirunArena {
     for (uint32_t id : free_) FreeStorage(id);
     std::vector<Minirun*> runs;
     for_each_run([&runs](Minirun& run) { runs.push_back(&run); });
-    std::sort(runs.begin(), runs.end(), [](const Minirun* a, const Minirun* b) {
-      return a->block != b->block ? a->block < b->block : a->begin < b->begin;
-    });
+    // Fewer than two runs need no sort. Skipping it also keeps GCC 12 from
+    // raising a false -Wnonnull on the inlined insertion sort's memmove.
+    if (runs.size() > 1) {
+      std::sort(runs.begin(), runs.end(),
+                [](const Minirun* a, const Minirun* b) {
+                  return a->block != b->block ? a->block < b->block
+                                              : a->begin < b->begin;
+                });
+    }
     size_t next = 0;
     while (next < runs.size()) {
       size_t end = next;

@@ -151,19 +151,13 @@ class Context {
   uint64_t counter_ = 0;
 };
 
-}  // namespace
-
-Status DistributionSort(Env* env, RecordSource* source,
-                        const DistributionSortOptions& options,
-                        const std::string& output_path,
-                        DistributionSortStats* stats) {
-  if (options.num_buckets < 2) {
-    return Status::InvalidArgument("num_buckets must be at least 2");
-  }
-  const std::string work_dir =
-      options.temp_dir + "/" + UniqueScratchDirName("dist");
-  TWRS_RETURN_IF_ERROR(env->CreateDirIfMissing(work_dir));
-
+// Stages `source` under `work_dir` and sorts it into `output_path`,
+// leaving `work_dir` empty on success.
+Status StageAndSort(Env* env, RecordSource* source,
+                    const DistributionSortOptions& options,
+                    const std::string& work_dir,
+                    const std::string& output_path,
+                    DistributionSortStats* stats) {
   // Pass 0: materialize the stream while learning its range — a streaming
   // input's min/max are unknown up front (the paper assumes a known range;
   // this pass removes that assumption).
@@ -185,6 +179,9 @@ Status DistributionSort(Env* env, RecordSource* source,
       ++count;
       TWRS_RETURN_IF_ERROR(writer.Append(key));
     }
+    // A failed read ends the stream early: it must not pass for a short
+    // input and yield a sorted but truncated output.
+    TWRS_RETURN_IF_ERROR(source->status());
     TWRS_RETURN_IF_ERROR(writer.Finish());
   }
 
@@ -193,7 +190,27 @@ Status DistributionSort(Env* env, RecordSource* source,
   Context context(env, options, work_dir, &output, stats);
   TWRS_RETURN_IF_ERROR(
       context.SortBucket(staging, count, min_key, max_key, 0));
-  TWRS_RETURN_IF_ERROR(output.Finish());
+  return output.Finish();
+}
+
+}  // namespace
+
+Status DistributionSort(Env* env, RecordSource* source,
+                        const DistributionSortOptions& options,
+                        const std::string& output_path,
+                        DistributionSortStats* stats) {
+  if (options.num_buckets < 2) {
+    return Status::InvalidArgument("num_buckets must be at least 2");
+  }
+  const std::string work_dir =
+      options.temp_dir + "/" + UniqueScratchDirName("dist");
+  TWRS_RETURN_IF_ERROR(env->CreateDirIfMissing(work_dir));
+  const Status s =
+      StageAndSort(env, source, options, work_dir, output_path, stats);
+  if (!s.ok()) {
+    RemoveTreeBestEffort(env, work_dir);
+    return s;
+  }
   return env->RemoveDir(work_dir);
 }
 

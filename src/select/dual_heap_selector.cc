@@ -13,20 +13,44 @@ DualHeapSelector::DualHeapSelector(size_t capacity, SelectOrder order)
                                              : HeapSide::kTop),
       heap_(capacity) {}
 
-void DualHeapSelector::Add(Key key) {
-  ++consumed_;
+void DualHeapSelector::AddBatch(const Key* keys, size_t n) {
+  consumed_ += n;
   if (capacity_ == 0) return;
-  const TaggedRecord record{key, 0};
-  if (heap_.size() < capacity_) {
-    heap_.Push(side_, record);
-    return;
+  size_t i = 0;
+  for (; i < n && heap_.size() < capacity_; ++i) {
+    heap_.Push(side_, TaggedRecord{keys[i], 0});
   }
+  if (i == n) return;
   // Strict comparison: an incoming key equal to the bound cannot improve
   // the selection (records are bare keys), so ties never churn the heap.
-  const bool beats_bound = order_ == SelectOrder::kAscending
-                               ? key < heap_.Top(side_).key
-                               : key > heap_.Top(side_).key;
-  if (beats_bound) heap_.ReplaceTop(side_, record);
+  if (order_ == SelectOrder::kAscending) {
+    ReplaceLosers(keys + i, n - i, [](Key a, Key b) { return a < b; });
+  } else {
+    ReplaceLosers(keys + i, n - i, [](Key a, Key b) { return a > b; });
+  }
+}
+
+template <typename Beats>
+void DualHeapSelector::ReplaceLosers(const Key* keys, size_t n, Beats beats) {
+  Key bound = heap_.Top(side_).key;
+  for (size_t i = 0; i < n; ++i) {
+    if (beats(keys[i], bound)) {
+      heap_.ReplaceTop(side_, TaggedRecord{keys[i], 0});
+      bound = heap_.Top(side_).key;
+    }
+  }
+}
+
+Status DualHeapSelector::AddAll(
+    RecordSource* source, const std::function<Status(size_t)>& after_batch) {
+  std::vector<Key> batch(kIngestBatch);
+  for (;;) {
+    const size_t got = source->NextBatch(batch.data(), batch.size());
+    if (got == 0) break;
+    AddBatch(batch.data(), got);
+    if (after_batch) TWRS_RETURN_IF_ERROR(after_batch(got));
+  }
+  return source->status();
 }
 
 std::vector<Key> DualHeapSelector::Take() {
@@ -41,13 +65,13 @@ std::vector<Key> DualHeapSelector::Take() {
   return keys;
 }
 
-void SelectTopK(RecordSource* source, size_t k, SelectOrder order,
-                std::vector<Key>* out, uint64_t* consumed) {
+Status SelectTopK(RecordSource* source, size_t k, SelectOrder order,
+                  std::vector<Key>* out, uint64_t* consumed) {
   DualHeapSelector selector(k, order);
-  Key key = 0;
-  while (source->Next(&key)) selector.Add(key);
+  TWRS_RETURN_IF_ERROR(selector.AddAll(source));
   if (consumed != nullptr) *consumed = selector.consumed();
   *out = selector.Take();
+  return Status::OK();
 }
 
 }  // namespace twrs

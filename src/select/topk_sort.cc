@@ -10,15 +10,6 @@
 
 namespace twrs {
 
-namespace {
-
-// Cancellation/progress granularity of the ingest loop: cheap enough to
-// keep the Add() hot path tight, frequent enough that a cancelled job
-// unwinds promptly (matches CancellableSource's batching in sort_phases).
-constexpr uint64_t kIngestBatch = 1024;
-
-}  // namespace
-
 Status DualHeapSelectToFile(Env* env, const ExternalSortOptions& options,
                             RecordSource* source,
                             const std::string& output_path,
@@ -28,25 +19,16 @@ Status DualHeapSelectToFile(Env* env, const ExternalSortOptions& options,
     options.progress->AdvancePhase(SortProgressPhase::kRunGeneration);
   }
 
+  // One progress add and one cancellation check per ingest batch: cheap
+  // next to the batch's comparisons, frequent enough that a cancelled job
+  // unwinds promptly (matches CancellableSource's batching in sort_phases).
   DualHeapSelector selector(options.limit, options.order);
-  Key key = 0;
-  uint64_t batch = 0;
-  while (source->Next(&key)) {
-    selector.Add(key);
-    if (++batch == kIngestBatch) {
-      if (options.progress != nullptr) {
-        options.progress->AddRecordsIngested(batch);
-      }
-      batch = 0;
-      if (IsCancelled(options.cancel)) {
-        return Status::Cancelled("sort cancelled during top-K selection");
-      }
-    }
-  }
-  if (batch > 0 && options.progress != nullptr) {
-    options.progress->AddRecordsIngested(batch);
-  }
-  TWRS_RETURN_IF_ERROR(source->status());
+  TWRS_RETURN_IF_ERROR(selector.AddAll(source, [&options](size_t n) {
+    if (options.progress != nullptr) options.progress->AddRecordsIngested(n);
+    return IsCancelled(options.cancel)
+               ? Status::Cancelled("sort cancelled during top-K selection")
+               : Status::OK();
+  }));
   result->run_gen.total_records = selector.consumed();
   result->run_gen_seconds = select_watch.ElapsedSeconds();
 

@@ -204,17 +204,23 @@ FileRecordSource::FileRecordSource(Env* env, const std::string& path,
                                    size_t block_bytes)
     : reader_(env, path, block_bytes) {}
 
-bool FileRecordSource::Next(Key* key) {
-  if (!reader_.status().ok()) {
-    status_ = reader_.status();
-    return false;
-  }
-  bool eof = false;
-  status_ = reader_.Next(key, &eof);
-  return status_.ok() && !eof;
+bool FileRecordSource::Refill() {
+  if (!status_.ok()) return false;
+  if (decoded_.empty()) decoded_.resize(kDecodeBlock);
+  pos_ = 0;
+  end_ = 0;
+  status_ = reader_.NextBatch(decoded_.data(), decoded_.size(), &end_);
+  return end_ > 0;
 }
 
 size_t FileRecordSource::NextBatch(Key* out, size_t cap) {
+  if (pos_ < end_) {
+    // Records Next decoded but has not served come first.
+    const size_t held = std::min(cap, end_ - pos_);
+    std::copy_n(decoded_.data() + pos_, held, out);
+    pos_ += held;
+    return held;
+  }
   if (!status_.ok()) return 0;
   size_t got = 0;
   status_ = reader_.NextBatch(out, cap, &got);

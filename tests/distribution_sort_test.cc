@@ -107,6 +107,20 @@ TEST(DistributionSortTest, EveryDatasetSortsCorrectly) {
   }
 }
 
+TEST(DistributionSortTest, SourceReadErrorFailsAndRemovesScratch) {
+  MemEnv env;
+  std::vector<Key> keys(500);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    keys[i] = static_cast<Key>((i * 7919) % 1000);
+  }
+  testing::FailingSource source(keys, Status::IOError("read failed"));
+  const Status s = DistributionSort(&env, &source, Options(), "out", nullptr);
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+  // No sorted-but-truncated output, and no staging file left behind.
+  EXPECT_FALSE(env.FileExists("out"));
+  EXPECT_EQ(env.FileCount(), 0u);
+}
+
 TEST(DistributionSortTest, RejectsSingleBucket) {
   MemEnv env;
   VectorSource source({1});

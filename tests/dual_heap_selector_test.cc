@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <vector>
 
 #include "core/record_source.h"
 #include "select/topk.h"
+#include "tests/test_util.h"
 #include "util/random.h"
 
 namespace twrs {
@@ -117,14 +119,92 @@ TEST(DualHeapSelectorTest, RandomizedMatchesPartialSortBothOrders) {
   }
 }
 
+TEST(DualHeapSelectorTest, AddBatchMatchesRepeatedAddBothOrders) {
+  Random rng(321);
+  for (int trial = 0; trial < 30; ++trial) {
+    const size_t n = 1 + rng.Uniform(3000);
+    // Dense keys in runs of up to 8 equal keys: many ties, and whole runs
+    // of keys equal to the bound.
+    std::vector<Key> input;
+    while (input.size() < n) {
+      const Key key = static_cast<Key>(rng.Uniform(64));
+      input.resize(std::min(n, input.size() + 1 + rng.Uniform(8)), key);
+    }
+    // K = 1500 (when n > 1500) fills across a 1024-key batch boundary, as
+    // K = 7 does across 3-key ones.
+    for (const size_t k : {size_t{0}, size_t{1}, size_t{7}, size_t{1500}, n,
+                           n + 5}) {
+      for (const SelectOrder order :
+           {SelectOrder::kAscending, SelectOrder::kDescending}) {
+        for (const size_t batch : {size_t{1}, size_t{3}, size_t{1024}}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "trial " << trial << " n " << n << " k " << k
+                       << " order " << SelectOrderName(order) << " batch "
+                       << batch);
+          DualHeapSelector batched(k, order);
+          DualHeapSelector single(k, order);
+          for (size_t done = 0; done < n;) {
+            const size_t m = std::min(batch, n - done);
+            batched.AddBatch(input.data() + done, m);
+            for (size_t i = done; i < done + m; ++i) single.Add(input[i]);
+            done += m;
+            ASSERT_EQ(batched.consumed(), single.consumed());
+            ASSERT_EQ(batched.size(), single.size());
+            if (k > 0 && batched.size() == k) {
+              ASSERT_EQ(batched.bound(), single.bound());
+            }
+          }
+          const std::vector<Key> expected = Reference(input, k, order);
+          EXPECT_EQ(batched.Take(), expected);
+          EXPECT_EQ(single.Take(), expected);
+        }
+      }
+    }
+  }
+}
+
+TEST(DualHeapSelectorTest, AddAllReadsFullBatchesAndStopsOnRequest) {
+  std::vector<Key> input(2500);
+  std::iota(input.rbegin(), input.rend(), Key{0});
+  VectorSource source(input);
+  DualHeapSelector selector(10, SelectOrder::kAscending);
+  std::vector<size_t> batches;
+  ASSERT_TWRS_OK(selector.AddAll(&source, [&batches](size_t n) {
+    batches.push_back(n);
+    return Status::OK();
+  }));
+  EXPECT_EQ(batches, std::vector<size_t>({1024, 1024, 452}));
+  EXPECT_EQ(selector.Take(),
+            std::vector<Key>({0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+
+  // A non-OK return from the callback ends the drain after that batch.
+  source.Reset();
+  const Status stopped = selector.AddAll(
+      &source, [](size_t) { return Status::Cancelled("stop"); });
+  EXPECT_TRUE(stopped.IsCancelled());
+  EXPECT_EQ(selector.consumed(), DualHeapSelector::kIngestBatch);
+}
+
 TEST(DualHeapSelectorTest, SelectTopKDrainsASource) {
   const std::vector<Key> input = {9, 2, 7, 4, 2};
   VectorSource source(input);
   std::vector<Key> out;
   uint64_t consumed = 0;
-  SelectTopK(&source, 3, SelectOrder::kAscending, &out, &consumed);
+  ASSERT_TWRS_OK(
+      SelectTopK(&source, 3, SelectOrder::kAscending, &out, &consumed));
   EXPECT_EQ(out, std::vector<Key>({2, 2, 4}));
   EXPECT_EQ(consumed, 5u);
+}
+
+TEST(DualHeapSelectorTest, SelectTopKReportsASourceError) {
+  testing::FailingSource source({9, 2, 7}, Status::IOError("read failed"));
+  std::vector<Key> out = {42};
+  uint64_t consumed = 99;
+  EXPECT_TRUE(SelectTopK(&source, 2, SelectOrder::kAscending, &out, &consumed)
+                  .IsIOError());
+  // A failed read is not a short input: nothing is reported as selected.
+  EXPECT_EQ(out, std::vector<Key>({42}));
+  EXPECT_EQ(consumed, 99u);
 }
 
 TEST(DualHeapSelectorTest, OrderAndStrategyNames) {

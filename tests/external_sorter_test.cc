@@ -22,6 +22,7 @@ namespace {
 
 using testing::ChecksumOf;
 using testing::Drain;
+using testing::FailingInputReadEnv;
 using testing::GenerateRuns;
 
 TEST(LoadSortStoreTest, RunsAreMemorySized) {
@@ -1008,6 +1009,33 @@ TEST(ExternalSorterTopKTest, SortIntoRangeRejectsLimit) {
           .IsInvalidArgument());
 }
 
+TEST(ExternalSorterTopKTest, DualHeapProgressCountsAreExact) {
+  // The selection reads and reports its input a 1024-record batch at a
+  // time; the last, short batch must be counted too.
+  for (const uint64_t n : {uint64_t{3 * 1024}, uint64_t{3 * 1024 + 5}}) {
+    SCOPED_TRACE(n);
+    MemEnv env;
+    WorkloadOptions wl;
+    wl.num_records = n;
+    wl.seed = 36;
+    const auto input = Drain(MakeWorkload(Dataset::kRandom, wl).get());
+    ASSERT_TWRS_OK(WriteAllRecords(&env, "in", input));
+    ProgressCounters progress;
+    ExternalSortOptions options = TopKTestOptions();
+    options.limit = 10;
+    options.topk_strategy = TopKStrategy::kDualHeap;
+    options.progress = &progress;
+    ExternalSorter sorter(&env, options);
+    FileRecordSource source(&env, "in", options.block_bytes);
+    ExternalSortResult result;
+    ASSERT_TWRS_OK(sorter.Sort(&source, "out", &result));
+    const JobProgress done = progress.Snapshot();
+    EXPECT_EQ(done.records_ingested, n);
+    EXPECT_EQ(done.records_merged, 10u);
+    EXPECT_EQ(result.run_gen.total_records, n);
+  }
+}
+
 TEST(ExternalSorterTopKTest, CancelDuringDualHeapSelectionCleansUp) {
   MemEnv env;
   WorkloadOptions wl;
@@ -1024,47 +1052,6 @@ TEST(ExternalSorterTopKTest, CancelDuringDualHeapSelectionCleansUp) {
   EXPECT_TRUE(sorter.Sort(&source, "out", nullptr).IsCancelled());
   EXPECT_EQ(env.FileCount(), 0u);
 }
-
-// MemEnv whose sequential reads of one file fail once `fail_at` bytes of
-// it have been served: a disk error in the middle of the sort's input.
-class FailingInputReadEnv : public MemEnv {
- public:
-  FailingInputReadEnv(std::string path, size_t fail_at)
-      : path_(std::move(path)), fail_at_(fail_at) {}
-
-  Status NewSequentialFile(const std::string& path,
-                           std::unique_ptr<SequentialFile>* out) override {
-    TWRS_RETURN_IF_ERROR(MemEnv::NewSequentialFile(path, out));
-    if (path == path_) {
-      *out = std::make_unique<FailingFile>(std::move(*out), fail_at_);
-    }
-    return Status::OK();
-  }
-
- private:
-  class FailingFile : public SequentialFile {
-   public:
-    FailingFile(std::unique_ptr<SequentialFile> base, size_t fail_at)
-        : base_(std::move(base)), fail_at_(fail_at) {}
-
-    Status Read(void* out, size_t n, size_t* bytes_read) override {
-      if (served_ + n > fail_at_) return Status::IOError("injected read error");
-      TWRS_RETURN_IF_ERROR(base_->Read(out, n, bytes_read));
-      served_ += *bytes_read;
-      return Status::OK();
-    }
-
-    Status Skip(uint64_t n) override { return base_->Skip(n); }
-
-   private:
-    std::unique_ptr<SequentialFile> base_;
-    size_t fail_at_;
-    size_t served_ = 0;
-  };
-
-  std::string path_;
-  size_t fail_at_;
-};
 
 TEST(ExternalSorterTest, InputReadErrorFailsFullAndTopKSorts) {
   WorkloadOptions wl;

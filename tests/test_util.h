@@ -5,12 +5,15 @@
 #include <stdlib.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/record_source.h"
 #include "core/run_generator.h"
 #include "core/run_sink.h"
+#include "io/mem_env.h"
 #include "util/checksum.h"
 #include "util/status.h"
 
@@ -173,6 +176,70 @@ class LedgerSink : public RunSink {
  private:
   RunSink* base_;
   MemoryLedger* ledger_;
+};
+
+/// Yields `keys`, then ends with `error` as its status: an input whose
+/// read failed after the records before it were delivered.
+class FailingSource : public RecordSource {
+ public:
+  FailingSource(std::vector<Key> keys, Status error)
+      : keys_(std::move(keys)), error_(std::move(error)) {}
+
+  bool Next(Key* key) override {
+    if (pos_ == keys_.size()) return false;
+    *key = keys_[pos_++];
+    return true;
+  }
+
+  Status status() const override {
+    return pos_ == keys_.size() ? error_ : Status::OK();
+  }
+
+ private:
+  std::vector<Key> keys_;
+  Status error_;
+  size_t pos_ = 0;
+};
+
+/// MemEnv whose sequential reads of one file fail once `fail_at` bytes of
+/// it have been served: a disk error in the middle of an input file.
+class FailingInputReadEnv : public MemEnv {
+ public:
+  FailingInputReadEnv(std::string path, size_t fail_at)
+      : path_(std::move(path)), fail_at_(fail_at) {}
+
+  Status NewSequentialFile(const std::string& path,
+                           std::unique_ptr<SequentialFile>* out) override {
+    TWRS_RETURN_IF_ERROR(MemEnv::NewSequentialFile(path, out));
+    if (path == path_) {
+      *out = std::make_unique<FailingFile>(std::move(*out), fail_at_);
+    }
+    return Status::OK();
+  }
+
+ private:
+  class FailingFile : public SequentialFile {
+   public:
+    FailingFile(std::unique_ptr<SequentialFile> base, size_t fail_at)
+        : base_(std::move(base)), fail_at_(fail_at) {}
+
+    Status Read(void* out, size_t n, size_t* bytes_read) override {
+      if (served_ + n > fail_at_) return Status::IOError("injected read error");
+      TWRS_RETURN_IF_ERROR(base_->Read(out, n, bytes_read));
+      served_ += *bytes_read;
+      return Status::OK();
+    }
+
+    Status Skip(uint64_t n) override { return base_->Skip(n); }
+
+   private:
+    std::unique_ptr<SequentialFile> base_;
+    size_t fail_at_;
+    size_t served_ = 0;
+  };
+
+  std::string path_;
+  size_t fail_at_;
 };
 
 /// Creates a unique scratch directory under /tmp for PosixEnv tests.

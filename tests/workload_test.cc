@@ -8,6 +8,7 @@
 
 #include "io/mem_env.h"
 #include "tests/test_util.h"
+#include "util/random.h"
 
 namespace twrs {
 namespace {
@@ -180,6 +181,65 @@ TEST(WorkloadTest, FileSourceBatchesMatchNextAndDefaultBatch) {
     }
     ASSERT_TWRS_OK(source->status());
     EXPECT_EQ(got, direct);
+  }
+}
+
+TEST(WorkloadTest, FileSourceInterleavesNextAndNextBatchInOrder) {
+  MemEnv env;
+  WorkloadOptions wl = Base(5003);
+  ASSERT_TWRS_OK(WriteWorkloadToFile(&env, Dataset::kRandom, wl, "data"));
+  const auto direct = Drain(MakeWorkload(Dataset::kRandom, wl).get());
+  for (const size_t block_bytes : {size_t{256}, kDefaultBlockBytes}) {
+    SCOPED_TRACE(block_bytes);
+    // Runs of Next calls stop inside a decoded block, so the NextBatch
+    // that follows must first serve what Next left decoded.
+    FileRecordSource source(&env, "data", block_bytes);
+    Random rng(block_bytes);
+    std::vector<Key> got;
+    std::vector<Key> batch(2000);
+    for (bool more = true; more;) {
+      if (rng.Uniform(2) == 0) {
+        for (uint64_t i = 1 + rng.Uniform(1500); i > 0 && more; --i) {
+          Key key;
+          more = source.Next(&key);
+          if (more) got.push_back(key);
+        }
+      } else {
+        const size_t n =
+            source.NextBatch(batch.data(), 1 + rng.Uniform(batch.size()));
+        got.insert(got.end(), batch.begin(), batch.begin() + n);
+        more = n > 0;
+      }
+    }
+    ASSERT_TWRS_OK(source.status());
+    EXPECT_EQ(got, direct);
+  }
+}
+
+TEST(WorkloadTest, FileSourceNextDeliversRecordsBeforeAReadError) {
+  const size_t block_bytes = 256;  // 32 records a read
+  WorkloadOptions wl = Base(5000);
+  const auto direct = Drain(MakeWorkload(Dataset::kRandom, wl).get());
+  // Fail inside the first decoded block and well past it.
+  for (const size_t fail_at_record : {size_t{1000}, size_t{2500}}) {
+    SCOPED_TRACE(fail_at_record);
+    testing::FailingInputReadEnv env("data", fail_at_record * kRecordBytes);
+    ASSERT_TWRS_OK(WriteAllRecords(&env, "data", direct));
+    FileRecordSource source(&env, "data", block_bytes);
+    std::vector<Key> got;
+    Key key;
+    while (source.Next(&key)) got.push_back(key);
+    // Every whole read before the failing one is delivered, then the
+    // stream ends with the error, on both paths and for good.
+    const size_t delivered =
+        fail_at_record * kRecordBytes / block_bytes * block_bytes /
+        kRecordBytes;
+    EXPECT_EQ(got, std::vector<Key>(direct.begin(),
+                                    direct.begin() + delivered));
+    EXPECT_TRUE(source.status().IsIOError()) << source.status().ToString();
+    EXPECT_FALSE(source.Next(&key));
+    EXPECT_EQ(source.NextBatch(&key, 1), 0u);
+    EXPECT_TRUE(source.status().IsIOError());
   }
 }
 
