@@ -9,12 +9,12 @@ class MetricsRegistry;
 
 namespace simd {
 
-/// Instruction-set tier a kernel call actually executes on. The layer has
-/// exactly two contracts per kernel — a portable scalar implementation and
-/// a vectorized twin pinned byte-identical to it — so the level is a
-/// two-way switch rather than a full ISA lattice. Extending to AVX-512 or
-/// NEON means adding a level here plus one more twin per kernel (see the
-/// "SIMD kernels" section of README.md).
+/// Instruction-set tier a kernel call actually executes on. A kernel has at
+/// most two contracts — a portable scalar implementation and a vectorized
+/// twin pinned byte-identical to it (SortKeysBlock has only the portable
+/// one) — so the level is a two-way switch rather than a full ISA lattice.
+/// Extending to AVX-512 or NEON means adding a level here plus one more
+/// twin per twinned kernel (see the "SIMD kernels" section of README.md).
 enum class DispatchLevel {
   kScalar = 0,
   kAvx2 = 1,

@@ -10,11 +10,13 @@
 namespace twrs {
 namespace simd {
 
-/// Sorts keys[0..n) ascending. The vector path sorts 16-key blocks with an
-/// in-register bitonic network and combines them with a streaming bitonic
-/// merge; the scalar path is std::sort. Both produce the unique ascending
-/// permutation, so the outputs are byte-identical by construction. Used
-/// for the in-memory sort of LSS blocks, batched-RS miniruns and
+/// Sorts keys[0..n) ascending with one portable LSD radix sort on 8-bit
+/// digits, the same code at every dispatch level. A pre-pass skips the
+/// digits that are constant across the block, so keys below 2^32 take four
+/// scatter passes and a block of equal keys takes none; blocks shorter than
+/// internal::kRadixSortMinKeys take std::sort. The output is the unique
+/// ascending permutation. Used for the in-memory sort of LSS blocks,
+/// batched RS and 2WRS batches, victim buffers, splitter samples and
 /// distribution-sort leaves.
 void SortKeysBlock(Key* keys, size_t n);
 
@@ -42,15 +44,17 @@ void DecodeKeysBatch(const uint8_t* in, size_t n, Key* keys);
 /// selects through the key-caching loser tree at every fan-in.
 size_t MinIndexN(const Key* keys, size_t n);
 
-/// Fixed-level twins behind the dispatched entry points above. Tests pin
-/// byte-identity across levels through these, and bench_simd times each
-/// level on identical inputs. The Avx2 entries must only be called when
+/// Fixed-level twins behind the dispatched entry points above (every kernel
+/// but SortKeysBlock, which has one portable body). Tests pin byte-identity
+/// across levels through these, and bench_simd times each level on
+/// identical inputs. The Avx2 entries must only be called when
 /// CpuSupportsAvx2() is true; on scalar-only builds they forward to the
 /// scalar twin. None of these touch the dispatch call counters.
 namespace internal {
 
-void SortKeysBlockScalar(Key* keys, size_t n);
-void SortKeysBlockAvx2(Key* keys, size_t n);
+/// SortKeysBlock sorts blocks shorter than this with std::sort, where a
+/// radix pass's 256-bucket table costs more than the comparisons.
+inline constexpr size_t kRadixSortMinKeys = 64;
 
 void PartitionBySplittersScalar(const Key* keys, size_t n,
                                 const Key* splitters, size_t num_splitters,

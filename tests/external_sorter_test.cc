@@ -233,7 +233,9 @@ TEST(ExternalSorterTest, SimdOutputIsByteIdenticalToForcedScalar) {
   ExternalSortOptions options;
   options.memory_records = 128;
   options.twrs = TwoWayOptions::Recommended(128, 7);
-  options.fan_in = 4;  // small fan-in: exercises the MinIndexN merge path
+  // Small fan-in: several intermediate merge passes, each decoding and
+  // encoding every block through the dispatched batch codec.
+  options.fan_in = 4;
   options.temp_dir = "tmp";
   options.block_bytes = 512;
 

@@ -61,9 +61,9 @@ std::vector<Family> AllFamilies() {
 }
 
 /// Runs every kernel under a pinned dispatch level and checks the output
-/// byte-identical to the scalar reference. The kAvx2 instantiation skips
-/// itself on hosts without AVX2 (the forced-scalar CI variant still runs
-/// the kScalar half there).
+/// byte-identical to the scalar reference (std::sort for SortKeysBlock).
+/// The kAvx2 instantiation skips itself on hosts without AVX2 (the
+/// forced-scalar CI variant still runs the kScalar half there).
 class SimdKernelsTest : public ::testing::TestWithParam<DispatchLevel> {
  protected:
   void SetUp() override {
@@ -77,16 +77,36 @@ class SimdKernelsTest : public ::testing::TestWithParam<DispatchLevel> {
   void TearDown() override { ClearForceScalarOverride(); }
 };
 
-TEST_P(SimdKernelsTest, SortKeysBlockMatchesScalar) {
-  for (Family family : AllFamilies()) {
-    for (size_t n : TestSizes()) {
-      std::vector<Key> keys = MakeInput(family, n, 17 * n + 1);
-      std::vector<Key> expected = keys;
-      internal::SortKeysBlockScalar(expected.data(), expected.size());
-      SortKeysBlock(keys.data(), keys.size());
-      ASSERT_EQ(keys, expected) << "family=" << static_cast<int>(family)
-                                << " n=" << n;
+TEST_P(SimdKernelsTest, SortKeysBlockMatchesStdSort) {
+  // Beyond TestSizes(): the engine's two block sizes (1024-key batches,
+  // 64Ki-key LSS loads) and their neighbours, plus the std::sort cutoff.
+  std::vector<size_t> sizes = TestSizes();
+  for (size_t n : {size_t{1023}, size_t{1024}, size_t{1025}, size_t{65536},
+                   size_t{65537}, internal::kRadixSortMinKeys - 1,
+                   internal::kRadixSortMinKeys,
+                   internal::kRadixSortMinKeys + 1}) {
+    sizes.push_back(n);
+  }
+  const auto check = [](std::vector<Key> keys, const std::string& what) {
+    std::vector<Key> expected = keys;
+    std::sort(expected.begin(), expected.end());
+    SortKeysBlock(keys.data(), keys.size());
+    ASSERT_EQ(keys, expected) << what << " n=" << keys.size();
+  };
+  for (size_t n : sizes) {
+    for (Family family : AllFamilies()) {
+      check(MakeInput(family, n, 17 * n + 1),
+            "family=" + std::to_string(static_cast<int>(family)));
     }
+    // No digit varies: the radix path has no pass to run.
+    check(std::vector<Key>(n, -12345), "all equal");
+    // Only the top bit varies: the one pass runs on the sign digit.
+    std::mt19937_64 rng(31 * n + 5);
+    std::vector<Key> sign_only(n);
+    for (Key& key : sign_only) {
+      key = (rng() & 1) != 0 ? std::numeric_limits<Key>::min() + 7 : 7;
+    }
+    check(sign_only, "sign bit only");
   }
 }
 
