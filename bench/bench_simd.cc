@@ -105,7 +105,9 @@ std::vector<Key> PaperRandomKeys(size_t n, uint64_t seed) {
   std::unique_ptr<RecordSource> source =
       MakeWorkload(Dataset::kRandom, options);
   std::vector<Key> keys(n);
-  keys.resize(ReadBatch(source.get(), keys.data(), n));
+  size_t got = 0;
+  CheckOk(source->Read(keys.data(), n, &got), "generate keys");
+  keys.resize(got);
   return keys;
 }
 

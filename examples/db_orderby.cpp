@@ -43,13 +43,15 @@ class AnticorrelatedColumnScan : public twrs::RecordSource {
   AnticorrelatedColumnScan(uint64_t rows, uint64_t seed)
       : rows_(rows), rng_(seed) {}
 
-  bool Next(twrs::Key* key) override {
-    if (row_ == rows_) return false;
-    const twrs::Key a = static_cast<twrs::Key>(row_) * 1000;  // scan order
-    const twrs::Key jitter = static_cast<twrs::Key>(rng_.Uniform(900));
-    *key = static_cast<twrs::Key>(rows_) * 1000 - a + jitter;  // column B
-    ++row_;
-    return true;
+ protected:
+  twrs::Status ReadSome(twrs::Key* out, size_t cap, size_t* n) override {
+    *n = std::min<uint64_t>(cap, rows_ - row_);
+    for (size_t i = 0; i < *n; ++i, ++row_) {
+      const twrs::Key a = static_cast<twrs::Key>(row_) * 1000;  // scan order
+      const twrs::Key jitter = static_cast<twrs::Key>(rng_.Uniform(900));
+      out[i] = static_cast<twrs::Key>(rows_) * 1000 - a + jitter;  // column B
+    }
+    return twrs::Status::OK();
   }
 
  private:

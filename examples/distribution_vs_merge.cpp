@@ -5,6 +5,7 @@
 //
 //   ./distribution_vs_merge [num_records]
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -26,15 +27,18 @@ class ClusteredSource : public twrs::RecordSource {
   ClusteredSource(uint64_t records, uint64_t seed)
       : records_(records), rng_(seed) {}
 
-  bool Next(twrs::Key* key) override {
-    if (i_ == records_) return false;
-    ++i_;
-    if (rng_.Uniform(10) < 9) {
-      *key = static_cast<twrs::Key>(rng_.Uniform(1000));  // the hot cluster
-    } else {
-      *key = static_cast<twrs::Key>(rng_.Uniform(1000000000));
+ protected:
+  twrs::Status ReadSome(twrs::Key* out, size_t cap, size_t* n) override {
+    *n = std::min<uint64_t>(cap, records_ - i_);
+    i_ += *n;
+    for (size_t i = 0; i < *n; ++i) {
+      if (rng_.Uniform(10) < 9) {  // the hot cluster
+        out[i] = static_cast<twrs::Key>(rng_.Uniform(1000));
+      } else {
+        out[i] = static_cast<twrs::Key>(rng_.Uniform(1000000000));
+      }
     }
-    return true;
+    return twrs::Status::OK();
   }
 
  private:

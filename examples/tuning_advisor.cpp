@@ -123,13 +123,12 @@ int main(int argc, char** argv) {
   // Sample a prefix, as an optimizer with intermediate-result statistics
   // would (§7.1).
   const size_t sample_size = 4096;
-  std::vector<twrs::Key> sample;
+  std::vector<twrs::Key> sample(sample_size);
   {
     auto source = twrs::MakeWorkload(dataset, workload);
-    twrs::Key key;
-    while (sample.size() < sample_size && source->Next(&key)) {
-      sample.push_back(key);
-    }
+    size_t n = 0;
+    if (!source->Read(sample.data(), sample.size(), &n).ok()) return 1;
+    sample.resize(n);
   }
   const Shape shape = ClassifySample(sample);
   printf("input          : %s (%" PRIu64 " records)\n",

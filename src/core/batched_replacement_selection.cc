@@ -51,16 +51,17 @@ Status BatchedReplacementSelection::Generate(RecordSource* source,
   // Reads one batch, sorts it in an arena block, and splits it at the last
   // output: the suffix extends the current run, the prefix is deferred to
   // the next one.
-  auto read_batch = [&]() -> bool {
-    if (input_done) return false;
+  auto read_batch = [&]() -> Status {
+    if (input_done) return Status::OK();
     bound_arena();
     const uint32_t block = arena.Acquire(batch);
     Key* keys = arena.data(block);
-    const size_t n = ReadBatch(source, keys, batch);
+    size_t n = 0;
+    TWRS_RETURN_IF_ERROR(source->Read(keys, batch, &n));
     if (n < batch) input_done = true;
     if (n == 0) {
       arena.Release(block);
-      return false;
+      return Status::OK();
     }
     simd::SortKeysBlock(keys, n);
     in_memory += n;
@@ -72,11 +73,12 @@ Status BatchedReplacementSelection::Generate(RecordSource* source,
     }
     if (boundary < keys + n) current.Push(Minirun{boundary, keys + n, block});
     arena.Release(block);
-    return true;
+    return Status::OK();
   };
 
   // Initial fill: load one memory's worth of batches.
-  while (in_memory + batch <= memory && read_batch()) {
+  while (!input_done && in_memory + batch <= memory) {
+    TWRS_RETURN_IF_ERROR(read_batch());
   }
   if (in_memory == 0) {
     peak_arena_keys_ = arena.peak_allocated_keys();
@@ -113,7 +115,7 @@ Status BatchedReplacementSelection::Generate(RecordSource* source,
     have_last_output = true;
     in_memory -= span;
     current.Consume(span);
-    if (in_memory + batch <= memory) read_batch();
+    if (in_memory + batch <= memory) TWRS_RETURN_IF_ERROR(read_batch());
   }
   peak_arena_keys_ = arena.peak_allocated_keys();
   TWRS_RETURN_IF_ERROR(sink->Finish());

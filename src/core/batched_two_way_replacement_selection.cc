@@ -124,7 +124,8 @@ class Engine {
       BoundArena(batch_);
       const uint32_t block = arena_.Acquire(batch_);
       Key* keys = arena_.data(block);
-      const size_t n = ReadBatch(source_, keys, batch_);
+      size_t n = 0;
+      TWRS_RETURN_IF_ERROR(source_->Read(keys, batch_, &n));
       if (n < batch_) input_done_ = true;
       if (n > 0) TWRS_RETURN_IF_ERROR(PlaceBatch(block, keys, n));
       arena_.Release(block);

@@ -18,7 +18,8 @@ Status LoadSortStore::Generate(RecordSource* source, RunSink* sink,
   const size_t capacity = options_.memory_records;
   std::vector<Key> block(capacity);
   for (;;) {
-    const size_t filled = ReadBatch(source, block.data(), capacity);
+    size_t filled = 0;
+    TWRS_RETURN_IF_ERROR(source->Read(block.data(), capacity, &filled));
     if (filled == 0) break;
     simd::SortKeysBlock(block.data(), filled);
     TWRS_RETURN_IF_ERROR(sink->BeginRun());

@@ -1,7 +1,9 @@
 #ifndef TWRS_CORE_RECORD_SOURCE_H_
 #define TWRS_CORE_RECORD_SOURCE_H_
 
+#include <algorithm>
 #include <cstddef>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -10,59 +12,71 @@
 
 namespace twrs {
 
-/// A stream of input records. Run generation algorithms consume records one
-/// at a time (or, for Load-Sort-Store, one batch at a time) so that inputs
-/// never need to fit in memory — exactly the database setting the paper
-/// targets, where upstream operators feed the sort incrementally.
+/// A stream of input records. Run generation algorithms consume it a batch
+/// at a time so that inputs never need to fit in memory — exactly the
+/// database setting the paper targets, where upstream operators feed the
+/// sort incrementally.
+///
+/// An implementation provides one method, ReadSome. Consumers call Read,
+/// which returns the read's error with the records, so a failed read can
+/// never pass for a short input.
 class RecordSource {
  public:
+  /// Records Next reads ahead per refill (8 KiB), and a good batch size
+  /// for consumers that have none of their own.
+  static constexpr size_t kReadBatch = 1024;
+
   virtual ~RecordSource() = default;
 
-  /// Produces the next record in `*key`; returns false at end of stream
-  /// or on error.
-  virtual bool Next(Key* key) = 0;
+  /// Reads up to `cap` records into `out` and sets `*n` to the count. It
+  /// fills `cap` unless the input ends, so `*n < cap` means end of input
+  /// (or an error). Records Next has read ahead come first. On error `*n`
+  /// still counts the records delivered before it, and the error is
+  /// sticky: every later read returns it.
+  Status Read(Key* out, size_t cap, size_t* n);
 
-  /// Produces up to `cap` records into `out` and returns how many. Like
-  /// Next, 0 means end of stream or error, and status() tells which. The
-  /// default loops Next; sources with a bulk path override it.
-  virtual size_t NextBatch(Key* out, size_t cap) {
-    size_t n = 0;
-    while (n < cap && Next(out + n)) ++n;
-    return n;
+  /// Convenience for record-at-a-time readers: produces the next record
+  /// in `*key` from a kReadBatch-key read-ahead; returns false at end of
+  /// input or on error, and status() tells which. Next and Read may be
+  /// mixed on one source and still return its records in order.
+  bool Next(Key* key) {
+    if (ahead_pos_ == ahead_end_ && !Refill()) return false;
+    *key = ahead_[ahead_pos_++];
+    return true;
   }
 
-  /// Why the stream ended: OK at a true end of input, the error otherwise.
-  /// A sort returns it once the source is drained, so a failed read can
-  /// never pass for a short input.
-  virtual Status status() const { return Status::OK(); }
+  /// Why a read came up short: OK at a true end of input, the (sticky)
+  /// error otherwise. Only Next callers need it; Read returns it.
+  const Status& status() const { return status_; }
+
+ protected:
+  /// Produces between 1 and `cap` records into `out` (`cap` > 0), or sets
+  /// `*n` to 0 with OK at end of input. On error, `*n` counts the records
+  /// produced before it.
+  virtual Status ReadSome(Key* out, size_t cap, size_t* n) = 0;
+
+ private:
+  // Reads the next kReadBatch records into ahead_; false if none came.
+  bool Refill();
+
+  Status status_;
+  std::unique_ptr<Key[]> ahead_;  // allocated on the first Next
+  size_t ahead_pos_ = 0;          // next key of ahead_ to serve
+  size_t ahead_end_ = 0;          // keys of ahead_ read
 };
-
-/// Reads up to `cap` records into `out` through NextBatch, stopping early
-/// only at the end of the stream (or an error, which `status()` reports).
-/// Returns the count read.
-inline size_t ReadBatch(RecordSource* source, Key* out, size_t cap) {
-  size_t filled = 0;
-  while (filled < cap) {
-    const size_t got = source->NextBatch(out + filled, cap - filled);
-    if (got == 0) break;
-    filled += got;
-  }
-  return filled;
-}
 
 /// RecordSource over an in-memory vector (test and example helper).
 class VectorSource : public RecordSource {
  public:
   explicit VectorSource(std::vector<Key> keys) : keys_(std::move(keys)) {}
 
-  bool Next(Key* key) override {
-    if (pos_ == keys_.size()) return false;
-    *key = keys_[pos_++];
-    return true;
+ protected:
+  Status ReadSome(Key* out, size_t cap, size_t* n) override {
+    *n = std::min(cap, keys_.size() - pos_);
+    std::copy_n(keys_.data() + pos_, *n, out);
+    pos_ += *n;
+    return Status::OK();
   }
-
-  /// Rewinds to the beginning.
-  void Reset() { pos_ = 0; }
 
  private:
   std::vector<Key> keys_;

@@ -58,6 +58,8 @@ Status ReplacementSelection::Generate(RecordSource* source, RunSink* sink,
       heap.Push(TaggedRecord{key, run});
     }
   }
+  // A failed read ends the input like EOF; only the source can tell.
+  TWRS_RETURN_IF_ERROR(source->status());
   if (in_run) TWRS_RETURN_IF_ERROR(sink->EndRun());
   TWRS_RETURN_IF_ERROR(sink->Finish());
   FillStatsFromSink(*sink, first_run, stats);

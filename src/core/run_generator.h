@@ -17,7 +17,8 @@ class RunGenerator {
   virtual ~RunGenerator() = default;
 
   /// Consumes `source` to exhaustion, emitting sorted runs into `sink`
-  /// (calling Finish on it) and filling `*stats` if non-null.
+  /// (calling Finish on it) and filling `*stats` if non-null. A failed
+  /// read of `source` is returned, never taken for the end of input.
   virtual Status Generate(RecordSource* source, RunSink* sink,
                           RunGenStats* stats) = 0;
 

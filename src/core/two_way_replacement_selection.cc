@@ -403,6 +403,8 @@ Status TwoWayReplacementSelection::Generate(RecordSource* source,
   const size_t first_run = sink->runs().size();
   Engine engine(options_, source, sink, stats);
   TWRS_RETURN_IF_ERROR(engine.Run());
+  // A failed read ends the input like EOF; only the source can tell.
+  TWRS_RETURN_IF_ERROR(source->status());
   FillStatsFromSink(*sink, first_run, stats);
   engine.ExportStats();
   return Status::OK();

@@ -168,20 +168,23 @@ Status StageAndSort(Env* env, RecordSource* source,
   {
     RecordWriter writer(env, staging, options.block_bytes);
     TWRS_RETURN_IF_ERROR(writer.status());
-    Key key;
-    while (source->Next(&key)) {
-      if (count == 0) {
-        min_key = max_key = key;
-      } else {
-        min_key = std::min(min_key, key);
-        max_key = std::max(max_key, key);
+    std::vector<Key> batch(RecordSource::kReadBatch);
+    for (size_t n = batch.size(); n == batch.size();) {
+      // A failed read must not pass for a short input and yield a sorted
+      // but truncated output.
+      TWRS_RETURN_IF_ERROR(source->Read(batch.data(), batch.size(), &n));
+      for (size_t i = 0; i < n; ++i) {
+        const Key key = batch[i];
+        if (count == 0) {
+          min_key = max_key = key;
+        } else {
+          min_key = std::min(min_key, key);
+          max_key = std::max(max_key, key);
+        }
+        ++count;
       }
-      ++count;
-      TWRS_RETURN_IF_ERROR(writer.Append(key));
+      TWRS_RETURN_IF_ERROR(writer.AppendBatch(batch.data(), n));
     }
-    // A failed read ends the stream early: it must not pass for a short
-    // input and yield a sorted but truncated output.
-    TWRS_RETURN_IF_ERROR(source->status());
     TWRS_RETURN_IF_ERROR(writer.Finish());
   }
 

@@ -130,7 +130,7 @@ Status RecordReader::Next(Key* key, bool* eof) {
   return Status::OK();
 }
 
-Status RecordReader::NextBatch(Key* out, size_t max, size_t* got) {
+Status RecordReader::Read(Key* out, size_t max, size_t* got) {
   *got = 0;
   TWRS_RETURN_IF_ERROR(status_);
   while (*got < max) {
@@ -158,7 +158,7 @@ Status ReadAllRecords(Env* env, const std::string& path,
     size_t got = 0;
     const size_t old = out->size();
     out->resize(old + kBatch);
-    TWRS_RETURN_IF_ERROR(reader.NextBatch(out->data() + old, kBatch, &got));
+    TWRS_RETURN_IF_ERROR(reader.Read(out->data() + old, kBatch, &got));
     out->resize(old + got);
     if (got == 0) return Status::OK();
   }

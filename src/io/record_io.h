@@ -88,7 +88,7 @@ class RecordReader {
 
   /// Reads up to `max` records into `out` in bulk via the simd batch
   /// codec. Sets `*got` to the number delivered; 0 means end of file.
-  Status NextBatch(Key* out, size_t max, size_t* got);
+  Status Read(Key* out, size_t max, size_t* got);
 
  private:
   /// Refills buffer_ from the file. On return, buffer_pos_ < buffer_size_

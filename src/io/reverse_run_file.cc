@@ -313,7 +313,7 @@ Status ReverseRunReader::Next(Key* key, bool* eof) {
   return Status::OK();
 }
 
-Status ReverseRunReader::NextBatch(Key* out, size_t max, size_t* got) {
+Status ReverseRunReader::Read(Key* out, size_t max, size_t* got) {
   *got = 0;
   bool eof = false;
   TWRS_RETURN_IF_ERROR(FillBuffer(&eof));

@@ -121,7 +121,7 @@ class ReverseRunReader {
   /// from the buffered block only: the next block (or file) is read only
   /// when nothing is buffered, so a batch never reads ahead of Next's
   /// schedule. Sets `*got` to the number delivered; 0 means end of stream.
-  Status NextBatch(Key* out, size_t max, size_t* got);
+  Status Read(Key* out, size_t max, size_t* got);
 
   /// Advances past the next `n` records without decoding them. Whole files
   /// are skipped by reading only their header (each file's data region is

@@ -138,6 +138,10 @@ Status ExternalSorter::SortInternal(RecordSource* source,
                       options_.progress->bytes_written_counter());
   }
 
+  // Both the selection and run generation read through one decorator,
+  // which adds progress and checks the cancel token once per read.
+  SortInputSource input(source, options_.cancel, options_.progress);
+
   // Top-K dispatch. The dual-heap strategy replaces the whole run-gen +
   // merge pipeline with one bounded selection pass; the run-pruning
   // strategy is the normal pipeline with options_.limit threaded into the
@@ -156,7 +160,7 @@ Status ExternalSorter::SortInternal(RecordSource* source,
   if (strategy == TopKStrategy::kDualHeap) {
     Stopwatch total_watch;
     ExternalSortResult local;
-    Status s = DualHeapSelectToFile(&env, options_, source, output_path,
+    Status s = DualHeapSelectToFile(&env, options_, &input, output_path,
                                     &local);
     if (!s.ok()) {
       if (env.watched_created()) {
@@ -177,7 +181,7 @@ Status ExternalSorter::SortInternal(RecordSource* source,
   context.output_range = range;
 
   Stopwatch total_watch;
-  RunGenerationPhase run_generation(source);
+  RunGenerationPhase run_generation(&input);
   MergePlanningPhase planning;
   FinalMergePhase final_merge(output_path);
   SortPhase* const phases[] = {&run_generation, &planning, &final_merge};

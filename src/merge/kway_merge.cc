@@ -38,9 +38,9 @@ Status RunCursor::Refill() {
         std::min<uint64_t>(keys_.size(), limit_remaining_));
     size_t got = 0;
     if (forward_ != nullptr) {
-      TWRS_RETURN_IF_ERROR(forward_->NextBatch(keys_.data(), cap, &got));
+      TWRS_RETURN_IF_ERROR(forward_->Read(keys_.data(), cap, &got));
     } else if (reverse_ != nullptr) {
-      TWRS_RETURN_IF_ERROR(reverse_->NextBatch(keys_.data(), cap, &got));
+      TWRS_RETURN_IF_ERROR(reverse_->Read(keys_.data(), cap, &got));
     }
     if (got > 0) {
       end_ = got;

@@ -57,8 +57,8 @@ struct MergeIoOptions {
 
 /// Block cursor over one generated run: iterates its segments in order,
 /// decoding one block of keys at a time — forward segments through
-/// RecordReader::NextBatch, decreasing segments through the Appendix-A
-/// ReverseRunReader::NextBatch — into a single non-decreasing key sequence.
+/// RecordReader::Read, decreasing segments through the Appendix-A
+/// ReverseRunReader::Read — into a single non-decreasing key sequence.
 /// Stepping within a decoded block is inline; only Refill touches the
 /// readers and returns a Status. With `prefetch_blocks` > 0, forward
 /// segments read through a PrefetchingSequentialFile that keeps that many

@@ -11,116 +11,15 @@
 
 namespace twrs {
 
-namespace {
-
-/// Truncates the input stream once the token fires, so run generation
-/// stops consuming promptly even during a fill phase that emits nothing.
-/// A batch pays one token check. The sink wrapper below turns the
-/// cancellation into a Status, so the early EOF cannot masquerade as a
-/// short-but-successful sort.
-class CancellableSource : public RecordSource {
- public:
-  CancellableSource(RecordSource* base, const CancelToken* cancel)
-      : base_(base), cancel_(cancel) {}
-
-  bool Next(Key* key) override {
-    if (IsCancelled(cancel_)) return false;
-    return base_->Next(key);
+Status SortInputSource::ReadSome(Key* out, size_t cap, size_t* n) {
+  *n = 0;
+  if (IsCancelled(cancel_)) {
+    return Status::Cancelled("sort cancelled while reading its input");
   }
-
-  size_t NextBatch(Key* out, size_t cap) override {
-    if (IsCancelled(cancel_)) return 0;
-    return base_->NextBatch(out, cap);
-  }
-
- private:
-  RecordSource* base_;
-  const CancelToken* cancel_;
-};
-
-/// Forwards to the real sink but fails BeginRun/Append/AppendSorted once the
-/// token fires — the per-record or per-span cancellation point of the
-/// run-generation loop.
-/// EndRun/Finish still forward so the base sink's protocol state stays
-/// consistent while the error unwinds.
-class CancellableSink : public RunSink {
- public:
-  CancellableSink(RunSink* base, const CancelToken* cancel)
-      : base_(base), cancel_(cancel) {}
-
-  Status BeginRun() override {
-    if (IsCancelled(cancel_)) return CancelledStatus();
-    return base_->BeginRun();
-  }
-
-  Status Append(RunStream stream, Key key) override {
-    if (IsCancelled(cancel_)) return CancelledStatus();
-    return base_->Append(stream, key);
-  }
-
-  Status AppendSorted(RunStream stream, const Key* keys, size_t n) override {
-    if (IsCancelled(cancel_)) return CancelledStatus();
-    return base_->AppendSorted(stream, keys, n);
-  }
-
-  Status EndRun() override {
-    Status s = base_->EndRun();
-    // Mirror only the newly completed run, so FillStatsFromSink works on
-    // the wrapper without an O(runs^2) re-copy across the generation.
-    if (base_->runs().size() > runs_.size()) {
-      runs_.push_back(base_->runs().back());
-    }
-    return s;
-  }
-
-  Status Finish() override { return base_->Finish(); }
-
- private:
-  static Status CancelledStatus() {
-    return Status::Cancelled("sort cancelled during run generation");
-  }
-
-  RunSink* base_;
-  const CancelToken* cancel_;
-};
-
-/// Counts the records run generation actually consumes. Per-record reads
-/// are batched so their cost is a local increment, and the destructor
-/// flushes the remainder on every exit path (EOF, cancel truncation, error
-/// unwind); a NextBatch read adds its count in one call.
-class ProgressSource : public RecordSource {
- public:
-  static constexpr uint64_t kBatch = 1024;
-
-  ProgressSource(RecordSource* base, ProgressCounters* progress)
-      : base_(base), progress_(progress) {}
-
-  ~ProgressSource() override {
-    if (pending_ > 0) progress_->AddRecordsIngested(pending_);
-  }
-
-  bool Next(Key* key) override {
-    if (!base_->Next(key)) return false;
-    if (++pending_ == kBatch) {
-      progress_->AddRecordsIngested(kBatch);
-      pending_ = 0;
-    }
-    return true;
-  }
-
-  size_t NextBatch(Key* out, size_t cap) override {
-    const size_t n = base_->NextBatch(out, cap);
-    if (n > 0) progress_->AddRecordsIngested(n);
-    return n;
-  }
-
- private:
-  RecordSource* base_;
-  ProgressCounters* progress_;
-  uint64_t pending_ = 0;
-};
-
-}  // namespace
+  const Status s = base_->Read(out, cap, n);
+  if (progress_ != nullptr && *n > 0) progress_->AddRecordsIngested(*n);
+  return s;
+}
 
 Status PrepareSortContext(Env* env, const ExternalSortOptions& options,
                           SortContext* context) {
@@ -168,36 +67,16 @@ Status RunGenerationPhase::Run(SortContext* context) {
   }
   FileRunSink sink(context->env, context->sort_dir, "sort", sink_options);
 
-  CancellableSource cancellable_source(source_, context->cancel);
-  CancellableSink cancellable_sink(&sink, context->cancel);
-  RecordSource* source = source_;
-  RunSink* out = &sink;
-  if (context->cancel != nullptr) {
-    source = &cancellable_source;
-    out = &cancellable_sink;
-  }
-  // Outermost wrapper, so only records the generator really received are
-  // counted (a fired cancel token truncates the inner source first).
-  std::unique_ptr<ProgressSource> progress_source;
-  if (context->progress != nullptr) {
-    progress_source =
-        std::make_unique<ProgressSource>(source, context->progress);
-    source = progress_source.get();
-  }
-
   Stopwatch watch;
   TWRS_RETURN_IF_ERROR(
-      generator->Generate(source, out, &context->result.run_gen));
+      generator->Generate(source_, &sink, &context->result.run_gen));
   if (IsCancelled(context->cancel)) {
-    // The token fired after the last sink call (e.g. during the final
-    // heap drain): the truncated input made generation "succeed", but the
-    // job is cancelled all the same.
+    // The token fired after the generator's last read (e.g. during the
+    // final heap drain): generation succeeded, but the job is cancelled
+    // all the same.
     return Status::Cancelled("sort cancelled during run generation");
   }
-  // A failed read ends the stream like EOF; only the source can tell.
-  TWRS_RETURN_IF_ERROR(source_->status());
   context->result.run_gen_seconds = watch.ElapsedSeconds();
-  progress_source.reset();  // flush the batched remainder before returning
   if (context->metrics != nullptr) {
     context->metrics->Histogram("sort.run_generation_seconds")
         ->RecordSeconds(context->result.run_gen_seconds);

@@ -57,6 +57,28 @@ struct SortContext {
   ExternalSortResult result;
 };
 
+/// A sort's input as its run generator or top-K selector sees it: each
+/// read adds its records to `progress` (if set) in one call, and once
+/// `cancel` fires every read returns Status::Cancelled, so a cancelled
+/// sort stops consuming within a batch (a record-at-a-time generator
+/// within its read-ahead) and unwinds with the status its generator
+/// returns. ExternalSorter wraps its source in one before any phase runs.
+class SortInputSource : public RecordSource {
+ public:
+  /// Does not take ownership of anything.
+  SortInputSource(RecordSource* base, const CancelToken* cancel,
+                  ProgressCounters* progress)
+      : base_(base), cancel_(cancel), progress_(progress) {}
+
+ protected:
+  Status ReadSome(Key* out, size_t cap, size_t* n) override;
+
+ private:
+  RecordSource* base_;
+  const CancelToken* cancel_;
+  ProgressCounters* progress_;
+};
+
 /// Resolves the execution resources of one sort: creates the unique
 /// sort_dir and picks the pool — none (serial), borrowed from the
 /// configured Executor, or a dedicated per-sort pool.

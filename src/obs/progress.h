@@ -52,7 +52,7 @@ struct JobProgress {
 
 /// Live progress counters for one sort job, updated from the hot paths
 /// with relaxed atomics and read at any time by status pollers. Writers
-/// batch their increments (see ProgressSource / MergeCursorsToSink), so a
+/// batch their increments (see SortInputSource / MergeCursorsToSink), so a
 /// mid-flight read can trail the truth by a bounded amount; once the job
 /// reaches a terminal state the counters are exact.
 class ProgressCounters {

@@ -41,16 +41,14 @@ void DualHeapSelector::ReplaceLosers(const Key* keys, size_t n, Beats beats) {
   }
 }
 
-Status DualHeapSelector::AddAll(
-    RecordSource* source, const std::function<Status(size_t)>& after_batch) {
+Status DualHeapSelector::AddAll(RecordSource* source) {
   std::vector<Key> batch(kIngestBatch);
-  for (;;) {
-    const size_t got = source->NextBatch(batch.data(), batch.size());
-    if (got == 0) break;
+  // A short read is the end of the input.
+  for (size_t got = batch.size(); got == batch.size();) {
+    TWRS_RETURN_IF_ERROR(source->Read(batch.data(), batch.size(), &got));
     AddBatch(batch.data(), got);
-    if (after_batch) TWRS_RETURN_IF_ERROR(after_batch(got));
   }
-  return source->status();
+  return Status::OK();
 }
 
 std::vector<Key> DualHeapSelector::Take() {

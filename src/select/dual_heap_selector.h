@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/record.h"
@@ -33,8 +32,8 @@ namespace twrs {
 /// beats it, so after warm-up almost every record costs one comparison.
 class DualHeapSelector {
  public:
-  /// Records AddAll reads from its source per NextBatch call (8 KiB).
-  static constexpr size_t kIngestBatch = 1024;
+  /// Records AddAll reads from its source per Read call (8 KiB).
+  static constexpr size_t kIngestBatch = RecordSource::kReadBatch;
 
   DualHeapSelector(size_t capacity, SelectOrder order);
 
@@ -45,12 +44,9 @@ class DualHeapSelector {
   void AddBatch(const Key* keys, size_t n);
 
   /// Offers every record of `source`, read kIngestBatch records at a time
-  /// into one reused buffer. `after_batch(n)`, if set, runs after each
-  /// batch of `n` records; a non-OK return stops the drain and is
-  /// returned. Otherwise returns source->status(): OK at a true end of
-  /// input, the read error if the stream ended on one.
-  Status AddAll(RecordSource* source,
-                const std::function<Status(size_t)>& after_batch = nullptr);
+  /// into one reused buffer. Returns the first failed read's error: OK
+  /// only at a true end of input.
+  Status AddAll(RecordSource* source);
 
   /// Records offered so far.
   uint64_t consumed() const { return consumed_; }

@@ -19,16 +19,8 @@ Status DualHeapSelectToFile(Env* env, const ExternalSortOptions& options,
     options.progress->AdvancePhase(SortProgressPhase::kRunGeneration);
   }
 
-  // One progress add and one cancellation check per ingest batch: cheap
-  // next to the batch's comparisons, frequent enough that a cancelled job
-  // unwinds promptly (matches CancellableSource's batching in sort_phases).
   DualHeapSelector selector(options.limit, options.order);
-  TWRS_RETURN_IF_ERROR(selector.AddAll(source, [&options](size_t n) {
-    if (options.progress != nullptr) options.progress->AddRecordsIngested(n);
-    return IsCancelled(options.cancel)
-               ? Status::Cancelled("sort cancelled during top-K selection")
-               : Status::OK();
-  }));
+  TWRS_RETURN_IF_ERROR(selector.AddAll(source));
   result->run_gen.total_records = selector.consumed();
   result->run_gen_seconds = select_watch.ElapsedSeconds();
 

@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "exec/executor.h"
 #include "exec/thread_pool.h"
@@ -105,17 +106,18 @@ Status ShardedSorter::Sort(RecordSource* source,
   {
     RecordWriter writer(&env, staged, options_.split_block_bytes);
     s = writer.status();
-    Key key;
-    while (s.ok() && source->Next(&key)) {
+    std::vector<Key> batch(RecordSource::kReadBatch);
+    for (size_t n = batch.size(); s.ok() && n == batch.size();) {
       if (IsCancelled(cancel)) {
         s = Status::Cancelled("sharded sort cancelled during staging");
         break;
       }
-      sampler.Add(key);
-      ++count;
-      s = writer.Append(key);
+      s = source->Read(batch.data(), batch.size(), &n);
+      if (!s.ok()) break;
+      for (size_t i = 0; i < n; ++i) sampler.Add(batch[i]);
+      count += n;
+      s = writer.AppendBatch(batch.data(), n);
     }
-    if (s.ok()) s = source->status();
     if (s.ok()) s = writer.Finish();
   }
   if (s.ok()) {
@@ -250,7 +252,7 @@ Status ShardedSorter::SortStaged(CountingEnv* env,
         return Status::Cancelled("sharded sort cancelled during partition");
       }
       size_t got = 0;
-      TWRS_RETURN_IF_ERROR(reader.NextBatch(batch.data(), batch.size(), &got));
+      TWRS_RETURN_IF_ERROR(reader.Read(batch.data(), batch.size(), &got));
       if (got == 0) break;
       simd::PartitionBySplitters(batch.data(), got, local.splitters.data(),
                                  local.splitters.size(), bucket.data());

@@ -7,7 +7,7 @@ namespace twrs {
 
 /// Cooperative cancellation flag shared between a job's owner and the code
 /// running it. The owner calls Cancel(); the running code polls cancelled()
-/// at loop granularity (per record or per merge step) and unwinds with
+/// at loop granularity (per input read or per merge block) and unwinds with
 /// Status::Cancelled. One-way: a fired token never resets, so a token must
 /// not be reused across jobs.
 ///

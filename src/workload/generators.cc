@@ -1,6 +1,7 @@
 #include "workload/generators.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "util/random.h"
 
@@ -14,10 +15,13 @@ class NoisySource : public RecordSource {
   NoisySource(std::unique_ptr<RecordSource> base, uint64_t seed)
       : base_(std::move(base)), rng_(seed) {}
 
-  bool Next(Key* key) override {
-    if (!base_->Next(key)) return false;
-    *key += static_cast<Key>(1 + rng_.Uniform(1000));
-    return true;
+ protected:
+  Status ReadSome(Key* out, size_t cap, size_t* n) override {
+    const Status s = base_->Read(out, cap, n);
+    for (size_t i = 0; i < *n; ++i) {
+      out[i] += static_cast<Key>(1 + rng_.Uniform(1000));
+    }
+    return s;
   }
 
  private:
@@ -29,10 +33,11 @@ class SortedSource : public RecordSource {
  public:
   SortedSource(uint64_t n, Key stride) : n_(n), stride_(stride) {}
 
-  bool Next(Key* key) override {
-    if (i_ == n_) return false;
-    *key = static_cast<Key>(i_++) * stride_;
-    return true;
+ protected:
+  Status ReadSome(Key* out, size_t cap, size_t* n) override {
+    *n = std::min<uint64_t>(cap, n_ - i_);
+    for (size_t j = 0; j < *n; ++j) out[j] = static_cast<Key>(i_++) * stride_;
+    return Status::OK();
   }
 
  private:
@@ -45,11 +50,13 @@ class ReverseSortedSource : public RecordSource {
  public:
   ReverseSortedSource(uint64_t n, Key stride) : n_(n), stride_(stride) {}
 
-  bool Next(Key* key) override {
-    if (i_ == n_) return false;
-    *key = static_cast<Key>(n_ - 1 - i_) * stride_;
-    ++i_;
-    return true;
+ protected:
+  Status ReadSome(Key* out, size_t cap, size_t* n) override {
+    *n = std::min<uint64_t>(cap, n_ - i_);
+    for (size_t j = 0; j < *n; ++j, ++i_) {
+      out[j] = static_cast<Key>(n_ - 1 - i_) * stride_;
+    }
+    return Status::OK();
   }
 
  private:
@@ -67,17 +74,19 @@ class AlternatingSource : public RecordSource {
         section_len_(std::max<uint64_t>(1, n / std::max<uint64_t>(1, sections))),
         stride_(stride) {}
 
-  bool Next(Key* key) override {
-    if (i_ == n_) return false;
-    const uint64_t section = i_ / section_len_;
-    const uint64_t pos = i_ % section_len_;
+ protected:
+  Status ReadSome(Key* out, size_t cap, size_t* n) override {
+    *n = std::min<uint64_t>(cap, n_ - i_);
     // Scale the in-section position onto the full [0, n) key span.
     const uint64_t denominator = std::max<uint64_t>(1, section_len_ - 1);
-    uint64_t level = pos * (n_ - 1) / denominator;
-    if (section % 2 == 1) level = (n_ - 1) - level;  // descending section
-    *key = static_cast<Key>(level) * stride_;
-    ++i_;
-    return true;
+    for (size_t j = 0; j < *n; ++j, ++i_) {
+      const uint64_t section = i_ / section_len_;
+      const uint64_t pos = i_ % section_len_;
+      uint64_t level = pos * (n_ - 1) / denominator;
+      if (section % 2 == 1) level = (n_ - 1) - level;  // descending section
+      out[j] = static_cast<Key>(level) * stride_;
+    }
+    return Status::OK();
   }
 
  private:
@@ -92,11 +101,15 @@ class RandomSource : public RecordSource {
   RandomSource(uint64_t n, Key stride, uint64_t seed)
       : n_(n), range_(n * static_cast<uint64_t>(stride)), rng_(seed) {}
 
-  bool Next(Key* key) override {
-    if (i_ == n_) return false;
-    *key = static_cast<Key>(rng_.Uniform(std::max<uint64_t>(1, range_)));
-    ++i_;
-    return true;
+ protected:
+  Status ReadSome(Key* out, size_t cap, size_t* n) override {
+    *n = std::min<uint64_t>(cap, n_ - i_);
+    const uint64_t range = std::max<uint64_t>(1, range_);
+    for (size_t j = 0; j < *n; ++j) {
+      out[j] = static_cast<Key>(rng_.Uniform(range));
+    }
+    i_ += *n;
+    return Status::OK();
   }
 
  private:
@@ -121,15 +134,17 @@ class MixedSource : public RecordSource {
     split_ = static_cast<Key>(down_records) * stride_;
   }
 
-  bool Next(Key* key) override {
-    if (i_ == n_) return false;
-    if (i_ % up_every_ == 0) {
-      *key = split_ + static_cast<Key>(up_count_++) * stride_;
-    } else {
-      *key = split_ - static_cast<Key>(++down_count_) * stride_;
+ protected:
+  Status ReadSome(Key* out, size_t cap, size_t* n) override {
+    *n = std::min<uint64_t>(cap, n_ - i_);
+    for (size_t j = 0; j < *n; ++j, ++i_) {
+      if (i_ % up_every_ == 0) {
+        out[j] = split_ + static_cast<Key>(up_count_++) * stride_;
+      } else {
+        out[j] = split_ - static_cast<Key>(++down_count_) * stride_;
+      }
     }
-    ++i_;
-    return true;
+    return Status::OK();
   }
 
  private:
@@ -204,42 +219,16 @@ FileRecordSource::FileRecordSource(Env* env, const std::string& path,
                                    size_t block_bytes)
     : reader_(env, path, block_bytes) {}
 
-bool FileRecordSource::Refill() {
-  if (!status_.ok()) return false;
-  if (decoded_.empty()) decoded_.resize(kDecodeBlock);
-  pos_ = 0;
-  end_ = 0;
-  status_ = reader_.NextBatch(decoded_.data(), decoded_.size(), &end_);
-  return end_ > 0;
-}
-
-size_t FileRecordSource::NextBatch(Key* out, size_t cap) {
-  if (pos_ < end_) {
-    // Records Next decoded but has not served come first.
-    const size_t held = std::min(cap, end_ - pos_);
-    std::copy_n(decoded_.data() + pos_, held, out);
-    pos_ += held;
-    return held;
-  }
-  if (!status_.ok()) return 0;
-  size_t got = 0;
-  status_ = reader_.NextBatch(out, cap, &got);
-  return got;
-}
-
-Status FileRecordSource::status() const {
-  return status_.ok() ? reader_.status() : status_;
-}
-
 Status WriteWorkloadToFile(Env* env, Dataset dataset,
                            const WorkloadOptions& options,
                            const std::string& path) {
   std::unique_ptr<RecordSource> source = MakeWorkload(dataset, options);
   RecordWriter writer(env, path);
   TWRS_RETURN_IF_ERROR(writer.status());
-  Key key;
-  while (source->Next(&key)) {
-    TWRS_RETURN_IF_ERROR(writer.Append(key));
+  std::vector<Key> batch(RecordSource::kReadBatch);
+  for (size_t n = batch.size(); n == batch.size();) {
+    TWRS_RETURN_IF_ERROR(source->Read(batch.data(), batch.size(), &n));
+    TWRS_RETURN_IF_ERROR(writer.AppendBatch(batch.data(), n));
   }
   return writer.Finish();
 }

@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/record_source.h"
 #include "io/env.h"
@@ -50,44 +49,21 @@ struct WorkloadOptions {
 std::unique_ptr<RecordSource> MakeWorkload(Dataset dataset,
                                            const WorkloadOptions& options);
 
-/// Streams records out of a record file.
-///
-/// Both paths decode through RecordReader::NextBatch. Next serves records
-/// from a block of kDecodeBlock already-decoded keys and refills it a block
-/// at a time, so a record costs about what it costs through NextBatch.
-/// NextBatch decodes straight into the caller's buffer, but first hands
-/// out (as a short batch) whatever Next left decoded, so the two can be
-/// mixed on one source and still return the file's records in order.
-/// A read error still delivers every record decoded before it; then both
-/// paths report end of stream and status() reports the error.
+/// Streams records out of a record file, decoding each read straight into
+/// the caller's buffer through RecordReader::Read. A read error still
+/// delivers every record decoded before it.
 class FileRecordSource : public RecordSource {
  public:
   FileRecordSource(Env* env, const std::string& path,
                    size_t block_bytes = kDefaultBlockBytes);
 
-  bool Next(Key* key) override {
-    if (pos_ == end_ && !Refill()) return false;
-    *key = decoded_[pos_++];
-    return true;
+ protected:
+  Status ReadSome(Key* out, size_t cap, size_t* n) override {
+    return reader_.Read(out, cap, n);
   }
 
-  size_t NextBatch(Key* out, size_t cap) override;
-
-  /// I/O health of the underlying reader.
-  Status status() const override;
-
  private:
-  // Keys Next decodes per refill (8 KiB, allocated on first use).
-  static constexpr size_t kDecodeBlock = 1024;
-
-  // Decodes the next block into decoded_; false at end of stream or error.
-  bool Refill();
-
   RecordReader reader_;
-  Status status_;
-  std::vector<Key> decoded_;
-  size_t pos_ = 0;  // next key of decoded_ to serve
-  size_t end_ = 0;  // keys of decoded_ decoded
 };
 
 /// Materializes a workload into a record file (benchmark setup helper).

@@ -101,25 +101,23 @@ TEST(BatchedRsTest, MatchesRsRunCountsApproximately) {
   EXPECT_LT(ratio, 1.4);
 }
 
-// A source that serves records through NextBatch only.
+// A source that fails the test on any read of more than `batch` records,
+// such as Next's read-ahead: the generator must read a batch at a time.
 class BatchOnlySource : public VectorSource {
  public:
-  using VectorSource::VectorSource;
+  BatchOnlySource(std::vector<Key> keys, size_t batch)
+      : VectorSource(std::move(keys)), batch_(batch) {}
 
-  bool Next(Key* key) override {
-    if (in_batch_) return VectorSource::Next(key);
-    ADD_FAILURE() << "a single record was read outside NextBatch";
-    return false;
-  }
-  size_t NextBatch(Key* out, size_t cap) override {
-    in_batch_ = true;
-    const size_t n = VectorSource::NextBatch(out, cap);
-    in_batch_ = false;
-    return n;
+ protected:
+  Status ReadSome(Key* out, size_t cap, size_t* n) override {
+    if (cap > batch_) {
+      ADD_FAILURE() << "a read of " << cap << " records outside a batch";
+    }
+    return VectorSource::ReadSome(out, cap, n);
   }
 
  private:
-  bool in_batch_ = false;
+  size_t batch_;
 };
 
 TEST(BatchedRsTest, ReadsInBatchesWithinMemory) {
@@ -128,7 +126,7 @@ TEST(BatchedRsTest, ReadsInBatchesWithinMemory) {
   wl.seed = 3;
   const auto input = Drain(MakeWorkload(Dataset::kRandom, wl).get());
   for (size_t batch : {1u, 7u, 50u, 200u}) {
-    BatchOnlySource base(input);
+    BatchOnlySource base(input, batch);
     testing::MemoryLedger ledger(200);
     testing::LedgerSource source(&base, &ledger);
     CollectingRunSink collecting;

@@ -163,24 +163,38 @@ TEST(DualHeapSelectorTest, AddBatchMatchesRepeatedAddBothOrders) {
   }
 }
 
-TEST(DualHeapSelectorTest, AddAllReadsFullBatchesAndStopsOnRequest) {
+// Records the size of every read it serves.
+class RecordingSource : public VectorSource {
+ public:
+  using VectorSource::VectorSource;
+
+  const std::vector<size_t>& reads() const { return reads_; }
+
+ protected:
+  Status ReadSome(Key* out, size_t cap, size_t* n) override {
+    TWRS_RETURN_IF_ERROR(VectorSource::ReadSome(out, cap, n));
+    if (*n > 0) reads_.push_back(*n);
+    return Status::OK();
+  }
+
+ private:
+  std::vector<size_t> reads_;
+};
+
+TEST(DualHeapSelectorTest, AddAllReadsFullBatchesAndStopsOnAnError) {
   std::vector<Key> input(2500);
   std::iota(input.rbegin(), input.rend(), Key{0});
-  VectorSource source(input);
+  RecordingSource source(input);
   DualHeapSelector selector(10, SelectOrder::kAscending);
-  std::vector<size_t> batches;
-  ASSERT_TWRS_OK(selector.AddAll(&source, [&batches](size_t n) {
-    batches.push_back(n);
-    return Status::OK();
-  }));
-  EXPECT_EQ(batches, std::vector<size_t>({1024, 1024, 452}));
+  ASSERT_TWRS_OK(selector.AddAll(&source));
+  EXPECT_EQ(source.reads(), std::vector<size_t>({1024, 1024, 452}));
   EXPECT_EQ(selector.Take(),
             std::vector<Key>({0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
 
-  // A non-OK return from the callback ends the drain after that batch.
-  source.Reset();
-  const Status stopped = selector.AddAll(
-      &source, [](size_t) { return Status::Cancelled("stop"); });
+  // A failed read ends the drain after the batches before it.
+  input.resize(DualHeapSelector::kIngestBatch);
+  testing::FailingSource failing(input, Status::Cancelled("stop"));
+  const Status stopped = selector.AddAll(&failing);
   EXPECT_TRUE(stopped.IsCancelled());
   EXPECT_EQ(selector.consumed(), DualHeapSelector::kIngestBatch);
 }

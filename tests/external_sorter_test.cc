@@ -20,6 +20,7 @@
 namespace twrs {
 namespace {
 
+using testing::CancelAfterNSource;
 using testing::ChecksumOf;
 using testing::Drain;
 using testing::FailingInputReadEnv;
@@ -330,28 +331,6 @@ TEST(ExternalSorterParallelTest, ConcurrentSortsSharingTempDirDoNotCollide) {
 // ---------------------------------------------------------------------------
 // Cooperative cancellation and error-path hygiene
 
-// Yields `input` records, firing the token after `fire_after` of them —
-// deterministic mid-run-generation cancellation.
-class CancelAfterNSource : public RecordSource {
- public:
-  CancelAfterNSource(std::vector<Key> keys, size_t fire_after,
-                     CancelToken* token)
-      : keys_(std::move(keys)), fire_after_(fire_after), token_(token) {}
-
-  bool Next(Key* key) override {
-    if (pos_ == fire_after_) token_->Cancel();
-    if (pos_ == keys_.size()) return false;
-    *key = keys_[pos_++];
-    return true;
-  }
-
- private:
-  std::vector<Key> keys_;
-  size_t fire_after_;
-  CancelToken* token_;
-  size_t pos_ = 0;
-};
-
 // MemEnv that fires the token on the first sequential open. The sort's
 // run generation only writes, so the first read is the merge phase
 // opening its first input — deterministic mid-merge cancellation.
@@ -466,6 +445,87 @@ TEST(ExternalSorterTest, LoadSortStoreProgressCountsAreExact) {
   EXPECT_EQ(done.records_ingested, input.size());
   EXPECT_EQ(done.records_merged, input.size());
   EXPECT_EQ(result.merge.records_written, input.size());
+}
+
+// One run generator as the sorter builds it.
+struct GeneratorCase {
+  const char* name;
+  RunGenAlgorithm algorithm;
+  TwoWayOptions twrs;
+};
+
+// Every run generator class the sorter can build. The 2WRS reference
+// runs for every heuristic pair but the recommended (Mean, Random) one,
+// which runs batched.
+std::vector<GeneratorCase> EveryGenerator(size_t memory_records) {
+  const TwoWayOptions recommended = TwoWayOptions::Recommended(memory_records);
+  TwoWayOptions reference = recommended;
+  reference.input_heuristic = InputHeuristic::kMedian;
+  reference.output_heuristic = OutputHeuristic::kAlternate;
+  return {
+      {"RS", RunGenAlgorithm::kReplacementSelection, recommended},
+      {"batched 2WRS", RunGenAlgorithm::kTwoWayReplacementSelection,
+       recommended},
+      {"2WRS reference", RunGenAlgorithm::kTwoWayReplacementSelection,
+       reference},
+      {"LSS", RunGenAlgorithm::kLoadSortStore, recommended},
+      {"batched RS", RunGenAlgorithm::kBatchedReplacementSelection,
+       recommended},
+  };
+}
+
+TEST(ExternalSorterTest, EveryGeneratorsProgressCountsAreExact) {
+  MemEnv env;
+  WorkloadOptions wl;
+  wl.num_records = 10007;  // not a multiple of any batch or block
+  wl.seed = 26;
+  const auto input = Drain(MakeWorkload(Dataset::kRandom, wl).get());
+  ASSERT_TWRS_OK(WriteAllRecords(&env, "in", input));
+
+  for (const GeneratorCase& generator : EveryGenerator(1000)) {
+    SCOPED_TRACE(generator.name);
+    ProgressCounters progress;
+    ExternalSortOptions options;
+    options.algorithm = generator.algorithm;
+    options.memory_records = 1000;
+    options.twrs = generator.twrs;
+    options.fan_in = 16;  // one merge pass: every record is merged once
+    options.temp_dir = "tmp";
+    options.block_bytes = 512;
+    options.progress = &progress;
+    ExternalSorter sorter(&env, options);
+    FileRecordSource source(&env, "in", options.block_bytes);
+    ExternalSortResult result;
+    ASSERT_TWRS_OK(sorter.Sort(&source, "out", &result));
+    const JobProgress done = progress.Snapshot();
+    EXPECT_EQ(done.records_ingested, input.size());
+    EXPECT_EQ(done.records_merged, input.size());
+    EXPECT_EQ(result.merge.records_written, input.size());
+  }
+}
+
+TEST(RunGeneratorTest, GenerateReturnsTheSourceReadError) {
+  constexpr size_t kMemory = 128;
+  WorkloadOptions wl;
+  wl.num_records = 5000;
+  wl.seed = 27;
+  const auto input = Drain(MakeWorkload(Dataset::kRandom, wl).get());
+  for (const GeneratorCase& generator : EveryGenerator(kMemory)) {
+    // The read fails before memory fills, and long after it.
+    for (const size_t records : {size_t{50}, input.size()}) {
+      SCOPED_TRACE(::testing::Message() << generator.name << " after "
+                                        << records << " records");
+      testing::FailingSource source(
+          std::vector<Key>(input.begin(), input.begin() + records),
+          Status::IOError("injected read error"));
+      CollectingRunSink sink;
+      RunGenStats stats;
+      const Status status =
+          MakeRunGenerator(generator.algorithm, kMemory, generator.twrs)
+              ->Generate(&source, &sink, &stats);
+      EXPECT_TRUE(status.IsIOError()) << status.ToString();
+    }
+  }
 }
 
 TEST(ExternalSorterCancelTest, ParallelSortAlsoObservesTheToken) {
@@ -1066,12 +1126,13 @@ TEST(ExternalSorterTest, InputReadErrorFailsFullAndTopKSorts) {
     uint64_t limit;
     TopKStrategy strategy;
   };
-  // Load-Sort-Store reads its input through NextBatch, the heaps through
-  // Next: both paths must surface the error.
+  // The batched generators read their input through Read, RS through
+  // Next: every path must surface the error.
   for (const RunGenAlgorithm algorithm :
        {RunGenAlgorithm::kReplacementSelection,
         RunGenAlgorithm::kTwoWayReplacementSelection,
-        RunGenAlgorithm::kLoadSortStore}) {
+        RunGenAlgorithm::kLoadSortStore,
+        RunGenAlgorithm::kBatchedReplacementSelection}) {
     for (const Mode mode : {Mode{0, TopKStrategy::kAuto},
                             Mode{10, TopKStrategy::kDualHeap},
                             Mode{10, TopKStrategy::kRunPruningMerge}}) {

@@ -28,7 +28,7 @@ std::vector<Key> ReadBack(Env* env, const std::string& base,
   return out;
 }
 
-// Reads the stream back through NextBatch, `max` records per call, with a
+// Reads the stream back through Read, `max` records per call, with a
 // reader buffer of `buffer_bytes`. A batch comes from one buffered block.
 std::vector<Key> ReadBackBatched(Env* env, const std::string& base,
                                  size_t max, size_t buffer_bytes) {
@@ -38,7 +38,7 @@ std::vector<Key> ReadBackBatched(Env* env, const std::string& base,
   std::vector<Key> batch(max);
   for (;;) {
     size_t got = 0;
-    Status s = reader.NextBatch(batch.data(), max, &got);
+    Status s = reader.Read(batch.data(), max, &got);
     EXPECT_TRUE(s.ok()) << s.ToString();
     EXPECT_LE(got * kRecordBytes, buffer_bytes);
     if (!s.ok() || got == 0) break;

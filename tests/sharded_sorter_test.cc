@@ -322,6 +322,38 @@ TEST(ShardedSorterTest, PreCancelledSortWritesNothing) {
   EXPECT_EQ(env.FileCount(), 1u);  // the input
 }
 
+TEST(ShardedSorterTest, StagingReadErrorFailsTheSort) {
+  MemEnv env;
+  WorkloadOptions wl;
+  wl.num_records = 5000;
+  wl.seed = 18;
+  // The read fails after more than one staging batch was written.
+  testing::FailingSource source(
+      Drain(MakeWorkload(Dataset::kRandom, wl).get()),
+      Status::IOError("injected read error"));
+  ShardedSorter sorter(&env, BaseOptions(2));
+  const Status status = sorter.Sort(&source, "out", nullptr);
+  EXPECT_TRUE(status.IsIOError()) << status.ToString();
+  EXPECT_EQ(env.FileCount(), 0u);  // no staged input, no partial output
+}
+
+TEST(ShardedSorterTest, CancelMidStagingWritesNothing) {
+  MemEnv env;
+  WorkloadOptions wl;
+  wl.num_records = 5000;
+  wl.seed = 18;
+  CancelToken token;
+  ShardedSortOptions options = BaseOptions(2);
+  options.sort.cancel = &token;
+  ShardedSorter sorter(&env, options);
+  // Fires after two full staging batches and part of a third.
+  testing::CancelAfterNSource source(
+      Drain(MakeWorkload(Dataset::kRandom, wl).get()), 2500, &token);
+  const Status status = sorter.Sort(&source, "out", nullptr);
+  EXPECT_TRUE(status.IsCancelled()) << status.ToString();
+  EXPECT_EQ(env.FileCount(), 0u);
+}
+
 TEST(ShardedSorterTest, ReportsIoVolumeAcrossAllPasses) {
   MemEnv env;
   WorkloadOptions wl;

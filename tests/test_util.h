@@ -14,6 +14,7 @@
 #include "core/run_generator.h"
 #include "core/run_sink.h"
 #include "io/mem_env.h"
+#include "util/cancel.h"
 #include "util/checksum.h"
 #include "util/status.h"
 
@@ -135,15 +136,11 @@ class LedgerSource : public RecordSource {
   LedgerSource(RecordSource* base, MemoryLedger* ledger)
       : base_(base), ledger_(ledger) {}
 
-  bool Next(Key* key) override {
-    if (!base_->Next(key)) return false;
-    ledger_->Read(1);
-    return true;
-  }
-  size_t NextBatch(Key* out, size_t cap) override {
-    const size_t n = base_->NextBatch(out, cap);
-    ledger_->Read(n);
-    return n;
+ protected:
+  Status ReadSome(Key* out, size_t cap, size_t* n) override {
+    const Status s = base_->Read(out, cap, n);
+    ledger_->Read(*n);
+    return s;
   }
 
  private:
@@ -178,27 +175,46 @@ class LedgerSink : public RunSink {
   MemoryLedger* ledger_;
 };
 
-/// Yields `keys`, then ends with `error` as its status: an input whose
-/// read failed after the records before it were delivered.
-class FailingSource : public RecordSource {
+/// Yields `keys`, then fails with `error`: an input whose read failed
+/// after the records before it were delivered.
+class FailingSource : public VectorSource {
  public:
   FailingSource(std::vector<Key> keys, Status error)
-      : keys_(std::move(keys)), error_(std::move(error)) {}
+      : VectorSource(std::move(keys)), error_(std::move(error)) {}
 
-  bool Next(Key* key) override {
-    if (pos_ == keys_.size()) return false;
-    *key = keys_[pos_++];
-    return true;
-  }
-
-  Status status() const override {
-    return pos_ == keys_.size() ? error_ : Status::OK();
+ protected:
+  Status ReadSome(Key* out, size_t cap, size_t* n) override {
+    TWRS_RETURN_IF_ERROR(VectorSource::ReadSome(out, cap, n));
+    return *n > 0 ? Status::OK() : error_;
   }
 
  private:
-  std::vector<Key> keys_;
   Status error_;
-  size_t pos_ = 0;
+};
+
+/// Yields `keys`, firing `token` once `fire_after` of them have been read
+/// and the next read starts — deterministic mid-stream cancellation.
+class CancelAfterNSource : public VectorSource {
+ public:
+  CancelAfterNSource(std::vector<Key> keys, size_t fire_after,
+                     CancelToken* token)
+      : VectorSource(std::move(keys)), fire_after_(fire_after),
+        token_(token) {}
+
+ protected:
+  Status ReadSome(Key* out, size_t cap, size_t* n) override {
+    if (read_ == fire_after_) token_->Cancel();
+    // A read stops at the firing point, so the token fires exactly there.
+    if (read_ < fire_after_) cap = std::min(cap, fire_after_ - read_);
+    TWRS_RETURN_IF_ERROR(VectorSource::ReadSome(out, cap, n));
+    read_ += *n;
+    return Status::OK();
+  }
+
+ private:
+  size_t fire_after_;
+  CancelToken* token_;
+  size_t read_ = 0;
 };
 
 /// MemEnv whose sequential reads of one file fail once `fail_at` bytes of
