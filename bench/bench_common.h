@@ -111,7 +111,7 @@ class JsonReporter {
 
   /// Comparison profile recorded in the report header. bench_diff.py
   /// refuses to compare reports whose profiles differ, so runs with
-  /// non-default knobs (scale, pinned shard counts, ...) should set a
+  /// non-default knobs (scale, pinned thread counts, ...) should set a
   /// distinct profile. Defaults to the bench name.
   void SetProfile(std::string profile) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -244,6 +244,11 @@ struct TimedSort {
   double sim_run_gen_seconds = 0.0;
   double sim_total_seconds = 0.0;
   uint64_t merge_steps = 0;
+
+  /// Engine I/O volume (ExternalSortResult): reads of the input file are
+  /// not included.
+  uint64_t bytes_read = 0;
+  uint64_t bytes_written = 0;
 };
 
 struct TimedSortSpec {
@@ -318,6 +323,8 @@ inline TimedSort RunTimedSort(const TimedSortSpec& spec) {
     }
   }
   timed.merge_steps = result.merge.merge_steps;
+  timed.bytes_read = result.bytes_read;
+  timed.bytes_written = result.bytes_written;
   CheckOk(posix.RemoveFile(input_path), "cleanup input");
   CheckOk(posix.RemoveFile(spec.scratch_dir + "/out"), "cleanup out");
 
@@ -389,6 +396,8 @@ inline TimedSort RunBackendTimedSort(const TimedSortSpec& spec,
   timed.run_gen_seconds = result.run_gen_seconds;
   timed.total_seconds = result.total_seconds;
   timed.merge_steps = result.merge.merge_steps;
+  timed.bytes_read = result.bytes_read;
+  timed.bytes_written = result.bytes_written;
 
   CheckOk(VerifySortedFile(&posix, out, count, checksum), "verify output");
   CheckOk(posix.RemoveFile(input_path), "cleanup input");

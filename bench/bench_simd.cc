@@ -178,33 +178,6 @@ void BenchSortKeysBlock() {
   table.Print(std::cout);
 }
 
-KernelTiming BenchPartition(bool avx2) {
-  const std::vector<Key> keys = RandomKeys(kKeys, kSeed + 1);
-  std::vector<Key> splitters = RandomKeys(31, kSeed + 2);
-  std::sort(splitters.begin(), splitters.end());
-  std::vector<uint32_t> bucket(kKeys);
-  KernelTiming timing{"partition", kKeys, 0.0, 0.0};
-  timing.scalar_seconds = TimeSeconds(
-      [&] {
-        simd::internal::PartitionBySplittersScalar(
-            keys.data(), keys.size(), splitters.data(), splitters.size(),
-            bucket.data());
-      },
-      20);
-  if (avx2) {
-    const std::vector<uint32_t> expected = bucket;
-    timing.avx2_seconds = TimeSeconds(
-        [&] {
-          simd::internal::PartitionBySplittersAvx2(
-              keys.data(), keys.size(), splitters.data(), splitters.size(),
-              bucket.data());
-        },
-        20);
-    RequireIdentical(bucket == expected, timing.kernel);
-  }
-  return timing;
-}
-
 KernelTiming BenchEncode(bool avx2) {
   const std::vector<Key> keys = RandomKeys(kKeys, kSeed + 3);
   std::vector<uint8_t> bytes(kKeys * kRecordBytes);
@@ -254,40 +227,6 @@ KernelTiming BenchDecode(bool avx2) {
   return timing;
 }
 
-/// MinIndexN is a per-selection primitive, so one repetition slides an
-/// 8-wide window over the key array — the shape of an 8-way merge's inner
-/// loop — and folds the picked indices into a checksum.
-KernelTiming BenchMinIndex(bool avx2) {
-  const std::vector<Key> keys = RandomKeys(kKeys, kSeed + 5);
-  constexpr size_t kWindow = 8;
-  const size_t selections = keys.size() - kWindow + 1;
-  size_t scalar_sum = 0;
-  KernelTiming timing{"min_index", selections, 0.0, 0.0};
-  timing.scalar_seconds = TimeSeconds(
-      [&] {
-        size_t sum = 0;
-        for (size_t i = 0; i + kWindow <= keys.size(); ++i) {
-          sum += simd::internal::MinIndexNScalar(keys.data() + i, kWindow);
-        }
-        scalar_sum = sum;
-      },
-      20);
-  if (avx2) {
-    size_t avx2_sum = 0;
-    timing.avx2_seconds = TimeSeconds(
-        [&] {
-          size_t sum = 0;
-          for (size_t i = 0; i + kWindow <= keys.size(); ++i) {
-            sum += simd::internal::MinIndexNAvx2(keys.data() + i, kWindow);
-          }
-          avx2_sum = sum;
-        },
-        20);
-    RequireIdentical(avx2_sum == scalar_sum, timing.kernel);
-  }
-  return timing;
-}
-
 int Main(int argc, char** argv) {
   ParseBenchArgs(argc, argv);
   const bool avx2 = simd::CpuSupportsAvx2();
@@ -298,10 +237,8 @@ int Main(int argc, char** argv) {
 
   TablePrinter table({"Kernel", "Records", "Scalar us", "AVX2 us",
                       "Speedup"});
-  Report(BenchPartition(avx2), &table);
   Report(BenchEncode(avx2), &table);
   Report(BenchDecode(avx2), &table);
-  Report(BenchMinIndex(avx2), &table);
   table.Print(std::cout);
   printf("\n");
   BenchSortKeysBlock();

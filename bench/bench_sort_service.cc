@@ -65,7 +65,7 @@ void Run(bool enable_metrics) {
   printf(
       "%llu jobs x %llu records, nominal memory %zu records/job,\n"
       "governor budget = 2 jobs' nominal (leases shrink under load), "
-      "adaptive shards, executor capacity = %zu\n\n",
+      "adaptive run generators, executor capacity = %zu\n\n",
       static_cast<unsigned long long>(kJobs),
       static_cast<unsigned long long>(records), memory,
       Executor::Shared().capacity());
@@ -92,7 +92,6 @@ void Run(bool enable_metrics) {
         spec.sort.memory_records = memory;
         spec.sort.twrs = TwoWayOptions::Recommended(memory, 1 + j);
         spec.sort.temp_dir = dir + "/tmp";
-        spec.sample_seed = 1 + j;
         CheckOk(service.Submit(spec, &handles[j]), "submit");
       }
       for (uint64_t j = 0; j < kJobs; ++j) {

@@ -22,16 +22,19 @@
 //                                     io_uring and a TWRS_WITH_URING
 //                                     build and fails loudly otherwise;
 //                                     `auto` degrades to posix silently
-//   --shards N|auto                   range shards sorted concurrently on the
-//                                     shared executor (1 = unsharded, default);
-//                                     `auto` plans the count from the input
-//                                     size, --memory and the executor load
+//   --rungen-threads N|auto           run generators sharing --memory on the
+//                                     shared executor (1 = serial, default);
+//                                     `auto` plans the most that add no merge
+//                                     pass, from the input size, --memory,
+//                                     --fan-in and the executor load.
+//                                     Implies the pooled path (--threads >= 1)
 //   --final-merge-threads N|auto      partitions of the final merge pass
 //                                     (1 = serial, default): N partial merges
 //                                     run concurrently, each writing its own
 //                                     byte range of the output; `auto` takes
 //                                     the planner's choice (or the executor
-//                                     capacity when --shards is fixed).
+//                                     workers the run generators leave over
+//                                     when --rungen-threads is fixed).
 //                                     Implies the pooled path (--threads >= 1)
 //   --executor-threads N              capacity of the process-wide shared
 //                                     executor (0 = hardware concurrency)
@@ -40,7 +43,7 @@
 //                                     --order desc) keys, still ascending.
 //                                     Small K runs the bounded dual-heap
 //                                     selector; large K sorts normally and
-//                                     prunes the merge. Unsharded only
+//                                     prunes the merge
 //   --order asc|desc                  which end of the key space --limit
 //                                     keeps (default asc = smallest)
 //   --verify                          check the output after sorting
@@ -59,8 +62,7 @@
 #include "exec/executor.h"
 #include "io/env.h"
 #include "merge/external_sorter.h"
-#include "service/shard_planner.h"
-#include "shard/sharded_sorter.h"
+#include "service/parallel_planner.h"
 #include "workload/generators.h"
 
 namespace {
@@ -144,8 +146,8 @@ int main(int argc, char** argv) {
   options.temp_dir = "/tmp/twrs_sort";
   twrs::TwoWayOptions twrs_options =
       twrs::TwoWayOptions::Recommended(options.memory_records);
-  uint64_t shards = 1;
-  bool shards_auto = false;
+  uint64_t rungen_threads = 1;
+  bool rungen_auto = false;
   uint64_t final_merge_threads = 1;
   bool final_merge_auto = false;
   uint64_t executor_threads = 0;
@@ -208,18 +210,20 @@ int main(int argc, char** argv) {
       if (v == nullptr || !twrs::ParseIoBackend(v, &options.io_backend)) {
         return Usage();
       }
-    } else if (arg == "--shards") {
+    } else if (arg == "--rungen-threads") {
       const char* v = next();
       if (v != nullptr && std::string(v) == "auto") {
-        shards_auto = true;
+        rungen_auto = true;
       } else {
         uint64_t n = 0;
         if (!ParseCount(v, &n) || n > 1024) return Usage();
         if (n == 0) {
-          fprintf(stderr, "--shards must be at least 1 (got 0)\n");
+          fprintf(stderr,
+                  "--rungen-threads must be at least 1 (got 0); use "
+                  "`auto` for the planned count\n");
           return 2;
         }
-        shards = n;
+        rungen_threads = n;
       }
     } else if (arg == "--final-merge-threads") {
       const char* v = next();
@@ -310,12 +314,6 @@ int main(int argc, char** argv) {
 
   if (positionals != 2) return Usage();
   printf("io backend: %s\n", twrs::IoBackendName(resolved_backend));
-  if (options.limit > 0 && (shards > 1 || shards_auto)) {
-    fprintf(stderr,
-            "--limit runs unsharded; drop --shards (a top-K output is not "
-            "the fixed-size file the per-shard ranges assume)\n");
-    return 2;
-  }
   twrs_options.memory_records = options.memory_records;
   options.twrs = twrs_options;
   if (executor_threads > 0 &&
@@ -331,8 +329,8 @@ int main(int argc, char** argv) {
     fprintf(stderr, "twrs_sort: %s\n", s.ToString().c_str());
     return 1;
   }
-  if (shards_auto) {
-    twrs::ShardPlanInputs plan_inputs;
+  if (rungen_auto) {
+    twrs::ParallelPlanInputs plan_inputs;
     uint64_t input_bytes = 0;
     s = env->GetFileSize(positional[0], &input_bytes);
     if (!s.ok()) {
@@ -341,81 +339,73 @@ int main(int argc, char** argv) {
     }
     plan_inputs.input_records = input_bytes / twrs::kRecordBytes;
     plan_inputs.memory_records = options.memory_records;
+    plan_inputs.algorithm = options.algorithm;
+    plan_inputs.fan_in = options.fan_in;
     plan_inputs.executor_capacity = twrs::Executor::Shared().capacity();
     plan_inputs.executor_inflight = twrs::Executor::Shared().inflight_tasks();
-    const twrs::ShardPlan plan = twrs::PlanShardCount(plan_inputs);
-    shards = plan.shards;
+    twrs::ParallelPlan plan;
+    if (twrs::ResolveTopKStrategy(options.limit, options.topk_strategy,
+                                  options.memory_records) ==
+        twrs::TopKStrategy::kDualHeap) {
+      plan.limit = twrs::ParallelPlanLimit::kTopKSelection;  // no runs
+    } else {
+      plan = twrs::PlanParallelism(plan_inputs);
+    }
+    rungen_threads = plan.run_generation_threads;
     if (final_merge_auto) final_merge_threads = plan.final_merge_threads;
-    printf("--shards auto: planned %llu shards (%s)\n",
-           static_cast<unsigned long long>(shards),
-           twrs::ShardPlanLimitName(plan.limit));
+    printf("--rungen-threads auto: planned %llu run generators (%s)\n",
+           static_cast<unsigned long long>(rungen_threads),
+           twrs::ParallelPlanLimitName(plan.limit));
   } else if (final_merge_auto) {
-    // No shard plan to borrow from: spread the executor over the fixed
-    // shard count.
-    final_merge_threads =
-        std::max<uint64_t>(1, twrs::Executor::Shared().capacity() / shards);
+    // No plan to borrow from: spread the executor over the fixed
+    // generator count.
+    final_merge_threads = std::max<uint64_t>(
+        1, twrs::Executor::Shared().capacity() / rungen_threads);
   }
   if (final_merge_auto) {
     printf("--final-merge-threads auto: %llu partitions per final merge\n",
            static_cast<unsigned long long>(final_merge_threads));
   }
+  options.parallel.run_generation_threads =
+      static_cast<size_t>(rungen_threads);
   options.parallel.final_merge_threads =
       static_cast<size_t>(final_merge_threads);
-  if (final_merge_threads > 1 && options.parallel.worker_threads == 0) {
-    // The partitioned final merge runs on the shared executor's pool;
-    // worker_threads > 0 switches pool borrowing on (the pool's size stays
-    // the executor's capacity either way).
+  if ((rungen_threads > 1 || final_merge_threads > 1) &&
+      options.parallel.worker_threads == 0) {
+    // Parallel run generation and the partitioned final merge run on the
+    // shared executor's pool; worker_threads > 0 switches pool borrowing
+    // on (the pool's size stays the executor's capacity either way).
     options.parallel.worker_threads = 1;
   }
-  if (shards > 1) {
-    twrs::ShardedSortOptions sharded;
-    sharded.shards = shards;
-    sharded.sample_seed = seed;
-    sharded.sort = options;
-    twrs::ShardedSorter sorter(env, sharded);
-    twrs::ShardedSortResult result;
-    s = sorter.SortFile(positional[0], positional[1], &result);
-    if (!s.ok()) {
-      fprintf(stderr, "sort: %s\n", s.ToString().c_str());
-      return 1;
-    }
-    printf("%s sharded: %llu records over %zu shards, "
-           "split %.3fs + sort %.3fs (direct range writes) = %.3fs\n",
-           twrs::RunGenAlgorithmName(options.algorithm),
-           static_cast<unsigned long long>(result.output_records),
-           result.shard_records.size(), result.split_seconds,
-           result.sort_seconds, result.total_seconds);
-  } else {
-    twrs::ExternalSorter sorter(env, options);
-    twrs::FileRecordSource source(env, positional[0]);
-    twrs::ExternalSortResult result;
-    s = sorter.Sort(&source, positional[1], &result);
-    if (!s.ok()) {
-      fprintf(stderr, "sort: %s\n", s.ToString().c_str());
-      return 1;
-    }
-    if (options.limit > 0) {
-      printf("top-%llu (%s) via %s: %llu of %llu records kept\n",
-             static_cast<unsigned long long>(options.limit),
-             twrs::SelectOrderName(options.order),
-             twrs::TopKStrategyName(result.topk_strategy),
-             static_cast<unsigned long long>(result.output_records),
-             static_cast<unsigned long long>(result.run_gen.total_records));
-      if (result.topk_strategy == twrs::TopKStrategy::kRunPruningMerge) {
-        printf("pruned: %llu runs, %llu records never read\n",
-               static_cast<unsigned long long>(result.merge.runs_pruned),
-               static_cast<unsigned long long>(result.merge.records_pruned));
-      }
-    }
-    printf("%s: %llu records, %llu runs (avg %.2fx memory), "
-           "gen %.3fs + merge %.3fs = %.3fs\n",
-           twrs::RunGenAlgorithmName(options.algorithm),
-           static_cast<unsigned long long>(result.output_records),
-           static_cast<unsigned long long>(result.run_gen.num_runs()),
-           result.run_gen.AverageRunLengthRelative(options.memory_records),
-           result.run_gen_seconds, result.merge_seconds,
-           result.total_seconds);
+  twrs::ExternalSorter sorter(env, options);
+  twrs::FileRecordSource source(env, positional[0]);
+  twrs::ExternalSortResult result;
+  s = sorter.Sort(&source, positional[1], &result);
+  if (!s.ok()) {
+    fprintf(stderr, "sort: %s\n", s.ToString().c_str());
+    return 1;
   }
+  if (options.limit > 0) {
+    printf("top-%llu (%s) via %s: %llu of %llu records kept\n",
+           static_cast<unsigned long long>(options.limit),
+           twrs::SelectOrderName(options.order),
+           twrs::TopKStrategyName(result.topk_strategy),
+           static_cast<unsigned long long>(result.output_records),
+           static_cast<unsigned long long>(result.run_gen.total_records));
+    if (result.topk_strategy == twrs::TopKStrategy::kRunPruningMerge) {
+      printf("pruned: %llu runs, %llu records never read\n",
+             static_cast<unsigned long long>(result.merge.runs_pruned),
+             static_cast<unsigned long long>(result.merge.records_pruned));
+    }
+  }
+  printf("%s: %llu records, %llu runs (avg %.2fx memory), "
+         "gen %.3fs + merge %.3fs = %.3fs\n",
+         twrs::RunGenAlgorithmName(options.algorithm),
+         static_cast<unsigned long long>(result.output_records),
+         static_cast<unsigned long long>(result.run_gen.num_runs()),
+         result.run_gen.AverageRunLengthRelative(options.memory_records),
+         result.run_gen_seconds, result.merge_seconds,
+         result.total_seconds);
   if (verify) {
     uint64_t count = 0;
     s = twrs::VerifySortedFile(env, positional[1], &count, nullptr);

@@ -1,8 +1,8 @@
 // twrs_sortd: batch driver for the SortService — the "daemon view" of the
 // library. Generates a fleet of workload files, submits them all to one
 // SortService and reports the admission/governance behavior: every job's
-// lifecycle, the (possibly shrunk) memory lease it ran under, the shard
-// count the planner picked, and the service/governor counters.
+// lifecycle, the (possibly shrunk) memory lease it ran under, the run
+// generator count the planner picked, and the service/governor counters.
 //
 //   twrs_sortd [options]
 //
@@ -15,11 +15,12 @@
 //   --budget N        governor capacity in records
 //                     (default 2x --memory: two full jobs' worth)
 //   --min-lease N     smallest lease the governor grants (default 4096)
-//   --shards N|auto   per-job shard policy (default auto)
+//   --rungen-threads N|auto
+//                     per-job run generators sharing the lease (default
+//                     auto: the most that add no merge pass)
 //   --limit K         submit top-K selection jobs: each output holds only
-//                     the K smallest keys; the service plans them
-//                     unsharded with a selection-aware (smaller) lease ask
-//   --max-shards N    adaptive planner ceiling (default 16)
+//                     the K smallest keys; a small K runs the dual-heap
+//                     selection with a selection-aware (smaller) lease ask
 //   --io-backend posix|uring|auto
 //                     file I/O backend for every job (default posix).
 //                     `uring` fails with one line when the kernel or
@@ -155,9 +156,7 @@ int main(int argc, char** argv) {
   uint64_t memory = 64 * 1024;
   uint64_t budget = 0;  // 0 = 2x memory
   uint64_t min_lease = 4096;
-  uint64_t shards = twrs::kAutoShards;
-  bool shards_auto = true;
-  uint64_t max_shards = 16;
+  uint64_t rungen_threads = twrs::kAutoRunGenerationThreads;
   uint64_t seed = 1;
   uint64_t limit = 0;
   uint64_t cancel_last = 0;
@@ -190,18 +189,12 @@ int main(int argc, char** argv) {
       if (!ParseCount(next(), &budget)) return Usage();
     } else if (arg == "--min-lease") {
       if (!ParseCount(next(), &min_lease)) return Usage();
-    } else if (arg == "--shards") {
+    } else if (arg == "--rungen-threads") {
       const char* v = next();
       if (v != nullptr && std::string(v) == "auto") {
-        shards_auto = true;
-      } else {
-        if (!ParseCount(v, &shards) || shards == 0 || shards > 1024) {
-          return Usage();
-        }
-        shards_auto = false;
-      }
-    } else if (arg == "--max-shards") {
-      if (!ParseCount(next(), &max_shards) || max_shards == 0) {
+        rungen_threads = twrs::kAutoRunGenerationThreads;
+      } else if (!ParseCount(v, &rungen_threads) || rungen_threads == 0 ||
+                 rungen_threads > 1024) {
         return Usage();
       }
     } else if (arg == "--io-backend") {
@@ -288,19 +281,20 @@ int main(int argc, char** argv) {
   twrs::SortServiceOptions service_options;
   service_options.max_concurrent_jobs = concurrency;
   service_options.max_queue_depth = queue_depth;
-  service_options.max_shards = max_shards;
   service_options.governor.capacity_records =
       budget > 0 ? budget : 2 * memory;
   service_options.governor.min_lease_records = min_lease;
 
   printf("twrs_sortd: %llu jobs x %llu records, concurrency %llu, "
-         "budget %zu records (nominal ask %llu), shards %s\n",
+         "budget %zu records (nominal ask %llu), run generators %s\n",
          static_cast<unsigned long long>(jobs),
          static_cast<unsigned long long>(records),
          static_cast<unsigned long long>(concurrency),
          service_options.governor.capacity_records,
          static_cast<unsigned long long>(memory),
-         shards_auto ? "auto" : std::to_string(shards).c_str());
+         rungen_threads == twrs::kAutoRunGenerationThreads
+             ? "auto"
+             : std::to_string(rungen_threads).c_str());
 
   std::vector<twrs::JobHandle> handles(jobs);
   {
@@ -313,8 +307,7 @@ int main(int argc, char** argv) {
       spec.sort.twrs = twrs::TwoWayOptions::Recommended(memory, seed + j);
       spec.sort.temp_dir = work_dir;
       spec.sort.limit = limit;
-      spec.shards = shards_auto ? twrs::kAutoShards : shards;
-      spec.sample_seed = seed + j;
+      spec.run_generation_threads = rungen_threads;
       s = service.Submit(spec, &handles[j]);
       if (!s.ok()) {
         fprintf(stderr, "twrs_sortd: submit job %llu: %s\n",
@@ -338,7 +331,7 @@ int main(int argc, char** argv) {
 
     const twrs::SortServiceStats stats = service.Stats();
     const twrs::MemoryGovernorStats governor = service.GovernorStats();
-    twrs::TablePrinter table({"job", "state", "shards", "plan", "lease",
+    twrs::TablePrinter table({"job", "state", "rungen", "plan", "lease",
                               "queue s", "total s", "records"});
     for (uint64_t j = 0; j < jobs; ++j) {
       const twrs::SortJobStats job = handles[j].stats();
@@ -350,8 +343,8 @@ int main(int argc, char** argv) {
       }
       lease += "/" + std::to_string(job.nominal_memory_records);
       table.AddRow({std::to_string(j), twrs::JobStateName(job.state),
-                    std::to_string(job.planned_shards),
-                    twrs::ShardPlanLimitName(job.plan_limit), lease,
+                    std::to_string(job.planned_run_generation_threads),
+                    twrs::ParallelPlanLimitName(job.plan_limit), lease,
                     twrs::TablePrinter::Num(job.queue_seconds, 3),
                     twrs::TablePrinter::Num(job.total_seconds, 3),
                     std::to_string(job.result.output_records)});

@@ -368,7 +368,7 @@ size_t TwoWayOptions::HeapRecords() const {
 }
 
 Status TwoWayOptions::Validate() const {
-  if (memory_records < 3) {
+  if (memory_records < kMinMemoryRecords) {
     return Status::InvalidArgument("memory_records must be at least 3");
   }
   if (buffer_fraction < 0.0 || buffer_fraction >= 1.0) {

@@ -19,6 +19,10 @@ struct TwoWayOptions {
   /// the total allocation is constant across configurations (§5.2).
   size_t memory_records = 0;
 
+  /// The smallest M Validate accepts: two heap records and one buffer
+  /// record.
+  static constexpr size_t kMinMemoryRecords = 3;
+
   /// Fraction of M dedicated to the buffers (paper levels: 0.0002, 0.002,
   /// 0.02, 0.2). Split evenly when both buffers are enabled.
   double buffer_fraction = 0.02;

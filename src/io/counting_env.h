@@ -12,12 +12,13 @@ namespace twrs {
 
 /// Env decorator that counts the bytes moving through every handle it
 /// opens. The sorters wrap their Env in one per operation, so
-/// ExternalSortResult/ShardedSortResult can report the real I/O volume of
+/// ExternalSortResult can report the real I/O volume of
 /// a sort (runs written and re-read, intermediate merges, final output)
 /// rather than a records-written proxy.
 ///
 /// Counters are atomic: one CountingEnv is shared by every concurrent
-/// shard sort and background flush of the operation it measures. Reads of
+/// run generator, merge and background flush of the operation it
+/// measures. Reads of
 /// the counters while I/O is still in flight are approximate; reads after
 /// the operation completed are exact.
 class CountingEnv : public Env {

@@ -154,9 +154,8 @@ Status ResolveIoBackend(IoBackend backend, IoBackend* resolved);
 
 /// Recursively removes everything under `path` and then `path` itself,
 /// ignoring errors. Error-path cleanup helper: after a failed sort the
-/// scratch directory may hold run files, intermediate merges and nested
-/// per-shard sort directories in any combination, and none of them must
-/// survive the failure.
+/// scratch directory may hold run files and intermediate merges in any
+/// combination, and none of them must survive the failure.
 void RemoveTreeBestEffort(Env* env, const std::string& path);
 
 /// Verifies `temp_dir` exists (creating it if missing) and is writable by
@@ -169,7 +168,7 @@ Status PreflightTempDir(Env* env, const std::string& temp_dir);
 /// separate processes sharing a default temp_dir apart, a process-wide
 /// counter keeps concurrent callers within one process apart. Shared by
 /// every sorter that works inside a per-invocation subdirectory of its
-/// configured temp_dir (ExternalSorter, DistributionSort, ShardedSorter).
+/// configured temp_dir (ExternalSorter, DistributionSort).
 std::string UniqueScratchDirName(const std::string& prefix);
 
 }  // namespace twrs

@@ -14,8 +14,7 @@ namespace twrs {
 /// creates its output file. In positioned mode it writes into
 /// [offset, offset + `length`) of the *existing* output through a
 /// RangeWritableFile, without truncating it — how each partition of the
-/// partitioned final merge, and each shard's merge in the sharded sorter,
-/// lands directly in one range of a shared output.
+/// partitioned final merge lands directly in one range of a shared output.
 struct MergeOutputRange {
   bool positioned = false;
   uint64_t offset = 0;

@@ -371,8 +371,9 @@ struct PooledRing {
   uint8_t* buf(unsigned i) { return buffers[i].get(); }
 };
 
-/// Free list of quiescent rings, one pool per Env. Thread-safe: the
-/// sharded path opens handles from several threads at once.
+/// Free list of quiescent rings, one pool per Env. Thread-safe: parallel
+/// run generators and partial merges open handles from several threads
+/// at once.
 class RingPool {
  public:
   explicit RingPool(const IoUringEnvOptions& options) : options_(options) {}
@@ -955,8 +956,8 @@ class UringSequentialFile : public SequentialFile {
 // Positioned writes submitted without blocking: WriteAt copies into one of
 // two slots and returns; completions are reaped when slots are reused and
 // on Sync/Close. Disjoint-range writers (RangeWritableFile) each own a handle
-// (and pooled ring), so the sharded output path runs fully overlapped with
-// no pump threads.
+// (and pooled ring), so the partitioned output path runs fully overlapped
+// with no pump threads.
 class UringRandomRWFile : public RandomRWFile {
  public:
   static constexpr unsigned kSlots = kPooledBuffers;

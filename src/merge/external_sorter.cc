@@ -66,6 +66,12 @@ std::unique_ptr<RunGenerator> MakeRunGenerator(RunGenAlgorithm algorithm,
   return nullptr;
 }
 
+size_t MinRunGenMemoryRecords(RunGenAlgorithm algorithm) {
+  return algorithm == RunGenAlgorithm::kTwoWayReplacementSelection
+             ? TwoWayOptions::kMinMemoryRecords
+             : 1;
+}
+
 size_t MergePhaseMemoryRecords(const ExternalSortOptions& options) {
   const size_t records_per_block =
       std::max<size_t>(1, options.block_bytes / kRecordBytes);
@@ -77,15 +83,12 @@ size_t MergePhaseMemoryRecords(const ExternalSortOptions& options) {
   // Merges run concurrently, each with its own buffer set: the final pass
   // splits into final_merge_threads partial merges, and pool-dispatched
   // same-level leaf merges can hold one merge's buffers per worker during
-  // intermediate passes (worker_threads is 1 in shared-executor mode, so
-  // this leg is a floor, not an exact bound). The phase footprint is the
-  // wider of the two stages.
-  size_t concurrency =
-      std::max<size_t>(1, options.parallel.final_merge_threads);
-  if (options.parallel.parallel_leaf_merges) {
-    concurrency = std::max(
-        concurrency, std::max<size_t>(1, options.parallel.worker_threads));
-  }
+  // intermediate passes (worker_threads is usually 1, since the pool is
+  // the executor's, so this leg is a floor, not an exact bound). The phase
+  // footprint is the wider of the two stages.
+  const size_t concurrency =
+      std::max({size_t{1}, options.parallel.final_merge_threads,
+                options.parallel.worker_threads});
   return per_merge * concurrency;
 }
 
@@ -95,24 +98,6 @@ ExternalSorter::ExternalSorter(Env* env, ExternalSortOptions options)
 Status ExternalSorter::Sort(RecordSource* source,
                             const std::string& output_path,
                             ExternalSortResult* result) {
-  return SortInternal(source, output_path, MergeOutputRange(), result);
-}
-
-Status ExternalSorter::SortIntoRange(RecordSource* source,
-                                     const std::string& output_path,
-                                     const MergeOutputRange& range,
-                                     ExternalSortResult* result) {
-  if (!range.positioned) {
-    return Status::InvalidArgument(
-        "SortIntoRange requires a positioned output range");
-  }
-  return SortInternal(source, output_path, range, result);
-}
-
-Status ExternalSorter::SortInternal(RecordSource* source,
-                                    const std::string& output_path,
-                                    const MergeOutputRange& range,
-                                    ExternalSortResult* result) {
   // A non-default io_backend swaps the constructor-injected Env for the
   // requested process-wide backend before any file is touched. kUring on
   // an unsupported kernel/build fails the whole sort here — loudly, not
@@ -129,34 +114,25 @@ Status ExternalSorter::SortInternal(RecordSource* source,
   // All engine I/O (runs, intermediate merges, output) goes through a
   // counting decorator so the result can report real byte volume. The
   // output path is watched so the error path knows whether this sort
-  // truncated it (in range mode the file belongs to the caller and is
-  // only ever reopened, so the watch never fires).
+  // truncated it.
   CountingEnv env(base_env);
   env.WatchPath(output_path);
-  if (options_.progress != nullptr && options_.progress_bytes) {
+  if (options_.progress != nullptr) {
     env.MirrorBytesTo(options_.progress->bytes_read_counter(),
                       options_.progress->bytes_written_counter());
   }
 
-  // Both the selection and run generation read through one decorator,
+  // The selection and every run generator read through one decorator,
   // which adds progress and checks the cancel token once per read.
   SortInputSource input(source, options_.cancel, options_.progress);
 
   // Top-K dispatch. The dual-heap strategy replaces the whole run-gen +
   // merge pipeline with one bounded selection pass; the run-pruning
   // strategy is the normal pipeline with options_.limit threaded into the
-  // merge plan (see MergePlanningPhase), so it flows through the phase
-  // loop below unchanged.
-  TopKStrategy strategy = TopKStrategy::kAuto;
-  if (options_.limit > 0) {
-    if (range.positioned) {
-      return Status::InvalidArgument(
-          "top-K sorts (limit > 0) cannot write into a positioned range");
-    }
-    strategy = options_.topk_strategy != TopKStrategy::kAuto
-                   ? options_.topk_strategy
-                   : PlanTopKStrategy(options_.limit, options_.memory_records);
-  }
+  // merge plan (see MergePlanningPhase), so it runs the phases below
+  // unchanged.
+  const TopKStrategy strategy = ResolveTopKStrategy(
+      options_.limit, options_.topk_strategy, options_.memory_records);
   if (strategy == TopKStrategy::kDualHeap) {
     Stopwatch total_watch;
     ExternalSortResult local;
@@ -178,29 +154,24 @@ Status ExternalSorter::SortInternal(RecordSource* source,
 
   SortContext context;
   TWRS_RETURN_IF_ERROR(PrepareSortContext(&env, options_, &context));
-  context.output_range = range;
 
   Stopwatch total_watch;
-  RunGenerationPhase run_generation(&input);
-  MergePlanningPhase planning;
-  FinalMergePhase final_merge(output_path);
-  SortPhase* const phases[] = {&run_generation, &planning, &final_merge};
-  for (SortPhase* phase : phases) {
-    Status s = phase->Run(&context);
-    if (!s.ok()) {
-      // A failed or cancelled sort must not leave scratch behind: the
-      // sort_dir still holds run files (and possibly intermediate merges)
-      // that no later pass will consume. An output this sort truncated is
-      // now torn and is removed too — but a pre-existing file the sort
-      // never opened is left untouched.
-      if (!options_.keep_temp_files) {
-        RemoveTreeBestEffort(&env, context.sort_dir);
-      }
-      if (env.watched_created()) {
-        TWRS_IGNORE_STATUS(env.RemoveFile(output_path));  // best-effort
-      }
-      return s;
+  Status s = RunGenerationPhase(&context, &input);
+  if (s.ok()) s = MergePlanningPhase(&context);
+  if (s.ok()) s = FinalMergePhase(&context, output_path);
+  if (!s.ok()) {
+    // A failed or cancelled sort must not leave scratch behind: the
+    // sort_dir still holds run files (and possibly intermediate merges)
+    // that no later pass will consume. An output this sort truncated is
+    // now torn and is removed too — but a pre-existing file the sort
+    // never opened is left untouched.
+    if (!options_.keep_temp_files) {
+      RemoveTreeBestEffort(&env, context.sort_dir);
     }
+    if (env.watched_created()) {
+      TWRS_IGNORE_STATUS(env.RemoveFile(output_path));  // best-effort
+    }
+    return s;
   }
   context.result.total_seconds = total_watch.ElapsedSeconds();
 

@@ -10,7 +10,6 @@
 #include "core/run_generator.h"
 #include "core/run_stats.h"
 #include "core/two_way_replacement_selection.h"
-#include "exec/thread_pool.h"
 #include "io/env.h"
 #include "merge/merge_plan.h"
 #include "obs/metrics.h"
@@ -43,11 +42,17 @@ std::unique_ptr<RunGenerator> MakeRunGenerator(RunGenAlgorithm algorithm,
                                                size_t memory_records,
                                                const TwoWayOptions& twrs = {});
 
+/// The smallest memory budget `algorithm`'s generator accepts
+/// (TwoWayOptions::kMinMemoryRecords for 2WRS, 1 record otherwise). Caps
+/// how many generators may split one budget.
+size_t MinRunGenMemoryRecords(RunGenAlgorithm algorithm);
+
 /// Concurrency knobs of the pipelined execution path (src/exec). With the
 /// defaults the sort is fully serial and behaves exactly as before.
 struct ParallelOptions {
-  /// Worker threads in the sort's ThreadPool; 0 disables the pool-based
-  /// features (async run flushing, parallel leaf merges).
+  /// Switches the pool-based features on (async run flushing, parallel
+  /// leaf merges, and the two counts below); 0 keeps the sort serial. The
+  /// pool itself is the executor's, sized by its capacity.
   size_t worker_threads = 0;
 
   /// Read-ahead blocks kept in flight per merge input stream; 0 disables.
@@ -55,8 +60,15 @@ struct ParallelOptions {
   /// pool, so it works with or without worker threads.
   size_t prefetch_blocks = 0;
 
-  /// Dispatch independent same-level intermediate merges onto the pool.
-  bool parallel_leaf_merges = true;
+  /// Run generators working at once: > 1 runs that many generators, each
+  /// with memory_records / run_generation_threads, as tasks on the pool
+  /// (the caller runs one). They take full batches from the one input and
+  /// write their runs into the one run list the merge consumes, so the
+  /// sort holds the same memory as a serial one, makes about this many
+  /// times as many runs, and writes byte-identical output; run boundaries
+  /// and RunGenStats vary from run to run. Requires worker_threads > 0;
+  /// 0/1 generate runs serially on the caller.
+  size_t run_generation_threads = 1;
 
   /// Partitions of the final merge pass: > 1 splits the key domain by
   /// sampled splitters and runs that many partial merges concurrently on
@@ -65,17 +77,9 @@ struct ParallelOptions {
   /// 0/1 keep the last pass serial.
   size_t final_merge_threads = 1;
 
-  /// Pool provenance. By default a sort with worker_threads > 0 borrows the
-  /// process-wide Executor::Shared() pool — its size is the executor's
-  /// capacity, and worker_threads then only switches the pool features on —
-  /// so any number of concurrent sorts share one bounded worker set. Set
-  /// dedicated_pool to spawn a private worker_threads-sized ThreadPool for
-  /// this sort instead (the pre-executor model; isolates a sort's thread
-  /// budget, e.g. for benchmarking specific pool sizes).
-  bool dedicated_pool = false;
-
-  /// Executor borrowed from when dedicated_pool is false; null means
-  /// Executor::Shared(). Must outlive the sort.
+  /// Executor whose pool the sort borrows; null means Executor::Shared().
+  /// A caller-owned Executor isolates a sort's thread budget (benchmarks
+  /// sizing a pool exactly). Must outlive the sort.
   Executor* executor = nullptr;
 };
 
@@ -95,8 +99,7 @@ struct ExternalSortOptions {
   /// Top-K selection (the LIMIT of an ORDER BY): when non-zero only
   /// `limit` records reach the output — the smallest (order == kAscending)
   /// or largest (kDescending) of the stream, written ascending-sorted
-  /// either way. 0 sorts everything. Top-K sorts must write a whole file:
-  /// SortIntoRange rejects a non-zero limit.
+  /// either way. 0 sorts everything.
   uint64_t limit = 0;
 
   /// Which end of the key domain `limit` keeps. Ignored when limit == 0.
@@ -146,15 +149,9 @@ struct ExternalSortOptions {
   /// Live progress counters shared with the submitting layer. When
   /// non-null, run generation adds every ingested record, every merge
   /// pass adds its emitted records, the current phase advances as the
-  /// pipeline moves, and (when progress_bytes is also true) the sorter's
-  /// CountingEnv mirrors bytes read/written. Must outlive the sort.
+  /// pipeline moves, and the sorter's CountingEnv mirrors bytes
+  /// read/written. Must outlive the sort.
   ProgressCounters* progress = nullptr;
-
-  /// Mirror engine I/O bytes into `progress`. The sharded sorter turns
-  /// this off for its per-shard sub-sorts: its own outer CountingEnv
-  /// already mirrors every byte of every pass, and a second decorator
-  /// layer would double-count.
-  bool progress_bytes = true;
 
   /// Metrics registry receiving the per-phase latency histograms
   /// (sort.run_generation_seconds, sort.merge_planning_seconds,
@@ -201,27 +198,15 @@ class ExternalSorter {
   /// Does not take ownership of `env`.
   ExternalSorter(Env* env, ExternalSortOptions options);
 
-  /// Sorts `source` into the record file at `output_path`.
+  /// Sorts `source` into the record file at `output_path`: run generation,
+  /// merge planning and the final merge (sort_phases.h), or one dual-heap
+  /// selection pass for a small top-K.
   Status Sort(RecordSource* source, const std::string& output_path,
               ExternalSortResult* result);
-
-  /// Sorts `source` into the byte range `range` of the *existing* file at
-  /// `output_path`: the final merge writes its records through positioned
-  /// writes without truncating the file, and `range.length` must match the
-  /// sorted byte volume exactly. This is how the sharded sorter lands each
-  /// shard directly in the shared output with no concatenation pass. The
-  /// caller owns the file's creation and its removal on failure.
-  Status SortIntoRange(RecordSource* source, const std::string& output_path,
-                       const MergeOutputRange& range,
-                       ExternalSortResult* result);
 
   const ExternalSortOptions& options() const { return options_; }
 
  private:
-  Status SortInternal(RecordSource* source, const std::string& output_path,
-                      const MergeOutputRange& range,
-                      ExternalSortResult* result);
-
   Env* env_;
   ExternalSortOptions options_;
 };

@@ -192,8 +192,7 @@ Status MergeCursorsToSink(Env* env,
 
 Status KWayMergeToFile(Env* env, const std::vector<RunInfo>& runs,
                        const MergeIoOptions& io,
-                       const std::string& output_path, RunInfo* out,
-                       const MergeOutputRange& range) {
+                       const std::string& output_path, RunInfo* out) {
   std::vector<std::unique_ptr<RunCursor>> cursors;
   cursors.reserve(runs.size());
   for (const RunInfo& run : runs) {
@@ -202,7 +201,7 @@ Status KWayMergeToFile(Env* env, const std::vector<RunInfo>& runs,
     TWRS_RETURN_IF_ERROR(cursors.back()->Init());
   }
   return MergeCursorsToSink(env, &cursors, io, MergeWindow(), output_path,
-                            range, out);
+                            MergeOutputRange(), out);
 }
 
 Status KWayMergeLimitToFile(Env* env, const std::vector<RunInfo>& runs,

@@ -160,13 +160,11 @@ Status KWayMergeLimitToFile(Env* env, const std::vector<RunInfo>& runs,
                             bool take_last, const std::string& output_path,
                             RunInfo* out);
 
-/// Merges `runs` into a record file at `output_path`, or into `range` of
-/// it (see MergeCursorsToSink); returns the resulting single run through
-/// `*out` if non-null.
+/// Merges `runs` into a record file at `output_path`; returns the
+/// resulting single run through `*out` if non-null.
 Status KWayMergeToFile(Env* env, const std::vector<RunInfo>& runs,
                        const MergeIoOptions& io,
-                       const std::string& output_path, RunInfo* out,
-                       const MergeOutputRange& range = {});
+                       const std::string& output_path, RunInfo* out);
 
 /// Synchronous-I/O shorthand for the overload above.
 Status KWayMergeToFile(Env* env, const std::vector<RunInfo>& runs,

@@ -41,16 +41,6 @@ Status MergeRuns(Env* env, std::vector<RunInfo> runs,
   io.flush_histogram = options.flush_histogram;
 
   if (queue.empty()) {
-    if (options.output_range.positioned) {
-      // The shared output already exists; an empty merge owns an empty
-      // range and must not touch (let alone truncate) the file.
-      if (options.output_range.length != 0) {
-        return Status::Corruption(
-            "empty merge assigned a non-empty output range");
-      }
-      if (stats != nullptr) *stats = local;
-      return Status::OK();
-    }
     // Sorting an empty input produces an empty output file.
     RecordWriter writer(env, output_path, options.block_bytes);
     TWRS_RETURN_IF_ERROR(writer.status());
@@ -60,7 +50,7 @@ Status MergeRuns(Env* env, std::vector<RunInfo> runs,
     return Status::OK();
   }
 
-  const bool parallel = options.pool != nullptr && options.parallel_leaf_merges;
+  const bool parallel = options.pool != nullptr;
 
   // Intermediate passes: shrink the queue until one merge reaches the
   // final output. Note a single run still goes through one "merge" so the
@@ -129,7 +119,6 @@ Status MergeRuns(Env* env, std::vector<RunInfo> runs,
   queue.clear();
   RunInfo final_run;
   FinalMergeSpec final_spec;
-  final_spec.range = options.output_range;
   final_spec.partitions =
       options.pool != nullptr ? std::max<size_t>(1, options.final_merge_threads)
                               : 1;

@@ -35,18 +35,17 @@ struct MergeOptions {
   /// Delete input and intermediate runs once consumed.
   bool remove_inputs = true;
 
-  /// Execution pool for the parallel knobs below; null means fully serial.
-  /// Must outlive the merge. The Env must then be safe for concurrent file
-  /// creation/removal (PosixEnv, MemEnv and SimDiskEnv all are).
+  /// Execution pool; null means fully serial. With a pool, independent
+  /// same-level intermediate merges run on it concurrently (batch
+  /// composition matches the serial schedule exactly, so stats and output
+  /// are identical to a serial merge), and so can the final pass (see
+  /// final_merge_threads). Must outlive the merge. The Env must then be
+  /// safe for concurrent file creation/removal (PosixEnv, MemEnv and
+  /// SimDiskEnv all are).
   ThreadPool* pool = nullptr;
 
   /// Read-ahead blocks per forward input stream (0 = synchronous reads).
   size_t prefetch_blocks = 0;
-
-  /// Dispatch independent same-level intermediate merges onto `pool`
-  /// concurrently. Batch composition matches the serial schedule exactly,
-  /// so stats and output are identical to a serial merge.
-  bool parallel_leaf_merges = false;
 
   /// Cooperative cancellation: polled between merge steps and, through
   /// MergeIoOptions, once per output block (1024 records) inside each
@@ -65,12 +64,6 @@ struct MergeOptions {
   /// Splitter sampling knobs of the partitioned final merge.
   size_t final_sample_size = 256;
   uint64_t final_sample_seed = 1;
-
-  /// Output placement of the final step. Default: append-create
-  /// `output_path`. Positioned mode writes into the caller-assigned byte
-  /// range of the *existing* output without truncating it — how each
-  /// shard's merge lands directly in the sharded sorter's shared output.
-  MergeOutputRange output_range;
 
   /// Force the final output to stable storage (Sync) before it is closed,
   /// closing the durability gap between "sort returned OK" and "the page

@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "io/reverse_run_file.h"
-#include "shard/splitters.h"
+#include "merge/splitters.h"
 #include "simd/kernels.h"
 
 namespace twrs {
@@ -242,7 +242,8 @@ Status PrunedSerialMerge(Env* env, const std::vector<RunInfo>& runs,
   }
 
   TWRS_RETURN_IF_ERROR(MergeCursorsToSink(env, &cursors, io, window,
-                                          output_path, spec.range, out));
+                                          output_path, MergeOutputRange(),
+                                          out));
   if (spec.prune != nullptr) *spec.prune = prune;
   return Status::OK();
 }
@@ -353,12 +354,6 @@ Status FinalMergeToOutput(Env* env, const std::vector<RunInfo>& runs,
   const bool limited = kept < total_records;
   const uint64_t kept_bytes = kept * kRecordBytes;
   if (spec.prune != nullptr) *spec.prune = MergePruneStats();
-  if (spec.range.positioned && spec.range.length != kept_bytes) {
-    return Status::Corruption(
-        "final merge produces " + std::to_string(kept_bytes) +
-        " bytes but was assigned a range of " +
-        std::to_string(spec.range.length));
-  }
 
   // Decide the effective partition count. Everything that degenerates —
   // no pool, one run, tiny inputs, splitters collapsed by skew — falls
@@ -396,7 +391,7 @@ Status FinalMergeToOutput(Env* env, const std::vector<RunInfo>& runs,
       return PrunedSerialMerge(env, runs, io, spec, kept, total_records,
                                output_path, out);
     }
-    return KWayMergeToFile(env, runs, io, output_path, out, spec.range);
+    return KWayMergeToFile(env, runs, io, output_path, out);
   }
 
   // Exact slice boundaries: for each run, the record index where every
@@ -438,14 +433,12 @@ Status FinalMergeToOutput(Env* env, const std::vector<RunInfo>& runs,
     }
   }
 
-  bool created = false;
-  if (!spec.range.positioned) {
-    // Truncate-create the shared output exactly once; every partition then
-    // reopens it and extends it by writing its range.
+  // Truncate-create the shared output exactly once; every partition then
+  // reopens it and extends it by writing its range.
+  {
     std::unique_ptr<RandomRWFile> file;
     TWRS_RETURN_IF_ERROR(env->NewRandomRWFile(output_path, &file));
     TWRS_RETURN_IF_ERROR(file->Close());
-    created = true;
   }
 
   // The kept window of the merged stream in record coordinates; a full
@@ -480,7 +473,7 @@ Status FinalMergeToOutput(Env* env, const std::vector<RunInfo>& runs,
     windows[j].limit = inter_hi - inter_lo;
     MergeOutputRange range;
     range.positioned = true;
-    range.offset = spec.range.offset + (inter_lo - win_lo) * kRecordBytes;
+    range.offset = (inter_lo - win_lo) * kRecordBytes;
     range.length = windows[j].limit * kRecordBytes;
     const MergeWindow* window = &windows[j];
     const std::vector<RunSlice>* partition_slices = &slices[j];
@@ -497,10 +490,8 @@ Status FinalMergeToOutput(Env* env, const std::vector<RunInfo>& runs,
     if (!s.ok() && first_error.ok()) first_error = std::move(s);
   }
   if (!first_error.ok()) {
-    // A torn positioned file has holes rather than a clean prefix; remove
-    // it when this call created it (a shared output belongs to its
-    // creator's cleanup).
-    if (created) TWRS_IGNORE_STATUS(env->RemoveFile(output_path));
+    // A torn positioned file has holes rather than a clean prefix.
+    TWRS_IGNORE_STATUS(env->RemoveFile(output_path));
     return first_error;
   }
 

@@ -25,8 +25,6 @@ struct MergePruneStats {
 
 /// Configuration of one final merge step (the last pass of MergeRuns).
 struct FinalMergeSpec {
-  MergeOutputRange range;
-
   /// Target number of concurrent partial merges; values < 2 (or a null
   /// pool, or degenerate splitters) fall back to one serial merge.
   size_t partitions = 1;
@@ -44,8 +42,7 @@ struct FinalMergeSpec {
   /// The serial path prunes whole runs whose sampled key bounds put them
   /// past the K-th record and clamps the rest to the K-record prefix or
   /// suffix that can still matter; the partitioned path drops partitions
-  /// wholly outside the kept window and clamps the straddling one. In
-  /// positioned mode range.length must equal min(limit, total) records.
+  /// wholly outside the kept window and clamps the straddling one.
   uint64_t limit = 0;
   bool take_last = false;
 
@@ -76,10 +73,9 @@ Status SampleRunKeys(Env* env, const std::vector<RunInfo>& runs,
 /// concurrent partial loser-tree merges over key-domain slices, each
 /// writing its disjoint byte range through a RangeWritableFile. Output bytes
 /// are identical to the serial pass in every mode (records are bare keys,
-/// so the fully sorted stream is unique). On failure an output file this
-/// call created is removed — a torn positioned file has holes, unlike the
-/// append path's clean prefix — while a shared positioned output is left
-/// to its creator's cleanup.
+/// so the fully sorted stream is unique). On failure a partitioned output
+/// is removed: a torn positioned file has holes, unlike the append path's
+/// clean prefix.
 Status FinalMergeToOutput(Env* env, const std::vector<RunInfo>& runs,
                           const MergeIoOptions& io, const FinalMergeSpec& spec,
                           const std::string& output_path, RunInfo* out);

@@ -1,7 +1,6 @@
 #ifndef TWRS_MERGE_SORT_PHASES_H_
 #define TWRS_MERGE_SORT_PHASES_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,11 +24,9 @@ struct SortContext {
   /// Unique per-sort scratch directory under options->temp_dir.
   std::string sort_dir;
 
-  /// Worker pool for the pipelined features; null = fully serial. Either
-  /// borrowed from an Executor (shared mode, the default) or owned below
-  /// (the dedicated-pool opt-out).
+  /// Worker pool for the pipelined features, borrowed from the configured
+  /// Executor; null = fully serial.
   ThreadPool* pool = nullptr;
-  std::unique_ptr<ThreadPool> owned_pool;
 
   /// Cooperative cancellation token from the sort options; polled by the
   /// run-generation and merge phases. Null = not cancellable.
@@ -45,10 +42,6 @@ struct SortContext {
 
   /// Runs produced by the run-generation phase.
   std::vector<RunInfo> runs;
-
-  /// Output placement of the final merge: default append-created file, or
-  /// a positioned byte range of a shared output (SortIntoRange).
-  MergeOutputRange output_range;
 
   /// Merge configuration produced by the planning phase.
   MergeOptions merge_plan;
@@ -80,59 +73,28 @@ class SortInputSource : public RecordSource {
 };
 
 /// Resolves the execution resources of one sort: creates the unique
-/// sort_dir and picks the pool — none (serial), borrowed from the
-/// configured Executor, or a dedicated per-sort pool.
+/// sort_dir and picks the pool — none (serial) or the configured
+/// Executor's.
 Status PrepareSortContext(Env* env, const ExternalSortOptions& options,
                           SortContext* context);
 
-/// One phase of the external-sort pipeline. Phases are command objects over
-/// a SortContext, so a scheduler (e.g. shard/ShardedSorter) can compose and
-/// dispatch whole per-shard pipelines onto an Executor.
-class SortPhase {
- public:
-  virtual ~SortPhase() = default;
+// The three phases of an external sort, run in order by
+// ExternalSorter::Sort over one SortContext.
 
-  virtual const char* name() const = 0;
-
-  virtual Status Run(SortContext* context) = 0;
-};
-
-/// Phase 1: consumes the input through the configured run-generation
-/// algorithm, writing runs into sort_dir (async-flushed when the context
-/// has a pool) and recording run stats plus the phase time.
-class RunGenerationPhase : public SortPhase {
- public:
-  /// Does not take ownership of `source`.
-  explicit RunGenerationPhase(RecordSource* source) : source_(source) {}
-
-  const char* name() const override { return "run-generation"; }
-  Status Run(SortContext* context) override;
-
- private:
-  RecordSource* source_;
-};
+/// Phase 1: consumes `source` through the configured run-generation
+/// algorithm — parallel.run_generation_threads generators sharing the
+/// memory budget, the caller running the first and the pool the rest —
+/// writing runs into sort_dir (async-flushed when the context has a pool)
+/// and recording the summed run stats plus the phase time.
+Status RunGenerationPhase(SortContext* context, RecordSource* source);
 
 /// Phase 2: derives the merge schedule configuration (fan-in, buffers,
 /// prefetch and pool wiring) from the sort options into context->merge_plan.
-class MergePlanningPhase : public SortPhase {
- public:
-  const char* name() const override { return "merge-planning"; }
-  Status Run(SortContext* context) override;
-};
+Status MergePlanningPhase(SortContext* context);
 
-/// Phase 3: executes the planned multi-pass merge of context->runs into the
-/// output file and records merge stats plus the phase time.
-class FinalMergePhase : public SortPhase {
- public:
-  explicit FinalMergePhase(std::string output_path)
-      : output_path_(std::move(output_path)) {}
-
-  const char* name() const override { return "final-merge"; }
-  Status Run(SortContext* context) override;
-
- private:
-  std::string output_path_;
-};
+/// Phase 3: executes the planned multi-pass merge of context->runs into
+/// `output_path` and records merge stats plus the phase time.
+Status FinalMergePhase(SortContext* context, const std::string& output_path);
 
 }  // namespace twrs
 

@@ -1,4 +1,4 @@
-#include "shard/splitters.h"
+#include "merge/splitters.h"
 
 #include <algorithm>
 
@@ -16,13 +16,13 @@ void ReservoirSampler::Add(Key key) {
   if (slot < capacity_) sample_[slot] = key;
 }
 
-std::vector<Key> PickSplitters(std::vector<Key> sample, size_t shards) {
+std::vector<Key> PickSplitters(std::vector<Key> sample, size_t parts) {
   std::vector<Key> splitters;
-  if (shards <= 1 || sample.empty()) return splitters;
+  if (parts <= 1 || sample.empty()) return splitters;
   simd::SortKeysBlock(sample.data(), sample.size());
-  for (size_t i = 1; i < shards; ++i) {
+  for (size_t i = 1; i < parts; ++i) {
     const size_t idx =
-        std::min(i * sample.size() / shards, sample.size() - 1);
+        std::min(i * sample.size() / parts, sample.size() - 1);
     splitters.push_back(sample[idx]);
   }
   splitters.erase(std::unique(splitters.begin(), splitters.end()),

@@ -1,5 +1,5 @@
-#ifndef TWRS_SHARD_SPLITTERS_H_
-#define TWRS_SHARD_SPLITTERS_H_
+#ifndef TWRS_MERGE_SPLITTERS_H_
+#define TWRS_MERGE_SPLITTERS_H_
 
 #include <cstdint>
 #include <vector>
@@ -11,10 +11,8 @@ namespace twrs {
 
 /// Uniform reservoir sampler (Algorithm R) over a key stream: after any
 /// number of Add calls, sample() holds min(capacity, seen) keys, each seen
-/// key equally likely to be present. Deterministic for a fixed seed.
-/// Shared by the range-sharding sorter (src/shard) and the partitioned
-/// final merge (src/merge), which both pick key-domain splitters from a
-/// bounded sample.
+/// key equally likely to be present. Deterministic for a fixed seed. The
+/// partitioned final merge picks its key-domain splitters from one.
 class ReservoirSampler {
  public:
   ReservoirSampler(size_t capacity, uint64_t seed)
@@ -35,14 +33,14 @@ class ReservoirSampler {
   std::vector<Key> sample_;
 };
 
-/// Picks at most `shards` - 1 ascending, distinct range splitters at the
+/// Picks at most `parts` - 1 ascending, distinct range splitters at the
 /// quantiles of `sample` — the distribution-sort partitioning idea (§2.2)
-/// with sampled instead of assumed-known key ranges. Shard i then covers
-/// [splitter[i-1], splitter[i]) with the outer shards open-ended, so
-/// duplicates of any key always land in one shard. Heavily skewed samples
-/// collapse duplicate splitters, yielding fewer effective shards.
-std::vector<Key> PickSplitters(std::vector<Key> sample, size_t shards);
+/// with sampled instead of assumed-known key ranges. Part i then covers
+/// [splitter[i-1], splitter[i]) with the outer parts open-ended, so
+/// duplicates of any key always land in one part. Heavily skewed samples
+/// collapse duplicate splitters, yielding fewer effective parts.
+std::vector<Key> PickSplitters(std::vector<Key> sample, size_t parts);
 
 }  // namespace twrs
 
-#endif  // TWRS_SHARD_SPLITTERS_H_
+#endif  // TWRS_MERGE_SPLITTERS_H_

@@ -7,9 +7,7 @@
 namespace twrs {
 
 /// Coarse phase a sort job is currently in, for live status displays.
-/// Ordered: a job only moves forward. In sharded mode the shards run
-/// concurrently, so the reported phase is the furthest any shard has
-/// reached (AdvancePhase is a monotonic max).
+/// Ordered: a job only moves forward (AdvancePhase is a monotonic max).
 enum class SortProgressPhase : uint32_t {
   kPending = 0,
   kRunGeneration = 1,
@@ -81,8 +79,8 @@ class ProgressCounters {
     out_total_.store(n, std::memory_order_relaxed);
   }
 
-  /// Monotonic-max phase advance: concurrent shards may report different
-  /// phases; the furthest one wins and the phase never moves backwards.
+  /// Monotonic-max phase advance: the furthest phase reported wins and
+  /// the phase never moves backwards.
   void AdvancePhase(SortProgressPhase phase) {
     const uint32_t target = static_cast<uint32_t>(phase);
     uint32_t cur = phase_.load(std::memory_order_relaxed);

@@ -23,4 +23,12 @@ TopKStrategy PlanTopKStrategy(uint64_t limit, size_t memory_records) {
                                  : TopKStrategy::kRunPruningMerge;
 }
 
+TopKStrategy ResolveTopKStrategy(uint64_t limit, TopKStrategy strategy,
+                                 size_t memory_records) {
+  if (limit == 0) return TopKStrategy::kAuto;
+  return strategy != TopKStrategy::kAuto
+             ? strategy
+             : PlanTopKStrategy(limit, memory_records);
+}
+
 }  // namespace twrs

@@ -46,6 +46,13 @@ const char* TopKStrategyName(TopKStrategy strategy);
 /// non-zero.
 TopKStrategy PlanTopKStrategy(uint64_t limit, size_t memory_records);
 
+/// The strategy a sort with `limit` and the requested `strategy` runs: the
+/// requested one when it is explicit, PlanTopKStrategy otherwise, and
+/// kAuto when `limit` is 0 (not a top-K sort). The one dispatch rule
+/// shared by ExternalSorter::Sort and the sort service's planner.
+TopKStrategy ResolveTopKStrategy(uint64_t limit, TopKStrategy strategy,
+                                 size_t memory_records);
+
 }  // namespace twrs
 
 #endif  // TWRS_SELECT_TOPK_H_

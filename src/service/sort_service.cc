@@ -8,6 +8,7 @@
 #include "exec/executor.h"
 #include "io/uring_env.h"
 #include "simd/dispatch.h"
+#include "workload/generators.h"
 
 namespace twrs {
 
@@ -46,13 +47,13 @@ struct SortJob {
   Status status TWRS_GUARDED_BY(mu);
   size_t granted_memory_records TWRS_GUARDED_BY(mu) = 0;
   size_t downsized_memory_records TWRS_GUARDED_BY(mu) = 0;
-  size_t planned_shards TWRS_GUARDED_BY(mu) = 0;
+  size_t planned_run_generation_threads TWRS_GUARDED_BY(mu) = 0;
   size_t planned_final_merge_threads TWRS_GUARDED_BY(mu) = 0;
-  ShardPlanLimit plan_limit TWRS_GUARDED_BY(mu) =
-      ShardPlanLimit::kInputFitsInMemory;
+  ParallelPlanLimit plan_limit TWRS_GUARDED_BY(mu) =
+      ParallelPlanLimit::kInputFitsInMemory;
   double queue_seconds TWRS_GUARDED_BY(mu) = 0.0;
   double total_seconds TWRS_GUARDED_BY(mu) = 0.0;
-  ShardedSortResult result TWRS_GUARDED_BY(mu);
+  ExternalSortResult result TWRS_GUARDED_BY(mu);
 };
 
 namespace {
@@ -131,7 +132,8 @@ SortJobStats JobHandle::stats() const {
   stats.nominal_memory_records = job_->spec.sort.memory_records;
   stats.granted_memory_records = job_->granted_memory_records;
   stats.downsized_memory_records = job_->downsized_memory_records;
-  stats.planned_shards = job_->planned_shards;
+  stats.planned_run_generation_threads =
+      job_->planned_run_generation_threads;
   stats.planned_final_merge_threads = job_->planned_final_merge_threads;
   stats.plan_limit = job_->plan_limit;
   stats.queue_seconds = job_->queue_seconds;
@@ -301,9 +303,9 @@ void SortService::SchedulerLoop() {
     }
 
     // Best-effort input-size probe: gives the job's progress snapshot its
-    // denominator and, in auto-shard mode, feeds the planner. On error
+    // denominator and, in auto mode, feeds the planner. On error
     // total_records stays 0 (unknown) and the planner sees zero records,
-    // so it simply plans a single shard.
+    // so it simply plans a single generator.
     uint64_t input_bytes = 0;
     TWRS_IGNORE_STATUS(env_->GetFileSize(job->spec.input_path, &input_bytes));
     const uint64_t input_records = input_bytes / kRecordBytes;
@@ -313,26 +315,30 @@ void SortService::SchedulerLoop() {
             ? std::min<uint64_t>(job->spec.sort.limit, input_records)
             : input_records);
 
-    // Plan step: fixed shard count from the spec, or adaptive from input
-    // size, the lease actually granted and the executor's current load.
-    // Top-K jobs run unsharded regardless (per-shard outputs are disjoint
-    // ranges of a fixed-size file, which a K-record output is not), so the
-    // limit overrides even a pinned spec count.
-    ShardPlan plan;
-    if (job->spec.sort.limit > 0) {
-      plan.shards = 1;
-      plan.limit = ShardPlanLimit::kTopKSelection;
-    } else if (job->spec.shards != kAutoShards) {
-      plan.shards = job->spec.shards;
-      plan.limit = ShardPlanLimit::kFixedByCaller;
+    // Plan step: fixed generator count from the spec, or adaptive from
+    // input size, the lease actually granted and the executor's current
+    // load. A top-K job that will run the dual-heap selection makes no
+    // runs, so it plans one generator whatever the spec pinned.
+    const ExternalSortOptions& sort = job->spec.sort;
+    const bool dual_heap =
+        ResolveTopKStrategy(sort.limit, sort.topk_strategy,
+                            lease.records()) == TopKStrategy::kDualHeap;
+    ParallelPlan plan;
+    if (dual_heap) {
+      plan.limit = ParallelPlanLimit::kTopKSelection;
+    } else if (job->spec.run_generation_threads !=
+               kAutoRunGenerationThreads) {
+      plan.run_generation_threads = job->spec.run_generation_threads;
+      plan.limit = ParallelPlanLimit::kFixedByCaller;
     } else {
-      ShardPlanInputs inputs;
-      inputs.input_records = input_bytes / kRecordBytes;
+      ParallelPlanInputs inputs;
+      inputs.input_records = input_records;
       inputs.memory_records = lease.records();
+      inputs.algorithm = sort.algorithm;
+      inputs.fan_in = sort.fan_in;
       inputs.executor_capacity = executor_->capacity();
       inputs.executor_inflight = executor_->inflight_tasks();
-      inputs.max_shards = options_.max_shards;
-      plan = PlanShardCount(inputs);
+      plan = PlanParallelism(inputs);
     }
 
     {
@@ -354,7 +360,8 @@ void SortService::SchedulerLoop() {
 }
 
 void SortService::RunJob(std::shared_ptr<SortJob> job,
-                         std::shared_ptr<MemoryLease> lease, ShardPlan plan) {
+                         std::shared_ptr<MemoryLease> lease,
+                         ParallelPlan plan) {
   // A pinned spec value overrides the planner; 0 means planner's choice.
   const size_t final_merge_threads = job->spec.final_merge_threads != 0
                                          ? job->spec.final_merge_threads
@@ -362,38 +369,36 @@ void SortService::RunJob(std::shared_ptr<SortJob> job,
   {
     MutexLock lock(&job->mu);
     job->state = JobState::kRunning;
-    job->planned_shards = plan.shards;
+    job->planned_run_generation_threads = plan.run_generation_threads;
     job->planned_final_merge_threads = final_merge_threads;
     job->plan_limit = plan.limit;
   }
 
-  ShardedSortOptions sharded;
-  sharded.shards = std::max<size_t>(1, plan.shards);
-  sharded.sample_size = job->spec.sample_size;
-  sharded.sample_seed = job->spec.sample_seed;
-  sharded.sort = job->spec.sort;
-  sharded.sort.memory_records = lease->records();  // the governed budget
-  sharded.sort.cancel = &job->cancel;
-  sharded.sort.progress = &job->progress;
-  sharded.sort.metrics = metrics_.get();
-  sharded.sort.parallel.final_merge_threads =
+  ExternalSortOptions options = job->spec.sort;
+  options.memory_records = lease->records();  // the governed budget
+  options.cancel = &job->cancel;
+  options.progress = &job->progress;
+  options.metrics = metrics_.get();
+  options.parallel.run_generation_threads =
+      std::max<size_t>(1, plan.run_generation_threads);
+  options.parallel.final_merge_threads =
       std::max<size_t>(1, final_merge_threads);
-  if (sharded.sort.parallel.worker_threads == 0 &&
-      sharded.sort.parallel.final_merge_threads > 1) {
-    // The partitioned final merge runs on the shared executor's pool;
-    // worker_threads > 0 is what switches pool borrowing on (the pool's
-    // size stays the executor's capacity either way).
-    sharded.sort.parallel.worker_threads = 1;
+  if (options.parallel.worker_threads == 0 &&
+      (options.parallel.run_generation_threads > 1 ||
+       options.parallel.final_merge_threads > 1)) {
+    // Parallel run generation and the partitioned final merge run on the
+    // shared executor's pool; worker_threads > 0 is what switches pool
+    // borrowing on (the pool's size stays the executor's capacity either
+    // way).
+    options.parallel.worker_threads = 1;
   }
-  sharded.executor = executor_;
-  if (sharded.sort.parallel.executor == nullptr &&
-      !sharded.sort.parallel.dedicated_pool) {
-    sharded.sort.parallel.executor = executor_;
+  if (options.parallel.executor == nullptr) {
+    options.parallel.executor = executor_;
   }
   // Dynamic lease renegotiation (the merge needs far less memory than the
-  // heaps): once every shard's run generation is over, return the surplus
-  // so the governor can admit the next queued job while this one merges.
-  sharded.sort.on_merge_begin = [job, lease](size_t merge_records) {
+  // heaps): once run generation is over, return the surplus so the
+  // governor can admit the next queued job while this one merges.
+  options.on_merge_begin = [job, lease](size_t merge_records) {
     const size_t before = lease->records();
     lease->Downsize(merge_records);
     const size_t after = lease->records();
@@ -403,10 +408,10 @@ void SortService::RunJob(std::shared_ptr<SortJob> job,
     }
   };
 
-  ShardedSorter sorter(env_, sharded);
-  ShardedSortResult result;
-  Status status =
-      sorter.SortFile(job->spec.input_path, job->spec.output_path, &result);
+  ExternalSorter sorter(env_, options);
+  FileRecordSource source(env_, job->spec.input_path, options.block_bytes);
+  ExternalSortResult result;
+  Status status = sorter.Sort(&source, job->spec.output_path, &result);
   lease->Release();  // before finalizing: a woken waiter must see the budget
 
   JobState terminal = JobState::kDone;

@@ -12,8 +12,7 @@
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "service/memory_governor.h"
-#include "service/shard_planner.h"
-#include "shard/sharded_sorter.h"
+#include "service/parallel_planner.h"
 #include "util/cancel.h"
 #include "util/mutex.h"
 #include "util/status.h"
@@ -25,9 +24,10 @@ namespace twrs {
 class Executor;
 class SortService;
 
-/// SortJobSpec::shards value asking the service to pick the shard count
-/// adaptively (PlanShardCount over input size, lease and executor load).
-inline constexpr size_t kAutoShards = 0;
+/// SortJobSpec::run_generation_threads value asking the service to pick
+/// the count adaptively (PlanParallelism over input size, lease and
+/// executor load).
+inline constexpr size_t kAutoRunGenerationThreads = 0;
 
 /// One sort job: a record file sorted into an output file under the
 /// service's memory governance.
@@ -41,18 +41,15 @@ struct SortJobSpec {
   /// owns the job's token.
   ExternalSortOptions sort;
 
-  /// kAutoShards = plan adaptively; 1 = plain unsharded sort; otherwise a
-  /// fixed shard count.
-  size_t shards = kAutoShards;
+  /// Run generators sharing the job's lease (ParallelOptions::
+  /// run_generation_threads): kAutoRunGenerationThreads = plan
+  /// adaptively; 1 = serial run generation; otherwise a fixed count.
+  size_t run_generation_threads = kAutoRunGenerationThreads;
 
-  /// Partitions of each sort's final merge pass. 0 = let the planner pick
-  /// (free executor workers spread across the shards); 1 = serial last
-  /// pass; otherwise a fixed partition count.
+  /// Partitions of the sort's final merge pass. 0 = let the planner pick
+  /// (the free executor workers the generators leave over); 1 = serial
+  /// last pass; otherwise a fixed partition count.
   size_t final_merge_threads = 0;
-
-  /// Splitter sampling knobs of the sharded path.
-  size_t sample_size = 4096;
-  uint64_t sample_seed = 1;
 };
 
 /// Lifecycle of a job: Submit enqueues it (kQueued); the scheduler admits
@@ -80,16 +77,15 @@ struct SortJobStats {
   /// Lease after the mid-flight downsize at merge begin; 0 until (and
   /// unless) the job returned part of its budget.
   size_t downsized_memory_records = 0;
-  size_t planned_shards = 0;
+  size_t planned_run_generation_threads = 0;
   size_t planned_final_merge_threads = 0;
-  ShardPlanLimit plan_limit = ShardPlanLimit::kInputFitsInMemory;
+  ParallelPlanLimit plan_limit = ParallelPlanLimit::kInputFitsInMemory;
 
   double queue_seconds = 0.0;  ///< submission → admission (lease granted)
   double total_seconds = 0.0;  ///< submission → terminal state
 
-  /// Sort breakdown; valid when state == kDone. Unsharded jobs report one
-  /// shard.
-  ShardedSortResult result;
+  /// Sort breakdown; valid when state == kDone.
+  ExternalSortResult result;
 };
 
 namespace internal {
@@ -148,13 +144,10 @@ struct SortServiceOptions {
   /// Jobs waiting for admission before Submit rejects with Busy.
   size_t max_queue_depth = 64;
 
-  /// Ceiling of the adaptive shard planner.
-  size_t max_shards = 16;
-
   /// Process-wide memory budget the jobs' leases come from.
   MemoryGovernorOptions governor;
 
-  /// Executor jobs (and their shard sorts and pipelined features) run on;
+  /// Executor jobs (and their run generators and pipelined features) run on;
   /// null = Executor::Shared(). Must outlive the service.
   Executor* executor = nullptr;
 
@@ -191,8 +184,8 @@ struct SortServiceStats {
 /// with a JobHandle; a scheduler thread admits queued jobs FIFO under two
 /// gates — the concurrency limit and a MemoryGovernor lease (shrunk under
 /// load, so admission never stalls behind an oversized ask) — plans the
-/// shard count adaptively, and dispatches each job's whole sort onto the
-/// executor. Destruction (or Shutdown) stops intake, cancels queued jobs
+/// job's parallelism adaptively, and dispatches each job's whole sort onto
+/// the executor. Destruction (or Shutdown) stops intake, cancels queued jobs
 /// and drains running ones.
 ///
 /// Thread-safe: Submit/Stats may be called from any thread.
@@ -241,7 +234,7 @@ class SortService {
   /// Runs one admitted job on the executor: plan already fixed, lease
   /// held; releases the lease and finalizes the job when done.
   void RunJob(std::shared_ptr<internal::SortJob> job,
-              std::shared_ptr<MemoryLease> lease, ShardPlan plan);
+              std::shared_ptr<MemoryLease> lease, ParallelPlan plan);
 
   /// Moves a job to `state`, records `status`, notifies waiters and
   /// updates the service counters. `was_running` distinguishes jobs that

@@ -48,7 +48,10 @@ void ForceScalar(bool force);
 /// environment default. Used by tests to restore the ambient state.
 void ClearForceScalarOverride();
 
-/// The kernels exposed by this layer, for dispatch accounting.
+/// The kernels exposed by this layer, for dispatch accounting. kPartition
+/// and kMinIndex name retired kernels: nothing counts calls under them, so
+/// their counters read 0, and they stay so existing counter readers keep
+/// their names.
 enum class Kernel {
   kSortKeys = 0,
   kPartition = 1,

@@ -10,11 +10,6 @@ namespace simd {
 
 namespace {
 
-/// Linear scans beat per-key binary search only while the whole splitter
-/// set fits comfortably in registers/L1; wider sets (never produced by the
-/// shard planner) take the scalar search even under vector dispatch.
-constexpr size_t kMaxVectorSplitters = 64;
-
 DispatchLevel ResolveAndCount(Kernel kernel) {
   const DispatchLevel level = ActiveDispatchLevel();
   AddKernelCalls(kernel, level, 1);
@@ -108,16 +103,6 @@ void RadixSortKeys(Key* keys, size_t n) {
 
 namespace internal {
 
-void PartitionBySplittersScalar(const Key* keys, size_t n,
-                                const Key* splitters, size_t num_splitters,
-                                uint32_t* bucket) {
-  for (size_t i = 0; i < n; ++i) {
-    bucket[i] = static_cast<uint32_t>(
-        std::upper_bound(splitters, splitters + num_splitters, keys[i]) -
-        splitters);
-  }
-}
-
 void EncodeKeysBatchScalar(const Key* keys, size_t n, uint8_t* out) {
 #if TWRS_LITTLE_ENDIAN
   // In-memory and on-disk layouts agree on little-endian hosts, so the
@@ -136,14 +121,6 @@ void DecodeKeysBatchScalar(const uint8_t* in, size_t n, Key* keys) {
 #endif
 }
 
-size_t MinIndexNScalar(const Key* keys, size_t n) {
-  size_t best = 0;
-  for (size_t i = 1; i < n; ++i) {
-    if (keys[i] < keys[best]) best = i;
-  }
-  return best;
-}
-
 }  // namespace internal
 
 void SortKeysBlock(Key* keys, size_t n) {
@@ -151,18 +128,6 @@ void SortKeysBlock(Key* keys, size_t n) {
   // under the active one.
   ResolveAndCount(Kernel::kSortKeys);
   RadixSortKeys(keys, n);
-}
-
-void PartitionBySplitters(const Key* keys, size_t n, const Key* splitters,
-                          size_t num_splitters, uint32_t* bucket) {
-  if (num_splitters <= kMaxVectorSplitters &&
-      ResolveAndCount(Kernel::kPartition) == DispatchLevel::kAvx2) {
-    internal::PartitionBySplittersAvx2(keys, n, splitters, num_splitters,
-                                       bucket);
-  } else {
-    internal::PartitionBySplittersScalar(keys, n, splitters, num_splitters,
-                                         bucket);
-  }
 }
 
 void EncodeKeysBatch(const Key* keys, size_t n, uint8_t* out) {
@@ -179,13 +144,6 @@ void DecodeKeysBatch(const uint8_t* in, size_t n, Key* keys) {
   } else {
     internal::DecodeKeysBatchScalar(in, n, keys);
   }
-}
-
-size_t MinIndexN(const Key* keys, size_t n) {
-  if (ResolveAndCount(Kernel::kMinIndex) == DispatchLevel::kAvx2) {
-    return internal::MinIndexNAvx2(keys, n);
-  }
-  return internal::MinIndexNScalar(keys, n);
 }
 
 }  // namespace simd

@@ -20,16 +20,6 @@ namespace simd {
 /// distribution-sort leaves.
 void SortKeysBlock(Key* keys, size_t n);
 
-/// Classifies each key against the ascending splitter set: bucket[i] =
-/// number of splitters <= keys[i] (std::upper_bound semantics, matching
-/// the range-shard convention that duplicates of a splitter key land in
-/// the right-hand shard). The vector path compares each 4-key vector
-/// against every splitter branchlessly and is linear in num_splitters; it
-/// serves splitter sets up to 64 wide (plenty for any shard plan), larger
-/// sets fall back to per-key binary search internally.
-void PartitionBySplitters(const Key* keys, size_t n, const Key* splitters,
-                          size_t num_splitters, uint32_t* bucket);
-
 /// Serializes keys[0..n) little-endian into out[0..n*kRecordBytes) — the
 /// bulk form of EncodeKey, used by the block-buffered record writers.
 void EncodeKeysBatch(const Key* keys, size_t n, uint8_t* out);
@@ -37,12 +27,6 @@ void EncodeKeysBatch(const Key* keys, size_t n, uint8_t* out);
 /// Deserializes n little-endian records from `in` into keys[0..n) — the
 /// bulk form of DecodeKey, used by the block-buffered record readers.
 void DecodeKeysBatch(const uint8_t* in, size_t n, Key* keys);
-
-/// Index of the minimum of keys[0..n); ties resolve to the lowest index
-/// (the loser tree's stable tie-break). Requires n >= 1. A branchless
-/// vector min-scan over a handful of candidates; the merge core itself
-/// selects through the key-caching loser tree at every fan-in.
-size_t MinIndexN(const Key* keys, size_t n);
 
 /// Fixed-level twins behind the dispatched entry points above (every kernel
 /// but SortKeysBlock, which has one portable body). Tests pin byte-identity
@@ -56,20 +40,11 @@ namespace internal {
 /// radix pass's 256-bucket table costs more than the comparisons.
 inline constexpr size_t kRadixSortMinKeys = 64;
 
-void PartitionBySplittersScalar(const Key* keys, size_t n,
-                                const Key* splitters, size_t num_splitters,
-                                uint32_t* bucket);
-void PartitionBySplittersAvx2(const Key* keys, size_t n, const Key* splitters,
-                              size_t num_splitters, uint32_t* bucket);
-
 void EncodeKeysBatchScalar(const Key* keys, size_t n, uint8_t* out);
 void EncodeKeysBatchAvx2(const Key* keys, size_t n, uint8_t* out);
 
 void DecodeKeysBatchScalar(const uint8_t* in, size_t n, Key* keys);
 void DecodeKeysBatchAvx2(const uint8_t* in, size_t n, Key* keys);
-
-size_t MinIndexNScalar(const Key* keys, size_t n);
-size_t MinIndexNAvx2(const Key* keys, size_t n);
 
 /// True when this binary was compiled with the AVX2 kernel bodies
 /// (x86 toolchain with -mavx2 support); false on the scalar-only build.

@@ -233,7 +233,7 @@ TEST_P(EnvTest, RandomRWReopenWithoutTruncateKeepsSizeAndExtendsAtTail) {
 }
 
 TEST_P(EnvTest, RandomRWConcurrentWritersToDisjointRanges) {
-  // The concatenation-free sharded sort: one handle per writer, each
+  // The partitioned final merge: one handle per writer, each
   // filling its own byte range of a shared file, interleaved in time. The
   // result must be exactly the writers' ranges side by side.
   constexpr int kWriters = 4;

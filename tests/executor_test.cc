@@ -158,32 +158,5 @@ TEST(ExecutorTest, SortBorrowsSharedExecutorByDefault) {
   EXPECT_TRUE(checksum == testing::ChecksumOf(input));
 }
 
-// Opting out of the shared executor spawns a private worker_threads-sized
-// pool; the executor stays untouched.
-TEST(ExecutorTest, DedicatedPoolOptOutDoesNotTouchExecutor) {
-  MemEnv env;
-  Executor executor;  // stands in for the shared one
-  WorkloadOptions wl;
-  wl.num_records = 2000;
-  wl.seed = 12;
-  auto input = testing::Drain(MakeWorkload(Dataset::kRandom, wl).get());
-
-  ExternalSortOptions options;
-  options.memory_records = 64;
-  options.twrs = TwoWayOptions::Recommended(64);
-  options.temp_dir = "tmp";
-  options.parallel.worker_threads = 2;
-  options.parallel.dedicated_pool = true;
-  options.parallel.executor = &executor;
-  ExternalSorter sorter(&env, options);
-  VectorSource source(input);
-  ASSERT_TWRS_OK(sorter.Sort(&source, "out", nullptr));
-  EXPECT_FALSE(executor.started());
-
-  uint64_t count = 0;
-  ASSERT_TWRS_OK(VerifySortedFile(&env, "out", &count, nullptr));
-  EXPECT_EQ(count, input.size());
-}
-
 }  // namespace
 }  // namespace twrs

@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <tuple>
 
 #include "core/load_sort_store.h"
+#include "exec/executor.h"
 #include "io/mem_env.h"
 #include "io/posix_env.h"
 #include "io/uring_env.h"
@@ -184,7 +187,6 @@ TEST(ExternalSorterParallelTest, ParallelOutputIsByteIdenticalToSerial) {
 
   options.parallel.worker_threads = 4;
   options.parallel.prefetch_blocks = 3;
-  options.parallel.parallel_leaf_merges = true;
   ExternalSortResult parallel_result;
   {
     ExternalSorter sorter(&env, options);
@@ -536,9 +538,12 @@ TEST(ExternalSorterCancelTest, ParallelSortAlsoObservesTheToken) {
   auto input = Drain(MakeWorkload(Dataset::kRandom, wl).get());
 
   CancelToken token;
+  ExecutorOptions pool;
+  pool.capacity = 2;
+  Executor executor(pool);
   ExternalSortOptions options = CancelTestOptions(&token);
   options.parallel.worker_threads = 2;
-  options.parallel.dedicated_pool = true;
+  options.parallel.executor = &executor;
   ExternalSorter sorter(&env, options);
   CancelAfterNSource source(input, 5000, &token);
   EXPECT_TRUE(sorter.Sort(&source, "out", nullptr).IsCancelled());
@@ -1056,21 +1061,6 @@ TEST(ExternalSorterTopKTest, LimitOnEmptyAndTinyInputs) {
   }
 }
 
-TEST(ExternalSorterTopKTest, SortIntoRangeRejectsLimit) {
-  MemEnv env;
-  ExternalSortOptions options = TopKTestOptions();
-  options.limit = 10;
-  ExternalSorter sorter(&env, options);
-  VectorSource source({3, 1, 2});
-  MergeOutputRange range;
-  range.positioned = true;
-  range.offset = 0;
-  range.length = 3 * kRecordBytes;
-  EXPECT_TRUE(
-      sorter.SortIntoRange(&source, "out", range, nullptr)
-          .IsInvalidArgument());
-}
-
 TEST(ExternalSorterTopKTest, DualHeapProgressCountsAreExact) {
   // The selection reads and reports its input a 1024-record batch at a
   // time; the last, short batch must be counted too.
@@ -1236,6 +1226,318 @@ TEST(ExternalSorterTest, MergeReadErrorFailsTheSort) {
       // No scratch and no short output survive.
       EXPECT_EQ(env.FileCount(), 0u);
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Parallel run generation
+
+// A sort whose run generation runs `threads` generators on `executor`;
+// `executor` null keeps the sort serial.
+ExternalSortOptions RunGenThreadsOptions(RunGenAlgorithm algorithm,
+                                         size_t threads,
+                                         Executor* executor) {
+  ExternalSortOptions options;
+  options.algorithm = algorithm;
+  options.memory_records = 256;
+  options.twrs = TwoWayOptions::Recommended(256);
+  options.fan_in = 4;
+  options.temp_dir = "tmp";
+  options.block_bytes = 512;
+  if (executor != nullptr) {
+    options.parallel.worker_threads = 2;
+    options.parallel.executor = executor;
+  }
+  options.parallel.run_generation_threads = threads;
+  return options;
+}
+
+Executor* RunGenExecutor() {
+  static Executor* executor = [] {
+    ExecutorOptions options;
+    options.capacity = 4;
+    return new Executor(options);
+  }();
+  return executor;
+}
+
+uint64_t SumOf(const std::vector<uint64_t>& lengths) {
+  uint64_t sum = 0;
+  for (uint64_t n : lengths) sum += n;
+  return sum;
+}
+
+TEST(ExternalSorterRunGenThreadsTest, OutputIsByteIdenticalToSerial) {
+  const RunGenAlgorithm algorithms[] = {
+      RunGenAlgorithm::kReplacementSelection,
+      RunGenAlgorithm::kTwoWayReplacementSelection,
+      RunGenAlgorithm::kLoadSortStore,
+      RunGenAlgorithm::kBatchedReplacementSelection,
+  };
+  for (int d = 0; d < kNumDatasets; ++d) {
+    const auto dataset = static_cast<Dataset>(d);
+    WorkloadOptions wl;
+    wl.num_records = 10000;
+    wl.seed = 40 + d;
+    wl.sections = 8;
+    const auto input = Drain(MakeWorkload(dataset, wl).get());
+    for (RunGenAlgorithm algorithm : algorithms) {
+      MemEnv env;
+      ExternalSortResult serial;
+      {
+        ExternalSorter sorter(
+            &env, RunGenThreadsOptions(algorithm, 1, nullptr));
+        VectorSource source(input);
+        ASSERT_TWRS_OK(sorter.Sort(&source, "serial", &serial));
+      }
+      for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << DatasetName(dataset) << " "
+                     << RunGenAlgorithmName(algorithm) << " P=" << threads);
+        ExternalSorter sorter(
+            &env, RunGenThreadsOptions(algorithm, threads, RunGenExecutor()));
+        VectorSource source(input);
+        ExternalSortResult result;
+        ASSERT_TWRS_OK(sorter.Sort(&source, "out", &result));
+        ASSERT_NE(env.FileContents("out"), nullptr);
+        EXPECT_TRUE(*env.FileContents("out") == *env.FileContents("serial"));
+        EXPECT_EQ(result.output_records, input.size());
+        EXPECT_EQ(result.run_gen.total_records, input.size());
+        EXPECT_EQ(SumOf(result.run_gen.run_lengths), input.size());
+        if (threads == 1) {
+          // One generator on the caller: the serial loop, run once.
+          EXPECT_EQ(result.run_gen.run_lengths, serial.run_gen.run_lengths);
+          EXPECT_EQ(result.merge.merge_steps, serial.merge.merge_steps);
+        }
+        EXPECT_EQ(env.FileCount(), 2u);  // serial + out: no scratch left
+      }
+    }
+  }
+}
+
+TEST(ExternalSorterRunGenThreadsTest, WithoutAPoolGenerationStaysSerial) {
+  WorkloadOptions wl;
+  wl.num_records = 5000;
+  wl.seed = 47;
+  const auto input = Drain(MakeWorkload(Dataset::kRandom, wl).get());
+  MemEnv env;
+  ExternalSortResult serial, unpooled;
+  {
+    ExternalSorter sorter(
+        &env, RunGenThreadsOptions(RunGenAlgorithm::kLoadSortStore, 1,
+                                   nullptr));
+    VectorSource source(input);
+    ASSERT_TWRS_OK(sorter.Sort(&source, "serial", &serial));
+  }
+  ExternalSorter sorter(
+      &env, RunGenThreadsOptions(RunGenAlgorithm::kLoadSortStore, 4,
+                                 nullptr));
+  VectorSource source(input);
+  ASSERT_TWRS_OK(sorter.Sort(&source, "out", &unpooled));
+  EXPECT_EQ(unpooled.run_gen.run_lengths, serial.run_gen.run_lengths);
+}
+
+// The generators share the sort's memory budget: with Load-Sort-Store,
+// whose runs are exactly one memory load, no run exceeds memory / P.
+TEST(ExternalSorterRunGenThreadsTest, GeneratorsShareTheMemoryBudget) {
+  WorkloadOptions wl;
+  wl.num_records = 20000;
+  wl.seed = 48;
+  const auto input = Drain(MakeWorkload(Dataset::kRandom, wl).get());
+  for (size_t threads : {size_t{2}, size_t{4}}) {
+    SCOPED_TRACE(::testing::Message() << "P=" << threads);
+    MemEnv env;
+    ExternalSortOptions options = RunGenThreadsOptions(
+        RunGenAlgorithm::kLoadSortStore, threads, RunGenExecutor());
+    options.memory_records = 1000;
+    ExternalSorter sorter(&env, options);
+    VectorSource source(input);
+    ExternalSortResult result;
+    ASSERT_TWRS_OK(sorter.Sort(&source, "out", &result));
+    const uint64_t share = options.memory_records / threads;
+    for (uint64_t length : result.run_gen.run_lengths) {
+      EXPECT_LE(length, share);
+    }
+    EXPECT_GE(result.run_gen.num_runs(), input.size() / share);
+  }
+}
+
+// Every generator gets at least the smallest memory its algorithm
+// accepts: 8 records make two 2WRS generators of 4, not four of 2 (2WRS
+// rejects memory below 3), so a budget that sorts serially sorts at any P.
+TEST(ExternalSorterRunGenThreadsTest, TinyBudgetNeverStarvesAGenerator) {
+  WorkloadOptions wl;
+  wl.num_records = 2000;
+  wl.seed = 49;
+  const auto input = Drain(MakeWorkload(Dataset::kRandom, wl).get());
+  for (RunGenAlgorithm algorithm :
+       {RunGenAlgorithm::kTwoWayReplacementSelection,
+        RunGenAlgorithm::kReplacementSelection}) {
+    SCOPED_TRACE(RunGenAlgorithmName(algorithm));
+    MemEnv env;
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      ExternalSortOptions options = RunGenThreadsOptions(
+          algorithm, threads, threads == 1 ? nullptr : RunGenExecutor());
+      options.memory_records = 8;
+      options.twrs = TwoWayOptions::Recommended(8);
+      ExternalSorter sorter(&env, options);
+      VectorSource source(input);
+      ASSERT_TWRS_OK(
+          sorter.Sort(&source, threads == 1 ? "serial" : "out", nullptr));
+    }
+    EXPECT_TRUE(*env.FileContents("out") == *env.FileContents("serial"));
+  }
+}
+
+TEST(ExternalSorterRunGenThreadsTest, InputReadErrorFailsAndWritesNothing) {
+  WorkloadOptions wl;
+  wl.num_records = 5000;
+  wl.seed = 18;
+  const auto input = Drain(MakeWorkload(Dataset::kRandom, wl).get());
+  for (size_t threads : {size_t{2}, size_t{4}}) {
+    SCOPED_TRACE(::testing::Message() << "P=" << threads);
+    MemEnv env;
+    ExternalSorter sorter(
+        &env, RunGenThreadsOptions(RunGenAlgorithm::kTwoWayReplacementSelection,
+                                   threads, RunGenExecutor()));
+    // The read fails after several batches have become runs.
+    testing::FailingSource source(input,
+                                  Status::IOError("injected read error"));
+    const Status status = sorter.Sort(&source, "out", nullptr);
+    EXPECT_TRUE(status.IsIOError()) << status.ToString();
+    EXPECT_EQ(env.FileCount(), 0u);  // no run files, no partial output
+  }
+}
+
+TEST(ExternalSorterRunGenThreadsTest, CancelMidGenerationWritesNothing) {
+  WorkloadOptions wl;
+  wl.num_records = 5000;
+  wl.seed = 18;
+  const auto input = Drain(MakeWorkload(Dataset::kRandom, wl).get());
+  for (size_t threads : {size_t{2}, size_t{4}}) {
+    SCOPED_TRACE(::testing::Message() << "P=" << threads);
+    MemEnv env;
+    CancelToken token;
+    ExternalSortOptions options = RunGenThreadsOptions(
+        RunGenAlgorithm::kTwoWayReplacementSelection, threads,
+        RunGenExecutor());
+    options.cancel = &token;
+    ExternalSorter sorter(&env, options);
+    // Fires after two full batches and part of a third.
+    CancelAfterNSource source(input, 2500, &token);
+    const Status status = sorter.Sort(&source, "out", nullptr);
+    EXPECT_TRUE(status.IsCancelled()) << status.ToString();
+    EXPECT_EQ(env.FileCount(), 0u);
+  }
+}
+
+// MemEnv whose N-th created writable file fails to open: one generator's
+// run sink fails while the others are still generating.
+class FailNthWritableEnv : public MemEnv {
+ public:
+  explicit FailNthWritableEnv(int n) : n_(n) {}
+
+  Status NewWritableFile(const std::string& path,
+                         std::unique_ptr<WritableFile>* out) override {
+    if (created_.fetch_add(1) + 1 == n_) {
+      return Status::IOError("injected create failure: " + path);
+    }
+    return MemEnv::NewWritableFile(path, out);
+  }
+
+ private:
+  const int n_;
+  std::atomic<int> created_{0};
+};
+
+TEST(ExternalSorterRunGenThreadsTest, OneGeneratorsFailureFailsTheSort) {
+  WorkloadOptions wl;
+  wl.num_records = 20000;
+  wl.seed = 49;
+  const auto input = Drain(MakeWorkload(Dataset::kRandom, wl).get());
+  FailNthWritableEnv env(6);
+  ExternalSorter sorter(
+      &env, RunGenThreadsOptions(RunGenAlgorithm::kLoadSortStore, 4,
+                                 RunGenExecutor()));
+  VectorSource source(input);
+  const Status status = sorter.Sort(&source, "out", nullptr);
+  EXPECT_TRUE(status.IsIOError()) << status.ToString();
+  EXPECT_EQ(env.FileCount(), 0u);
+}
+
+// A merge that fails after every generator wrote its runs leaves no
+// scratch behind either: only the input survives.
+TEST(ExternalSorterRunGenThreadsTest, FailedMergeLeavesOnlyTheInput) {
+  MemEnv env;
+  WorkloadOptions wl;
+  wl.num_records = 8000;
+  wl.seed = 17;
+  ASSERT_TWRS_OK(WriteAllRecords(
+      &env, "in", Drain(MakeWorkload(Dataset::kRandom, wl).get())));
+  ExternalSortOptions options = RunGenThreadsOptions(
+      RunGenAlgorithm::kTwoWayReplacementSelection, 3, RunGenExecutor());
+  options.fan_in = 1;  // poison: run generation succeeds, the merge fails
+  ExternalSorter sorter(&env, options);
+  FileRecordSource source(&env, "in", options.block_bytes);
+  EXPECT_TRUE(sorter.Sort(&source, "out", nullptr).IsInvalidArgument());
+  EXPECT_EQ(env.FileCount(), 1u);
+  EXPECT_TRUE(env.FileExists("in"));
+}
+
+// More generators than pool workers: the caller's waits are
+// work-helping, so the queued generators still run.
+TEST(ExternalSorterRunGenThreadsTest, MoreGeneratorsThanWorkersComplete) {
+  WorkloadOptions wl;
+  wl.num_records = 10000;
+  wl.seed = 50;
+  const auto input = Drain(MakeWorkload(Dataset::kMixed, wl).get());
+  MemEnv env;
+  {
+    ExternalSorter sorter(
+        &env, RunGenThreadsOptions(RunGenAlgorithm::kTwoWayReplacementSelection,
+                                   1, nullptr));
+    VectorSource source(input);
+    ASSERT_TWRS_OK(sorter.Sort(&source, "serial", nullptr));
+  }
+  ExecutorOptions pool;
+  pool.capacity = 1;
+  Executor executor(pool);
+  ExternalSorter sorter(
+      &env, RunGenThreadsOptions(RunGenAlgorithm::kTwoWayReplacementSelection,
+                                 4, &executor));
+  VectorSource source(input);
+  ASSERT_TWRS_OK(sorter.Sort(&source, "out", nullptr));
+  ASSERT_NE(env.FileContents("out"), nullptr);
+  EXPECT_TRUE(*env.FileContents("out") == *env.FileContents("serial"));
+}
+
+// Records and bytes are counted once, however many generators read.
+TEST(ExternalSorterRunGenThreadsTest, ProgressCountsAreExact) {
+  MemEnv env;
+  WorkloadOptions wl;
+  wl.num_records = 10007;  // not a multiple of any batch or block
+  wl.seed = 26;
+  const auto input = Drain(MakeWorkload(Dataset::kRandom, wl).get());
+  ASSERT_TWRS_OK(WriteAllRecords(&env, "in", input));
+  for (const GeneratorCase& generator : EveryGenerator(1000)) {
+    SCOPED_TRACE(generator.name);
+    ProgressCounters progress;
+    ExternalSortOptions options = RunGenThreadsOptions(
+        generator.algorithm, 4, RunGenExecutor());
+    options.memory_records = 1000;
+    options.twrs = generator.twrs;
+    options.fan_in = 16;
+    options.progress = &progress;
+    ExternalSorter sorter(&env, options);
+    FileRecordSource source(&env, "in", options.block_bytes);
+    ExternalSortResult result;
+    ASSERT_TWRS_OK(sorter.Sort(&source, "out", &result));
+    const JobProgress done = progress.Snapshot();
+    EXPECT_EQ(done.records_ingested, input.size());
+    EXPECT_EQ(result.run_gen.total_records, input.size());
+    EXPECT_EQ(done.records_merged, result.merge.records_written);
+    EXPECT_EQ(done.bytes_read, result.bytes_read);
+    EXPECT_EQ(done.bytes_written, result.bytes_written);
   }
 }
 

@@ -5,10 +5,12 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "core/record_source.h"
+#include "exec/executor.h"
 #include "exec/thread_pool.h"
 #include "io/mem_env.h"
 #include "io/record_io.h"
@@ -16,6 +18,7 @@
 #include "merge/external_sorter.h"
 #include "merge/kway_merge.h"
 #include "merge/merge_plan.h"
+#include "merge/splitters.h"
 #include "tests/test_util.h"
 #include "util/cancel.h"
 #include "util/random.h"
@@ -284,13 +287,16 @@ TEST(PartitionedMergeTest, FullSortByteIdenticalWithReverseSegments) {
     ASSERT_NE(env.FileContents("out_serial"), nullptr);
     expect = *env.FileContents("out_serial");
   }
+  ExecutorOptions pool;
+  pool.capacity = 4;
+  Executor executor(pool);
   for (size_t partitions : {size_t{2}, size_t{8}}) {
     ExternalSortOptions options;
     options.memory_records = 8192;
     options.temp_dir = "tmp";
     options.block_bytes = 4096;
     options.parallel.worker_threads = 4;
-    options.parallel.dedicated_pool = true;
+    options.parallel.executor = &executor;
     options.parallel.final_merge_threads = partitions;
     ExternalSorter sorter(&env, options);
     VectorSource source(input);
@@ -417,61 +423,72 @@ TEST(PartitionedMergeTest, CancellationMidPartialMergeLeavesNoOutput) {
   EXPECT_FALSE(mem.FileExists("out"));
 }
 
-TEST(PartitionedMergeTest, PositionedSingleMergeWritesAssignedRange) {
-  // The sharded sorter's building block: a serial final merge writing a
-  // byte range of an existing shared file.
-  MemEnv env;
-  std::vector<Key> low = SortedRandomKeys(500, 81, 1000);
-  std::vector<Key> high = SortedRandomKeys(300, 82, 1000);
-  std::vector<RunInfo> runs = {WriteForwardRun(&env, "run_high", high)};
-  {
-    std::unique_ptr<RandomRWFile> f;
-    ASSERT_TWRS_OK(env.NewRandomRWFile("out", &f));
-    ASSERT_TWRS_OK(f->Close());
-  }
-  // Low half written by hand; high half by a positioned MergeRuns.
-  ASSERT_TWRS_OK(WriteAllRecords(&env, "low_tmp", low));
-  {
-    std::unique_ptr<RandomRWFile> f;
-    ASSERT_TWRS_OK(env.ReopenRandomRWFile("out", &f));
-    const std::vector<uint8_t>* bytes = env.FileContents("low_tmp");
-    ASSERT_NE(bytes, nullptr);
-    ASSERT_TWRS_OK(f->WriteAt(0, bytes->data(), bytes->size()));
-    ASSERT_TWRS_OK(f->Close());
-  }
-  MergeOptions options;
-  options.block_bytes = 128;
-  options.temp_dir = "tmp";
-  options.remove_inputs = false;
-  options.output_range.positioned = true;
-  options.output_range.offset = low.size() * kRecordBytes;
-  options.output_range.length = high.size() * kRecordBytes;
-  ASSERT_TWRS_OK(MergeRuns(&env, runs, options, "out", nullptr));
+// ------------------------------------------------ splitter sampling
 
-  std::vector<Key> got;
-  ASSERT_TWRS_OK(ReadAllRecords(&env, "out", &got));
-  std::vector<Key> expect = low;
-  expect.insert(expect.end(), high.begin(), high.end());
-  EXPECT_EQ(got, expect);
+TEST(ReservoirSamplerTest, SmallStreamsAreKeptWhole) {
+  ReservoirSampler sampler(10, 1);
+  for (Key k = 0; k < 5; ++k) sampler.Add(k);
+  EXPECT_EQ(sampler.seen(), 5u);
+  EXPECT_EQ(sampler.sample(), (std::vector<Key>{0, 1, 2, 3, 4}));
 }
 
-TEST(PartitionedMergeTest, PositionedRangeMismatchIsCorruption) {
-  MemEnv env;
-  std::vector<RunInfo> runs = {
-      WriteForwardRun(&env, "run", SortedRandomKeys(100, 5, 50))};
-  {
-    std::unique_ptr<RandomRWFile> f;
-    ASSERT_TWRS_OK(env.NewRandomRWFile("out", &f));
-    ASSERT_TWRS_OK(f->Close());
+TEST(ReservoirSamplerTest, CapacityBoundsTheSample) {
+  ReservoirSampler sampler(16, 7);
+  for (Key k = 0; k < 10000; ++k) sampler.Add(k);
+  EXPECT_EQ(sampler.seen(), 10000u);
+  ASSERT_EQ(sampler.sample().size(), 16u);
+  for (Key k : sampler.sample()) {
+    EXPECT_GE(k, 0);
+    EXPECT_LT(k, 10000);
   }
-  MergeOptions options;
-  options.temp_dir = "tmp";
-  options.remove_inputs = false;
-  options.output_range.positioned = true;
-  options.output_range.offset = 0;
-  options.output_range.length = 17;  // not the runs' byte volume
-  Status s = MergeRuns(&env, runs, options, "out", nullptr);
-  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  // A uniform sample of a uniform stream should not cluster in one half.
+  const size_t low = static_cast<size_t>(
+      std::count_if(sampler.sample().begin(), sampler.sample().end(),
+                    [](Key k) { return k < 5000; }));
+  EXPECT_GT(low, 0u);
+  EXPECT_LT(low, 16u);
+}
+
+TEST(ReservoirSamplerTest, DeterministicForAFixedSeed) {
+  ReservoirSampler a(8, 42), b(8, 42), c(8, 43);
+  for (Key k = 0; k < 1000; ++k) {
+    a.Add(k);
+    b.Add(k);
+    c.Add(k);
+  }
+  EXPECT_EQ(a.sample(), b.sample());
+  EXPECT_NE(a.sample(), c.sample());
+}
+
+TEST(PickSplittersTest, QuantilesOfAUniformSample) {
+  std::vector<Key> sample;
+  for (Key k = 1; k <= 100; ++k) sample.push_back(k);
+  const std::vector<Key> splitters = PickSplitters(sample, 4);
+  ASSERT_EQ(splitters.size(), 3u);
+  EXPECT_TRUE(std::is_sorted(splitters.begin(), splitters.end()));
+  // Near the 25/50/75 percentiles.
+  EXPECT_NEAR(static_cast<double>(splitters[0]), 25.0, 2.0);
+  EXPECT_NEAR(static_cast<double>(splitters[1]), 50.0, 2.0);
+  EXPECT_NEAR(static_cast<double>(splitters[2]), 75.0, 2.0);
+}
+
+TEST(PickSplittersTest, DegenerateInputs) {
+  EXPECT_TRUE(PickSplitters({1, 2, 3}, 1).empty());
+  EXPECT_TRUE(PickSplitters({}, 4).empty());
+}
+
+TEST(PickSplittersTest, DuplicateHeavySamplesCollapse) {
+  // An all-equal sample cannot be split: one splitter survives dedup.
+  std::vector<Key> all_equal(64, 7);
+  EXPECT_EQ(PickSplitters(all_equal, 8).size(), 1u);
+  // 90% one value: most quantiles coincide, so fewer distinct splitters.
+  std::vector<Key> skewed(90, 5);
+  for (Key k = 0; k < 10; ++k) skewed.push_back(100 + k);
+  const std::vector<Key> splitters = PickSplitters(skewed, 8);
+  EXPECT_LT(splitters.size(), 7u);
+  EXPECT_TRUE(std::is_sorted(splitters.begin(), splitters.end()));
+  const std::set<Key> unique(splitters.begin(), splitters.end());
+  EXPECT_EQ(unique.size(), splitters.size());
 }
 
 }  // namespace

@@ -172,8 +172,8 @@ TEST(RangeWritableFileTest, DoubleBufferedUnderfillIsCorruptionAtClose) {
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
 
-// The contract the partitioned final merge and the concatenation-free
-// sharded sort rest on: several double-buffered range writers over
+// The contract the partitioned final merge rests on: several
+// double-buffered range writers over
 // distinct handles of one file, concurrently filling disjoint ranges,
 // produce exactly the concatenation of their payloads.
 TEST(RangeWritableFileTest, ConcurrentDisjointRangesCompose) {

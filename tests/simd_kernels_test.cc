@@ -110,40 +110,6 @@ TEST_P(SimdKernelsTest, SortKeysBlockMatchesStdSort) {
   }
 }
 
-TEST_P(SimdKernelsTest, PartitionBySplittersMatchesScalar) {
-  // Splitter widths straddle the vector path's 64-splitter cap; the
-  // duplicate-splitter set pins the upper_bound tie convention.
-  const std::vector<std::vector<Key>> splitter_sets = {
-      {},
-      {0},
-      {-100, 0, 100},
-      {5, 5, 5},
-      MakeInput(Family::kSorted, 31, 3),
-      MakeInput(Family::kSorted, 64, 4),
-      MakeInput(Family::kSorted, 65, 5),
-      MakeInput(Family::kSorted, 200, 6),
-  };
-  for (const std::vector<Key>& raw : splitter_sets) {
-    std::vector<Key> splitters = raw;
-    std::sort(splitters.begin(), splitters.end());
-    for (Family family : AllFamilies()) {
-      for (size_t n : TestSizes()) {
-        std::vector<Key> keys = MakeInput(family, n, 29 * n + 7);
-        std::vector<uint32_t> got(n, 12345);
-        std::vector<uint32_t> expected(n, 54321);
-        internal::PartitionBySplittersScalar(keys.data(), n, splitters.data(),
-                                             splitters.size(),
-                                             expected.data());
-        PartitionBySplitters(keys.data(), n, splitters.data(),
-                             splitters.size(), got.data());
-        ASSERT_EQ(got, expected)
-            << "splitters=" << splitters.size() << " n=" << n
-            << " family=" << static_cast<int>(family);
-      }
-    }
-  }
-}
-
 TEST_P(SimdKernelsTest, EncodeDecodeRoundTripMatchesScalar) {
   for (Family family : AllFamilies()) {
     for (size_t n : TestSizes()) {
@@ -163,32 +129,6 @@ TEST_P(SimdKernelsTest, EncodeDecodeRoundTripMatchesScalar) {
       std::vector<Key> decoded(n, -1);
       DecodeKeysBatch(bytes.data(), n, decoded.data());
       ASSERT_EQ(decoded, keys) << "n=" << n;
-    }
-  }
-}
-
-TEST_P(SimdKernelsTest, MinIndexNMatchesScalar) {
-  for (Family family : AllFamilies()) {
-    for (size_t n : TestSizes()) {
-      if (n == 0) continue;  // MinIndexN requires n >= 1
-      std::vector<Key> keys = MakeInput(family, n, 53 * n + 9);
-      const size_t expected = internal::MinIndexNScalar(keys.data(), n);
-      ASSERT_EQ(MinIndexN(keys.data(), n), expected)
-          << "family=" << static_cast<int>(family) << " n=" << n;
-    }
-  }
-}
-
-TEST_P(SimdKernelsTest, MinIndexNTiesResolveToLowestIndex) {
-  // All-equal input: the loser-tree tie-break (lowest way wins) demands
-  // index 0 regardless of dispatch level.
-  for (size_t n : {1, 2, 3, 4, 5, 7, 8, 9, 16}) {
-    std::vector<Key> keys(n, 42);
-    EXPECT_EQ(MinIndexN(keys.data(), n), 0u) << "n=" << n;
-    if (n >= 6) {
-      keys[1] = 7;
-      keys[5] = 7;
-      EXPECT_EQ(MinIndexN(keys.data(), n), 1u) << "n=" << n;
     }
   }
 }

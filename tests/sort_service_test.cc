@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "io/mem_env.h"
-#include "service/shard_planner.h"
+#include "service/parallel_planner.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"
 
@@ -20,112 +20,107 @@ using testing::ChecksumOf;
 using testing::Drain;
 
 // ---------------------------------------------------------------------------
-// Shard planner
+// Parallel planner
 
-TEST(ShardPlannerTest, InputFittingInMemoryStaysUnsharded) {
-  ShardPlanInputs inputs;
+TEST(ParallelPlannerTest, InputFittingInMemoryStaysSerial) {
+  ParallelPlanInputs inputs;
   inputs.input_records = 1000;
   inputs.memory_records = 2000;
-  inputs.executor_capacity = 8;
-  const ShardPlan plan = PlanShardCount(inputs);
-  EXPECT_EQ(plan.shards, 1u);
-  EXPECT_EQ(plan.limit, ShardPlanLimit::kInputFitsInMemory);
+  inputs.executor_capacity = 32;
+  const ParallelPlan plan = PlanParallelism(inputs);
+  EXPECT_EQ(plan.run_generation_threads, 1u);
+  EXPECT_EQ(plan.limit, ParallelPlanLimit::kInputFitsInMemory);
+  EXPECT_EQ(plan.final_merge_threads, 1u);
 }
 
-TEST(ShardPlannerTest, ShardsScaleWithInputOverMemory) {
-  ShardPlanInputs inputs;
-  inputs.input_records = 32000;  // 8x-memory shards of 8000 records -> 4
-  inputs.memory_records = 1000;
-  inputs.executor_capacity = 16;
-  inputs.max_shards = 16;
-  const ShardPlan plan = PlanShardCount(inputs);
-  EXPECT_EQ(plan.shards, 4u);
-  EXPECT_EQ(plan.limit, ShardPlanLimit::kInputSize);
-}
-
-TEST(ShardPlannerTest, ClipsToFreeExecutorWorkers) {
-  ShardPlanInputs inputs;
+TEST(ParallelPlannerTest, StopsBeforeAnExtraMergePass) {
+  ParallelPlanInputs inputs;
   inputs.input_records = 1000000;
+  inputs.memory_records = 200000;
+  inputs.fan_in = 10;
+  inputs.executor_capacity = 16;
+  // 2WRS: three runs of ~2x memory at P = 1, plus one for the short first
+  // and partial last run: one pass at fan-in 10. Two generators of 100K
+  // make 2 x 4 = 8 runs, still one pass; three make 12, a second pass.
+  const ParallelPlan plan = PlanParallelism(inputs);
+  EXPECT_EQ(plan.run_generation_threads, 2u);
+  EXPECT_EQ(plan.limit, ParallelPlanLimit::kMergePasses);
+}
+
+TEST(ParallelPlannerTest, LoadSortStoreRunsAreHalfAsLong) {
+  ParallelPlanInputs inputs;
+  inputs.input_records = 100000;
+  inputs.memory_records = 1000;
+  inputs.algorithm = RunGenAlgorithm::kLoadSortStore;
+  inputs.fan_in = 10;
+  inputs.executor_capacity = 16;
+  // 100 memory-sized runs already fill two passes; two generators make
+  // 201 (one partial run more), which would need three.
+  const ParallelPlan plan = PlanParallelism(inputs);
+  EXPECT_EQ(plan.run_generation_threads, 1u);
+  EXPECT_EQ(plan.limit, ParallelPlanLimit::kMergePasses);
+}
+
+TEST(ParallelPlannerTest, ClipsToFreeExecutorWorkers) {
+  ParallelPlanInputs inputs;
+  inputs.input_records = 22000;  // 12 runs: room for 8 generators
   inputs.memory_records = 1000;
   inputs.executor_capacity = 8;
   inputs.executor_inflight = 6;  // only 2 workers free
-  inputs.max_shards = 64;
-  const ShardPlan plan = PlanShardCount(inputs);
-  EXPECT_EQ(plan.shards, 2u);
-  EXPECT_EQ(plan.limit, ShardPlanLimit::kExecutorLoad);
+  const ParallelPlan plan = PlanParallelism(inputs);
+  EXPECT_EQ(plan.run_generation_threads, 2u);
+  EXPECT_EQ(plan.limit, ParallelPlanLimit::kExecutorLoad);
+  EXPECT_EQ(plan.final_merge_threads, 1u);
 }
 
-TEST(ShardPlannerTest, OverloadedExecutorStillGetsOneShard) {
-  ShardPlanInputs inputs;
+TEST(ParallelPlannerTest, OverloadedExecutorStillGetsOneGenerator) {
+  ParallelPlanInputs inputs;
   inputs.input_records = 1000000;
   inputs.memory_records = 1000;
   inputs.executor_capacity = 4;
   inputs.executor_inflight = 100;
-  const ShardPlan plan = PlanShardCount(inputs);
-  EXPECT_EQ(plan.shards, 1u);
-  EXPECT_EQ(plan.limit, ShardPlanLimit::kExecutorLoad);
+  const ParallelPlan plan = PlanParallelism(inputs);
+  EXPECT_EQ(plan.run_generation_threads, 1u);
+  EXPECT_EQ(plan.limit, ParallelPlanLimit::kExecutorLoad);
 }
 
-TEST(ShardPlannerTest, ClipsToMaxShards) {
-  ShardPlanInputs inputs;
-  inputs.input_records = 10000000;
-  inputs.memory_records = 1000;
-  inputs.executor_capacity = 1000;
-  inputs.max_shards = 8;
-  const ShardPlan plan = PlanShardCount(inputs);
-  EXPECT_EQ(plan.shards, 8u);
-  EXPECT_EQ(plan.limit, ShardPlanLimit::kMaxShards);
+TEST(ParallelPlannerTest, EachGeneratorGetsTheSmallestMemoryItsAlgorithmTakes) {
+  ParallelPlanInputs inputs;
+  inputs.input_records = 100;
+  inputs.memory_records = 4;
+  inputs.fan_in = 100;  // passes never bind
+  inputs.executor_capacity = 4;
+  // 2WRS needs 3 records a generator: a 4-record lease keeps one.
+  EXPECT_EQ(PlanParallelism(inputs).run_generation_threads, 1u);
+  // Replacement selection runs on a single record: four generators.
+  inputs.algorithm = RunGenAlgorithm::kReplacementSelection;
+  EXPECT_EQ(PlanParallelism(inputs).run_generation_threads, 4u);
 }
 
-TEST(ShardPlannerTest, FinalMergeThreadsSpreadFreeWorkersOverShards) {
-  ShardPlanInputs inputs;
-  inputs.input_records = 32000;  // 8x-memory shards of 8000 records -> 4
-  inputs.memory_records = 1000;
-  inputs.executor_capacity = 16;
-  inputs.max_shards = 16;
-  const ShardPlan plan = PlanShardCount(inputs);
-  EXPECT_EQ(plan.shards, 4u);
-  // 16 free workers over 4 shards = 4 partitions each, and each shard's
-  // merge expects 8000 / (2 * 1000) = 4 runs — not the serial 1 the
-  // planner used to assume for the last pass.
-  EXPECT_EQ(plan.final_merge_threads, 4u);
-}
-
-TEST(ShardPlannerTest, FinalMergeStaysSerialWhenWorkersAreScarce) {
-  ShardPlanInputs inputs;
+TEST(ParallelPlannerTest, FinalMergeGetsTheLeftoverWorkers) {
+  ParallelPlanInputs inputs;
   inputs.input_records = 1000000;
-  inputs.memory_records = 1000;
-  inputs.executor_capacity = 8;
-  inputs.executor_inflight = 6;  // 2 free workers, both taken by shards
-  inputs.max_shards = 64;
-  const ShardPlan plan = PlanShardCount(inputs);
-  EXPECT_EQ(plan.shards, 2u);
-  EXPECT_EQ(plan.final_merge_threads, 1u);
+  inputs.memory_records = 200000;
+  inputs.executor_capacity = 16;
+  const ParallelPlan plan = PlanParallelism(inputs);
+  ASSERT_EQ(plan.run_generation_threads, 2u);
+  // 16 free workers over 2 generators: 8 partitions for the final merge.
+  EXPECT_EQ(plan.final_merge_threads, 8u);
 }
 
-TEST(ShardPlannerTest, FinalMergeCappedByExpectedRunCount) {
-  ShardPlanInputs inputs;
-  inputs.input_records = 12000;  // 2 shards of 6000 records
+TEST(ParallelPlannerTest, FinalMergeCappedByExpectedRunCount) {
+  ParallelPlanInputs inputs;
+  inputs.input_records = 6000;
   inputs.memory_records = 1000;
   inputs.executor_capacity = 64;  // workers to spare
-  inputs.max_shards = 16;
-  const ShardPlan plan = PlanShardCount(inputs);
-  EXPECT_EQ(plan.shards, 2u);
-  // 32 free workers per shard, but only ~3 runs of ~2x memory to merge.
-  EXPECT_EQ(plan.final_merge_threads, 3u);
+  const ParallelPlan plan = PlanParallelism(inputs);
+  // Two generators of 500 make 2 x 4 = 8 runs, one pass; three would make
+  // 15. The 32 workers each generator leaves are capped at the 8 runs.
+  ASSERT_EQ(plan.run_generation_threads, 2u);
+  EXPECT_EQ(plan.final_merge_threads, 8u);
 }
 
-TEST(ShardPlannerTest, InMemoryInputKeepsTheFinalMergeSerial) {
-  ShardPlanInputs inputs;
-  inputs.input_records = 1000;
-  inputs.memory_records = 2000;
-  inputs.executor_capacity = 32;
-  const ShardPlan plan = PlanShardCount(inputs);
-  EXPECT_EQ(plan.shards, 1u);
-  EXPECT_EQ(plan.final_merge_threads, 1u);
-}
-
-TEST(ShardPlannerTest, TopKLeaseAskShrinksToTheSelectionFootprint) {
+TEST(ParallelPlannerTest, TopKLeaseAskShrinksToTheSelectionFootprint) {
   // Not a top-K job: the nominal ask stands.
   EXPECT_EQ(PlanTopKLeaseRecords(0, 1 << 16), size_t{1} << 16);
   // Tiny K still asks for the 8192-record floor, not K records.
@@ -201,7 +196,7 @@ TEST(SortServiceTest, SortsOneJobEndToEnd) {
 
   const SortJobStats stats = handle.stats();
   EXPECT_EQ(stats.granted_memory_records, 128u);
-  EXPECT_GE(stats.planned_shards, 1u);
+  EXPECT_GE(stats.planned_run_generation_threads, 1u);
   EXPECT_EQ(stats.result.output_records, input.size());
   EXPECT_GT(stats.result.bytes_written, 0u);
 
@@ -210,7 +205,7 @@ TEST(SortServiceTest, SortsOneJobEndToEnd) {
   EXPECT_EQ(service_stats.completed, 1u);
 }
 
-TEST(SortServiceTest, AutoShardsPlansMoreThanOneShardForLargeInputs) {
+TEST(SortServiceTest, AutoPlansParallelRunGenerationForLargeInputs) {
   MemEnv env;
   auto input = WriteWorkload(&env, "in", 50000, 11);
 
@@ -220,15 +215,18 @@ TEST(SortServiceTest, AutoShardsPlansMoreThanOneShardForLargeInputs) {
   SortService service(&env, options);
   JobHandle handle;
   SortJobSpec spec = SpecFor("in", "out", 1024);
-  spec.shards = kAutoShards;
+  spec.run_generation_threads = kAutoRunGenerationThreads;
   ASSERT_TWRS_OK(service.Submit(spec, &handle));
   ASSERT_TWRS_OK(handle.Wait());
 
   const SortJobStats stats = handle.stats();
-  // 50000 records over 8x-1024-record shards wants >= 2 shards; the
+  // 50000 records make ~26 runs of 2x 1024 records: two merge passes at
+  // fan-in 10, which up to three generators of 341 still fit. The
   // executor has >= 2 workers and is idle, so the plan keeps at least 2.
-  EXPECT_GE(stats.planned_shards, 2u);
-  EXPECT_GE(stats.result.shard_records.size(), 2u);
+  EXPECT_EQ(stats.granted_memory_records, 1024u);
+  EXPECT_GE(stats.planned_run_generation_threads, 2u);
+  EXPECT_LE(stats.planned_run_generation_threads, 3u);
+  EXPECT_EQ(stats.result.run_gen.total_records, input.size());
 
   uint64_t count = 0;
   KeyChecksum sum;
@@ -338,7 +336,7 @@ TEST(SortServiceTest, CancelsARunningJob) {
   SortService service(&env, options);
   JobHandle handle;
   SortJobSpec spec = SpecFor("in", "out", 256);
-  spec.shards = 1;
+  spec.run_generation_threads = 1;
   ASSERT_TWRS_OK(service.Submit(spec, &handle));
 
   // Wait until the job is genuinely running, then cancel mid-sort.
@@ -381,9 +379,9 @@ TEST(SortServiceTest, DownsizedLeaseAdmitsTheNextJobMidMerge) {
   SortService service(&env, options);
 
   SortJobSpec spec1 = SpecFor("in1", "out1", 150000);
-  spec1.shards = 1;
+  spec1.run_generation_threads = 1;
   SortJobSpec spec2 = SpecFor("in2", "out2", 150000);
-  spec2.shards = 1;
+  spec2.run_generation_threads = 1;
   const size_t merge_records = MergePhaseMemoryRecords(spec1.sort);
   ASSERT_LT(merge_records, 150000u);
 
@@ -496,7 +494,6 @@ TEST(SortServiceStressTest, SixteenConcurrentJobsMatchSerialByteForByte) {
     for (int j = 0; j < kJobs; ++j) {
       SortJobSpec spec = SpecFor("in" + std::to_string(j),
                                  "out" + std::to_string(j), kNominalMemory);
-      spec.sample_seed = 100 + j;
       ASSERT_TWRS_OK(service.Submit(spec, &handles[j]));
     }
     for (int j = 0; j < kJobs; ++j) {
@@ -523,7 +520,8 @@ TEST(SortServiceStressTest, SixteenConcurrentJobsMatchSerialByteForByte) {
     EXPECT_GE(job.granted_memory_records, options.governor.min_lease_records);
     EXPECT_LE(job.granted_memory_records, kNominalMemory);
 
-    // Byte-identical to the serial sort, whatever lease/shards were used.
+    // Byte-identical to the serial sort, whatever lease and generator
+    // count were used.
     const std::vector<uint8_t>* out =
         env.FileContents("out" + std::to_string(j));
     const std::vector<uint8_t>* ref =
@@ -575,11 +573,7 @@ TEST(SortServiceTest, JobProgressIsMonotonicAndReachesTotals) {
   EXPECT_EQ(done.phase, SortProgressPhase::kComplete);
   EXPECT_EQ(done.total_records, input.size());
   EXPECT_EQ(done.records_ingested, input.size());
-  uint64_t merge_written = 0;
-  for (const ExternalSortResult& shard : stats.result.shard_results) {
-    merge_written += shard.merge.records_written;
-  }
-  EXPECT_EQ(done.records_merged, merge_written);
+  EXPECT_EQ(done.records_merged, stats.result.merge.records_written);
   EXPECT_EQ(done.bytes_read, stats.result.bytes_read);
   EXPECT_EQ(done.bytes_written, stats.result.bytes_written);
 
@@ -599,7 +593,7 @@ TEST(SortServiceTest, JobProgressIsMonotonicAndReachesTotals) {
   EXPECT_EQ(completed->value, 1u);
 }
 
-TEST(SortServiceTest, TopKJobRunsUnshardedWithASmallerLease) {
+TEST(SortServiceTest, TopKSelectionJobPlansOneGeneratorAndASmallerLease) {
   MemEnv env;
   auto input = WriteWorkload(&env, "in", 50000, 23);
 
@@ -607,18 +601,19 @@ TEST(SortServiceTest, TopKJobRunsUnshardedWithASmallerLease) {
   options.governor.capacity_records = 1 << 16;
   SortService service(&env, options);
 
-  // 50000 records over 16384-record memory would auto-plan >= 2 shards;
-  // the limit overrides that and shrinks the lease ask to the 8192 floor.
+  // The limit shrinks the lease ask to the 8192 floor, and a K that fits
+  // it runs the dual-heap selection, which generates no runs.
   JobHandle handle;
   SortJobSpec spec = SpecFor("in", "out", 16384);
-  spec.shards = kAutoShards;
+  spec.run_generation_threads = kAutoRunGenerationThreads;
   spec.sort.limit = 100;
   ASSERT_TWRS_OK(service.Submit(spec, &handle));
   ASSERT_TWRS_OK(handle.Wait());
 
   const SortJobStats stats = handle.stats();
-  EXPECT_EQ(stats.plan_limit, ShardPlanLimit::kTopKSelection);
-  EXPECT_EQ(stats.planned_shards, 1u);
+  EXPECT_EQ(stats.plan_limit, ParallelPlanLimit::kTopKSelection);
+  EXPECT_EQ(stats.planned_run_generation_threads, 1u);
+  EXPECT_EQ(stats.result.topk_strategy, TopKStrategy::kDualHeap);
   EXPECT_EQ(stats.nominal_memory_records, 16384u);
   EXPECT_EQ(stats.granted_memory_records, 8192u);
   EXPECT_EQ(stats.result.output_records, 100u);
@@ -653,7 +648,7 @@ TEST(SortServiceTest, TopKDescendingJobKeepsTheLargestKeys) {
   ASSERT_TWRS_OK(service.Submit(spec, &handle));
   ASSERT_TWRS_OK(handle.Wait());
 
-  EXPECT_EQ(handle.stats().plan_limit, ShardPlanLimit::kTopKSelection);
+  EXPECT_EQ(handle.stats().plan_limit, ParallelPlanLimit::kTopKSelection);
   EXPECT_EQ(handle.Progress().total_output_records, 50u);
 
   std::sort(input.begin(), input.end());
@@ -663,6 +658,35 @@ TEST(SortServiceTest, TopKDescendingJobKeepsTheLargestKeys) {
   ASSERT_TWRS_OK(VerifySortedFile(&env, "out", &count, &sum));
   EXPECT_EQ(count, 50u);
   EXPECT_TRUE(sum == ChecksumOf(input));
+}
+
+TEST(SortServiceTest, RunPruningTopKJobGeneratesRunsInParallel) {
+  MemEnv env;
+  auto input = WriteWorkload(&env, "in", 50000, 31);
+
+  SortServiceOptions options;
+  options.governor.capacity_records = 1 << 16;
+  SortService service(&env, options);
+
+  // K above the memory budget: the run-pruning merge, whose runs the
+  // planner may split across generators like a full sort's.
+  JobHandle handle;
+  SortJobSpec spec = SpecFor("in", "out", 1024);
+  spec.sort.limit = 5000;
+  ASSERT_TWRS_OK(service.Submit(spec, &handle));
+  ASSERT_TWRS_OK(handle.Wait());
+
+  const SortJobStats stats = handle.stats();
+  EXPECT_NE(stats.plan_limit, ParallelPlanLimit::kTopKSelection);
+  EXPECT_GE(stats.planned_run_generation_threads, 2u);
+  EXPECT_EQ(stats.result.topk_strategy, TopKStrategy::kRunPruningMerge);
+  EXPECT_EQ(stats.result.output_records, 5000u);
+
+  std::sort(input.begin(), input.end());
+  input.resize(5000);
+  std::vector<Key> got;
+  ASSERT_TWRS_OK(ReadAllRecords(&env, "out", &got));
+  EXPECT_EQ(got, input);
 }
 
 TEST(SortServiceTest, MetricsCanBeDisabled) {

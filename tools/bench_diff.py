@@ -48,8 +48,8 @@ _MEASUREMENT_FIELDS = {
 # Deliberately NOT measurements: `limit`, `strategy` and `order`
 # (bench_topk) identify which top-K plan a row measured, so they stay in
 # the match key — a K=400 dual-heap row only ever compares against the
-# same plan in the baseline. Likewise `io_backend` (bench_parallel_sort,
-# bench_sharded_sort): it names the Env the row ran on (posix vs uring),
+# same plan in the baseline. Likewise `io_backend` (bench_parallel_sort):
+# it names the Env the row ran on (posix vs uring),
 # so a uring row is only ever compared against the baseline's uring row —
 # a posix-vs-uring delta is a comparison the sweep itself reports, not a
 # regression for this tool to flag.
