@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "obs/build_info.h"
-#include "simd/dispatch.h"
 
 #include "core/replacement_selection.h"
 #include "core/run_sink.h"
@@ -178,9 +177,7 @@ inline void JsonReporter::Flush() {
       << TWRS_BENCH_SCHEMA_VERSION << ",\n  \"git_sha\": \""
       << TWRS_BUILD_GIT_SHA << "\",\n  \"profile\": \""
       << (profile_.empty() ? name_ : profile_) << "\",\n  \"timestamp\": \""
-      << timestamp << "\",\n  \"simd_dispatch\": \""
-      << simd::DispatchLevelName(simd::ActiveDispatchLevel())
-      << "\",\n  \"scale\": " << Scale() << ",\n  \"results\": [\n";
+      << timestamp << "\",\n  \"scale\": " << Scale() << ",\n  \"results\": [\n";
   for (size_t i = 0; i < entries_.size(); ++i) {
     out << "    " << entries_[i] << (i + 1 < entries_.size() ? "," : "")
         << "\n";

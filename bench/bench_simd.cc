@@ -1,12 +1,10 @@
-/// Per-kernel microbenchmarks for the src/simd layer.
+/// Microbenchmark of the in-memory block sort (core/block_sort.h).
 ///
-/// Every twinned kernel is timed through its fixed-level internal twins on
-/// identical inputs; SortKeysBlock, which has one portable body, is timed
-/// against std::sort at the engine's two block sizes. Every output is
-/// cross-checked against its reference before any number is reported (a
-/// mismatch aborts), and the results flow into the standard --json report
-/// (schema_version 2, diffable with tools/bench_diff.py). On hosts without
-/// AVX2 only the scalar rows of the twinned kernels are emitted.
+/// SortKeysBlock is timed against std::sort at the engine's two block
+/// sizes. Every output is cross-checked against std::sort before any
+/// number is reported (a mismatch aborts), and the results flow into the
+/// standard --json report (schema_version 2, diffable with
+/// tools/bench_diff.py).
 ///
 ///   bench_simd [--json BENCH_simd.json] [--profile NAME]
 
@@ -16,15 +14,13 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "simd/dispatch.h"
-#include "simd/kernels.h"
+#include "core/block_sort.h"
 #include "util/table_printer.h"
 
 namespace twrs {
 namespace bench {
 namespace {
 
-constexpr size_t kKeys = 1 << 16;
 constexpr uint64_t kSeed = 20100802;  // the paper's VLDB year + figure
 
 std::vector<Key> RandomKeys(size_t n, uint64_t seed) {
@@ -32,65 +28,6 @@ std::vector<Key> RandomKeys(size_t n, uint64_t seed) {
   std::vector<Key> keys(n);
   for (Key& k : keys) k = static_cast<Key>(rng());
   return keys;
-}
-
-/// Median-of-5 wall time of one repetition of `fn` (each sample runs
-/// `reps` back-to-back calls), keeping a single noisy sample from
-/// polluting the speedup ratios.
-template <typename Fn>
-double TimeSeconds(Fn&& fn, int reps) {
-  double samples[5];
-  for (double& sample : samples) {
-    Stopwatch watch;
-    for (int r = 0; r < reps; ++r) fn();
-    sample = watch.ElapsedSeconds() / reps;
-  }
-  std::sort(samples, samples + 5);
-  return samples[2];
-}
-
-struct KernelTiming {
-  const char* kernel;
-  uint64_t records;
-  double scalar_seconds = 0.0;
-  double avx2_seconds = 0.0;  // 0 when the host lacks AVX2
-};
-
-void Report(const KernelTiming& timing, TablePrinter* table) {
-  JsonEntry scalar;
-  scalar.Str("kernel", timing.kernel)
-      .Str("dispatch", "scalar")
-      .Int("records", timing.records)
-      .Num("wall_seconds", timing.scalar_seconds)
-      .Num("keys_per_second",
-           static_cast<double>(timing.records) / timing.scalar_seconds);
-  JsonReporter::Global().Add(scalar);
-  const bool has_avx2 = timing.avx2_seconds > 0.0;
-  const double speedup =
-      has_avx2 ? timing.scalar_seconds / timing.avx2_seconds : 0.0;
-  if (has_avx2) {
-    JsonEntry avx2;
-    avx2.Str("kernel", timing.kernel)
-        .Str("dispatch", "avx2")
-        .Int("records", timing.records)
-        .Num("wall_seconds", timing.avx2_seconds)
-        .Num("keys_per_second",
-             static_cast<double>(timing.records) / timing.avx2_seconds)
-        .Num("speedup", speedup);
-    JsonReporter::Global().Add(avx2);
-  }
-  table->AddRow({timing.kernel, std::to_string(timing.records),
-                 TablePrinter::Num(timing.scalar_seconds * 1e6, 1),
-                 has_avx2 ? TablePrinter::Num(timing.avx2_seconds * 1e6, 1)
-                          : "-",
-                 has_avx2 ? TablePrinter::Num(speedup, 2) + "x" : "-"});
-}
-
-void RequireIdentical(bool identical, const char* kernel) {
-  if (!identical) {
-    fprintf(stderr, "FATAL: %s avx2 output differs from scalar\n", kernel);
-    abort();
-  }
 }
 
 /// Keys sorted per sample: split into distinct blocks so the branch
@@ -149,7 +86,7 @@ void BenchSortKeysBlock() {
                          [](Key* keys, size_t n) { std::sort(keys, keys + n); });
       const std::vector<Key> expected = work;
       const double kernel_seconds =
-          TimeBlockSorts(key_set.pool, block, &work, simd::SortKeysBlock);
+          TimeBlockSorts(key_set.pool, block, &work, SortKeysBlock);
       if (work != expected) {
         fprintf(stderr, "FATAL: sort_block output differs from std::sort\n");
         abort();
@@ -178,69 +115,8 @@ void BenchSortKeysBlock() {
   table.Print(std::cout);
 }
 
-KernelTiming BenchEncode(bool avx2) {
-  const std::vector<Key> keys = RandomKeys(kKeys, kSeed + 3);
-  std::vector<uint8_t> bytes(kKeys * kRecordBytes);
-  KernelTiming timing{"encode", kKeys, 0.0, 0.0};
-  timing.scalar_seconds = TimeSeconds(
-      [&] {
-        simd::internal::EncodeKeysBatchScalar(keys.data(), keys.size(),
-                                              bytes.data());
-      },
-      200);
-  if (avx2) {
-    const std::vector<uint8_t> expected = bytes;
-    timing.avx2_seconds = TimeSeconds(
-        [&] {
-          simd::internal::EncodeKeysBatchAvx2(keys.data(), keys.size(),
-                                              bytes.data());
-        },
-        200);
-    RequireIdentical(bytes == expected, timing.kernel);
-  }
-  return timing;
-}
-
-KernelTiming BenchDecode(bool avx2) {
-  const std::vector<Key> source = RandomKeys(kKeys, kSeed + 4);
-  std::vector<uint8_t> bytes(kKeys * kRecordBytes);
-  simd::internal::EncodeKeysBatchScalar(source.data(), source.size(),
-                                        bytes.data());
-  std::vector<Key> keys(kKeys);
-  KernelTiming timing{"decode", kKeys, 0.0, 0.0};
-  timing.scalar_seconds = TimeSeconds(
-      [&] {
-        simd::internal::DecodeKeysBatchScalar(bytes.data(), keys.size(),
-                                              keys.data());
-      },
-      200);
-  if (avx2) {
-    const std::vector<Key> expected = keys;
-    timing.avx2_seconds = TimeSeconds(
-        [&] {
-          simd::internal::DecodeKeysBatchAvx2(bytes.data(), keys.size(),
-                                              keys.data());
-        },
-        200);
-    RequireIdentical(keys == expected, timing.kernel);
-  }
-  return timing;
-}
-
 int Main(int argc, char** argv) {
   ParseBenchArgs(argc, argv);
-  const bool avx2 = simd::CpuSupportsAvx2();
-  printf("simd dispatch: %s (avx2 compiled: %s, TWRS_FORCE_SCALAR honored "
-         "by dispatched call sites, twins pinned here)\n",
-         simd::DispatchLevelName(simd::ActiveDispatchLevel()),
-         simd::internal::Avx2Compiled() ? "yes" : "no");
-
-  TablePrinter table({"Kernel", "Records", "Scalar us", "AVX2 us",
-                      "Speedup"});
-  Report(BenchEncode(avx2), &table);
-  Report(BenchDecode(avx2), &table);
-  table.Print(std::cout);
-  printf("\n");
   BenchSortKeysBlock();
 
   JsonReporter::Global().Flush();

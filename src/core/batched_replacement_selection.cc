@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "core/block_sort.h"
 #include "core/minirun_heap.h"
-#include "simd/kernels.h"
 
 namespace twrs {
 
@@ -63,7 +63,7 @@ Status BatchedReplacementSelection::Generate(RecordSource* source,
       arena.Release(block);
       return Status::OK();
     }
-    simd::SortKeysBlock(keys, n);
+    SortKeysBlock(keys, n);
     in_memory += n;
     Key* boundary =
         have_last_output ? std::lower_bound(keys, keys + n, last_output) : keys;

@@ -5,10 +5,10 @@
 #include <limits>
 #include <vector>
 
+#include "core/block_sort.h"
 #include "core/minirun_heap.h"
 #include "core/victim_buffer.h"
 #include "heap/double_heap.h"
-#include "simd/kernels.h"
 #include "util/random.h"
 
 namespace twrs {
@@ -136,7 +136,7 @@ class Engine {
   // Sorts one batch and cuts it into spans (class comment). In sorted
   // order the cut is: BottomHeap | deferred | victim | deferred | TopHeap.
   Status PlaceBatch(uint32_t block, Key* keys, size_t n) {
-    simd::SortKeysBlock(keys, n);
+    SortKeysBlock(keys, n);
     for (size_t i = 0; i < n; ++i) seen_sum_ += static_cast<double>(keys[i]);
     seen_count_ += n;
     Key* const end = keys + n;

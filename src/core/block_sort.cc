@@ -1,20 +1,14 @@
-#include "simd/kernels.h"
+#include "core/block_sort.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <memory>
 
 namespace twrs {
-namespace simd {
 
 namespace {
-
-DispatchLevel ResolveAndCount(Kernel kernel) {
-  const DispatchLevel level = ActiveDispatchLevel();
-  AddKernelCalls(kernel, level, 1);
-  return level;
-}
 
 // LSD radix sort on 8-bit digits: one 256-entry count table per pass
 // stays in L1. Counts are uint32_t, so blocks of 2^32 keys or more take
@@ -42,11 +36,13 @@ void CountsToOffsets(uint32_t* counts) {
   }
 }
 
+}  // namespace
+
 // One OR/AND pass finds the digits that vary across the block; only those
 // get a scatter pass, so keys below 2^32 take four passes and a block of
 // equal keys takes none. Each scatter pass also counts the next digit.
 // Every pass is stable, so the result is the unique ascending permutation.
-void RadixSortKeys(Key* keys, size_t n) {
+void SortKeysBlock(Key* keys, size_t n) {
   if (n < internal::kRadixSortMinKeys ||
       n > std::numeric_limits<uint32_t>::max()) {
     std::sort(keys, keys + n);
@@ -99,52 +95,4 @@ void RadixSortKeys(Key* keys, size_t n) {
   if (src != keys) std::memcpy(keys, src, n * sizeof(Key));
 }
 
-}  // namespace
-
-namespace internal {
-
-void EncodeKeysBatchScalar(const Key* keys, size_t n, uint8_t* out) {
-#if TWRS_LITTLE_ENDIAN
-  // In-memory and on-disk layouts agree on little-endian hosts, so the
-  // whole batch is one copy (the compiler fully vectorizes this).
-  if (n > 0) std::memcpy(out, keys, n * kRecordBytes);
-#else
-  for (size_t i = 0; i < n; ++i) EncodeKey(keys[i], out + i * kRecordBytes);
-#endif
-}
-
-void DecodeKeysBatchScalar(const uint8_t* in, size_t n, Key* keys) {
-#if TWRS_LITTLE_ENDIAN
-  if (n > 0) std::memcpy(keys, in, n * kRecordBytes);
-#else
-  for (size_t i = 0; i < n; ++i) keys[i] = DecodeKey(in + i * kRecordBytes);
-#endif
-}
-
-}  // namespace internal
-
-void SortKeysBlock(Key* keys, size_t n) {
-  // One portable kernel serves every level; the call is still counted
-  // under the active one.
-  ResolveAndCount(Kernel::kSortKeys);
-  RadixSortKeys(keys, n);
-}
-
-void EncodeKeysBatch(const Key* keys, size_t n, uint8_t* out) {
-  if (ResolveAndCount(Kernel::kEncode) == DispatchLevel::kAvx2) {
-    internal::EncodeKeysBatchAvx2(keys, n, out);
-  } else {
-    internal::EncodeKeysBatchScalar(keys, n, out);
-  }
-}
-
-void DecodeKeysBatch(const uint8_t* in, size_t n, Key* keys) {
-  if (ResolveAndCount(Kernel::kDecode) == DispatchLevel::kAvx2) {
-    internal::DecodeKeysBatchAvx2(in, n, keys);
-  } else {
-    internal::DecodeKeysBatchScalar(in, n, keys);
-  }
-}
-
-}  // namespace simd
 }  // namespace twrs

@@ -2,7 +2,7 @@
 
 #include <vector>
 
-#include "simd/kernels.h"
+#include "core/block_sort.h"
 
 namespace twrs {
 
@@ -21,7 +21,7 @@ Status LoadSortStore::Generate(RecordSource* source, RunSink* sink,
     size_t filled = 0;
     TWRS_RETURN_IF_ERROR(source->Read(block.data(), capacity, &filled));
     if (filled == 0) break;
-    simd::SortKeysBlock(block.data(), filled);
+    SortKeysBlock(block.data(), filled);
     TWRS_RETURN_IF_ERROR(sink->BeginRun());
     TWRS_RETURN_IF_ERROR(sink->AppendSorted(kStream1, block.data(), filled));
     TWRS_RETURN_IF_ERROR(sink->EndRun());

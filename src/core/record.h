@@ -59,6 +59,28 @@ inline Key DecodeKey(const uint8_t* in) {
   return static_cast<Key>(u);
 }
 
+/// Serializes keys[0..n) into out[0..n*kRecordBytes): the bulk form of
+/// EncodeKey, used by the block-buffered record writers.
+inline void EncodeKeysBatch(const Key* keys, size_t n, uint8_t* out) {
+#if TWRS_LITTLE_ENDIAN
+  // In-memory and on-disk layouts agree on little-endian hosts, so the
+  // whole batch is one copy (the compiler fully vectorizes this).
+  if (n > 0) std::memcpy(out, keys, n * kRecordBytes);
+#else
+  for (size_t i = 0; i < n; ++i) EncodeKey(keys[i], out + i * kRecordBytes);
+#endif
+}
+
+/// Deserializes n records from `in` into keys[0..n): the bulk form of
+/// DecodeKey, used by the block-buffered record readers.
+inline void DecodeKeysBatch(const uint8_t* in, size_t n, Key* keys) {
+#if TWRS_LITTLE_ENDIAN
+  if (n > 0) std::memcpy(keys, in, n * kRecordBytes);
+#else
+  for (size_t i = 0; i < n; ++i) keys[i] = DecodeKey(in + i * kRecordBytes);
+#endif
+}
+
 }  // namespace twrs
 
 #endif  // TWRS_CORE_RECORD_H_

@@ -5,10 +5,10 @@
 #include <limits>
 #include <vector>
 
+#include "core/block_sort.h"
 #include "core/input_buffer.h"
 #include "core/victim_buffer.h"
 #include "heap/double_heap.h"
-#include "simd/kernels.h"
 
 namespace twrs {
 
@@ -198,7 +198,7 @@ class Engine {
           for (const TaggedRecord& r : contents) {
             if (r.run == current_run_) snapshot.push_back(r.key);
           }
-          simd::SortKeysBlock(snapshot.data(), snapshot.size());
+          SortKeysBlock(snapshot.data(), snapshot.size());
         }
         const VictimBuffer::RangePopulation population =
             [&snapshot](Key lo, Key hi) -> uint64_t {

@@ -4,7 +4,7 @@
 #include <cassert>
 #include <limits>
 
-#include "simd/kernels.h"
+#include "core/block_sort.h"
 
 namespace twrs {
 
@@ -30,7 +30,7 @@ uint64_t GapWidth(Key lo, Key hi) {
 }  // namespace
 
 size_t VictimBuffer::LargestGapIndex() {
-  simd::SortKeysBlock(values_.data(), values_.size());
+  SortKeysBlock(values_.data(), values_.size());
   size_t best = 0;
   uint64_t best_gap = GapWidth(values_[0], values_[1]);
   for (size_t i = 1; i + 1 < values_.size(); ++i) {
@@ -65,7 +65,7 @@ Status VictimBuffer::BootstrapSplit(std::vector<Key>* lows,
   if (population == nullptr) {
     gap = LargestGapIndex();
   } else {
-    simd::SortKeysBlock(values_.data(), values_.size());
+    SortKeysBlock(values_.data(), values_.size());
     // Widest gap whose interior can be absorbed by this buffer. A wider
     // gap makes the buffer more useful (§4.3), but a gap holding more
     // records than the buffer's capacity would thrash: repeated flushes
@@ -145,7 +145,7 @@ Status VictimBuffer::FlushActive(RunSink* sink) {
 
 Status VictimBuffer::FlushFinal(RunSink* sink) {
   if (values_.empty()) return Status::OK();
-  simd::SortKeysBlock(values_.data(), values_.size());
+  SortKeysBlock(values_.data(), values_.size());
   TWRS_RETURN_IF_ERROR(
       sink->AppendSorted(kStream3, values_.data(), values_.size()));
   values_.clear();

@@ -4,8 +4,8 @@
 #include <memory>
 #include <vector>
 
+#include "core/block_sort.h"
 #include "merge/external_sorter.h"
-#include "simd/kernels.h"
 #include "workload/generators.h"
 
 namespace twrs {
@@ -45,7 +45,7 @@ class Context {
       // Leaf: the bucket fits in memory (§2.2 step 3 with internal sort).
       std::vector<Key> keys;
       TWRS_RETURN_IF_ERROR(ReadAllRecords(env_, path, &keys));
-      simd::SortKeysBlock(keys.data(), keys.size());
+      SortKeysBlock(keys.data(), keys.size());
       for (Key k : keys) TWRS_RETURN_IF_ERROR(output_->Append(k));
       if (stats_ != nullptr) ++stats_->in_memory_sorts;
       return env_->RemoveFile(path);

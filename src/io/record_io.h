@@ -40,7 +40,7 @@ class RecordWriter {
   Status Append(Key key);
 
   /// Appends `n` records in bulk, serializing whole block-sized chunks
-  /// through the simd batch codec instead of one record at a time.
+  /// through EncodeKeysBatch instead of one record at a time.
   Status AppendBatch(const Key* keys, size_t n);
 
   /// Flushes remaining buffered records and closes the file. With
@@ -86,8 +86,8 @@ class RecordReader {
   /// Reads the next record into `*key`; sets `*eof` instead at end of file.
   Status Next(Key* key, bool* eof);
 
-  /// Reads up to `max` records into `out` in bulk via the simd batch
-  /// codec. Sets `*got` to the number delivered; 0 means end of file.
+  /// Reads up to `max` records into `out` in bulk via DecodeKeysBatch.
+  /// Sets `*got` to the number delivered; 0 means end of file.
   Status Read(Key* out, size_t max, size_t* got);
 
  private:

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "simd/kernels.h"
-
 namespace twrs {
 
 namespace {
@@ -159,20 +157,16 @@ Status ReverseRunWriter::AppendBatch(const Key* keys, size_t n) {
       status_ = OpenNextFile();
       TWRS_RETURN_IF_ERROR(status_);
     }
-    // The page fills back to front, so the chunk lands in reverse: encode
-    // it forward, then swap the records end for end.
+    // The page fills back to front: each key is encoded straight into the
+    // next free slot below the last one, as Append does.
     const size_t take =
         std::min<size_t>(n - done, page_pos_ / kRecordBytes);
-    page_pos_ -= take * kRecordBytes;
-    uint8_t* lo = page_.data() + page_pos_;
-    simd::EncodeKeysBatch(keys + done, take, lo);
-    uint8_t* hi = lo + (take - 1) * kRecordBytes;
-    for (; lo < hi; lo += kRecordBytes, hi -= kRecordBytes) {
-      uint8_t tmp[kRecordBytes];
-      std::memcpy(tmp, lo, kRecordBytes);
-      std::memcpy(lo, hi, kRecordBytes);
-      std::memcpy(hi, tmp, kRecordBytes);
+    uint8_t* slot = page_.data() + page_pos_;
+    for (size_t i = 0; i < take; ++i) {
+      slot -= kRecordBytes;
+      EncodeKey(keys[done + i], slot);
     }
+    page_pos_ -= take * kRecordBytes;
     file_record_count_ += take;
     count_ += take;
     done += take;
@@ -320,7 +314,7 @@ Status ReverseRunReader::Read(Key* out, size_t max, size_t* got) {
   if (eof) return Status::OK();
   const size_t take =
       std::min(max, (buffer_size_ - buffer_pos_) / kRecordBytes);
-  simd::DecodeKeysBatch(buffer_.data() + buffer_pos_, take, out);
+  DecodeKeysBatch(buffer_.data() + buffer_pos_, take, out);
   buffer_pos_ += take * kRecordBytes;
   *got = take;
   return Status::OK();

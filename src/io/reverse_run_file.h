@@ -52,8 +52,8 @@ class ReverseRunWriter {
   /// checked and violations return Status::InvalidArgument.
   Status Append(Key key);
 
-  /// Appends `n` non-increasing keys, encoding them a page at a time
-  /// through simd::EncodeKeysBatch. The file bytes equal those of `n`
+  /// Appends `n` non-increasing keys, encoding each straight into its
+  /// back-to-front page slot. The file bytes equal those of `n`
   /// Append calls. If the span breaks the order (within itself or against
   /// the last key appended), nothing is written and InvalidArgument is
   /// returned, as Append does.
@@ -117,7 +117,7 @@ class ReverseRunReader {
   /// Reads the next record into `*key`; sets `*eof` at end of stream.
   Status Next(Key* key, bool* eof);
 
-  /// Decodes up to `max` records into `out` through the simd batch codec,
+  /// Decodes up to `max` records into `out` through DecodeKeysBatch,
   /// from the buffered block only: the next block (or file) is read only
   /// when nothing is buffered, so a batch never reads ahead of Next's
   /// schedule. Sets `*got` to the number delivered; 0 means end of stream.

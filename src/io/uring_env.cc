@@ -1343,8 +1343,7 @@ void PublishIoUringCounters(MetricsRegistry* metrics) {
   if (metrics == nullptr) return;
   // The globals only grow, so each registry metric is raised to the
   // current total by its delta. The mutex keeps two concurrent publishers
-  // from both applying the same delta to one registry (the
-  // simd::PublishKernelCounters contract).
+  // from both applying the same delta to one registry.
   static Mutex mu;
   MutexLock lock(&mu);
   const struct {

@@ -112,8 +112,8 @@ class IoUringEnv : public Env {
 /// `io.uring.{submitted,completed,short_ios,rings_created,ring_reuses}`
 /// monotonic counters and the
 /// `io.uring.sqe_batch_len` histogram (SQEs consumed per io_uring_enter),
-/// incrementing each registry by what it has not yet seen — the same
-/// delta-publish contract as simd::PublishKernelCounters. No-op on builds
+/// incrementing each registry by what it has not yet seen, so publishing
+/// twice without new activity does not double-count. No-op on builds
 /// without the backend.
 void PublishIoUringCounters(MetricsRegistry* metrics);
 

@@ -6,7 +6,6 @@
 
 #include "io/reverse_run_file.h"
 #include "merge/splitters.h"
-#include "simd/kernels.h"
 
 namespace twrs {
 
@@ -84,7 +83,7 @@ class ForwardSegmentSearcher {
     // Decode the whole block once; the binary searches then compare native
     // keys instead of re-decoding a record per probe.
     cache_keys_.resize(records);
-    simd::DecodeKeysBatch(cache_.data(), records, cache_keys_.data());
+    DecodeKeysBatch(cache_.data(), records, cache_keys_.data());
     cached_block_ = static_cast<int64_t>(block);
     return Status::OK();
   }

@@ -8,7 +8,6 @@
 #include "core/run_generator.h"
 #include "exec/executor.h"
 #include "io/uring_env.h"
-#include "simd/dispatch.h"
 #include "util/mutex.h"
 #include "util/stopwatch.h"
 
@@ -247,10 +246,8 @@ Status FinalMergePhase(SortContext* context, const std::string& output_path) {
       context->metrics->Counter("select.records_pruned")
           ->Increment(context->result.merge.records_pruned);
     }
-    // Mirror the per-kernel dispatch counters so the job's registry shows
-    // which simd paths this sort actually executed, and the io_uring
-    // submission/completion counters for sorts on the uring backend.
-    simd::PublishKernelCounters(context->metrics);
+    // Mirror the io_uring submission/completion counters for sorts on the
+    // uring backend.
     PublishIoUringCounters(context->metrics);
   }
   const uint64_t total = context->result.run_gen.total_records;

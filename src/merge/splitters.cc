@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "simd/kernels.h"
+#include "core/block_sort.h"
 
 namespace twrs {
 
@@ -19,7 +19,7 @@ void ReservoirSampler::Add(Key key) {
 std::vector<Key> PickSplitters(std::vector<Key> sample, size_t parts) {
   std::vector<Key> splitters;
   if (parts <= 1 || sample.empty()) return splitters;
-  simd::SortKeysBlock(sample.data(), sample.size());
+  SortKeysBlock(sample.data(), sample.size());
   for (size_t i = 1; i < parts; ++i) {
     const size_t idx =
         std::min(i * sample.size() / parts, sample.size() - 1);

@@ -7,7 +7,6 @@
 #include "core/record.h"
 #include "exec/executor.h"
 #include "io/uring_env.h"
-#include "simd/dispatch.h"
 #include "workload/generators.h"
 
 namespace twrs {
@@ -556,7 +555,6 @@ SortServiceStats SortService::Stats() const {
   // Outside mu_: the registry has its own lock, and snapshotting every
   // histogram is too much work to hold the scheduler's mutex across.
   if (metrics_ != nullptr) {
-    simd::PublishKernelCounters(metrics_.get());
     PublishIoUringCounters(metrics_.get());
     stats.metrics = metrics_->Snapshot();
   }

@@ -4,54 +4,28 @@
 #include <cstdint>
 
 namespace twrs {
-
-class MetricsRegistry;
-
 namespace simd {
 
-/// Instruction-set tier a kernel call actually executes on. A kernel has at
-/// most two contracts — a portable scalar implementation and a vectorized
-/// twin pinned byte-identical to it (SortKeysBlock has only the portable
-/// one) — so the level is a two-way switch rather than a full ISA lattice.
-/// Extending to AVX-512 or NEON means adding a level here plus one more
-/// twin per twinned kernel (see the "SIMD kernels" section of README.md).
+// Header-only shim for perfbench/perf_sort.cc, which still prints a
+// dispatch level and reads per-kernel call counters. The engine has one
+// portable code path (core/block_sort.h, the codec in core/record.h) and
+// no engine source includes this file. It goes with the perfbench
+// revision (ROADMAP item 1).
+
+/// The one code path every host runs.
 enum class DispatchLevel {
-  kScalar = 0,
-  kAvx2 = 1,
+  kPortable = 0,
 };
 
-inline constexpr int kNumDispatchLevels = 2;
+inline constexpr int kNumDispatchLevels = 1;
 
-/// "scalar" or "avx2" (stable names, used in metrics and bench JSON).
-const char* DispatchLevelName(DispatchLevel level);
+inline const char* DispatchLevelName(DispatchLevel /*level*/) {
+  return "portable";
+}
 
-/// True when the running CPU reports AVX2 *and* this binary carries the
-/// AVX2 kernel bodies (a non-x86 or AVX2-incapable compiler builds the
-/// scalar-only binary). Probed once, then cached.
-bool CpuSupportsAvx2();
+inline DispatchLevel ActiveDispatchLevel() { return DispatchLevel::kPortable; }
 
-/// The level the dispatched kernel entry points currently select:
-/// kAvx2 when the CPU supports it and scalar is not forced, else kScalar.
-///
-/// Scalar can be forced two ways: the TWRS_FORCE_SCALAR environment
-/// variable (any value except "0" or empty, read once at first use) sets
-/// the initial state, and ForceScalar() overrides it programmatically at
-/// any time. A cheap relaxed atomic read, safe to call per batch.
-DispatchLevel ActiveDispatchLevel();
-
-/// Programmatic dispatch override: ForceScalar(true) pins every kernel to
-/// the scalar path, ForceScalar(false) re-enables vector dispatch even if
-/// TWRS_FORCE_SCALAR is set. The last call wins. Thread-safe.
-void ForceScalar(bool force);
-
-/// Drops any ForceScalar() override, reverting to the TWRS_FORCE_SCALAR
-/// environment default. Used by tests to restore the ambient state.
-void ClearForceScalarOverride();
-
-/// The kernels exposed by this layer, for dispatch accounting. kPartition
-/// and kMinIndex name retired kernels: nothing counts calls under them, so
-/// their counters read 0, and they stay so existing counter readers keep
-/// their names.
+/// Kernel names the perfbench metrics are keyed by.
 enum class Kernel {
   kSortKeys = 0,
   kPartition = 1,
@@ -60,25 +34,26 @@ enum class Kernel {
   kMinIndex = 4,
 };
 
-inline constexpr int kNumKernels = 5;
+inline const char* KernelName(Kernel kernel) {
+  switch (kernel) {
+    case Kernel::kSortKeys:
+      return "sort_block";
+    case Kernel::kPartition:
+      return "partition";
+    case Kernel::kEncode:
+      return "encode";
+    case Kernel::kDecode:
+      return "decode";
+    case Kernel::kMinIndex:
+      return "min_index";
+  }
+  return "unknown";
+}
 
-/// "sort_block", "partition", "encode", "decode", "min_index".
-const char* KernelName(Kernel kernel);
-
-/// Process-wide count of calls dispatched to `level` for `kernel` since
-/// startup: one per invocation of a dispatched entry point.
-uint64_t KernelCalls(Kernel kernel, DispatchLevel level);
-
-/// Adds `n` to the (kernel, level) call counter. Dispatched entry points
-/// call this with n=1.
-void AddKernelCalls(Kernel kernel, DispatchLevel level, uint64_t n);
-
-/// Mirrors the process-wide kernel call counters into `metrics` as
-/// monotonic counters named `simd.<kernel>.<level>_calls`, incrementing
-/// each by what that registry has not yet seen. Call-site layers (sort
-/// phases, SortService stats) invoke this when snapshotting, so per-job
-/// registries show which dispatch path their sorts actually ran.
-void PublishKernelCounters(MetricsRegistry* metrics);
+/// Nothing counts kernel calls any more, so every counter reads 0.
+inline uint64_t KernelCalls(Kernel /*kernel*/, DispatchLevel /*level*/) {
+  return 0;
+}
 
 }  // namespace simd
 }  // namespace twrs

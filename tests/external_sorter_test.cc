@@ -16,7 +16,6 @@
 #include "io/posix_env.h"
 #include "io/uring_env.h"
 #include "util/random.h"
-#include "simd/dispatch.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"
 
@@ -219,55 +218,6 @@ TEST(ExternalSorterParallelTest, ParallelOutputIsByteIdenticalToSerial) {
             serial_result.merge.merge_steps);
   EXPECT_EQ(parallel_result.merge.records_written,
             serial_result.merge.records_written);
-}
-
-TEST(ExternalSorterTest, SimdOutputIsByteIdenticalToForcedScalar) {
-  // Pin the dispatch-level contract end to end: a full two-phase sort must
-  // write byte-identical output whether the simd kernels run vectorized or
-  // forced scalar. On hosts without AVX2 both halves run scalar and the
-  // test degenerates to a determinism check.
-  MemEnv env;
-  WorkloadOptions wl;
-  wl.num_records = 20000;
-  wl.seed = 11;
-  wl.sections = 16;
-  auto input = testing::Drain(MakeWorkload(Dataset::kAlternating, wl).get());
-
-  ExternalSortOptions options;
-  options.memory_records = 128;
-  options.twrs = TwoWayOptions::Recommended(128, 7);
-  // Small fan-in: several intermediate merge passes, each decoding and
-  // encoding every block through the dispatched batch codec.
-  options.fan_in = 4;
-  options.temp_dir = "tmp";
-  options.block_bytes = 512;
-
-  simd::ForceScalar(false);
-  {
-    ExternalSorter sorter(&env, options);
-    VectorSource source(input);
-    ASSERT_TWRS_OK(sorter.Sort(&source, "out_simd", nullptr));
-  }
-  simd::ForceScalar(true);
-  {
-    ExternalSorter sorter(&env, options);
-    VectorSource source(input);
-    ASSERT_TWRS_OK(sorter.Sort(&source, "out_scalar", nullptr));
-  }
-  simd::ClearForceScalarOverride();
-
-  const std::vector<uint8_t>* simd_bytes = env.FileContents("out_simd");
-  const std::vector<uint8_t>* scalar_bytes = env.FileContents("out_scalar");
-  ASSERT_NE(simd_bytes, nullptr);
-  ASSERT_NE(scalar_bytes, nullptr);
-  EXPECT_EQ(simd_bytes->size(), input.size() * kRecordBytes);
-  EXPECT_TRUE(*simd_bytes == *scalar_bytes);
-
-  uint64_t count = 0;
-  KeyChecksum sum;
-  ASSERT_TWRS_OK(VerifySortedFile(&env, "out_simd", &count, &sum));
-  EXPECT_EQ(count, input.size());
-  EXPECT_TRUE(sum == testing::ChecksumOf(input));
 }
 
 TEST(ExternalSorterParallelTest, ParallelSortCleansUpTempFiles) {
@@ -996,39 +946,6 @@ TEST(ExternalSorterTopKTest, PartitionedFinalMergeHonorsTheLimit) {
         << SelectOrderName(order);
     ASSERT_TWRS_OK(env.RemoveFile("out"));
   }
-}
-
-TEST(ExternalSorterTopKTest, ForcedScalarSimdIsByteIdentical) {
-  MemEnv env;
-  WorkloadOptions wl;
-  wl.num_records = 10000;
-  wl.seed = 36;
-  auto input = Drain(MakeWorkload(Dataset::kAlternating, wl).get());
-
-  ExternalSortOptions options = TopKTestOptions();
-  options.limit = 700;
-  options.topk_strategy = TopKStrategy::kRunPruningMerge;
-
-  simd::ForceScalar(false);
-  {
-    ExternalSorter sorter(&env, options);
-    VectorSource source(input);
-    ASSERT_TWRS_OK(sorter.Sort(&source, "out_simd", nullptr));
-  }
-  simd::ForceScalar(true);
-  {
-    ExternalSorter sorter(&env, options);
-    VectorSource source(input);
-    ASSERT_TWRS_OK(sorter.Sort(&source, "out_scalar", nullptr));
-  }
-  simd::ClearForceScalarOverride();
-
-  const std::vector<uint8_t>* simd_bytes = env.FileContents("out_simd");
-  const std::vector<uint8_t>* scalar_bytes = env.FileContents("out_scalar");
-  ASSERT_NE(simd_bytes, nullptr);
-  ASSERT_NE(scalar_bytes, nullptr);
-  EXPECT_EQ(simd_bytes->size(), 700u * kRecordBytes);
-  EXPECT_TRUE(*simd_bytes == *scalar_bytes);
 }
 
 TEST(ExternalSorterTopKTest, LimitOnEmptyAndTinyInputs) {
