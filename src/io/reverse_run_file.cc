@@ -31,7 +31,27 @@ uint64_t GetU64(const uint8_t* buf, uint64_t off) {
   return v;
 }
 
+/// Checks a file header's magic and extracts where its records sit.
+Status ParseHeader(const uint8_t* header, size_t got, const std::string& name,
+                   ReverseFileExtent* extent) {
+  if (got < kHeaderBytes || GetU64(header, kOffMagic) != kMagic) {
+    return Status::Corruption("bad reverse run file header: " + name);
+  }
+  extent->data_offset = GetU64(header, kOffStartPage) *
+                            GetU64(header, kOffPageBytes) +
+                        GetU64(header, kOffStartOffset);
+  extent->count = GetU64(header, kOffRecordCount);
+  return Status::OK();
+}
+
 }  // namespace
+
+Status ReadReverseFileExtent(RandomRWFile* file, const std::string& name,
+                             ReverseFileExtent* extent) {
+  uint8_t header[kHeaderBytes];
+  TWRS_RETURN_IF_ERROR(file->ReadAt(0, header, sizeof(header)));
+  return ParseHeader(header, sizeof(header), name, extent);
+}
 
 std::string ReverseRunWriter::FileName(const std::string& base_path,
                                        uint64_t index) {
@@ -252,18 +272,13 @@ ReverseRunReader::ReverseRunReader(Env* env, std::string base_path,
 Status ReverseRunReader::OpenFile(uint64_t index) {
   const std::string name = ReverseRunWriter::FileName(base_path_, index);
   TWRS_RETURN_IF_ERROR(env_->NewSequentialFile(name, &file_));
-  uint8_t header[64];
+  uint8_t header[kHeaderBytes];
   size_t got = 0;
   TWRS_RETURN_IF_ERROR(file_->Read(header, sizeof(header), &got));
-  if (got < sizeof(header) || GetU64(header, kOffMagic) != kMagic) {
-    return Status::Corruption("bad reverse run file header: " + name);
-  }
-  const uint64_t page_bytes = GetU64(header, kOffPageBytes);
-  const uint64_t start_page = GetU64(header, kOffStartPage);
-  const uint64_t start_offset = GetU64(header, kOffStartOffset);
-  remaining_in_file_ = GetU64(header, kOffRecordCount);
-  const uint64_t data_start = start_page * page_bytes + start_offset;
-  TWRS_RETURN_IF_ERROR(file_->Skip(data_start - sizeof(header)));
+  ReverseFileExtent extent;
+  TWRS_RETURN_IF_ERROR(ParseHeader(header, got, name, &extent));
+  remaining_in_file_ = extent.count;
+  TWRS_RETURN_IF_ERROR(file_->Skip(extent.data_offset - sizeof(header)));
   buffer_size_ = 0;
   buffer_pos_ = 0;
   return Status::OK();
@@ -296,14 +311,6 @@ Status ReverseRunReader::FillBuffer(bool* eof) {
     buffer_pos_ = 0;
     remaining_in_file_ -= got / kRecordBytes;
   }
-  return Status::OK();
-}
-
-Status ReverseRunReader::Next(Key* key, bool* eof) {
-  TWRS_RETURN_IF_ERROR(FillBuffer(eof));
-  if (*eof) return Status::OK();
-  *key = DecodeKey(buffer_.data() + buffer_pos_);
-  buffer_pos_ += kRecordBytes;
   return Status::OK();
 }
 

@@ -99,6 +99,19 @@ class ReverseRunWriter {
   bool file_open_ = false;
 };
 
+/// Where one physical file of a reverse stream keeps its records: in
+/// ascending key order, in one contiguous region of the file.
+struct ReverseFileExtent {
+  uint64_t data_offset = 0;  ///< byte offset of the smallest record
+  uint64_t count = 0;        ///< records in the file
+};
+
+/// Reads the header of `name`, one physical file of a reverse stream,
+/// from `file` with one positioned read. A stream's files in the order
+/// num_files - 1, ..., 0 hold its records in ascending key order.
+Status ReadReverseFileExtent(RandomRWFile* file, const std::string& name,
+                             ReverseFileExtent* extent);
+
 /// Reads a stream written by ReverseRunWriter in increasing key order. Files
 /// are visited from the last one created back to file 0, each scanned
 /// strictly forward, as Appendix A prescribes for rotating disks.
@@ -114,13 +127,11 @@ class ReverseRunReader {
 
   const Status& status() const { return status_; }
 
-  /// Reads the next record into `*key`; sets `*eof` at end of stream.
-  Status Next(Key* key, bool* eof);
-
   /// Decodes up to `max` records into `out` through DecodeKeysBatch,
   /// from the buffered block only: the next block (or file) is read only
-  /// when nothing is buffered, so a batch never reads ahead of Next's
-  /// schedule. Sets `*got` to the number delivered; 0 means end of stream.
+  /// when nothing is buffered, so a batch never reads ahead of a
+  /// record-at-a-time schedule. Sets `*got` to the number delivered; 0
+  /// means end of stream.
   Status Read(Key* out, size_t max, size_t* got);
 
   /// Advances past the next `n` records without decoding them. Whole files

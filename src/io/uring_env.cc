@@ -121,15 +121,22 @@ constexpr uint64_t AlignUp(uint64_t v) {
   return (v + kDirectAlign - 1) & ~(kDirectAlign - 1);
 }
 
-struct FreeDeleter {
-  void operator()(uint8_t* p) const { ::free(p); }  // NOLINT(cppcoreguidelines-no-malloc)
+struct UnmapDeleter {
+  size_t bytes = 0;
+  void operator()(uint8_t* p) const { ::munmap(p, bytes); }
 };
-using AlignedBuffer = std::unique_ptr<uint8_t, FreeDeleter>;
+using AlignedBuffer = std::unique_ptr<uint8_t, UnmapDeleter>;
 
+// Transfer buffers come straight from mmap, page-aligned as O_DIRECT and
+// buffer registration need. From malloc they would not reliably go back
+// to the system: once any large block is freed, glibc raises its mmap
+// threshold, and the buffers of destroyed rings then stay cached in
+// per-thread arenas, so peak RSS grew with every sort.
 AlignedBuffer AllocAligned(size_t n) {
-  void* p = nullptr;
-  if (::posix_memalign(&p, kDirectAlign, n) != 0) return nullptr;
-  return AlignedBuffer(static_cast<uint8_t*>(p));
+  void* p = ::mmap(nullptr, n, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) return AlignedBuffer(nullptr, UnmapDeleter{0});
+  return AlignedBuffer(static_cast<uint8_t*>(p), UnmapDeleter{n});
 }
 
 // ------------------------------------------------------------------ Ring

@@ -81,11 +81,11 @@ size_t MergePhaseMemoryRecords(const ExternalSortOptions& options) {
       (options.fan_in * (2 + options.parallel.prefetch_blocks) + 1) *
       records_per_block;
   // Merges run concurrently, each with its own buffer set: the final pass
-  // splits into final_merge_threads partial merges, and pool-dispatched
-  // same-level leaf merges can hold one merge's buffers per worker during
-  // intermediate passes (worker_threads is usually 1, since the pool is
-  // the executor's, so this leg is a floor, not an exact bound). The phase
-  // footprint is the wider of the two stages.
+  // splits into final_merge_threads partial merges, and the
+  // pool-dispatched intermediate merges of one plan level can hold one
+  // merge's buffers per worker (worker_threads is usually 1, since the
+  // pool is the executor's, so this leg is a floor, not an exact bound).
+  // The phase footprint is the wider of the two stages.
   const size_t concurrency =
       std::max({size_t{1}, options.parallel.final_merge_threads,
                 options.parallel.worker_threads});

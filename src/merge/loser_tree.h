@@ -3,8 +3,8 @@
 
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
-#include <utility>
 #include <vector>
 
 #include "core/record.h"
@@ -29,8 +29,8 @@ class LoserTree {
 
   /// Sets the initial key of way `w`. Call for each live way, then Build().
   void SetInitial(size_t w, Key key) {
-    assert(w < k_ && leaves_[w].rank >= k_);
-    leaves_[w] = Entry{key, w};
+    assert(w < k_ && RankOf(leaves_[w]) >= k_);
+    leaves_[w] = Pack(key, w);
   }
 
   /// Runs the initial tournament.
@@ -41,11 +41,10 @@ class LoserTree {
     std::vector<Entry> winner_of(2 * k_);
     for (size_t w = 0; w < k_; ++w) winner_of[k_ + w] = leaves_[w];
     for (size_t node = k_ - 1; node >= 1; --node) {
-      const Entry& a = winner_of[2 * node];
-      const Entry& b = winner_of[2 * node + 1];
-      const bool a_wins = Beats(a, b);
-      losers_[node] = a_wins ? b : a;
-      winner_of[node] = a_wins ? a : b;
+      const Entry a = winner_of[2 * node];
+      const Entry b = winner_of[2 * node + 1];
+      losers_[node] = a < b ? b : a;
+      winner_of[node] = a < b ? a : b;
     }
     winner_ = winner_of[1];
   }
@@ -53,45 +52,55 @@ class LoserTree {
   /// Way holding the smallest key. Requires !Exhausted().
   size_t WinnerIndex() const {
     assert(!Exhausted());
-    return winner_.rank;
+    return RankOf(winner_);
   }
 
   /// Key of the winning way.
   Key WinnerKey() const {
     assert(!Exhausted());
-    return winner_.key;
+    return static_cast<Key>(static_cast<uint64_t>(winner_ >> 64) ^ kSignBit);
   }
 
   /// Replaces the winner's key with its next key and replays its path.
   void ReplaceWinner(Key key) {
-    assert(!Exhausted());
-    Replay(Entry{key, winner_.rank}, winner_.rank);
+    const size_t way = WinnerIndex();
+    Replay(Pack(key, way), way);
   }
 
   /// Marks the winning way as exhausted and replays its path.
   void RetireWinner() {
-    assert(!Exhausted());
-    Replay(Retired(winner_.rank), winner_.rank);
+    const size_t way = WinnerIndex();
+    Replay(Retired(way), way);
   }
 
   /// True when every way is exhausted.
-  bool Exhausted() const { return winner_.rank >= k_; }
+  bool Exhausted() const { return RankOf(winner_) >= k_; }
 
   size_t ways() const { return k_; }
 
  private:
-  struct Entry {
-    Key key;
-    size_t rank;  // way index while live, way + k once exhausted
-  };
+  // One {key, rank} entry as a single unsigned 128-bit integer: the key
+  // with its sign bit flipped (so unsigned order is signed key order) in
+  // the high half, the rank in the low half. Integer order is then the
+  // strict (key, rank) order that keeps the merge stable by way index,
+  // and a replay compares and selects without a data-dependent branch,
+  // where a two-field compare branched on keys that, in a merge of
+  // random runs, go either way about half the time.
+  __extension__ typedef unsigned __int128 Entry;
 
-  Entry Retired(size_t way) const {
-    return Entry{std::numeric_limits<Key>::max(), way + k_};
+  static constexpr uint64_t kSignBit = uint64_t{1} << 63;
+
+  static Entry Pack(Key key, size_t rank) {
+    return static_cast<Entry>(static_cast<uint64_t>(key) ^ kSignBit) << 64 |
+           static_cast<Entry>(rank);
   }
 
-  // Strict (key, rank) order: the merge is stable by way index.
-  static bool Beats(const Entry& a, const Entry& b) {
-    return a.key < b.key || (a.key == b.key && a.rank < b.rank);
+  static size_t RankOf(Entry entry) {
+    return static_cast<size_t>(static_cast<uint64_t>(entry));
+  }
+
+  Entry Retired(size_t way) const {
+    return Pack(std::numeric_limits<Key>::max(), way + k_);
   }
 
   // Walks from the leaf of `way` to the root carrying its new entry,
@@ -99,7 +108,10 @@ class LoserTree {
   // is the new winner.
   void Replay(Entry current, size_t way) {
     for (size_t node = (k_ + way) / 2; node >= 1; node /= 2) {
-      if (Beats(losers_[node], current)) std::swap(losers_[node], current);
+      const Entry loser = losers_[node];
+      const bool swap = loser < current;
+      losers_[node] = swap ? current : loser;
+      current = swap ? loser : current;
     }
     winner_ = current;
   }

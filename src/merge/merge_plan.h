@@ -35,10 +35,10 @@ struct MergeOptions {
   /// Delete input and intermediate runs once consumed.
   bool remove_inputs = true;
 
-  /// Execution pool; null means fully serial. With a pool, independent
-  /// same-level intermediate merges run on it concurrently (batch
-  /// composition matches the serial schedule exactly, so stats and output
-  /// are identical to a serial merge), and so can the final pass (see
+  /// Execution pool; null means fully serial. With a pool, the
+  /// intermediate merges of one dependency level of the plan run on it
+  /// concurrently (the plan is the serial one, so stats and output are
+  /// identical to a serial merge), and so can the final pass (see
   /// final_merge_threads). Must outlive the merge. The Env must then be
   /// safe for concurrent file creation/removal (PosixEnv, MemEnv and
   /// SimDiskEnv all are).
@@ -107,10 +107,33 @@ struct MergeStats {
   uint64_t records_pruned = 0;
 };
 
-/// Repeatedly performs fan-in-way merges until a single sorted sequence
-/// remains, written to `output_path`. Runs are consumed in FIFO order, so
-/// every record participates in roughly ceil(log_fanin(#runs)) passes.
-/// With zero input runs an empty output file is produced.
+/// One merge of a merge plan. Inputs name nodes: node i < #runs is input
+/// run i, node #runs + s is the output of step s.
+struct MergeStep {
+  std::vector<size_t> inputs;
+  uint64_t records = 0;  ///< records written: min(sum of inputs, limit)
+  size_t level = 0;      ///< 1 + the deepest step among the inputs
+};
+
+/// Knuth's optimum merge pattern (TAOCP 5.4.9): a Huffman tree of
+/// arity `fan_in` over the runs, weighted by records written. Each run
+/// weighs min(length, limit) and a merge's output min(sum, limit), where
+/// a `limit` of 0 caps nothing; ties go to the lower node index. When
+/// (n - 1) mod (fan_in - 1) != 0 the first merge takes
+/// 2 + (n - 2) mod (fan_in - 1) runs, the smallest, so that every later
+/// merge is full. The plan has as many merges as full fan-in batches
+/// taken in FIFO order would, and with no limit it writes the fewest
+/// records of any merge tree whose merges take at most fan_in runs.
+/// Every step comes after the steps it consumes, and the last step is
+/// the final merge. One run still gets one step, so the output is always
+/// a fresh forward file; no runs get no steps. Requires fan_in >= 2.
+std::vector<MergeStep> PlanMerges(const std::vector<uint64_t>& run_lengths,
+                                  size_t fan_in, uint64_t limit);
+
+/// Merges `runs` into one sorted sequence at `output_path` by the steps
+/// of PlanMerges, so a record is merged about log_fanin(#runs) times,
+/// fewer when it sits in a short run. With zero input runs an empty
+/// output file is produced.
 Status MergeRuns(Env* env, std::vector<RunInfo> runs,
                  const MergeOptions& options, const std::string& output_path,
                  MergeStats* stats);

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "io/reverse_run_file.h"
 #include "merge/splitters.h"
@@ -11,36 +13,118 @@ namespace twrs {
 
 namespace {
 
-/// Lower-bound searches over one sorted forward record file using
-/// positioned reads. Two-granularity search keeps the probe count low on
-/// seek-bound devices: a record-granular binary search would pay ~log2(n)
-/// seeks per splitter, while probing block *starts* first and then reading
-/// the one boundary block narrows the same range in ~log2(n/records_per_
-/// block) tiny probes plus one block read — and consecutive splitters
-/// usually land in the same cached block.
-class ForwardSegmentSearcher {
+/// Lower-bound searches over one run segment using positioned reads. A
+/// segment is a list of extents: stretches of records, each ascending and
+/// contiguous in one file, whose concatenation is ascending. A forward
+/// segment is one extent, its whole file. A reverse segment has one per
+/// physical file, in the order num_files - 1, ..., 0, located by the
+/// files' headers. The extents' first keys, read once, name the extent
+/// that holds a bound's boundary. Inside it, a two-granularity search
+/// keeps the probe count low on seek-bound devices: a record-granular
+/// binary search would pay ~log2(n) seeks per splitter, while probing
+/// block *starts* first and then reading the one boundary block narrows
+/// the same range in ~log2(n/records_per_block) tiny probes plus one
+/// block read — and consecutive splitters usually land in the same
+/// cached block.
+class SegmentSearcher {
  public:
-  ForwardSegmentSearcher(Env* env, const RunSegment& seg, size_t block_bytes)
-      : count_(seg.count),
+  SegmentSearcher(Env* env, const RunSegment& seg, size_t block_bytes)
+      : env_(env),
         records_per_block_(std::max<size_t>(1, block_bytes / kRecordBytes)) {
-    status_ = env->NewRandomReadFile(seg.path, &file_);
+    status_ = Init(seg);
   }
 
   const Status& status() const { return status_; }
 
-  /// First record index in [lo_hint, count) whose key is >= bound; count_
+  /// First record index in [lo_hint, count) whose key is >= bound; count
   /// when every key is smaller. Requires ascending calls (lo_hint from the
   /// previous result) for the block cache to pay off, but is correct for
   /// any hint.
   Status LowerBound(Key bound, uint64_t lo_hint, uint64_t* index) {
     TWRS_RETURN_IF_ERROR(status_);
+    if (extents_.empty()) {
+      *index = 0;
+      return Status::OK();
+    }
+    // Start at the extent holding the hint and move on while the next
+    // extent starts below `bound`: records before the extent found are
+    // all below it, records after it all at or above it.
+    size_t e = static_cast<size_t>(
+                   std::upper_bound(extents_.begin(), extents_.end(), lo_hint,
+                                    [](uint64_t hint, const Extent& extent) {
+                                      return hint < extent.base;
+                                    }) -
+                   extents_.begin()) -
+               1;
+    while (e + 1 < extents_.size() && extents_[e + 1].first_key < bound) ++e;
+    const Extent& extent = extents_[e];
+    const uint64_t local_hint =
+        std::min(extent.count, lo_hint > extent.base ? lo_hint - extent.base
+                                                     : uint64_t{0});
+    uint64_t local = 0;
+    TWRS_RETURN_IF_ERROR(LowerBoundIn(e, bound, local_hint, &local));
+    *index = extent.base + local;
+    return Status::OK();
+  }
+
+ private:
+  struct Extent {
+    std::string path;
+    uint64_t data_offset = 0;
+    uint64_t count = 0;
+    uint64_t base = 0;   // records in the extents before this one
+    Key first_key = 0;   // read for every extent but the first
+  };
+
+  Status Init(const RunSegment& seg) {
+    if (!seg.reverse) {
+      Extent extent;
+      extent.path = seg.path;
+      extent.count = seg.count;
+      extents_.push_back(std::move(extent));
+      return Status::OK();
+    }
+    uint64_t base = 0;
+    for (uint64_t f = seg.num_files; f-- > 0;) {
+      Extent extent;
+      extent.path = ReverseRunWriter::FileName(seg.path, f);
+      std::unique_ptr<RandomRWFile> file;
+      TWRS_RETURN_IF_ERROR(env_->NewRandomReadFile(extent.path, &file));
+      ReverseFileExtent where;
+      TWRS_RETURN_IF_ERROR(ReadReverseFileExtent(file.get(), extent.path,
+                                                 &where));
+      if (where.count > 0) {
+        extent.data_offset = where.data_offset;
+        extent.count = where.count;
+        extent.base = base;
+        base += where.count;
+        if (!extents_.empty()) {
+          uint8_t buf[kRecordBytes];
+          TWRS_RETURN_IF_ERROR(file->ReadAt(extent.data_offset, buf,
+                                            kRecordBytes));
+          extent.first_key = DecodeKey(buf);
+        }
+        extents_.push_back(std::move(extent));
+        // Keep the handle: a one-file segment is then opened only once.
+        TWRS_RETURN_IF_ERROR(Keep(extents_.size() - 1, std::move(file)));
+      } else {
+        TWRS_RETURN_IF_ERROR(file->Close());
+      }
+    }
+    return Status::OK();
+  }
+
+  /// LowerBound inside extent `e`, in the extent's own record indices.
+  Status LowerBoundIn(size_t e, Key bound, uint64_t lo_hint,
+                      uint64_t* index) {
+    const uint64_t count = extents_[e].count;
     // Phase A: binary search over block-start records.
     uint64_t lo_block = lo_hint / records_per_block_;
-    uint64_t hi_block = (count_ + records_per_block_ - 1) / records_per_block_;
+    uint64_t hi_block = (count + records_per_block_ - 1) / records_per_block_;
     while (lo_block < hi_block) {
       const uint64_t mid = lo_block + (hi_block - lo_block) / 2;
       Key key;
-      TWRS_RETURN_IF_ERROR(KeyAt(mid * records_per_block_, &key));
+      TWRS_RETURN_IF_ERROR(KeyAt(e, mid * records_per_block_, &key));
       if (key < bound) {
         lo_block = mid + 1;
       } else {
@@ -54,46 +138,70 @@ class ForwardSegmentSearcher {
       return Status::OK();
     }
     const uint64_t block = lo_block - 1;
-    TWRS_RETURN_IF_ERROR(LoadBlock(block));
-    const uint64_t base = block * records_per_block_;
-    *index = base + static_cast<uint64_t>(
-                        std::lower_bound(cache_keys_.begin(),
-                                         cache_keys_.end(), bound) -
-                        cache_keys_.begin());
+    TWRS_RETURN_IF_ERROR(LoadBlock(e, block));
+    *index = block * records_per_block_ +
+             static_cast<uint64_t>(std::lower_bound(cache_keys_.begin(),
+                                                    cache_keys_.end(), bound) -
+                                   cache_keys_.begin());
     return Status::OK();
   }
 
- private:
-  Status KeyAt(uint64_t index, Key* key) {
+  /// Makes `file` the one open handle, as extent `e`'s, closing the one
+  /// before: the searches of ascending bounds visit the extents in order.
+  Status Keep(size_t e, std::unique_ptr<RandomRWFile> file) {
+    if (file_ != nullptr) TWRS_RETURN_IF_ERROR(file_->Close());
+    file_ = std::move(file);
+    open_extent_ = static_cast<int64_t>(e);
+    return Status::OK();
+  }
+
+  Status OpenExtent(size_t e) {
+    if (open_extent_ == static_cast<int64_t>(e)) return Status::OK();
+    std::unique_ptr<RandomRWFile> file;
+    TWRS_RETURN_IF_ERROR(env_->NewRandomReadFile(extents_[e].path, &file));
+    return Keep(e, std::move(file));
+  }
+
+  Status KeyAt(size_t e, uint64_t index, Key* key) {
+    TWRS_RETURN_IF_ERROR(OpenExtent(e));
     uint8_t buf[kRecordBytes];
-    TWRS_RETURN_IF_ERROR(file_->ReadAt(index * kRecordBytes, buf,
-                                       kRecordBytes));
+    TWRS_RETURN_IF_ERROR(file_->ReadAt(
+        extents_[e].data_offset + index * kRecordBytes, buf, kRecordBytes));
     *key = DecodeKey(buf);
     return Status::OK();
   }
 
-  Status LoadBlock(uint64_t block) {
-    if (cached_block_ == static_cast<int64_t>(block)) return Status::OK();
+  Status LoadBlock(size_t e, uint64_t block) {
+    if (cached_extent_ == static_cast<int64_t>(e) &&
+        cached_block_ == static_cast<int64_t>(block)) {
+      return Status::OK();
+    }
+    TWRS_RETURN_IF_ERROR(OpenExtent(e));
     const uint64_t first = block * records_per_block_;
     const uint64_t records =
-        std::min<uint64_t>(records_per_block_, count_ - first);
+        std::min<uint64_t>(records_per_block_, extents_[e].count - first);
     cache_.resize(records * kRecordBytes);
-    TWRS_RETURN_IF_ERROR(file_->ReadAt(first * kRecordBytes, cache_.data(),
-                                       cache_.size()));
+    TWRS_RETURN_IF_ERROR(
+        file_->ReadAt(extents_[e].data_offset + first * kRecordBytes,
+                      cache_.data(), cache_.size()));
     // Decode the whole block once; the binary searches then compare native
     // keys instead of re-decoding a record per probe.
     cache_keys_.resize(records);
     DecodeKeysBatch(cache_.data(), records, cache_keys_.data());
+    cached_extent_ = static_cast<int64_t>(e);
     cached_block_ = static_cast<int64_t>(block);
     return Status::OK();
   }
 
-  Status status_;
-  std::unique_ptr<RandomRWFile> file_;
-  const uint64_t count_;
+  Env* const env_;
   const size_t records_per_block_;
+  Status status_;
+  std::vector<Extent> extents_;
+  std::unique_ptr<RandomRWFile> file_;
+  int64_t open_extent_ = -1;
   std::vector<uint8_t> cache_;
   std::vector<Key> cache_keys_;
+  int64_t cached_extent_ = -1;
   int64_t cached_block_ = -1;
 };
 
@@ -156,14 +264,13 @@ Status PrunedSerialMerge(Env* env, const std::vector<RunInfo>& runs,
     std::sort(sample.begin(), sample.end());
     sample.erase(std::unique(sample.begin(), sample.end()), sample.end());
     // Probing a candidate costs I/O in every run (a block binary search
-    // per forward segment, a bounded ascending scan per reverse segment),
-    // and that cost grows with the candidate's distance from the boundary
-    // end of the key space. So probe outward from that end in doubling
-    // chunks and stop at the first candidate that qualifies — it is the
-    // tightest qualifying bound in the whole sample, and candidates far
-    // from the boundary are never touched when a near one qualifies. If
-    // none qualifies the clamps stand unrefined; the merge window still
-    // serves exactly `kept` records either way.
+    // per segment extent), so probe outward from the boundary end of the
+    // key space in doubling chunks and stop at the first candidate that
+    // qualifies — it is the tightest qualifying bound in the whole
+    // sample, and candidates far from the boundary are never touched
+    // when a near one qualifies. If none qualifies the clamps stand
+    // unrefined; the merge window still serves exactly `kept` records
+    // either way.
     size_t begin = 0;
     size_t chunk = 8;
     bool refined = false;
@@ -268,34 +375,12 @@ Status PartitionPointsForRun(Env* env, const RunInfo& run,
   if (splitters.empty()) return Status::OK();
   for (const RunSegment& seg : run.segments) {
     if (seg.count == 0) continue;
-    if (seg.reverse) {
-      // One ascending scan counts every splitter at once; once a key
-      // reaches the largest splitter, later keys cannot change any count.
-      ReverseRunReader reader(env, seg.path, seg.num_files, block_bytes);
-      TWRS_RETURN_IF_ERROR(reader.status());
-      uint64_t scanned = 0;
-      size_t s = 0;
-      while (s < splitters.size()) {
-        Key key;
-        bool eof;
-        TWRS_RETURN_IF_ERROR(reader.Next(&key, &eof));
-        if (eof) break;
-        while (s < splitters.size() && key >= splitters[s]) {
-          (*below)[s] += scanned;
-          ++s;
-        }
-        ++scanned;
-      }
-      // Splitters the scan never reached: every record sits below them.
-      for (; s < splitters.size(); ++s) (*below)[s] += seg.count;
-    } else {
-      ForwardSegmentSearcher searcher(env, seg, block_bytes);
-      TWRS_RETURN_IF_ERROR(searcher.status());
-      uint64_t lo = 0;
-      for (size_t s = 0; s < splitters.size(); ++s) {
-        TWRS_RETURN_IF_ERROR(searcher.LowerBound(splitters[s], lo, &lo));
-        (*below)[s] += lo;
-      }
+    SegmentSearcher searcher(env, seg, block_bytes);
+    TWRS_RETURN_IF_ERROR(searcher.status());
+    uint64_t lo = 0;
+    for (size_t s = 0; s < splitters.size(); ++s) {
+      TWRS_RETURN_IF_ERROR(searcher.LowerBound(splitters[s], lo, &lo));
+      (*below)[s] += lo;
     }
   }
   return Status::OK();
@@ -394,10 +479,9 @@ Status FinalMergeToOutput(Env* env, const std::vector<RunInfo>& runs,
   }
 
   // Exact slice boundaries: for each run, the record index where every
-  // splitter's key domain begins. Runs are independent, and the
-  // reverse-segment path is a real sequential scan (it cannot stop before
-  // the largest splitter), so the per-run searches fan out on the pool
-  // instead of running serially in front of the partial merges.
+  // splitter's key domain begins. Runs are independent, so the per-run
+  // searches fan out on the pool: each pays a few positioned probes, a
+  // seek apiece on a spinning disk.
   const size_t partitions = splitters.size() + 1;
   std::vector<std::vector<uint64_t>> below(runs.size());
   {

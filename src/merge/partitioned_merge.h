@@ -52,9 +52,10 @@ struct FinalMergeSpec {
 
 /// Computes, for each splitter, how many records of `run` hold keys
 /// strictly below it (`below->at(s)` for splitters[s], which must be
-/// ascending and distinct). Forward segments are binary-searched with
-/// block-granular positioned reads; reverse segments are scanned in one
-/// ascending pass that stops early at the largest splitter. These counts
+/// ascending and distinct). Every segment is binary-searched with
+/// block-granular positioned reads: a forward segment as one ascending
+/// extent, a reverse segment as one extent per physical file, located by
+/// the files' 64-byte headers. Neither is read sequentially. These counts
 /// are what make the partitioned merge's output offsets exact.
 Status PartitionPointsForRun(Env* env, const RunInfo& run,
                              const std::vector<Key>& splitters,

@@ -12,6 +12,7 @@
 #include "core/record_source.h"
 #include "exec/executor.h"
 #include "exec/thread_pool.h"
+#include "io/counting_env.h"
 #include "io/mem_env.h"
 #include "io/record_io.h"
 #include "io/reverse_run_file.h"
@@ -136,6 +137,105 @@ TEST(PartitionPointsTest, ForwardRunBinarySearchAllBlockSizes) {
           << "splitter " << splitters[s] << " block " << block_bytes;
     }
   }
+}
+
+/// A run that is one Appendix-A reverse segment, written in
+/// non-increasing order with `options`.
+RunInfo WriteReverseRun(Env* env, const std::string& base,
+                        const std::vector<Key>& sorted_keys,
+                        const ReverseRunFileOptions& options) {
+  ReverseRunWriter writer(env, base, options);
+  EXPECT_TRUE(writer.status().ok());
+  std::vector<Key> descending(sorted_keys.rbegin(), sorted_keys.rend());
+  Status s = writer.AppendBatch(descending.data(), descending.size());
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  s = writer.Finish();
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  RunInfo run;
+  RunSegment seg;
+  seg.path = base;
+  seg.reverse = true;
+  seg.count = sorted_keys.size();
+  seg.num_files = writer.num_files();
+  run.segments.push_back(std::move(seg));
+  run.length = sorted_keys.size();
+  run.min_key = sorted_keys.front();
+  run.max_key = sorted_keys.back();
+  return run;
+}
+
+TEST(PartitionPointsTest, ReverseSegmentSearchAcrossFiles) {
+  MemEnv env;
+  // Keys in [10, 50): duplicate runs straddle the file boundaries.
+  std::vector<Key> keys = SortedRandomKeys(200, 5, 40);
+  for (Key& k : keys) k += 10;
+  ReverseRunFileOptions options;
+  options.page_bytes = 64;     // 8 records a page
+  options.pages_per_file = 4;  // 24 records a file
+  RunInfo run = WriteReverseRun(&env, "rev", keys, options);
+  ASSERT_GE(run.segments[0].num_files, 3u);
+
+  // File num_files - 1 holds the smallest keys: a partial file, then full
+  // ones. Splitters sit below the minimum, above the maximum, on each
+  // file's first key, and one past it.
+  const uint64_t per_file = 24;
+  const uint64_t smallest_file = keys.size() % per_file == 0
+                                     ? per_file
+                                     : keys.size() % per_file;
+  std::set<Key> chosen = {0, keys.front(), keys.back(), keys.back() + 1,
+                          1000};
+  for (uint64_t base = smallest_file; base < keys.size(); base += per_file) {
+    chosen.insert(keys[base]);
+    chosen.insert(keys[base] + 1);
+    chosen.insert(keys[base - 1]);
+  }
+  const std::vector<Key> splitters(chosen.begin(), chosen.end());
+  for (size_t block_bytes : {kRecordBytes, size_t{32}, size_t{4096}}) {
+    std::vector<uint64_t> below;
+    ASSERT_TWRS_OK(
+        PartitionPointsForRun(&env, run, splitters, block_bytes, &below));
+    ASSERT_EQ(below.size(), splitters.size());
+    for (size_t s = 0; s < splitters.size(); ++s) {
+      const uint64_t expect = static_cast<uint64_t>(
+          std::lower_bound(keys.begin(), keys.end(), splitters[s]) -
+          keys.begin());
+      EXPECT_EQ(below[s], expect)
+          << "splitter " << splitters[s] << " block " << block_bytes;
+    }
+  }
+}
+
+TEST(PartitionPointsTest, ReverseSegmentSearchReadsHeadersAndFewBlocks) {
+  MemEnv base;
+  std::vector<Key> keys = SortedRandomKeys(20000, 9, 3000);
+  ReverseRunFileOptions options;
+  options.page_bytes = 4096;   // 512 records a page
+  options.pages_per_file = 8;  // 3584 records a file
+  RunInfo run = WriteReverseRun(&base, "rev", keys, options);
+  const uint64_t num_files = run.segments[0].num_files;
+  ASSERT_GE(num_files, 3u);
+  const std::vector<Key> splitters = {keys[10], keys[7000], keys[7001] + 1,
+                                      keys[19990]};
+  const size_t block_bytes = 512;
+
+  CountingEnv env(&base);
+  std::vector<uint64_t> below;
+  ASSERT_TWRS_OK(
+      PartitionPointsForRun(&env, run, splitters, block_bytes, &below));
+  for (size_t s = 0; s < splitters.size(); ++s) {
+    EXPECT_EQ(below[s], static_cast<uint64_t>(
+                            std::lower_bound(keys.begin(), keys.end(),
+                                             splitters[s]) -
+                            keys.begin()));
+  }
+  // Each file costs its 64-byte header and its first key; each splitter
+  // a binary search over one file's block starts (at most 8 probes over
+  // 56 blocks, plus slack) and one block.
+  const uint64_t per_splitter = block_bytes + 10 * kRecordBytes;
+  const uint64_t bound = num_files * (64 + kRecordBytes) +
+                         splitters.size() * per_splitter;
+  EXPECT_LE(env.bytes_read(), bound);
+  EXPECT_LT(env.bytes_read(), keys.size() * kRecordBytes / 20);
 }
 
 // --------------------------------------------------- sliced RunCursor

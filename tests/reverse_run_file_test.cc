@@ -17,12 +17,12 @@ std::vector<Key> ReadBack(Env* env, const std::string& base,
   ReverseRunReader reader(env, base, num_files);
   EXPECT_TRUE(reader.status().ok()) << reader.status().ToString();
   std::vector<Key> out;
-  Key key;
-  bool eof;
   for (;;) {
-    Status s = reader.Next(&key, &eof);
+    Key key;
+    size_t got = 0;
+    Status s = reader.Read(&key, 1, &got);
     EXPECT_TRUE(s.ok()) << s.ToString();
-    if (!s.ok() || eof) break;
+    if (!s.ok() || got == 0) break;
     out.push_back(key);
   }
   return out;

@@ -1,9 +1,9 @@
 // Seeded differential oracle: every sort mode against std::sort.
 //
 // One case per (algorithm, run-generation threads, final-merge threads,
-// limit, order). Each case takes its input family and size from its own
-// seed, sorts on a MemEnv, and checks the output against std::sort of the
-// same input, truncated to the limit's end for top-K. A failure names the
+// limit, order). Each case takes its input family, size and merge fan-in
+// from its own seed, sorts on a MemEnv, and checks the output against
+// std::sort of the same input, truncated to the limit's end for top-K. A failure names the
 // seed and the mode, so a case can be replayed on its own. The sweep's
 // size is fixed by the constants below.
 
@@ -31,6 +31,12 @@ constexpr size_t kMemoryRecords = 128;
 // Dual-heap selection keeps K <= memory; run pruning takes K > memory.
 constexpr uint64_t kLimitBelowMemory = kMemoryRecords / 3;
 constexpr uint64_t kLimitAboveMemory = kMemoryRecords * 5;
+// Fan-ins 2, 3, 4 and 10 give first merges of every size from 2 to 10.
+constexpr size_t kFanIns[] = {2, 3, 4, 10};
+constexpr size_t kNumFanIns = sizeof(kFanIns) / sizeof(kFanIns[0]);
+// Cases per algorithm: run-generation threads x final-merge threads x
+// limits x orders.
+constexpr uint64_t kCasesPerAlgorithm = 2 * 2 * 3 * 2;
 
 Executor* OracleExecutor() {
   static Executor* executor = [] {
@@ -65,6 +71,7 @@ struct OracleCase {
   // Taken from the seed by RunCase.
   Dataset dataset = Dataset::kRandom;
   uint64_t num_records = 0;
+  size_t fan_in = 0;
 
   std::string Describe() const {
     std::ostringstream out;
@@ -72,6 +79,7 @@ struct OracleCase {
         << " run_generation_threads=" << run_generation_threads
         << " final_merge_threads=" << final_merge_threads
         << " limit=" << limit << " order=" << SelectOrderName(order)
+        << " fan_in=" << fan_in
         << " family=" << DatasetName(dataset)
         << " records=" << num_records;
     return out.str();
@@ -83,7 +91,7 @@ ExternalSortOptions OptionsFor(const OracleCase& c) {
   options.algorithm = c.algorithm;
   options.memory_records = kMemoryRecords;
   options.twrs = TwoWayOptions::Recommended(kMemoryRecords, c.seed);
-  options.fan_in = 4;  // several merge passes
+  options.fan_in = c.fan_in;
   options.temp_dir = "tmp";
   options.block_bytes = 512;
   options.limit = c.limit;
@@ -104,6 +112,9 @@ void RunCase(OracleCase c) {
   const uint64_t index = c.seed - kBaseSeed;
   c.dataset = static_cast<Dataset>((index + index / kNumDatasets) %
                                    kNumDatasets);
+  // Each mode meets every fan-in across the four algorithms, and each
+  // algorithm meets every fan-in across its modes.
+  c.fan_in = kFanIns[(index + index / kCasesPerAlgorithm) % kNumFanIns];
   std::mt19937_64 rng(c.seed);
   c.num_records = rng() % (kMaxRecords + 1);
   SCOPED_TRACE(c.Describe());
