@@ -357,8 +357,8 @@ inline TimedSort RunTimedSort(const TimedSortSpec& spec) {
 
 /// One timed end-to-end sort on the REAL filesystem through an explicit
 /// I/O backend — the posix-vs-uring sweep unit. No simulated disk: the
-/// point is what the kernel ring actually buys over the pump-thread
-/// decorators on genuine file I/O. Verifies the output and returns its
+/// point is what the kernel ring actually buys over synchronous posix
+/// I/O on genuine file I/O. Verifies the output and returns its
 /// count/checksum through the out-params so the caller can abort on any
 /// cross-backend divergence.
 inline TimedSort RunBackendTimedSort(const TimedSortSpec& spec,

@@ -1,14 +1,15 @@
 // Measures the pipelined execution subsystem (src/exec): a bench_fig6_6-sized
-// full sort on the simulated-disk env, serial vs parallel. The parallel path
-// overlaps run flushing with heap work (AsyncWritableFile), keeps read-ahead
-// blocks in flight per merge input (PrefetchingSequentialFile), and
-// dispatches independent same-level merges onto the thread pool. Output is
-// verified identical (count + checksum) between the two paths; the
-// interesting column is the wall-clock speedup. Further sections sweep the
-// partitioned final merge, parallel run generation (P generators sharing
-// one memory budget, or each holding the whole budget), the run-generation
-// count PlanParallelism picks against P = 1, and the I/O backend. Every row runs on its own Executor sized to its thread count,
-// so pool sizes do not depend on the process-wide shared executor.
+// full sort on the simulated-disk env, serial vs pooled. The pooled path
+// dispatches independent same-level merges onto the thread pool; every I/O
+// stays synchronous on the thread that issues it. Output is verified
+// identical (count + checksum) between the two paths; the interesting
+// column is the wall-clock speedup. Further sections sweep the partitioned
+// final merge, parallel run generation (P generators sharing one memory
+// budget, or each holding the whole budget), the run-generation count
+// PlanParallelism picks against P = 1, and the I/O backend (synchronous
+// posix vs io_uring). Every row runs on its own Executor sized to its
+// thread count, so pool sizes do not depend on the process-wide shared
+// executor.
 
 #include <algorithm>
 #include <thread>
@@ -76,7 +77,6 @@ void Run() {
     spec.scratch_dir = dir;
     spec.algorithm = RunGenAlgorithm::kTwoWayReplacementSelection;
     spec.parallel.worker_threads = threads;
-    spec.parallel.prefetch_blocks = threads == 0 ? 0 : 2;
     Executor executor(PoolOf(threads));
     spec.parallel.executor = &executor;
     spec.disk = disk;
@@ -96,9 +96,11 @@ void Run() {
   }
   table.Print(std::cout);
   printf(
-      "\nExpected shape: >= 1.15x total speedup with 2+ worker threads; the\n"
-      "merge phase parallelizes across same-level leaf merges while run\n"
-      "generation gains come from overlapping run flushes with heap work.\n");
+      "\nExpected shape: >= 1.1x total speedup with 2+ worker threads, all\n"
+      "of it in the merge phase, whose same-level leaf merges run on the\n"
+      "pool. Run generation is one generator on the caller and pays its\n"
+      "emulated-disk waits inline at every thread count (the run-generation\n"
+      "sweep below splits it across generators).\n");
 
   // Final-merge thread sweep: worker count fixed at hw, the last pass split
   // into P concurrent partial merges over key-domain partitions (each
@@ -131,7 +133,6 @@ void Run() {
     spec.scratch_dir = dir;
     spec.algorithm = RunGenAlgorithm::kTwoWayReplacementSelection;
     spec.parallel.worker_threads = hw;
-    spec.parallel.prefetch_blocks = 2;
     spec.parallel.final_merge_threads = fm_threads;
     Executor executor(PoolOf(hw));
     spec.parallel.executor = &executor;
@@ -185,7 +186,6 @@ void Run() {
         spec.scratch_dir = dir;
         spec.algorithm = RunGenAlgorithm::kTwoWayReplacementSelection;
         spec.parallel.worker_threads = std::max<size_t>(2, threads);
-        spec.parallel.prefetch_blocks = 2;
         spec.parallel.run_generation_threads = threads;
         Executor executor(PoolOf(spec.parallel.worker_threads));
         spec.parallel.executor = &executor;
@@ -272,7 +272,6 @@ void Run() {
       spec.memory = plan_memory;
       spec.scratch_dir = dir;
       spec.parallel.worker_threads = kPlanWorkers;
-      spec.parallel.prefetch_blocks = 2;
       spec.parallel.run_generation_threads = threads;
       spec.parallel.final_merge_threads = final_threads;
       Executor executor(PoolOf(kPlanWorkers));
@@ -361,11 +360,10 @@ void Run() {
       "sort. \"planned faster\" counts the rounds it beat that row.\n");
 
   // I/O backend sweep: the same sort on the REAL filesystem, posix
-  // (pump-thread decorators) vs io_uring (kernel rings, thin decorators).
-  // Serial rows isolate the backends' raw write/read paths; pipelined rows
-  // pit the uring Env's native overlap against the posix pump threads the
-  // capability gates replace. Output identity across every cell is pinned
-  // by checksum — a divergent backend aborts the bench.
+  // (synchronous buffered I/O) vs io_uring (kernel rings). Serial rows
+  // isolate the backends' raw write/read paths; pipelined rows add the
+  // pool's leaf merges on both. Output identity across every cell is
+  // pinned by checksum — a divergent backend aborts the bench.
   printf("\n== I/O backend sweep: posix vs io_uring (real filesystem) ==\n");
   if (!IoUringEnv::IsSupported()) {
     printf("io_uring unavailable, sweep skipped: %s\n",
@@ -388,7 +386,6 @@ void Run() {
       spec.scratch_dir = dir;
       spec.algorithm = RunGenAlgorithm::kTwoWayReplacementSelection;
       spec.parallel.worker_threads = threads;
-      spec.parallel.prefetch_blocks = threads == 0 ? 0 : 2;
       Executor executor(PoolOf(threads));
       spec.parallel.executor = &executor;
       spec.label = threads == 0 ? "backend-serial" : "backend-pipelined";
@@ -419,8 +416,8 @@ void Run() {
   io_table.Print(std::cout);
   printf(
       "\nExpected shape: uring >= 1.0x vs posix on the write-heavy run\n"
-      "generation phase; the ring batches submissions where the posix path\n"
-      "pays a pump-thread handoff (or a blocking write when serial) per\n"
+      "generation phase; the ring overlaps each block write with the\n"
+      "caller, where posix returns only once the page cache holds the\n"
       "block. Outputs are byte-identical across backends by construction.\n");
 }
 

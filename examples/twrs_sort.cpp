@@ -16,7 +16,6 @@
 //                                     (0 = serial, default); workers come
 //                                     from the shared executor — size it
 //                                     with --executor-threads
-//   --prefetch N                      read-ahead blocks per merge input
 //   --io-backend posix|uring|auto     file I/O backend (default posix).
 //                                     `uring` requires a kernel with
 //                                     io_uring and a TWRS_WITH_URING
@@ -71,7 +70,7 @@ int Usage() {
   fprintf(stderr,
           "usage: twrs_sort [options] <input> <output>\n"
           "       twrs_sort --generate <dataset> --records N <output>\n"
-          "run `head -45 examples/twrs_sort.cpp` for the option list\n");
+          "run `head -52 examples/twrs_sort.cpp` for the option list\n");
   return 2;
 }
 
@@ -201,10 +200,6 @@ int main(int argc, char** argv) {
       uint64_t v = 0;
       if (!ParseCount(next(), &v) || v > 1024) return Usage();
       options.parallel.worker_threads = v;
-    } else if (arg == "--prefetch") {
-      uint64_t v = 0;
-      if (!ParseCount(next(), &v) || v > 1024) return Usage();
-      options.parallel.prefetch_blocks = v;
     } else if (arg == "--io-backend") {
       const char* v = next();
       if (v == nullptr || !twrs::ParseIoBackend(v, &options.io_backend)) {

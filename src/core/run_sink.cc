@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "io/range_writable_file.h"
+
 namespace twrs {
 
 namespace {
@@ -177,9 +179,9 @@ Status FileRunSink::OpenWriter(RunStream stream) {
     return writer->status();
   }
   if (forward_[stream] != nullptr) return Status::OK();
-  return MakeAsyncRecordWriter(env_, StreamPath(run_index_, stream),
-                               options_.block_bytes, options_.pool,
-                               &forward_[stream], options_.flush_histogram);
+  return MakeRecordWriter(env_, StreamPath(run_index_, stream),
+                          options_.block_bytes, &forward_[stream],
+                          options_.flush_histogram);
 }
 
 Status FileRunSink::Append(RunStream stream, Key key) {

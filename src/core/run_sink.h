@@ -8,7 +8,6 @@
 
 #include "core/record.h"
 #include "core/run_stats.h"
-#include "exec/async_io.h"
 #include "io/env.h"
 #include "io/record_io.h"
 #include "io/reverse_run_file.h"
@@ -123,15 +122,9 @@ struct FileRunSinkOptions {
   size_t block_bytes = kDefaultBlockBytes;
   ReverseRunFileOptions reverse;
 
-  /// When non-null, forward streams write through a double-buffered
-  /// AsyncWritableFile flushed on this pool, overlapping heap work with run
-  /// output I/O. Decreasing streams use the positioned reverse-file format
-  /// and stay synchronous. The pool must outlive the sink.
-  ThreadPool* pool = nullptr;
-
-  /// When non-null, every write of a forward run stream that reaches its
-  /// file (background flush or synchronous append) records its wall time
-  /// here. Must outlive the sink.
+  /// When non-null, every block write of a forward run stream records its
+  /// wall time here (decreasing streams use the positioned reverse-file
+  /// format and are not timed). Must outlive the sink.
   LatencyHistogram* flush_histogram = nullptr;
 };
 

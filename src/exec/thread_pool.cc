@@ -61,8 +61,7 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-TaskHandle ThreadPool::Submit(std::function<Status()> fn,
-                              TaskPriority priority) {
+TaskHandle ThreadPool::Submit(std::function<Status()> fn) {
   auto state = std::make_shared<TaskHandle::State>();
   {
     // Not yet shared with any other thread, but `fn` is guarded state and
@@ -76,8 +75,7 @@ TaskHandle ThreadPool::Submit(std::function<Status()> fn,
   {
     MutexLock lock(&mu_);
     if (!stopping_) {
-      (priority == TaskPriority::kHigh ? high_queue_ : queue_)
-          .push_back(state);
+      queue_.push_back(state);
       queued = true;
     }
   }
@@ -96,14 +94,10 @@ void ThreadPool::WorkerLoop() {
     std::shared_ptr<TaskHandle::State> task;
     {
       MutexLock lock(&mu_);
-      while (!stopping_ && queue_.empty() && high_queue_.empty()) {
-        cv_.Wait(mu_);
-      }
-      std::deque<std::shared_ptr<TaskHandle::State>>& source =
-          !high_queue_.empty() ? high_queue_ : queue_;
-      if (source.empty()) return;  // stopping_ and nothing left to run
-      task = std::move(source.front());
-      source.pop_front();
+      while (!stopping_ && queue_.empty()) cv_.Wait(mu_);
+      if (queue_.empty()) return;  // stopping_ and nothing left to run
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
     TaskHandle::RunIfUnclaimed(task);
   }

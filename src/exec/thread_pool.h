@@ -63,31 +63,22 @@ class TaskHandle {
   std::shared_ptr<State> state_;
 };
 
-/// Scheduling class for ThreadPool::Submit. High-priority tasks are short,
-/// latency-sensitive work (e.g. AsyncWritableFile buffer flushes) that must
-/// not queue behind a level of long-running normal tasks, or the producers
-/// waiting on them degrade to inline execution.
-enum class TaskPriority { kNormal, kHigh };
-
 /// Fixed-size pool of worker threads executing Status-returning tasks in
-/// submission order within each priority class (high before normal). The
-/// destructor completes every submitted task before returning, so a pool
+/// submission order. The destructor completes every submitted task before returning, so a pool
 /// can be stack-allocated around a batch of work.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (at least one).
   explicit ThreadPool(size_t num_threads);
 
-  /// Drains the queues, waits for running tasks and joins all workers.
+  /// Drains the queue, waits for running tasks and joins all workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Enqueues `fn` and returns a waitable handle to its completion.
-  TaskHandle Submit(std::function<Status()> fn,
-                    TaskPriority priority = TaskPriority::kNormal)
-      TWRS_EXCLUDES(mu_);
+  TaskHandle Submit(std::function<Status()> fn) TWRS_EXCLUDES(mu_);
 
   size_t num_threads() const { return threads_.size(); }
 
@@ -105,8 +96,6 @@ class ThreadPool {
   Mutex mu_;
   CondVar cv_;
   std::deque<std::shared_ptr<TaskHandle::State>> queue_ TWRS_GUARDED_BY(mu_);
-  std::deque<std::shared_ptr<TaskHandle::State>> high_queue_
-      TWRS_GUARDED_BY(mu_);
   bool stopping_ TWRS_GUARDED_BY(mu_) = false;
   /// Written only by the constructor, joined only by the destructor; never
   /// touched concurrently, so unguarded.

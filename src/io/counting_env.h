@@ -76,12 +76,6 @@ class CountingEnv : public Env {
   Status ListDir(const std::string& path,
                  std::vector<std::string>* names) override;
 
-  /// Counting is transparent to async-ness: capability checks see the
-  /// wrapped backend's answer.
-  IoCapabilities io_capabilities() const override {
-    return base_->io_capabilities();
-  }
-
  private:
   friend class CountingWritableFile;
 

@@ -59,10 +59,9 @@ class RandomRWFile {
   virtual Status Close() = 0;
 };
 
-/// Whether an Env's file handles already overlap I/O internally. The
-/// async decorators (AsyncWritableFile behind MakeAsyncRecordWriter,
-/// PrefetchingSequentialFile) consult this and stay thin — no pump
-/// thread, no extra copy — when the backend is natively async.
+/// Whether an Env's file handles already overlap I/O internally. Purely
+/// informational: no engine code branches on it. PosixEnv's I/O is
+/// synchronous; IoUringEnv, the one async backend, reports native_async.
 struct IoCapabilities {
   /// Appends, positioned writes and sequential reads are all submitted
   /// without blocking on completion: writes return before the data hits
@@ -125,8 +124,6 @@ class Env {
                          std::vector<std::string>* names);
 
   /// What this Env's handles overlap internally (all-false by default).
-  /// Decorators forward to their base so capability checks see through
-  /// CountingEnv/SimDiskEnv wrapping.
   virtual IoCapabilities io_capabilities() const { return IoCapabilities(); }
 
   /// Returns the process-wide POSIX environment.

@@ -48,4 +48,19 @@ Status NewRangeWritableFile(Env* env, const std::string& path,
   return Status::OK();
 }
 
+Status MakeRecordWriter(Env* env, const std::string& path, size_t block_bytes,
+                        std::unique_ptr<RecordWriter>* out,
+                        LatencyHistogram* flush_histogram,
+                        const MergeOutputRange& range) {
+  std::unique_ptr<WritableFile> file;
+  if (range.positioned) {
+    TWRS_RETURN_IF_ERROR(NewRangeWritableFile(env, path, range, &file));
+  } else {
+    TWRS_RETURN_IF_ERROR(env->NewWritableFile(path, &file));
+  }
+  *out = std::make_unique<RecordWriter>(std::move(file), block_bytes);
+  (*out)->set_flush_histogram(flush_histogram);
+  return (*out)->status();
+}
+
 }  // namespace twrs

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "io/env.h"
+#include "io/record_io.h"
 #include "util/status.h"
 
 namespace twrs {
@@ -26,8 +27,7 @@ struct MergeOutputRange {
 /// WriteAt at the next position of the range. Several RangeWritableFiles
 /// over distinct handles of one file may write concurrently as long as
 /// their ranges are disjoint — the Env contract pinned down by env_test
-/// (extend-on-write, disjoint concurrent writers). Wrap it in an
-/// AsyncWritableFile to overlap the positioned writes with the producer.
+/// (extend-on-write, disjoint concurrent writers).
 ///
 /// A range must be filled exactly: an Append past its end fails with
 /// InvalidArgument, and Close returns Corruption unless exactly `length`
@@ -66,6 +66,18 @@ class RangeWritableFile : public WritableFile {
 Status NewRangeWritableFile(Env* env, const std::string& path,
                             const MergeOutputRange& range,
                             std::unique_ptr<WritableFile>* out);
+
+/// The single construction point for every record stream the engine
+/// writes — run sink streams and every merge output, append or positioned.
+/// Creates `path` through `env` (truncating), or, when `range.positioned`,
+/// opens a RangeWritableFile over that range of the existing file, and
+/// returns a RecordWriter over it. A non-null `flush_histogram` records the
+/// wall time of every block write that reaches the file; it must outlive
+/// the writer.
+Status MakeRecordWriter(Env* env, const std::string& path, size_t block_bytes,
+                        std::unique_ptr<RecordWriter>* out,
+                        LatencyHistogram* flush_histogram = nullptr,
+                        const MergeOutputRange& range = {});
 
 }  // namespace twrs
 

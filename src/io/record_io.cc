@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "obs/latency_histogram.h"
+#include "util/stopwatch.h"
+
 namespace twrs {
 
 RecordWriter::RecordWriter(Env* env, const std::string& path,
@@ -30,15 +33,24 @@ RecordWriter::~RecordWriter() {
   if (!finished_ && file_ != nullptr) TWRS_IGNORE_STATUS(Finish());
 }
 
+Status RecordWriter::WriteBuffer() {
+  if (flush_histogram_ == nullptr) {
+    status_ = file_->Append(buffer_.data(), buffer_used_);
+  } else {
+    Stopwatch watch;
+    status_ = file_->Append(buffer_.data(), buffer_used_);
+    flush_histogram_->RecordSeconds(watch.ElapsedSeconds());
+  }
+  buffer_used_ = 0;
+  return status_;
+}
+
 Status RecordWriter::Append(Key key) {
   TWRS_RETURN_IF_ERROR(status_);
   EncodeKey(key, buffer_.data() + buffer_used_);
   buffer_used_ += kRecordBytes;
   ++count_;
-  if (buffer_used_ == buffer_.size()) {
-    status_ = file_->Append(buffer_.data(), buffer_used_);
-    buffer_used_ = 0;
-  }
+  if (buffer_used_ == buffer_.size()) return WriteBuffer();
   return status_;
 }
 
@@ -53,9 +65,7 @@ Status RecordWriter::AppendBatch(const Key* keys, size_t n) {
     count_ += take;
     done += take;
     if (buffer_used_ == buffer_.size()) {
-      status_ = file_->Append(buffer_.data(), buffer_used_);
-      buffer_used_ = 0;
-      TWRS_RETURN_IF_ERROR(status_);
+      TWRS_RETURN_IF_ERROR(WriteBuffer());
     }
   }
   return status_;
@@ -65,11 +75,7 @@ Status RecordWriter::Finish() {
   if (finished_) return status_;
   finished_ = true;
   TWRS_RETURN_IF_ERROR(status_);
-  if (buffer_used_ > 0) {
-    status_ = file_->Append(buffer_.data(), buffer_used_);
-    buffer_used_ = 0;
-    TWRS_RETURN_IF_ERROR(status_);
-  }
+  if (buffer_used_ > 0) TWRS_RETURN_IF_ERROR(WriteBuffer());
   if (sync_on_finish_) {
     status_ = file_->Sync();
     TWRS_RETURN_IF_ERROR(status_);

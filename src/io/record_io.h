@@ -12,6 +12,8 @@
 
 namespace twrs {
 
+class LatencyHistogram;
+
 /// Default I/O block size. The paper's file system page is 4 KiB (§A.1); we
 /// buffer several pages per sequential stream, as real systems do.
 inline constexpr size_t kDefaultBlockBytes = 64 * 1024;
@@ -23,8 +25,8 @@ class RecordWriter {
   RecordWriter(Env* env, const std::string& path,
                size_t block_bytes = kDefaultBlockBytes);
 
-  /// Writes through an already-open handle (e.g. an AsyncWritableFile
-  /// wrapping the real file). Takes ownership of `file`.
+  /// Writes through an already-open handle (e.g. a RangeWritableFile over
+  /// part of a shared output). Takes ownership of `file`.
   explicit RecordWriter(std::unique_ptr<WritableFile> file,
                         size_t block_bytes = kDefaultBlockBytes);
 
@@ -53,15 +55,27 @@ class RecordWriter {
   /// Finish is not synced.
   void set_sync_on_finish(bool sync) { sync_on_finish_ = sync; }
 
+  /// Records the wall time of every block write that reaches the file into
+  /// `histogram`, which must outlive the writer. Null (the default)
+  /// disables timing.
+  void set_flush_histogram(LatencyHistogram* histogram) {
+    flush_histogram_ = histogram;
+  }
+
   /// Number of records appended so far.
   uint64_t count() const { return count_; }
 
  private:
+  /// Writes the buffered bytes to the file (timed when a histogram is
+  /// set) and empties the buffer.
+  Status WriteBuffer();
+
   Status status_;
   std::unique_ptr<WritableFile> file_;
   std::vector<uint8_t> buffer_;
   size_t buffer_used_ = 0;
   uint64_t count_ = 0;
+  LatencyHistogram* flush_histogram_ = nullptr;
   bool finished_ = false;
   bool sync_on_finish_ = false;
 };
@@ -73,8 +87,8 @@ class RecordReader {
   RecordReader(Env* env, const std::string& path,
                size_t block_bytes = kDefaultBlockBytes);
 
-  /// Reads through an already-open handle (e.g. a PrefetchingSequentialFile
-  /// wrapping the real file). Takes ownership of `file`.
+  /// Reads through an already-open handle (e.g. one positioned past a
+  /// prefix with Skip). Takes ownership of `file`.
   explicit RecordReader(std::unique_ptr<SequentialFile> file,
                         size_t block_bytes = kDefaultBlockBytes);
 

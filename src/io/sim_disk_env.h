@@ -26,8 +26,8 @@ struct DiskModelConfig {
   /// calling thread, turning the model into a real-time emulated device.
   /// Accounting-only by default. Real-time mode makes wall-clock
   /// measurements show I/O/CPU overlap: the pipelined sort path pays these
-  /// sleeps on background flush/prefetch/pool threads while the serial path
-  /// pays them inline.
+  /// sleeps on pool threads (parallel run generators, leaf merges, partial
+  /// final merges) while the serial path pays them all on the caller.
   bool realtime = false;
 };
 
@@ -37,7 +37,7 @@ struct DiskModelConfig {
 /// access began (backward-contiguous writes, which Appendix A.1 notes the
 /// operating system's write cache absorbs without synchronous seeks); any
 /// other access pays one seek. Thread-safe: the parallel sort path issues
-/// accesses from pool workers and background flushers concurrently.
+/// accesses from pool workers concurrently.
 class DiskModel {
  public:
   explicit DiskModel(DiskModelConfig config = DiskModelConfig())
@@ -79,9 +79,8 @@ class DiskModel {
 /// reproduce seek-bound effects (e.g. the fan-in U-curve of Figure 6.1) that
 /// a page-cached SSD hides.
 ///
-/// Deliberately reports no native_async, even over an async base: the
-/// simulated disk is a blocking device, and the pump-thread decorators it
-/// forces are exactly what the overlap benchmarks measure.
+/// Reports no native_async, even over an async base: the simulated disk is
+/// a blocking device whose sleeps land on the thread that issued the I/O.
 class SimDiskEnv : public Env {
  public:
   /// Does not take ownership of `base`, which must outlive this Env.

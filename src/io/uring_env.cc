@@ -13,8 +13,6 @@ namespace twrs {
 // so the constructor and destructor live in the per-branch sections where
 // IoUringRingPool is a complete type.
 
-IoUringEnv::IoUringEnv() : IoUringEnv(IoUringEnvOptions()) {}
-
 bool IoUringEnv::FileExists(const std::string& path) {
   return metadata_env_.FileExists(path);
 }
@@ -112,13 +110,21 @@ LatencyHistogram& BatchLenHistogram() {
   return *histogram;
 }
 
-// ------------------------------------------------------------- alignment
+// ------------------------------------------------------------- sizing
 
-constexpr size_t kDirectAlign = 4096;
+/// Submission-queue depth of each ring. Eight slots cover the deepest
+/// per-handle pipeline (double-buffered writes + fsync + retry
+/// resubmissions) with room for batching.
+constexpr unsigned kRingEntries = 8;
 
-constexpr uint64_t AlignDown(uint64_t v) { return v & ~(kDirectAlign - 1); }
+/// Size of each transfer buffer: two per handle (double-buffered appends,
+/// two read-ahead blocks, or two positioned-write slots).
+constexpr size_t kBufferBytes = 256 * 1024;
+
+constexpr size_t kPageBytes = 4096;
+
 constexpr uint64_t AlignUp(uint64_t v) {
-  return (v + kDirectAlign - 1) & ~(kDirectAlign - 1);
+  return (v + kPageBytes - 1) & ~(kPageBytes - 1);
 }
 
 struct UnmapDeleter {
@@ -127,8 +133,8 @@ struct UnmapDeleter {
 };
 using AlignedBuffer = std::unique_ptr<uint8_t, UnmapDeleter>;
 
-// Transfer buffers come straight from mmap, page-aligned as O_DIRECT and
-// buffer registration need. From malloc they would not reliably go back
+// Transfer buffers come straight from mmap, page-aligned as buffer
+// registration needs. From malloc they would not reliably go back
 // to the system: once any large block is freed, glibc raises its mmap
 // threshold, and the buffers of destroyed rings then stay cached in
 // per-thread arenas, so peak RSS grew with every sort.
@@ -339,7 +345,7 @@ bool RegisterBuffers(Ring* ring, uint8_t* const* buffers, size_t count,
 
 // ---------------------------------------------------------- ring pooling
 
-/// Every handle type moves data through two buffer_bytes-sized transfer
+/// Every handle type moves data through two kBufferBytes transfer
 /// buffers: double-buffered appends, two read-ahead blocks, or two
 /// positioned-write slots. The uniform shape is what makes one pooled
 /// ring serve any handle.
@@ -357,20 +363,20 @@ struct PooledRing {
   AlignedBuffer buffers[kPooledBuffers];
   bool fixed = false;  // buffers registered as fixed on this ring
 
-  Status Init(const IoUringEnvOptions& opt) {
-    TWRS_RETURN_IF_ERROR(ring.Init(opt.ring_entries));
-    const size_t len = AlignDown(opt.buffer_bytes);
+  Status Init() {
+    TWRS_RETURN_IF_ERROR(ring.Init(kRingEntries));
     uint8_t* raw[kPooledBuffers];
     for (unsigned i = 0; i < kPooledBuffers; ++i) {
-      buffers[i] = AllocAligned(len);
+      buffers[i] = AllocAligned(kBufferBytes);
       if (buffers[i] == nullptr) {
         return Status::IOError("cannot allocate io_uring transfer buffers");
       }
       raw[i] = buffers[i].get();
     }
-    if (opt.register_buffers) {
-      fixed = RegisterBuffers(&ring, raw, kPooledBuffers, len);
-    }
+    // Registered buffers let data SQEs skip the per-op page pinning. When
+    // the kernel refuses (RLIMIT_MEMLOCK, EPERM in containers) the ring
+    // falls back to plain READ/WRITE opcodes.
+    fixed = RegisterBuffers(&ring, raw, kPooledBuffers, kBufferBytes);
     g_rings_created.fetch_add(1, std::memory_order_relaxed);
     return Status::OK();
   }
@@ -383,8 +389,6 @@ struct PooledRing {
 /// at once.
 class RingPool {
  public:
-  explicit RingPool(const IoUringEnvOptions& options) : options_(options) {}
-
   Status Acquire(std::unique_ptr<PooledRing>* out) {
     {
       MutexLock lock(&mu_);
@@ -396,7 +400,7 @@ class RingPool {
       }
     }
     auto fresh = std::make_unique<PooledRing>();
-    TWRS_RETURN_IF_ERROR(fresh->Init(options_));
+    TWRS_RETURN_IF_ERROR(fresh->Init());
     *out = std::move(fresh);
     return Status::OK();
   }
@@ -418,7 +422,6 @@ class RingPool {
  private:
   static constexpr size_t kMaxFree = 16;
 
-  const IoUringEnvOptions options_;
   Mutex mu_;
   std::vector<std::unique_ptr<PooledRing>> free_ TWRS_GUARDED_BY(mu_);
 };
@@ -426,17 +429,11 @@ class RingPool {
 // ------------------------------------------------- UringWritableFile
 // Sequential appends with kernel-overlapped double buffering: while the
 // caller fills one buffer, the previous one is being written by the
-// kernel. Replaces AsyncWritableFile's pump thread + copy with a single
-// SQE per buffer rotation.
+// kernel: one SQE per buffer rotation.
 class UringWritableFile : public WritableFile {
  public:
-  UringWritableFile(int fd, std::string path, const IoUringEnvOptions& opt,
-                    bool o_direct, RingPool* pool)
-      : fd_(fd),
-        path_(std::move(path)),
-        buffer_bytes_(AlignDown(opt.buffer_bytes)),
-        o_direct_(o_direct),
-        pool_(pool) {}
+  UringWritableFile(int fd, std::string path, RingPool* pool)
+      : fd_(fd), path_(std::move(path)), pool_(pool) {}
 
   ~UringWritableFile() override {
     // Errors from a destructor-time close have nowhere to go; callers that
@@ -454,21 +451,16 @@ class UringWritableFile : public WritableFile {
   Status Append(const void* data, size_t n) override {
     if (!status_.ok()) return status_;
     if (closed_) return Status::IOError("append to closed " + path_);
-    if (tail_flushed_) {
-      // O_DIRECT only: the padded tail block is on disk and the write
-      // position is no longer block-aligned.
-      return Status::IOError("append after O_DIRECT Sync on " + path_);
-    }
     const uint8_t* p = static_cast<const uint8_t*>(data);
     while (n > 0) {
       const size_t take =
-          n < buffer_bytes_ - active_used_ ? n : buffer_bytes_ - active_used_;
+          n < kBufferBytes - active_used_ ? n : kBufferBytes - active_used_;
       std::memcpy(pooled_->buf(active_) + active_used_, p, take);
       active_used_ += take;
       p += take;
       n -= take;
-      if (active_used_ == buffer_bytes_) {
-        status_ = RotateAndSubmit(buffer_bytes_, /*eager=*/true);
+      if (active_used_ == kBufferBytes) {
+        status_ = RotateAndSubmit(kBufferBytes, /*eager=*/true);
         if (!status_.ok()) return status_;
       }
     }
@@ -480,7 +472,6 @@ class UringWritableFile : public WritableFile {
     if (closed_) return Status::IOError("sync of closed " + path_);
     status_ = FlushTail();
     if (status_.ok()) status_ = WaitInflight();
-    if (status_.ok()) status_ = TruncatePadding();
     if (status_.ok()) status_ = Fsync();
     return status_;
   }
@@ -492,7 +483,6 @@ class UringWritableFile : public WritableFile {
     if (pooled_ != nullptr) {
       if (s.ok()) s = FlushTail();
       if (s.ok()) s = WaitInflight();
-      if (s.ok()) s = TruncatePadding();
       if (!s.ok()) {
         // Still reap outstanding completions so the kernel is not writing
         // from buffers the pool is about to hand to another handle.
@@ -585,31 +575,11 @@ class UringWritableFile : public WritableFile {
     return Status::OK();
   }
 
-  /// Flushes the partial active buffer. Under O_DIRECT the tail is padded
-  /// to a whole block (TruncatePadding restores the logical size).
+  /// Flushes the partial active buffer. Sync/Close wait right after this;
+  /// the pending SQE rides along in that wait's enter.
   Status FlushTail() {
     if (active_used_ == 0) return Status::OK();
-    size_t len = active_used_;
-    if (o_direct_) {
-      const size_t padded = AlignUp(len);
-      std::memset(pooled_->buf(active_) + len, 0, padded - len);
-      logical_size_ = file_offset_ + len;
-      padded_tail_ = padded != len;
-      tail_flushed_ = padded_tail_;
-      len = padded;
-    }
-    // Sync/Close wait right after this; the pending SQE rides along in
-    // that wait's enter.
-    return RotateAndSubmit(len, /*eager=*/false);
-  }
-
-  Status TruncatePadding() {
-    if (!padded_tail_) return Status::OK();
-    padded_tail_ = false;
-    if (::ftruncate(fd_, static_cast<off_t>(logical_size_)) != 0) {
-      return ErrnoStatus("ftruncate " + path_, errno);
-    }
-    return Status::OK();
+    return RotateAndSubmit(active_used_, /*eager=*/false);
   }
 
   Status PrepFsync() {
@@ -645,8 +615,6 @@ class UringWritableFile : public WritableFile {
 
   int fd_;
   std::string path_;
-  const size_t buffer_bytes_;
-  const bool o_direct_;
 
   RingPool* const pool_;
   std::unique_ptr<PooledRing> pooled_;
@@ -661,17 +629,12 @@ class UringWritableFile : public WritableFile {
   size_t inflight_done_ = 0;  // bytes the kernel confirmed so far
   uint64_t file_offset_ = 0;  // where the next flush lands
 
-  uint64_t logical_size_ = 0;  // O_DIRECT: true size behind a padded tail
-  bool padded_tail_ = false;
-  bool tail_flushed_ = false;
-
   bool closed_ = false;
   Status status_;
 };
 
 // ---------------------------------------------- UringSequentialFile
-// Sequential reads fed by kernel read-ahead, replacing
-// PrefetchingSequentialFile's pump thread + queue. The read-ahead is
+// Sequential reads fed by kernel read-ahead. The read-ahead is
 // demand-paced: the first block is sized to the first Read request and no
 // ahead block is issued until the caller fully drains kStreamDrains blocks
 // (proving a streaming scan), after which two full-sized reads stay in
@@ -687,10 +650,9 @@ class UringSequentialFile : public SequentialFile {
   static constexpr unsigned kStreamDrains = 2;
 
   UringSequentialFile(int fd, std::string path, uint64_t file_size,
-                      const IoUringEnvOptions& opt, RingPool* pool)
+                      RingPool* pool)
       : fd_(fd),
         path_(std::move(path)),
-        block_bytes_(AlignDown(opt.buffer_bytes)),
         file_size_(file_size),
         pool_(pool) {}
 
@@ -785,8 +747,8 @@ class UringSequentialFile : public SequentialFile {
     started_ = true;
     front_ = 0;
     drains_ = 0;
-    ramp_ = first_request < 4096 ? 4096 : AlignUp(first_request);
-    if (ramp_ > block_bytes_) ramp_ = block_bytes_;
+    ramp_ = first_request < kPageBytes ? kPageBytes : AlignUp(first_request);
+    if (ramp_ > kBufferBytes) ramp_ = kBufferBytes;
     // One request-sized block, and it stays pending: the first
     // WaitForBlock submits it inside its blocking enter — one syscall per
     // open on this engine's many-small-run merges. Probe-then-Skip
@@ -893,15 +855,15 @@ class UringSequentialFile : public SequentialFile {
   }
 
   /// Refills the fully-consumed front block at the next file offset. Each
-  /// drain doubles the block size up to block_bytes_; the kStreamDrains-th
+  /// drain doubles the block size up to kBufferBytes; the kStreamDrains-th
   /// drain opens the window to two blocks in flight. Before that the
   /// refill stays pending (the next wait's enter submits it); once reading
   /// ahead, submission is eager so the kernel fills the ahead block while
   /// the caller copies out of the other.
   Status RecycleFront() {
     ++drains_;
-    if (ramp_ < block_bytes_) {
-      ramp_ = ramp_ * 2 < block_bytes_ ? ramp_ * 2 : block_bytes_;
+    if (ramp_ < kBufferBytes) {
+      ramp_ = ramp_ * 2 < kBufferBytes ? ramp_ * 2 : kBufferBytes;
     }
     TWRS_RETURN_IF_ERROR(PrepBlock(front_));
     if (drains_ < kStreamDrains) return Status::OK();
@@ -938,7 +900,6 @@ class UringSequentialFile : public SequentialFile {
 
   int fd_;
   std::string path_;
-  const size_t block_bytes_;
   const uint64_t file_size_;  // size at open; reads never go past it
 
   RingPool* const pool_;
@@ -952,7 +913,7 @@ class UringSequentialFile : public SequentialFile {
   unsigned front_ = 0;
   uint64_t submit_off_ = 0;
   // Demand pacing: full drains since (re)start, and the current block
-  // size, doubling per drain up to block_bytes_.
+  // size, doubling per drain up to kBufferBytes.
   unsigned drains_ = 0;
   size_t ramp_ = 0;
 
@@ -963,18 +924,14 @@ class UringSequentialFile : public SequentialFile {
 // Positioned writes submitted without blocking: WriteAt copies into one of
 // two slots and returns; completions are reaped when slots are reused and
 // on Sync/Close. Disjoint-range writers (RangeWritableFile) each own a handle
-// (and pooled ring), so the partitioned output path runs fully overlapped
-// with no pump threads.
+// (and pooled ring), so the partitioned output path runs fully
+// overlapped.
 class UringRandomRWFile : public RandomRWFile {
  public:
   static constexpr unsigned kSlots = kPooledBuffers;
 
-  UringRandomRWFile(int fd, std::string path, const IoUringEnvOptions& opt,
-                    RingPool* pool)
-      : fd_(fd),
-        path_(std::move(path)),
-        slot_bytes_(AlignDown(opt.buffer_bytes)),
-        pool_(pool) {}
+  UringRandomRWFile(int fd, std::string path, RingPool* pool)
+      : fd_(fd), path_(std::move(path)), pool_(pool) {}
 
   ~UringRandomRWFile() override { TWRS_IGNORE_STATUS(Close()); }
 
@@ -992,7 +949,7 @@ class UringRandomRWFile : public RandomRWFile {
     const uint8_t* p = static_cast<const uint8_t*>(data);
     bool prepped = false;
     while (n > 0) {
-      const size_t take = n < slot_bytes_ ? n : slot_bytes_;
+      const size_t take = n < kBufferBytes ? n : kBufferBytes;
       unsigned s = 0;
       status_ = AcquireSlot(&s);
       if (!status_.ok()) return status_;
@@ -1203,7 +1160,6 @@ class UringRandomRWFile : public RandomRWFile {
 
   int fd_;
   std::string path_;
-  const size_t slot_bytes_;
 
   RingPool* const pool_;
   std::unique_ptr<PooledRing> pooled_;
@@ -1214,22 +1170,6 @@ class UringRandomRWFile : public RandomRWFile {
   bool closed_ = false;
   Status status_;
 };
-
-/// Opens `path`, degrading an O_DIRECT request to a buffered open on
-/// filesystems that refuse it (tmpfs returns EINVAL).
-int OpenMaybeDirect(const std::string& path, int flags, bool want_direct,
-                    bool* got_direct) {
-  *got_direct = false;
-  if (want_direct) {
-    const int fd = ::open(path.c_str(), flags | O_DIRECT, 0644);
-    if (fd >= 0) {
-      *got_direct = true;
-      return fd;
-    }
-    if (errno != EINVAL) return fd;
-  }
-  return ::open(path.c_str(), flags, 0644);
-}
 
 const std::string& ProbeFailureReason() {
   static const std::string* const reason = [] {
@@ -1253,13 +1193,8 @@ const std::string& ProbeFailureReason() {
 
 }  // namespace
 
-IoUringEnv::IoUringEnv(const IoUringEnvOptions& options) : options_(options) {
-  // Transfer buffers double as O_DIRECT buffers, so they must be at least
-  // one direct-I/O block; the ring needs room for the deepest per-handle
-  // pipeline (double-buffered writes + fsync + a retry resubmission).
-  if (options_.buffer_bytes < 4096) options_.buffer_bytes = 4096;
-  if (options_.ring_entries < 8) options_.ring_entries = 8;
-  if (IsSupported()) pool_ = std::make_shared<RingPool>(options_);
+IoUringEnv::IoUringEnv() {
+  if (IsSupported()) pool_ = std::make_shared<RingPool>();
 }
 
 IoUringEnv::~IoUringEnv() = default;
@@ -1274,12 +1209,10 @@ std::string IoUringEnv::UnsupportedReason() {
 Status IoUringEnv::NewWritableFile(const std::string& path,
                                    std::unique_ptr<WritableFile>* out) {
   if (!IsSupported()) return Status::NotSupported(UnsupportedReason());
-  bool got_direct = false;
-  const int fd = OpenMaybeDirect(path, O_WRONLY | O_CREAT | O_TRUNC,
-                                 options_.use_o_direct, &got_direct);
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return ErrnoStatus("open " + path, errno);
   auto file = std::make_unique<UringWritableFile>(
-      fd, path, options_, got_direct, static_cast<RingPool*>(pool_.get()));
+      fd, path, static_cast<RingPool*>(pool_.get()));
   TWRS_RETURN_IF_ERROR(file->Init());
   *out = std::move(file);
   return Status::OK();
@@ -1297,7 +1230,7 @@ Status IoUringEnv::NewSequentialFile(const std::string& path,
     return ErrnoStatus("fstat " + path, err);
   }
   auto file = std::make_unique<UringSequentialFile>(
-      fd, path, static_cast<uint64_t>(st.st_size), options_,
+      fd, path, static_cast<uint64_t>(st.st_size),
       static_cast<RingPool*>(pool_.get()));
   TWRS_RETURN_IF_ERROR(file->Init());
   *out = std::move(file);
@@ -1310,7 +1243,7 @@ Status IoUringEnv::NewRandomRWFile(const std::string& path,
   const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return ErrnoStatus("open " + path, errno);
   auto file = std::make_unique<UringRandomRWFile>(
-      fd, path, options_, static_cast<RingPool*>(pool_.get()));
+      fd, path, static_cast<RingPool*>(pool_.get()));
   TWRS_RETURN_IF_ERROR(file->Init());
   *out = std::move(file);
   return Status::OK();
@@ -1322,7 +1255,7 @@ Status IoUringEnv::ReopenRandomRWFile(const std::string& path,
   const int fd = ::open(path.c_str(), O_RDWR);
   if (fd < 0) return ErrnoStatus("open " + path, errno);
   auto file = std::make_unique<UringRandomRWFile>(
-      fd, path, options_, static_cast<RingPool*>(pool_.get()));
+      fd, path, static_cast<RingPool*>(pool_.get()));
   TWRS_RETURN_IF_ERROR(file->Init());
   *out = std::move(file);
   return Status::OK();
@@ -1334,7 +1267,7 @@ Status IoUringEnv::NewRandomReadFile(const std::string& path,
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return ErrnoStatus("open " + path, errno);
   auto file = std::make_unique<UringRandomRWFile>(
-      fd, path, options_, static_cast<RingPool*>(pool_.get()));
+      fd, path, static_cast<RingPool*>(pool_.get()));
   TWRS_RETURN_IF_ERROR(file->Init());
   *out = std::move(file);
   return Status::OK();
@@ -1395,12 +1328,7 @@ constexpr char kNotBuilt[] =
     "time)";
 }  // namespace
 
-IoUringEnv::IoUringEnv(const IoUringEnvOptions& options) : options_(options) {
-  // Clamped for parity with the real backend so option handling behaves
-  // the same regardless of build flavor; no pool without the backend.
-  if (options_.buffer_bytes < 4096) options_.buffer_bytes = 4096;
-  if (options_.ring_entries < 8) options_.ring_entries = 8;
-}
+IoUringEnv::IoUringEnv() = default;
 
 IoUringEnv::~IoUringEnv() = default;
 

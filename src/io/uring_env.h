@@ -12,36 +12,6 @@ namespace twrs {
 
 class MetricsRegistry;
 
-/// Tuning knobs for IoUringEnv. The defaults match the async decorators
-/// they replace (kDefaultAsyncBufferBytes double buffers), so swapping the
-/// backend changes the I/O mechanism, not the buffering economics.
-struct IoUringEnvOptions {
-  /// Submission-queue depth of each file's ring. Eight slots cover the
-  /// deepest per-handle pipeline (double-buffered writes + fsync + retry
-  /// resubmissions) with room for batching.
-  unsigned ring_entries = 8;
-
-  /// Size of each internal transfer buffer. Every handle type uses two:
-  /// double-buffered appends, two read-ahead blocks, or two
-  /// positioned-write slots.
-  size_t buffer_bytes = 256 * 1024;
-
-  /// Register the transfer buffers with the kernel
-  /// (IORING_REGISTER_BUFFERS) so data SQEs skip the per-op page pinning.
-  /// Registration happens once per pooled ring, not per file, so its page
-  /// pinning cost is amortized across every handle that reuses the ring.
-  /// Falls back to plain READ/WRITE opcodes when registration is refused
-  /// (RLIMIT_MEMLOCK, EPERM in containers).
-  bool register_buffers = true;
-
-  /// Open sequential-write files with O_DIRECT, bypassing the page cache.
-  /// Writes are then issued in 4096-byte-aligned units from the aligned
-  /// internal buffers; the final partial block is padded and the file
-  /// truncated back to its logical size on Close. Filesystems without
-  /// O_DIRECT support (tmpfs) silently degrade to buffered opens.
-  bool use_o_direct = false;
-};
-
 /// Env backed by Linux kernel submission/completion rings (io_uring, raw
 /// syscalls — no liburing dependency). Each open handle borrows a ring
 /// (with its registered transfer buffers) from a per-Env pool and returns
@@ -49,8 +19,10 @@ struct IoUringEnvOptions {
 /// amortized across every run, temp and output file of a sort. Appends
 /// and positioned writes are submitted without waiting for completion
 /// (the next buffer rotation reaps them), sequential reads keep
-/// read-ahead blocks in flight. The async decorators detect this through
-/// io_capabilities() and skip their pump threads entirely.
+/// read-ahead blocks in flight. It is the engine's one async I/O backend:
+/// PosixEnv is plain synchronous buffered I/O. Each handle moves data
+/// through two 256 KiB transfer buffers, registered with the kernel
+/// (IORING_REGISTER_BUFFERS) when the kernel allows it.
 ///
 /// Handles follow the same threading contract as PosixEnv's: one handle is
 /// used by one thread at a time; concurrent disjoint-range writers each
@@ -63,7 +35,6 @@ struct IoUringEnvOptions {
 class IoUringEnv : public Env {
  public:
   IoUringEnv();
-  explicit IoUringEnv(const IoUringEnvOptions& options);
   ~IoUringEnv() override;
 
   IoUringEnv(const IoUringEnv&) = delete;
@@ -98,7 +69,6 @@ class IoUringEnv : public Env {
   IoCapabilities io_capabilities() const override;
 
  private:
-  IoUringEnvOptions options_;
   // Metadata operations (stat, unlink, mkdir, readdir) have no useful
   // async form; they go straight through the blocking implementation.
   PosixEnv metadata_env_;

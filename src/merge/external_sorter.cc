@@ -76,10 +76,8 @@ size_t MergePhaseMemoryRecords(const ExternalSortOptions& options) {
   const size_t records_per_block =
       std::max<size_t>(1, options.block_bytes / kRecordBytes);
   // One merge holds fan_in input streams (a read block and a decoded key
-  // block each, plus read-ahead) and one output buffer.
-  const size_t per_merge =
-      (options.fan_in * (2 + options.parallel.prefetch_blocks) + 1) *
-      records_per_block;
+  // block each) and one output buffer.
+  const size_t per_merge = (2 * options.fan_in + 1) * records_per_block;
   // Merges run concurrently, each with its own buffer set: the final pass
   // splits into final_merge_threads partial merges, and the
   // pool-dispatched intermediate merges of one plan level can hold one

@@ -50,15 +50,10 @@ size_t MinRunGenMemoryRecords(RunGenAlgorithm algorithm);
 /// Concurrency knobs of the pipelined execution path (src/exec). With the
 /// defaults the sort is fully serial and behaves exactly as before.
 struct ParallelOptions {
-  /// Switches the pool-based features on (async run flushing, parallel
-  /// leaf merges, and the two counts below); 0 keeps the sort serial. The
-  /// pool itself is the executor's, sized by its capacity.
+  /// Switches the pool-based features on (parallel leaf merges and the
+  /// two counts below); 0 keeps the sort serial. The pool itself is the
+  /// executor's, sized by its capacity.
   size_t worker_threads = 0;
-
-  /// Read-ahead blocks kept in flight per merge input stream; 0 disables.
-  /// Prefetching uses a dedicated pump thread per open input, not the
-  /// pool, so it works with or without worker threads.
-  size_t prefetch_blocks = 0;
 
   /// Run generators working at once: > 1 runs that many generators, each
   /// with memory_records / run_generation_threads, as tasks on the pool
@@ -163,10 +158,9 @@ struct ExternalSortOptions {
 
 /// Records the merge phase of a sort configured by `options` actually
 /// keeps resident: two block-sized buffers per merge input stream (the
-/// read buffer and the cursor's decoded keys, plus read-ahead blocks) and
-/// one output buffer. The run-generation heaps —
-/// the `memory_records` budget — are gone by then, which is what makes a
-/// mid-sort lease downsize sound.
+/// read buffer and the cursor's decoded keys) and one output buffer. The
+/// run-generation heaps — the `memory_records` budget — are gone by then,
+/// which is what makes a mid-sort lease downsize sound.
 size_t MergePhaseMemoryRecords(const ExternalSortOptions& options);
 
 /// Timing and volume breakdown of one sort, mirroring the measurements of

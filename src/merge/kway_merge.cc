@@ -7,12 +7,10 @@
 
 namespace twrs {
 
-RunCursor::RunCursor(Env* env, RunInfo run, size_t block_bytes,
-                     size_t prefetch_blocks)
+RunCursor::RunCursor(Env* env, RunInfo run, size_t block_bytes)
     : env_(env),
       run_(std::move(run)),
       block_bytes_(block_bytes),
-      prefetch_blocks_(prefetch_blocks),
       keys_(std::max<size_t>(1, block_bytes / kRecordBytes)) {}
 
 Status RunCursor::Init() {
@@ -70,15 +68,7 @@ Status RunCursor::Refill() {
       std::unique_ptr<SequentialFile> file;
       TWRS_RETURN_IF_ERROR(env_->NewSequentialFile(seg.path, &file));
       if (skip_remaining_ > 0) {
-        // Position before wrapping: a prefetcher starts pumping from its
-        // construction point, so the skip must land on the raw handle.
         TWRS_RETURN_IF_ERROR(file->Skip(skip_remaining_ * kRecordBytes));
-      }
-      if (prefetch_blocks_ > 0 && !env_->io_capabilities().native_async) {
-        // A natively async backend (IoUringEnv) already keeps read-ahead
-        // blocks in flight; a pump thread on top would only add a copy.
-        file = std::make_unique<PrefetchingSequentialFile>(
-            std::move(file), block_bytes_, prefetch_blocks_);
       }
       forward_ = std::make_unique<RecordReader>(std::move(file),
                                                 block_bytes_);
@@ -160,9 +150,8 @@ Status MergeCursorsToSink(Env* env,
                           const std::string& output_path,
                           const MergeOutputRange& range, RunInfo* out) {
   std::unique_ptr<RecordWriter> writer;
-  TWRS_RETURN_IF_ERROR(MakeAsyncRecordWriter(env, output_path, io.block_bytes,
-                                             io.pool, &writer,
-                                             io.flush_histogram, range));
+  TWRS_RETURN_IF_ERROR(MakeRecordWriter(env, output_path, io.block_bytes,
+                                        &writer, io.flush_histogram, range));
   writer->set_sync_on_finish(io.sync_output);
   // Blocks arrive in merge order, so the run's bounds are the first key of
   // the first block and the last key of the last.
@@ -196,8 +185,7 @@ Status KWayMergeToFile(Env* env, const std::vector<RunInfo>& runs,
   std::vector<std::unique_ptr<RunCursor>> cursors;
   cursors.reserve(runs.size());
   for (const RunInfo& run : runs) {
-    cursors.push_back(std::make_unique<RunCursor>(env, run, io.block_bytes,
-                                                  io.prefetch_blocks));
+    cursors.push_back(std::make_unique<RunCursor>(env, run, io.block_bytes));
     TWRS_RETURN_IF_ERROR(cursors.back()->Init());
   }
   return MergeCursorsToSink(env, &cursors, io, MergeWindow(), output_path,
@@ -220,8 +208,7 @@ Status KWayMergeLimitToFile(Env* env, const std::vector<RunInfo>& runs,
     const uint64_t keep = std::min<uint64_t>(run.length, limit);
     if (keep == 0) continue;
     const uint64_t skip = take_last ? run.length - keep : 0;
-    cursors.push_back(std::make_unique<RunCursor>(env, run, io.block_bytes,
-                                                  io.prefetch_blocks));
+    cursors.push_back(std::make_unique<RunCursor>(env, run, io.block_bytes));
     TWRS_RETURN_IF_ERROR(cursors.back()->InitSlice(skip, keep));
     sliced_total += keep;
   }

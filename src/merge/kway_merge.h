@@ -7,8 +7,6 @@
 
 #include "core/record.h"
 #include "core/run_sink.h"
-#include "exec/async_io.h"
-#include "exec/thread_pool.h"
 #include "io/env.h"
 #include "io/range_writable_file.h"
 #include "io/record_io.h"
@@ -24,14 +22,6 @@ struct MergeIoOptions {
   /// Read/write buffer per stream.
   size_t block_bytes = kDefaultBlockBytes;
 
-  /// Blocks of read-ahead per forward input stream (0 = synchronous reads).
-  /// Reverse-format segments use positioned reads and stay synchronous.
-  size_t prefetch_blocks = 0;
-
-  /// When non-null, the merge output is written through an AsyncWritableFile
-  /// flushed on this pool, overlapping loser-tree work with output I/O.
-  ThreadPool* pool = nullptr;
-
   /// Cooperative cancellation: when non-null, the merge loop polls the
   /// token once per output block (1024 records) and unwinds with
   /// Status::Cancelled once it fires. Must outlive the merge.
@@ -42,9 +32,8 @@ struct MergeIoOptions {
   /// is exact once the merge returns. Must outlive the merge.
   ProgressCounters* progress = nullptr;
 
-  /// When non-null, the wall time of every write of the merge output that
-  /// reaches its file is recorded here (see MakeAsyncRecordWriter). Must
-  /// outlive the merge.
+  /// When non-null, the wall time of every block write of the merge output
+  /// is recorded here (see MakeRecordWriter). Must outlive the merge.
   LatencyHistogram* flush_histogram = nullptr;
 
   /// Force the merge output to stable storage before it is closed, through
@@ -60,13 +49,10 @@ struct MergeIoOptions {
 /// RecordReader::Read, decreasing segments through the Appendix-A
 /// ReverseRunReader::Read — into a single non-decreasing key sequence.
 /// Stepping within a decoded block is inline; only Refill touches the
-/// readers and returns a Status. With `prefetch_blocks` > 0, forward
-/// segments read through a PrefetchingSequentialFile that keeps that many
-/// blocks in flight.
+/// readers and returns a Status.
 class RunCursor {
  public:
-  RunCursor(Env* env, RunInfo run, size_t block_bytes = kDefaultBlockBytes,
-            size_t prefetch_blocks = 0);
+  RunCursor(Env* env, RunInfo run, size_t block_bytes = kDefaultBlockBytes);
 
   /// Opens the first segment and positions on the first record.
   Status Init();
@@ -102,7 +88,6 @@ class RunCursor {
   Env* env_;
   RunInfo run_;
   size_t block_bytes_;
-  size_t prefetch_blocks_;
   size_t segment_ = 0;
   std::unique_ptr<RecordReader> forward_;
   std::unique_ptr<ReverseRunReader> reverse_;
@@ -135,7 +120,7 @@ struct MergeWindow {
 /// merge and the partitioned final merge's partial merges all run through
 /// it. The output is `output_path` of `env` — created, or when
 /// `range.positioned`, that range of the existing file — written through
-/// MakeAsyncRecordWriter. Winners are gathered into blocks of keys; each
+/// MakeRecordWriter. Winners are gathered into blocks of keys; each
 /// block is appended in one span, and the cancel token and progress
 /// counter are consulted once per block. The writer is finished before
 /// this returns, so a range's exact-fill check has run. `*out` (if

@@ -54,8 +54,6 @@ Status MergeRuns(Env* env, std::vector<RunInfo> runs,
 
   MergeIoOptions io;
   io.block_bytes = options.block_bytes;
-  io.prefetch_blocks = options.prefetch_blocks;
-  io.pool = options.pool;
   io.cancel = options.cancel;
   io.progress = options.progress;
   io.flush_histogram = options.flush_histogram;

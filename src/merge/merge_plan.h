@@ -44,9 +44,6 @@ struct MergeOptions {
   /// SimDiskEnv all are).
   ThreadPool* pool = nullptr;
 
-  /// Read-ahead blocks per forward input stream (0 = synchronous reads).
-  size_t prefetch_blocks = 0;
-
   /// Cooperative cancellation: polled between merge steps and, through
   /// MergeIoOptions, once per output block (1024 records) inside each
   /// k-way merge. Must outlive the merge.
@@ -77,8 +74,8 @@ struct MergeOptions {
   /// merge.
   ProgressCounters* progress = nullptr;
 
-  /// When non-null, every flush of a merge output file records its wall
-  /// time here. Must outlive the merge.
+  /// When non-null, every block write of a merge output file records its
+  /// wall time here. Must outlive the merge.
   LatencyHistogram* flush_histogram = nullptr;
 
   /// Top-K: when non-zero every merge pass keeps only `limit` records of

@@ -224,9 +224,8 @@ Status MergePartition(Env* env, const std::vector<RunInfo>& runs,
   cursors.reserve(runs.size());
   for (size_t r = 0; r < runs.size(); ++r) {
     if (slices[r].length == 0) continue;
-    cursors.push_back(std::make_unique<RunCursor>(env, runs[r],
-                                                  io.block_bytes,
-                                                  io.prefetch_blocks));
+    cursors.push_back(
+        std::make_unique<RunCursor>(env, runs[r], io.block_bytes));
     TWRS_RETURN_IF_ERROR(
         cursors.back()->InitSlice(slices[r].skip, slices[r].length));
   }
@@ -335,9 +334,8 @@ Status PrunedSerialMerge(Env* env, const std::vector<RunInfo>& runs,
       if (runs[r].length > 0) ++prune.runs_pruned;
       continue;
     }
-    cursors.push_back(std::make_unique<RunCursor>(env, runs[r],
-                                                  io.block_bytes,
-                                                  io.prefetch_blocks));
+    cursors.push_back(
+        std::make_unique<RunCursor>(env, runs[r], io.block_bytes));
     TWRS_RETURN_IF_ERROR(cursors.back()->InitSlice(skip[r], keep[r]));
     sliced_total += keep[r];
   }

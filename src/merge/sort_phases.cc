@@ -93,7 +93,6 @@ Status GenerateShare(SortContext* context, SharedInput* input, size_t index,
       MakeRunGenerator(options.algorithm, memory_records, options.twrs);
   FileRunSinkOptions sink_options;
   sink_options.block_bytes = options.block_bytes;
-  sink_options.pool = context->pool;
   if (context->metrics != nullptr) {
     sink_options.flush_histogram =
         context->metrics->Histogram("run_sink.flush_seconds");
@@ -202,9 +201,6 @@ Status MergePlanningPhase(SortContext* context) {
   plan.temp_prefix = "sort";
   plan.remove_inputs = !options.keep_temp_files;
   plan.pool = context->pool;
-  // Prefetching runs on dedicated pump threads, so it is independent of
-  // the pool; the leaf merges go to the pool whenever there is one.
-  plan.prefetch_blocks = options.parallel.prefetch_blocks;
   // Partitioned final merges need workers to run on; without a pool the
   // knob quietly degrades to the serial pass.
   plan.final_merge_threads =

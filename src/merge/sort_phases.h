@@ -84,12 +84,12 @@ Status PrepareSortContext(Env* env, const ExternalSortOptions& options,
 /// Phase 1: consumes `source` through the configured run-generation
 /// algorithm — parallel.run_generation_threads generators sharing the
 /// memory budget, the caller running the first and the pool the rest —
-/// writing runs into sort_dir (async-flushed when the context has a pool)
-/// and recording the summed run stats plus the phase time.
+/// writing runs into sort_dir and recording the summed run stats plus the
+/// phase time.
 Status RunGenerationPhase(SortContext* context, RecordSource* source);
 
 /// Phase 2: derives the merge schedule configuration (fan-in, buffers,
-/// prefetch and pool wiring) from the sort options into context->merge_plan.
+/// pool wiring) from the sort options into context->merge_plan.
 Status MergePlanningPhase(SortContext* context);
 
 /// Phase 3: executes the planned multi-pass merge of context->runs into

@@ -433,40 +433,5 @@ TEST(IoBackendTest, DefaultFactoryReturnsSingletons) {
   }
 }
 
-TEST(IoUringEnvTest, ODirectRoundTripsUnalignedSizes) {
-  if (!IoUringEnv::IsSupported()) {
-    GTEST_SKIP() << "io_uring unavailable: "
-                 << IoUringEnv::UnsupportedReason();
-  }
-  // O_DIRECT pads the tail block internally; the observable file must
-  // still have the exact logical size and bytes. On filesystems without
-  // O_DIRECT (tmpfs) the env degrades to buffered I/O — same contract.
-  IoUringEnvOptions options;
-  options.use_o_direct = true;
-  IoUringEnv env(options);
-  const std::string dir = MakeTempDir();
-  ASSERT_TWRS_OK(env.CreateDirIfMissing(dir));
-  const std::string path = dir + "/odirect";
-  std::string payload;
-  for (int i = 0; i < 10000; ++i) payload.push_back(static_cast<char>(i % 251));
-  {
-    std::unique_ptr<WritableFile> w;
-    ASSERT_TWRS_OK(env.NewWritableFile(path, &w));
-    ASSERT_TWRS_OK(w->Append(payload.data(), payload.size()));
-    ASSERT_TWRS_OK(w->Sync());
-    ASSERT_TWRS_OK(w->Close());
-  }
-  uint64_t size = 0;
-  ASSERT_TWRS_OK(env.GetFileSize(path, &size));
-  EXPECT_EQ(size, payload.size());
-  std::unique_ptr<SequentialFile> r;
-  ASSERT_TWRS_OK(env.NewSequentialFile(path, &r));
-  std::string got(payload.size(), '\0');
-  size_t read = 0;
-  ASSERT_TWRS_OK(r->Read(&got[0], got.size(), &read));
-  ASSERT_EQ(read, payload.size());
-  EXPECT_EQ(got, payload);
-}
-
 }  // namespace
 }  // namespace twrs

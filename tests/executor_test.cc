@@ -110,7 +110,6 @@ TEST(ExecutorTest, ConcurrentSortsShareOneExecutor) {
       options.temp_dir = "tmp";
       options.block_bytes = 512;
       options.parallel.worker_threads = 2;  // enables the pool features
-      options.parallel.prefetch_blocks = 2;
       options.parallel.executor = &executor;
       ExternalSorter sorter(&env, options);
       VectorSource source(inputs[i]);

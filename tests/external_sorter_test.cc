@@ -158,9 +158,9 @@ TEST(ExternalSorterTest, SequentialSortsDoNotCollide) {
   }
 }
 
-// The parallel path (async run writes, prefetching merge inputs, pool-
-// dispatched leaf merges) must be a pure performance feature: same record
-// count, same checksum, byte-identical output file.
+// The pooled path (pool-dispatched leaf merges) must be a pure
+// performance feature: same record count, same checksum, byte-identical
+// output file.
 TEST(ExternalSorterParallelTest, ParallelOutputIsByteIdenticalToSerial) {
   MemEnv env;
   WorkloadOptions wl;
@@ -185,7 +185,6 @@ TEST(ExternalSorterParallelTest, ParallelOutputIsByteIdenticalToSerial) {
   }
 
   options.parallel.worker_threads = 4;
-  options.parallel.prefetch_blocks = 3;
   ExternalSortResult parallel_result;
   {
     ExternalSorter sorter(&env, options);
@@ -228,7 +227,6 @@ TEST(ExternalSorterParallelTest, ParallelSortCleansUpTempFiles) {
   options.temp_dir = "tmp";
   options.fan_in = 2;
   options.parallel.worker_threads = 3;
-  options.parallel.prefetch_blocks = 2;
   ExternalSorter sorter(&env, options);
   WorkloadOptions wl;
   wl.num_records = 5000;
@@ -715,8 +713,8 @@ class SyncCountingEnv : public Env {
 
 TEST(ExternalSorterTest, OnlyTheFinalOutputIsSynced) {
   // Durability is paid once, on the user-visible output: every final-merge
-  // writer (append, double-buffered, each partition's range, the pruned
-  // top-K merge) syncs before closing, while run files and intermediate
+  // writer (serial, pooled, each partition's range, the pruned top-K
+  // merge) syncs before closing, while run files and intermediate
   // merges — scratch that is re-read and deleted — never sync.
   WorkloadOptions wl;
   wl.num_records = 40000;
@@ -1401,6 +1399,162 @@ TEST(ExternalSorterRunGenThreadsTest, FailedMergeLeavesOnlyTheInput) {
   EXPECT_TRUE(env.FileExists("in"));
 }
 
+// MemEnv that fails one write of a sort with an IOError. Writes —
+// WritableFile::Append and RandomRWFile::WriteAt — are counted across every
+// file in the order they happen; Arm(n) fails the n-th, and
+// ArmEnding(path, end) fails the write that ends `path` at byte `end`.
+// Unarmed, it only counts.
+class FailNthWriteEnv : public MemEnv {
+ public:
+  /// Resets the count and fails write `n` (0: none).
+  void Arm(uint64_t n) {
+    writes_ = 0;
+    fail_at_ = n;
+  }
+
+  void ArmEnding(std::string path, uint64_t end) {
+    Arm(0);
+    end_path_ = std::move(path);
+    end_bytes_ = end;
+  }
+
+  uint64_t writes() const { return writes_.load(); }
+  bool fired() const { return fired_.load(); }
+
+  Status NewWritableFile(const std::string& path,
+                         std::unique_ptr<WritableFile>* out) override {
+    TWRS_RETURN_IF_ERROR(MemEnv::NewWritableFile(path, out));
+    *out = std::make_unique<AppendFile>(std::move(*out), this, path);
+    return Status::OK();
+  }
+  Status NewRandomRWFile(const std::string& path,
+                         std::unique_ptr<RandomRWFile>* out) override {
+    TWRS_RETURN_IF_ERROR(MemEnv::NewRandomRWFile(path, out));
+    *out = std::make_unique<PositionedFile>(std::move(*out), this, path);
+    return Status::OK();
+  }
+  Status ReopenRandomRWFile(const std::string& path,
+                            std::unique_ptr<RandomRWFile>* out) override {
+    TWRS_RETURN_IF_ERROR(MemEnv::ReopenRandomRWFile(path, out));
+    *out = std::make_unique<PositionedFile>(std::move(*out), this, path);
+    return Status::OK();
+  }
+
+ private:
+  Status CountWrite(const std::string& path, uint64_t end) {
+    const uint64_t n = writes_.fetch_add(1) + 1;
+    if (n == fail_at_ || (path == end_path_ && end == end_bytes_)) {
+      fired_ = true;
+      return Status::IOError("injected write failure: " + path);
+    }
+    return Status::OK();
+  }
+
+  class AppendFile : public WritableFile {
+   public:
+    AppendFile(std::unique_ptr<WritableFile> base, FailNthWriteEnv* env,
+               std::string path)
+        : base_(std::move(base)), env_(env), path_(std::move(path)) {}
+    Status Append(const void* data, size_t n) override {
+      offset_ += n;
+      TWRS_RETURN_IF_ERROR(env_->CountWrite(path_, offset_));
+      return base_->Append(data, n);
+    }
+    Status Sync() override { return base_->Sync(); }
+    Status Close() override { return base_->Close(); }
+
+   private:
+    std::unique_ptr<WritableFile> base_;
+    FailNthWriteEnv* env_;
+    std::string path_;
+    uint64_t offset_ = 0;
+  };
+
+  class PositionedFile : public RandomRWFile {
+   public:
+    PositionedFile(std::unique_ptr<RandomRWFile> base, FailNthWriteEnv* env,
+                   std::string path)
+        : base_(std::move(base)), env_(env), path_(std::move(path)) {}
+    Status WriteAt(uint64_t offset, const void* data, size_t n) override {
+      TWRS_RETURN_IF_ERROR(env_->CountWrite(path_, offset + n));
+      return base_->WriteAt(offset, data, n);
+    }
+    Status ReadAt(uint64_t offset, void* out, size_t n) override {
+      return base_->ReadAt(offset, out, n);
+    }
+    Status Sync() override { return base_->Sync(); }
+    Status Close() override { return base_->Close(); }
+
+   private:
+    std::unique_ptr<RandomRWFile> base_;
+    FailNthWriteEnv* env_;
+    std::string path_;
+  };
+
+  std::atomic<uint64_t> writes_{0};
+  std::atomic<bool> fired_{false};
+  uint64_t fail_at_ = 0;
+  std::string end_path_;
+  uint64_t end_bytes_ = 0;
+};
+
+// A failed write anywhere in a sort — run files, intermediate merges, the
+// output — fails the sort with that IOError and leaves only the input
+// behind. The faults land on the 1st, 2nd, a third and a half of the
+// sort's writes, counted in an unfaulted sort of the same configuration,
+// and on the write that ends the output (its last block, whichever
+// partition writes it).
+TEST(ExternalSorterTest, WriteErrorFailsTheSort) {
+  WorkloadOptions wl;
+  wl.num_records = 8000;
+  wl.seed = 23;
+  const std::vector<Key> input =
+      Drain(MakeWorkload(Dataset::kRandom, wl).get());
+  for (RunGenAlgorithm algorithm :
+       {RunGenAlgorithm::kTwoWayReplacementSelection,
+        RunGenAlgorithm::kLoadSortStore}) {
+    for (const bool pooled : {false, true}) {
+      SCOPED_TRACE(std::string(RunGenAlgorithmName(algorithm)) +
+                   (pooled ? " pooled" : " serial"));
+      ExternalSortOptions options = RunGenThreadsOptions(
+          algorithm, pooled ? 2 : 1, pooled ? RunGenExecutor() : nullptr);
+      options.parallel.final_merge_threads = pooled ? 2 : 1;
+      const auto sort = [&](FailNthWriteEnv* env) {
+        ExternalSorter sorter(env, options);
+        FileRecordSource source(env, "in", options.block_bytes);
+        return sorter.Sort(&source, "out", nullptr);
+      };
+      uint64_t writes = 0;
+      {
+        FailNthWriteEnv env;
+        ASSERT_TWRS_OK(WriteAllRecords(&env, "in", input));
+        env.Arm(0);
+        ASSERT_TWRS_OK(sort(&env));
+        writes = env.writes();
+      }
+      ASSERT_GT(writes, 6u);
+      for (const uint64_t n :
+           {uint64_t{1}, uint64_t{2}, writes / 3, writes / 2, uint64_t{0}}) {
+        SCOPED_TRACE(n == 0 ? std::string("write ending the output")
+                            : "write " + std::to_string(n) + " of " +
+                                  std::to_string(writes));
+        FailNthWriteEnv env;
+        ASSERT_TWRS_OK(WriteAllRecords(&env, "in", input));
+        if (n == 0) {
+          env.ArmEnding("out", input.size() * kRecordBytes);
+        } else {
+          env.Arm(n);
+        }
+        const Status status = sort(&env);
+        EXPECT_TRUE(env.fired());
+        EXPECT_TRUE(status.IsIOError()) << status.ToString();
+        EXPECT_EQ(env.FileCount(), 1u);
+        EXPECT_TRUE(env.FileExists("in"));
+      }
+    }
+  }
+}
+
 // More generators than pool workers: the caller's waits are
 // work-helping, so the queued generators still run.
 TEST(ExternalSorterRunGenThreadsTest, MoreGeneratorsThanWorkersComplete) {
@@ -1521,8 +1675,8 @@ TEST(IoBackendSortTest, UringSortIsByteIdenticalToPosix) {
   ASSERT_TWRS_OK(posix.CreateDirIfMissing(dir));
   // Serial on mixed input, then pooled on random input with a 2-way
   // partitioned final merge: the second case writes the output's ranges
-  // through RangeWritableFile — directly on uring (natively async, no
-  // double buffer) and through AsyncWritableFile on posix.
+  // through RangeWritableFile, over uring's positioned writes on one side
+  // and posix pwrite on the other.
   const struct {
     Dataset dataset;
     size_t threads;

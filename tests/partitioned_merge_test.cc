@@ -498,9 +498,9 @@ TEST(PartitionedMergeTest, CancellationMidPartialMergeLeavesNoOutput) {
   CancelAfterWritesEnv env(&mem, &token, 1);
   ThreadPool pool(4);
 
-  // Big enough that every partition rotates its 256 KiB double buffer
-  // several times mid-merge: the first background WriteAt fires the token
-  // while all partitions still have most of their range to go.
+  // Big enough that every partition writes many blocks: the first
+  // positioned WriteAt fires the token while all partitions still have
+  // most of their range to go.
   std::vector<RunInfo> runs;
   for (size_t r = 0; r < 4; ++r) {
     runs.push_back(WriteForwardRun(&env, "run" + std::to_string(r),

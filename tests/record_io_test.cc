@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "io/mem_env.h"
@@ -128,6 +129,50 @@ TEST(RecordIoBasicTest, MissingFileReportsOnConstruction) {
   Key k;
   bool eof;
   EXPECT_FALSE(reader.Next(&k, &eof).ok());
+}
+
+/// SequentialFile that serves `total` bytes, then fails the Read that
+/// reaches past them as a whole — as PosixEnv's looping read does, it
+/// never hands back a short read, which would mean EOF.
+class FailingSequentialFile : public SequentialFile {
+ public:
+  explicit FailingSequentialFile(size_t total) : remaining_(total) {}
+
+  Status Read(void* out, size_t n, size_t* bytes_read) override {
+    *bytes_read = 0;
+    if (n > remaining_) return Status::IOError("injected read failure");
+    std::memset(out, 0xAB, n);
+    remaining_ -= n;
+    *bytes_read = n;
+    return Status::OK();
+  }
+
+  Status Skip(uint64_t) override { return Status::OK(); }
+
+ private:
+  size_t remaining_;
+};
+
+// A record stream whose file errors mid-stream must FAIL, not silently
+// end. The reader's 768-byte buffer is misaligned with the 2048 good
+// bytes, so its third refill reaches into the fault holding a partial
+// block — exactly the case a short-read-as-EOF bug would hide.
+TEST(RecordIoBasicTest, RecordReaderSeesMidStreamError) {
+  RecordReader reader(std::make_unique<FailingSequentialFile>(2048), 768);
+  ASSERT_TWRS_OK(reader.status());
+  uint64_t records = 0;
+  Status s;
+  for (;;) {
+    Key k;
+    bool eof = false;
+    s = reader.Next(&k, &eof);
+    if (!s.ok() || eof) break;
+    ++records;
+  }
+  EXPECT_TRUE(s.IsIOError()) << "mid-stream error must not read as EOF ("
+                             << records << " records, " << s.ToString()
+                             << ")";
+  EXPECT_EQ(records, 2 * 768 / kRecordBytes);
 }
 
 }  // namespace

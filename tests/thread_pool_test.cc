@@ -5,6 +5,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "tests/test_util.h"
@@ -83,8 +84,8 @@ TEST(ThreadPoolTest, WaitHelpsWithQueuedTasks) {
 }
 
 // Tasks submitted on pool threads may wait on their own sub-tasks even when
-// every worker is occupied (the pattern parallel leaf merges + async
-// flushes rely on).
+// every worker is occupied (the pattern parallel run generators and leaf
+// merges rely on).
 TEST(ThreadPoolTest, NestedSubmitAndWaitDoesNotDeadlock) {
   ThreadPool pool(2);
   std::vector<TaskHandle> outer;
@@ -106,9 +107,8 @@ TEST(ThreadPoolTest, NestedSubmitAndWaitDoesNotDeadlock) {
   EXPECT_EQ(inner_done.load(), 32);
 }
 
-// High-priority tasks (async flushes) overtake queued normal tasks (leaf
-// merges) so producers waiting on them keep their I/O overlap.
-TEST(ThreadPoolTest, HighPriorityTasksOvertakeQueuedNormalTasks) {
+// One worker runs queued tasks in the order they were submitted.
+TEST(ThreadPoolTest, QueuedTasksRunInSubmissionOrder) {
   ThreadPool pool(1);
   std::mutex mu;
   std::condition_variable cv;
@@ -126,30 +126,29 @@ TEST(ThreadPoolTest, HighPriorityTasksOvertakeQueuedNormalTasks) {
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return blocker_started; });
   }
-  // Queued behind the blocker: a normal task, then a high-priority one.
-  TaskHandle normal = pool.Submit([&] {
+  // Queued behind the blocker, in this order.
+  TaskHandle first = pool.Submit([&] {
     std::lock_guard<std::mutex> lock(mu);
     order.push_back(1);
     return Status::OK();
   });
-  TaskHandle high = pool.Submit(
-      [&] {
-        std::lock_guard<std::mutex> lock(mu);
-        order.push_back(2);
-        return Status::OK();
-      },
-      TaskPriority::kHigh);
+  TaskHandle second = pool.Submit([&] {
+    std::lock_guard<std::mutex> lock(mu);
+    order.push_back(2);
+    return Status::OK();
+  });
   {
     std::lock_guard<std::mutex> lock(mu);
     release = true;
   }
   cv.notify_all();
+  // Poll rather than Wait: a work-helping Wait could run a still-queued
+  // task on this thread, out of the worker's order.
+  while (!first.done() || !second.done()) std::this_thread::yield();
   ASSERT_TWRS_OK(blocker.Wait());
-  ASSERT_TWRS_OK(high.Wait());
-  ASSERT_TWRS_OK(normal.Wait());
   ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], 2);  // high ran first despite later submission
-  EXPECT_EQ(order[1], 1);
+  EXPECT_EQ(order[0], 1);
+  EXPECT_EQ(order[1], 2);
 }
 
 TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
