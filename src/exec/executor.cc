@@ -16,14 +16,12 @@ size_t ResolvedCapacity(const ExecutorOptions& options) {
 
 Executor::Executor(ExecutorOptions options) : options_(options) {}
 
-ThreadPool* Executor::GetPool(const std::string& name, size_t threads) {
+ThreadPool* Executor::pool() {
   MutexLock lock(&mu_);
-  auto it = pools_.find(name);
-  if (it == pools_.end()) {
-    const size_t n = threads > 0 ? threads : ResolvedCapacity(options_);
-    it = pools_.emplace(name, std::make_unique<ThreadPool>(n)).first;
+  if (pool_ == nullptr) {
+    pool_ = std::make_unique<ThreadPool>(ResolvedCapacity(options_));
   }
-  return it->second.get();
+  return pool_.get();
 }
 
 size_t Executor::capacity() const {
@@ -33,30 +31,23 @@ size_t Executor::capacity() const {
 
 bool Executor::SetCapacity(size_t capacity) {
   MutexLock lock(&mu_);
-  if (!pools_.empty()) return false;
+  if (pool_ != nullptr) return false;
   options_.capacity = capacity;
   return true;
 }
 
 bool Executor::started() const {
   MutexLock lock(&mu_);
-  return !pools_.empty();
+  return pool_ != nullptr;
 }
 
 size_t Executor::inflight_tasks() const {
   MutexLock lock(&mu_);
-  size_t total = 0;
-  for (const auto& entry : pools_) total += entry.second->inflight_tasks();
-  return total;
-}
-
-size_t Executor::pool_count() const {
-  MutexLock lock(&mu_);
-  return pools_.size();
+  return pool_ == nullptr ? 0 : pool_->inflight_tasks();
 }
 
 Executor& Executor::Shared() {
-  // Never destroyed: borrowed pools must outlive any static-destruction
+  // Never destroyed: the borrowed pool must outlive any static-destruction
   // order, and exiting with parked workers is harmless (Env::Default idiom).
   static Executor* const kShared = new Executor();
   return *kShared;

@@ -1,9 +1,7 @@
 #ifndef TWRS_EXEC_EXECUTOR_H_
 #define TWRS_EXEC_EXECUTOR_H_
 
-#include <map>
 #include <memory>
-#include <string>
 
 #include "exec/thread_pool.h"
 #include "util/mutex.h"
@@ -13,21 +11,19 @@ namespace twrs {
 
 /// Configuration of an Executor.
 struct ExecutorOptions {
-  /// Worker threads of a pool created without an explicit size;
-  /// 0 = hardware concurrency (at least 2).
+  /// Worker threads of the pool; 0 = hardware concurrency (at least 2).
   size_t capacity = 0;
 };
 
-/// A lazily-initialized registry of named ThreadPools. One Executor is the
-/// process-wide instance reached through Shared(): concurrent sorts borrow
-/// its workers instead of each spawning a pool per Sort call, so a server
-/// running many queries keeps a bounded thread count no matter how many
-/// sorts are in flight. Nested waits are safe on a crowded shared pool
-/// because TaskHandle::Wait is work-helping (see thread_pool.h).
+/// A lazily-created ThreadPool. One Executor is the process-wide instance
+/// reached through Shared(): concurrent sorts borrow its workers instead of
+/// each spawning a pool per Sort call, so a server running many queries
+/// keeps a bounded thread count no matter how many sorts are in flight.
+/// Nested waits are safe on a crowded shared pool because TaskHandle::Wait
+/// is work-helping (see thread_pool.h).
 ///
-/// Pools are created on first request and live as long as the Executor;
-/// requesting the same name again returns the existing pool regardless of
-/// the requested size, so the first caller fixes a pool's capacity.
+/// The pool is created on the first pool() call and lives as long as the
+/// Executor; its size is fixed at that point.
 class Executor {
  public:
   explicit Executor(ExecutorOptions options = ExecutorOptions());
@@ -36,51 +32,38 @@ class Executor {
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
-  /// The default pool, created on first call with capacity() workers.
-  ThreadPool* pool() { return GetPool(kDefaultPool, 0); }
+  /// The pool, created on first call with capacity() workers.
+  ThreadPool* pool() TWRS_EXCLUDES(mu_);
 
-  /// Gets or creates the pool registered under `name`. `threads` sizes the
-  /// pool only on creation (0 = capacity()); an existing pool is returned
-  /// as-is.
-  ThreadPool* GetPool(const std::string& name, size_t threads = 0)
-      TWRS_EXCLUDES(mu_);
-
-  /// The resolved default-pool size (options.capacity, or the hardware
-  /// concurrency when that is 0).
+  /// The resolved pool size (options.capacity, or the hardware concurrency
+  /// when that is 0).
   size_t capacity() const TWRS_EXCLUDES(mu_);
 
-  /// Reconfigures the default capacity. Succeeds only while no pool has
-  /// been created yet; returns false (changing nothing) afterwards, since
-  /// running pools cannot be resized.
+  /// Reconfigures the capacity. Succeeds only while the pool has not been
+  /// created yet; returns false (changing nothing) afterwards, since a
+  /// running pool cannot be resized.
   bool SetCapacity(size_t capacity) TWRS_EXCLUDES(mu_);
 
-  /// True once any pool has been created.
+  /// True once the pool has been created.
   bool started() const TWRS_EXCLUDES(mu_);
 
-  /// Load gauge across every registered pool: tasks submitted but not yet
-  /// finished. Approximate (see ThreadPool::inflight_tasks); the admission
-  /// and shard-planning layers use it to avoid oversubscribing the
-  /// executor, not for exact accounting.
+  /// Load gauge: tasks submitted but not yet finished. Approximate (see
+  /// ThreadPool::inflight_tasks); the admission and planning layers use it
+  /// to avoid oversubscribing the executor, not for exact accounting.
   size_t inflight_tasks() const TWRS_EXCLUDES(mu_);
 
-  /// Number of pools currently registered.
-  size_t pool_count() const TWRS_EXCLUDES(mu_);
-
   /// The process-wide shared executor. Never destroyed (leaked-singleton
-  /// idiom, as Env::Default), so borrowed pools outlive every sort.
+  /// idiom, as Env::Default), so the borrowed pool outlives every sort.
   static Executor& Shared();
 
-  /// Configures Shared()'s default capacity; forwards to SetCapacity, so it
-  /// only succeeds before the shared executor starts its first pool.
+  /// Configures Shared()'s capacity; forwards to SetCapacity, so it only
+  /// succeeds before the shared executor starts its pool.
   static bool ConfigureShared(size_t capacity);
 
  private:
-  static constexpr const char* kDefaultPool = "default";
-
   mutable Mutex mu_;
   ExecutorOptions options_ TWRS_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<ThreadPool>> pools_
-      TWRS_GUARDED_BY(mu_);
+  std::unique_ptr<ThreadPool> pool_ TWRS_GUARDED_BY(mu_);
 };
 
 }  // namespace twrs

@@ -117,8 +117,8 @@ LatencyHistogram& BatchLenHistogram() {
 /// resubmissions) with room for batching.
 constexpr unsigned kRingEntries = 8;
 
-/// Size of each transfer buffer: two per handle (double-buffered appends,
-/// two read-ahead blocks, or two positioned-write slots).
+/// Size of each transfer buffer: two per handle (double-buffered writes or
+/// two read-ahead blocks).
 constexpr size_t kBufferBytes = 256 * 1024;
 
 constexpr size_t kPageBytes = 4096;
@@ -231,21 +231,22 @@ class Ring {
   }
 
   int fd() const { return ring_fd_; }
-  unsigned inflight() const { return inflight_; }
-  unsigned pending() const { return pending_; }
 
   /// Claims and zeroes the next SQE slot. The per-handle pipelines are
   /// sized well below the ring, so a full queue indicates a logic error.
-  io_uring_sqe* PrepSqe() {
+  Status PrepSqe(io_uring_sqe** out) {
     const unsigned tail = *sq_tail_;
     const unsigned head = __atomic_load_n(sq_head_, __ATOMIC_ACQUIRE);
-    if (tail - head >= entries_) return nullptr;
+    if (tail - head >= entries_) {
+      return Status::IOError("io_uring submission queue full");
+    }
     io_uring_sqe* sqe = &sqes_[tail & sq_mask_];
     std::memset(sqe, 0, sizeof(*sqe));
     sq_array_[tail & sq_mask_] = tail & sq_mask_;
     __atomic_store_n(sq_tail_, tail + 1, __ATOMIC_RELEASE);
     ++pending_;
-    return sqe;
+    *out = sqe;
+    return Status::OK();
   }
 
   /// Submits every prepped SQE without waiting for completions.
@@ -271,6 +272,17 @@ class Ring {
         return Status::IOError("io_uring wait with nothing in flight");
       }
       TWRS_RETURN_IF_ERROR(Enter(1));
+    }
+    return Status::OK();
+  }
+
+  /// Submits every pending SQE and reaps every completion, discarding
+  /// results: the caller abandons whatever the operations were for.
+  Status Drain() {
+    while (inflight_ > 0 || pending_ > 0) {
+      int64_t res = 0;
+      uint64_t user_data = 0;
+      TWRS_RETURN_IF_ERROR(WaitCqe(&res, &user_data));
     }
     return Status::OK();
   }
@@ -345,10 +357,9 @@ bool RegisterBuffers(Ring* ring, uint8_t* const* buffers, size_t count,
 
 // ---------------------------------------------------------- ring pooling
 
-/// Every handle type moves data through two kBufferBytes transfer
-/// buffers: double-buffered appends, two read-ahead blocks, or two
-/// positioned-write slots. The uniform shape is what makes one pooled
-/// ring serve any handle.
+/// Both handle types move data through two kBufferBytes transfer buffers:
+/// double-buffered writes or two read-ahead blocks. The uniform shape is
+/// what makes one pooled ring serve either handle.
 constexpr unsigned kPooledBuffers = 2;
 
 /// A ring plus its two registered transfer buffers, recycled across file
@@ -382,11 +393,34 @@ struct PooledRing {
   }
 
   uint8_t* buf(unsigned i) { return buffers[i].get(); }
+
+  /// Preps (without submitting) one read or write SQE moving `len` bytes
+  /// between file offset `off` of `fd` and transfer buffer `b`, starting
+  /// `pos` bytes into it. Completions carry `b` as their user_data.
+  Status PrepTransfer(bool write, int fd, unsigned b, size_t pos, size_t len,
+                      uint64_t off) {
+    io_uring_sqe* sqe = nullptr;
+    TWRS_RETURN_IF_ERROR(ring.PrepSqe(&sqe));
+    sqe->fd = fd;
+    sqe->addr = reinterpret_cast<uint64_t>(buf(b) + pos);
+    sqe->len = static_cast<uint32_t>(len);
+    sqe->off = off;
+    sqe->user_data = b;
+    if (fixed) {
+      sqe->opcode = write ? IORING_OP_WRITE_FIXED : IORING_OP_READ_FIXED;
+      sqe->buf_index = static_cast<uint16_t>(b);
+    } else {
+      sqe->opcode = write ? IORING_OP_WRITE : IORING_OP_READ;
+    }
+    return Status::OK();
+  }
 };
 
 /// Free list of quiescent rings, one pool per Env. Thread-safe: parallel
 /// run generators and partial merges open handles from several threads
-/// at once.
+/// at once. Every released ring is kept, so the pool holds at most the
+/// peak number of handles the process had open at once and a repeated
+/// sort creates no rings at all.
 class RingPool {
  public:
   Status Acquire(std::unique_ptr<PooledRing>* out) {
@@ -405,52 +439,79 @@ class RingPool {
     return Status::OK();
   }
 
-  /// Returns a ring to the pool. Rings with anything still pending or in
-  /// flight (error-path closes) are destroyed instead of reused, as is
-  /// everything beyond the cap. The cap must cover the peak concurrent
-  /// handle count of a merge pass (fan-in readers + the output writer),
-  /// or every pass re-creates the excess rings; registration degrades
-  /// gracefully per ring once pinned buffers hit RLIMIT_MEMLOCK, so a
-  /// roomy cap costs memory, not correctness.
-  void Release(std::unique_ptr<PooledRing> ring) {
-    if (ring == nullptr) return;
-    if (ring->ring.inflight() != 0 || ring->ring.pending() != 0) return;
+  /// Returns a handle's ring to the pool: the one close path of both
+  /// handle types, called before the handle closes its fd. Anything still
+  /// pending or in flight (error-path closes, abandoned read-ahead) is
+  /// submitted and reaped first, so the kernel is not touching buffers the
+  /// pool hands to another handle. A ring the kernel refuses to drain is
+  /// destroyed instead of kept.
+  void Release(std::unique_ptr<PooledRing> pooled) {
+    if (pooled == nullptr || !pooled->ring.Drain().ok()) return;
     MutexLock lock(&mu_);
-    if (free_.size() < kMaxFree) free_.push_back(std::move(ring));
+    free_.push_back(std::move(pooled));
   }
 
  private:
-  static constexpr size_t kMaxFree = 16;
-
   Mutex mu_;
   std::vector<std::unique_ptr<PooledRing>> free_ TWRS_GUARDED_BY(mu_);
 };
 
-// ------------------------------------------------- UringWritableFile
-// Sequential appends with kernel-overlapped double buffering: while the
-// caller fills one buffer, the previous one is being written by the
-// kernel: one SQE per buffer rotation.
-class UringWritableFile : public WritableFile {
+/// Reads exactly `n` bytes at `offset` with pread.
+Status PreadFully(int fd, const std::string& path, uint64_t offset, void* out,
+                  size_t n) {
+  uint8_t* p = static_cast<uint8_t*>(out);
+  size_t total = 0;
+  while (total < n) {
+    const ssize_t r = ::pread(fd, p + total, n - total,
+                              static_cast<off_t>(offset + total));
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      return ErrnoStatus("pread " + path, errno);
+    }
+    if (r == 0) return Status::IOError("short read at offset in " + path);
+    total += static_cast<size_t>(r);
+  }
+  return Status::OK();
+}
+
+// ---------------------------------------------------- UringWriteFile
+// The one write handle, behind NewWritableFile, NewRandomRWFile and
+// ReopenRandomRWFile alike; Append is a WriteAt at the active buffer's
+// tail. Writes are double-buffered: a WriteAt contiguous with the active
+// buffer's tail is copied in, and a full buffer is submitted (one SQE per
+// kBufferBytes) while the caller fills the other, so appended streams and
+// a RangeWritableFile's ascending blocks both go out in 256 KiB writes.
+// A write anywhere else (reverse-run pages, written back to front, or a
+// header at offset 0), Sync, Close and ReadAt first submit the active
+// buffer. A buffer is submitted only once the previous submission has
+// completed, so overlapping writes land in the order they were made.
+// Disjoint-range writers each open their own handle (and pooled ring), so
+// the partitioned output path runs fully overlapped.
+class UringWriteFile : public WritableFile, public RandomRWFile {
  public:
-  UringWritableFile(int fd, std::string path, RingPool* pool)
+  UringWriteFile(int fd, std::string path, RingPool* pool)
       : fd_(fd), path_(std::move(path)), pool_(pool) {}
 
-  ~UringWritableFile() override {
+  ~UringWriteFile() override {
     // Errors from a destructor-time close have nowhere to go; callers that
     // care invoked Close()/Sync() on the checked path already.
     TWRS_IGNORE_STATUS(Close());
   }
 
-  Status Init() {
-    TWRS_RETURN_IF_ERROR(pool_->Acquire(&pooled_));
-    ring_ = &pooled_->ring;
-    fixed_ = pooled_->fixed;
-    return Status::OK();
-  }
+  Status Init() { return pool_->Acquire(&pooled_); }
 
   Status Append(const void* data, size_t n) override {
+    return WriteAt(active_off_ + active_used_, data, n);
+  }
+
+  Status WriteAt(uint64_t offset, const void* data, size_t n) override {
     if (!status_.ok()) return status_;
-    if (closed_) return Status::IOError("append to closed " + path_);
+    if (closed_) return Status::IOError("write to closed " + path_);
+    if (offset != active_off_ + active_used_) {
+      status_ = Rotate(/*eager=*/true);
+      if (!status_.ok()) return status_;
+      active_off_ = offset;
+    }
     const uint8_t* p = static_cast<const uint8_t*>(data);
     while (n > 0) {
       const size_t take =
@@ -460,18 +521,26 @@ class UringWritableFile : public WritableFile {
       p += take;
       n -= take;
       if (active_used_ == kBufferBytes) {
-        status_ = RotateAndSubmit(kBufferBytes, /*eager=*/true);
+        status_ = Rotate(/*eager=*/true);
         if (!status_.ok()) return status_;
       }
     }
     return Status::OK();
   }
 
+  Status ReadAt(uint64_t offset, void* out, size_t n) override {
+    if (!status_.ok()) return status_;
+    if (closed_) return Status::IOError("read of closed " + path_);
+    // Reads must observe every write this handle already accepted.
+    status_ = Drain();
+    if (!status_.ok()) return status_;
+    return PreadFully(fd_, path_, offset, out, n);
+  }
+
   Status Sync() override {
     if (!status_.ok()) return status_;
     if (closed_) return Status::IOError("sync of closed " + path_);
-    status_ = FlushTail();
-    if (status_.ok()) status_ = WaitInflight();
+    status_ = Drain();
     if (status_.ok()) status_ = Fsync();
     return status_;
   }
@@ -481,18 +550,7 @@ class UringWritableFile : public WritableFile {
     closed_ = true;
     Status s = status_;
     if (pooled_ != nullptr) {
-      if (s.ok()) s = FlushTail();
-      if (s.ok()) s = WaitInflight();
-      if (!s.ok()) {
-        // Still reap outstanding completions so the kernel is not writing
-        // from buffers the pool is about to hand to another handle.
-        while (ring_->inflight() > 0) {
-          int64_t res = 0;
-          uint64_t user_data = 0;
-          if (!ring_->WaitCqe(&res, &user_data).ok()) break;
-        }
-      }
-      ring_ = nullptr;
+      if (s.ok()) s = Drain();
       pool_->Release(std::move(pooled_));
     }
     if (fd_ >= 0 && ::close(fd_) != 0 && s.ok()) {
@@ -504,47 +562,40 @@ class UringWritableFile : public WritableFile {
   }
 
  private:
-  /// Submits the active buffer's first `len` bytes at the current file
-  /// offset and swaps buffers, first draining the previous submission.
+  /// Submits the active buffer at active_off_ and swaps buffers, first
+  /// draining the previous submission; a no-op when the buffer is empty.
   /// `eager` controls whether the SQE is pushed to the kernel now (the
   /// mid-stream case, where the write must overlap the caller refilling
   /// the other buffer) or left pending for the next blocking WaitCqe to
-  /// carry in its own io_uring_enter (the tail-flush case, where Sync or
-  /// Close waits immediately anyway — one syscall instead of two).
-  Status RotateAndSubmit(size_t len, bool eager) {
+  /// carry in its own io_uring_enter (Drain, which waits immediately
+  /// anyway — one syscall instead of two).
+  Status Rotate(bool eager) {
+    if (active_used_ == 0) return Status::OK();
     TWRS_RETURN_IF_ERROR(WaitInflight());
     inflight_buf_ = active_;
-    inflight_off_ = file_offset_;
-    inflight_len_ = len;
+    inflight_off_ = active_off_;
+    inflight_len_ = active_used_;
     inflight_done_ = 0;
     TWRS_RETURN_IF_ERROR(PrepWrite());
-    if (eager) TWRS_RETURN_IF_ERROR(ring_->Submit());
-    file_offset_ += len;
+    if (eager) TWRS_RETURN_IF_ERROR(pooled_->ring.Submit());
+    active_off_ += active_used_;
     active_ = 1 - active_;
     active_used_ = 0;
     return Status::OK();
   }
 
-  /// Preps (without submitting) one write SQE for the unwritten remainder
-  /// of the inflight buffer.
+  /// Submits the active buffer and waits until every write is on file.
+  Status Drain() {
+    TWRS_RETURN_IF_ERROR(Rotate(/*eager=*/false));
+    return WaitInflight();
+  }
+
+  /// Preps one write SQE for the unwritten remainder of the inflight
+  /// buffer.
   Status PrepWrite() {
-    io_uring_sqe* sqe = ring_->PrepSqe();
-    if (sqe == nullptr) {
-      return Status::IOError("io_uring submission queue full on " + path_);
-    }
-    sqe->fd = fd_;
-    sqe->addr = reinterpret_cast<uint64_t>(pooled_->buf(inflight_buf_) +
-                                           inflight_done_);
-    sqe->len = static_cast<uint32_t>(inflight_len_ - inflight_done_);
-    sqe->off = inflight_off_ + inflight_done_;
-    sqe->user_data = 1;
-    if (fixed_) {
-      sqe->opcode = IORING_OP_WRITE_FIXED;
-      sqe->buf_index = static_cast<uint16_t>(inflight_buf_);
-    } else {
-      sqe->opcode = IORING_OP_WRITE;
-    }
-    return Status::OK();
+    return pooled_->PrepTransfer(/*write=*/true, fd_, inflight_buf_,
+                                 inflight_done_, inflight_len_ - inflight_done_,
+                                 inflight_off_ + inflight_done_);
   }
 
   /// Reaps the inflight write to completion, resubmitting short writes.
@@ -554,7 +605,7 @@ class UringWritableFile : public WritableFile {
     while (inflight_len_ > inflight_done_) {
       int64_t res = 0;
       uint64_t user_data = 0;
-      TWRS_RETURN_IF_ERROR(ring_->WaitCqe(&res, &user_data));
+      TWRS_RETURN_IF_ERROR(pooled_->ring.WaitCqe(&res, &user_data));
       if (res == -EINTR || res == -EAGAIN) {
         TWRS_RETURN_IF_ERROR(PrepWrite());
         continue;
@@ -575,36 +626,18 @@ class UringWritableFile : public WritableFile {
     return Status::OK();
   }
 
-  /// Flushes the partial active buffer. Sync/Close wait right after this;
-  /// the pending SQE rides along in that wait's enter.
-  Status FlushTail() {
-    if (active_used_ == 0) return Status::OK();
-    return RotateAndSubmit(active_used_, /*eager=*/false);
-  }
-
-  Status PrepFsync() {
-    io_uring_sqe* sqe = ring_->PrepSqe();
-    if (sqe == nullptr) {
-      return Status::IOError("io_uring submission queue full on " + path_);
-    }
-    sqe->opcode = IORING_OP_FSYNC;
-    sqe->fd = fd_;
-    sqe->fsync_flags = IORING_FSYNC_DATASYNC;
-    sqe->user_data = 2;
-    return Status::OK();
-  }
-
+  /// fdatasync through the ring; nothing else is in flight here.
   Status Fsync() {
-    TWRS_RETURN_IF_ERROR(PrepFsync());
     for (;;) {
+      io_uring_sqe* sqe = nullptr;
+      TWRS_RETURN_IF_ERROR(pooled_->ring.PrepSqe(&sqe));
+      sqe->opcode = IORING_OP_FSYNC;
+      sqe->fd = fd_;
+      sqe->fsync_flags = IORING_FSYNC_DATASYNC;
       int64_t res = 0;
       uint64_t user_data = 0;
-      TWRS_RETURN_IF_ERROR(ring_->WaitCqe(&res, &user_data));
-      if (res == -EINTR) {
-        // Resubmit; nothing else can be in flight here.
-        TWRS_RETURN_IF_ERROR(PrepFsync());
-        continue;
-      }
+      TWRS_RETURN_IF_ERROR(pooled_->ring.WaitCqe(&res, &user_data));
+      if (res == -EINTR) continue;
       if (res < 0) {
         return ErrnoStatus("io_uring fsync " + path_,
                            static_cast<int>(-res));
@@ -618,16 +651,14 @@ class UringWritableFile : public WritableFile {
 
   RingPool* const pool_;
   std::unique_ptr<PooledRing> pooled_;
-  Ring* ring_ = nullptr;  // &pooled_->ring while the handle is open
-  bool fixed_ = false;
 
   unsigned active_ = 0;      // buffer the caller is filling
   size_t active_used_ = 0;   // bytes in the active buffer
+  uint64_t active_off_ = 0;  // file offset of the active buffer's first byte
   unsigned inflight_buf_ = 1;
   uint64_t inflight_off_ = 0;
   size_t inflight_len_ = 0;   // total bytes of the inflight submission
   size_t inflight_done_ = 0;  // bytes the kernel confirmed so far
-  uint64_t file_offset_ = 0;  // where the next flush lands
 
   bool closed_ = false;
   Status status_;
@@ -645,7 +676,7 @@ class UringWritableFile : public WritableFile {
 // hole — punting twice per file — only for the caller to Skip past it.
 class UringSequentialFile : public SequentialFile {
  public:
-  static constexpr unsigned kBlocks = 2;
+  static constexpr unsigned kBlocks = kPooledBuffers;
   // Full block drains before the window opens to two blocks in flight.
   static constexpr unsigned kStreamDrains = 2;
 
@@ -657,21 +688,11 @@ class UringSequentialFile : public SequentialFile {
         pool_(pool) {}
 
   ~UringSequentialFile() override {
-    if (pooled_ != nullptr) {
-      DrainAllBestEffort();
-      ring_ = nullptr;
-      pool_->Release(std::move(pooled_));
-    }
+    pool_->Release(std::move(pooled_));
     if (fd_ >= 0) ::close(fd_);
   }
 
-  Status Init() {
-    TWRS_RETURN_IF_ERROR(pool_->Acquire(&pooled_));
-    ring_ = &pooled_->ring;
-    fixed_ = pooled_->fixed;
-    for (unsigned i = 0; i < kBlocks; ++i) blocks_[i].buf = pooled_->buf(i);
-    return Status::OK();
-  }
+  Status Init() { return pool_->Acquire(&pooled_); }
 
   Status Read(void* out, size_t n, size_t* bytes_read) override {
     *bytes_read = 0;
@@ -694,7 +715,7 @@ class UringSequentialFile : public SequentialFile {
         continue;
       }
       const size_t take = n - total < available ? n - total : available;
-      std::memcpy(p + total, front.buf + front.pos, take);
+      std::memcpy(p + total, pooled_->buf(front_) + front.pos, take);
       front.pos += take;
       total += take;
     }
@@ -710,19 +731,13 @@ class UringSequentialFile : public SequentialFile {
       submit_off_ += n;
       return Status::OK();
     }
-    // Discard everything buffered or in flight and restart at the new
-    // logical position.
-    status_ = DrainAll();
+    // Discard everything buffered or in flight (shorts are not
+    // resubmitted) and restart at the new logical position.
+    status_ = pooled_->ring.Drain();
     if (!status_.ok()) return status_;
     const Block& front = blocks_[front_];
     const uint64_t logical = front.off + front.pos;
-    for (Block& block : blocks_) {
-      block.ready = false;
-      block.valid = 0;
-      block.pos = 0;
-      block.want = 0;
-      block.eof = false;
-    }
+    for (Block& block : blocks_) block = Block();
     started_ = false;
     at_eof_ = false;
     front_ = 0;
@@ -732,13 +747,11 @@ class UringSequentialFile : public SequentialFile {
 
  private:
   struct Block {
-    uint8_t* buf = nullptr;  // borrowed from the pooled ring
     uint64_t off = 0;
     size_t want = 0;   // bytes requested
     size_t valid = 0;  // bytes delivered
     size_t pos = 0;    // bytes consumed by the caller
     bool ready = false;
-    bool inflight = false;
     bool eof = false;  // the file ends inside (or before) this block
   };
 
@@ -783,30 +796,15 @@ class UringSequentialFile : public SequentialFile {
       return Status::OK();
     }
     submit_off_ += block.want;
-    TWRS_RETURN_IF_ERROR(PrepRead(b));
-    block.inflight = true;
-    return Status::OK();
+    return PrepRead(b);
   }
 
   /// One read SQE for the undelivered remainder of block `b`.
   Status PrepRead(unsigned b) {
-    Block& block = blocks_[b];
-    io_uring_sqe* sqe = ring_->PrepSqe();
-    if (sqe == nullptr) {
-      return Status::IOError("io_uring submission queue full on " + path_);
-    }
-    sqe->fd = fd_;
-    sqe->addr = reinterpret_cast<uint64_t>(block.buf + block.valid);
-    sqe->len = static_cast<uint32_t>(block.want - block.valid);
-    sqe->off = block.off + block.valid;
-    sqe->user_data = b;
-    if (fixed_) {
-      sqe->opcode = IORING_OP_READ_FIXED;
-      sqe->buf_index = static_cast<uint16_t>(b);
-    } else {
-      sqe->opcode = IORING_OP_READ;
-    }
-    return Status::OK();
+    const Block& block = blocks_[b];
+    return pooled_->PrepTransfer(/*write=*/false, fd_, b, block.valid,
+                                 block.want - block.valid,
+                                 block.off + block.valid);
   }
 
   /// Reaps completions until block `b` is ready.
@@ -814,7 +812,7 @@ class UringSequentialFile : public SequentialFile {
     while (!blocks_[b].ready) {
       int64_t res = 0;
       uint64_t user_data = 0;
-      TWRS_RETURN_IF_ERROR(ring_->WaitCqe(&res, &user_data));
+      TWRS_RETURN_IF_ERROR(pooled_->ring.WaitCqe(&res, &user_data));
       TWRS_RETURN_IF_ERROR(HandleCqe(static_cast<unsigned>(user_data), res));
     }
     return Status::OK();
@@ -822,12 +820,9 @@ class UringSequentialFile : public SequentialFile {
 
   Status HandleCqe(unsigned b, int64_t res) {
     Block& block = blocks_[b];
-    block.inflight = false;
     if (res == -EINTR || res == -EAGAIN) {
       // Left pending; the enclosing wait loop's next WaitCqe submits it.
-      TWRS_RETURN_IF_ERROR(PrepRead(b));
-      block.inflight = true;
-      return Status::OK();
+      return PrepRead(b);
     }
     if (res < 0) {
       return ErrnoStatus("io_uring read " + path_, static_cast<int>(-res));
@@ -846,9 +841,7 @@ class UringSequentialFile : public SequentialFile {
       // Short read (a split transfer): resubmit the remainder, pending
       // until the enclosing wait loop's next WaitCqe.
       g_short_ios.fetch_add(1, std::memory_order_relaxed);
-      TWRS_RETURN_IF_ERROR(PrepRead(b));
-      block.inflight = true;
-      return Status::OK();
+      return PrepRead(b);
     }
     block.ready = true;
     return Status::OK();
@@ -874,28 +867,7 @@ class UringSequentialFile : public SequentialFile {
     } else {
       front_ = (front_ + 1) % kBlocks;
     }
-    return ring_->Submit();
-  }
-
-  Status DrainAll() {
-    while (ring_->inflight() > 0 || ring_->pending() > 0) {
-      int64_t res = 0;
-      uint64_t user_data = 0;
-      TWRS_RETURN_IF_ERROR(ring_->WaitCqe(&res, &user_data));
-      // Completions are recorded but shorts are not resubmitted: the data
-      // is about to be discarded.
-      const unsigned b = static_cast<unsigned>(user_data);
-      if (b < kBlocks) blocks_[b].ready = true;
-    }
-    return Status::OK();
-  }
-
-  void DrainAllBestEffort() {
-    while (ring_->inflight() > 0) {
-      int64_t res = 0;
-      uint64_t user_data = 0;
-      if (!ring_->WaitCqe(&res, &user_data).ok()) break;
-    }
+    return pooled_->ring.Submit();
   }
 
   int fd_;
@@ -904,9 +876,7 @@ class UringSequentialFile : public SequentialFile {
 
   RingPool* const pool_;
   std::unique_ptr<PooledRing> pooled_;
-  Ring* ring_ = nullptr;  // &pooled_->ring while the handle is open
   Block blocks_[kBlocks];
-  bool fixed_ = false;
 
   bool started_ = false;
   bool at_eof_ = false;
@@ -917,257 +887,6 @@ class UringSequentialFile : public SequentialFile {
   unsigned drains_ = 0;
   size_t ramp_ = 0;
 
-  Status status_;
-};
-
-// ------------------------------------------------ UringRandomRWFile
-// Positioned writes submitted without blocking: WriteAt copies into one of
-// two slots and returns; completions are reaped when slots are reused and
-// on Sync/Close. Disjoint-range writers (RangeWritableFile) each own a handle
-// (and pooled ring), so the partitioned output path runs fully
-// overlapped.
-class UringRandomRWFile : public RandomRWFile {
- public:
-  static constexpr unsigned kSlots = kPooledBuffers;
-
-  UringRandomRWFile(int fd, std::string path, RingPool* pool)
-      : fd_(fd), path_(std::move(path)), pool_(pool) {}
-
-  ~UringRandomRWFile() override { TWRS_IGNORE_STATUS(Close()); }
-
-  Status Init() {
-    TWRS_RETURN_IF_ERROR(pool_->Acquire(&pooled_));
-    ring_ = &pooled_->ring;
-    fixed_ = pooled_->fixed;
-    for (unsigned i = 0; i < kSlots; ++i) slots_[i].buf = pooled_->buf(i);
-    return Status::OK();
-  }
-
-  Status WriteAt(uint64_t offset, const void* data, size_t n) override {
-    if (!status_.ok()) return status_;
-    if (closed_) return Status::IOError("write to closed " + path_);
-    const uint8_t* p = static_cast<const uint8_t*>(data);
-    bool prepped = false;
-    while (n > 0) {
-      const size_t take = n < kBufferBytes ? n : kBufferBytes;
-      unsigned s = 0;
-      status_ = AcquireSlot(&s);
-      if (!status_.ok()) return status_;
-      Slot& slot = slots_[s];
-      std::memcpy(slot.buf, p, take);
-      slot.off = offset;
-      slot.len = take;
-      slot.done = 0;
-      slot.busy = true;
-      status_ = PrepWrite(s);
-      if (!status_.ok()) return status_;
-      prepped = true;
-      p += take;
-      offset += take;
-      n -= take;
-    }
-    // One batched submission for every chunk of this WriteAt; the kernel
-    // writes while the merge produces the next block.
-    if (prepped) status_ = ring_->Submit();
-    return status_;
-  }
-
-  Status ReadAt(uint64_t offset, void* out, size_t n) override {
-    if (!status_.ok()) return status_;
-    if (closed_) return Status::IOError("read of closed " + path_);
-    // Reads must observe every write this handle already accepted.
-    status_ = DrainWrites();
-    if (!status_.ok()) return status_;
-    uint8_t* p = static_cast<uint8_t*>(out);
-    size_t total = 0;
-    while (total < n) {
-      io_uring_sqe* sqe = ring_->PrepSqe();
-      if (sqe == nullptr) {
-        return Status::IOError("io_uring submission queue full on " + path_);
-      }
-      sqe->opcode = IORING_OP_READ;
-      sqe->fd = fd_;
-      sqe->addr = reinterpret_cast<uint64_t>(p + total);
-      sqe->len = static_cast<uint32_t>(n - total);
-      sqe->off = offset + total;
-      sqe->user_data = kReadUserData;
-      int64_t res = 0;
-      uint64_t user_data = 0;
-      TWRS_RETURN_IF_ERROR(ring_->WaitCqe(&res, &user_data));
-      if (res == -EINTR || res == -EAGAIN) continue;
-      if (res < 0) {
-        return ErrnoStatus("io_uring pread " + path_,
-                           static_cast<int>(-res));
-      }
-      if (res == 0) {
-        return Status::IOError("short read at offset in " + path_);
-      }
-      if (static_cast<size_t>(res) < n - total) {
-        g_short_ios.fetch_add(1, std::memory_order_relaxed);
-      }
-      total += static_cast<size_t>(res);
-    }
-    return Status::OK();
-  }
-
-  Status Sync() override {
-    if (!status_.ok()) return status_;
-    if (closed_) return Status::IOError("sync of closed " + path_);
-    status_ = DrainWrites();
-    if (!status_.ok()) return status_;
-    io_uring_sqe* sqe = ring_->PrepSqe();
-    if (sqe == nullptr) {
-      return Status::IOError("io_uring submission queue full on " + path_);
-    }
-    sqe->opcode = IORING_OP_FSYNC;
-    sqe->fd = fd_;
-    sqe->fsync_flags = IORING_FSYNC_DATASYNC;
-    sqe->user_data = kFsyncUserData;
-    for (;;) {
-      int64_t res = 0;
-      uint64_t user_data = 0;
-      status_ = ring_->WaitCqe(&res, &user_data);
-      if (!status_.ok()) return status_;
-      if (res == -EINTR) {
-        io_uring_sqe* retry = ring_->PrepSqe();
-        if (retry == nullptr) {
-          return Status::IOError("io_uring submission queue full on " +
-                                 path_);
-        }
-        retry->opcode = IORING_OP_FSYNC;
-        retry->fd = fd_;
-        retry->fsync_flags = IORING_FSYNC_DATASYNC;
-        retry->user_data = kFsyncUserData;
-        continue;
-      }
-      if (res < 0) {
-        status_ = ErrnoStatus("io_uring fsync " + path_,
-                              static_cast<int>(-res));
-        return status_;
-      }
-      return Status::OK();
-    }
-  }
-
-  Status Close() override {
-    if (closed_) return Status::OK();
-    closed_ = true;
-    Status s = status_;
-    if (pooled_ != nullptr) {
-      const Status drain = DrainWrites();
-      if (s.ok()) s = drain;
-      ring_ = nullptr;
-      pool_->Release(std::move(pooled_));
-    }
-    if (fd_ >= 0 && ::close(fd_) != 0 && s.ok()) {
-      s = ErrnoStatus("close " + path_, errno);
-    }
-    fd_ = -1;
-    if (!s.ok() && status_.ok()) status_ = s;
-    return s;
-  }
-
- private:
-  static constexpr uint64_t kReadUserData = 100;
-  static constexpr uint64_t kFsyncUserData = 101;
-
-  struct Slot {
-    uint8_t* buf = nullptr;  // borrowed from the pooled ring
-    uint64_t off = 0;
-    size_t len = 0;
-    size_t done = 0;
-    bool busy = false;
-  };
-
-  /// One write SQE for the unwritten remainder of slot `s` (prepped, not
-  /// submitted — WriteAt batches the submission).
-  Status PrepWrite(unsigned s) {
-    Slot& slot = slots_[s];
-    io_uring_sqe* sqe = ring_->PrepSqe();
-    if (sqe == nullptr) {
-      return Status::IOError("io_uring submission queue full on " + path_);
-    }
-    sqe->fd = fd_;
-    sqe->addr = reinterpret_cast<uint64_t>(slot.buf + slot.done);
-    sqe->len = static_cast<uint32_t>(slot.len - slot.done);
-    sqe->off = slot.off + slot.done;
-    sqe->user_data = s;
-    if (fixed_) {
-      sqe->opcode = IORING_OP_WRITE_FIXED;
-      sqe->buf_index = static_cast<uint16_t>(s);
-    } else {
-      sqe->opcode = IORING_OP_WRITE;
-    }
-    return Status::OK();
-  }
-
-  /// Finds a free slot, reaping completions (blocking if necessary).
-  Status AcquireSlot(unsigned* out) {
-    for (;;) {
-      // Opportunistically reap whatever has completed.
-      int64_t res = 0;
-      uint64_t user_data = 0;
-      while (ring_->PopCqe(&res, &user_data)) {
-        TWRS_RETURN_IF_ERROR(HandleWriteCqe(user_data, res));
-      }
-      for (unsigned s = 0; s < kSlots; ++s) {
-        if (!slots_[s].busy) {
-          *out = s;
-          return Status::OK();
-        }
-      }
-      TWRS_RETURN_IF_ERROR(ring_->WaitCqe(&res, &user_data));
-      TWRS_RETURN_IF_ERROR(HandleWriteCqe(user_data, res));
-    }
-  }
-
-  Status HandleWriteCqe(uint64_t user_data, int64_t res) {
-    if (user_data >= kSlots) return Status::OK();  // stale read/fsync cqe
-    Slot& slot = slots_[static_cast<unsigned>(user_data)];
-    if (res == -EINTR || res == -EAGAIN) {
-      // Left pending; every wait on a busy slot goes through WaitCqe,
-      // whose enter submits it (as does the next WriteAt batch).
-      TWRS_RETURN_IF_ERROR(PrepWrite(static_cast<unsigned>(user_data)));
-      return Status::OK();
-    }
-    if (res < 0) {
-      return ErrnoStatus("io_uring pwrite " + path_, static_cast<int>(-res));
-    }
-    if (res == 0) {
-      return Status::IOError("zero-length io_uring write on " + path_);
-    }
-    slot.done += static_cast<size_t>(res);
-    if (slot.done < slot.len) {
-      g_short_ios.fetch_add(1, std::memory_order_relaxed);
-      TWRS_RETURN_IF_ERROR(PrepWrite(static_cast<unsigned>(user_data)));
-      return Status::OK();
-    }
-    slot.busy = false;
-    return Status::OK();
-  }
-
-  Status DrainWrites() {
-    for (;;) {
-      bool any_busy = false;
-      for (const Slot& slot : slots_) any_busy |= slot.busy;
-      if (!any_busy) return Status::OK();
-      int64_t res = 0;
-      uint64_t user_data = 0;
-      TWRS_RETURN_IF_ERROR(ring_->WaitCqe(&res, &user_data));
-      TWRS_RETURN_IF_ERROR(HandleWriteCqe(user_data, res));
-    }
-  }
-
-  int fd_;
-  std::string path_;
-
-  RingPool* const pool_;
-  std::unique_ptr<PooledRing> pooled_;
-  Ring* ring_ = nullptr;  // &pooled_->ring while the handle is open
-  Slot slots_[kSlots];
-  bool fixed_ = false;
-
-  bool closed_ = false;
   Status status_;
 };
 
@@ -1191,6 +910,23 @@ const std::string& ProbeFailureReason() {
   return *reason;
 }
 
+/// Opens `path` with `flags` behind the one write handle, which serves
+/// both the append and the positioned-write interface.
+template <typename File>
+Status OpenWriteFile(const std::string& path, int flags, void* pool,
+                     std::unique_ptr<File>* out) {
+  if (!IoUringEnv::IsSupported()) {
+    return Status::NotSupported(IoUringEnv::UnsupportedReason());
+  }
+  const int fd = ::open(path.c_str(), flags, 0644);
+  if (fd < 0) return ErrnoStatus("open " + path, errno);
+  auto file =
+      std::make_unique<UringWriteFile>(fd, path, static_cast<RingPool*>(pool));
+  TWRS_RETURN_IF_ERROR(file->Init());
+  *out = std::move(file);
+  return Status::OK();
+}
+
 }  // namespace
 
 IoUringEnv::IoUringEnv() {
@@ -1208,14 +944,7 @@ std::string IoUringEnv::UnsupportedReason() {
 
 Status IoUringEnv::NewWritableFile(const std::string& path,
                                    std::unique_ptr<WritableFile>* out) {
-  if (!IsSupported()) return Status::NotSupported(UnsupportedReason());
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return ErrnoStatus("open " + path, errno);
-  auto file = std::make_unique<UringWritableFile>(
-      fd, path, static_cast<RingPool*>(pool_.get()));
-  TWRS_RETURN_IF_ERROR(file->Init());
-  *out = std::move(file);
-  return Status::OK();
+  return OpenWriteFile(path, O_WRONLY | O_CREAT | O_TRUNC, pool_.get(), out);
 }
 
 Status IoUringEnv::NewSequentialFile(const std::string& path,
@@ -1239,38 +968,20 @@ Status IoUringEnv::NewSequentialFile(const std::string& path,
 
 Status IoUringEnv::NewRandomRWFile(const std::string& path,
                                    std::unique_ptr<RandomRWFile>* out) {
-  if (!IsSupported()) return Status::NotSupported(UnsupportedReason());
-  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return ErrnoStatus("open " + path, errno);
-  auto file = std::make_unique<UringRandomRWFile>(
-      fd, path, static_cast<RingPool*>(pool_.get()));
-  TWRS_RETURN_IF_ERROR(file->Init());
-  *out = std::move(file);
-  return Status::OK();
+  return OpenWriteFile(path, O_RDWR | O_CREAT | O_TRUNC, pool_.get(), out);
 }
 
 Status IoUringEnv::ReopenRandomRWFile(const std::string& path,
                                       std::unique_ptr<RandomRWFile>* out) {
-  if (!IsSupported()) return Status::NotSupported(UnsupportedReason());
-  const int fd = ::open(path.c_str(), O_RDWR);
-  if (fd < 0) return ErrnoStatus("open " + path, errno);
-  auto file = std::make_unique<UringRandomRWFile>(
-      fd, path, static_cast<RingPool*>(pool_.get()));
-  TWRS_RETURN_IF_ERROR(file->Init());
-  *out = std::move(file);
-  return Status::OK();
+  return OpenWriteFile(path, O_RDWR, pool_.get(), out);
 }
 
+// A single positioned read costs one syscall either way; a ring would only
+// add a pooled-ring acquire, so positioned reads are plain pread.
 Status IoUringEnv::NewRandomReadFile(const std::string& path,
                                      std::unique_ptr<RandomRWFile>* out) {
   if (!IsSupported()) return Status::NotSupported(UnsupportedReason());
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return ErrnoStatus("open " + path, errno);
-  auto file = std::make_unique<UringRandomRWFile>(
-      fd, path, static_cast<RingPool*>(pool_.get()));
-  TWRS_RETURN_IF_ERROR(file->Init());
-  *out = std::move(file);
-  return Status::OK();
+  return metadata_env_.NewRandomReadFile(path, out);
 }
 
 IoCapabilities IoUringEnv::io_capabilities() const {

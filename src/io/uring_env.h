@@ -13,16 +13,20 @@ namespace twrs {
 class MetricsRegistry;
 
 /// Env backed by Linux kernel submission/completion rings (io_uring, raw
-/// syscalls — no liburing dependency). Each open handle borrows a ring
-/// (with its registered transfer buffers) from a per-Env pool and returns
-/// it on Close, so ring setup and buffer registration are paid once and
-/// amortized across every run, temp and output file of a sort. Appends
-/// and positioned writes are submitted without waiting for completion
-/// (the next buffer rotation reaps them), sequential reads keep
-/// read-ahead blocks in flight. It is the engine's one async I/O backend:
-/// PosixEnv is plain synchronous buffered I/O. Each handle moves data
-/// through two 256 KiB transfer buffers, registered with the kernel
-/// (IORING_REGISTER_BUFFERS) when the kernel allows it.
+/// syscalls — no liburing dependency). It is the engine's one async I/O
+/// backend: PosixEnv is plain synchronous buffered I/O. Two handle types
+/// use a ring. One write handle serves appends and positioned writes
+/// alike: it double-buffers writes through two 256 KiB transfer buffers,
+/// coalescing contiguous writes into one submission per buffer and
+/// returning before the kernel completes it. Sequential reads keep
+/// demand-paced read-ahead blocks in flight in the same two buffers.
+/// Positioned reads (NewRandomReadFile) take no ring: each is one pread.
+///
+/// A handle borrows a ring, with its transfer buffers registered with the
+/// kernel (IORING_REGISTER_BUFFERS) when the kernel allows it, from a
+/// per-Env pool and returns it on Close. The pool keeps every returned
+/// ring, so it grows to the peak number of handles open at once and ring
+/// setup is paid once per Env, not per file or per sort.
 ///
 /// Handles follow the same threading contract as PosixEnv's: one handle is
 /// used by one thread at a time; concurrent disjoint-range writers each
@@ -69,8 +73,9 @@ class IoUringEnv : public Env {
   IoCapabilities io_capabilities() const override;
 
  private:
-  // Metadata operations (stat, unlink, mkdir, readdir) have no useful
-  // async form; they go straight through the blocking implementation.
+  // Metadata operations (stat, unlink, mkdir, readdir) and single
+  // positioned reads have no useful async form; they go straight through
+  // the blocking implementation.
   PosixEnv metadata_env_;
   // Recycles rings + registered buffers across file handles. Opaque: the
   // pool is an internal type of the .cc (its deleter is captured at

@@ -152,8 +152,6 @@ Status MergeRuns(Env* env, std::vector<RunInfo> runs,
   final_spec.partitions =
       options.pool != nullptr ? std::max<size_t>(1, options.final_merge_threads)
                               : 1;
-  final_spec.sample_size = options.final_sample_size;
-  final_spec.sample_seed = options.final_sample_seed;
   final_spec.pool = options.pool;
   final_spec.limit = options.limit;
   final_spec.take_last = options.limit_last;

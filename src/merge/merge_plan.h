@@ -58,10 +58,6 @@ struct MergeOptions {
   /// pass still counts as one merge step writing every record once.
   size_t final_merge_threads = 1;
 
-  /// Splitter sampling knobs of the partitioned final merge.
-  size_t final_sample_size = 256;
-  uint64_t final_sample_seed = 1;
-
   /// Force the final output to stable storage (Sync) before it is closed,
   /// closing the durability gap between "sort returned OK" and "the page
   /// cache got around to writing". Applies to the final pass only;

@@ -13,6 +13,13 @@ namespace twrs {
 
 namespace {
 
+/// Splitter sampling of the partitioned and pruned final merges. Sampling
+/// probes forward segments with positioned reads, so it costs seeks, not a
+/// data pass. The output is the same for any sample: only partition
+/// balance and pruning tightness depend on it.
+constexpr size_t kSampleSize = 256;
+constexpr uint64_t kSampleSeed = 1;
+
 /// Lower-bound searches over one run segment using positioned reads. A
 /// segment is a list of extents: stretches of records, each ascending and
 /// contiguous in one file, whose concatenation is ascending. A forward
@@ -258,8 +265,8 @@ Status PrunedSerialMerge(Env* env, const std::vector<RunInfo>& runs,
     // qualifies prunes correctly, a missed tighter bound only costs I/O.
     std::vector<Key> sample;
     TWRS_RETURN_IF_ERROR(SampleRunKeys(env, runs,
-                                       std::min<size_t>(spec.sample_size, 64),
-                                       spec.sample_seed, &sample));
+                                       std::min<size_t>(kSampleSize, 64),
+                                       kSampleSeed, &sample));
     std::sort(sample.begin(), sample.end());
     sample.erase(std::unique(sample.begin(), sample.end()), sample.end());
     // Probing a candidate costs I/O in every run (a block binary search
@@ -461,10 +468,10 @@ Status FinalMergeToOutput(Env* env, const std::vector<RunInfo>& runs,
     // sample to the clamped partition count keeps the fixed seek cost
     // proportional to the parallelism actually bought.
     const size_t sample_size =
-        std::min<size_t>(spec.sample_size, 64 * partitions_wanted);
+        std::min<size_t>(kSampleSize, 64 * partitions_wanted);
     std::vector<Key> sample;
-    TWRS_RETURN_IF_ERROR(SampleRunKeys(env, runs, sample_size,
-                                       spec.sample_seed, &sample));
+    TWRS_RETURN_IF_ERROR(
+        SampleRunKeys(env, runs, sample_size, kSampleSeed, &sample));
     splitters = PickSplitters(std::move(sample), partitions_wanted);
   }
 

@@ -29,11 +29,6 @@ struct FinalMergeSpec {
   /// pool, or degenerate splitters) fall back to one serial merge.
   size_t partitions = 1;
 
-  /// Splitter sampling knobs. Sampling probes forward segments with
-  /// positioned reads, so it costs seeks, not a data pass.
-  size_t sample_size = 256;
-  uint64_t sample_seed = 1;
-
   /// Pool the partial merges run on.
   ThreadPool* pool = nullptr;
 

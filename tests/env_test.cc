@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <thread>
@@ -316,6 +317,67 @@ TEST_P(EnvTest, RandomRWSyncThenCloseKeepsContents) {
   uint64_t size = 0;
   ASSERT_TWRS_OK(env_->GetFileSize(Path("f"), &size));
   EXPECT_EQ(size, 8u);
+}
+
+// The write patterns of a sort on one handle: a range writer's ascending
+// blocks (which io_uring coalesces into 256 KiB buffers), reverse-run
+// pages written back to front, then a header patched at offset 0. Every
+// byte must read back, on the same handle before Close and after a reopen;
+// appends across a Sync must keep their order too.
+TEST_P(EnvTest, WritePatternsOfASortReadBack) {
+  constexpr size_t kChunk = 3 * 1024;
+  constexpr size_t kChunks = 300;  // ~900 KiB: crosses 256 KiB thrice
+  constexpr size_t kPage = 64 * 1024;
+  constexpr size_t kPages = 6;
+  constexpr size_t kPagesBase = kChunk * kChunks;
+  constexpr size_t kHeader = 64;
+  std::vector<char> expect(kPagesBase + kPages * kPage);
+  for (size_t i = 0; i < expect.size(); ++i) {
+    expect[i] = static_cast<char>(i * 131 + i / 4099);
+  }
+  std::unique_ptr<RandomRWFile> f;
+  ASSERT_TWRS_OK(env_->NewRandomRWFile(Path("f"), &f));
+  // The header slot first holds data that the patch below overwrites.
+  for (size_t c = 0; c < kChunks; ++c) {
+    ASSERT_TWRS_OK(f->WriteAt(c * kChunk, &expect[c * kChunk], kChunk));
+  }
+  for (size_t p = kPages; p-- > 0;) {
+    const size_t off = kPagesBase + p * kPage;
+    ASSERT_TWRS_OK(f->WriteAt(off, &expect[off], kPage));
+  }
+  for (size_t i = 0; i < kHeader; ++i) expect[i] = static_cast<char>(0xA5);
+  ASSERT_TWRS_OK(f->WriteAt(0, expect.data(), kHeader));
+  std::vector<char> got(expect.size());
+  ASSERT_TWRS_OK(f->ReadAt(0, got.data(), got.size()));
+  EXPECT_TRUE(got == expect) << "same-handle read differs";
+  ASSERT_TWRS_OK(f->Close());
+
+  uint64_t size = 0;
+  ASSERT_TWRS_OK(env_->GetFileSize(Path("f"), &size));
+  ASSERT_EQ(size, expect.size());
+  ASSERT_TWRS_OK(env_->ReopenRandomRWFile(Path("f"), &f));
+  std::fill(got.begin(), got.end(), 0);
+  ASSERT_TWRS_OK(f->ReadAt(0, got.data(), got.size()));
+  EXPECT_TRUE(got == expect) << "reopened read differs";
+  ASSERT_TWRS_OK(f->Close());
+
+  // 300,000-byte appends: each fills a buffer and leaves a partial one.
+  constexpr size_t kAppend = 300000;
+  std::unique_ptr<WritableFile> w;
+  ASSERT_TWRS_OK(env_->NewWritableFile(Path("w"), &w));
+  ASSERT_TWRS_OK(w->Append(expect.data(), kAppend));
+  ASSERT_TWRS_OK(w->Sync());
+  ASSERT_TWRS_OK(w->Append(expect.data() + kAppend, kAppend));
+  ASSERT_TWRS_OK(w->Close());
+  std::unique_ptr<SequentialFile> r;
+  ASSERT_TWRS_OK(env_->NewSequentialFile(Path("w"), &r));
+  std::vector<char> appended(2 * kAppend + 1);
+  size_t read = 0;
+  ASSERT_TWRS_OK(r->Read(appended.data(), appended.size(), &read));
+  ASSERT_EQ(read, 2 * kAppend);
+  EXPECT_TRUE(std::equal(appended.begin(), appended.begin() + read,
+                         expect.begin()))
+      << "appended bytes differ";
 }
 
 INSTANTIATE_TEST_SUITE_P(

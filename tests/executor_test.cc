@@ -17,14 +17,12 @@ namespace {
 TEST(ExecutorTest, LazyPoolCreation) {
   Executor executor;
   EXPECT_FALSE(executor.started());
-  EXPECT_EQ(executor.pool_count(), 0u);
+  EXPECT_EQ(executor.inflight_tasks(), 0u);
   ThreadPool* pool = executor.pool();
   ASSERT_NE(pool, nullptr);
   EXPECT_TRUE(executor.started());
-  EXPECT_EQ(executor.pool_count(), 1u);
-  // The default pool is created once and then shared.
+  // The pool is created once and then shared.
   EXPECT_EQ(executor.pool(), pool);
-  EXPECT_EQ(executor.pool_count(), 1u);
 }
 
 TEST(ExecutorTest, CapacityConfiguresDefaultPool) {
@@ -51,19 +49,6 @@ TEST(ExecutorTest, SetCapacityOnlyBeforeFirstPool) {
   EXPECT_EQ(executor.capacity(), 2u);
 }
 
-TEST(ExecutorTest, NamedPoolsAreIndependent) {
-  Executor executor;
-  ThreadPool* merge_pool = executor.GetPool("merge", 2);
-  ThreadPool* io_pool = executor.GetPool("io", 1);
-  EXPECT_NE(merge_pool, io_pool);
-  EXPECT_EQ(merge_pool->num_threads(), 2u);
-  EXPECT_EQ(io_pool->num_threads(), 1u);
-  EXPECT_EQ(executor.pool_count(), 2u);
-  // The first caller fixes a pool's size; later requests share it.
-  EXPECT_EQ(executor.GetPool("merge", 7), merge_pool);
-  EXPECT_EQ(merge_pool->num_threads(), 2u);
-}
-
 TEST(ExecutorTest, PoolExecutesSubmittedTasks) {
   ExecutorOptions options;
   options.capacity = 2;
@@ -86,7 +71,7 @@ TEST(ExecutorTest, SharedReturnsOneInstance) {
 
 // The heart of the refactor: many concurrent sorts borrow one executor
 // instead of spawning a pool each. All must succeed and verify, and the
-// executor must end up with exactly one pool.
+// executor's one pool keeps its configured size.
 TEST(ExecutorTest, ConcurrentSortsShareOneExecutor) {
   MemEnv env;
   ExecutorOptions exec_options;
@@ -118,7 +103,6 @@ TEST(ExecutorTest, ConcurrentSortsShareOneExecutor) {
   }
   for (auto& t : threads) t.join();
 
-  EXPECT_EQ(executor.pool_count(), 1u);
   EXPECT_EQ(executor.pool()->num_threads(), 3u);
   for (int i = 0; i < kSorts; ++i) {
     ASSERT_TRUE(statuses[i].ok()) << statuses[i].ToString();

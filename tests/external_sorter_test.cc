@@ -1725,6 +1725,60 @@ TEST(IoBackendSortTest, UringSortIsByteIdenticalToPosix) {
   }
 }
 
+TEST(IoBackendSortTest, RepeatedUringSortReusesEveryRing) {
+  if (!IoUringEnv::IsSupported()) {
+    GTEST_SKIP() << "io_uring unavailable: "
+                 << IoUringEnv::UnsupportedReason();
+  }
+  // The ring pool keeps every released ring, so a second identical sort
+  // on the same Env finds each ring it needs already built. The fan-in
+  // takes every run in one merge pass: the peak handle count is then the
+  // two final-merge partitions' readers and writers, the same in both
+  // sorts. (Concurrent intermediate merges peak by timing, not structure.)
+  IoUringEnv env;
+  const std::string dir = twrs::testing::MakeTempDir();
+  ASSERT_TWRS_OK(env.CreateDirIfMissing(dir));
+  WorkloadOptions wl;
+  wl.num_records = 100000;
+  wl.seed = 7;
+  const auto input = Drain(MakeWorkload(Dataset::kRandom, wl).get());
+  MetricsRegistry metrics;
+  MonotonicCounter* created = metrics.Counter("io.uring.rings_created");
+  MonotonicCounter* reused = metrics.Counter("io.uring.ring_reuses");
+  uint64_t created_by[2] = {0, 0};
+  uint64_t reused_by[2] = {0, 0};
+  for (int i = 0; i < 2; ++i) {
+    PublishIoUringCounters(&metrics);
+    const uint64_t created_before = created->value();
+    const uint64_t reused_before = reused->value();
+    ExternalSortOptions options;
+    options.memory_records = 8192;
+    options.twrs = TwoWayOptions::Recommended(8192);
+    options.fan_in = 16;
+    options.block_bytes = 4096;
+    options.temp_dir = dir;
+    options.parallel.worker_threads = 2;
+    options.parallel.final_merge_threads = 2;
+    ExternalSorter sorter(&env, options);
+    VectorSource source(input);
+    const std::string out = dir + "/out" + std::to_string(i);
+    ExternalSortResult result;
+    ASSERT_TWRS_OK(sorter.Sort(&source, out, &result));
+    EXPECT_EQ(result.merge.merge_steps, 1u);
+    PublishIoUringCounters(&metrics);
+    created_by[i] = created->value() - created_before;
+    reused_by[i] = reused->value() - reused_before;
+    uint64_t count = 0;
+    KeyChecksum checksum;
+    ASSERT_TWRS_OK(VerifySortedFile(&env, out, &count, &checksum));
+    EXPECT_EQ(count, input.size());
+    EXPECT_TRUE(checksum == ChecksumOf(input));
+  }
+  EXPECT_GT(created_by[0], 0u);
+  EXPECT_EQ(created_by[1], 0u) << "the second sort built rings";
+  EXPECT_GT(reused_by[1], 0u);
+}
+
 TEST(IoBackendSortTest, ExplicitUringFailsLoudlyWhenUnsupported) {
   if (IoUringEnv::IsSupported()) {
     GTEST_SKIP() << "io_uring is supported here; the rejection path needs "

@@ -347,7 +347,6 @@ TEST(PartitionedMergeTest, ByteIdenticalToSerialAcrossPartitionCounts) {
       MergeOptions options = serial;
       options.pool = &pool;
       options.final_merge_threads = partitions;
-      options.final_sample_size = 64;
       const std::string out = "out_p" + std::to_string(partitions);
       MergeStats stats;
       ASSERT_TWRS_OK(MergeRuns(&env, runs, options, out, &stats));
@@ -514,7 +513,6 @@ TEST(PartitionedMergeTest, CancellationMidPartialMergeLeavesNoOutput) {
   options.remove_inputs = false;
   options.pool = &pool;
   options.final_merge_threads = 4;
-  options.final_sample_size = 64;
   options.cancel = &token;
   Status s = MergeRuns(&env, runs, options, "out", nullptr);
   EXPECT_TRUE(s.IsCancelled()) << s.ToString();

@@ -4,8 +4,9 @@
 // limit, order). Each case takes its input family, size and merge fan-in
 // from its own seed, sorts on a MemEnv, and checks the output against
 // std::sort of the same input, truncated to the limit's end for top-K. A failure names the
-// seed and the mode, so a case can be replayed on its own. The sweep's
-// size is fixed by the constants below.
+// seed and the mode, so a case can be replayed on its own. A second
+// sweep runs 2WRS and LSS on the io_uring backend over a real directory.
+// The sweeps' size is fixed by the constants below.
 
 #include <algorithm>
 #include <cstddef>
@@ -18,6 +19,7 @@
 #include "exec/executor.h"
 #include "io/mem_env.h"
 #include "io/record_io.h"
+#include "io/uring_env.h"
 #include "merge/external_sorter.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"
@@ -86,13 +88,13 @@ struct OracleCase {
   }
 };
 
-ExternalSortOptions OptionsFor(const OracleCase& c) {
+ExternalSortOptions OptionsFor(const OracleCase& c, const std::string& dir) {
   ExternalSortOptions options;
   options.algorithm = c.algorithm;
   options.memory_records = kMemoryRecords;
   options.twrs = TwoWayOptions::Recommended(kMemoryRecords, c.seed);
   options.fan_in = c.fan_in;
-  options.temp_dir = "tmp";
+  options.temp_dir = dir;
   options.block_bytes = 512;
   options.limit = c.limit;
   options.order = c.order;
@@ -105,7 +107,9 @@ ExternalSortOptions OptionsFor(const OracleCase& c) {
   return options;
 }
 
-void RunCase(OracleCase c) {
+// Sorts the case's input on `env` into `dir`/out, with scratch space in
+// `dir`, and checks the output against std::sort.
+void RunCase(OracleCase c, Env* env, const std::string& dir) {
   // Each (algorithm, threads) group of six limit/order cases sees every
   // family once, and the cycle shifts by one per group, so every
   // limit/order case meets every family across the sweep.
@@ -127,19 +131,17 @@ void RunCase(OracleCase c) {
       testing::Drain(MakeWorkload(c.dataset, wl).get());
   ASSERT_EQ(input.size(), c.num_records);
 
-  MemEnv env;
-  ExternalSorter sorter(&env, OptionsFor(c));
+  ExternalSorter sorter(env, OptionsFor(c, dir));
   VectorSource source(input);
   ExternalSortResult result;
-  ASSERT_TWRS_OK(sorter.Sort(&source, "out", &result));
+  ASSERT_TWRS_OK(sorter.Sort(&source, dir + "/out", &result));
 
   const std::vector<Key> expected = Reference(input, c.limit, c.order);
   std::vector<Key> got;
-  ASSERT_TWRS_OK(ReadAllRecords(&env, "out", &got));
+  ASSERT_TWRS_OK(ReadAllRecords(env, dir + "/out", &got));
   EXPECT_EQ(result.output_records, expected.size());
   ASSERT_EQ(got.size(), expected.size());
   EXPECT_TRUE(got == expected) << "output differs from std::sort";
-  EXPECT_EQ(env.FileCount(), 1u) << "scratch files left behind";
 }
 
 TEST(SortOracleTest, EveryModeMatchesStdSort) {
@@ -157,10 +159,47 @@ TEST(SortOracleTest, EveryModeMatchesStdSort) {
              {uint64_t{0}, kLimitBelowMemory, kLimitAboveMemory}) {
           for (SelectOrder order :
                {SelectOrder::kAscending, SelectOrder::kDescending}) {
+            MemEnv env;
             RunCase({algorithm, run_generation_threads, final_merge_threads,
-                     limit, order, seed++});
+                     limit, order, seed++},
+                    &env, "tmp");
             if (::testing::Test::HasFatalFailure()) return;
+            EXPECT_EQ(env.FileCount(), 1u) << "scratch files left behind";
           }
+        }
+      }
+    }
+  }
+}
+
+// The io_uring backend's write-behind coalesces the 512-byte output blocks
+// into 256 KiB writes and sends reverse-run pages out one at a time; every
+// serial and partitioned mode must still match std::sort. Seeds continue
+// after the MemEnv sweep's.
+TEST(SortOracleTest, UringBackendMatchesStdSort) {
+  if (!IoUringEnv::IsSupported()) {
+    GTEST_SKIP() << "io_uring unavailable: "
+                 << IoUringEnv::UnsupportedReason();
+  }
+  IoUringEnv env;
+  const std::string dir = testing::MakeTempDir();
+  ASSERT_TWRS_OK(env.CreateDirIfMissing(dir));
+  uint64_t seed = kBaseSeed + 4 * kCasesPerAlgorithm;
+  for (RunGenAlgorithm algorithm : {RunGenAlgorithm::kTwoWayReplacementSelection,
+                                    RunGenAlgorithm::kLoadSortStore}) {
+    for (size_t final_merge_threads : {size_t{1}, size_t{2}}) {
+      for (uint64_t limit :
+           {uint64_t{0}, kLimitBelowMemory, kLimitAboveMemory}) {
+        for (SelectOrder order :
+             {SelectOrder::kAscending, SelectOrder::kDescending}) {
+          RunCase({algorithm, 1, final_merge_threads, limit, order, seed++},
+                  &env, dir);
+          if (::testing::Test::HasFatalFailure()) return;
+          std::vector<std::string> names;
+          ASSERT_TWRS_OK(env.ListDir(dir, &names));
+          EXPECT_EQ(names, std::vector<std::string>{"out"})
+              << "scratch files left behind";
+          ASSERT_TWRS_OK(env.RemoveFile(dir + "/out"));
         }
       }
     }
