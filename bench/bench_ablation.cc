@@ -5,7 +5,7 @@
 //    heaps;
 //  - what the victim buffer absorbs per dataset.
 
-#include "bench/bench_common.h"
+#include "bench/bench_paper.h"
 
 namespace twrs {
 namespace bench {

@@ -8,7 +8,7 @@
 //  - Table 5.12 analogue: Tukey comparison over the (setup x input x
 //    output) interaction cells restricted to the best levels.
 
-#include "bench/bench_common.h"
+#include "bench/bench_paper.h"
 #include "stats/tukey.h"
 
 namespace twrs {

@@ -7,7 +7,7 @@
 //  - Tables 5.7/5.8: Tukey pairwise comparison of input/output heuristics.
 //  - Figure 5.8: mean number of runs per (input x output) heuristic pair.
 
-#include "bench/bench_common.h"
+#include "bench/bench_paper.h"
 #include "stats/tukey.h"
 
 namespace twrs {

@@ -4,7 +4,7 @@
 // dominating by orders of magnitude in F, so the accepted model keeps only
 // the buffer size, with R^2 ~= 1.
 
-#include "bench/bench_common.h"
+#include "bench/bench_paper.h"
 
 namespace twrs {
 namespace bench {

@@ -6,7 +6,7 @@
 
 #include <algorithm>
 
-#include "bench/bench_common.h"
+#include "bench/bench_paper.h"
 
 namespace twrs {
 namespace bench {

@@ -3,7 +3,7 @@
 // correlation — dedicating x% of memory to buffers costs about x% of run
 // length, because buffers cannot predict random data.
 
-#include "bench/bench_common.h"
+#include "bench/bench_paper.h"
 
 namespace twrs {
 namespace bench {

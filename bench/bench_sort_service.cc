@@ -90,7 +90,6 @@ void Run(bool enable_metrics) {
         spec.input_path = inputs[j];
         spec.output_path = dir + "/out_" + std::to_string(j);
         spec.sort.memory_records = memory;
-        spec.sort.twrs = TwoWayOptions::Recommended(memory, 1 + j);
         spec.sort.temp_dir = dir + "/tmp";
         CheckOk(service.Submit(spec, &handles[j]), "submit");
       }

@@ -5,7 +5,7 @@
 // input >= 100x memory so the asymptotic regime is preserved. "inf" means
 // a single run holding the entire input.
 
-#include "bench/bench_common.h"
+#include "bench/bench_paper.h"
 
 namespace twrs {
 namespace bench {

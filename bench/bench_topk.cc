@@ -48,7 +48,6 @@ TopKRun RunOne(PosixEnv* posix, const std::string& input,
 
   ExternalSortOptions options;
   options.memory_records = memory;
-  options.twrs = TwoWayOptions::Recommended(memory, 1);
   options.temp_dir = dir + "/tmp";
   options.limit = c.limit;
   options.topk_strategy = c.strategy;

@@ -75,7 +75,6 @@ PlanCost RunQuery(twrs::Env* env, const char* name, uint64_t rows,
                   const std::string& dir) {
   twrs::ExternalSortOptions options;
   options.memory_records = 32 * 1024;  // the operator's memory quantum
-  options.twrs = twrs::TwoWayOptions::Recommended(options.memory_records);
   options.temp_dir = dir + "/tmp_" + name;
   options.limit = limit;
   options.topk_strategy = strategy;

@@ -77,7 +77,6 @@ int main(int argc, char** argv) {
       auto source = MakeSource(clustered, records);
       twrs::ExternalSortOptions options;
       options.memory_records = memory;
-      options.twrs = twrs::TwoWayOptions::Recommended(memory);
       options.temp_dir = std::string(dir) + "/merge_tmp";
       twrs::ExternalSorter sorter(&env, options);
       twrs::Stopwatch watch;

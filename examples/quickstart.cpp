@@ -42,7 +42,6 @@ int main(int argc, char** argv) {
   twrs::ExternalSortOptions options;
   options.algorithm = twrs::RunGenAlgorithm::kTwoWayReplacementSelection;
   options.memory_records = 64 * 1024;
-  options.twrs = twrs::TwoWayOptions::Recommended(options.memory_records);
   options.fan_in = 10;
   options.temp_dir = std::string(dir) + "/tmp";
   twrs::ExternalSorter sorter(&env, options);

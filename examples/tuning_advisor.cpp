@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "core/heuristics.h"
 #include "core/run_sink.h"
 #include "core/two_way_replacement_selection.h"
 #include "workload/generators.h"

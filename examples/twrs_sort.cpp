@@ -5,13 +5,10 @@
 //   twrs_sort --generate <dataset> --records N <output>
 //
 // Options:
-//   --algorithm rs|2wrs|lss|batched   run generation algorithm (default 2wrs)
+//   --algorithm rs|2wrs|lss           run generation algorithm (default 2wrs)
 //   --memory N                        memory budget in records (default 64Ki)
 //   --fan-in N                        merge fan-in (default 10)
 //   --temp-dir PATH                   scratch directory (default /tmp/twrs_sort)
-//   --buffers FRACTION                2WRS buffer fraction (default 0.02)
-//   --input-heuristic NAME            random|alternate|mean|median|useful|balancing
-//   --output-heuristic NAME           random|alternate|useful|balancing|mindistance
 //   --threads N                       N > 0 enables the pipelined path
 //                                     (0 = serial, default); workers come
 //                                     from the shared executor — size it
@@ -52,7 +49,6 @@
 //   --seed N                          workload seed (default 1)
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <string>
 
@@ -70,7 +66,7 @@ int Usage() {
   fprintf(stderr,
           "usage: twrs_sort [options] <input> <output>\n"
           "       twrs_sort --generate <dataset> --records N <output>\n"
-          "run `head -52 examples/twrs_sort.cpp` for the option list\n");
+          "run `head -49 examples/twrs_sort.cpp` for the option list\n");
   return 2;
 }
 
@@ -83,39 +79,10 @@ bool ParseAlgorithm(const std::string& name, twrs::RunGenAlgorithm* out) {
     *out = twrs::RunGenAlgorithm::kTwoWayReplacementSelection;
   } else if (name == "lss") {
     *out = twrs::RunGenAlgorithm::kLoadSortStore;
-  } else if (name == "batched") {
-    *out = twrs::RunGenAlgorithm::kBatchedReplacementSelection;
   } else {
     return false;
   }
   return true;
-}
-
-bool ParseInputHeuristic(const std::string& name, twrs::InputHeuristic* out) {
-  for (int i = 0; i < twrs::kNumInputHeuristics; ++i) {
-    const auto h = static_cast<twrs::InputHeuristic>(i);
-    std::string candidate = twrs::InputHeuristicName(h);
-    for (char& c : candidate) c = static_cast<char>(tolower(c));
-    if (candidate == name) {
-      *out = h;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool ParseOutputHeuristic(const std::string& name,
-                          twrs::OutputHeuristic* out) {
-  for (int i = 0; i < twrs::kNumOutputHeuristics; ++i) {
-    const auto h = static_cast<twrs::OutputHeuristic>(i);
-    std::string candidate = twrs::OutputHeuristicName(h);
-    for (char& c : candidate) c = static_cast<char>(tolower(c));
-    if (candidate == name) {
-      *out = h;
-      return true;
-    }
-  }
-  return false;
 }
 
 bool ParseDataset(const std::string& name, twrs::Dataset* out) {
@@ -143,8 +110,6 @@ int main(int argc, char** argv) {
   twrs::ExternalSortOptions options;
   options.memory_records = 64 * 1024;
   options.temp_dir = "/tmp/twrs_sort";
-  twrs::TwoWayOptions twrs_options =
-      twrs::TwoWayOptions::Recommended(options.memory_records);
   uint64_t rungen_threads = 1;
   bool rungen_auto = false;
   uint64_t final_merge_threads = 1;
@@ -180,22 +145,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return Usage();
       options.temp_dir = v;
-    } else if (arg == "--buffers") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      twrs_options.buffer_fraction = atof(v);
-    } else if (arg == "--input-heuristic") {
-      const char* v = next();
-      if (v == nullptr ||
-          !ParseInputHeuristic(v, &twrs_options.input_heuristic)) {
-        return Usage();
-      }
-    } else if (arg == "--output-heuristic") {
-      const char* v = next();
-      if (v == nullptr ||
-          !ParseOutputHeuristic(v, &twrs_options.output_heuristic)) {
-        return Usage();
-      }
     } else if (arg == "--threads") {
       uint64_t v = 0;
       if (!ParseCount(next(), &v) || v > 1024) return Usage();
@@ -309,8 +258,6 @@ int main(int argc, char** argv) {
 
   if (positionals != 2) return Usage();
   printf("io backend: %s\n", twrs::IoBackendName(resolved_backend));
-  twrs_options.memory_records = options.memory_records;
-  options.twrs = twrs_options;
   if (executor_threads > 0 &&
       !twrs::Executor::ConfigureShared(executor_threads)) {
     fprintf(stderr,

@@ -304,7 +304,6 @@ int main(int argc, char** argv) {
       spec.input_path = inputs[j];
       spec.output_path = outputs[j];
       spec.sort.memory_records = memory;
-      spec.sort.twrs = twrs::TwoWayOptions::Recommended(memory, seed + j);
       spec.sort.temp_dir = work_dir;
       spec.sort.limit = limit;
       spec.run_generation_threads = rungen_threads;

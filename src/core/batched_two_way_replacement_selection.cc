@@ -488,12 +488,6 @@ BatchedTwoWayReplacementSelection::BatchedTwoWayReplacementSelection(
     TwoWayOptions options)
     : options_(options) {}
 
-bool BatchedTwoWayReplacementSelection::Supports(
-    const TwoWayOptions& options) {
-  return options.input_heuristic == InputHeuristic::kMean &&
-         options.output_heuristic == OutputHeuristic::kRandom;
-}
-
 size_t BatchedTwoWayReplacementSelection::BatchRecords(
     size_t memory_records) {
   return std::clamp<size_t>(memory_records / 64, 1, 1024);
@@ -503,7 +497,8 @@ Status BatchedTwoWayReplacementSelection::Generate(RecordSource* source,
                                                    RunSink* sink,
                                                    RunGenStats* stats) {
   TWRS_RETURN_IF_ERROR(options_.Validate());
-  if (!Supports(options_)) {
+  if (options_.input_heuristic != InputHeuristic::kMean ||
+      options_.output_heuristic != OutputHeuristic::kRandom) {
     return Status::InvalidArgument(
         "batched 2WRS implements the Mean input and Random output "
         "heuristics only");

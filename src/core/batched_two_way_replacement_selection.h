@@ -5,7 +5,7 @@
 #include <cstdint>
 
 #include "core/run_generator.h"
-#include "core/two_way_replacement_selection.h"
+#include "core/two_way_options.h"
 
 namespace twrs {
 
@@ -42,7 +42,7 @@ namespace twrs {
 /// one minirun) while they are being compacted (peak_arena_keys()).
 class BatchedTwoWayReplacementSelection : public RunGenerator {
  public:
-  /// `options` must pass Supports() (Generate rejects any other pair).
+  /// Generate rejects any heuristic pair but Mean input and Random output.
   explicit BatchedTwoWayReplacementSelection(TwoWayOptions options);
 
   Status Generate(RecordSource* source, RunSink* sink,
@@ -51,10 +51,6 @@ class BatchedTwoWayReplacementSelection : public RunGenerator {
   std::string name() const override { return "Batched2WRS"; }
 
   const TwoWayOptions& options() const { return options_; }
-
-  /// True for the heuristic pair this engine implements: Mean input and
-  /// Random output. Every other pair runs TwoWayReplacementSelection.
-  static bool Supports(const TwoWayOptions& options);
 
   /// The most keys the minirun blocks held allocated during the last
   /// Generate().

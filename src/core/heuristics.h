@@ -2,37 +2,14 @@
 #define TWRS_CORE_HEURISTICS_H_
 
 #include <cstdint>
-#include <string>
 
 #include "core/input_buffer.h"
 #include "core/record.h"
+#include "core/two_way_options.h"
 #include "heap/double_heap.h"
 #include "util/random.h"
 
 namespace twrs {
-
-/// Input heuristics (§4.2): decide which heap stores a record that could go
-/// to either (during the fill phase and for records tagged for a later run).
-enum class InputHeuristic {
-  kRandom = 0,     ///< pick a heap at random
-  kAlternate = 1,  ///< alternate BottomHeap / TopHeap
-  kMean = 2,       ///< above the input-buffer mean -> TopHeap
-  kMedian = 3,     ///< above the input-buffer median -> TopHeap
-  kUseful = 4,     ///< store in the heap with the best output/size ratio
-  kBalancing = 5,  ///< store in the smaller heap; rebalance at run start
-};
-
-/// Output heuristics (§4.2): decide which heap emits next when both could.
-enum class OutputHeuristic {
-  kRandom = 0,       ///< pop a heap at random
-  kAlternate = 1,    ///< alternate, starting with the BottomHeap
-  kUseful = 2,       ///< pop the heap with the best output/size ratio
-  kBalancing = 3,    ///< pop the larger heap
-  kMinDistance = 4,  ///< pop the top closest in value to the run's first output
-};
-
-inline constexpr int kNumInputHeuristics = 6;
-inline constexpr int kNumOutputHeuristics = 5;
 
 const char* InputHeuristicName(InputHeuristic h);
 const char* OutputHeuristicName(OutputHeuristic h);

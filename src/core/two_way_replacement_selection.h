@@ -1,57 +1,10 @@
 #ifndef TWRS_CORE_TWO_WAY_REPLACEMENT_SELECTION_H_
 #define TWRS_CORE_TWO_WAY_REPLACEMENT_SELECTION_H_
 
-#include <cstddef>
-#include <cstdint>
-
-#include "core/heuristics.h"
 #include "core/run_generator.h"
-#include "util/status.h"
+#include "core/two_way_options.h"
 
 namespace twrs {
-
-/// Configuration of Two-way Replacement Selection (Chapter 4). The four
-/// tunables correspond to the four ANOVA factors of Chapter 5: buffer setup
-/// (which buffers exist), buffer size, input heuristic and output heuristic.
-struct TwoWayOptions {
-  /// Total memory budget M in records, shared by the two heaps, the input
-  /// buffer and the victim buffer — matching the paper's experiments, where
-  /// the total allocation is constant across configurations (§5.2).
-  size_t memory_records = 0;
-
-  /// The smallest M Validate accepts: two heap records and one buffer
-  /// record.
-  static constexpr size_t kMinMemoryRecords = 3;
-
-  /// Fraction of M dedicated to the buffers (paper levels: 0.0002, 0.002,
-  /// 0.02, 0.2). Split evenly when both buffers are enabled.
-  double buffer_fraction = 0.02;
-
-  bool use_input_buffer = true;
-  bool use_victim_buffer = true;
-
-  InputHeuristic input_heuristic = InputHeuristic::kMean;
-  OutputHeuristic output_heuristic = OutputHeuristic::kRandom;
-
-  /// Seed for the randomized heuristics.
-  uint64_t seed = 1;
-
-  /// Derived sizes. Enabled buffers get at least one record each; the heaps
-  /// get the remainder.
-  size_t TotalBufferRecords() const;
-  size_t InputBufferRecords() const;
-  size_t VictimBufferRecords() const;
-  size_t HeapRecords() const;
-
-  /// Checks that the configuration is usable (positive memory, heaps of at
-  /// least two records, fraction in [0, 1)).
-  Status Validate() const;
-
-  /// The paper's recommended all-round configuration (§5.3): both buffers,
-  /// 2% of memory for buffers, Mean input heuristic, Random output
-  /// heuristic.
-  static TwoWayOptions Recommended(size_t memory_records, uint64_t seed = 1);
-};
 
 /// Two-way Replacement Selection (Chapter 4).
 ///

@@ -6,7 +6,6 @@
 #include "core/batched_replacement_selection.h"
 #include "core/batched_two_way_replacement_selection.h"
 #include "core/load_sort_store.h"
-#include "core/replacement_selection.h"
 #include "core/run_generator.h"
 #include "core/run_sink.h"
 #include "io/counting_env.h"
@@ -25,42 +24,27 @@ const char* RunGenAlgorithmName(RunGenAlgorithm algorithm) {
       return "2WRS";
     case RunGenAlgorithm::kLoadSortStore:
       return "LSS";
-    case RunGenAlgorithm::kBatchedReplacementSelection:
-      return "BatchedRS";
   }
   return "?";
 }
 
 std::unique_ptr<RunGenerator> MakeRunGenerator(RunGenAlgorithm algorithm,
-                                               size_t memory_records,
-                                               const TwoWayOptions& twrs) {
+                                               size_t memory_records) {
   switch (algorithm) {
     case RunGenAlgorithm::kReplacementSelection: {
-      ReplacementSelectionOptions rs;
-      rs.memory_records = memory_records;
-      return std::make_unique<ReplacementSelection>(rs);
-    }
-    case RunGenAlgorithm::kTwoWayReplacementSelection: {
-      TwoWayOptions options = twrs;
-      options.memory_records = memory_records;
-      // The §5.3 recommended pair runs batched; every other pair runs the
-      // record-at-a-time reference.
-      if (BatchedTwoWayReplacementSelection::Supports(options)) {
-        return std::make_unique<BatchedTwoWayReplacementSelection>(options);
-      }
-      return std::make_unique<TwoWayReplacementSelection>(options);
-    }
-    case RunGenAlgorithm::kLoadSortStore: {
-      LoadSortStoreOptions lss;
-      lss.memory_records = memory_records;
-      return std::make_unique<LoadSortStore>(lss);
-    }
-    case RunGenAlgorithm::kBatchedReplacementSelection: {
       BatchedReplacementSelectionOptions brs;
       brs.memory_records = memory_records;
       brs.batch_records =
           std::min<size_t>(1024, std::max<size_t>(1, memory_records / 8));
       return std::make_unique<BatchedReplacementSelection>(brs);
+    }
+    case RunGenAlgorithm::kTwoWayReplacementSelection:
+      return std::make_unique<BatchedTwoWayReplacementSelection>(
+          TwoWayOptions::Recommended(memory_records));
+    case RunGenAlgorithm::kLoadSortStore: {
+      LoadSortStoreOptions lss;
+      lss.memory_records = memory_records;
+      return std::make_unique<LoadSortStore>(lss);
     }
   }
   return nullptr;

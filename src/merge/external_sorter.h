@@ -9,7 +9,6 @@
 #include "core/record_source.h"
 #include "core/run_generator.h"
 #include "core/run_stats.h"
-#include "core/two_way_replacement_selection.h"
 #include "io/env.h"
 #include "merge/merge_plan.h"
 #include "obs/metrics.h"
@@ -28,19 +27,18 @@ enum class RunGenAlgorithm {
   kReplacementSelection,
   kTwoWayReplacementSelection,
   kLoadSortStore,
-  kBatchedReplacementSelection,
 };
 
 const char* RunGenAlgorithmName(RunGenAlgorithm algorithm);
 
-/// Builds the run generator for `algorithm` with a `memory_records` budget.
-/// The single construction point shared by ExternalSorter and the benchmark
-/// harness, so replayed run generation measures the same configuration the
-/// sorter used. `twrs` tuning applies to 2WRS only; its memory field is
-/// overridden by `memory_records`.
+/// Builds the run generator for `algorithm` with a `memory_records` budget:
+/// BatchedReplacementSelection for RS, BatchedTwoWayReplacementSelection at
+/// TwoWayOptions::Recommended for 2WRS, and LoadSortStore. The single
+/// construction point shared by ExternalSorter and the benchmark harness,
+/// so replayed run generation measures the same configuration the sorter
+/// used.
 std::unique_ptr<RunGenerator> MakeRunGenerator(RunGenAlgorithm algorithm,
-                                               size_t memory_records,
-                                               const TwoWayOptions& twrs = {});
+                                               size_t memory_records);
 
 /// The smallest memory budget `algorithm`'s generator accepts
 /// (TwoWayOptions::kMinMemoryRecords for 2WRS, 1 record otherwise). Caps
@@ -84,9 +82,6 @@ struct ExternalSortOptions {
 
   /// Memory budget in records for the run generation phase.
   size_t memory_records = 1 << 16;
-
-  /// 2WRS tuning; `memory_records` above overrides its memory field.
-  TwoWayOptions twrs;
 
   /// Merge fan-in (§6.1.1; the paper's experiments use 10).
   size_t fan_in = 10;

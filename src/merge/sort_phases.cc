@@ -90,7 +90,7 @@ Status GenerateShare(SortContext* context, SharedInput* input, size_t index,
                      size_t memory_records, GeneratorOutput* out) {
   const ExternalSortOptions& options = *context->options;
   std::unique_ptr<RunGenerator> generator =
-      MakeRunGenerator(options.algorithm, memory_records, options.twrs);
+      MakeRunGenerator(options.algorithm, memory_records);
   FileRunSinkOptions sink_options;
   sink_options.block_bytes = options.block_bytes;
   if (context->metrics != nullptr) {

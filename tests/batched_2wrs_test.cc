@@ -10,6 +10,7 @@
 
 #include "core/record_source.h"
 #include "core/run_sink.h"
+#include "core/two_way_replacement_selection.h"
 #include "merge/external_sorter.h"
 #include "tests/test_util.h"
 #include "util/random.h"
@@ -223,34 +224,21 @@ TEST(Batched2wrsTest, RejectsOtherHeuristicPairsAndBadOptions) {
                    .ok());
 }
 
-TEST(Batched2wrsTest, EngineRunsBatchedOnlyForTheRecommendedPair) {
-  const TwoWayOptions recommended = TwoWayOptions::Recommended(1000);
-  std::unique_ptr<RunGenerator> generator = MakeRunGenerator(
-      RunGenAlgorithm::kTwoWayReplacementSelection, 4096, recommended);
+TEST(Batched2wrsTest, EngineRunsBatchedAtTheRecommendedOptions) {
+  std::unique_ptr<RunGenerator> generator =
+      MakeRunGenerator(RunGenAlgorithm::kTwoWayReplacementSelection, 4096);
   auto* batched =
       dynamic_cast<BatchedTwoWayReplacementSelection*>(generator.get());
   ASSERT_NE(batched, nullptr);
-  EXPECT_EQ(batched->options().memory_records, 4096u);
-
-  for (int in_h = 0; in_h < kNumInputHeuristics; ++in_h) {
-    for (int out_h = 0; out_h < kNumOutputHeuristics; ++out_h) {
-      TwoWayOptions options = recommended;
-      options.input_heuristic = static_cast<InputHeuristic>(in_h);
-      options.output_heuristic = static_cast<OutputHeuristic>(out_h);
-      generator = MakeRunGenerator(
-          RunGenAlgorithm::kTwoWayReplacementSelection, 4096, options);
-      const bool recommended_pair =
-          options.input_heuristic == InputHeuristic::kMean &&
-          options.output_heuristic == OutputHeuristic::kRandom;
-      EXPECT_EQ(dynamic_cast<BatchedTwoWayReplacementSelection*>(
-                    generator.get()) != nullptr,
-                recommended_pair);
-      EXPECT_EQ(
-          dynamic_cast<TwoWayReplacementSelection*>(generator.get()) !=
-              nullptr,
-          !recommended_pair);
-    }
-  }
+  const TwoWayOptions& options = batched->options();
+  const TwoWayOptions recommended = TwoWayOptions::Recommended(4096);
+  EXPECT_EQ(options.memory_records, 4096u);
+  EXPECT_EQ(options.buffer_fraction, recommended.buffer_fraction);
+  EXPECT_EQ(options.use_input_buffer, recommended.use_input_buffer);
+  EXPECT_EQ(options.use_victim_buffer, recommended.use_victim_buffer);
+  EXPECT_EQ(options.input_heuristic, InputHeuristic::kMean);
+  EXPECT_EQ(options.output_heuristic, OutputHeuristic::kRandom);
+  EXPECT_EQ(options.seed, recommended.seed);
 }
 
 }  // namespace

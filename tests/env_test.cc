@@ -17,7 +17,7 @@
 namespace twrs {
 namespace {
 
-using testing::MakeTempDir;
+using testing::ScopedTempDir;
 
 enum class EnvKind { kMem, kPosix, kSimDisk, kUring };
 
@@ -33,14 +33,16 @@ class EnvTest : public ::testing::TestWithParam<EnvKind> {
       dir_ = "mem";
     } else if (GetParam() == EnvKind::kPosix) {
       env_ = std::make_unique<PosixEnv>();
-      dir_ = MakeTempDir();
+      temp_dir_ = std::make_unique<ScopedTempDir>();
+      dir_ = temp_dir_->path();
     } else if (GetParam() == EnvKind::kUring) {
       if (!IoUringEnv::IsSupported()) {
         GTEST_SKIP() << "io_uring unavailable: "
                      << IoUringEnv::UnsupportedReason();
       }
       env_ = std::make_unique<IoUringEnv>();
-      dir_ = MakeTempDir();
+      temp_dir_ = std::make_unique<ScopedTempDir>();
+      dir_ = temp_dir_->path();
     } else {
       base_ = std::make_unique<MemEnv>();
       env_ = std::make_unique<SimDiskEnv>(base_.get());
@@ -51,6 +53,7 @@ class EnvTest : public ::testing::TestWithParam<EnvKind> {
 
   std::string Path(const std::string& name) { return dir_ + "/" + name; }
 
+  std::unique_ptr<ScopedTempDir> temp_dir_;  // posix and uring only
   std::unique_ptr<MemEnv> base_;  // backs the SimDiskEnv decorator
   std::unique_ptr<Env> env_;
   std::string dir_;

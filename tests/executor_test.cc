@@ -90,7 +90,6 @@ TEST(ExecutorTest, ConcurrentSortsShareOneExecutor) {
     threads.emplace_back([&env, &executor, &inputs, &statuses, i] {
       ExternalSortOptions options;
       options.memory_records = 64;
-      options.twrs = TwoWayOptions::Recommended(64);
       options.fan_in = 3;
       options.temp_dir = "tmp";
       options.block_bytes = 512;
@@ -126,7 +125,6 @@ TEST(ExecutorTest, SortBorrowsSharedExecutorByDefault) {
 
   ExternalSortOptions options;
   options.memory_records = 64;
-  options.twrs = TwoWayOptions::Recommended(64);
   options.temp_dir = "tmp";
   options.parallel.worker_threads = 2;
   ExternalSorter sorter(&env, options);

@@ -11,6 +11,8 @@
 #include <tuple>
 
 #include "core/load_sort_store.h"
+#include "core/replacement_selection.h"
+#include "core/two_way_replacement_selection.h"
 #include "exec/executor.h"
 #include "io/mem_env.h"
 #include "io/posix_env.h"
@@ -78,7 +80,6 @@ TEST_P(ExternalSorterPipelineTest, SortsToAPermutation) {
   ExternalSortOptions options;
   options.algorithm = static_cast<RunGenAlgorithm>(algorithm);
   options.memory_records = 128;
-  options.twrs = TwoWayOptions::Recommended(128, 3);
   options.fan_in = 4;
   options.temp_dir = "tmp";
   options.block_bytes = 512;
@@ -107,7 +108,6 @@ TEST(ExternalSorterTest, EmptyInputProducesEmptySortedFile) {
   MemEnv env;
   ExternalSortOptions options;
   options.memory_records = 16;
-  options.twrs = TwoWayOptions::Recommended(16);
   options.temp_dir = "tmp";
   ExternalSorter sorter(&env, options);
   VectorSource source({});
@@ -122,7 +122,6 @@ TEST(ExternalSorterTest, TempFilesAreRemovedAfterSort) {
   MemEnv env;
   ExternalSortOptions options;
   options.memory_records = 32;
-  options.twrs = TwoWayOptions::Recommended(32);
   options.temp_dir = "tmp";
   options.fan_in = 2;
   ExternalSorter sorter(&env, options);
@@ -139,7 +138,6 @@ TEST(ExternalSorterTest, SequentialSortsDoNotCollide) {
   MemEnv env;
   ExternalSortOptions options;
   options.memory_records = 32;
-  options.twrs = TwoWayOptions::Recommended(32);
   options.temp_dir = "tmp";
   ExternalSorter sorter(&env, options);
   for (int round = 0; round < 3; ++round) {
@@ -172,7 +170,6 @@ TEST(ExternalSorterParallelTest, ParallelOutputIsByteIdenticalToSerial) {
 
   ExternalSortOptions options;
   options.memory_records = 128;
-  options.twrs = TwoWayOptions::Recommended(128, 7);
   options.fan_in = 4;
   options.temp_dir = "tmp";
   options.block_bytes = 512;  // many blocks per stream
@@ -223,7 +220,6 @@ TEST(ExternalSorterParallelTest, ParallelSortCleansUpTempFiles) {
   MemEnv env;
   ExternalSortOptions options;
   options.memory_records = 64;
-  options.twrs = TwoWayOptions::Recommended(64);
   options.temp_dir = "tmp";
   options.fan_in = 2;
   options.parallel.worker_threads = 3;
@@ -255,7 +251,6 @@ TEST(ExternalSorterParallelTest, ConcurrentSortsSharingTempDirDoNotCollide) {
     threads.emplace_back([&env, &inputs, &statuses, i] {
       ExternalSortOptions options;
       options.memory_records = 64;
-      options.twrs = TwoWayOptions::Recommended(64);
       options.fan_in = 3;
       options.temp_dir = "tmp";  // deliberately shared
       options.block_bytes = 512;
@@ -301,7 +296,6 @@ class CancelOnFirstReadEnv : public MemEnv {
 ExternalSortOptions CancelTestOptions(const CancelToken* token) {
   ExternalSortOptions options;
   options.memory_records = 128;
-  options.twrs = TwoWayOptions::Recommended(128);
   options.fan_in = 4;
   options.temp_dir = "tmp";
   options.block_bytes = 512;
@@ -399,29 +393,24 @@ TEST(ExternalSorterTest, LoadSortStoreProgressCountsAreExact) {
 
 // One run generator as the sorter builds it.
 struct GeneratorCase {
-  const char* name;
   RunGenAlgorithm algorithm;
-  TwoWayOptions twrs;
+  const char* name;  ///< what MakeRunGenerator's generator reports
 };
 
-// Every run generator class the sorter can build. The 2WRS reference
-// runs for every heuristic pair but the recommended (Mean, Random) one,
-// which runs batched.
-std::vector<GeneratorCase> EveryGenerator(size_t memory_records) {
-  const TwoWayOptions recommended = TwoWayOptions::Recommended(memory_records);
-  TwoWayOptions reference = recommended;
-  reference.input_heuristic = InputHeuristic::kMedian;
-  reference.output_heuristic = OutputHeuristic::kAlternate;
+// Every run generator class the sorter can build.
+std::vector<GeneratorCase> EveryGenerator() {
   return {
-      {"RS", RunGenAlgorithm::kReplacementSelection, recommended},
-      {"batched 2WRS", RunGenAlgorithm::kTwoWayReplacementSelection,
-       recommended},
-      {"2WRS reference", RunGenAlgorithm::kTwoWayReplacementSelection,
-       reference},
-      {"LSS", RunGenAlgorithm::kLoadSortStore, recommended},
-      {"batched RS", RunGenAlgorithm::kBatchedReplacementSelection,
-       recommended},
+      {RunGenAlgorithm::kReplacementSelection, "BatchedRS"},
+      {RunGenAlgorithm::kTwoWayReplacementSelection, "Batched2WRS"},
+      {RunGenAlgorithm::kLoadSortStore, "LSS"},
   };
+}
+
+TEST(RunGeneratorTest, EveryAlgorithmBuildsItsEngineGenerator) {
+  for (const GeneratorCase& generator : EveryGenerator()) {
+    EXPECT_EQ(MakeRunGenerator(generator.algorithm, 128)->name(),
+              generator.name);
+  }
 }
 
 TEST(ExternalSorterTest, EveryGeneratorsProgressCountsAreExact) {
@@ -432,13 +421,12 @@ TEST(ExternalSorterTest, EveryGeneratorsProgressCountsAreExact) {
   const auto input = Drain(MakeWorkload(Dataset::kRandom, wl).get());
   ASSERT_TWRS_OK(WriteAllRecords(&env, "in", input));
 
-  for (const GeneratorCase& generator : EveryGenerator(1000)) {
+  for (const GeneratorCase& generator : EveryGenerator()) {
     SCOPED_TRACE(generator.name);
     ProgressCounters progress;
     ExternalSortOptions options;
     options.algorithm = generator.algorithm;
     options.memory_records = 1000;
-    options.twrs = generator.twrs;
     options.fan_in = 16;  // one merge pass: every record is merged once
     options.temp_dir = "tmp";
     options.block_bytes = 512;
@@ -460,19 +448,30 @@ TEST(RunGeneratorTest, GenerateReturnsTheSourceReadError) {
   wl.num_records = 5000;
   wl.seed = 27;
   const auto input = Drain(MakeWorkload(Dataset::kRandom, wl).get());
-  for (const GeneratorCase& generator : EveryGenerator(kMemory)) {
+  // The engine's generators, and the paper's record-at-a-time references.
+  std::vector<std::unique_ptr<RunGenerator>> generators;
+  for (const GeneratorCase& generator : EveryGenerator()) {
+    generators.push_back(MakeRunGenerator(generator.algorithm, kMemory));
+  }
+  ReplacementSelectionOptions rs;
+  rs.memory_records = kMemory;
+  generators.push_back(std::make_unique<ReplacementSelection>(rs));
+  TwoWayOptions reference = TwoWayOptions::Recommended(kMemory);
+  reference.input_heuristic = InputHeuristic::kMedian;
+  reference.output_heuristic = OutputHeuristic::kAlternate;
+  generators.push_back(
+      std::make_unique<TwoWayReplacementSelection>(reference));
+  for (const std::unique_ptr<RunGenerator>& generator : generators) {
     // The read fails before memory fills, and long after it.
     for (const size_t records : {size_t{50}, input.size()}) {
-      SCOPED_TRACE(::testing::Message() << generator.name << " after "
+      SCOPED_TRACE(::testing::Message() << generator->name() << " after "
                                         << records << " records");
       testing::FailingSource source(
           std::vector<Key>(input.begin(), input.begin() + records),
           Status::IOError("injected read error"));
       CollectingRunSink sink;
       RunGenStats stats;
-      const Status status =
-          MakeRunGenerator(generator.algorithm, kMemory, generator.twrs)
-              ->Generate(&source, &sink, &stats);
+      const Status status = generator->Generate(&source, &sink, &stats);
       EXPECT_TRUE(status.IsIOError()) << status.ToString();
     }
   }
@@ -502,7 +501,6 @@ TEST(ExternalSorterTest, FailedMergeLeavesNoScratchOrTornOutput) {
   MemEnv env;
   ExternalSortOptions options;
   options.memory_records = 32;
-  options.twrs = TwoWayOptions::Recommended(32);
   options.temp_dir = "tmp";
   options.fan_in = 1;  // poison: run generation succeeds, the merge fails
   ExternalSorter sorter(&env, options);
@@ -559,7 +557,6 @@ TEST(ExternalSorterTest, ReportsEngineIoVolume) {
   MemEnv env;
   ExternalSortOptions options;
   options.memory_records = 64;
-  options.twrs = TwoWayOptions::Recommended(64);
   options.temp_dir = "tmp";
   options.fan_in = 2;  // several merge passes
   ExternalSorter sorter(&env, options);
@@ -585,7 +582,6 @@ TEST(ExternalSorterTest, SerialSortTimesRunAndMergeWrites) {
   MetricsRegistry metrics;
   ExternalSortOptions options;
   options.memory_records = 64;
-  options.twrs = TwoWayOptions::Recommended(64);
   options.temp_dir = "tmp";
   options.metrics = &metrics;
   ExternalSorter sorter(&env, options);
@@ -737,7 +733,6 @@ TEST(ExternalSorterTest, OnlyTheFinalOutputIsSynced) {
     SyncCountingEnv env(&mem);
     ExternalSortOptions options;
     options.memory_records = 256;
-    options.twrs = TwoWayOptions::Recommended(256, 3);
     options.fan_in = 4;  // intermediate merges too
     options.temp_dir = "tmp";
     options.block_bytes = 4096;
@@ -785,7 +780,6 @@ std::vector<Key> TruncatedReference(std::vector<Key> input, uint64_t k,
 ExternalSortOptions TopKTestOptions() {
   ExternalSortOptions options;
   options.memory_records = 128;
-  options.twrs = TwoWayOptions::Recommended(128, 3);
   options.fan_in = 4;  // multiple merge passes: intermediate clamps too
   options.temp_dir = "tmp";
   options.block_bytes = 512;
@@ -891,7 +885,6 @@ TEST(ExternalSorterTopKTest, RunPruningMergeReadsStrictlyFewerBytes) {
 
   ExternalSortOptions options = TopKTestOptions();
   options.memory_records = 1024;
-  options.twrs = TwoWayOptions::Recommended(1024, 3);
   options.fan_in = 128;  // single merge pass over every run
   ExternalSortResult full;
   {
@@ -1031,13 +1024,11 @@ TEST(ExternalSorterTest, InputReadErrorFailsFullAndTopKSorts) {
     uint64_t limit;
     TopKStrategy strategy;
   };
-  // The batched generators read their input through Read, RS through
-  // Next: every path must surface the error.
+  // Every generator and every top-K path must surface the error.
   for (const RunGenAlgorithm algorithm :
        {RunGenAlgorithm::kReplacementSelection,
         RunGenAlgorithm::kTwoWayReplacementSelection,
-        RunGenAlgorithm::kLoadSortStore,
-        RunGenAlgorithm::kBatchedReplacementSelection}) {
+        RunGenAlgorithm::kLoadSortStore}) {
     for (const Mode mode : {Mode{0, TopKStrategy::kAuto},
                             Mode{10, TopKStrategy::kDualHeap},
                             Mode{10, TopKStrategy::kRunPruningMerge}}) {
@@ -1155,7 +1146,6 @@ ExternalSortOptions RunGenThreadsOptions(RunGenAlgorithm algorithm,
   ExternalSortOptions options;
   options.algorithm = algorithm;
   options.memory_records = 256;
-  options.twrs = TwoWayOptions::Recommended(256);
   options.fan_in = 4;
   options.temp_dir = "tmp";
   options.block_bytes = 512;
@@ -1187,7 +1177,6 @@ TEST(ExternalSorterRunGenThreadsTest, OutputIsByteIdenticalToSerial) {
       RunGenAlgorithm::kReplacementSelection,
       RunGenAlgorithm::kTwoWayReplacementSelection,
       RunGenAlgorithm::kLoadSortStore,
-      RunGenAlgorithm::kBatchedReplacementSelection,
   };
   for (int d = 0; d < kNumDatasets; ++d) {
     const auto dataset = static_cast<Dataset>(d);
@@ -1294,7 +1283,6 @@ TEST(ExternalSorterRunGenThreadsTest, TinyBudgetNeverStarvesAGenerator) {
       ExternalSortOptions options = RunGenThreadsOptions(
           algorithm, threads, threads == 1 ? nullptr : RunGenExecutor());
       options.memory_records = 8;
-      options.twrs = TwoWayOptions::Recommended(8);
       ExternalSorter sorter(&env, options);
       VectorSource source(input);
       ASSERT_TWRS_OK(
@@ -1590,13 +1578,12 @@ TEST(ExternalSorterRunGenThreadsTest, ProgressCountsAreExact) {
   wl.seed = 26;
   const auto input = Drain(MakeWorkload(Dataset::kRandom, wl).get());
   ASSERT_TWRS_OK(WriteAllRecords(&env, "in", input));
-  for (const GeneratorCase& generator : EveryGenerator(1000)) {
+  for (const GeneratorCase& generator : EveryGenerator()) {
     SCOPED_TRACE(generator.name);
     ProgressCounters progress;
     ExternalSortOptions options = RunGenThreadsOptions(
         generator.algorithm, 4, RunGenExecutor());
     options.memory_records = 1000;
-    options.twrs = generator.twrs;
     options.fan_in = 16;
     options.progress = &progress;
     ExternalSorter sorter(&env, options);
@@ -1671,7 +1658,8 @@ TEST(IoBackendSortTest, UringSortIsByteIdenticalToPosix) {
   // different backend — the output files must be byte-identical, not just
   // both sorted permutations.
   PosixEnv posix;
-  const std::string dir = twrs::testing::MakeTempDir();
+  const testing::ScopedTempDir temp_dir;
+  const std::string& dir = temp_dir.path();
   ASSERT_TWRS_OK(posix.CreateDirIfMissing(dir));
   // Serial on mixed input, then pooled on random input with a 2-way
   // partitioned final merge: the second case writes the output's ranges
@@ -1692,7 +1680,6 @@ TEST(IoBackendSortTest, UringSortIsByteIdenticalToPosix) {
     for (int i = 0; i < 2; ++i) {
       ExternalSortOptions options;
       options.memory_records = 512;
-      options.twrs = TwoWayOptions::Recommended(512, 3);
       options.fan_in = 4;
       options.temp_dir = dir;
       options.block_bytes = 4096;
@@ -1736,7 +1723,8 @@ TEST(IoBackendSortTest, RepeatedUringSortReusesEveryRing) {
   // two final-merge partitions' readers and writers, the same in both
   // sorts. (Concurrent intermediate merges peak by timing, not structure.)
   IoUringEnv env;
-  const std::string dir = twrs::testing::MakeTempDir();
+  const testing::ScopedTempDir temp_dir;
+  const std::string& dir = temp_dir.path();
   ASSERT_TWRS_OK(env.CreateDirIfMissing(dir));
   WorkloadOptions wl;
   wl.num_records = 100000;
@@ -1753,7 +1741,6 @@ TEST(IoBackendSortTest, RepeatedUringSortReusesEveryRing) {
     const uint64_t reused_before = reused->value();
     ExternalSortOptions options;
     options.memory_records = 8192;
-    options.twrs = TwoWayOptions::Recommended(8192);
     options.fan_in = 16;
     options.block_bytes = 4096;
     options.temp_dir = dir;
@@ -1787,7 +1774,6 @@ TEST(IoBackendSortTest, ExplicitUringFailsLoudlyWhenUnsupported) {
   MemEnv env;
   ExternalSortOptions options;
   options.memory_records = 32;
-  options.twrs = TwoWayOptions::Recommended(32);
   options.temp_dir = "tmp";
   options.io_backend = IoBackend::kUring;
   ExternalSorter sorter(&env, options);
@@ -1800,11 +1786,11 @@ TEST(IoBackendSortTest, AutoBackendAlwaysSorts) {
   // kAuto resolves to whichever backend the host supports and must never
   // fail on backend grounds.
   PosixEnv posix;
-  const std::string dir = twrs::testing::MakeTempDir();
+  const testing::ScopedTempDir temp_dir;
+  const std::string& dir = temp_dir.path();
   ASSERT_TWRS_OK(posix.CreateDirIfMissing(dir));
   ExternalSortOptions options;
   options.memory_records = 64;
-  options.twrs = TwoWayOptions::Recommended(64);
   options.temp_dir = dir;
   options.io_backend = IoBackend::kAuto;
   ExternalSorter sorter(&posix, options);

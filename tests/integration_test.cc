@@ -3,8 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/replacement_selection.h"
-#include "core/two_way_replacement_selection.h"
 #include "io/mem_env.h"
 #include "io/posix_env.h"
 #include "io/sim_disk_env.h"
@@ -17,7 +15,6 @@ namespace {
 
 using testing::ChecksumOf;
 using testing::Drain;
-using testing::MakeTempDir;
 
 ExternalSortResult SortWith(Env* env, RunGenAlgorithm algorithm,
                             Dataset dataset, const std::string& dir,
@@ -30,7 +27,6 @@ ExternalSortResult SortWith(Env* env, RunGenAlgorithm algorithm,
   ExternalSortOptions options;
   options.algorithm = algorithm;
   options.memory_records = memory;
-  options.twrs = TwoWayOptions::Recommended(memory, 9);
   options.fan_in = 10;
   options.temp_dir = dir + "/" + RunGenAlgorithmName(algorithm) +
                      DatasetName(dataset);
@@ -49,7 +45,8 @@ ExternalSortResult SortWith(Env* env, RunGenAlgorithm algorithm,
 
 TEST(IntegrationTest, PosixEndToEndSortIsCorrect) {
   PosixEnv env;
-  const std::string dir = MakeTempDir();
+  const testing::ScopedTempDir temp_dir;
+  const std::string& dir = temp_dir.path();
   WorkloadOptions wl;
   wl.num_records = 50000;
   wl.seed = 5;
@@ -57,7 +54,6 @@ TEST(IntegrationTest, PosixEndToEndSortIsCorrect) {
 
   ExternalSortOptions options;
   options.memory_records = 1000;
-  options.twrs = TwoWayOptions::Recommended(1000);
   options.temp_dir = dir + "/tmp";
   ExternalSorter sorter(&env, options);
   VectorSource source(input);
@@ -76,7 +72,8 @@ TEST(IntegrationTest, ReverseSortedHeadlineResult) {
   // memory-sized runs while 2WRS produces a single run (Theorems 3 and 4),
   // which then skips the merge work almost entirely.
   PosixEnv env;
-  const std::string dir = MakeTempDir();
+  const testing::ScopedTempDir temp_dir;
+  const std::string& dir = temp_dir.path();
   const uint64_t records = 40000;
   const size_t memory = 800;
 
@@ -92,7 +89,8 @@ TEST(IntegrationTest, ReverseSortedHeadlineResult) {
 
 TEST(IntegrationTest, MixedInputGeneratesFarFewerRuns) {
   PosixEnv env;
-  const std::string dir = MakeTempDir();
+  const testing::ScopedTempDir temp_dir;
+  const std::string& dir = temp_dir.path();
   auto rs = SortWith(&env, RunGenAlgorithm::kReplacementSelection,
                      Dataset::kMixed, dir, 40000, 800);
   auto twrs = SortWith(&env, RunGenAlgorithm::kTwoWayReplacementSelection,
@@ -102,7 +100,8 @@ TEST(IntegrationTest, MixedInputGeneratesFarFewerRuns) {
 
 TEST(IntegrationTest, RandomInputParity) {
   PosixEnv env;
-  const std::string dir = MakeTempDir();
+  const testing::ScopedTempDir temp_dir;
+  const std::string& dir = temp_dir.path();
   auto rs = SortWith(&env, RunGenAlgorithm::kReplacementSelection,
                      Dataset::kRandom, dir, 40000, 800);
   auto twrs = SortWith(&env, RunGenAlgorithm::kTwoWayReplacementSelection,
@@ -117,7 +116,8 @@ TEST(IntegrationTest, LoadSortStoreIsTheFloor) {
   // RS and 2WRS both beat Load-Sort-Store's memory-sized runs on random
   // input (§2.1.1: RS runs are at least as large as memory).
   PosixEnv env;
-  const std::string dir = MakeTempDir();
+  const testing::ScopedTempDir temp_dir;
+  const std::string& dir = temp_dir.path();
   auto lss = SortWith(&env, RunGenAlgorithm::kLoadSortStore, Dataset::kRandom,
                       dir, 40000, 800);
   auto rs = SortWith(&env, RunGenAlgorithm::kReplacementSelection,
@@ -137,7 +137,6 @@ TEST(IntegrationTest, SimulatedDiskChargesMergePasses) {
     SimDiskEnv env(&base);
     ExternalSortOptions options;
     options.memory_records = 300;
-    options.twrs = TwoWayOptions::Recommended(300);
     options.algorithm = RunGenAlgorithm::kLoadSortStore;  // many runs
     options.fan_in = fan_in;
     options.temp_dir = "tmp" + std::to_string(fan_in);

@@ -19,7 +19,6 @@
 namespace twrs {
 namespace {
 
-using testing::MakeTempDir;
 
 std::string Contents(MemEnv* env, const std::string& path) {
   const std::vector<uint8_t>* data = env->FileContents(path);
@@ -176,8 +175,9 @@ TEST(RangeWritableFileTest, ConcurrentDisjointRangesCompose) {
     MemEnv mem;
     PosixEnv posix;
     Env* env = use_posix ? static_cast<Env*>(&posix) : &mem;
+    const testing::ScopedTempDir temp_dir;
     const std::string path =
-        use_posix ? MakeTempDir() + "/out" : std::string("out");
+        use_posix ? temp_dir.path() + "/out" : std::string("out");
 
     constexpr int kWriters = 8;
     constexpr size_t kBytesPerWriter = 64 * 1024 + 13;
@@ -283,7 +283,8 @@ TEST(RangeWritableFileTest, UringBackendRoundTripsThroughTheFactory) {
   // must match a plain posix read of the same files.
   IoUringEnv env;
   PosixEnv posix;
-  const std::string dir = MakeTempDir();
+  const testing::ScopedTempDir temp_dir;
+  const std::string& dir = temp_dir.path();
   ASSERT_TWRS_OK(env.CreateDirIfMissing(dir));
   std::vector<Key> keys(20000);
   std::iota(keys.begin(), keys.end(), 1);

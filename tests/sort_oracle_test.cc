@@ -92,7 +92,6 @@ ExternalSortOptions OptionsFor(const OracleCase& c, const std::string& dir) {
   ExternalSortOptions options;
   options.algorithm = c.algorithm;
   options.memory_records = kMemoryRecords;
-  options.twrs = TwoWayOptions::Recommended(kMemoryRecords, c.seed);
   options.fan_in = c.fan_in;
   options.temp_dir = dir;
   options.block_bytes = 512;
@@ -149,7 +148,6 @@ TEST(SortOracleTest, EveryModeMatchesStdSort) {
       RunGenAlgorithm::kReplacementSelection,
       RunGenAlgorithm::kTwoWayReplacementSelection,
       RunGenAlgorithm::kLoadSortStore,
-      RunGenAlgorithm::kBatchedReplacementSelection,
   };
   uint64_t seed = kBaseSeed;
   for (RunGenAlgorithm algorithm : algorithms) {
@@ -174,15 +172,16 @@ TEST(SortOracleTest, EveryModeMatchesStdSort) {
 
 // The io_uring backend's write-behind coalesces the 512-byte output blocks
 // into 256 KiB writes and sends reverse-run pages out one at a time; every
-// serial and partitioned mode must still match std::sort. Seeds continue
-// after the MemEnv sweep's.
+// serial and partitioned mode must still match std::sort. Seeds start
+// past the MemEnv sweep's.
 TEST(SortOracleTest, UringBackendMatchesStdSort) {
   if (!IoUringEnv::IsSupported()) {
     GTEST_SKIP() << "io_uring unavailable: "
                  << IoUringEnv::UnsupportedReason();
   }
   IoUringEnv env;
-  const std::string dir = testing::MakeTempDir();
+  const testing::ScopedTempDir temp_dir;
+  const std::string& dir = temp_dir.path();
   ASSERT_TWRS_OK(env.CreateDirIfMissing(dir));
   uint64_t seed = kBaseSeed + 4 * kCasesPerAlgorithm;
   for (RunGenAlgorithm algorithm : {RunGenAlgorithm::kTwoWayReplacementSelection,

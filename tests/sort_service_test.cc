@@ -153,7 +153,6 @@ SortJobSpec SpecFor(const std::string& input, const std::string& output,
   spec.input_path = input;
   spec.output_path = output;
   spec.sort.memory_records = memory;
-  spec.sort.twrs = TwoWayOptions::Recommended(memory);
   spec.sort.temp_dir = "tmp";
   spec.sort.block_bytes = 512;
   return spec;
@@ -472,7 +471,6 @@ TEST(SortServiceStressTest, SixteenConcurrentJobsMatchSerialByteForByte) {
   for (int j = 0; j < kJobs; ++j) {
     ExternalSortOptions serial;
     serial.memory_records = kNominalMemory;
-    serial.twrs = TwoWayOptions::Recommended(kNominalMemory);
     serial.temp_dir = "tmp";
     serial.block_bytes = 512;
     ExternalSorter sorter(&env, serial);

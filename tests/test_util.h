@@ -5,8 +5,10 @@
 #include <stdlib.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -258,13 +260,28 @@ class FailingInputReadEnv : public MemEnv {
   size_t fail_at_;
 };
 
-/// Creates a unique scratch directory under /tmp for PosixEnv tests.
-inline std::string MakeTempDir() {
-  std::string templ = "/tmp/twrs_test_XXXXXX";
-  char* dir = mkdtemp(templ.data());
-  EXPECT_NE(dir, nullptr);
-  return std::string(dir);
-}
+/// A unique scratch directory under /tmp for tests on a real filesystem,
+/// removed with everything in it when the object goes out of scope.
+class ScopedTempDir {
+ public:
+  ScopedTempDir() {
+    std::string templ = "/tmp/twrs_test_XXXXXX";
+    const char* dir = mkdtemp(templ.data());
+    EXPECT_NE(dir, nullptr);
+    if (dir != nullptr) path_ = dir;
+  }
+  ~ScopedTempDir() {
+    std::error_code ignored;
+    if (!path_.empty()) std::filesystem::remove_all(path_, ignored);
+  }
+  ScopedTempDir(const ScopedTempDir&) = delete;
+  ScopedTempDir& operator=(const ScopedTempDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 }  // namespace testing
 }  // namespace twrs
