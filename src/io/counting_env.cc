@@ -1,172 +1,28 @@
 #include "io/counting_env.h"
 
-#include <utility>
-
 namespace twrs {
 
 namespace {
 
-/// Primary counter plus an optional mirror (the live-progress feed); both
-/// bump with relaxed ordering on every counted transfer.
-struct ByteCounter {
-  std::atomic<uint64_t>* primary;
-  std::atomic<uint64_t>* mirror;  // may be null
-
-  void Add(uint64_t n) const {
-    primary->fetch_add(n, std::memory_order_relaxed);
-    if (mirror != nullptr) mirror->fetch_add(n, std::memory_order_relaxed);
-  }
-};
-
-class CountingWritableFile : public WritableFile {
- public:
-  CountingWritableFile(std::unique_ptr<WritableFile> base, ByteCounter counter)
-      : base_(std::move(base)), counter_(counter) {}
-
-  Status Append(const void* data, size_t n) override {
-    TWRS_RETURN_IF_ERROR(base_->Append(data, n));
-    counter_.Add(n);
-    return Status::OK();
-  }
-
-  Status Sync() override { return base_->Sync(); }
-
-  Status Close() override { return base_->Close(); }
-
- private:
-  std::unique_ptr<WritableFile> base_;
-  ByteCounter counter_;
-};
-
-class CountingSequentialFile : public SequentialFile {
- public:
-  CountingSequentialFile(std::unique_ptr<SequentialFile> base,
-                         ByteCounter counter)
-      : base_(std::move(base)), counter_(counter) {}
-
-  Status Read(void* out, size_t n, size_t* bytes_read) override {
-    TWRS_RETURN_IF_ERROR(base_->Read(out, n, bytes_read));
-    counter_.Add(*bytes_read);
-    return Status::OK();
-  }
-
-  Status Skip(uint64_t n) override { return base_->Skip(n); }
-
- private:
-  std::unique_ptr<SequentialFile> base_;
-  ByteCounter counter_;
-};
-
-class CountingRandomRWFile : public RandomRWFile {
- public:
-  CountingRandomRWFile(std::unique_ptr<RandomRWFile> base,
-                       ByteCounter read_counter, ByteCounter write_counter)
-      : base_(std::move(base)),
-        read_counter_(read_counter),
-        write_counter_(write_counter) {}
-
-  Status WriteAt(uint64_t offset, const void* data, size_t n) override {
-    TWRS_RETURN_IF_ERROR(base_->WriteAt(offset, data, n));
-    write_counter_.Add(n);
-    return Status::OK();
-  }
-
-  Status ReadAt(uint64_t offset, void* out, size_t n) override {
-    // ReadAt reads exactly n bytes or fails, so a success counts all of n.
-    TWRS_RETURN_IF_ERROR(base_->ReadAt(offset, out, n));
-    read_counter_.Add(n);
-    return Status::OK();
-  }
-
-  Status Sync() override { return base_->Sync(); }
-
-  Status Close() override { return base_->Close(); }
-
- private:
-  std::unique_ptr<RandomRWFile> base_;
-  ByteCounter read_counter_;
-  ByteCounter write_counter_;
-};
+void Add(std::atomic<uint64_t>* counter, std::atomic<uint64_t>* mirror,
+         uint64_t n) {
+  counter->fetch_add(n, std::memory_order_relaxed);
+  if (mirror != nullptr) mirror->fetch_add(n, std::memory_order_relaxed);
+}
 
 }  // namespace
 
-Status CountingEnv::NewWritableFile(const std::string& path,
-                                    std::unique_ptr<WritableFile>* out) {
-  std::unique_ptr<WritableFile> file;
-  TWRS_RETURN_IF_ERROR(base_->NewWritableFile(path, &file));
-  if (!watched_path_.empty() && path == watched_path_) {
+void CountingEnv::After(const IoOp& op, const Status& status) {
+  if (!status.ok()) return;
+  if (op.kind == IoOpKind::kRead) {
+    Add(&bytes_read_, read_mirror_, op.bytes);
+  } else if (op.kind == IoOpKind::kWrite) {
+    Add(&bytes_written_, write_mirror_, op.bytes);
+  } else if (op.kind == IoOpKind::kOpen && op.path == watched_path_ &&
+             (op.opened_by == OpenMethod::kNewWritableFile ||
+              op.opened_by == OpenMethod::kNewRandomRWFile)) {
     watched_created_.store(true, std::memory_order_relaxed);
   }
-  *out = std::make_unique<CountingWritableFile>(
-      std::move(file), ByteCounter{&bytes_written_, write_mirror_});
-  return Status::OK();
-}
-
-Status CountingEnv::NewSequentialFile(const std::string& path,
-                                      std::unique_ptr<SequentialFile>* out) {
-  std::unique_ptr<SequentialFile> file;
-  TWRS_RETURN_IF_ERROR(base_->NewSequentialFile(path, &file));
-  *out = std::make_unique<CountingSequentialFile>(
-      std::move(file), ByteCounter{&bytes_read_, read_mirror_});
-  return Status::OK();
-}
-
-Status CountingEnv::NewRandomRWFile(const std::string& path,
-                                    std::unique_ptr<RandomRWFile>* out) {
-  std::unique_ptr<RandomRWFile> file;
-  TWRS_RETURN_IF_ERROR(base_->NewRandomRWFile(path, &file));
-  if (!watched_path_.empty() && path == watched_path_) {
-    watched_created_.store(true, std::memory_order_relaxed);
-  }
-  *out = std::make_unique<CountingRandomRWFile>(
-      std::move(file), ByteCounter{&bytes_read_, read_mirror_},
-      ByteCounter{&bytes_written_, write_mirror_});
-  return Status::OK();
-}
-
-Status CountingEnv::ReopenRandomRWFile(const std::string& path,
-                                       std::unique_ptr<RandomRWFile>* out) {
-  std::unique_ptr<RandomRWFile> file;
-  TWRS_RETURN_IF_ERROR(base_->ReopenRandomRWFile(path, &file));
-  *out = std::make_unique<CountingRandomRWFile>(
-      std::move(file), ByteCounter{&bytes_read_, read_mirror_},
-      ByteCounter{&bytes_written_, write_mirror_});
-  return Status::OK();
-}
-
-Status CountingEnv::NewRandomReadFile(const std::string& path,
-                                      std::unique_ptr<RandomRWFile>* out) {
-  std::unique_ptr<RandomRWFile> file;
-  TWRS_RETURN_IF_ERROR(base_->NewRandomReadFile(path, &file));
-  *out = std::make_unique<CountingRandomRWFile>(
-      std::move(file), ByteCounter{&bytes_read_, read_mirror_},
-      ByteCounter{&bytes_written_, write_mirror_});
-  return Status::OK();
-}
-
-bool CountingEnv::FileExists(const std::string& path) {
-  return base_->FileExists(path);
-}
-
-Status CountingEnv::RemoveFile(const std::string& path) {
-  return base_->RemoveFile(path);
-}
-
-Status CountingEnv::GetFileSize(const std::string& path, uint64_t* size) {
-  return base_->GetFileSize(path, size);
-}
-
-Status CountingEnv::CreateDirIfMissing(const std::string& path) {
-  return base_->CreateDirIfMissing(path);
-}
-
-Status CountingEnv::RemoveDir(const std::string& path) {
-  return base_->RemoveDir(path);
-}
-
-Status CountingEnv::ListDir(const std::string& path,
-                            std::vector<std::string>* names) {
-  return base_->ListDir(path, names);
 }
 
 }  // namespace twrs

@@ -3,89 +3,47 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
+#include <utility>
 
-#include "io/env.h"
+#include "io/env_wrapper.h"
 
 namespace twrs {
 
-/// Env decorator that counts the bytes moving through every handle it
-/// opens. The sorters wrap their Env in one per operation, so
-/// ExternalSortResult can report the real I/O volume of
-/// a sort (runs written and re-read, intermediate merges, final output)
-/// rather than a records-written proxy.
-///
-/// Counters are atomic: one CountingEnv is shared by every concurrent
-/// run generator, merge and background flush of the operation it
-/// measures. Reads of
-/// the counters while I/O is still in flight are approximate; reads after
-/// the operation completed are exact.
-class CountingEnv : public Env {
+/// Env decorator that counts the bytes every handle it opens moves, so
+/// ExternalSortResult reports a sort's real I/O volume (runs written and
+/// re-read, intermediate merges, output). One instance is shared by every
+/// concurrent generator, merge and flush of a sort, so the counters are
+/// atomic; they are exact once the operation has completed. Set the
+/// mirrors and the watched path before the operation starts.
+class CountingEnv : public EnvWrapper {
  public:
-  /// Does not take ownership of `base`.
-  explicit CountingEnv(Env* base) : base_(base) {}
+  using EnvWrapper::EnvWrapper;
 
-  Env* base() const { return base_; }
+  uint64_t bytes_read() const { return bytes_read_.load(); }
+  uint64_t bytes_written() const { return bytes_written_.load(); }
 
-  /// Bytes successfully read/written through handles opened via this Env.
-  uint64_t bytes_read() const {
-    return bytes_read_.load(std::memory_order_relaxed);
-  }
-  uint64_t bytes_written() const {
-    return bytes_written_.load(std::memory_order_relaxed);
-  }
-
-  /// Mirrors every byte counted by this Env into a second pair of atomic
-  /// counters (either may be null). The service layer points these at a
-  /// job's live ProgressCounters so status pollers see I/O volume while
-  /// the sort is still running, without a second decorator layer. Set
-  /// before the operation starts; not re-entrant. The mirror counters
-  /// must outlive every handle opened through this Env.
+  /// Also adds every counted byte to these counters (either may be null),
+  /// e.g. a job's live progress.
   void MirrorBytesTo(std::atomic<uint64_t>* read_mirror,
                      std::atomic<uint64_t>* write_mirror) {
     read_mirror_ = read_mirror;
     write_mirror_ = write_mirror;
   }
 
-  /// Watches one path: watched_created() turns true once a truncating
-  /// create (NewWritableFile/NewRandomRWFile) opens it through this Env.
-  /// The sorters watch their output path so error-path cleanup can tell a
-  /// torn output this sort truncated from a pre-existing file it never
-  /// touched. Set before the operation starts; not re-entrant.
+  /// watched_created() turns true once a truncating open of `path`
+  /// succeeds, so a failed sort removes only an output it truncated.
   void WatchPath(std::string path) { watched_path_ = std::move(path); }
-  bool watched_created() const {
-    return watched_created_.load(std::memory_order_relaxed);
-  }
+  bool watched_created() const { return watched_created_.load(); }
 
-  Status NewWritableFile(const std::string& path,
-                         std::unique_ptr<WritableFile>* out) override;
-  Status NewSequentialFile(const std::string& path,
-                           std::unique_ptr<SequentialFile>* out) override;
-  Status NewRandomRWFile(const std::string& path,
-                         std::unique_ptr<RandomRWFile>* out) override;
-  Status ReopenRandomRWFile(const std::string& path,
-                            std::unique_ptr<RandomRWFile>* out) override;
-  Status NewRandomReadFile(const std::string& path,
-                           std::unique_ptr<RandomRWFile>* out) override;
-  bool FileExists(const std::string& path) override;
-  Status RemoveFile(const std::string& path) override;
-  Status GetFileSize(const std::string& path, uint64_t* size) override;
-  Status CreateDirIfMissing(const std::string& path) override;
-  Status RemoveDir(const std::string& path) override;
-  Status ListDir(const std::string& path,
-                 std::vector<std::string>* names) override;
+  void After(const IoOp& op, const Status& status) override;
 
  private:
-  friend class CountingWritableFile;
-
-  Env* base_;
   std::atomic<uint64_t> bytes_read_{0};
   std::atomic<uint64_t> bytes_written_{0};
   std::atomic<uint64_t>* read_mirror_ = nullptr;
   std::atomic<uint64_t>* write_mirror_ = nullptr;
   std::string watched_path_;
-  /// Atomic: parallel leaf merges create files from pool threads.
   std::atomic<bool> watched_created_{false};
 };
 

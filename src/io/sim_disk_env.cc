@@ -46,162 +46,13 @@ void DiskModel::Reset() {
   last_end_offset_ = 0;
 }
 
-namespace {
-
-class SimWritableFile : public WritableFile {
- public:
-  SimWritableFile(std::unique_ptr<WritableFile> base, DiskModel* model,
-                  uint64_t file_id)
-      : base_(std::move(base)), model_(model), file_id_(file_id) {}
-
-  Status Append(const void* data, size_t n) override {
-    model_->Access(file_id_, offset_, n);
-    offset_ += n;
-    return base_->Append(data, n);
+void SimDiskEnv::Charge(const IoOp& op) {
+  uint64_t file_id = 0;
+  {
+    MutexLock lock(&file_ids_mu_);
+    file_id = file_ids_.try_emplace(op.path, file_ids_.size()).first->second;
   }
-
-  // No simulated cost: the model charges transfers, and the usual base
-  // (MemEnv) has no volatile cache for Sync to flush.
-  Status Sync() override { return base_->Sync(); }
-
-  Status Close() override { return base_->Close(); }
-
- private:
-  std::unique_ptr<WritableFile> base_;
-  DiskModel* model_;
-  uint64_t file_id_;
-  uint64_t offset_ = 0;
-};
-
-class SimSequentialFile : public SequentialFile {
- public:
-  SimSequentialFile(std::unique_ptr<SequentialFile> base, DiskModel* model,
-                    uint64_t file_id)
-      : base_(std::move(base)), model_(model), file_id_(file_id) {}
-
-  Status Read(void* out, size_t n, size_t* bytes_read) override {
-    Status s = base_->Read(out, n, bytes_read);
-    if (s.ok() && *bytes_read > 0) {
-      model_->Access(file_id_, offset_, *bytes_read);
-      offset_ += *bytes_read;
-    }
-    return s;
-  }
-
-  Status Skip(uint64_t n) override {
-    offset_ += n;
-    return base_->Skip(n);
-  }
-
- private:
-  std::unique_ptr<SequentialFile> base_;
-  DiskModel* model_;
-  uint64_t file_id_;
-  uint64_t offset_ = 0;
-};
-
-class SimRandomRWFile : public RandomRWFile {
- public:
-  SimRandomRWFile(std::unique_ptr<RandomRWFile> base, DiskModel* model,
-                  uint64_t file_id)
-      : base_(std::move(base)), model_(model), file_id_(file_id) {}
-
-  Status WriteAt(uint64_t offset, const void* data, size_t n) override {
-    model_->Access(file_id_, offset, n);
-    return base_->WriteAt(offset, data, n);
-  }
-
-  Status ReadAt(uint64_t offset, void* out, size_t n) override {
-    model_->Access(file_id_, offset, n);
-    return base_->ReadAt(offset, out, n);
-  }
-
-  Status Sync() override { return base_->Sync(); }
-
-  Status Close() override { return base_->Close(); }
-
- private:
-  std::unique_ptr<RandomRWFile> base_;
-  DiskModel* model_;
-  uint64_t file_id_;
-};
-
-}  // namespace
-
-SimDiskEnv::SimDiskEnv(Env* base, DiskModelConfig config)
-    : base_(base), model_(config) {}
-
-uint64_t SimDiskEnv::FileId(const std::string& path) {
-  MutexLock lock(&file_ids_mu_);
-  auto [it, inserted] = file_ids_.emplace(path, next_file_id_);
-  if (inserted) ++next_file_id_;
-  return it->second;
-}
-
-Status SimDiskEnv::NewWritableFile(const std::string& path,
-                                   std::unique_ptr<WritableFile>* out) {
-  std::unique_ptr<WritableFile> base;
-  TWRS_RETURN_IF_ERROR(base_->NewWritableFile(path, &base));
-  out->reset(new SimWritableFile(std::move(base), &model_, FileId(path)));
-  return Status::OK();
-}
-
-Status SimDiskEnv::NewSequentialFile(const std::string& path,
-                                     std::unique_ptr<SequentialFile>* out) {
-  std::unique_ptr<SequentialFile> base;
-  TWRS_RETURN_IF_ERROR(base_->NewSequentialFile(path, &base));
-  out->reset(new SimSequentialFile(std::move(base), &model_, FileId(path)));
-  return Status::OK();
-}
-
-Status SimDiskEnv::NewRandomRWFile(const std::string& path,
-                                   std::unique_ptr<RandomRWFile>* out) {
-  std::unique_ptr<RandomRWFile> base;
-  TWRS_RETURN_IF_ERROR(base_->NewRandomRWFile(path, &base));
-  out->reset(new SimRandomRWFile(std::move(base), &model_, FileId(path)));
-  return Status::OK();
-}
-
-Status SimDiskEnv::ReopenRandomRWFile(const std::string& path,
-                                      std::unique_ptr<RandomRWFile>* out) {
-  std::unique_ptr<RandomRWFile> base;
-  TWRS_RETURN_IF_ERROR(base_->ReopenRandomRWFile(path, &base));
-  out->reset(new SimRandomRWFile(std::move(base), &model_, FileId(path)));
-  return Status::OK();
-}
-
-Status SimDiskEnv::NewRandomReadFile(const std::string& path,
-                                     std::unique_ptr<RandomRWFile>* out) {
-  std::unique_ptr<RandomRWFile> base;
-  TWRS_RETURN_IF_ERROR(base_->NewRandomReadFile(path, &base));
-  out->reset(new SimRandomRWFile(std::move(base), &model_, FileId(path)));
-  return Status::OK();
-}
-
-bool SimDiskEnv::FileExists(const std::string& path) {
-  return base_->FileExists(path);
-}
-
-Status SimDiskEnv::RemoveFile(const std::string& path) {
-  return base_->RemoveFile(path);
-}
-
-Status SimDiskEnv::GetFileSize(const std::string& path, uint64_t* size) {
-  return base_->GetFileSize(path, size);
-}
-
-Status SimDiskEnv::CreateDirIfMissing(const std::string& path) {
-  return base_->CreateDirIfMissing(path);
-}
-
-Status SimDiskEnv::RemoveDir(const std::string& path) {
-  return base_->RemoveDir(path);
-}
-
-Status SimDiskEnv::ListDir(const std::string& path,
-                           std::vector<std::string>* names) {
-  // Metadata-only, like the other directory operations: no simulated cost.
-  return base_->ListDir(path, names);
+  model_.Access(file_id, op.offset, op.bytes);
 }
 
 }  // namespace twrs

@@ -2,11 +2,10 @@
 #define TWRS_IO_SIM_DISK_ENV_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
 
-#include "io/env.h"
+#include "io/env_wrapper.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -74,48 +73,37 @@ class DiskModel {
   uint64_t last_end_offset_ TWRS_GUARDED_BY(mu_) = 0;
 };
 
-/// Env decorator that forwards all operations to a base Env while charging
-/// a DiskModel for every read and write. Used by the Chapter 6 benchmarks to
-/// reproduce seek-bound effects (e.g. the fan-in U-curve of Figure 6.1) that
-/// a page-cached SSD hides.
-///
-/// Reports no native_async, even over an async base: the simulated disk is
-/// a blocking device whose sleeps land on the thread that issued the I/O.
-class SimDiskEnv : public Env {
+/// Env decorator that charges a DiskModel for every read and write, used
+/// by the Chapter 6 benchmarks to reproduce seek-bound effects (e.g. the
+/// fan-in U-curve of Figure 6.1) that a page-cached SSD hides. A write is
+/// charged before it reaches the base, a read once it returned bytes.
+/// Opens, syncs, closes and metadata cost nothing.
+class SimDiskEnv : public EnvWrapper {
  public:
   /// Does not take ownership of `base`, which must outlive this Env.
-  explicit SimDiskEnv(Env* base, DiskModelConfig config = DiskModelConfig());
-
-  Status NewWritableFile(const std::string& path,
-                         std::unique_ptr<WritableFile>* out) override;
-  Status NewSequentialFile(const std::string& path,
-                           std::unique_ptr<SequentialFile>* out) override;
-  Status NewRandomRWFile(const std::string& path,
-                         std::unique_ptr<RandomRWFile>* out) override;
-  Status ReopenRandomRWFile(const std::string& path,
-                            std::unique_ptr<RandomRWFile>* out) override;
-  Status NewRandomReadFile(const std::string& path,
-                           std::unique_ptr<RandomRWFile>* out) override;
-  bool FileExists(const std::string& path) override;
-  Status RemoveFile(const std::string& path) override;
-  Status GetFileSize(const std::string& path, uint64_t* size) override;
-  Status CreateDirIfMissing(const std::string& path) override;
-  Status RemoveDir(const std::string& path) override;
-  Status ListDir(const std::string& path,
-                 std::vector<std::string>* names) override;
+  explicit SimDiskEnv(Env* base, DiskModelConfig config = DiskModelConfig())
+      : EnvWrapper(base), model_(config) {}
 
   DiskModel& model() { return model_; }
   const DiskModel& model() const { return model_; }
 
- private:
-  uint64_t FileId(const std::string& path) TWRS_EXCLUDES(file_ids_mu_);
+  Status Before(const IoOp& op) override {
+    if (op.kind == IoOpKind::kWrite) Charge(op);
+    return Status::OK();
+  }
 
-  Env* base_;
+  void After(const IoOp& op, const Status& status) override {
+    if (op.kind == IoOpKind::kRead && status.ok() && op.bytes > 0) Charge(op);
+  }
+
+ private:
+  /// Charges `op` to the model; every handle on one path is one file.
+  void Charge(const IoOp& op) TWRS_EXCLUDES(file_ids_mu_);
+
   DiskModel model_;
   Mutex file_ids_mu_;
   std::unordered_map<std::string, uint64_t> file_ids_
       TWRS_GUARDED_BY(file_ids_mu_);
-  uint64_t next_file_id_ TWRS_GUARDED_BY(file_ids_mu_) = 0;
 };
 
 }  // namespace twrs

@@ -418,9 +418,9 @@ struct PooledRing {
 
 /// Free list of quiescent rings, one pool per Env. Thread-safe: parallel
 /// run generators and partial merges open handles from several threads
-/// at once. Every released ring is kept, so the pool holds at most the
-/// peak number of handles the process had open at once and a repeated
-/// sort creates no rings at all.
+/// at once. Every released ring is kept, so the pool holds the peak
+/// number of handles open at once, and a sort creates rings only when it
+/// holds more at once than any earlier sort on this Env.
 class RingPool {
  public:
   Status Acquire(std::unique_ptr<PooledRing>* out) {

@@ -4,10 +4,12 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "io/env_wrapper.h"
 #include "io/mem_env.h"
 #include "io/posix_env.h"
 #include "io/sim_disk_env.h"
@@ -411,6 +413,152 @@ TEST(MemEnvTest, FileContentsHelper) {
   EXPECT_EQ(env.FileContents("x")->size(), 2u);
   EXPECT_EQ(env.FileContents("y"), nullptr);
   EXPECT_EQ(env.FileCount(), 1u);
+}
+
+// Records each op the EnvWrapper hooks see, in After order, as
+// "<opener> <path>: <kind> <offset>+<bytes>", and fails every op of kind
+// `fail` in Before.
+class RecordingEnv : public EnvWrapper {
+ public:
+  using EnvWrapper::EnvWrapper;
+
+  Status Before(const IoOp& op) override {
+    if (fail.has_value() && op.kind == *fail) {
+      return Status::IOError("injected");
+    }
+    return Status::OK();
+  }
+
+  void After(const IoOp& op, const Status& status) override {
+    static const char* const kOpeners[] = {"writable", "sequential", "rw",
+                                           "reopen", "read-only"};
+    static const char* const kKinds[] = {"open", "read", "write", "sync",
+                                         "close"};
+    ops.push_back(std::string(kOpeners[static_cast<int>(op.opened_by)]) +
+                  " " + op.path + ": " + kKinds[static_cast<int>(op.kind)] +
+                  " " + std::to_string(op.offset) + "+" +
+                  std::to_string(op.bytes) + (status.ok() ? "" : " failed"));
+  }
+
+  size_t closes() const {
+    return std::count_if(ops.begin(), ops.end(), [](const std::string& op) {
+      return op.find(": close") != std::string::npos;
+    });
+  }
+
+  std::optional<IoOpKind> fail;
+  std::vector<std::string> ops;
+};
+
+TEST(EnvWrapperTest, HooksSeeEachOpAtItsOffset) {
+  MemEnv mem;
+  RecordingEnv env(&mem);
+  char buf[8];
+  std::unique_ptr<WritableFile> w;
+  ASSERT_TWRS_OK(env.NewWritableFile("f", &w));
+  ASSERT_TWRS_OK(w->Append("abc", 3));
+  ASSERT_TWRS_OK(w->Append("defg", 4));
+  ASSERT_TWRS_OK(w->Sync());
+  ASSERT_TWRS_OK(w->Close());
+  w.reset();
+  std::unique_ptr<SequentialFile> r;
+  ASSERT_TWRS_OK(env.NewSequentialFile("f", &r));
+  size_t got = 0;
+  ASSERT_TWRS_OK(r->Read(buf, 2, &got));
+  ASSERT_TWRS_OK(r->Skip(1));
+  ASSERT_TWRS_OK(r->Read(buf, 8, &got));  // only 4 bytes are left
+  EXPECT_EQ(std::string(buf, got), "defg");
+  r.reset();
+  std::unique_ptr<RandomRWFile> rw;
+  ASSERT_TWRS_OK(env.NewRandomRWFile("g", &rw));
+  ASSERT_TWRS_OK(rw->WriteAt(4, "xy", 2));
+  ASSERT_TWRS_OK(rw->ReadAt(4, buf, 2));
+  ASSERT_TWRS_OK(rw->Close());
+  rw.reset();
+  ASSERT_TWRS_OK(env.ReopenRandomRWFile("g", &rw));
+  ASSERT_TWRS_OK(rw->WriteAt(0, "z", 1));
+  rw.reset();
+  ASSERT_TWRS_OK(env.NewRandomReadFile("g", &rw));
+  ASSERT_TWRS_OK(rw->ReadAt(0, buf, 6));
+  rw.reset();
+  EXPECT_EQ(env.ops, (std::vector<std::string>{
+                         "writable f: open 0+0",
+                         "writable f: write 0+3",
+                         "writable f: write 3+4",
+                         "writable f: sync 7+0",
+                         "writable f: close 7+0",
+                         "sequential f: open 0+0",
+                         "sequential f: read 0+2",
+                         "sequential f: read 3+4",
+                         "sequential f: close 7+0",
+                         "rw g: open 0+0",
+                         "rw g: write 4+2",
+                         "rw g: read 4+2",
+                         "rw g: close 0+0",
+                         "reopen g: open 0+0",
+                         "reopen g: write 0+1",
+                         "reopen g: close 0+0",
+                         "read-only g: open 0+0",
+                         "read-only g: read 0+6",
+                         "read-only g: close 0+0",
+                     }));
+}
+
+TEST(EnvWrapperTest, FailingBeforeLeavesTheBaseUntouched) {
+  MemEnv mem;
+  RecordingEnv env(&mem);
+  env.fail = IoOpKind::kOpen;
+  std::unique_ptr<WritableFile> w;
+  EXPECT_TRUE(env.NewWritableFile("f", &w).IsIOError());
+  EXPECT_FALSE(mem.FileExists("f"));
+
+  env.fail = IoOpKind::kWrite;
+  ASSERT_TWRS_OK(env.NewWritableFile("f", &w));
+  EXPECT_TRUE(w->Append("abc", 3).IsIOError());
+  std::unique_ptr<RandomRWFile> rw;
+  ASSERT_TWRS_OK(env.NewRandomRWFile("g", &rw));
+  EXPECT_TRUE(rw->WriteAt(0, "abc", 3).IsIOError());
+  EXPECT_TRUE(mem.FileContents("f")->empty());
+  EXPECT_TRUE(mem.FileContents("g")->empty());
+
+  // The failed append moved neither the base nor the logical offset.
+  env.fail.reset();
+  ASSERT_TWRS_OK(w->Append("de", 2));
+  EXPECT_EQ(env.ops.back(), "writable f: write 0+2");
+
+  env.fail = IoOpKind::kRead;
+  std::unique_ptr<SequentialFile> r;
+  ASSERT_TWRS_OK(env.NewSequentialFile("f", &r));
+  char buf[4];
+  size_t got = 0;
+  EXPECT_TRUE(r->Read(buf, 2, &got).IsIOError());
+  env.fail.reset();
+  ASSERT_TWRS_OK(r->Read(buf, 2, &got));
+  EXPECT_EQ(std::string(buf, got), "de");
+}
+
+TEST(EnvWrapperTest, CloseFiresOncePerHandle) {
+  MemEnv mem;
+  RecordingEnv env(&mem);
+  {
+    std::unique_ptr<WritableFile> w;
+    ASSERT_TWRS_OK(env.NewWritableFile("f", &w));
+    ASSERT_TWRS_OK(w->Close());
+    ASSERT_TWRS_OK(w->Close());
+    EXPECT_EQ(env.closes(), 1u);
+  }
+  EXPECT_EQ(env.closes(), 1u);  // Close, then destruction: one close
+  {
+    std::unique_ptr<RandomRWFile> rw;
+    ASSERT_TWRS_OK(env.NewRandomRWFile("g", &rw));
+    EXPECT_EQ(env.closes(), 1u);
+  }
+  EXPECT_EQ(env.closes(), 2u);  // destruction alone closes
+  {
+    std::unique_ptr<SequentialFile> r;
+    ASSERT_TWRS_OK(env.NewSequentialFile("f", &r));
+  }
+  EXPECT_EQ(env.closes(), 3u);
 }
 
 TEST(PreflightTempDirTest, SucceedsAndRemovesProbe) {

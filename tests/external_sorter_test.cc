@@ -14,6 +14,7 @@
 #include "core/replacement_selection.h"
 #include "core/two_way_replacement_selection.h"
 #include "exec/executor.h"
+#include "io/env_wrapper.h"
 #include "io/mem_env.h"
 #include "io/posix_env.h"
 #include "io/uring_env.h"
@@ -598,111 +599,24 @@ TEST(ExternalSorterTest, SerialSortTimesRunAndMergeWrites) {
 
 /// Env decorator counting Sync calls per path, on append and positioned
 /// handles alike.
-class SyncCountingEnv : public Env {
+class SyncCountingEnv : public EnvWrapper {
  public:
-  explicit SyncCountingEnv(Env* base) : base_(base) {}
+  using EnvWrapper::EnvWrapper;
 
   std::map<std::string, int> syncs() const {
     std::lock_guard<std::mutex> lock(mu_);
     return syncs_;
   }
 
-  Status NewWritableFile(const std::string& path,
-                         std::unique_ptr<WritableFile>* out) override {
-    TWRS_RETURN_IF_ERROR(base_->NewWritableFile(path, out));
-    *out = std::make_unique<CountingFile>(std::move(*out), this, path);
+  Status Before(const IoOp& op) override {
+    if (op.kind == IoOpKind::kSync) {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++syncs_[op.path];
+    }
     return Status::OK();
-  }
-  Status NewRandomRWFile(const std::string& path,
-                         std::unique_ptr<RandomRWFile>* out) override {
-    TWRS_RETURN_IF_ERROR(base_->NewRandomRWFile(path, out));
-    *out = std::make_unique<CountingRWFile>(std::move(*out), this, path);
-    return Status::OK();
-  }
-  Status ReopenRandomRWFile(const std::string& path,
-                            std::unique_ptr<RandomRWFile>* out) override {
-    TWRS_RETURN_IF_ERROR(base_->ReopenRandomRWFile(path, out));
-    *out = std::make_unique<CountingRWFile>(std::move(*out), this, path);
-    return Status::OK();
-  }
-  Status NewSequentialFile(const std::string& path,
-                           std::unique_ptr<SequentialFile>* out) override {
-    return base_->NewSequentialFile(path, out);
-  }
-  Status NewRandomReadFile(const std::string& path,
-                           std::unique_ptr<RandomRWFile>* out) override {
-    return base_->NewRandomReadFile(path, out);
-  }
-  bool FileExists(const std::string& path) override {
-    return base_->FileExists(path);
-  }
-  Status RemoveFile(const std::string& path) override {
-    return base_->RemoveFile(path);
-  }
-  Status GetFileSize(const std::string& path, uint64_t* size) override {
-    return base_->GetFileSize(path, size);
-  }
-  Status CreateDirIfMissing(const std::string& path) override {
-    return base_->CreateDirIfMissing(path);
-  }
-  Status RemoveDir(const std::string& path) override {
-    return base_->RemoveDir(path);
-  }
-  Status ListDir(const std::string& path,
-                 std::vector<std::string>* names) override {
-    return base_->ListDir(path, names);
   }
 
  private:
-  void Count(const std::string& path) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++syncs_[path];
-  }
-
-  class CountingFile : public WritableFile {
-   public:
-    CountingFile(std::unique_ptr<WritableFile> base, SyncCountingEnv* env,
-                 std::string path)
-        : base_(std::move(base)), env_(env), path_(std::move(path)) {}
-    Status Append(const void* data, size_t n) override {
-      return base_->Append(data, n);
-    }
-    Status Sync() override {
-      env_->Count(path_);
-      return base_->Sync();
-    }
-    Status Close() override { return base_->Close(); }
-
-   private:
-    std::unique_ptr<WritableFile> base_;
-    SyncCountingEnv* env_;
-    std::string path_;
-  };
-
-  class CountingRWFile : public RandomRWFile {
-   public:
-    CountingRWFile(std::unique_ptr<RandomRWFile> base, SyncCountingEnv* env,
-                   std::string path)
-        : base_(std::move(base)), env_(env), path_(std::move(path)) {}
-    Status WriteAt(uint64_t offset, const void* data, size_t n) override {
-      return base_->WriteAt(offset, data, n);
-    }
-    Status ReadAt(uint64_t offset, void* out, size_t n) override {
-      return base_->ReadAt(offset, out, n);
-    }
-    Status Sync() override {
-      env_->Count(path_);
-      return base_->Sync();
-    }
-    Status Close() override { return base_->Close(); }
-
-   private:
-    std::unique_ptr<RandomRWFile> base_;
-    SyncCountingEnv* env_;
-    std::string path_;
-  };
-
-  Env* base_;
   mutable std::mutex mu_;
   std::map<std::string, int> syncs_;
 };
@@ -1036,8 +950,9 @@ TEST(ExternalSorterTest, InputReadErrorFailsFullAndTopKSorts) {
                    << RunGenAlgorithmName(algorithm) << " limit "
                    << mode.limit << " strategy "
                    << static_cast<int>(mode.strategy));
-      FailingInputReadEnv env("in", input_bytes / 2);
-      ASSERT_TWRS_OK(WriteAllRecords(&env, "in", input));
+      MemEnv mem;
+      ASSERT_TWRS_OK(WriteAllRecords(&mem, "in", input));
+      FailingInputReadEnv env(&mem, "in", input_bytes / 2);
       ExternalSortOptions options = TopKTestOptions();
       options.algorithm = algorithm;
       options.limit = mode.limit;
@@ -1047,51 +962,33 @@ TEST(ExternalSorterTest, InputReadErrorFailsFullAndTopKSorts) {
       const Status status = sorter.Sort(&source, "out", nullptr);
       EXPECT_TRUE(status.IsIOError()) << status.ToString();
       // Neither scratch nor a truncated output survives; only the input.
-      EXPECT_EQ(env.FileCount(), 1u);
+      EXPECT_EQ(mem.FileCount(), 1u);
     }
   }
 }
 
-// MemEnv whose `fail_at`-th sequential read of any scratch file (path
-// under "tmp/") fails: a disk error while the merge reads its runs. Run
+// Env whose `fail_at`-th sequential read of any scratch file (path under
+// "tmp/") fails: a disk error while the merge reads its runs. Run
 // generation only writes scratch files, so every such read is a merge
 // cursor opening a segment or refilling its block. A `fail_at` of 0 never
 // fails and just counts.
-class FailingRunReadEnv : public MemEnv {
+class FailingRunReadEnv : public EnvWrapper {
  public:
-  explicit FailingRunReadEnv(uint64_t fail_at) : fail_at_(fail_at) {}
+  FailingRunReadEnv(Env* base, uint64_t fail_at)
+      : EnvWrapper(base), fail_at_(fail_at) {}
 
-  Status NewSequentialFile(const std::string& path,
-                           std::unique_ptr<SequentialFile>* out) override {
-    TWRS_RETURN_IF_ERROR(MemEnv::NewSequentialFile(path, out));
-    if (path.rfind("tmp/", 0) == 0) {
-      *out = std::make_unique<CountedFile>(std::move(*out), this);
+  uint64_t reads() const { return reads_; }
+
+  Status Before(const IoOp& op) override {
+    if (op.kind == IoOpKind::kRead &&
+        op.opened_by == OpenMethod::kNewSequentialFile &&
+        op.path.rfind("tmp/", 0) == 0 && ++reads_ == fail_at_) {
+      return Status::IOError("injected run read error");
     }
     return Status::OK();
   }
 
-  uint64_t reads() const { return reads_; }
-
  private:
-  class CountedFile : public SequentialFile {
-   public:
-    CountedFile(std::unique_ptr<SequentialFile> base, FailingRunReadEnv* env)
-        : base_(std::move(base)), env_(env) {}
-
-    Status Read(void* out, size_t n, size_t* bytes_read) override {
-      if (++env_->reads_ == env_->fail_at_) {
-        return Status::IOError("injected run read error");
-      }
-      return base_->Read(out, n, bytes_read);
-    }
-
-    Status Skip(uint64_t n) override { return base_->Skip(n); }
-
-   private:
-    std::unique_ptr<SequentialFile> base_;
-    FailingRunReadEnv* env_;
-  };
-
   uint64_t fail_at_;
   uint64_t reads_ = 0;
 };
@@ -1110,7 +1007,8 @@ TEST(ExternalSorterTest, MergeReadErrorFailsTheSort) {
     // Count the scratch reads of a clean sort first.
     uint64_t total_reads = 0;
     {
-      FailingRunReadEnv env(0);
+      MemEnv mem;
+      FailingRunReadEnv env(&mem, 0);
       ExternalSorter sorter(&env, options);
       VectorSource source(input);
       ASSERT_TWRS_OK(sorter.Sort(&source, "out", nullptr));
@@ -1124,13 +1022,14 @@ TEST(ExternalSorterTest, MergeReadErrorFailsTheSort) {
           total_reads - 1, total_reads}) {
       SCOPED_TRACE(::testing::Message() << "read " << fail_at << " of "
                                         << total_reads);
-      FailingRunReadEnv env(fail_at);
+      MemEnv mem;
+      FailingRunReadEnv env(&mem, fail_at);
       ExternalSorter sorter(&env, options);
       VectorSource source(input);
       const Status status = sorter.Sort(&source, "out", nullptr);
       EXPECT_TRUE(status.IsIOError()) << status.ToString();
       // No scratch and no short output survive.
-      EXPECT_EQ(env.FileCount(), 0u);
+      EXPECT_EQ(mem.FileCount(), 0u);
     }
   }
 }
@@ -1387,100 +1286,35 @@ TEST(ExternalSorterRunGenThreadsTest, FailedMergeLeavesOnlyTheInput) {
   EXPECT_TRUE(env.FileExists("in"));
 }
 
-// MemEnv that fails one write of a sort with an IOError. Writes —
+// Env that fails one write of a sort with an IOError. Writes —
 // WritableFile::Append and RandomRWFile::WriteAt — are counted across every
-// file in the order they happen; Arm(n) fails the n-th, and
-// ArmEnding(path, end) fails the write that ends `path` at byte `end`.
-// Unarmed, it only counts.
-class FailNthWriteEnv : public MemEnv {
+// file in the order they happen. Unarmed, it only counts.
+class FailNthWriteEnv : public EnvWrapper {
  public:
-  /// Resets the count and fails write `n` (0: none).
-  void Arm(uint64_t n) {
+  using EnvWrapper::EnvWrapper;
+
+  /// Resets the count and fails write `n` (0: none) or, given a path, the
+  /// write that ends `path` at byte `end`.
+  void Arm(uint64_t n, std::string path = "", uint64_t end = 0) {
     writes_ = 0;
     fail_at_ = n;
-  }
-
-  void ArmEnding(std::string path, uint64_t end) {
-    Arm(0);
     end_path_ = std::move(path);
     end_bytes_ = end;
   }
 
   uint64_t writes() const { return writes_.load(); }
-  bool fired() const { return fired_.load(); }
 
-  Status NewWritableFile(const std::string& path,
-                         std::unique_ptr<WritableFile>* out) override {
-    TWRS_RETURN_IF_ERROR(MemEnv::NewWritableFile(path, out));
-    *out = std::make_unique<AppendFile>(std::move(*out), this, path);
-    return Status::OK();
-  }
-  Status NewRandomRWFile(const std::string& path,
-                         std::unique_ptr<RandomRWFile>* out) override {
-    TWRS_RETURN_IF_ERROR(MemEnv::NewRandomRWFile(path, out));
-    *out = std::make_unique<PositionedFile>(std::move(*out), this, path);
-    return Status::OK();
-  }
-  Status ReopenRandomRWFile(const std::string& path,
-                            std::unique_ptr<RandomRWFile>* out) override {
-    TWRS_RETURN_IF_ERROR(MemEnv::ReopenRandomRWFile(path, out));
-    *out = std::make_unique<PositionedFile>(std::move(*out), this, path);
+  Status Before(const IoOp& op) override {
+    if (op.kind == IoOpKind::kWrite &&
+        (writes_.fetch_add(1) + 1 == fail_at_ ||
+         (op.path == end_path_ && op.offset + op.bytes == end_bytes_))) {
+      return Status::IOError("injected write failure: " + op.path);
+    }
     return Status::OK();
   }
 
  private:
-  Status CountWrite(const std::string& path, uint64_t end) {
-    const uint64_t n = writes_.fetch_add(1) + 1;
-    if (n == fail_at_ || (path == end_path_ && end == end_bytes_)) {
-      fired_ = true;
-      return Status::IOError("injected write failure: " + path);
-    }
-    return Status::OK();
-  }
-
-  class AppendFile : public WritableFile {
-   public:
-    AppendFile(std::unique_ptr<WritableFile> base, FailNthWriteEnv* env,
-               std::string path)
-        : base_(std::move(base)), env_(env), path_(std::move(path)) {}
-    Status Append(const void* data, size_t n) override {
-      offset_ += n;
-      TWRS_RETURN_IF_ERROR(env_->CountWrite(path_, offset_));
-      return base_->Append(data, n);
-    }
-    Status Sync() override { return base_->Sync(); }
-    Status Close() override { return base_->Close(); }
-
-   private:
-    std::unique_ptr<WritableFile> base_;
-    FailNthWriteEnv* env_;
-    std::string path_;
-    uint64_t offset_ = 0;
-  };
-
-  class PositionedFile : public RandomRWFile {
-   public:
-    PositionedFile(std::unique_ptr<RandomRWFile> base, FailNthWriteEnv* env,
-                   std::string path)
-        : base_(std::move(base)), env_(env), path_(std::move(path)) {}
-    Status WriteAt(uint64_t offset, const void* data, size_t n) override {
-      TWRS_RETURN_IF_ERROR(env_->CountWrite(path_, offset + n));
-      return base_->WriteAt(offset, data, n);
-    }
-    Status ReadAt(uint64_t offset, void* out, size_t n) override {
-      return base_->ReadAt(offset, out, n);
-    }
-    Status Sync() override { return base_->Sync(); }
-    Status Close() override { return base_->Close(); }
-
-   private:
-    std::unique_ptr<RandomRWFile> base_;
-    FailNthWriteEnv* env_;
-    std::string path_;
-  };
-
   std::atomic<uint64_t> writes_{0};
-  std::atomic<bool> fired_{false};
   uint64_t fail_at_ = 0;
   std::string end_path_;
   uint64_t end_bytes_ = 0;
@@ -1491,53 +1325,63 @@ class FailNthWriteEnv : public MemEnv {
 // behind. The faults land on the 1st, 2nd, a third and a half of the
 // sort's writes, counted in an unfaulted sort of the same configuration,
 // and on the write that ends the output (its last block, whichever
-// partition writes it).
+// partition writes it). The io_uring rows fail sorts whose ring handles
+// still have writes in flight; they are skipped where io_uring is not.
 TEST(ExternalSorterTest, WriteErrorFailsTheSort) {
   WorkloadOptions wl;
   wl.num_records = 8000;
   wl.seed = 23;
   const std::vector<Key> input =
       Drain(MakeWorkload(Dataset::kRandom, wl).get());
-  for (RunGenAlgorithm algorithm :
-       {RunGenAlgorithm::kTwoWayReplacementSelection,
-        RunGenAlgorithm::kLoadSortStore}) {
-    for (const bool pooled : {false, true}) {
-      SCOPED_TRACE(std::string(RunGenAlgorithmName(algorithm)) +
-                   (pooled ? " pooled" : " serial"));
-      ExternalSortOptions options = RunGenThreadsOptions(
-          algorithm, pooled ? 2 : 1, pooled ? RunGenExecutor() : nullptr);
-      options.parallel.final_merge_threads = pooled ? 2 : 1;
-      const auto sort = [&](FailNthWriteEnv* env) {
-        ExternalSorter sorter(env, options);
-        FileRecordSource source(env, "in", options.block_bytes);
-        return sorter.Sort(&source, "out", nullptr);
-      };
-      uint64_t writes = 0;
-      {
-        FailNthWriteEnv env;
-        ASSERT_TWRS_OK(WriteAllRecords(&env, "in", input));
+  IoUringEnv uring_env;
+  const testing::ScopedTempDir temp_dir;
+  for (const bool uring : {false, true}) {
+    if (uring && !IoUringEnv::IsSupported()) continue;
+    for (RunGenAlgorithm algorithm :
+         {RunGenAlgorithm::kTwoWayReplacementSelection,
+          RunGenAlgorithm::kLoadSortStore}) {
+      for (const bool pooled : {false, true}) {
+        SCOPED_TRACE(std::string(RunGenAlgorithmName(algorithm)) +
+                     (pooled ? " pooled" : " serial") +
+                     (uring ? " uring" : " mem"));
+        MemEnv mem;
+        Env* base = uring ? static_cast<Env*>(&uring_env) : &mem;
+        const std::string dir = uring ? temp_dir.path() : "mem";
+        ExternalSortOptions options = RunGenThreadsOptions(
+            algorithm, pooled ? 2 : 1, pooled ? RunGenExecutor() : nullptr);
+        options.parallel.final_merge_threads = pooled ? 2 : 1;
+        options.temp_dir = dir;
+        ASSERT_TWRS_OK(WriteAllRecords(base, dir + "/in", input));
+        FailNthWriteEnv env(base);
+        const auto sort = [&] {
+          ExternalSorter sorter(&env, options);
+          FileRecordSource source(&env, dir + "/in", options.block_bytes);
+          return sorter.Sort(&source, dir + "/out", nullptr);
+        };
         env.Arm(0);
-        ASSERT_TWRS_OK(sort(&env));
-        writes = env.writes();
-      }
-      ASSERT_GT(writes, 6u);
-      for (const uint64_t n :
-           {uint64_t{1}, uint64_t{2}, writes / 3, writes / 2, uint64_t{0}}) {
-        SCOPED_TRACE(n == 0 ? std::string("write ending the output")
-                            : "write " + std::to_string(n) + " of " +
-                                  std::to_string(writes));
-        FailNthWriteEnv env;
-        ASSERT_TWRS_OK(WriteAllRecords(&env, "in", input));
-        if (n == 0) {
-          env.ArmEnding("out", input.size() * kRecordBytes);
-        } else {
-          env.Arm(n);
+        ASSERT_TWRS_OK(sort());
+        const uint64_t writes = env.writes();
+        ASSERT_GT(writes, 6u);
+        ASSERT_TWRS_OK(base->RemoveFile(dir + "/out"));
+        for (const uint64_t n :
+             {uint64_t{1}, uint64_t{2}, writes / 3, writes / 2, uint64_t{0}}) {
+          SCOPED_TRACE(n == 0 ? std::string("write ending the output")
+                              : "write " + std::to_string(n) + " of " +
+                                    std::to_string(writes));
+          if (n == 0) {
+            env.Arm(0, dir + "/out", input.size() * kRecordBytes);
+          } else {
+            env.Arm(n);
+          }
+          const Status status = sort();
+          EXPECT_TRUE(status.IsIOError()) << status.ToString();
+          EXPECT_NE(status.message().find("injected write failure"),
+                    std::string::npos)
+              << status.ToString();
+          std::vector<std::string> left;
+          ASSERT_TWRS_OK(base->ListDir(dir, &left));
+          EXPECT_EQ(left, std::vector<std::string>{"in"});
         }
-        const Status status = sort(&env);
-        EXPECT_TRUE(env.fired());
-        EXPECT_TRUE(status.IsIOError()) << status.ToString();
-        EXPECT_EQ(env.FileCount(), 1u);
-        EXPECT_TRUE(env.FileExists("in"));
       }
     }
   }
@@ -1712,17 +1556,60 @@ TEST(IoBackendSortTest, UringSortIsByteIdenticalToPosix) {
   }
 }
 
+// Tracks the peak number of open handles holding a pooled ring: every
+// handle but NewRandomReadFile's, whose ReadAt is a plain pread. IoUringEnv
+// takes a handle's ring inside the open (building one when the pool is
+// empty, which is slow) and returns it inside Close() or the destructor.
+// A handle counts from before its open until after its close, so it
+// counts the whole time it holds a ring.
+class RingHandlePeakEnv : public EnvWrapper {
+ public:
+  using EnvWrapper::EnvWrapper;
+
+  /// The peak since the last call; the next peak starts from what is open.
+  uint64_t TakePeak() {
+    std::lock_guard<std::mutex> lock(mu_);
+    const uint64_t peak = peak_;
+    peak_ = open_;
+    return peak;
+  }
+
+  Status Before(const IoOp& op) override {
+    if (op.kind == IoOpKind::kOpen &&
+        op.opened_by != OpenMethod::kNewRandomReadFile) {
+      std::lock_guard<std::mutex> lock(mu_);
+      peak_ = std::max(peak_, ++open_);
+    }
+    return Status::OK();
+  }
+
+  void After(const IoOp& op, const Status& status) override {
+    if (op.opened_by != OpenMethod::kNewRandomReadFile &&
+        ((op.kind == IoOpKind::kOpen && !status.ok()) ||
+         op.kind == IoOpKind::kClose)) {
+      std::lock_guard<std::mutex> lock(mu_);
+      --open_;
+    }
+  }
+
+ private:
+  std::mutex mu_;
+  uint64_t open_ = 0;
+  uint64_t peak_ = 0;
+};
+
 TEST(IoBackendSortTest, RepeatedUringSortReusesEveryRing) {
   if (!IoUringEnv::IsSupported()) {
     GTEST_SKIP() << "io_uring unavailable: "
                  << IoUringEnv::UnsupportedReason();
   }
-  // The ring pool keeps every released ring, so a second identical sort
-  // on the same Env finds each ring it needs already built. The fan-in
-  // takes every run in one merge pass: the peak handle count is then the
-  // two final-merge partitions' readers and writers, the same in both
-  // sorts. (Concurrent intermediate merges peak by timing, not structure.)
-  IoUringEnv env;
+  // The ring pool keeps every released ring, so a sort creates a ring only
+  // when it holds more rings at once than any earlier sort on the Env did.
+  // How many it holds depends on when the pool runs the two final-merge
+  // partitions' readers and writers, so each sort's peak is measured, not
+  // assumed.
+  IoUringEnv uring;
+  RingHandlePeakEnv env(&uring);
   const testing::ScopedTempDir temp_dir;
   const std::string& dir = temp_dir.path();
   ASSERT_TWRS_OK(env.CreateDirIfMissing(dir));
@@ -1735,6 +1622,7 @@ TEST(IoBackendSortTest, RepeatedUringSortReusesEveryRing) {
   MonotonicCounter* reused = metrics.Counter("io.uring.ring_reuses");
   uint64_t created_by[2] = {0, 0};
   uint64_t reused_by[2] = {0, 0};
+  uint64_t peak[2] = {0, 0};
   for (int i = 0; i < 2; ++i) {
     PublishIoUringCounters(&metrics);
     const uint64_t created_before = created->value();
@@ -1755,14 +1643,17 @@ TEST(IoBackendSortTest, RepeatedUringSortReusesEveryRing) {
     PublishIoUringCounters(&metrics);
     created_by[i] = created->value() - created_before;
     reused_by[i] = reused->value() - reused_before;
+    peak[i] = env.TakePeak();
     uint64_t count = 0;
     KeyChecksum checksum;
-    ASSERT_TWRS_OK(VerifySortedFile(&env, out, &count, &checksum));
+    ASSERT_TWRS_OK(VerifySortedFile(&uring, out, &count, &checksum));
     EXPECT_EQ(count, input.size());
     EXPECT_TRUE(checksum == ChecksumOf(input));
   }
   EXPECT_GT(created_by[0], 0u);
-  EXPECT_EQ(created_by[1], 0u) << "the second sort built rings";
+  EXPECT_EQ(created_by[0], peak[0]);
+  EXPECT_EQ(created_by[1], peak[1] > peak[0] ? peak[1] - peak[0] : 0)
+      << "peaks " << peak[0] << " then " << peak[1];
   EXPECT_GT(reused_by[1], 0u);
 }
 

@@ -13,6 +13,7 @@
 #include "exec/executor.h"
 #include "exec/thread_pool.h"
 #include "io/counting_env.h"
+#include "io/env_wrapper.h"
 #include "io/mem_env.h"
 #include "io/record_io.h"
 #include "io/reverse_run_file.h"
@@ -413,78 +414,20 @@ TEST(PartitionedMergeTest, FullSortByteIdenticalWithReverseSegments) {
 /// Env decorator that fires a CancelToken after the N-th positioned write
 /// through a reopened handle — deterministically cancelling a partitioned
 /// merge *while partial merges are writing*.
-class CancelAfterWritesEnv : public Env {
+class CancelAfterWritesEnv : public EnvWrapper {
  public:
   CancelAfterWritesEnv(Env* base, CancelToken* token, int writes_left)
-      : base_(base), token_(token), writes_left_(writes_left) {}
+      : EnvWrapper(base), token_(token), writes_left_(writes_left) {}
 
-  Status NewWritableFile(const std::string& path,
-                         std::unique_ptr<WritableFile>* out) override {
-    return base_->NewWritableFile(path, out);
-  }
-  Status NewSequentialFile(const std::string& path,
-                           std::unique_ptr<SequentialFile>* out) override {
-    return base_->NewSequentialFile(path, out);
-  }
-  Status NewRandomRWFile(const std::string& path,
-                         std::unique_ptr<RandomRWFile>* out) override {
-    return base_->NewRandomRWFile(path, out);
-  }
-  Status ReopenRandomRWFile(const std::string& path,
-                            std::unique_ptr<RandomRWFile>* out) override {
-    std::unique_ptr<RandomRWFile> file;
-    TWRS_RETURN_IF_ERROR(base_->ReopenRandomRWFile(path, &file));
-    *out = std::make_unique<FiringFile>(std::move(file), this);
-    return Status::OK();
-  }
-  Status NewRandomReadFile(const std::string& path,
-                           std::unique_ptr<RandomRWFile>* out) override {
-    return base_->NewRandomReadFile(path, out);
-  }
-  bool FileExists(const std::string& path) override {
-    return base_->FileExists(path);
-  }
-  Status RemoveFile(const std::string& path) override {
-    return base_->RemoveFile(path);
-  }
-  Status GetFileSize(const std::string& path, uint64_t* size) override {
-    return base_->GetFileSize(path, size);
-  }
-  Status CreateDirIfMissing(const std::string& path) override {
-    return base_->CreateDirIfMissing(path);
-  }
-  Status RemoveDir(const std::string& path) override {
-    return base_->RemoveDir(path);
-  }
-  Status ListDir(const std::string& path,
-                 std::vector<std::string>* names) override {
-    return base_->ListDir(path, names);
+  void After(const IoOp& op, const Status& status) override {
+    if (status.ok() && op.kind == IoOpKind::kWrite &&
+        op.opened_by == OpenMethod::kReopenRandomRWFile &&
+        writes_left_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      token_->Cancel();
+    }
   }
 
  private:
-  class FiringFile : public RandomRWFile {
-   public:
-    FiringFile(std::unique_ptr<RandomRWFile> base, CancelAfterWritesEnv* env)
-        : base_(std::move(base)), env_(env) {}
-
-    Status WriteAt(uint64_t offset, const void* data, size_t n) override {
-      TWRS_RETURN_IF_ERROR(base_->WriteAt(offset, data, n));
-      if (env_->writes_left_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        env_->token_->Cancel();
-      }
-      return Status::OK();
-    }
-    Status ReadAt(uint64_t offset, void* out, size_t n) override {
-      return base_->ReadAt(offset, out, n);
-    }
-    Status Close() override { return base_->Close(); }
-
-   private:
-    std::unique_ptr<RandomRWFile> base_;
-    CancelAfterWritesEnv* env_;
-  };
-
-  Env* base_;
   CancelToken* token_;
   std::atomic<int> writes_left_;
 };

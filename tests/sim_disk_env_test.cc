@@ -4,7 +4,9 @@
 
 #include "io/mem_env.h"
 #include "io/record_io.h"
+#include "merge/external_sorter.h"
 #include "tests/test_util.h"
+#include "workload/generators.h"
 
 namespace twrs {
 namespace {
@@ -129,6 +131,52 @@ TEST(SimDiskEnvTest, MetadataOperationsForward) {
   EXPECT_EQ(size, 2u);
   ASSERT_TWRS_OK(env.RemoveFile("f"));
   EXPECT_FALSE(base.FileExists("f"));
+}
+
+// Pins the model's charges and the sorter's byte counts on two whole serial
+// sorts of one fixed input, read from the simulated disk: a 2WRS sort,
+// whose reverse runs are written back to front with WriteAt, and an LSS
+// sort, whose runs are all appended. Both sorts merge in more than one
+// pass, so intermediate merges are charged too.
+TEST(SimDiskEnvTest, WholeSortChargesArePinned) {
+  struct Case {
+    RunGenAlgorithm algorithm;
+    uint64_t seeks;
+    uint64_t bytes_transferred;
+    uint64_t bytes_read;
+    uint64_t bytes_written;
+  };
+  const Case cases[] = {
+      {RunGenAlgorithm::kTwoWayReplacementSelection, 250, 1897928, 304800,
+       1433128},
+      {RunGenAlgorithm::kLoadSortStore, 169, 1050624, 365312, 525312},
+  };
+  WorkloadOptions wl;
+  wl.num_records = 20000;
+  wl.seed = 61;
+  const std::vector<Key> input =
+      testing::Drain(MakeWorkload(Dataset::kRandom, wl).get());
+  for (const Case& c : cases) {
+    SCOPED_TRACE(RunGenAlgorithmName(c.algorithm));
+    MemEnv base;
+    ASSERT_TWRS_OK(WriteAllRecords(&base, "in", input));
+    SimDiskEnv env(&base);
+    ExternalSortOptions options;
+    options.algorithm = c.algorithm;
+    options.memory_records = 1024;
+    options.fan_in = 4;
+    options.block_bytes = 4096;
+    options.temp_dir = "tmp";
+    ExternalSorter sorter(&env, options);
+    FileRecordSource source(&env, "in", options.block_bytes);
+    ExternalSortResult result;
+    ASSERT_TWRS_OK(sorter.Sort(&source, "out", &result));
+    EXPECT_GT(result.merge.merge_steps, 1u);
+    EXPECT_EQ(env.model().seeks(), c.seeks);
+    EXPECT_EQ(env.model().bytes_transferred(), c.bytes_transferred);
+    EXPECT_EQ(result.bytes_read, c.bytes_read);
+    EXPECT_EQ(result.bytes_written, c.bytes_written);
+  }
 }
 
 }  // namespace

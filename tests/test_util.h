@@ -15,7 +15,7 @@
 #include "core/record_source.h"
 #include "core/run_generator.h"
 #include "core/run_sink.h"
-#include "io/mem_env.h"
+#include "io/env_wrapper.h"
 #include "util/cancel.h"
 #include "util/checksum.h"
 #include "util/status.h"
@@ -219,43 +219,22 @@ class CancelAfterNSource : public VectorSource {
   size_t read_ = 0;
 };
 
-/// MemEnv whose sequential reads of one file fail once `fail_at` bytes of
-/// it have been served: a disk error in the middle of an input file.
-class FailingInputReadEnv : public MemEnv {
+/// Env whose reads of one file fail once they reach byte `fail_at` of it:
+/// a disk error in the middle of an input file.
+class FailingInputReadEnv : public EnvWrapper {
  public:
-  FailingInputReadEnv(std::string path, size_t fail_at)
-      : path_(std::move(path)), fail_at_(fail_at) {}
+  FailingInputReadEnv(Env* base, std::string path, size_t fail_at)
+      : EnvWrapper(base), path_(std::move(path)), fail_at_(fail_at) {}
 
-  Status NewSequentialFile(const std::string& path,
-                           std::unique_ptr<SequentialFile>* out) override {
-    TWRS_RETURN_IF_ERROR(MemEnv::NewSequentialFile(path, out));
-    if (path == path_) {
-      *out = std::make_unique<FailingFile>(std::move(*out), fail_at_);
+  Status Before(const IoOp& op) override {
+    if (op.kind == IoOpKind::kRead && op.path == path_ &&
+        op.offset + op.bytes > fail_at_) {
+      return Status::IOError("injected read error");
     }
     return Status::OK();
   }
 
  private:
-  class FailingFile : public SequentialFile {
-   public:
-    FailingFile(std::unique_ptr<SequentialFile> base, size_t fail_at)
-        : base_(std::move(base)), fail_at_(fail_at) {}
-
-    Status Read(void* out, size_t n, size_t* bytes_read) override {
-      if (served_ + n > fail_at_) return Status::IOError("injected read error");
-      TWRS_RETURN_IF_ERROR(base_->Read(out, n, bytes_read));
-      served_ += *bytes_read;
-      return Status::OK();
-    }
-
-    Status Skip(uint64_t n) override { return base_->Skip(n); }
-
-   private:
-    std::unique_ptr<SequentialFile> base_;
-    size_t fail_at_;
-    size_t served_ = 0;
-  };
-
   std::string path_;
   size_t fail_at_;
 };

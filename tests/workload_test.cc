@@ -268,8 +268,10 @@ TEST(WorkloadTest, FileSourceNextDeliversRecordsBeforeAReadError) {
   // Fail inside the first decoded block and well past it.
   for (const size_t fail_at_record : {size_t{1000}, size_t{2500}}) {
     SCOPED_TRACE(fail_at_record);
-    testing::FailingInputReadEnv env("data", fail_at_record * kRecordBytes);
-    ASSERT_TWRS_OK(WriteAllRecords(&env, "data", direct));
+    MemEnv mem;
+    ASSERT_TWRS_OK(WriteAllRecords(&mem, "data", direct));
+    testing::FailingInputReadEnv env(&mem, "data",
+                                     fail_at_record * kRecordBytes);
     FileRecordSource source(&env, "data", block_bytes);
     std::vector<Key> got;
     Key key;
