@@ -10,7 +10,7 @@
 #include "heap/binary_heap.h"
 #include "heap/double_heap.h"
 #include "heap/heapsort.h"
-#include "merge/loser_tree.h"
+#include "heap/loser_tree.h"
 #include "util/random.h"
 
 namespace twrs {

@@ -1,7 +1,9 @@
 // Micro-benchmarks of run generation throughput (records/second) for
 // Load-Sort-Store, RS, batched RS, 2WRS and batched 2WRS across datasets —
 // the CPU-side cost the paper discusses in §6.2 ("the logic of 2WRS is
-// slightly more complex").
+// slightly more complex"). The *File variants write the runs through a
+// FileRunSink over a MemEnv, so they also count the sink layer (encoding,
+// per-call overhead) that CountingRunSink skips.
 
 #include <benchmark/benchmark.h>
 
@@ -11,6 +13,7 @@
 #include "core/replacement_selection.h"
 #include "core/run_sink.h"
 #include "core/two_way_replacement_selection.h"
+#include "io/mem_env.h"
 #include "workload/generators.h"
 
 namespace twrs {
@@ -19,18 +22,32 @@ namespace {
 constexpr size_t kMemory = 4096;
 constexpr uint64_t kRecords = 200000;
 
+// Runs `generator` over `dataset` into a CountingRunSink, or with
+// `to_files` into a FileRunSink over a fresh MemEnv per iteration.
 void RunGenerator(benchmark::State& state, RunGenerator* generator,
-                  Dataset dataset) {
+                  Dataset dataset, bool to_files = false) {
   uint64_t runs = 0;
   for (auto _ : state) {
     WorkloadOptions workload;
     workload.num_records = kRecords;
     workload.seed = 7;
     auto source = MakeWorkload(dataset, workload);
-    CountingRunSink sink;
+    MemEnv env;
+    // 4 KiB reverse-stream pages (the thesis's): with the default 64 KiB,
+    // each decreasing stream's first write would zero a 4 MiB MemEnv file.
+    FileRunSinkOptions file_options;
+    file_options.reverse.page_bytes = 4096;
+    FileRunSink file_sink(&env, "runs", "r", file_options);
+    CountingRunSink counting_sink;
+    RunSink* sink = to_files ? static_cast<RunSink*>(&file_sink)
+                             : static_cast<RunSink*>(&counting_sink);
     RunGenStats stats;
-    benchmark::DoNotOptimize(
-        generator->Generate(source.get(), &sink, &stats).ok());
+    const Status s = generator->Generate(source.get(), sink, &stats);
+    benchmark::DoNotOptimize(s.ok());
+    if (!s.ok()) {
+      state.SkipWithError(s.ToString().c_str());
+      return;
+    }
     runs = stats.num_runs();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -63,6 +80,17 @@ void BM_BatchedReplacementSelection(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchedReplacementSelection)->DenseRange(0, kNumDatasets - 1);
 
+void BM_BatchedReplacementSelectionFile(benchmark::State& state) {
+  BatchedReplacementSelectionOptions options;
+  options.memory_records = kMemory;
+  options.batch_records = kMemory / 8;
+  BatchedReplacementSelection generator(options);
+  RunGenerator(state, &generator, static_cast<Dataset>(state.range(0)),
+               /*to_files=*/true);
+}
+BENCHMARK(BM_BatchedReplacementSelectionFile)
+    ->DenseRange(0, kNumDatasets - 1);
+
 void BM_TwoWayReplacementSelection(benchmark::State& state) {
   TwoWayReplacementSelection generator(TwoWayOptions::Recommended(kMemory));
   RunGenerator(state, &generator, static_cast<Dataset>(state.range(0)));
@@ -75,6 +103,15 @@ void BM_BatchedTwoWayReplacementSelection(benchmark::State& state) {
   RunGenerator(state, &generator, static_cast<Dataset>(state.range(0)));
 }
 BENCHMARK(BM_BatchedTwoWayReplacementSelection)
+    ->DenseRange(0, kNumDatasets - 1);
+
+void BM_BatchedTwoWayReplacementSelectionFile(benchmark::State& state) {
+  BatchedTwoWayReplacementSelection generator(
+      TwoWayOptions::Recommended(kMemory));
+  RunGenerator(state, &generator, static_cast<Dataset>(state.range(0)),
+               /*to_files=*/true);
+}
+BENCHMARK(BM_BatchedTwoWayReplacementSelectionFile)
     ->DenseRange(0, kNumDatasets - 1);
 
 }  // namespace

@@ -29,6 +29,7 @@ Status BatchedReplacementSelection::Generate(RecordSource* source,
 
   MinirunArena arena;
   MinirunHeap<DrainOrder::kAscending> current(&arena);
+  StagedRunStream out(sink, kStream1);
   std::vector<Minirun> deferred;  // next-run miniruns (below the last output)
   size_t in_memory = 0;  // unconsumed records across all miniruns
   bool input_done = false;
@@ -53,6 +54,7 @@ Status BatchedReplacementSelection::Generate(RecordSource* source,
   // the next one.
   auto read_batch = [&]() -> Status {
     if (input_done) return Status::OK();
+    TWRS_RETURN_IF_ERROR(out.Flush());
     bound_arena();
     const uint32_t block = arena.Acquire(batch);
     Key* keys = arena.data(block);
@@ -91,6 +93,7 @@ Status BatchedReplacementSelection::Generate(RecordSource* source,
   for (;;) {
     if (current.empty()) {
       // Current run complete; promote the deferred miniruns.
+      TWRS_RETURN_IF_ERROR(out.Flush());
       TWRS_RETURN_IF_ERROR(sink->EndRun());
       if (deferred.empty()) break;
       TWRS_RETURN_IF_ERROR(sink->BeginRun());
@@ -102,19 +105,19 @@ Status BatchedReplacementSelection::Generate(RecordSource* source,
       deferred.clear();
       continue;
     }
-    // Emit the top minirun's span, stopping where a refill is due: a batch
-    // is read whenever a batch's worth of memory has been released.
-    size_t span = current.TopSpan();
+    // Emit the next span, stopping where a refill is due: a batch is read
+    // whenever a batch's worth of memory has been released.
+    size_t max = in_memory;
     if (!input_done) {
       const size_t refill_at = memory - batch;
-      span = std::min(span, in_memory > refill_at ? in_memory - refill_at : 1);
+      max = in_memory > refill_at ? in_memory - refill_at : 1;
     }
-    const Key* keys = current.TopKeys();
-    TWRS_RETURN_IF_ERROR(sink->AppendSorted(kStream1, keys, span));
+    const Key* keys;
+    const size_t span = current.TakeSpan(max, &keys);
+    TWRS_RETURN_IF_ERROR(out.Append(keys, span));
     last_output = keys[span - 1];
     have_last_output = true;
     in_memory -= span;
-    current.Consume(span);
     if (in_memory + batch <= memory) TWRS_RETURN_IF_ERROR(read_batch());
   }
   peak_arena_keys_ = arena.peak_allocated_keys();

@@ -24,14 +24,16 @@ struct BatchedReplacementSelectionOptions {
 ///
 /// Instead of inserting input records into one large heap, records are read
 /// in batches, each batch is sorted into a *minirun*, and the selection
-/// structure (a MinirunHeap, shared with batched 2WRS) only merges the
-/// minirun heads — so its size is the number of miniruns, not the number
-/// of records. Replacing a popped record touches
-/// one sorted array sequentially instead of walking a heap branch, which is
-/// what removes most cache misses. Records of a new batch that are smaller
-/// than the last output cannot extend the current run; they form a deferred
-/// minirun for the next run, mirroring RS's next-run marking at batch
-/// granularity. Run lengths on random input remain about twice the memory;
+/// structure (a MinirunHeap, the loser tree shared with batched 2WRS) only
+/// merges the minirun heads — so its size is the number of miniruns, not
+/// the number of records. Replacing an emitted record touches one sorted
+/// array sequentially and replays one tree path instead of walking a heap
+/// branch, which is what removes most cache misses. Short spans are staged
+/// and reach the sink up to 1024 keys a call (StagedRunStream), and the
+/// stage is flushed before each batch is read. Records of a new batch that
+/// are smaller than the last output cannot extend the current run; they
+/// form a deferred minirun for the next run, mirroring RS's next-run
+/// marking at batch granularity. Run lengths on random input remain about twice the memory;
 /// the boundary behaviour is slightly coarser than record-at-a-time RS.
 class BatchedReplacementSelection : public RunGenerator {
  public:

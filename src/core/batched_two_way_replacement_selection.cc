@@ -49,7 +49,9 @@ class Engine {
         bottom_(&arena_),
         top_(&arena_),
         victim_(options.VictimBufferRecords()),
-        rng_(options.seed) {}
+        rng_(options.seed),
+        s4_out_(sink, kStream4),
+        s1_out_(sink, kStream1) {}
 
   Status Run() {
     TWRS_RETURN_IF_ERROR(Refill());  // the fill phase
@@ -72,8 +74,7 @@ class Engine {
                                  : Drain(&top_, kStream1));
       }
     }
-    TWRS_RETURN_IF_ERROR(victim_.FlushFinal(sink_));
-    TWRS_RETURN_IF_ERROR(sink_->EndRun());
+    TWRS_RETURN_IF_ERROR(EndRun());
     return sink_->Finish();
   }
 
@@ -118,9 +119,15 @@ class Engine {
     return seen_sum_ / static_cast<double>(seen_count_);
   }
 
+  // True while input remains and one more batch fits in memory.
+  bool BatchFits() const {
+    return !input_done_ && Held() + batch_ <= memory_;
+  }
+
   // Reads and places batches while one more fits in memory.
   Status Refill() {
-    while (!input_done_ && Held() + batch_ <= memory_) {
+    while (BatchFits()) {
+      TWRS_RETURN_IF_ERROR(FlushStaged());
       BoundArena(batch_);
       const uint32_t block = arena_.Acquire(batch_);
       Key* keys = arena_.data(block);
@@ -216,9 +223,21 @@ class Engine {
     });
   }
 
-  Status StartNextRun() {
+  Status FlushStaged() {
+    TWRS_RETURN_IF_ERROR(s4_out_.Flush());
+    return s1_out_.Flush();
+  }
+
+  // Completes the current run: everything staged, then the victim
+  // buffer's remainder.
+  Status EndRun() {
+    TWRS_RETURN_IF_ERROR(FlushStaged());
     TWRS_RETURN_IF_ERROR(victim_.FlushFinal(sink_));
-    TWRS_RETURN_IF_ERROR(sink_->EndRun());
+    return sink_->EndRun();
+  }
+
+  Status StartNextRun() {
+    TWRS_RETURN_IF_ERROR(EndRun());
     TWRS_RETURN_IF_ERROR(sink_->BeginRun());
     s4_bound_ = kKeyMax;
     s1_bound_ = kKeyMin;
@@ -392,8 +411,9 @@ class Engine {
       size_t emitted = 0;
       TWRS_RETURN_IF_ERROR(EmitSpan(heap, stream, quota, &emitted));
       quota -= emitted;
-      TWRS_RETURN_IF_ERROR(SweepOnceDivided());
-      TWRS_RETURN_IF_ERROR(Refill());
+      // Both checked here first: on random input this runs once a record.
+      if (!swept_) TWRS_RETURN_IF_ERROR(SweepOnceDivided());
+      if (BatchFits()) TWRS_RETURN_IF_ERROR(Refill());
     }
     return Status::OK();
   }
@@ -408,7 +428,7 @@ class Engine {
     if (victim_.RangeContains(head)) {
       if (victim_.Full()) TWRS_RETURN_IF_ERROR(victim_.FlushActive(sink_));
       if (victim_.RangeContains(head)) {
-        heap->Consume(1);
+        heap->Pop();
         victim_.Add(head);
         ++victim_records_;
         return Status::OK();
@@ -417,14 +437,13 @@ class Engine {
     // After the sweep every heap key is one its stream accepts, and a head
     // outside the valid range keeps the whole span outside it. Before the
     // division forms, one record is emitted to establish it.
-    const size_t span =
-        DivisionEstablished() ? std::min(max, heap->TopSpan()) : 1;
+    const Key* keys;
+    const size_t span = heap->TakeSpan(DivisionEstablished() ? max : 1, &keys);
     *done = span;
-    const Key* keys = heap->TopKeys();
-    TWRS_RETURN_IF_ERROR(sink_->AppendSorted(stream, keys, span));
     const Key first = keys[0];
     const Key last = keys[span - 1];
-    heap->Consume(span);
+    TWRS_RETURN_IF_ERROR(
+        (stream == kStream4 ? s4_out_ : s1_out_).Append(keys, span));
     if (stream == kStream4) {
       s4_bound_ = last;
       if (!s4_emitted_) {
@@ -455,6 +474,9 @@ class Engine {
   VictimBuffer victim_;
   Random rng_;
   bool input_done_ = false;
+  // The heaps' spans on their way to the sink.
+  StagedRunStream s4_out_;
+  StagedRunStream s1_out_;
 
   double seen_sum_ = 0.0;
   uint64_t seen_count_ = 0;

@@ -22,10 +22,13 @@ namespace twrs {
 /// one deferred minirun for the next run. Where both heaps may take a key
 /// (the fill phase, a run start, deferred miniruns being promoted) the
 /// Mean input heuristic splits the span at the pooled mean of every key
-/// seen so far. Each heap orders only its minirun heads (MinirunHeap). The
-/// Random output heuristic picks a heap, which then drains up to a batch
-/// of records: each time its top minirun emits, as one span, every key it
-/// holds before the heap's next-best head.
+/// seen so far. Each heap is a loser tree over its minirun heads
+/// (MinirunHeap). The Random output heuristic picks a heap, which then
+/// drains up to a batch of records: each time its winning minirun emits,
+/// as one span, every key it holds before the runner-up head. Spans of up
+/// to a few dozen records are staged per stream (StagedRunStream) and
+/// reach the sink up to 1024 keys a call; on random input a span is about
+/// one record.
 ///
 /// The bootstrap, separation sweep and divert rules, and the RunGenStats
 /// counters, mean what they mean for TwoWayReplacementSelection, which

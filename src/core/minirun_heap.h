@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "core/record.h"
-#include "heap/sift_kernel.h"
+#include "heap/loser_tree.h"
 
 namespace twrs {
 
@@ -136,18 +136,23 @@ enum class DrainOrder {
   kDescending,  ///< largest head first (a decreasing stream)
 };
 
-/// A selection heap over minirun heads: the structure that batched RS and
-/// batched 2WRS order instead of one heap entry per record. Its size is
-/// the number of miniruns, about memory / batch, so it stays in L1; a
-/// record leaves its minirun by a pointer increment, and a whole span of
-/// records leaves at once when no other head interleaves with it.
+/// The selection structure that batched RS and batched 2WRS order instead
+/// of one heap entry per record: a loser tree (heap/loser_tree.h) over
+/// minirun slots, keyed by each minirun's head. Its size is the number of
+/// miniruns, about memory / batch, so it stays in L1; a record leaves its
+/// minirun by a pointer increment, and a whole span of records leaves at
+/// once when no other head interleaves with it.
 ///
 /// Every minirun is stored in drain order, so the keys a span emits are
-/// contiguous and already in their stream's order.
+/// contiguous and already in their stream's order. The tree orders a
+/// kDescending heap by complemented keys, and equal heads by slot. A Push
+/// takes the slot of a drained minirun and replays its path. Only when
+/// none is free does the tree grow; that, and TrimBefore, which moves
+/// many heads, mark it stale, and the next access rebuilds it.
 template <DrainOrder kOrder>
 class MinirunHeap {
  public:
-  explicit MinirunHeap(MinirunArena* arena) : arena_(arena) {}
+  explicit MinirunHeap(MinirunArena* arena) : arena_(arena), tree_(0) {}
 
   MinirunHeap(const MinirunHeap&) = delete;
   MinirunHeap& operator=(const MinirunHeap&) = delete;
@@ -157,7 +162,7 @@ class MinirunHeap {
     return kOrder == DrainOrder::kAscending ? a < b : a > b;
   }
 
-  bool empty() const { return entries_.empty(); }
+  bool empty() const { return records_ == 0; }
 
   /// Keys held across all miniruns.
   uint64_t records() const { return records_; }
@@ -167,117 +172,160 @@ class MinirunHeap {
     assert(run.begin < run.end);
     arena_->Retain(run.block);
     records_ += run.size();
-    entries_.push_back(Entry{*run.begin, run});
-    Kernel().SiftUp(entries_.size() - 1, entries_.back());
+    if (free_.empty()) {
+      slots_.push_back(run);
+      stale_ = true;
+      return;
+    }
+    const uint32_t slot = free_.back();
+    free_.pop_back();
+    slots_[slot] = run;
+    if (!stale_) tree_.Update(slot, TreeKey(*run.begin));
   }
 
   /// The key that drains next. Requires !empty().
-  Key Top() const { return entries_[0].head; }
+  Key Top() { return TreeKey(Tree().WinnerKey()); }
 
-  /// The top minirun's keys, in drain order; TopSpan() of them may leave.
-  const Key* TopKeys() const { return entries_[0].run.begin; }
-
-  /// Length of the top minirun's prefix that drains no later than every
-  /// other minirun's head: the records a record-at-a-time heap would emit
-  /// next, all from this minirun. At least 1.
-  size_t TopSpan() const {
-    const Minirun& run = entries_[0].run;
-    if (entries_.size() == 1) return run.size();
-    Key next = entries_[1].head;
-    if (entries_.size() > 2 && Before(entries_[2].head, next)) {
-      next = entries_[2].head;
+  /// Removes the next span: the longest prefix of the winning minirun,
+  /// at most `max` keys (>= 1), whose keys drain before every other head
+  /// (an equal head drains first when its slot is lower). Points `*keys`
+  /// at the span, in drain order, and returns its length. The keys stay
+  /// readable until the arena next acquires or compacts a block. Requires
+  /// !empty().
+  ///
+  /// The winner's next key is replayed after its first record; a slot
+  /// that wins again gallops through its minirun against the runner-up,
+  /// so a span costs one replay when short and one search when long.
+  size_t TakeSpan(size_t max, const Key** keys) {
+    assert(!empty() && max >= 1);
+    LoserTree& tree = Tree();
+    const size_t slot = tree.WinnerIndex();
+    Minirun& run = slots_[slot];
+    Key* const first = run.begin;
+    Key* const limit = first + std::min(max, run.size());
+    Key* next = first + 1;
+    bool replayed = false;  // the tree already holds *next for `slot`
+    if (next < limit) {
+      tree.ReplaceWinner(TreeKey(*next));
+      if (tree.WinnerIndex() == slot) {
+        next = SpanEnd(tree, slot, next + 1, limit);
+      } else {
+        replayed = true;
+      }
     }
-    const auto drains_by_next = [next](Key k) { return !Before(next, k); };
-    // On unordered input spans are a record or two: probe before the
-    // binary search that long spans on trending input need.
-    const Key* p = run.begin + 1;
-    const Key* probe_end = std::min<const Key*>(run.end, run.begin + 8);
-    while (p < probe_end && drains_by_next(*p)) ++p;
-    if (p < probe_end) return static_cast<size_t>(p - run.begin);
-    return static_cast<size_t>(
-        std::partition_point(p, static_cast<const Key*>(run.end),
-                             drains_by_next) -
-        run.begin);
-  }
-
-  /// Removes the top minirun's first `n` keys (1 <= n <= its size).
-  void Consume(size_t n) {
-    Entry& top = entries_[0];
-    assert(n >= 1 && n <= top.run.size());
-    top.run.begin += n;
+    if (!replayed) {
+      if (next < run.end) {
+        tree.ReplaceWinner(TreeKey(*next));
+      } else {
+        tree.RetireWinner();
+      }
+    }
+    const size_t n = static_cast<size_t>(next - first);
     records_ -= n;
-    if (top.run.begin < top.run.end) {
-      top.head = *top.run.begin;
-      Kernel().SiftDownFromRoot(entries_.size(), top);
-      return;
-    }
-    arena_->Release(top.run.block);
-    const Entry last = entries_.back();
-    entries_.pop_back();
-    if (!entries_.empty()) Kernel().SiftDownFromRoot(entries_.size(), last);
+    run.begin = next;
+    if (run.begin == run.end) Free(slot);
+    *keys = first;
+    return n;
   }
 
   /// Removes and returns the next key.
   Key Pop() {
-    const Key key = Top();
-    Consume(1);
-    return key;
+    const Key* key;
+    TakeSpan(1, &key);
+    return *key;
   }
 
   /// Cuts from the front of every minirun the keys that drain strictly
-  /// before `bound`, appending them to `*out`, and rebuilds the heap over
-  /// what remains.
+  /// before `bound`, appending them to `*out`.
   void TrimBefore(Key bound, std::vector<Key>* out) {
-    size_t kept = 0;
-    for (Entry& entry : entries_) {
-      Minirun& run = entry.run;
+    for (size_t slot = 0; slot < slots_.size(); ++slot) {
+      Minirun& run = slots_[slot];
+      if (run.begin == run.end) continue;
       Key* cut = std::partition_point(
           run.begin, run.end, [bound](Key k) { return Before(k, bound); });
       out->insert(out->end(), run.begin, cut);
       records_ -= static_cast<uint64_t>(cut - run.begin);
       run.begin = cut;
-      if (cut == run.end) {
-        arena_->Release(run.block);
-        continue;
-      }
-      entry.head = *cut;
-      entries_[kept++] = entry;
+      if (cut == run.end) Free(slot);
     }
-    entries_.resize(kept);
-    for (size_t i = 1; i < kept; ++i) Kernel().SiftUp(i, entries_[i]);
+    stale_ = true;
   }
 
   /// Calls `visit(const Minirun&)` on every minirun.
   template <typename Visit>
   void ForEach(Visit visit) const {
-    for (const Entry& entry : entries_) visit(entry.run);
+    for (const Minirun& run : slots_) {
+      if (run.begin != run.end) visit(run);
+    }
   }
 
   /// Calls `visit(Minirun&)` on every minirun, which may move the
   /// minirun's keys (MinirunArena::Compact) but not change them.
   template <typename Visit>
   void ForEach(Visit visit) {
-    for (Entry& entry : entries_) visit(entry.run);
+    for (Minirun& run : slots_) {
+      if (run.begin != run.end) visit(run);
+    }
   }
 
  private:
-  struct Entry {
-    Key head;  // *run.begin, cached so sifts stay inside the heap array
-    Minirun run;
-  };
+  // The tree's key for `key`: itself, or its complement for a descending
+  // heap, so the tree's smallest key is always the one that drains next.
+  // Complementing is its own inverse.
+  static Key TreeKey(Key key) {
+    return kOrder == DrainOrder::kAscending ? key : ~key;
+  }
 
-  struct EntryBefore {
-    bool operator()(const Entry& a, const Entry& b) const {
-      return Before(a.head, b.head);
+  LoserTree& Tree() {
+    if (stale_) Rebuild();
+    return tree_;
+  }
+
+  // Plays a new tournament over every slot; drained ones stay exhausted.
+  void Rebuild() {
+    tree_.Reset(slots_.size());
+    for (size_t i = 0; i < slots_.size(); ++i) {
+      if (slots_[i].begin != slots_[i].end) {
+        tree_.SetInitial(i, TreeKey(*slots_[i].begin));
+      }
     }
-  };
+    tree_.Build();
+    stale_ = false;
+  }
 
-  SiftKernel<Entry, EntryBefore> Kernel() {
-    return SiftKernel<Entry, EntryBefore>(entries_.data());
+  // Releases a drained minirun's block and frees its slot, whose entry in
+  // the tree is (or, once rebuilt, will be) exhausted.
+  void Free(size_t slot) {
+    arena_->Release(slots_[slot].block);
+    slots_[slot] = Minirun{};
+    free_.push_back(static_cast<uint32_t>(slot));
+  }
+
+  // Where the keys of `slot` in [from, limit) stop draining before the
+  // runner-up head, while `slot` holds the tree's winning entry: a
+  // gallop over positions 0, 1, 3, 7, ... then a binary search inside
+  // the last step.
+  static Key* SpanEnd(const LoserTree& tree, size_t slot, Key* from,
+                      Key* limit) {
+    size_t runner_slot;
+    const Key runner = tree.RunnerUp(&runner_slot);
+    const bool ties_win = slot < runner_slot;
+    const auto wins = [runner, ties_win](Key key) {
+      const Key k = TreeKey(key);
+      return k < runner || (ties_win && k == runner);
+    };
+    const size_t n = static_cast<size_t>(limit - from);
+    size_t bound = 1;
+    while (bound <= n && wins(from[bound - 1])) bound *= 2;
+    return std::partition_point(from + bound / 2,
+                                from + std::min(bound - 1, n), wins);
   }
 
   MinirunArena* arena_;
-  std::vector<Entry> entries_;
+  std::vector<Minirun> slots_;  // drained slots hold an empty Minirun
+  std::vector<uint32_t> free_;  // the drained slots
+  LoserTree tree_;
+  bool stale_ = false;
   uint64_t records_ = 0;
 };
 

@@ -1,6 +1,8 @@
 #ifndef TWRS_CORE_RUN_SINK_H_
 #define TWRS_CORE_RUN_SINK_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -76,6 +78,54 @@ class RunSink {
 
  protected:
   std::vector<RunInfo> runs_;
+};
+
+/// Stages the short spans a run generator emits on one stream and hands
+/// them to the sink a block at a time. On random input a span is about
+/// one record, and a sink call per record costs more than selecting it.
+/// A span longer than kDirectSpan flushes what is staged and goes to the
+/// sink in its own call. The stream's records reach the sink in the order
+/// appended; the owner calls Flush() before EndRun() and Finish(), and
+/// before reading input, so staged records never count against memory.
+class StagedRunStream {
+ public:
+  static constexpr size_t kCapacity = 1024;
+  static constexpr size_t kDirectSpan = 32;
+
+  StagedRunStream(RunSink* sink, RunStream stream)
+      : sink_(sink), stream_(stream), keys_(kCapacity) {}
+
+  /// Appends `n` keys in the stream's order.
+  Status Append(const Key* keys, size_t n) {
+    if (n > kDirectSpan) {
+      TWRS_RETURN_IF_ERROR(Flush());
+      return sink_->AppendSorted(stream_, keys, n);
+    }
+    if (size_ + n > kCapacity) TWRS_RETURN_IF_ERROR(Flush());
+    Key* out = keys_.data() + size_;
+    size_ += n;
+    // Most spans are one key: skip the library copy's call.
+    if (n == 1) {
+      *out = *keys;
+    } else {
+      std::copy(keys, keys + n, out);
+    }
+    return Status::OK();
+  }
+
+  /// Hands every staged key to the sink.
+  Status Flush() {
+    if (size_ == 0) return Status::OK();
+    const size_t n = size_;
+    size_ = 0;
+    return sink_->AppendSorted(stream_, keys_.data(), n);
+  }
+
+ private:
+  RunSink* sink_;
+  RunStream stream_;
+  std::vector<Key> keys_;
+  size_t size_ = 0;
 };
 
 /// Counts run lengths without storing records. Used by the Chapter 5

@@ -91,13 +91,12 @@ Status ReverseRunWriter::OpenNextFile() {
   return Status::OK();
 }
 
-Status ReverseRunWriter::FlushPage(uint64_t page, bool partial) {
-  if (partial) {
-    // The unused head of the page must not contain stale data.
-    std::memset(page_.data(), 0, page_pos_);
-  }
-  return file_->WriteAt(page * options_.page_bytes, page_.data(),
-                        options_.page_bytes);
+Status ReverseRunWriter::FlushPage(uint64_t page) {
+  // Only the filled tail is written. A page with an unfilled head is the
+  // file's lowest data page, and the header's start offset skips the head.
+  return file_->WriteAt(page * options_.page_bytes + page_pos_,
+                        page_.data() + page_pos_,
+                        options_.page_bytes - page_pos_);
 }
 
 Status ReverseRunWriter::FinalizeCurrentFile() {
@@ -108,7 +107,7 @@ Status ReverseRunWriter::FinalizeCurrentFile() {
     start_page = current_page_ + 1;
     start_offset = 0;
   } else {
-    TWRS_RETURN_IF_ERROR(FlushPage(current_page_, /*partial=*/true));
+    TWRS_RETURN_IF_ERROR(FlushPage(current_page_));
     start_page = current_page_;
     start_offset = page_pos_;
   }
@@ -196,7 +195,7 @@ Status ReverseRunWriter::AppendBatch(const Key* keys, size_t n) {
 }
 
 Status ReverseRunWriter::AdvancePage() {
-  status_ = FlushPage(current_page_, /*partial=*/false);
+  status_ = FlushPage(current_page_);
   TWRS_RETURN_IF_ERROR(status_);
   if (current_page_ == 1) {
     status_ = FinalizeCurrentFile();

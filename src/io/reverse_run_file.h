@@ -74,7 +74,7 @@ class ReverseRunWriter {
 
  private:
   Status OpenNextFile();
-  Status FlushPage(uint64_t page, bool partial);
+  Status FlushPage(uint64_t page);
   Status FinalizeCurrentFile();
 
   /// Flushes the page just filled and moves to the next page down, closing

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <limits>
 
-#include "merge/loser_tree.h"
+#include "heap/loser_tree.h"
 
 namespace twrs {
 

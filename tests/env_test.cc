@@ -12,6 +12,7 @@
 #include "io/env_wrapper.h"
 #include "io/mem_env.h"
 #include "io/posix_env.h"
+#include "io/reverse_run_file.h"
 #include "io/sim_disk_env.h"
 #include "io/uring_env.h"
 #include "tests/test_util.h"
@@ -502,6 +503,37 @@ TEST(EnvWrapperTest, HooksSeeEachOpAtItsOffset) {
                          "read-only g: read 0+6",
                          "read-only g: close 0+0",
                      }));
+}
+
+// A reverse stream of three records writes its one partial page from the
+// first record on, not as a whole zero-filled page: 24 bytes at the end
+// of the file's last page, the 64-byte header, and the file count patched
+// into it. It still reads back in ascending order.
+TEST(EnvWrapperTest, ShortReverseStreamWritesLessThanAPage) {
+  MemEnv mem;
+  RecordingEnv env(&mem);
+  const ReverseRunFileOptions options;
+  ReverseRunWriter writer(&env, "s", options);
+  const Key keys[] = {30, 20, 10};
+  ASSERT_TWRS_OK(writer.AppendBatch(keys, 3));
+  ASSERT_TWRS_OK(writer.Finish());
+  std::vector<std::string> writes;
+  for (const std::string& op : env.ops) {
+    if (op.find(": write") != std::string::npos) writes.push_back(op);
+  }
+  const uint64_t file_bytes = options.pages_per_file * options.page_bytes;
+  EXPECT_EQ(writes, std::vector<std::string>(
+                        {"rw s.0: write " + std::to_string(file_bytes - 24) +
+                             "+24",
+                         "rw s.0: write 0+64", "reopen s.0: write 56+8"}));
+  ReverseRunReader reader(&mem, "s");
+  std::vector<Key> out(4);
+  size_t got = 0;
+  ASSERT_TWRS_OK(reader.Read(out.data(), out.size(), &got));
+  out.resize(got);
+  EXPECT_EQ(out, std::vector<Key>({10, 20, 30}));
+  ASSERT_TWRS_OK(reader.Read(out.data(), out.size(), &got));
+  EXPECT_EQ(got, 0u);
 }
 
 TEST(EnvWrapperTest, FailingBeforeLeavesTheBaseUntouched) {

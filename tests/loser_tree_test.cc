@@ -1,4 +1,4 @@
-#include "merge/loser_tree.h"
+#include "heap/loser_tree.h"
 
 #include <gtest/gtest.h>
 
@@ -153,6 +153,67 @@ TEST(LoserTreeTest, EmissionEqualsStableSortByKeyThenWay) {
         }
       }
       ASSERT_EQ(got, expect);
+    }
+  }
+}
+
+// Property: Update may give any way, winning or not, live or exhausted, a
+// new key; after every operation the winner and the runner-up equal the
+// least and second-least live (key, way) pairs of a plain model, and a
+// runner-up that is no live way is reported as ways() or more.
+TEST(LoserTreeTest, UpdateAndRunnerUpMatchAModel) {
+  constexpr Key kMax = std::numeric_limits<Key>::max();
+  Random rng(41);
+  for (size_t k : {1u, 2u, 3u, 5u, 8u, 13u, 40u}) {
+    SCOPED_TRACE(::testing::Message() << "k " << k);
+    LoserTree tree(k);
+    std::vector<bool> live(k, false);
+    std::vector<Key> key(k, 0);
+    for (size_t w = 0; w < k; ++w) {
+      if (rng.OneIn2()) {
+        live[w] = true;
+        key[w] = static_cast<Key>(rng.Uniform(20));
+        tree.SetInitial(w, key[w]);
+      }
+    }
+    tree.Build();
+    for (int op = 0; op < 400; ++op) {
+      std::vector<std::pair<Key, size_t>> order;
+      for (size_t w = 0; w < k; ++w) {
+        if (live[w]) order.emplace_back(key[w], w);
+      }
+      std::sort(order.begin(), order.end());
+      ASSERT_EQ(tree.Exhausted(), order.empty()) << "op " << op;
+      if (!order.empty()) {
+        ASSERT_EQ(tree.WinnerIndex(), order[0].second) << "op " << op;
+        ASSERT_EQ(tree.WinnerKey(), order[0].first);
+        size_t runner_way;
+        const Key runner = tree.RunnerUp(&runner_way);
+        if (order.size() > 1) {
+          ASSERT_EQ(runner_way, order[1].second) << "op " << op;
+          ASSERT_EQ(runner, order[1].first);
+        } else {
+          ASSERT_GE(runner_way, k);
+          ASSERT_EQ(runner, kMax);
+        }
+      }
+      const size_t w = rng.Uniform(k);
+      const Key next = static_cast<Key>(rng.Uniform(20));
+      switch (order.empty() ? 0 : rng.Uniform(3)) {
+        case 0:  // any way, including the winner and exhausted ones
+          tree.Update(w, next);
+          live[w] = true;
+          key[w] = next;
+          break;
+        case 1:
+          tree.ReplaceWinner(next);
+          key[order[0].second] = next;
+          break;
+        default:
+          tree.RetireWinner();
+          live[order[0].second] = false;
+          break;
+      }
     }
   }
 }

@@ -337,5 +337,68 @@ TEST(CollectingRunSinkTest, SpansOutOfStreamOrderAreRejected) {
   EXPECT_EQ(sink.collected()[0], std::vector<Key>({1, 5, 9, 11, 15, 19}));
 }
 
+// Records the size of every AppendSorted call on top of a
+// CollectingRunSink, and fails every call once `fail` is set.
+class CallSizeSink : public CollectingRunSink {
+ public:
+  Status AppendSorted(RunStream stream, const Key* keys, size_t n) override {
+    calls.push_back(n);
+    if (fail) return Status::IOError("injected");
+    return CollectingRunSink::AppendSorted(stream, keys, n);
+  }
+
+  std::vector<size_t> calls;
+  bool fail = false;
+};
+
+TEST(StagedRunStreamTest, ShortSpansReachTheSinkABlockAtATime) {
+  constexpr size_t kCap = StagedRunStream::kCapacity;
+  constexpr size_t kDirect = StagedRunStream::kDirectSpan;
+  CallSizeSink sink;
+  StagedRunStream stage(&sink, kStream1);
+  ASSERT_TWRS_OK(sink.BeginRun());
+  std::vector<Key> keys;
+  for (size_t i = 0; i < kCap + 10; ++i) {
+    keys.push_back(static_cast<Key>(i));
+    ASSERT_TWRS_OK(stage.Append(&keys.back(), 1));
+  }
+  // A full buffer went out when the next key did not fit.
+  EXPECT_EQ(sink.calls, std::vector<size_t>({kCap}));
+  // A span of kDirect keys is staged; a longer one flushes the staging
+  // and goes to the sink in its own call.
+  std::vector<Key> span(kDirect + 1);
+  for (size_t i = 0; i < span.size(); ++i) {
+    span[i] = static_cast<Key>(kCap + 10 + i);
+  }
+  ASSERT_TWRS_OK(stage.Append(span.data(), kDirect));
+  keys.insert(keys.end(), span.begin(), span.begin() + kDirect);
+  EXPECT_EQ(sink.calls.size(), 1u);
+  for (Key& k : span) k += kDirect;
+  ASSERT_TWRS_OK(stage.Append(span.data(), span.size()));
+  keys.insert(keys.end(), span.begin(), span.end());
+  EXPECT_EQ(sink.calls,
+            std::vector<size_t>({kCap, 10 + kDirect, kDirect + 1}));
+  ASSERT_TWRS_OK(stage.Flush());  // nothing staged: no call
+  EXPECT_EQ(sink.calls.size(), 3u);
+  ASSERT_TWRS_OK(sink.EndRun());
+  ASSERT_EQ(sink.collected().size(), 1u);
+  EXPECT_EQ(sink.collected()[0], keys);
+}
+
+TEST(StagedRunStreamTest, SinkErrorsReachTheCaller) {
+  CallSizeSink sink;
+  StagedRunStream stage(&sink, kStream4);
+  ASSERT_TWRS_OK(sink.BeginRun());
+  const Key key = 7;
+  ASSERT_TWRS_OK(stage.Append(&key, 1));
+  sink.fail = true;
+  EXPECT_TRUE(stage.Flush().IsIOError());
+  std::vector<Key> fill(StagedRunStream::kCapacity, 7);
+  for (const Key& k : fill) ASSERT_TWRS_OK(stage.Append(&k, 1));
+  EXPECT_TRUE(stage.Append(&key, 1).IsIOError());
+  std::vector<Key> span(StagedRunStream::kDirectSpan + 1, 7);
+  EXPECT_TRUE(stage.Append(span.data(), span.size()).IsIOError());
+}
+
 }  // namespace
 }  // namespace twrs

@@ -137,7 +137,8 @@ TEST(SimDiskEnvTest, MetadataOperationsForward) {
 // sorts of one fixed input, read from the simulated disk: a 2WRS sort,
 // whose reverse runs are written back to front with WriteAt, and an LSS
 // sort, whose runs are all appended. Both sorts merge in more than one
-// pass, so intermediate merges are charged too.
+// pass, so intermediate merges are charged too. A reverse file's lowest
+// data page is written from its first record on, not as a whole page.
 TEST(SimDiskEnvTest, WholeSortChargesArePinned) {
   struct Case {
     RunGenAlgorithm algorithm;
@@ -147,8 +148,8 @@ TEST(SimDiskEnvTest, WholeSortChargesArePinned) {
     uint64_t bytes_written;
   };
   const Case cases[] = {
-      {RunGenAlgorithm::kTwoWayReplacementSelection, 250, 1897928, 304800,
-       1433128},
+      {RunGenAlgorithm::kTwoWayReplacementSelection, 250, 929728, 304800,
+       464928},
       {RunGenAlgorithm::kLoadSortStore, 169, 1050624, 365312, 525312},
   };
   WorkloadOptions wl;
