@@ -22,14 +22,16 @@ namespace {
 constexpr size_t kMemory = 4096;
 constexpr uint64_t kRecords = 200000;
 
-// Runs `generator` over `dataset` into a CountingRunSink, or with
-// `to_files` into a FileRunSink over a fresh MemEnv per iteration.
+// Runs `generator` over `records` records of `dataset` into a
+// CountingRunSink, or with `to_files` into a FileRunSink over a fresh
+// MemEnv per iteration.
 void RunGenerator(benchmark::State& state, RunGenerator* generator,
-                  Dataset dataset, bool to_files = false) {
+                  Dataset dataset, bool to_files = false,
+                  uint64_t records = kRecords) {
   uint64_t runs = 0;
   for (auto _ : state) {
     WorkloadOptions workload;
-    workload.num_records = kRecords;
+    workload.num_records = records;
     workload.seed = 7;
     auto source = MakeWorkload(dataset, workload);
     MemEnv env;
@@ -51,7 +53,7 @@ void RunGenerator(benchmark::State& state, RunGenerator* generator,
     runs = stats.num_runs();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          kRecords);
+                          static_cast<int64_t>(records));
   state.counters["runs"] = static_cast<double>(runs);
 }
 
@@ -97,22 +99,30 @@ void BM_TwoWayReplacementSelection(benchmark::State& state) {
 }
 BENCHMARK(BM_TwoWayReplacementSelection)->DenseRange(0, kNumDatasets - 1);
 
-void BM_BatchedTwoWayReplacementSelection(benchmark::State& state) {
+// Batched 2WRS at memory range(1): 1/64 of it per batch, capped at 1024,
+// so the batch size moves with memory; the input stays kRecords / kMemory
+// memories long.
+void BatchedTwoWay(benchmark::State& state, bool to_files) {
+  const auto memory = static_cast<size_t>(state.range(1));
   BatchedTwoWayReplacementSelection generator(
-      TwoWayOptions::Recommended(kMemory));
-  RunGenerator(state, &generator, static_cast<Dataset>(state.range(0)));
+      TwoWayOptions::Recommended(memory));
+  RunGenerator(state, &generator, static_cast<Dataset>(state.range(0)),
+               to_files, kRecords / kMemory * memory);
+}
+
+void BM_BatchedTwoWayReplacementSelection(benchmark::State& state) {
+  BatchedTwoWay(state, /*to_files=*/false);
 }
 BENCHMARK(BM_BatchedTwoWayReplacementSelection)
-    ->DenseRange(0, kNumDatasets - 1);
+    ->ArgsProduct({benchmark::CreateDenseRange(0, kNumDatasets - 1, 1),
+                   {kMemory, 65536}});
 
 void BM_BatchedTwoWayReplacementSelectionFile(benchmark::State& state) {
-  BatchedTwoWayReplacementSelection generator(
-      TwoWayOptions::Recommended(kMemory));
-  RunGenerator(state, &generator, static_cast<Dataset>(state.range(0)),
-               /*to_files=*/true);
+  BatchedTwoWay(state, /*to_files=*/true);
 }
 BENCHMARK(BM_BatchedTwoWayReplacementSelectionFile)
-    ->DenseRange(0, kNumDatasets - 1);
+    ->ArgsProduct({benchmark::CreateDenseRange(0, kNumDatasets - 1, 1),
+                   {kMemory, 65536}});
 
 }  // namespace
 }  // namespace twrs

@@ -49,6 +49,7 @@ class Engine {
         bottom_(&arena_),
         top_(&arena_),
         victim_(options.VictimBufferRecords()),
+        presorted_tops_(batch),
         rng_(options.seed),
         s4_out_(sink, kStream4),
         s1_out_(sink, kStream1) {}
@@ -84,6 +85,7 @@ class Engine {
     stats->migrated_across = migrated_;
     stats->victim_records = victim_records_;
     stats->victim_flushes = victim_.flush_count();
+    stats->presorted_batches = presorted_batches_;
   }
 
   uint64_t peak_arena_keys() const { return arena_.peak_allocated_keys(); }
@@ -140,9 +142,11 @@ class Engine {
     return Status::OK();
   }
 
-  // Sorts one batch and cuts it into spans (class comment). In sorted
-  // order the cut is: BottomHeap | deferred | victim | deferred | TopHeap.
+  // Places one batch as it is when PlacePresorted can, else sorts it and
+  // cuts it into spans (class comment). In sorted order the cut is:
+  // BottomHeap | deferred | victim | deferred | TopHeap.
   Status PlaceBatch(uint32_t block, Key* keys, size_t n) {
+    if (PlacePresorted(block, keys, n)) return Status::OK();
     SortKeysBlock(keys, n);
     for (size_t i = 0; i < n; ++i) seen_sum_ += static_cast<double>(keys[i]);
     seen_count_ += n;
@@ -182,6 +186,70 @@ class Engine {
     }
     if (end > hi_begin) top_.Push(Minirun{hi_begin, end, block});
     return Status::OK();
+  }
+
+  // Places a batch without sorting it when the sort would only gather
+  // what is already there: every key a BottomHeap key, arriving largest
+  // first, or a TopHeap key, arriving smallest first, so no key goes to
+  // the victim buffer, a deferred minirun or the Mean split. The heaps get
+  // the spans the sorted path would give them. Returns false, with the
+  // batch untouched, at the first key that breaks the pattern: on random
+  // input within a few keys.
+  bool PlacePresorted(uint32_t block, Key* keys, size_t n) {
+    if (s4_bound_ >= s1_bound_) return false;
+    Key bottom_max = s4_bound_;
+    Key top_min = s1_bound_;
+    if (victim_.range_set()) {
+      // A valid range at either end of the key domain leaves no key past
+      // it to bound by; such a batch takes the sorted path.
+      if (victim_.range_lo() == kKeyMin || victim_.range_hi() == kKeyMax) {
+        return false;
+      }
+      bottom_max = std::min(bottom_max, victim_.range_lo() - 1);
+      top_min = std::max(top_min, victim_.range_hi() + 1);
+    }
+    // bottom_max < top_min, so a key passes at most one of the two tests.
+    Key bottom_last = bottom_max;
+    Key top_last = top_min;
+    for (size_t i = 0; i < n; ++i) {
+      const Key key = keys[i];
+      const bool bottom = key <= bottom_last;
+      const bool top = key >= top_last;
+      if (!(bottom || top)) return false;
+      bottom_last = bottom ? key : bottom_last;
+      top_last = top ? key : top_last;
+    }
+    // A stable split: the BottomHeap keys, already descending, to the
+    // front of the batch, the TopHeap keys after them.
+    Key* const tops = presorted_tops_.data();
+    size_t bottom_count = 0;
+    size_t top_count = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const Key key = keys[i];
+      const bool bottom = key <= bottom_max;
+      keys[bottom_count] = key;
+      tops[top_count] = key;
+      bottom_count += bottom;
+      top_count += !bottom;
+    }
+    std::copy(tops, tops + top_count, keys + bottom_count);
+    // Summed in ascending key order, as the sorted path sums, so the Mean
+    // and with it every later split comes out bit-identical.
+    for (size_t i = bottom_count; i-- > 0;) {
+      seen_sum_ += static_cast<double>(keys[i]);
+    }
+    for (size_t i = bottom_count; i < n; ++i) {
+      seen_sum_ += static_cast<double>(keys[i]);
+    }
+    seen_count_ += n;
+    ++presorted_batches_;
+    if (bottom_count > 0) {
+      bottom_.Push(Minirun{keys, keys + bottom_count, block});
+    }
+    if (n > bottom_count) {
+      top_.Push(Minirun{keys + bottom_count, keys + n, block});
+    }
+    return true;
   }
 
   void Defer(Minirun run) {
@@ -472,6 +540,7 @@ class Engine {
   std::vector<Minirun> deferred_;  // next-run keys, ascending
   uint64_t deferred_records_ = 0;
   VictimBuffer victim_;
+  std::vector<Key> presorted_tops_;  // a presorted batch's TopHeap keys
   Random rng_;
   bool input_done_ = false;
   // The heaps' spans on their way to the sink.
@@ -492,6 +561,7 @@ class Engine {
   uint64_t diverted_ = 0;
   uint64_t migrated_ = 0;
   uint64_t victim_records_ = 0;
+  uint64_t presorted_batches_ = 0;
 
   // Scratch reused across runs.
   std::vector<Key> lows_;

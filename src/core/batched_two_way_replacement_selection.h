@@ -22,7 +22,12 @@ namespace twrs {
 /// one deferred minirun for the next run. Where both heaps may take a key
 /// (the fill phase, a run start, deferred miniruns being promoted) the
 /// Mean input heuristic splits the span at the pooled mean of every key
-/// seen so far. Each heap is a loser tree over its minirun heads
+/// seen so far. A batch skips the sort when it would only gather what is
+/// already there: every key goes to a heap, the BottomHeap's keys arrive
+/// largest first and the TopHeap's smallest first, as on trending input.
+/// A stable split of the batch then yields the same two spans, and the
+/// Mean sums their keys in the same order (presorted_batches in
+/// RunGenStats). Each heap is a loser tree over its minirun heads
 /// (MinirunHeap). The Random output heuristic picks a heap, which then
 /// drains up to a batch of records: each time its winning minirun emits,
 /// as one span, every key it holds before the runner-up head. Spans of up
@@ -42,7 +47,8 @@ namespace twrs {
 /// batch is the lookahead the Mean heuristic samples. The key blocks the
 /// miniruns live in stay within 2 × `memory_records` keys, the bytes of
 /// the reference's DoubleHeap, plus one packed block (under a batch and
-/// one minirun) while they are being compacted (peak_arena_keys()).
+/// one minirun) while they are being compacted (peak_arena_keys()). The
+/// split of a presorted batch goes through one batch of scratch keys.
 class BatchedTwoWayReplacementSelection : public RunGenerator {
  public:
   /// Generate rejects any heuristic pair but Mean input and Random output.

@@ -31,6 +31,11 @@ struct RunGenStats {
   /// 2WRS: number of victim buffer flushes (gap re-selections).
   uint64_t victim_flushes = 0;
 
+  /// Batched 2WRS: input batches placed without a sort, because each
+  /// heap's share of the batch arrived in its drain order. Always 0 for
+  /// the other generators.
+  uint64_t presorted_batches = 0;
+
   uint64_t num_runs() const { return run_lengths.size(); }
 
   /// Average run length in records (0 when no runs were generated).

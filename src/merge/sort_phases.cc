@@ -118,6 +118,7 @@ void AddRunGenStats(const RunGenStats& part, RunGenStats* total) {
   total->migrated_across += part.migrated_across;
   total->victim_records += part.victim_records;
   total->victim_flushes += part.victim_flushes;
+  total->presorted_batches += part.presorted_batches;
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <memory>
 #include <tuple>
@@ -203,6 +204,124 @@ TEST(Batched2wrsTest, RunCountsTrackTheReference) {
     EXPECT_NEAR(ratio, 1.0, 0.05)
         << DatasetName(static_cast<Dataset>(dataset)) << ": "
         << batched.runs.size() << " vs " << ref.runs.size();
+  }
+}
+
+TEST(Batched2wrsTest, TrendingBatchesSkipTheSort) {
+  // A batch whose BottomHeap keys arrive falling and TopHeap keys rising
+  // is placed without a sort. On trending input that is nearly every
+  // batch; random input breaks the pattern within a few keys of each.
+  constexpr size_t kMemory = 8192;
+  constexpr uint64_t kRecords = 300000;
+  const size_t batch = BatchedTwoWayReplacementSelection::BatchRecords(kMemory);
+  const uint64_t batches = (kRecords + batch - 1) / batch;
+  for (Dataset dataset :
+       {Dataset::kSorted, Dataset::kReverseSorted, Dataset::kMixed,
+        Dataset::kMixedImbalanced, Dataset::kRandom}) {
+    SCOPED_TRACE(DatasetName(dataset));
+    const Checked out =
+        GenerateChecked(TwoWayOptions::Recommended(kMemory),
+                        Workload(dataset, kRecords, /*seed=*/1));
+    if (dataset == Dataset::kRandom) {
+      EXPECT_EQ(out.stats.presorted_batches, 0u);
+    } else {
+      EXPECT_GE(out.stats.presorted_batches, batches * 95 / 100)
+          << "of " << batches;
+    }
+  }
+}
+
+// `keys` with each batch-sized chunk sorted and then its two largest keys
+// swapped: the same batches as sets, so the sorted path cuts them the
+// same, but the two smallest keys of a batch arrive rising and the two
+// largest falling, so no batch of three distinct keys can skip the sort.
+std::vector<Key> UnsortEachBatch(std::vector<Key> keys, size_t batch) {
+  for (size_t i = 0; i < keys.size(); i += batch) {
+    const auto end = keys.begin() + std::min(keys.size(), i + batch);
+    std::sort(keys.begin() + i, end);
+    std::iter_swap(end - 2, end - 1);
+  }
+  return keys;
+}
+
+// Diverging trends around 2^62, then a burst of keys packed around where
+// they started, which no stream of the run can take: once the burst fills
+// memory the run ends, and the next one splits it at the Mean. Repeated
+// three times. At 2^62 a double holds keys to the nearest 1024 and the
+// Mean's running sum rounds, so the order the sum is taken in moves the
+// split across burst keys.
+std::vector<Key> TrendsThenBursts(size_t memory) {
+  constexpr Key kCentre = Key{1} << 62;
+  Random rng(9);
+  std::vector<Key> input;
+  for (int round = 0; round < 3; ++round) {
+    for (Key i = 1; i <= static_cast<Key>(20 * memory); ++i) {
+      input.push_back(kCentre + i * 1000 + rng.UniformInt(0, 999));
+      input.push_back(kCentre - i * 1000 - rng.UniformInt(0, 999));
+    }
+    for (size_t i = 0; i < 2 * memory; ++i) {
+      input.push_back(kCentre + rng.UniformInt(-100000, 100000));
+    }
+  }
+  return input;
+}
+
+// Keeps every stream of every run in the order it arrived: what the run
+// files would hold.
+class StreamRecordingSink : public RunSink {
+ public:
+  using Run = std::array<std::vector<Key>, kNumRunStreams>;
+
+  Status BeginRun() override {
+    runs_.emplace_back();
+    return Status::OK();
+  }
+  Status Append(RunStream stream, Key key) override {
+    return AppendSorted(stream, &key, 1);
+  }
+  Status AppendSorted(RunStream stream, const Key* keys, size_t n) override {
+    runs_.back()[stream].insert(runs_.back()[stream].end(), keys, keys + n);
+    return Status::OK();
+  }
+  Status EndRun() override { return Status::OK(); }
+  Status Finish() override { return Status::OK(); }
+
+  const std::vector<Run>& streams() const { return runs_; }
+
+ private:
+  std::vector<Run> runs_;
+};
+
+TEST(Batched2wrsTest, PresortedBatchesWriteWhatSortedBatchesWrite) {
+  // Skipping the sort must not change a single stream of a single run.
+  constexpr size_t kMemory = 2048;
+  const size_t batch = BatchedTwoWayReplacementSelection::BatchRecords(kMemory);
+  std::vector<std::vector<Key>> inputs = {TrendsThenBursts(kMemory)};
+  for (Dataset dataset :
+       {Dataset::kSorted, Dataset::kReverseSorted, Dataset::kAlternating,
+        Dataset::kMixed, Dataset::kMixedImbalanced}) {
+    inputs.push_back(Workload(dataset, 100000, /*seed=*/2));
+  }
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    SCOPED_TRACE(i);
+    const auto generate = [](const std::vector<Key>& input,
+                             StreamRecordingSink* sink) {
+      VectorSource source(input);
+      RunGenStats stats;
+      const Status s =
+          BatchedTwoWayReplacementSelection(TwoWayOptions::Recommended(kMemory))
+              .Generate(&source, sink, &stats);
+      EXPECT_TRUE(s.ok()) << s.ToString();
+      return stats.presorted_batches;
+    };
+    StreamRecordingSink presorted;
+    StreamRecordingSink sorted;
+    EXPECT_GT(generate(inputs[i], &presorted), 0u);
+    EXPECT_EQ(generate(UnsortEachBatch(inputs[i], batch), &sorted), 0u);
+    // Not EXPECT_EQ: a mismatch would print every key.
+    EXPECT_TRUE(presorted.streams() == sorted.streams())
+        << presorted.streams().size() << " runs vs "
+        << sorted.streams().size();
   }
 }
 
