@@ -49,13 +49,6 @@ void CountingRunSink::NoteBounds(Key lo, Key hi) {
   }
 }
 
-Status CountingRunSink::Append(RunStream, Key key) {
-  if (!in_run_) return Status::InvalidArgument("Append outside a run");
-  ++current_length_;
-  NoteBounds(key, key);
-  return Status::OK();
-}
-
 Status CountingRunSink::AppendSorted(RunStream stream, const Key* keys,
                                      size_t n) {
   if (!in_run_) return Status::InvalidArgument("Append outside a run");
@@ -92,10 +85,6 @@ Status CollectingRunSink::BeginRun() {
   in_run_ = true;
   for (auto& s : streams_) s.clear();
   return Status::OK();
-}
-
-Status CollectingRunSink::Append(RunStream stream, Key key) {
-  return AppendSorted(stream, &key, 1);
 }
 
 Status CollectingRunSink::AppendSorted(RunStream stream, const Key* keys,
@@ -182,14 +171,6 @@ Status FileRunSink::OpenWriter(RunStream stream) {
   return MakeRecordWriter(env_, StreamPath(run_index_, stream),
                           options_.block_bytes, &forward_[stream],
                           options_.flush_histogram);
-}
-
-Status FileRunSink::Append(RunStream stream, Key key) {
-  if (!in_run_) return Status::InvalidArgument("Append outside a run");
-  NoteBounds(key, key);
-  TWRS_RETURN_IF_ERROR(OpenWriter(stream));
-  if (StreamIsReverse(stream)) return reverse_[stream]->Append(key);
-  return forward_[stream]->Append(key);
 }
 
 Status FileRunSink::AppendSorted(RunStream stream, const Key* keys,

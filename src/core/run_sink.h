@@ -58,16 +58,15 @@ class RunSink {
   virtual ~RunSink() = default;
 
   virtual Status BeginRun() = 0;
-  virtual Status Append(RunStream stream, Key key) = 0;
 
   /// Appends `n` keys to `stream` in one call, already in that stream's
   /// order (non-decreasing for streams 1 and 3, non-increasing for 2 and
-  /// 4) — the span path of every run generator. The default loops Append.
-  virtual Status AppendSorted(RunStream stream, const Key* keys, size_t n) {
-    for (size_t i = 0; i < n; ++i) {
-      TWRS_RETURN_IF_ERROR(Append(stream, keys[i]));
-    }
-    return Status::OK();
+  /// 4) — the span path of every run generator.
+  virtual Status AppendSorted(RunStream stream, const Key* keys, size_t n) = 0;
+
+  /// Appends one key to `stream`: a one-key AppendSorted.
+  Status Append(RunStream stream, Key key) {
+    return AppendSorted(stream, &key, 1);
   }
 
   virtual Status EndRun() = 0;
@@ -133,7 +132,6 @@ class StagedRunStream {
 class CountingRunSink : public RunSink {
  public:
   Status BeginRun() override;
-  Status Append(RunStream stream, Key key) override;
   Status AppendSorted(RunStream stream, const Key* keys, size_t n) override;
   Status EndRun() override;
   Status Finish() override;
@@ -153,7 +151,6 @@ class CountingRunSink : public RunSink {
 class CollectingRunSink : public RunSink {
  public:
   Status BeginRun() override;
-  Status Append(RunStream stream, Key key) override;
   Status AppendSorted(RunStream stream, const Key* keys, size_t n) override;
   Status EndRun() override;
   Status Finish() override;
@@ -187,7 +184,6 @@ class FileRunSink : public RunSink {
               FileRunSinkOptions options = FileRunSinkOptions());
 
   Status BeginRun() override;
-  Status Append(RunStream stream, Key key) override;
 
   /// Writes the span through RecordWriter::AppendBatch (increasing
   /// streams) or ReverseRunWriter::AppendBatch (decreasing streams); the

@@ -63,9 +63,9 @@ class RandomRWFile {
 /// informational: no engine code branches on it. PosixEnv's I/O is
 /// synchronous; IoUringEnv, the one async backend, reports native_async.
 struct IoCapabilities {
-  /// Appends, positioned writes and sequential reads are all submitted
-  /// without blocking on completion: writes return before the data hits
-  /// the disk, reads are fed by backend-side read-ahead.
+  /// Appends and positioned writes are submitted without blocking on
+  /// completion: they return before the data reaches the file. Reads stay
+  /// synchronous on every backend.
   bool native_async = false;
 };
 

@@ -6,46 +6,11 @@
 #include "obs/metrics.h"
 #include "util/mutex.h"
 
-namespace twrs {
-
-// The metadata plumbing is identical with and without kernel support;
-// only the data-path file handles (and the ring pool behind them) differ,
-// so the constructor and destructor live in the per-branch sections where
-// IoUringRingPool is a complete type.
-
-bool IoUringEnv::FileExists(const std::string& path) {
-  return metadata_env_.FileExists(path);
-}
-
-Status IoUringEnv::RemoveFile(const std::string& path) {
-  return metadata_env_.RemoveFile(path);
-}
-
-Status IoUringEnv::GetFileSize(const std::string& path, uint64_t* size) {
-  return metadata_env_.GetFileSize(path, size);
-}
-
-Status IoUringEnv::CreateDirIfMissing(const std::string& path) {
-  return metadata_env_.CreateDirIfMissing(path);
-}
-
-Status IoUringEnv::RemoveDir(const std::string& path) {
-  return metadata_env_.RemoveDir(path);
-}
-
-Status IoUringEnv::ListDir(const std::string& path,
-                           std::vector<std::string>* names) {
-  return metadata_env_.ListDir(path, names);
-}
-
-}  // namespace twrs
-
 #if defined(TWRS_WITH_URING)
 
 #include <fcntl.h>
 #include <linux/io_uring.h>
 #include <sys/mman.h>
-#include <sys/stat.h>
 #include <sys/syscall.h>
 #include <sys/uio.h>
 #include <unistd.h>
@@ -117,15 +82,8 @@ LatencyHistogram& BatchLenHistogram() {
 /// resubmissions) with room for batching.
 constexpr unsigned kRingEntries = 8;
 
-/// Size of each transfer buffer: two per handle (double-buffered writes or
-/// two read-ahead blocks).
+/// Size of each transfer buffer: two per write handle, double-buffered.
 constexpr size_t kBufferBytes = 256 * 1024;
-
-constexpr size_t kPageBytes = 4096;
-
-constexpr uint64_t AlignUp(uint64_t v) {
-  return (v + kPageBytes - 1) & ~(kPageBytes - 1);
-}
 
 struct UnmapDeleter {
   size_t bytes = 0;
@@ -343,7 +301,7 @@ class Ring {
 
 /// Registers `buffers` (each `len` bytes) as fixed buffers on `ring`.
 /// Returns false when the kernel refuses (RLIMIT_MEMLOCK, EPERM in
-/// sandboxes) — callers then fall back to plain READ/WRITE opcodes.
+/// sandboxes) — callers then fall back to the plain WRITE opcode.
 bool RegisterBuffers(Ring* ring, uint8_t* const* buffers, size_t count,
                      size_t len) {
   std::vector<iovec> iovecs(count);
@@ -357,12 +315,11 @@ bool RegisterBuffers(Ring* ring, uint8_t* const* buffers, size_t count,
 
 // ---------------------------------------------------------- ring pooling
 
-/// Both handle types move data through two kBufferBytes transfer buffers:
-/// double-buffered writes or two read-ahead blocks. The uniform shape is
-/// what makes one pooled ring serve either handle.
+/// A write handle double-buffers through two kBufferBytes transfer
+/// buffers: the caller fills one while the kernel writes the other.
 constexpr unsigned kPooledBuffers = 2;
 
-/// A ring plus its two registered transfer buffers, recycled across file
+/// A ring plus its two registered transfer buffers, recycled across write
 /// handles. Creating this per open is not cheap relative to the engine's
 /// file sizes: io_uring_setup, three ring mmaps, faulting in the buffers
 /// and the IORING_REGISTER_BUFFERS page pinning together cost a few
@@ -386,7 +343,7 @@ struct PooledRing {
     }
     // Registered buffers let data SQEs skip the per-op page pinning. When
     // the kernel refuses (RLIMIT_MEMLOCK, EPERM in containers) the ring
-    // falls back to plain READ/WRITE opcodes.
+    // falls back to the plain WRITE opcode.
     fixed = RegisterBuffers(&ring, raw, kPooledBuffers, kBufferBytes);
     g_rings_created.fetch_add(1, std::memory_order_relaxed);
     return Status::OK();
@@ -394,11 +351,10 @@ struct PooledRing {
 
   uint8_t* buf(unsigned i) { return buffers[i].get(); }
 
-  /// Preps (without submitting) one read or write SQE moving `len` bytes
-  /// between file offset `off` of `fd` and transfer buffer `b`, starting
-  /// `pos` bytes into it. Completions carry `b` as their user_data.
-  Status PrepTransfer(bool write, int fd, unsigned b, size_t pos, size_t len,
-                      uint64_t off) {
+  /// Preps (without submitting) one write SQE moving `len` bytes from
+  /// transfer buffer `b`, starting `pos` bytes into it, to file offset
+  /// `off` of `fd`. Completions carry `b` as their user_data.
+  Status PrepWrite(int fd, unsigned b, size_t pos, size_t len, uint64_t off) {
     io_uring_sqe* sqe = nullptr;
     TWRS_RETURN_IF_ERROR(ring.PrepSqe(&sqe));
     sqe->fd = fd;
@@ -407,20 +363,20 @@ struct PooledRing {
     sqe->off = off;
     sqe->user_data = b;
     if (fixed) {
-      sqe->opcode = write ? IORING_OP_WRITE_FIXED : IORING_OP_READ_FIXED;
+      sqe->opcode = IORING_OP_WRITE_FIXED;
       sqe->buf_index = static_cast<uint16_t>(b);
     } else {
-      sqe->opcode = write ? IORING_OP_WRITE : IORING_OP_READ;
+      sqe->opcode = IORING_OP_WRITE;
     }
     return Status::OK();
   }
 };
 
 /// Free list of quiescent rings, one pool per Env. Thread-safe: parallel
-/// run generators and partial merges open handles from several threads
-/// at once. Every released ring is kept, so the pool holds the peak
-/// number of handles open at once, and a sort creates rings only when it
-/// holds more at once than any earlier sort on this Env.
+/// run generators and partial merges open write handles from several
+/// threads at once. Every released ring is kept, so the pool holds the
+/// peak number of write handles open at once, and a sort creates rings
+/// only when it holds more at once than any earlier sort on this Env.
 class RingPool {
  public:
   Status Acquire(std::unique_ptr<PooledRing>* out) {
@@ -439,12 +395,11 @@ class RingPool {
     return Status::OK();
   }
 
-  /// Returns a handle's ring to the pool: the one close path of both
-  /// handle types, called before the handle closes its fd. Anything still
-  /// pending or in flight (error-path closes, abandoned read-ahead) is
-  /// submitted and reaped first, so the kernel is not touching buffers the
-  /// pool hands to another handle. A ring the kernel refuses to drain is
-  /// destroyed instead of kept.
+  /// Returns a write handle's ring to the pool, called before the handle
+  /// closes its fd. Anything still pending or in flight (error-path
+  /// closes) is submitted and reaped first, so the kernel is not touching
+  /// buffers the pool hands to another handle. A ring the kernel refuses
+  /// to drain is destroyed instead of kept.
   void Release(std::unique_ptr<PooledRing> pooled) {
     if (pooled == nullptr || !pooled->ring.Drain().ok()) return;
     MutexLock lock(&mu_);
@@ -593,9 +548,9 @@ class UringWriteFile : public WritableFile, public RandomRWFile {
   /// Preps one write SQE for the unwritten remainder of the inflight
   /// buffer.
   Status PrepWrite() {
-    return pooled_->PrepTransfer(/*write=*/true, fd_, inflight_buf_,
-                                 inflight_done_, inflight_len_ - inflight_done_,
-                                 inflight_off_ + inflight_done_);
+    return pooled_->PrepWrite(fd_, inflight_buf_, inflight_done_,
+                              inflight_len_ - inflight_done_,
+                              inflight_off_ + inflight_done_);
   }
 
   /// Reaps the inflight write to completion, resubmitting short writes.
@@ -664,232 +619,6 @@ class UringWriteFile : public WritableFile, public RandomRWFile {
   Status status_;
 };
 
-// ---------------------------------------------- UringSequentialFile
-// Sequential reads fed by kernel read-ahead. The read-ahead is
-// demand-paced: the first block is sized to the first Read request and no
-// ahead block is issued until the caller fully drains kStreamDrains blocks
-// (proving a streaming scan), after which two full-sized reads stay in
-// flight. Pacing matters because a buffered io_uring read of pages not in
-// the cache is punted to an io-wq worker (a forced context switch), and
-// the reverse-stream files this engine merges are sparse: a header page,
-// a hole, then the data pages. An eager fixed-size window would read the
-// hole — punting twice per file — only for the caller to Skip past it.
-class UringSequentialFile : public SequentialFile {
- public:
-  static constexpr unsigned kBlocks = kPooledBuffers;
-  // Full block drains before the window opens to two blocks in flight.
-  static constexpr unsigned kStreamDrains = 2;
-
-  UringSequentialFile(int fd, std::string path, uint64_t file_size,
-                      RingPool* pool)
-      : fd_(fd),
-        path_(std::move(path)),
-        file_size_(file_size),
-        pool_(pool) {}
-
-  ~UringSequentialFile() override {
-    pool_->Release(std::move(pooled_));
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  Status Init() { return pool_->Acquire(&pooled_); }
-
-  Status Read(void* out, size_t n, size_t* bytes_read) override {
-    *bytes_read = 0;
-    if (!status_.ok()) return status_;
-    status_ = EnsureStarted(n);
-    if (!status_.ok()) return status_;
-    uint8_t* p = static_cast<uint8_t*>(out);
-    size_t total = 0;
-    while (total < n) {
-      Block& front = blocks_[front_];
-      if (!front.ready) {
-        status_ = WaitForBlock(front_);
-        if (!status_.ok()) return status_;
-      }
-      const size_t available = front.valid - front.pos;
-      if (available == 0) {
-        if (front.eof) break;  // end of file
-        status_ = RecycleFront();
-        if (!status_.ok()) return status_;
-        continue;
-      }
-      const size_t take = n - total < available ? n - total : available;
-      std::memcpy(p + total, pooled_->buf(front_) + front.pos, take);
-      front.pos += take;
-      total += take;
-    }
-    *bytes_read = total;
-    return Status::OK();
-  }
-
-  Status Skip(uint64_t n) override {
-    if (!status_.ok()) return status_;
-    if (!started_) {
-      // The common pattern (RunCursor) skips to the segment start before
-      // the first read: just move the submission origin.
-      submit_off_ += n;
-      return Status::OK();
-    }
-    // Discard everything buffered or in flight (shorts are not
-    // resubmitted) and restart at the new logical position.
-    status_ = pooled_->ring.Drain();
-    if (!status_.ok()) return status_;
-    const Block& front = blocks_[front_];
-    const uint64_t logical = front.off + front.pos;
-    for (Block& block : blocks_) block = Block();
-    started_ = false;
-    at_eof_ = false;
-    front_ = 0;
-    submit_off_ = logical + n;
-    return Status::OK();
-  }
-
- private:
-  struct Block {
-    uint64_t off = 0;
-    size_t want = 0;   // bytes requested
-    size_t valid = 0;  // bytes delivered
-    size_t pos = 0;    // bytes consumed by the caller
-    bool ready = false;
-    bool eof = false;  // the file ends inside (or before) this block
-  };
-
-  Status EnsureStarted(size_t first_request) {
-    if (started_) return Status::OK();
-    started_ = true;
-    front_ = 0;
-    drains_ = 0;
-    ramp_ = first_request < kPageBytes ? kPageBytes : AlignUp(first_request);
-    if (ramp_ > kBufferBytes) ramp_ = kBufferBytes;
-    // One request-sized block, and it stays pending: the first
-    // WaitForBlock submits it inside its blocking enter — one syscall per
-    // open on this engine's many-small-run merges. Probe-then-Skip
-    // callers (reverse-stream headers) never cost more than this block.
-    return PrepBlock(front_);
-  }
-
-  /// Preps (without submitting) a read of block `b` at submit_off_. Reads
-  /// are clamped to the open-time file size: asking for whole blocks past
-  /// a small file's end would cost a short-read resubmission plus a
-  /// zero-byte EOF confirmation per block — two kernel round trips this
-  /// engine's many-small-run merges would pay per input file. Data
-  /// appended after the open is not observed, matching the read-your-own
-  /// closed-runs pattern every caller follows.
-  Status PrepBlock(unsigned b) {
-    Block& block = blocks_[b];
-    block.off = submit_off_;
-    block.valid = 0;
-    block.pos = 0;
-    block.ready = false;
-    const uint64_t remaining =
-        submit_off_ < file_size_ ? file_size_ - submit_off_ : 0;
-    block.want =
-        remaining < ramp_ ? static_cast<size_t>(remaining) : ramp_;
-    block.eof = remaining <= ramp_;
-    if (at_eof_ || block.want == 0) {
-      // No more data: mark the block as an empty (EOF) block.
-      block.ready = true;
-      block.eof = true;
-      block.want = 0;
-      if (remaining == 0) at_eof_ = true;
-      return Status::OK();
-    }
-    submit_off_ += block.want;
-    return PrepRead(b);
-  }
-
-  /// One read SQE for the undelivered remainder of block `b`.
-  Status PrepRead(unsigned b) {
-    const Block& block = blocks_[b];
-    return pooled_->PrepTransfer(/*write=*/false, fd_, b, block.valid,
-                                 block.want - block.valid,
-                                 block.off + block.valid);
-  }
-
-  /// Reaps completions until block `b` is ready.
-  Status WaitForBlock(unsigned b) {
-    while (!blocks_[b].ready) {
-      int64_t res = 0;
-      uint64_t user_data = 0;
-      TWRS_RETURN_IF_ERROR(pooled_->ring.WaitCqe(&res, &user_data));
-      TWRS_RETURN_IF_ERROR(HandleCqe(static_cast<unsigned>(user_data), res));
-    }
-    return Status::OK();
-  }
-
-  Status HandleCqe(unsigned b, int64_t res) {
-    Block& block = blocks_[b];
-    if (res == -EINTR || res == -EAGAIN) {
-      // Left pending; the enclosing wait loop's next WaitCqe submits it.
-      return PrepRead(b);
-    }
-    if (res < 0) {
-      return ErrnoStatus("io_uring read " + path_, static_cast<int>(-res));
-    }
-    if (res == 0) {
-      // End of file at block.off + block.valid; the block is final.
-      // Reads are clamped to the open-time size, so this only fires when
-      // the file shrank under us.
-      block.ready = true;
-      block.eof = true;
-      at_eof_ = true;
-      return Status::OK();
-    }
-    block.valid += static_cast<size_t>(res);
-    if (block.valid < block.want) {
-      // Short read (a split transfer): resubmit the remainder, pending
-      // until the enclosing wait loop's next WaitCqe.
-      g_short_ios.fetch_add(1, std::memory_order_relaxed);
-      return PrepRead(b);
-    }
-    block.ready = true;
-    return Status::OK();
-  }
-
-  /// Refills the fully-consumed front block at the next file offset. Each
-  /// drain doubles the block size up to kBufferBytes; the kStreamDrains-th
-  /// drain opens the window to two blocks in flight. Before that the
-  /// refill stays pending (the next wait's enter submits it); once reading
-  /// ahead, submission is eager so the kernel fills the ahead block while
-  /// the caller copies out of the other.
-  Status RecycleFront() {
-    ++drains_;
-    if (ramp_ < kBufferBytes) {
-      ramp_ = ramp_ * 2 < kBufferBytes ? ramp_ * 2 : kBufferBytes;
-    }
-    TWRS_RETURN_IF_ERROR(PrepBlock(front_));
-    if (drains_ < kStreamDrains) return Status::OK();
-    if (drains_ == kStreamDrains) {
-      // Streaming proven: issue the ahead block too. front_ stays on the
-      // just-refilled block, which holds the lower offset.
-      TWRS_RETURN_IF_ERROR(PrepBlock((front_ + 1) % kBlocks));
-    } else {
-      front_ = (front_ + 1) % kBlocks;
-    }
-    return pooled_->ring.Submit();
-  }
-
-  int fd_;
-  std::string path_;
-  const uint64_t file_size_;  // size at open; reads never go past it
-
-  RingPool* const pool_;
-  std::unique_ptr<PooledRing> pooled_;
-  Block blocks_[kBlocks];
-
-  bool started_ = false;
-  bool at_eof_ = false;
-  unsigned front_ = 0;
-  uint64_t submit_off_ = 0;
-  // Demand pacing: full drains since (re)start, and the current block
-  // size, doubling per drain up to kBufferBytes.
-  unsigned drains_ = 0;
-  size_t ramp_ = 0;
-
-  Status status_;
-};
-
 const std::string& ProbeFailureReason() {
   static const std::string* const reason = [] {
     io_uring_params params;
@@ -947,25 +676,6 @@ Status IoUringEnv::NewWritableFile(const std::string& path,
   return OpenWriteFile(path, O_WRONLY | O_CREAT | O_TRUNC, pool_.get(), out);
 }
 
-Status IoUringEnv::NewSequentialFile(const std::string& path,
-                                     std::unique_ptr<SequentialFile>* out) {
-  if (!IsSupported()) return Status::NotSupported(UnsupportedReason());
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return ErrnoStatus("open " + path, errno);
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    const int err = errno;
-    ::close(fd);
-    return ErrnoStatus("fstat " + path, err);
-  }
-  auto file = std::make_unique<UringSequentialFile>(
-      fd, path, static_cast<uint64_t>(st.st_size),
-      static_cast<RingPool*>(pool_.get()));
-  TWRS_RETURN_IF_ERROR(file->Init());
-  *out = std::move(file);
-  return Status::OK();
-}
-
 Status IoUringEnv::NewRandomRWFile(const std::string& path,
                                    std::unique_ptr<RandomRWFile>* out) {
   return OpenWriteFile(path, O_RDWR | O_CREAT | O_TRUNC, pool_.get(), out);
@@ -974,14 +684,6 @@ Status IoUringEnv::NewRandomRWFile(const std::string& path,
 Status IoUringEnv::ReopenRandomRWFile(const std::string& path,
                                       std::unique_ptr<RandomRWFile>* out) {
   return OpenWriteFile(path, O_RDWR, pool_.get(), out);
-}
-
-// A single positioned read costs one syscall either way; a ring would only
-// add a pooled-ring acquire, so positioned reads are plain pread.
-Status IoUringEnv::NewRandomReadFile(const std::string& path,
-                                     std::unique_ptr<RandomRWFile>* out) {
-  if (!IsSupported()) return Status::NotSupported(UnsupportedReason());
-  return metadata_env_.NewRandomReadFile(path, out);
 }
 
 IoCapabilities IoUringEnv::io_capabilities() const {
@@ -1052,11 +754,6 @@ Status IoUringEnv::NewWritableFile(const std::string&,
   return Status::NotSupported(kNotBuilt);
 }
 
-Status IoUringEnv::NewSequentialFile(const std::string&,
-                                     std::unique_ptr<SequentialFile>*) {
-  return Status::NotSupported(kNotBuilt);
-}
-
 Status IoUringEnv::NewRandomRWFile(const std::string&,
                                    std::unique_ptr<RandomRWFile>*) {
   return Status::NotSupported(kNotBuilt);
@@ -1064,11 +761,6 @@ Status IoUringEnv::NewRandomRWFile(const std::string&,
 
 Status IoUringEnv::ReopenRandomRWFile(const std::string&,
                                       std::unique_ptr<RandomRWFile>*) {
-  return Status::NotSupported(kNotBuilt);
-}
-
-Status IoUringEnv::NewRandomReadFile(const std::string&,
-                                     std::unique_ptr<RandomRWFile>*) {
   return Status::NotSupported(kNotBuilt);
 }
 

@@ -276,9 +276,6 @@ class StreamRecordingSink : public RunSink {
     runs_.emplace_back();
     return Status::OK();
   }
-  Status Append(RunStream stream, Key key) override {
-    return AppendSorted(stream, &key, 1);
-  }
   Status AppendSorted(RunStream stream, const Key* keys, size_t n) override {
     runs_.back()[stream].insert(runs_.back()[stream].end(), keys, keys + n);
     return Status::OK();

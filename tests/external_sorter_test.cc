@@ -1556,12 +1556,12 @@ TEST(IoBackendSortTest, UringSortIsByteIdenticalToPosix) {
   }
 }
 
-// Tracks the peak number of open handles holding a pooled ring: every
-// handle but NewRandomReadFile's, whose ReadAt is a plain pread. IoUringEnv
-// takes a handle's ring inside the open (building one when the pool is
-// empty, which is slow) and returns it inside Close() or the destructor.
-// A handle counts from before its open until after its close, so it
-// counts the whole time it holds a ring.
+// Tracks the peak number of open handles holding a pooled ring: the write
+// handles. NewSequentialFile and NewRandomReadFile are posix reads and
+// hold none. IoUringEnv takes a write handle's ring inside the open
+// (building one when the pool is empty, which is slow) and returns it
+// inside Close() or the destructor. A handle counts from before its open
+// until after its close, so it counts the whole time it holds a ring.
 class RingHandlePeakEnv : public EnvWrapper {
  public:
   using EnvWrapper::EnvWrapper;
@@ -1575,8 +1575,7 @@ class RingHandlePeakEnv : public EnvWrapper {
   }
 
   Status Before(const IoOp& op) override {
-    if (op.kind == IoOpKind::kOpen &&
-        op.opened_by != OpenMethod::kNewRandomReadFile) {
+    if (op.kind == IoOpKind::kOpen && HoldsRing(op)) {
       std::lock_guard<std::mutex> lock(mu_);
       peak_ = std::max(peak_, ++open_);
     }
@@ -1584,15 +1583,19 @@ class RingHandlePeakEnv : public EnvWrapper {
   }
 
   void After(const IoOp& op, const Status& status) override {
-    if (op.opened_by != OpenMethod::kNewRandomReadFile &&
-        ((op.kind == IoOpKind::kOpen && !status.ok()) ||
-         op.kind == IoOpKind::kClose)) {
+    if (HoldsRing(op) && ((op.kind == IoOpKind::kOpen && !status.ok()) ||
+                          op.kind == IoOpKind::kClose)) {
       std::lock_guard<std::mutex> lock(mu_);
       --open_;
     }
   }
 
  private:
+  static bool HoldsRing(const IoOp& op) {
+    return op.opened_by != OpenMethod::kNewSequentialFile &&
+           op.opened_by != OpenMethod::kNewRandomReadFile;
+  }
+
   std::mutex mu_;
   uint64_t open_ = 0;
   uint64_t peak_ = 0;
@@ -1605,9 +1608,10 @@ TEST(IoBackendSortTest, RepeatedUringSortReusesEveryRing) {
   }
   // The ring pool keeps every released ring, so a sort creates a ring only
   // when it holds more rings at once than any earlier sort on the Env did.
-  // How many it holds depends on when the pool runs the two final-merge
-  // partitions' readers and writers, so each sort's peak is measured, not
-  // assumed.
+  // How many it holds depends on when the pool runs the run sink's stream
+  // writers and the two final-merge partitions' writers, so each sort's
+  // peak is measured, not assumed. Only write handles hold a ring, so the
+  // 16-way merge's inputs add none.
   IoUringEnv uring;
   RingHandlePeakEnv env(&uring);
   const testing::ScopedTempDir temp_dir;
@@ -1652,6 +1656,8 @@ TEST(IoBackendSortTest, RepeatedUringSortReusesEveryRing) {
   }
   EXPECT_GT(created_by[0], 0u);
   EXPECT_EQ(created_by[0], peak[0]);
+  // At most the run sink's four stream writers are open at once.
+  EXPECT_LE(peak[0], 4u);
   EXPECT_EQ(created_by[1], peak[1] > peak[0] ? peak[1] - peak[0] : 0)
       << "peaks " << peak[0] << " then " << peak[1];
   EXPECT_GT(reused_by[1], 0u);

@@ -48,10 +48,6 @@ class HashingRunSink : public RunSink {
     return Status::OK();
   }
 
-  Status Append(RunStream stream, Key key) override {
-    return AppendSorted(stream, &key, 1);
-  }
-
   Status AppendSorted(RunStream stream, const Key* keys, size_t n) override {
     for (size_t i = 0; i < n; ++i) {
       hash_[stream] = FnvMix(hash_[stream], static_cast<uint64_t>(keys[i]));

@@ -157,10 +157,6 @@ class LedgerSink : public RunSink {
       : base_(base), ledger_(ledger) {}
 
   Status BeginRun() override { return base_->BeginRun(); }
-  Status Append(RunStream stream, Key key) override {
-    ledger_->Emitted(1);
-    return base_->Append(stream, key);
-  }
   Status AppendSorted(RunStream stream, const Key* keys, size_t n) override {
     ledger_->Emitted(n);
     return base_->AppendSorted(stream, keys, n);

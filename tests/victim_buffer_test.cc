@@ -15,8 +15,8 @@ namespace {
 class RecordingSink : public RunSink {
  public:
   Status BeginRun() override { return Status::OK(); }
-  Status Append(RunStream stream, Key key) override {
-    appends[stream].push_back(key);
+  Status AppendSorted(RunStream stream, const Key* keys, size_t n) override {
+    appends[stream].insert(appends[stream].end(), keys, keys + n);
     return Status::OK();
   }
   Status EndRun() override { return Status::OK(); }
