@@ -103,4 +103,23 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
+Status RunAll(ThreadPool* pool, size_t n, size_t caller_tasks,
+              const std::function<Status(size_t)>& task) {
+  if (pool == nullptr) caller_tasks = n;
+  std::vector<TaskHandle> handles;
+  handles.reserve(n - std::min(n, caller_tasks));
+  for (size_t i = caller_tasks; i < n; ++i) {
+    handles.push_back(pool->Submit([&task, i] { return task(i); }));
+  }
+  Status first_error;
+  for (size_t i = 0; i < std::min(n, caller_tasks) && first_error.ok(); ++i) {
+    first_error = task(i);
+  }
+  for (TaskHandle& handle : handles) {
+    Status s = handle.Wait();
+    if (!s.ok() && first_error.ok()) first_error = std::move(s);
+  }
+  return first_error;
+}
+
 }  // namespace twrs

@@ -103,6 +103,17 @@ class ThreadPool {
   std::atomic<uint64_t> inflight_{0};
 };
 
+/// Runs task(0), ..., task(n - 1) and returns the first failure in index
+/// order. With a pool, tasks `caller_tasks` and up are submitted to it,
+/// the tasks below `caller_tasks` then run in order on the calling
+/// thread, and the call returns only once every submitted task has
+/// finished, so no task still references the caller's frame when it
+/// unwinds. The waits are work-helping, so a pool with fewer free workers
+/// than tasks still runs them all. Without a pool every task runs on the
+/// caller in order, up to the first failure.
+Status RunAll(ThreadPool* pool, size_t n, size_t caller_tasks,
+              const std::function<Status(size_t)>& task);
+
 }  // namespace twrs
 
 #endif  // TWRS_EXEC_THREAD_POOL_H_

@@ -46,7 +46,7 @@ std::unique_ptr<RunGenerator> MakeRunGenerator(RunGenAlgorithm algorithm,
 size_t MinRunGenMemoryRecords(RunGenAlgorithm algorithm);
 
 /// Concurrency knobs of the pipelined execution path (src/exec). With the
-/// defaults the sort is fully serial and behaves exactly as before.
+/// defaults the sort is fully serial.
 struct ParallelOptions {
   /// Switches the pool-based features on (parallel leaf merges and the
   /// two counts below); 0 keeps the sort serial. The pool itself is the
@@ -144,10 +144,10 @@ struct ExternalSortOptions {
   ProgressCounters* progress = nullptr;
 
   /// Metrics registry receiving the per-phase latency histograms
-  /// (sort.run_generation_seconds, sort.merge_planning_seconds,
-  /// sort.final_merge_seconds) and the run/merge sink flush timings
-  /// (run_sink.flush_seconds, merge_sink.flush_seconds). Null disables
-  /// all histogram recording. Must outlive the sort.
+  /// (sort.run_generation_seconds, sort.final_merge_seconds) and the
+  /// run/merge sink flush timings (run_sink.flush_seconds,
+  /// merge_sink.flush_seconds). Null disables all histogram recording.
+  /// Must outlive the sort.
   MetricsRegistry* metrics = nullptr;
 };
 
@@ -187,9 +187,11 @@ class ExternalSorter {
   /// Does not take ownership of `env`.
   ExternalSorter(Env* env, ExternalSortOptions options);
 
-  /// Sorts `source` into the record file at `output_path`: run generation,
-  /// merge planning and the final merge (sort_phases.h), or one dual-heap
-  /// selection pass for a small top-K.
+  /// Sorts `source` into the record file at `output_path`: run generation
+  /// and the merge, or one dual-heap selection pass for a small top-K. On
+  /// success the progress counters end in SortProgressPhase::kComplete; a
+  /// failed or cancelled sort removes its scratch files and any output it
+  /// created.
   Status Sort(RecordSource* source, const std::string& output_path,
               ExternalSortResult* result);
 

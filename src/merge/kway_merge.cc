@@ -179,44 +179,53 @@ Status MergeCursorsToSink(Env* env,
   return Status::OK();
 }
 
+Status MergeRunSlices(Env* env, const std::vector<RunInfo>& runs,
+                      const std::vector<RunSlice>& slices,
+                      const MergeIoOptions& io, const MergeWindow& window,
+                      const std::string& output_path,
+                      const MergeOutputRange& range, RunInfo* out) {
+  std::vector<std::unique_ptr<RunCursor>> cursors;
+  cursors.reserve(runs.size());
+  for (size_t r = 0; r < runs.size(); ++r) {
+    if (slices[r].length == 0) continue;
+    cursors.push_back(
+        std::make_unique<RunCursor>(env, runs[r], io.block_bytes));
+    TWRS_RETURN_IF_ERROR(
+        cursors.back()->InitSlice(slices[r].skip, slices[r].length));
+  }
+  return MergeCursorsToSink(env, &cursors, io, window, output_path, range,
+                            out);
+}
+
 Status KWayMergeToFile(Env* env, const std::vector<RunInfo>& runs,
                        const MergeIoOptions& io,
                        const std::string& output_path, RunInfo* out) {
-  std::vector<std::unique_ptr<RunCursor>> cursors;
-  cursors.reserve(runs.size());
-  for (const RunInfo& run : runs) {
-    cursors.push_back(std::make_unique<RunCursor>(env, run, io.block_bytes));
-    TWRS_RETURN_IF_ERROR(cursors.back()->Init());
-  }
-  return MergeCursorsToSink(env, &cursors, io, MergeWindow(), output_path,
-                            MergeOutputRange(), out);
+  return KWayMergeLimitToFile(env, runs, io, /*limit=*/0,
+                              /*take_last=*/false, output_path, out);
 }
 
 Status KWayMergeLimitToFile(Env* env, const std::vector<RunInfo>& runs,
                             const MergeIoOptions& io, uint64_t limit,
                             bool take_last, const std::string& output_path,
                             RunInfo* out) {
-  if (limit == 0) return KWayMergeToFile(env, runs, io, output_path, out);
-  std::vector<std::unique_ptr<RunCursor>> cursors;
-  cursors.reserve(runs.size());
-  uint64_t sliced_total = 0;
-  for (const RunInfo& run : runs) {
-    // Only a run's own first (or last) `limit` records can appear in the
-    // kept window of the merged stream: each is preceded (followed) within
-    // its run by enough records to push the rest out. The clamp is pure
-    // segment metadata — the dropped prefix/suffix is never read.
-    const uint64_t keep = std::min<uint64_t>(run.length, limit);
-    if (keep == 0) continue;
-    const uint64_t skip = take_last ? run.length - keep : 0;
-    cursors.push_back(std::make_unique<RunCursor>(env, run, io.block_bytes));
-    TWRS_RETURN_IF_ERROR(cursors.back()->InitSlice(skip, keep));
-    sliced_total += keep;
-  }
+  std::vector<RunSlice> slices(runs.size());
   MergeWindow window;
-  window.limit = limit;
-  if (take_last && sliced_total > limit) window.skip = sliced_total - limit;
-  return MergeCursorsToSink(env, &cursors, io, window, output_path,
-                            MergeOutputRange(), out);
+  if (limit > 0) {
+    uint64_t sliced_total = 0;
+    for (size_t r = 0; r < runs.size(); ++r) {
+      // Only a run's own first (or last) `limit` records can appear in the
+      // kept window of the merged stream: each is preceded (followed)
+      // within its run by enough records to push the rest out. The clamp
+      // is pure segment metadata — the dropped prefix/suffix is never read.
+      slices[r].length = std::min<uint64_t>(runs[r].length, limit);
+      slices[r].skip = take_last ? runs[r].length - slices[r].length : 0;
+      sliced_total += slices[r].length;
+    }
+    window.limit = limit;
+    if (take_last && sliced_total > limit) window.skip = sliced_total - limit;
+  }
+  return MergeRunSlices(env, runs, slices, io, window, output_path,
+                        MergeOutputRange(), out);
 }
 
 Status KWayMergeToFile(Env* env, const std::vector<RunInfo>& runs,

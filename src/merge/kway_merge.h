@@ -132,6 +132,23 @@ Status MergeCursorsToSink(Env* env,
                           const std::string& output_path,
                           const MergeOutputRange& range, RunInfo* out);
 
+/// One run's slice of a merge: `skip` records in, at most `length`
+/// records long. The default slice is the whole run.
+struct RunSlice {
+  uint64_t skip = 0;
+  uint64_t length = kMergeNoLimit;
+};
+
+/// Merges slices[r] of runs[r] for every run whose slice is not empty:
+/// one RunCursor per run, positioned by RunCursor::InitSlice, handed to
+/// MergeCursorsToSink with the other arguments. Every file merge builds
+/// its cursors here.
+Status MergeRunSlices(Env* env, const std::vector<RunInfo>& runs,
+                      const std::vector<RunSlice>& slices,
+                      const MergeIoOptions& io, const MergeWindow& window,
+                      const std::string& output_path,
+                      const MergeOutputRange& range, RunInfo* out);
+
 /// Top-K merge pass: merges `runs` into `output_path` keeping only the
 /// first (take_last = false) or last (take_last = true) `limit` records of
 /// the merged stream. Before merging, each input cursor is clamped to the

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "merge/kway_merge.h"
 #include "merge/partitioned_merge.h"
 
 namespace twrs {
@@ -44,6 +43,17 @@ std::vector<MergeStep> PlanMerges(const std::vector<uint64_t>& run_lengths,
   return plan;
 }
 
+MergeIoOptions MergeIoOptionsFor(const MergeOptions& options,
+                                 bool final_pass) {
+  MergeIoOptions io;
+  io.block_bytes = options.block_bytes;
+  io.cancel = options.cancel;
+  io.progress = options.progress;
+  io.flush_histogram = options.flush_histogram;
+  io.sync_output = final_pass && options.sync_output;
+  return io;
+}
+
 Status MergeRuns(Env* env, std::vector<RunInfo> runs,
                  const MergeOptions& options, const std::string& output_path,
                  MergeStats* stats) {
@@ -52,11 +62,7 @@ Status MergeRuns(Env* env, std::vector<RunInfo> runs,
   }
   MergeStats local;
 
-  MergeIoOptions io;
-  io.block_bytes = options.block_bytes;
-  io.cancel = options.cancel;
-  io.progress = options.progress;
-  io.flush_histogram = options.flush_histogram;
+  const MergeIoOptions io = MergeIoOptionsFor(options, /*final_pass=*/false);
 
   if (runs.empty()) {
     // Sorting an empty input produces an empty output file.
@@ -116,24 +122,7 @@ Status MergeRuns(Env* env, std::vector<RunInfo> runs,
                                   options.limit_last, path,
                                   &nodes[num_runs + s]);
     };
-    if (options.pool != nullptr) {
-      std::vector<TaskHandle> handles;
-      handles.reserve(batch.size());
-      for (size_t i = 0; i < batch.size(); ++i) {
-        handles.push_back(
-            options.pool->Submit([&merge_step, i] { return merge_step(i); }));
-      }
-      // Collect every result before reporting the first failure, so no
-      // task still references this frame when it unwinds.
-      Status first_error;
-      for (TaskHandle& handle : handles) {
-        Status s = handle.Wait();
-        if (!s.ok() && first_error.ok()) first_error = std::move(s);
-      }
-      TWRS_RETURN_IF_ERROR(first_error);
-    } else {
-      TWRS_RETURN_IF_ERROR(merge_step(0));
-    }
+    TWRS_RETURN_IF_ERROR(RunAll(options.pool, batch.size(), 0, merge_step));
     for (size_t i = 0; i < batch.size(); ++i) {
       ++local.merge_steps;
       ++local.intermediate_runs;
@@ -147,28 +136,8 @@ Status MergeRuns(Env* env, std::vector<RunInfo> runs,
   }
 
   const std::vector<RunInfo> final_batch = inputs_of(num_intermediate);
-  RunInfo final_run;
-  FinalMergeSpec final_spec;
-  final_spec.partitions =
-      options.pool != nullptr ? std::max<size_t>(1, options.final_merge_threads)
-                              : 1;
-  final_spec.pool = options.pool;
-  final_spec.limit = options.limit;
-  final_spec.take_last = options.limit_last;
-  MergePruneStats prune;
-  final_spec.prune = &prune;
-  // The final pass writes the user-visible output — the one place the
-  // durability knob applies. Intermediate passes above used io with
-  // sync_output's default (false).
-  MergeIoOptions final_io = io;
-  final_io.sync_output = options.sync_output;
-  TWRS_RETURN_IF_ERROR(FinalMergeToOutput(env, final_batch, final_io,
-                                          final_spec, output_path,
-                                          &final_run));
-  ++local.merge_steps;
-  local.records_written += final_run.length;
-  local.runs_pruned = prune.runs_pruned;
-  local.records_pruned = prune.records_pruned;
+  TWRS_RETURN_IF_ERROR(
+      FinalMergeToOutput(env, final_batch, options, output_path, &local));
   if (options.remove_inputs) {
     for (const RunInfo& run : final_batch) {
       TWRS_RETURN_IF_ERROR(RemoveRunFiles(env, run));

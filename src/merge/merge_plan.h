@@ -9,7 +9,7 @@
 #include "exec/thread_pool.h"
 #include "io/env.h"
 #include "io/record_io.h"
-#include "merge/partitioned_merge.h"
+#include "merge/kway_merge.h"
 #include "obs/latency_histogram.h"
 #include "obs/progress.h"
 #include "util/cancel.h"
@@ -85,6 +85,12 @@ struct MergeOptions {
   uint64_t limit = 0;
   bool limit_last = false;
 };
+
+/// The I/O options of one merge under `options`. Only the final pass
+/// (`final_pass`) takes options.sync_output: intermediate runs are scratch
+/// and never synced.
+MergeIoOptions MergeIoOptionsFor(const MergeOptions& options,
+                                 bool final_pass);
 
 /// Merge-phase statistics.
 struct MergeStats {

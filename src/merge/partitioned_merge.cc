@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "exec/thread_pool.h"
 #include "io/reverse_run_file.h"
 #include "merge/splitters.h"
 
@@ -212,34 +213,6 @@ class SegmentSearcher {
   int64_t cached_block_ = -1;
 };
 
-/// One run's slice of a partition: `skip` records in, `length` records long.
-struct RunSlice {
-  uint64_t skip = 0;
-  uint64_t length = 0;
-};
-
-/// Merges one partition: every run's slice for partition `j`, written to
-/// `range` of the shared output at `output_path`. `window` restricts
-/// emission to a slice of the partition's merge order — how a limited
-/// merge clamps the partition straddling the K-record boundary.
-Status MergePartition(Env* env, const std::vector<RunInfo>& runs,
-                      const std::vector<RunSlice>& slices,
-                      const MergeIoOptions& io, const MergeWindow& window,
-                      const std::string& output_path,
-                      const MergeOutputRange& range) {
-  std::vector<std::unique_ptr<RunCursor>> cursors;
-  cursors.reserve(runs.size());
-  for (size_t r = 0; r < runs.size(); ++r) {
-    if (slices[r].length == 0) continue;
-    cursors.push_back(
-        std::make_unique<RunCursor>(env, runs[r], io.block_bytes));
-    TWRS_RETURN_IF_ERROR(
-        cursors.back()->InitSlice(slices[r].skip, slices[r].length));
-  }
-  return MergeCursorsToSink(env, &cursors, io, window, output_path, range,
-                            nullptr);
-}
-
 /// The serial limited final merge. Clamps every run to the `kept`-record
 /// prefix (suffix for take_last) that can still matter, then tightens the
 /// clamps with sampled key bounds: the smallest sampled key with >= kept
@@ -250,15 +223,14 @@ Status MergePartition(Env* env, const std::vector<RunInfo>& runs,
 /// requirement: the merge window serves exactly `kept` records from
 /// whatever survives the clamps.
 Status PrunedSerialMerge(Env* env, const std::vector<RunInfo>& runs,
-                         const MergeIoOptions& io, const FinalMergeSpec& spec,
+                         const MergeIoOptions& io, bool take_last,
                          uint64_t kept, uint64_t total_records,
-                         const std::string& output_path, RunInfo* out) {
+                         const std::string& output_path, MergeStats* stats) {
   const size_t n = runs.size();
-  std::vector<uint64_t> skip(n, 0);
-  std::vector<uint64_t> keep(n, 0);
+  std::vector<RunSlice> slices(n);
   for (size_t r = 0; r < n; ++r) {
-    keep[r] = std::min<uint64_t>(runs[r].length, kept);
-    skip[r] = spec.take_last ? runs[r].length - keep[r] : 0;
+    slices[r].length = std::min<uint64_t>(runs[r].length, kept);
+    slices[r].skip = take_last ? runs[r].length - slices[r].length : 0;
   }
   if (n > 1) {
     // Candidate bounds: a modest sample is plenty — any candidate that
@@ -283,7 +255,7 @@ Status PrunedSerialMerge(Env* env, const std::vector<RunInfo>& runs,
     while (begin < sample.size() && !refined) {
       const size_t end = std::min(sample.size(), begin + chunk);
       std::vector<Key> probe;
-      if (!spec.take_last) {
+      if (!take_last) {
         probe.assign(sample.begin() + static_cast<ptrdiff_t>(begin),
                      sample.begin() + static_cast<ptrdiff_t>(end));
       } else {
@@ -302,12 +274,13 @@ Status PrunedSerialMerge(Env* env, const std::vector<RunInfo>& runs,
           total_below[s] += below[r][s];
         }
       }
-      if (!spec.take_last) {
+      if (!take_last) {
         for (size_t s = 0; s < probe.size(); ++s) {
           if (total_below[s] >= kept) {
             // Every kept record is strictly below probe[s].
             for (size_t r = 0; r < n; ++r) {
-              keep[r] = std::min<uint64_t>(keep[r], below[r][s]);
+              slices[r].length =
+                  std::min<uint64_t>(slices[r].length, below[r][s]);
             }
             refined = true;
             break;
@@ -318,8 +291,8 @@ Status PrunedSerialMerge(Env* env, const std::vector<RunInfo>& runs,
           if (total_records - total_below[s] >= kept) {
             // Every kept record is at or above probe[s].
             for (size_t r = 0; r < n; ++r) {
-              skip[r] = std::max<uint64_t>(skip[r], below[r][s]);
-              keep[r] = runs[r].length - skip[r];
+              slices[r].skip = std::max<uint64_t>(slices[r].skip, below[r][s]);
+              slices[r].length = runs[r].length - slices[r].skip;
             }
             refined = true;
             break;
@@ -331,43 +304,21 @@ Status PrunedSerialMerge(Env* env, const std::vector<RunInfo>& runs,
     }
   }
 
-  MergePruneStats prune;
-  std::vector<std::unique_ptr<RunCursor>> cursors;
-  cursors.reserve(n);
   uint64_t sliced_total = 0;
   for (size_t r = 0; r < n; ++r) {
-    prune.records_pruned += runs[r].length - keep[r];
-    if (keep[r] == 0) {
-      if (runs[r].length > 0) ++prune.runs_pruned;
-      continue;
-    }
-    cursors.push_back(
-        std::make_unique<RunCursor>(env, runs[r], io.block_bytes));
-    TWRS_RETURN_IF_ERROR(cursors.back()->InitSlice(skip[r], keep[r]));
-    sliced_total += keep[r];
+    stats->records_pruned += runs[r].length - slices[r].length;
+    if (slices[r].length == 0 && runs[r].length > 0) ++stats->runs_pruned;
+    sliced_total += slices[r].length;
   }
   MergeWindow window;
   window.limit = kept;
-  if (spec.take_last && sliced_total > kept) {
-    window.skip = sliced_total - kept;
-  }
-
-  TWRS_RETURN_IF_ERROR(MergeCursorsToSink(env, &cursors, io, window,
-                                          output_path, MergeOutputRange(),
-                                          out));
-  if (spec.prune != nullptr) *spec.prune = prune;
+  if (take_last && sliced_total > kept) window.skip = sliced_total - kept;
+  RunInfo written;
+  TWRS_RETURN_IF_ERROR(MergeRunSlices(env, runs, slices, io, window,
+                                      output_path, MergeOutputRange(),
+                                      &written));
+  stats->records_written += written.length;
   return Status::OK();
-}
-
-/// Key bounds across runs, from the exact per-run metadata.
-void RunBounds(const std::vector<RunInfo>& runs, Key* min_key, Key* max_key) {
-  bool first = true;
-  for (const RunInfo& run : runs) {
-    if (run.length == 0) continue;
-    if (first || run.min_key < *min_key) *min_key = run.min_key;
-    if (first || run.max_key > *max_key) *max_key = run.max_key;
-    first = false;
-  }
 }
 
 }  // namespace
@@ -432,17 +383,18 @@ Status SampleRunKeys(Env* env, const std::vector<RunInfo>& runs,
 }
 
 Status FinalMergeToOutput(Env* env, const std::vector<RunInfo>& runs,
-                          const MergeIoOptions& io, const FinalMergeSpec& spec,
-                          const std::string& output_path, RunInfo* out) {
+                          const MergeOptions& options,
+                          const std::string& output_path, MergeStats* stats) {
+  const MergeIoOptions io = MergeIoOptionsFor(options, /*final_pass=*/true);
+  const bool take_last = options.limit_last;
   uint64_t total_records = 0;
   for (const RunInfo& run : runs) total_records += run.length;
   // A limit of 0 means no limit; a limit >= the input is a full merge.
-  const uint64_t kept = spec.limit > 0
-                            ? std::min<uint64_t>(spec.limit, total_records)
+  const uint64_t kept = options.limit > 0
+                            ? std::min<uint64_t>(options.limit, total_records)
                             : total_records;
-  const bool limited = kept < total_records;
   const uint64_t kept_bytes = kept * kRecordBytes;
-  if (spec.prune != nullptr) *spec.prune = MergePruneStats();
+  ++stats->merge_steps;
 
   // Decide the effective partition count. Everything that degenerates —
   // no pool, one run, tiny inputs, splitters collapsed by skew — falls
@@ -453,14 +405,15 @@ Status FinalMergeToOutput(Env* env, const std::vector<RunInfo>& runs,
   // what the data volume supports before any probe is paid.
   std::vector<Key> splitters;
   size_t partitions_wanted = 0;
-  if (spec.partitions > 1 && spec.pool != nullptr && runs.size() > 1) {
+  if (options.final_merge_threads > 1 && options.pool != nullptr &&
+      runs.size() > 1) {
     const uint64_t min_partition_bytes =
         16 * std::max<size_t>(1, io.block_bytes);
     // For a limited merge the volume that gets written is the kept window,
     // so that is what partitioning must amortize over — a small K always
     // degenerates to the (pruned) serial merge.
     partitions_wanted = static_cast<size_t>(
-        std::min<uint64_t>(spec.partitions,
+        std::min<uint64_t>(options.final_merge_threads,
                            kept_bytes / min_partition_bytes));
   }
   if (partitions_wanted > 1) {
@@ -476,11 +429,15 @@ Status FinalMergeToOutput(Env* env, const std::vector<RunInfo>& runs,
   }
 
   if (splitters.empty()) {
-    if (limited) {
-      return PrunedSerialMerge(env, runs, io, spec, kept, total_records,
-                               output_path, out);
+    if (kept < total_records) {
+      return PrunedSerialMerge(env, runs, io, take_last, kept, total_records,
+                               output_path, stats);
     }
-    return KWayMergeToFile(env, runs, io, output_path, out);
+    RunInfo written;
+    TWRS_RETURN_IF_ERROR(KWayMergeToFile(env, runs, io, output_path,
+                                         &written));
+    stats->records_written += written.length;
+    return Status::OK();
   }
 
   // Exact slice boundaries: for each run, the record index where every
@@ -489,25 +446,11 @@ Status FinalMergeToOutput(Env* env, const std::vector<RunInfo>& runs,
   // seek apiece on a spinning disk.
   const size_t partitions = splitters.size() + 1;
   std::vector<std::vector<uint64_t>> below(runs.size());
-  {
-    std::vector<TaskHandle> boundary_tasks;
-    boundary_tasks.reserve(runs.size());
-    for (size_t r = 0; r < runs.size(); ++r) {
-      const RunInfo* run = &runs[r];
-      std::vector<uint64_t>* run_below = &below[r];
-      boundary_tasks.push_back(
-          spec.pool->Submit([env, run, &splitters, &io, run_below] {
-            return PartitionPointsForRun(env, *run, splitters,
-                                         io.block_bytes, run_below);
-          }));
-    }
-    Status first_error;
-    for (TaskHandle& handle : boundary_tasks) {
-      Status s = handle.Wait();
-      if (!s.ok() && first_error.ok()) first_error = std::move(s);
-    }
-    TWRS_RETURN_IF_ERROR(first_error);
-  }
+  TWRS_RETURN_IF_ERROR(
+      RunAll(options.pool, runs.size(), 0, [&](size_t r) {
+        return PartitionPointsForRun(env, runs[r], splitters, io.block_bytes,
+                                     &below[r]);
+      }));
   std::vector<std::vector<RunSlice>> slices(partitions);
   std::vector<uint64_t> partition_records(partitions, 0);
   for (size_t j = 0; j < partitions; ++j) {
@@ -534,16 +477,13 @@ Status FinalMergeToOutput(Env* env, const std::vector<RunInfo>& runs,
   // dropped — their runs' slices are never read, which is the partitioned
   // form of run pruning — and the straddling partition merges with a
   // window that clamps it to the K-record boundary.
-  const uint64_t win_lo = spec.take_last ? total_records - kept : 0;
+  const uint64_t win_lo = take_last ? total_records - kept : 0;
   const uint64_t win_hi = win_lo + kept;
-  MergePruneStats prune;
   std::vector<bool> run_used(runs.size(), false);
-
-  std::vector<TaskHandle> handles;
-  handles.reserve(partitions);
+  std::vector<size_t> merged;  // the partitions that reach the window
   std::vector<MergeWindow> windows(partitions);
+  std::vector<MergeOutputRange> ranges(partitions);
   uint64_t cum = 0;
-  Status first_error;
   for (size_t j = 0; j < partitions; ++j) {
     const uint64_t p_lo = cum;
     const uint64_t p_hi = cum + partition_records[j];
@@ -551,7 +491,7 @@ Status FinalMergeToOutput(Env* env, const std::vector<RunInfo>& runs,
     const uint64_t inter_lo = std::max<uint64_t>(p_lo, win_lo);
     const uint64_t inter_hi = std::min<uint64_t>(p_hi, win_hi);
     if (inter_lo >= inter_hi) {
-      prune.records_pruned += partition_records[j];
+      stats->records_pruned += partition_records[j];
       continue;
     }
     for (size_t r = 0; r < runs.size(); ++r) {
@@ -559,49 +499,26 @@ Status FinalMergeToOutput(Env* env, const std::vector<RunInfo>& runs,
     }
     windows[j].skip = inter_lo - p_lo;
     windows[j].limit = inter_hi - inter_lo;
-    MergeOutputRange range;
-    range.positioned = true;
-    range.offset = (inter_lo - win_lo) * kRecordBytes;
-    range.length = windows[j].limit * kRecordBytes;
-    const MergeWindow* window = &windows[j];
-    const std::vector<RunSlice>* partition_slices = &slices[j];
-    handles.push_back(spec.pool->Submit(
-        [env, &runs, partition_slices, &io, &output_path, range, window] {
-          return MergePartition(env, runs, *partition_slices, io, *window,
-                                output_path, range);
-        }));
+    ranges[j].positioned = true;
+    ranges[j].offset = (inter_lo - win_lo) * kRecordBytes;
+    ranges[j].length = windows[j].limit * kRecordBytes;
+    merged.push_back(j);
   }
-  // Collect every partial merge before reporting the first failure, so no
-  // task still references local state when this frame unwinds.
-  for (TaskHandle& handle : handles) {
-    Status s = handle.Wait();
-    if (!s.ok() && first_error.ok()) first_error = std::move(s);
-  }
-  if (!first_error.ok()) {
+  const Status s = RunAll(options.pool, merged.size(), 0, [&](size_t i) {
+    const size_t j = merged[i];
+    return MergeRunSlices(env, runs, slices[j], io, windows[j], output_path,
+                          ranges[j], nullptr);
+  });
+  if (!s.ok()) {
     // A torn positioned file has holes rather than a clean prefix.
     TWRS_IGNORE_STATUS(env->RemoveFile(output_path));
-    return first_error;
+    return s;
   }
-
-  if (limited && spec.prune != nullptr) {
-    for (size_t r = 0; r < runs.size(); ++r) {
-      if (!run_used[r] && runs[r].length > 0) ++prune.runs_pruned;
-    }
-    *spec.prune = prune;
-  }
-  if (out != nullptr) {
-    RunInfo info;
-    RunSegment seg;
-    seg.path = output_path;
-    seg.reverse = false;
-    seg.count = kept;
-    info.segments.push_back(std::move(seg));
-    info.length = kept;
-    // Exact for a full merge; for a limited one these metadata bounds of
-    // the inputs merely over-cover the kept window, which is all the
-    // final output's consumers need.
-    RunBounds(runs, &info.min_key, &info.max_key);
-    *out = std::move(info);
+  // Every range's exact-fill check passed, so the output holds `kept`
+  // records.
+  stats->records_written += kept;
+  for (size_t r = 0; r < runs.size(); ++r) {
+    if (!run_used[r] && runs[r].length > 0) ++stats->runs_pruned;
   }
   return Status::OK();
 }

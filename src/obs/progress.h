@@ -11,9 +11,8 @@ namespace twrs {
 enum class SortProgressPhase : uint32_t {
   kPending = 0,
   kRunGeneration = 1,
-  kMergePlanning = 2,
-  kFinalMerge = 3,
-  kComplete = 4,
+  kFinalMerge = 2,
+  kComplete = 3,
 };
 
 inline const char* SortProgressPhaseName(SortProgressPhase phase) {
@@ -22,8 +21,6 @@ inline const char* SortProgressPhaseName(SortProgressPhase phase) {
       return "pending";
     case SortProgressPhase::kRunGeneration:
       return "run-gen";
-    case SortProgressPhase::kMergePlanning:
-      return "planning";
     case SortProgressPhase::kFinalMerge:
       return "merge";
     case SortProgressPhase::kComplete:
@@ -50,9 +47,10 @@ struct JobProgress {
 
 /// Live progress counters for one sort job, updated from the hot paths
 /// with relaxed atomics and read at any time by status pollers. Writers
-/// batch their increments (see SortInputSource / MergeCursorsToSink), so a
-/// mid-flight read can trail the truth by a bounded amount; once the job
-/// reaches a terminal state the counters are exact.
+/// batch their increments (ExternalSorter's input readers, once per read;
+/// MergeCursorsToSink, once per output block), so a mid-flight read can
+/// trail the truth by a bounded amount; once the job reaches a terminal
+/// state the counters are exact.
 class ProgressCounters {
  public:
   ProgressCounters() = default;

@@ -449,9 +449,6 @@ void SortService::FinishJob(const std::shared_ptr<SortJob>& job,
                                                           : "failed";
     metrics_->Counter(std::string("service.jobs_") + outcome)->Increment();
   }
-  if (state == JobState::kDone) {
-    job->progress.AdvancePhase(SortProgressPhase::kComplete);
-  }
   {
     MutexLock lock(&job->mu);
     job->state = state;

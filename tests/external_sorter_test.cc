@@ -339,12 +339,17 @@ TEST(ExternalSorterCancelTest, CancelMidMergeUnwindsAndCleansUp) {
   wl.seed = 22;
   auto input = Drain(MakeWorkload(Dataset::kRandom, wl).get());
 
-  ExternalSorter sorter(&env, CancelTestOptions(&token));
+  ProgressCounters progress;
+  ExternalSortOptions options = CancelTestOptions(&token);
+  options.progress = &progress;
+  ExternalSorter sorter(&env, options);
   VectorSource source(input);
   const Status status = sorter.Sort(&source, "out", nullptr);
   EXPECT_TRUE(status.IsCancelled()) << status.ToString();
   EXPECT_EQ(status.message(), "merge cancelled");
   EXPECT_EQ(env.FileCount(), 0u);
+  // A cancelled sort never reads as complete.
+  EXPECT_EQ(progress.Snapshot().phase, SortProgressPhase::kFinalMerge);
 }
 
 TEST(ExternalSorterCancelTest, LoadSortStoreCancelMidRunGeneration) {
@@ -364,32 +369,6 @@ TEST(ExternalSorterCancelTest, LoadSortStoreCancelMidRunGeneration) {
   const Status status = sorter.Sort(&source, "out", nullptr);
   EXPECT_TRUE(status.IsCancelled()) << status.ToString();
   EXPECT_EQ(env.FileCount(), 0u);
-}
-
-TEST(ExternalSorterTest, LoadSortStoreProgressCountsAreExact) {
-  MemEnv env;
-  WorkloadOptions wl;
-  wl.num_records = 10007;  // not a multiple of any batch or block
-  wl.seed = 26;
-  const auto input = Drain(MakeWorkload(Dataset::kRandom, wl).get());
-  ASSERT_TWRS_OK(WriteAllRecords(&env, "in", input));
-
-  ProgressCounters progress;
-  ExternalSortOptions options;
-  options.algorithm = RunGenAlgorithm::kLoadSortStore;
-  options.memory_records = 1000;
-  options.fan_in = 16;  // one merge pass: every record is merged once
-  options.temp_dir = "tmp";
-  options.block_bytes = 512;
-  options.progress = &progress;
-  ExternalSorter sorter(&env, options);
-  FileRecordSource source(&env, "in", options.block_bytes);
-  ExternalSortResult result;
-  ASSERT_TWRS_OK(sorter.Sort(&source, "out", &result));
-  const JobProgress done = progress.Snapshot();
-  EXPECT_EQ(done.records_ingested, input.size());
-  EXPECT_EQ(done.records_merged, input.size());
-  EXPECT_EQ(result.merge.records_written, input.size());
 }
 
 // One run generator as the sorter builds it.
@@ -437,6 +416,7 @@ TEST(ExternalSorterTest, EveryGeneratorsProgressCountsAreExact) {
     ExternalSortResult result;
     ASSERT_TWRS_OK(sorter.Sort(&source, "out", &result));
     const JobProgress done = progress.Snapshot();
+    EXPECT_EQ(done.phase, SortProgressPhase::kComplete);
     EXPECT_EQ(done.records_ingested, input.size());
     EXPECT_EQ(done.records_merged, input.size());
     EXPECT_EQ(result.merge.records_written, input.size());
@@ -576,9 +556,10 @@ TEST(ExternalSorterTest, ReportsEngineIoVolume) {
   EXPECT_GE(result.bytes_read, input_bytes);
 }
 
-TEST(ExternalSorterTest, SerialSortTimesRunAndMergeWrites) {
+TEST(ExternalSorterTest, SerialSortTimesItsPhasesAndWrites) {
   // Every write that reaches a file is timed when a registry is given —
-  // also without a pool, where nothing is flushed in the background.
+  // also without a pool, where nothing is flushed in the background — and
+  // so is each of the sort's two phases.
   MemEnv env;
   MetricsRegistry metrics;
   ExternalSortOptions options;
@@ -591,10 +572,21 @@ TEST(ExternalSorterTest, SerialSortTimesRunAndMergeWrites) {
   wl.seed = 26;
   VectorSource source(Drain(MakeWorkload(Dataset::kRandom, wl).get()));
   ASSERT_TWRS_OK(sorter.Sort(&source, "out", nullptr));
+  const MetricsSnapshot snapshot = metrics.Snapshot();
   for (const char* name :
        {"run_sink.flush_seconds", "merge_sink.flush_seconds"}) {
-    EXPECT_GT(metrics.Histogram(name)->TakeSnapshot().count, 0u) << name;
+    const HistogramSummary* histogram = snapshot.FindHistogram(name);
+    ASSERT_NE(histogram, nullptr) << name;
+    EXPECT_GT(histogram->count, 0u) << name;
   }
+  for (const char* name :
+       {"sort.run_generation_seconds", "sort.final_merge_seconds"}) {
+    const HistogramSummary* histogram = snapshot.FindHistogram(name);
+    ASSERT_NE(histogram, nullptr) << name;
+    EXPECT_EQ(histogram->count, 1u) << name;
+  }
+  // Planning the merge is part of the merge; it has no phase of its own.
+  EXPECT_EQ(snapshot.FindHistogram("sort.merge_planning_seconds"), nullptr);
 }
 
 /// Env decorator counting Sync calls per path, on append and positioned
@@ -904,6 +896,7 @@ TEST(ExternalSorterTopKTest, DualHeapProgressCountsAreExact) {
     ExternalSortResult result;
     ASSERT_TWRS_OK(sorter.Sort(&source, "out", &result));
     const JobProgress done = progress.Snapshot();
+    EXPECT_EQ(done.phase, SortProgressPhase::kComplete);
     EXPECT_EQ(done.records_ingested, n);
     EXPECT_EQ(done.records_merged, 10u);
     EXPECT_EQ(result.run_gen.total_records, n);
@@ -921,10 +914,13 @@ TEST(ExternalSorterTopKTest, CancelDuringDualHeapSelectionCleansUp) {
   options.cancel = &token;
   options.limit = 10;
   options.topk_strategy = TopKStrategy::kDualHeap;
+  ProgressCounters progress;
+  options.progress = &progress;
   ExternalSorter sorter(&env, options);
   CancelAfterNSource source(input, 5000, &token);
   EXPECT_TRUE(sorter.Sort(&source, "out", nullptr).IsCancelled());
   EXPECT_EQ(env.FileCount(), 0u);
+  EXPECT_EQ(progress.Snapshot().phase, SortProgressPhase::kRunGeneration);
 }
 
 TEST(ExternalSorterTest, InputReadErrorFailsFullAndTopKSorts) {

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -170,6 +171,39 @@ TEST(ThreadPoolTest, DoneReportsCompletion) {
   TaskHandle h = pool.Submit([] { return Status::OK(); });
   ASSERT_TWRS_OK(h.Wait());
   EXPECT_TRUE(h.done());
+}
+
+TEST(RunAllTest, RunsEveryTaskAndReturnsTheFirstFailureInIndexOrder) {
+  ThreadPool pool(2);
+  std::vector<std::atomic<int>> runs(8);
+  std::thread::id first_task_thread;
+  const Status s = RunAll(&pool, runs.size(), 1, [&](size_t i) {
+    if (i == 0) first_task_thread = std::this_thread::get_id();
+    runs[i].fetch_add(1);
+    if (i == 3 || i == 6) {
+      return Status::IOError("task " + std::to_string(i));
+    }
+    return Status::OK();
+  });
+  EXPECT_TRUE(s.IsIOError());
+  EXPECT_EQ(s.message(), "task 3");
+  // A failure stops nothing that was submitted: every task ran once.
+  for (const std::atomic<int>& count : runs) EXPECT_EQ(count.load(), 1);
+  // The tasks below caller_tasks run on the calling thread.
+  EXPECT_EQ(first_task_thread, std::this_thread::get_id());
+}
+
+TEST(RunAllTest, WithoutAPoolRunsInOrderOnTheCallerUpToAFailure) {
+  std::vector<size_t> order;
+  const Status s = RunAll(nullptr, 5, 0, [&](size_t i) {
+    order.push_back(i);
+    return i == 2 ? Status::IOError("task 2") : Status::OK();
+  });
+  EXPECT_TRUE(s.IsIOError());
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2}));
+  EXPECT_TWRS_OK(RunAll(nullptr, 0, 0, [](size_t) {
+    return Status::IOError("never runs");
+  }));
 }
 
 }  // namespace
