@@ -351,8 +351,7 @@ inline TimedSort RunBackendTimedSort(const TimedSortSpec& spec,
   options.fan_in = spec.fan_in;
   options.temp_dir = spec.scratch_dir + "/tmp";
   options.parallel = spec.parallel;
-  options.io_backend = backend;
-  ExternalSorter sorter(&posix, options);
+  ExternalSorter sorter(Env::Default(backend), options);
 
   const std::string out = spec.scratch_dir + "/backend_out";
   FileRecordSource source(&posix, input_path);

@@ -9,7 +9,7 @@
 //
 //   full sort + truncate   sort everything, keep the first K (the naive
 //                          plan every strategy must beat)
-//   dual-heap selection    one bounded pass: a K-capacity DoubleHeap keeps
+//   dual-heap selection    one bounded pass: a K-capacity key heap keeps
 //                          the current top K, no runs, no merge
 //   run-pruning merge      normal run generation, then a merge that clamps
 //                          every run to its first K records and prunes

@@ -23,7 +23,7 @@
 //                                     `auto` plans the most that add no merge
 //                                     pass, from the input size, --memory,
 //                                     --fan-in and the executor load.
-//                                     Implies the pooled path (--threads >= 1)
+//                                     N > 1 borrows the pool, --threads or not
 //   --final-merge-threads N|auto      partitions of the final merge pass
 //                                     (1 = serial, default): N partial merges
 //                                     run concurrently, each writing its own
@@ -31,7 +31,7 @@
 //                                     the planner's choice (or the executor
 //                                     workers the run generators leave over
 //                                     when --rungen-threads is fixed).
-//                                     Implies the pooled path (--threads >= 1)
+//                                     N > 1 borrows the pool, --threads or not
 //   --executor-threads N              capacity of the process-wide shared
 //                                     executor (0 = hardware concurrency)
 //   --limit K                         top-K selection: write only the K
@@ -110,6 +110,7 @@ int main(int argc, char** argv) {
   twrs::ExternalSortOptions options;
   options.memory_records = 64 * 1024;
   options.temp_dir = "/tmp/twrs_sort";
+  twrs::IoBackend io_backend = twrs::IoBackend::kDefault;
   uint64_t rungen_threads = 1;
   bool rungen_auto = false;
   uint64_t final_merge_threads = 1;
@@ -151,7 +152,7 @@ int main(int argc, char** argv) {
       options.parallel.worker_threads = v;
     } else if (arg == "--io-backend") {
       const char* v = next();
-      if (v == nullptr || !twrs::ParseIoBackend(v, &options.io_backend)) {
+      if (v == nullptr || !twrs::ParseIoBackend(v, &io_backend)) {
         return Usage();
       }
     } else if (arg == "--rungen-threads") {
@@ -226,8 +227,7 @@ int main(int argc, char** argv) {
   // here with one line, before any file is touched.
   twrs::IoBackend resolved_backend = twrs::IoBackend::kPosix;
   {
-    twrs::Status s = twrs::ResolveIoBackend(options.io_backend,
-                                            &resolved_backend);
+    twrs::Status s = twrs::ResolveIoBackend(io_backend, &resolved_backend);
     if (!s.ok()) {
       fprintf(stderr, "twrs_sort: %s\n", s.ToString().c_str());
       return 2;
@@ -237,7 +237,6 @@ int main(int argc, char** argv) {
     }
   }
   twrs::Env* env = twrs::Env::Default(resolved_backend);
-  options.io_backend = twrs::IoBackend::kDefault;  // env already resolved
 
   if (generate) {
     if (positionals != 1) return Usage();
@@ -312,13 +311,6 @@ int main(int argc, char** argv) {
       static_cast<size_t>(rungen_threads);
   options.parallel.final_merge_threads =
       static_cast<size_t>(final_merge_threads);
-  if ((rungen_threads > 1 || final_merge_threads > 1) &&
-      options.parallel.worker_threads == 0) {
-    // Parallel run generation and the partitioned final merge run on the
-    // shared executor's pool; worker_threads > 0 switches pool borrowing
-    // on (the pool's size stays the executor's capacity either way).
-    options.parallel.worker_threads = 1;
-  }
   twrs::ExternalSorter sorter(env, options);
   twrs::FileRecordSource source(env, positional[0]);
   twrs::ExternalSortResult result;

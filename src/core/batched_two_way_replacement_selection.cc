@@ -8,7 +8,6 @@
 #include "core/block_sort.h"
 #include "core/minirun_heap.h"
 #include "core/victim_buffer.h"
-#include "heap/double_heap.h"
 #include "util/random.h"
 
 namespace twrs {

@@ -5,6 +5,10 @@
 
 namespace twrs {
 
+const char* HeapSideName(HeapSide side) {
+  return side == HeapSide::kBottom ? "Bottom" : "Top";
+}
+
 size_t TwoWayOptions::TotalBufferRecords() const {
   if (!use_input_buffer && !use_victim_buffer) return 0;
   size_t total = static_cast<size_t>(

@@ -28,6 +28,15 @@ enum class OutputHeuristic {
   kMinDistance = 4,  ///< pop the top closest in value to the run's first output
 };
 
+/// Which of the two 2WRS heaps an operation addresses.
+enum class HeapSide {
+  kBottom,  ///< max-heap; emits the decreasing stream 4
+  kTop,     ///< min-heap; emits the increasing stream 1
+};
+
+/// Returns "Bottom"/"Top" for logging and test diagnostics.
+const char* HeapSideName(HeapSide side);
+
 inline constexpr int kNumInputHeuristics = 6;
 inline constexpr int kNumOutputHeuristics = 5;
 

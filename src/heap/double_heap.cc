@@ -40,10 +40,6 @@ decltype(auto) WithKernel(HeapSide side, Slots* slots, Fn&& fn) {
 
 }  // namespace
 
-const char* HeapSideName(HeapSide side) {
-  return side == HeapSide::kBottom ? "Bottom" : "Top";
-}
-
 DoubleHeap::DoubleHeap(size_t capacity) : slots_(capacity) {}
 
 bool DoubleHeap::Push(HeapSide side, const TaggedRecord& record) {

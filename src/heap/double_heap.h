@@ -5,17 +5,9 @@
 #include <vector>
 
 #include "core/record.h"
+#include "core/two_way_options.h"
 
 namespace twrs {
-
-/// Which of the two 2WRS heaps an operation addresses.
-enum class HeapSide {
-  kBottom,  ///< max-heap; emits the decreasing stream 4
-  kTop,     ///< min-heap; emits the increasing stream 1
-};
-
-/// Returns "Bottom"/"Top" for logging and test diagnostics.
-const char* HeapSideName(HeapSide side);
 
 /// The two heaps of 2WRS stored in one contiguous array (§4.1, Figs 4.3–4.5).
 ///

@@ -248,7 +248,7 @@ Status PosixEnv::CreateDirIfMissing(const std::string& path) {
 Status PosixEnv::RemoveDir(const std::string& path) {
   if (::rmdir(path.c_str()) != 0) {
     // Best-effort semantics: a directory that is already gone or still has
-    // entries (e.g. keep_temp_files leftovers from another sort) is fine.
+    // entries (e.g. files another process left in a shared dir) is fine.
     if (errno == ENOENT || errno == ENOTEMPTY || errno == EEXIST) {
       return Status::OK();
     }

@@ -74,7 +74,7 @@ size_t MergePhaseMemoryRecords(const ExternalSortOptions& options) {
   // pool's workers + 1 of those overlap (the caller's work-helping wait
   // runs one too), and which ones depends on timing; worker_threads only
   // switches the executor's pool on, so this leg bounds nothing. ROADMAP
-  // item 2 (one memory plan per sort) replaces it. The phase footprint is
+  // item 4 (one memory plan per sort) replaces it. The phase footprint is
   // the wider of the two stages.
   const size_t concurrency =
       std::max({size_t{1}, options.parallel.final_merge_threads,
@@ -283,7 +283,6 @@ Status MergeToOutput(Env* env, const ExternalSortOptions& options,
   merge.block_bytes = options.block_bytes;
   merge.temp_dir = sort_dir;
   merge.temp_prefix = "sort";
-  merge.remove_inputs = !options.keep_temp_files;
   merge.pool = pool;
   merge.final_merge_threads = options.parallel.final_merge_threads;
   merge.cancel = options.cancel;
@@ -329,24 +328,11 @@ ExternalSorter::ExternalSorter(Env* env, ExternalSortOptions options)
 Status ExternalSorter::Sort(RecordSource* source,
                             const std::string& output_path,
                             ExternalSortResult* result) {
-  // A non-default io_backend swaps the constructor-injected Env for the
-  // requested process-wide backend before any file is touched. kUring on
-  // an unsupported kernel/build fails the whole sort here — loudly, not
-  // with a mid-sort surprise.
-  Env* base_env = env_;
-  if (options_.io_backend != IoBackend::kDefault) {
-    IoBackend resolved = IoBackend::kDefault;
-    TWRS_RETURN_IF_ERROR(ResolveIoBackend(options_.io_backend, &resolved));
-    if (resolved != IoBackend::kDefault) {
-      base_env = Env::Default(resolved);
-    }
-  }
-
   // All engine I/O (runs, intermediate merges, output) goes through a
   // counting decorator so the result can report real byte volume. The
   // output path is watched so the error path knows whether this sort
   // truncated it.
-  CountingEnv env(base_env);
+  CountingEnv env(env_);
   env.WatchPath(output_path);
   if (options_.progress != nullptr) {
     env.MirrorBytesTo(options_.progress->bytes_read_counter(),
@@ -376,11 +362,12 @@ Status ExternalSorter::Sort(RecordSource* source,
     TWRS_RETURN_IF_ERROR(env.CreateDirIfMissing(sort_dir));
     // The pool runs the extra generators, the leaf merges of one plan
     // level and the final merge's partitions; without it all is serial.
+    const ParallelOptions& parallel = options_.parallel;
     ThreadPool* pool = nullptr;
-    if (options_.parallel.worker_threads > 0) {
-      pool = (options_.parallel.executor != nullptr
-                  ? options_.parallel.executor
-                  : &Executor::Shared())
+    if (parallel.worker_threads > 0 || parallel.run_generation_threads > 1 ||
+        parallel.final_merge_threads > 1) {
+      pool = (parallel.executor != nullptr ? parallel.executor
+                                           : &Executor::Shared())
                  ->pool();
     }
     std::vector<RunInfo> runs;
@@ -396,9 +383,7 @@ Status ExternalSorter::Sort(RecordSource* source,
     // that no later pass will consume. An output this sort truncated is
     // now torn and is removed too — but a pre-existing file the sort
     // never opened is left untouched.
-    if (!sort_dir.empty() && !options_.keep_temp_files) {
-      RemoveTreeBestEffort(&env, sort_dir);
-    }
+    if (!sort_dir.empty()) RemoveTreeBestEffort(&env, sort_dir);
     if (env.watched_created()) {
       TWRS_IGNORE_STATUS(env.RemoveFile(output_path));  // best-effort
     }
@@ -406,9 +391,7 @@ Status ExternalSorter::Sort(RecordSource* source,
   }
   local.total_seconds = total_watch.ElapsedSeconds();
 
-  if (!sort_dir.empty() && !options_.keep_temp_files) {
-    TWRS_RETURN_IF_ERROR(env.RemoveDir(sort_dir));
-  }
+  if (!sort_dir.empty()) TWRS_RETURN_IF_ERROR(env.RemoveDir(sort_dir));
   local.bytes_read = env.bytes_read();
   local.bytes_written = env.bytes_written();
   AdvancePhase(options_.progress, SortProgressPhase::kComplete);

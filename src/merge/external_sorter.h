@@ -46,11 +46,13 @@ std::unique_ptr<RunGenerator> MakeRunGenerator(RunGenAlgorithm algorithm,
 size_t MinRunGenMemoryRecords(RunGenAlgorithm algorithm);
 
 /// Concurrency knobs of the pipelined execution path (src/exec). With the
-/// defaults the sort is fully serial.
+/// defaults the sort is fully serial. When worker_threads > 0 or either
+/// count below is > 1, the sort borrows the executor's pool (sized by its
+/// capacity) for the extra run generators, every intermediate merge of
+/// one plan level at once, and the final merge's partitions.
 struct ParallelOptions {
-  /// Switches the pool-based features on (parallel leaf merges and the
-  /// two counts below); 0 keeps the sort serial. The pool itself is the
-  /// executor's, sized by its capacity.
+  /// > 0 borrows the pool even when both counts below are 1, so that only
+  /// the intermediate merges run concurrently.
   size_t worker_threads = 0;
 
   /// Run generators working at once: > 1 runs that many generators, each
@@ -59,15 +61,14 @@ struct ParallelOptions {
   /// write their runs into the one run list the merge consumes, so the
   /// sort holds the same memory as a serial one, makes about this many
   /// times as many runs, and writes byte-identical output; run boundaries
-  /// and RunGenStats vary from run to run. Requires worker_threads > 0;
-  /// 0/1 generate runs serially on the caller.
+  /// and RunGenStats vary from run to run. 0/1 generate runs serially on
+  /// the caller.
   size_t run_generation_threads = 1;
 
   /// Partitions of the final merge pass: > 1 splits the key domain by
   /// sampled splitters and runs that many partial merges concurrently on
   /// the pool, each writing its disjoint byte range of the output
-  /// (byte-identical to the serial pass). Requires worker_threads > 0;
-  /// 0/1 keep the last pass serial.
+  /// (byte-identical to the serial pass). 0/1 keep the last pass serial.
   size_t final_merge_threads = 1;
 
   /// Executor whose pool the sort borrows; null means Executor::Shared().
@@ -108,17 +109,6 @@ struct ExternalSortOptions {
 
   /// I/O buffer per stream.
   size_t block_bytes = kDefaultBlockBytes;
-
-  /// Which process-wide Env serves the engine's file I/O. kDefault keeps
-  /// the Env the sorter was constructed with (tests inject MemEnv or
-  /// SimDiskEnv this way); kPosix/kUring/kAuto *replace* it with the
-  /// corresponding Env::Default backend. kUring fails the sort with
-  /// NotSupported when the kernel or build lacks io_uring; kAuto degrades
-  /// to posix silently. See ResolveIoBackend.
-  IoBackend io_backend = IoBackend::kDefault;
-
-  /// Keep run/intermediate files after sorting (for inspection).
-  bool keep_temp_files = false;
 
   /// Pipelined/parallel execution knobs (serial by default).
   ParallelOptions parallel;

@@ -204,26 +204,31 @@ Status KWayMergeToFile(Env* env, const std::vector<RunInfo>& runs,
                               /*take_last=*/false, output_path, out);
 }
 
+MergeWindow ClampSlicesToLimit(const std::vector<RunInfo>& runs,
+                               uint64_t limit, bool take_last,
+                               std::vector<RunSlice>* slices) {
+  uint64_t sliced_total = 0;
+  for (size_t r = 0; r < runs.size(); ++r) {
+    RunSlice& slice = (*slices)[r];
+    const uint64_t length =
+        std::min(slice.length, runs[r].length - slice.skip);
+    slice.length = std::min(length, limit);
+    if (take_last) slice.skip += length - slice.length;
+    sliced_total += slice.length;
+  }
+  MergeWindow window;
+  window.limit = limit;
+  if (take_last && sliced_total > limit) window.skip = sliced_total - limit;
+  return window;
+}
+
 Status KWayMergeLimitToFile(Env* env, const std::vector<RunInfo>& runs,
                             const MergeIoOptions& io, uint64_t limit,
                             bool take_last, const std::string& output_path,
                             RunInfo* out) {
   std::vector<RunSlice> slices(runs.size());
   MergeWindow window;
-  if (limit > 0) {
-    uint64_t sliced_total = 0;
-    for (size_t r = 0; r < runs.size(); ++r) {
-      // Only a run's own first (or last) `limit` records can appear in the
-      // kept window of the merged stream: each is preceded (followed)
-      // within its run by enough records to push the rest out. The clamp
-      // is pure segment metadata — the dropped prefix/suffix is never read.
-      slices[r].length = std::min<uint64_t>(runs[r].length, limit);
-      slices[r].skip = take_last ? runs[r].length - slices[r].length : 0;
-      sliced_total += slices[r].length;
-    }
-    window.limit = limit;
-    if (take_last && sliced_total > limit) window.skip = sliced_total - limit;
-  }
+  if (limit > 0) window = ClampSlicesToLimit(runs, limit, take_last, &slices);
   return MergeRunSlices(env, runs, slices, io, window, output_path,
                         MergeOutputRange(), out);
 }

@@ -149,6 +149,16 @@ Status MergeRunSlices(Env* env, const std::vector<RunInfo>& runs,
                       const std::string& output_path,
                       const MergeOutputRange& range, RunInfo* out);
 
+/// Clamps every slices[r] (a slice of runs[r]) to its first `limit`
+/// records, its last for take_last, and returns the window that keeps the
+/// first (last) `limit` records of their merge. Only a run's own first
+/// (last) `limit` records can reach that window: each is preceded
+/// (followed) within its run by enough records to push the rest out. The
+/// clamp is pure segment metadata, so the dropped records are never read.
+MergeWindow ClampSlicesToLimit(const std::vector<RunInfo>& runs,
+                               uint64_t limit, bool take_last,
+                               std::vector<RunSlice>* slices);
+
 /// Top-K merge pass: merges `runs` into `output_path` keeping only the
 /// first (take_last = false) or last (take_last = true) `limit` records of
 /// the merged stream. Before merging, each input cursor is clamped to the

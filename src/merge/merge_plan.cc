@@ -50,7 +50,7 @@ MergeIoOptions MergeIoOptionsFor(const MergeOptions& options,
   io.cancel = options.cancel;
   io.progress = options.progress;
   io.flush_histogram = options.flush_histogram;
-  io.sync_output = final_pass && options.sync_output;
+  io.sync_output = final_pass;
   return io;
 }
 
@@ -68,7 +68,7 @@ Status MergeRuns(Env* env, std::vector<RunInfo> runs,
     // Sorting an empty input produces an empty output file.
     RecordWriter writer(env, output_path, options.block_bytes);
     TWRS_RETURN_IF_ERROR(writer.status());
-    writer.set_sync_on_finish(options.sync_output);
+    writer.set_sync_on_finish(true);
     TWRS_RETURN_IF_ERROR(writer.Finish());
     if (stats != nullptr) *stats = local;
     return Status::OK();

@@ -58,13 +58,6 @@ struct MergeOptions {
   /// pass still counts as one merge step writing every record once.
   size_t final_merge_threads = 1;
 
-  /// Force the final output to stable storage (Sync) before it is closed,
-  /// closing the durability gap between "sort returned OK" and "the page
-  /// cache got around to writing". Applies to the final pass only;
-  /// intermediate runs are scratch and never synced. No-op on MemEnv and
-  /// SimDiskEnv.
-  bool sync_output = true;
-
   /// Live progress: every record emitted by any merge pass is added (once
   /// per output block) to `progress->AddRecordsMerged`. Must outlive the
   /// merge.
@@ -87,8 +80,9 @@ struct MergeOptions {
 };
 
 /// The I/O options of one merge under `options`. Only the final pass
-/// (`final_pass`) takes options.sync_output: intermediate runs are scratch
-/// and never synced.
+/// (`final_pass`) syncs its output before closing it, so "sort returned
+/// OK" means the output is durable; intermediate runs are scratch and
+/// never synced.
 MergeIoOptions MergeIoOptionsFor(const MergeOptions& options,
                                  bool final_pass);
 

@@ -213,25 +213,21 @@ class SegmentSearcher {
   int64_t cached_block_ = -1;
 };
 
-/// The serial limited final merge. Clamps every run to the `kept`-record
-/// prefix (suffix for take_last) that can still matter, then tightens the
-/// clamps with sampled key bounds: the smallest sampled key with >= kept
-/// records strictly below it bounds the ascending selection from above,
-/// so each run needs only its records below it — and a run with none is
-/// pruned outright, its files never opened. (Mirrored around >= for
-/// take_last.) The bound is an optimization, never a correctness
-/// requirement: the merge window serves exactly `kept` records from
-/// whatever survives the clamps.
+/// The serial limited final merge. Narrows every run with sampled key
+/// bounds: the smallest sampled key with >= kept records strictly below it
+/// bounds the ascending selection from above, so each run needs only its
+/// records below it — and a run with none is pruned outright, its files
+/// never opened. (Mirrored around >= for take_last.) Then clamps each run
+/// to the `kept`-record prefix (suffix for take_last) that can still
+/// matter (ClampSlicesToLimit). The bound is an optimization, never a
+/// correctness requirement: the merge window serves exactly `kept`
+/// records from whatever survives the clamps.
 Status PrunedSerialMerge(Env* env, const std::vector<RunInfo>& runs,
                          const MergeIoOptions& io, bool take_last,
                          uint64_t kept, uint64_t total_records,
                          const std::string& output_path, MergeStats* stats) {
   const size_t n = runs.size();
   std::vector<RunSlice> slices(n);
-  for (size_t r = 0; r < n; ++r) {
-    slices[r].length = std::min<uint64_t>(runs[r].length, kept);
-    slices[r].skip = take_last ? runs[r].length - slices[r].length : 0;
-  }
   if (n > 1) {
     // Candidate bounds: a modest sample is plenty — any candidate that
     // qualifies prunes correctly, a missed tighter bound only costs I/O.
@@ -304,15 +300,12 @@ Status PrunedSerialMerge(Env* env, const std::vector<RunInfo>& runs,
     }
   }
 
-  uint64_t sliced_total = 0;
+  const MergeWindow window =
+      ClampSlicesToLimit(runs, kept, take_last, &slices);
   for (size_t r = 0; r < n; ++r) {
     stats->records_pruned += runs[r].length - slices[r].length;
     if (slices[r].length == 0 && runs[r].length > 0) ++stats->runs_pruned;
-    sliced_total += slices[r].length;
   }
-  MergeWindow window;
-  window.limit = kept;
-  if (take_last && sliced_total > kept) window.skip = sliced_total - kept;
   RunInfo written;
   TWRS_RETURN_IF_ERROR(MergeRunSlices(env, runs, slices, io, window,
                                       output_path, MergeOutputRange(),

@@ -1,43 +1,54 @@
 #include "select/dual_heap_selector.h"
 
 #include <algorithm>
+#include <functional>
+#include <utility>
 
 namespace twrs {
 
 DualHeapSelector::DualHeapSelector(size_t capacity, SelectOrder order)
-    : capacity_(capacity),
-      order_(order),
-      // Ascending selection keeps the K smallest: the Bottom side's
-      // max-heap root is the worst kept record. Descending mirrors it.
-      side_(order == SelectOrder::kAscending ? HeapSide::kBottom
-                                             : HeapSide::kTop),
-      heap_(capacity) {}
+    : capacity_(capacity), order_(order) {}
 
 void DualHeapSelector::AddBatch(const Key* keys, size_t n) {
   consumed_ += n;
   if (capacity_ == 0) return;
-  size_t i = 0;
-  for (; i < n && heap_.size() < capacity_; ++i) {
-    heap_.Push(side_, TaggedRecord{keys[i], 0});
-  }
-  if (i == n) return;
-  // Strict comparison: an incoming key equal to the bound cannot improve
-  // the selection (records are bare keys), so ties never churn the heap.
   if (order_ == SelectOrder::kAscending) {
-    ReplaceLosers(keys + i, n - i, [](Key a, Key b) { return a < b; });
+    AddWith(keys, n, std::less<Key>());
   } else {
-    ReplaceLosers(keys + i, n - i, [](Key a, Key b) { return a > b; });
+    AddWith(keys, n, std::greater<Key>());
   }
 }
 
-template <typename Beats>
-void DualHeapSelector::ReplaceLosers(const Key* keys, size_t n, Beats beats) {
-  Key bound = heap_.Top(side_).key;
-  for (size_t i = 0; i < n; ++i) {
-    if (beats(keys[i], bound)) {
-      heap_.ReplaceTop(side_, TaggedRecord{keys[i], 0});
-      bound = heap_.Top(side_).key;
+template <typename Before>
+void DualHeapSelector::AddWith(const Key* keys, size_t n, Before before) {
+  // Reserved while filling, not at construction, so a selector refilled
+  // after Take holds K keys again rather than a doubled vector.
+  if (heap_.size() < capacity_) heap_.reserve(capacity_);
+  size_t i = 0;
+  for (; i < n && heap_.size() < capacity_; ++i) {
+    heap_.push_back(keys[i]);
+    std::push_heap(heap_.begin(), heap_.end(), before);
+  }
+  if (i == n) return;
+  Key* const heap = heap_.data();
+  const size_t size = heap_.size();
+  Key bound = heap[0];
+  // Strict comparison: an incoming key equal to the bound cannot improve
+  // the selection (records are bare keys), so ties never churn the heap.
+  for (; i < n; ++i) {
+    const Key key = keys[i];
+    if (!before(key, bound)) continue;
+    // Sift the new key down from the root, moving up the child that
+    // comes later in the heap's order.
+    size_t hole = 0;
+    for (size_t child = 1; child < size; child = 2 * hole + 1) {
+      if (child + 1 < size && before(heap[child], heap[child + 1])) ++child;
+      if (!before(key, heap[child])) break;
+      heap[hole] = heap[child];
+      hole = child;
     }
+    heap[hole] = key;
+    bound = heap[0];
   }
 }
 
@@ -52,24 +63,18 @@ Status DualHeapSelector::AddAll(RecordSource* source) {
 }
 
 std::vector<Key> DualHeapSelector::Take() {
-  std::vector<Key> keys;
-  keys.reserve(heap_.size());
-  // Bottom (max-heap) pops descending; Top (min-heap) pops ascending.
-  while (!heap_.Empty(side_)) keys.push_back(heap_.Pop(side_).key);
+  // Sorting a heap in place orders it by the heap's own comparator, so
+  // the descending selection comes out largest-first and is reversed.
   if (order_ == SelectOrder::kAscending) {
-    std::reverse(keys.begin(), keys.end());
+    std::sort_heap(heap_.begin(), heap_.end(), std::less<Key>());
+  } else {
+    std::sort_heap(heap_.begin(), heap_.end(), std::greater<Key>());
+    std::reverse(heap_.begin(), heap_.end());
   }
+  std::vector<Key> keys = std::move(heap_);
+  heap_.clear();
   consumed_ = 0;
   return keys;
-}
-
-Status SelectTopK(RecordSource* source, size_t k, SelectOrder order,
-                  std::vector<Key>* out, uint64_t* consumed) {
-  DualHeapSelector selector(k, order);
-  TWRS_RETURN_IF_ERROR(selector.AddAll(source));
-  if (consumed != nullptr) *consumed = selector.consumed();
-  *out = selector.Take();
-  return Status::OK();
 }
 
 }  // namespace twrs

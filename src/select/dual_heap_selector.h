@@ -7,24 +7,22 @@
 
 #include "core/record.h"
 #include "core/record_source.h"
-#include "heap/double_heap.h"
 #include "select/topk.h"
 #include "util/status.h"
 
 namespace twrs {
 
-/// Bounded streaming top-K selector on the paper's DoubleHeap (PAPERS.md:
-/// Sepesi's Dualheap Selection Algorithm; Elmasry et al.'s bounded-
-/// workspace selection). Holds at most `capacity` records regardless of
-/// stream length — the workspace is the K-record heap plus AddAll's fixed
+/// Bounded streaming top-K selector (PAPERS.md: Elmasry et al.'s bounded-
+/// workspace selection). Holds at most `capacity` keys regardless of
+/// stream length — the workspace is one K-key heap plus AddAll's fixed
 /// kIngestBatch-key read buffer — so a selector sized to a MemoryGovernor
 /// lease never exceeds it.
 ///
-/// kAscending keeps the K smallest keys in the Bottom side (a max-heap):
-/// its root is the current K-th-smallest bound, and any smaller candidate
-/// evicts it via DoubleHeap::ReplaceTop. kDescending mirrors this on the
-/// Top side (a min-heap) to keep the K largest. Either way Take() returns
-/// the survivors ascending-sorted, matching the record-file invariant.
+/// kAscending keeps the K smallest keys in a max-heap: its root is the
+/// current K-th-smallest bound, and any smaller candidate replaces it.
+/// kDescending mirrors this with a min-heap to keep the K largest. Either
+/// way Take() returns the survivors ascending-sorted, matching the
+/// record-file invariant.
 ///
 /// Input is consumed a batch at a time (AddBatch, AddAll). Once the heap
 /// is full, a batch runs one tight loop that compares each key against a
@@ -60,32 +58,26 @@ class DualHeapSelector {
   /// Current selection boundary: the key a candidate must beat to enter a
   /// full selector (the largest kept key when ascending, the smallest when
   /// descending). Requires size() == capacity() > 0.
-  Key bound() const { return heap_.Top(side_).key; }
+  Key bound() const { return heap_.front(); }
 
   /// Drains the selector and returns the selected records in ascending key
-  /// order. The selector is empty (but reusable) afterwards.
+  /// order, handing over the heap's storage. The selector is empty (but
+  /// reusable) afterwards.
   std::vector<Key> Take();
 
  private:
-  // Replaces the root with every key of [keys, keys + n) that `beats` the
-  // bound, caching the bound between replacements. Requires a full heap.
-  template <typename Beats>
-  void ReplaceLosers(const Key* keys, size_t n, Beats beats);
+  // Fills the heap, then replaces its root with every remaining key that
+  // beats the bound (`before(key, bound)`), caching the bound between
+  // replacements. `before` is the heap's order: std::less for the
+  // ascending max-heap, std::greater for the descending min-heap.
+  template <typename Before>
+  void AddWith(const Key* keys, size_t n, Before before);
 
   const size_t capacity_;
   const SelectOrder order_;
-  const HeapSide side_;
-  DoubleHeap heap_;
+  std::vector<Key> heap_;
   uint64_t consumed_ = 0;
 };
-
-/// Convenience one-pass driver: streams `source` to exhaustion through a
-/// K-capacity selector (DualHeapSelector::AddAll). `out` receives the
-/// selection ascending-sorted; `consumed` (optional) the stream length.
-/// Returns the source's error if a read failed, leaving `out` and
-/// `consumed` untouched: a failed read never passes for a short input.
-Status SelectTopK(RecordSource* source, size_t k, SelectOrder order,
-                  std::vector<Key>* out, uint64_t* consumed = nullptr);
 
 }  // namespace twrs
 

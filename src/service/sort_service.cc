@@ -172,13 +172,6 @@ Status SortService::Submit(const SortJobSpec& spec, JobHandle* handle) {
   if (spec.sort.memory_records == 0) {
     return Status::InvalidArgument("memory_records must be positive");
   }
-  // Reject an unsupported io_uring request here, not minutes into the job.
-  // kAuto/kPosix/kDefault always resolve; only the backend choice is
-  // checked — the job still resolves it again when it runs.
-  {
-    IoBackend resolved = IoBackend::kDefault;
-    TWRS_RETURN_IF_ERROR(ResolveIoBackend(spec.sort.io_backend, &resolved));
-  }
   if (!env_->FileExists(spec.input_path)) {
     return Status::NotFound("input file " + spec.input_path +
                             " does not exist");
@@ -382,15 +375,6 @@ void SortService::RunJob(std::shared_ptr<SortJob> job,
       std::max<size_t>(1, plan.run_generation_threads);
   options.parallel.final_merge_threads =
       std::max<size_t>(1, final_merge_threads);
-  if (options.parallel.worker_threads == 0 &&
-      (options.parallel.run_generation_threads > 1 ||
-       options.parallel.final_merge_threads > 1)) {
-    // Parallel run generation and the partitioned final merge run on the
-    // shared executor's pool; worker_threads > 0 is what switches pool
-    // borrowing on (the pool's size stays the executor's capacity either
-    // way).
-    options.parallel.worker_threads = 1;
-  }
   if (options.parallel.executor == nullptr) {
     options.parallel.executor = executor_;
   }

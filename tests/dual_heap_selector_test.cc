@@ -199,28 +199,6 @@ TEST(DualHeapSelectorTest, AddAllReadsFullBatchesAndStopsOnAnError) {
   EXPECT_EQ(selector.consumed(), DualHeapSelector::kIngestBatch);
 }
 
-TEST(DualHeapSelectorTest, SelectTopKDrainsASource) {
-  const std::vector<Key> input = {9, 2, 7, 4, 2};
-  VectorSource source(input);
-  std::vector<Key> out;
-  uint64_t consumed = 0;
-  ASSERT_TWRS_OK(
-      SelectTopK(&source, 3, SelectOrder::kAscending, &out, &consumed));
-  EXPECT_EQ(out, std::vector<Key>({2, 2, 4}));
-  EXPECT_EQ(consumed, 5u);
-}
-
-TEST(DualHeapSelectorTest, SelectTopKReportsASourceError) {
-  testing::FailingSource source({9, 2, 7}, Status::IOError("read failed"));
-  std::vector<Key> out = {42};
-  uint64_t consumed = 99;
-  EXPECT_TRUE(SelectTopK(&source, 2, SelectOrder::kAscending, &out, &consumed)
-                  .IsIOError());
-  // A failed read is not a short input: nothing is reported as selected.
-  EXPECT_EQ(out, std::vector<Key>({42}));
-  EXPECT_EQ(consumed, 99u);
-}
-
 TEST(DualHeapSelectorTest, OrderAndStrategyNames) {
   EXPECT_STREQ(SelectOrderName(SelectOrder::kAscending), "asc");
   EXPECT_STREQ(SelectOrderName(SelectOrder::kDescending), "desc");

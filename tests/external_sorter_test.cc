@@ -1114,26 +1114,36 @@ TEST(ExternalSorterRunGenThreadsTest, OutputIsByteIdenticalToSerial) {
   }
 }
 
-TEST(ExternalSorterRunGenThreadsTest, WithoutAPoolGenerationStaysSerial) {
+// run_generation_threads > 1 borrows the pool on its own: with
+// worker_threads at 0, four Load-Sort-Store generators each sort a quarter
+// of the budget, and the output is the serial one.
+TEST(ExternalSorterRunGenThreadsTest, GeneratorThreadsAloneBorrowThePool) {
   WorkloadOptions wl;
   wl.num_records = 5000;
   wl.seed = 47;
   const auto input = Drain(MakeWorkload(Dataset::kRandom, wl).get());
   MemEnv env;
-  ExternalSortResult serial, unpooled;
   {
     ExternalSorter sorter(
         &env, RunGenThreadsOptions(RunGenAlgorithm::kLoadSortStore, 1,
                                    nullptr));
     VectorSource source(input);
-    ASSERT_TWRS_OK(sorter.Sort(&source, "serial", &serial));
+    ASSERT_TWRS_OK(sorter.Sort(&source, "serial", nullptr));
   }
-  ExternalSorter sorter(
-      &env, RunGenThreadsOptions(RunGenAlgorithm::kLoadSortStore, 4,
-                                 nullptr));
+  ExternalSortOptions options = RunGenThreadsOptions(
+      RunGenAlgorithm::kLoadSortStore, 4, RunGenExecutor());
+  options.parallel.worker_threads = 0;
+  ExternalSorter sorter(&env, options);
   VectorSource source(input);
-  ASSERT_TWRS_OK(sorter.Sort(&source, "out", &unpooled));
-  EXPECT_EQ(unpooled.run_gen.run_lengths, serial.run_gen.run_lengths);
+  ExternalSortResult result;
+  ASSERT_TWRS_OK(sorter.Sort(&source, "out", &result));
+  const uint64_t share = options.memory_records / 4;
+  for (uint64_t length : result.run_gen.run_lengths) {
+    EXPECT_LE(length, share);
+  }
+  EXPECT_GE(result.run_gen.num_runs(), input.size() / share);
+  ASSERT_NE(env.FileContents("out"), nullptr);
+  EXPECT_TRUE(*env.FileContents("out") == *env.FileContents("serial"));
 }
 
 // The generators share the sort's memory budget: with Load-Sort-Store,
@@ -1487,7 +1497,7 @@ TEST(VerifySortedFileTest, MissingFileIsAnError) {
   EXPECT_FALSE(VerifySortedFile(&env, "absent", nullptr, nullptr).ok());
 }
 
-// ----------------------------------------------------- io_backend plumbing
+// ------------------------------------------------------- io_uring backend
 
 TEST(IoBackendSortTest, UringSortIsByteIdenticalToPosix) {
   if (!IoUringEnv::IsSupported()) {
@@ -1498,6 +1508,7 @@ TEST(IoBackendSortTest, UringSortIsByteIdenticalToPosix) {
   // different backend — the output files must be byte-identical, not just
   // both sorted permutations.
   PosixEnv posix;
+  IoUringEnv uring;
   const testing::ScopedTempDir temp_dir;
   const std::string& dir = temp_dir.path();
   ASSERT_TWRS_OK(posix.CreateDirIfMissing(dir));
@@ -1516,18 +1527,17 @@ TEST(IoBackendSortTest, UringSortIsByteIdenticalToPosix) {
     wl.seed = 99;
     auto input = Drain(MakeWorkload(c.dataset, wl).get());
     std::string outputs[2];
-    const IoBackend backends[2] = {IoBackend::kPosix, IoBackend::kUring};
+    Env* const envs[2] = {&posix, &uring};
     for (int i = 0; i < 2; ++i) {
       ExternalSortOptions options;
       options.memory_records = 512;
       options.fan_in = 4;
       options.temp_dir = dir;
       options.block_bytes = 4096;
-      options.io_backend = backends[i];
       options.parallel.worker_threads = c.threads;
       options.parallel.final_merge_threads = c.threads > 0 ? 2 : 1;
-      ExternalSorter sorter(&posix, options);
-      outputs[i] = dir + "/out_" + IoBackendName(backends[i]) +
+      ExternalSorter sorter(envs[i], options);
+      outputs[i] = dir + "/out_" + std::to_string(i) + "_" +
                    std::to_string(c.threads);
       VectorSource source(input);
       ExternalSortResult result;
@@ -1657,42 +1667,6 @@ TEST(IoBackendSortTest, RepeatedUringSortReusesEveryRing) {
   EXPECT_EQ(created_by[1], peak[1] > peak[0] ? peak[1] - peak[0] : 0)
       << "peaks " << peak[0] << " then " << peak[1];
   EXPECT_GT(reused_by[1], 0u);
-}
-
-TEST(IoBackendSortTest, ExplicitUringFailsLoudlyWhenUnsupported) {
-  if (IoUringEnv::IsSupported()) {
-    GTEST_SKIP() << "io_uring is supported here; the rejection path needs "
-                    "an unsupported host";
-  }
-  MemEnv env;
-  ExternalSortOptions options;
-  options.memory_records = 32;
-  options.temp_dir = "tmp";
-  options.io_backend = IoBackend::kUring;
-  ExternalSorter sorter(&env, options);
-  VectorSource source({3, 1, 2});
-  Status s = sorter.Sort(&source, "out", nullptr);
-  EXPECT_TRUE(s.IsNotSupported()) << s.ToString();
-}
-
-TEST(IoBackendSortTest, AutoBackendAlwaysSorts) {
-  // kAuto resolves to whichever backend the host supports and must never
-  // fail on backend grounds.
-  PosixEnv posix;
-  const testing::ScopedTempDir temp_dir;
-  const std::string& dir = temp_dir.path();
-  ASSERT_TWRS_OK(posix.CreateDirIfMissing(dir));
-  ExternalSortOptions options;
-  options.memory_records = 64;
-  options.temp_dir = dir;
-  options.io_backend = IoBackend::kAuto;
-  ExternalSorter sorter(&posix, options);
-  VectorSource source({5, 4, 3, 2, 1});
-  ExternalSortResult result;
-  ASSERT_TWRS_OK(sorter.Sort(&source, dir + "/out", &result));
-  uint64_t count = 0;
-  ASSERT_TWRS_OK(VerifySortedFile(&posix, dir + "/out", &count, nullptr));
-  EXPECT_EQ(count, 5u);
 }
 
 TEST(VerifySortedFileTest, TruncatedTailIsCorruption) {

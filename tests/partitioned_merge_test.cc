@@ -409,6 +409,57 @@ TEST(PartitionedMergeTest, FullSortByteIdenticalWithReverseSegments) {
   }
 }
 
+/// Env decorator that counts how often an `out*` file is reopened for
+/// positioned writes, which of the final pass only a partial merge does.
+class PositionedOpenCountingEnv : public EnvWrapper {
+ public:
+  using EnvWrapper::EnvWrapper;
+
+  void After(const IoOp& op, const Status& status) override {
+    if (status.ok() && op.kind == IoOpKind::kOpen &&
+        op.opened_by == OpenMethod::kReopenRandomRWFile &&
+        op.path.rfind("out", 0) == 0) {
+      ++opens_;
+    }
+  }
+
+  int opens() const { return opens_.load(); }
+
+ private:
+  std::atomic<int> opens_{0};
+};
+
+TEST(PartitionedMergeTest, FinalMergeThreadsAloneBorrowThePool) {
+  // With worker_threads at 0, final_merge_threads > 1 borrows the pool on
+  // its own: the final pass splits into partial merges, each reopening
+  // the output for its range, and the output is the serial one.
+  std::vector<Key> input;
+  Random rng(37);
+  for (size_t i = 0; i < 100000; ++i) {
+    input.push_back(static_cast<Key>(rng.Uniform(1 << 24)));
+  }
+  MemEnv mem;
+  PositionedOpenCountingEnv env(&mem);
+  ExecutorOptions pool;
+  pool.capacity = 2;
+  Executor executor(pool);
+  for (size_t partitions : {size_t{1}, size_t{2}}) {
+    ExternalSortOptions options;
+    options.memory_records = 8192;
+    options.temp_dir = "tmp";
+    options.block_bytes = 4096;
+    options.parallel.executor = &executor;
+    options.parallel.final_merge_threads = partitions;
+    ExternalSorter sorter(&env, options);
+    VectorSource source(input);
+    ASSERT_TWRS_OK(
+        sorter.Sort(&source, "out" + std::to_string(partitions), nullptr));
+  }
+  EXPECT_EQ(env.opens(), 2);
+  ASSERT_NE(mem.FileContents("out2"), nullptr);
+  EXPECT_TRUE(*mem.FileContents("out2") == *mem.FileContents("out1"));
+}
+
 // ------------------------------------------------------- cancellation
 
 /// Env decorator that fires a CancelToken after the N-th positioned write
