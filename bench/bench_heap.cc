@@ -1,9 +1,11 @@
 // Micro-benchmarks of the data-structure substrate: binary heap, the
-// single-array DoubleHeap, the loser tree, and the median tracker.
+// single-array DoubleHeap, the loser tree, the median tracker, and the
+// k-way merge layer built on the loser tree.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <atomic>
 #include <vector>
 
 #include "core/input_buffer.h"
@@ -11,6 +13,8 @@
 #include "heap/double_heap.h"
 #include "heap/heapsort.h"
 #include "heap/loser_tree.h"
+#include "io/mem_env.h"
+#include "merge/kway_merge.h"
 #include "util/random.h"
 
 namespace twrs {
@@ -159,6 +163,65 @@ void BM_LoserTreeMerge(benchmark::State& state) {
                           per_way);
 }
 BENCHMARK(BM_LoserTreeMerge)->Arg(2)->Arg(10)->Arg(64);
+
+// The whole merge layer, where BM_LoserTreeMerge times the bare tree:
+// KWayMergeToFile over `ways` forward runs in a MemEnv, 1 << 18 records
+// in all, so cursor refills, output blocks, encoding and span copies are
+// counted too. Pattern 0 fills every way with random keys, so ways
+// interleave record by record; pattern 1 gives each way its own key
+// range, so the merge moves spans. With one way both are a block copy.
+// Set MALLOC_MMAP_THRESHOLD_ and MALLOC_TRIM_THRESHOLD_ to 1073741824
+// when comparing builds: otherwise glibc maps the 2 MB output buffer
+// afresh on some iterations, and its page faults (about 1.4 ms) make the
+// rows bimodal.
+void BM_KWayMergeToFile(benchmark::State& state) {
+  const size_t ways = static_cast<size_t>(state.range(0));
+  const bool disjoint = state.range(1) == 1;
+  const size_t per_way = (size_t{1} << 18) / ways;
+  Random rng(6);
+  MemEnv env;
+  std::vector<RunInfo> runs;
+  for (size_t w = 0; w < ways; ++w) {
+    std::vector<Key> keys(per_way);
+    for (size_t i = 0; i < per_way; ++i) {
+      keys[i] = disjoint ? static_cast<Key>(w * per_way + i)
+                         : static_cast<Key>(rng.Uniform(1 << 30));
+    }
+    std::sort(keys.begin(), keys.end());
+    RunSegment seg;
+    seg.path = "run" + std::to_string(w);
+    seg.count = per_way;
+    if (!WriteAllRecords(&env, seg.path, keys).ok()) {
+      state.SkipWithError("writing the input runs failed");
+      return;
+    }
+    RunInfo run;
+    run.length = per_way;
+    run.min_key = keys.front();
+    run.max_key = keys.back();
+    run.segments.push_back(std::move(seg));
+    runs.push_back(std::move(run));
+  }
+  std::atomic<uint64_t> span_records{0};
+  MergeIoOptions io;
+  io.span_records = &span_records;
+  for (auto _ : state) {
+    if (!KWayMergeToFile(&env, runs, io, "out", nullptr).ok()) {
+      state.SkipWithError("merge failed");
+      return;
+    }
+  }
+  state.SetLabel(disjoint ? "disjoint" : "random");
+  // The share of records that moved in whole-span copies.
+  state.counters["span_frac"] =
+      static_cast<double>(span_records.load()) /
+      static_cast<double>(state.iterations() * ways * per_way);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * ways *
+                          per_way);
+}
+BENCHMARK(BM_KWayMergeToFile)
+    ->ArgNames({"ways", "disjoint"})
+    ->ArgsProduct({{1, 2, 10}, {0, 1}});
 
 void BM_MedianTracker(benchmark::State& state) {
   const size_t window = static_cast<size_t>(state.range(0));

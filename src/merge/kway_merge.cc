@@ -97,13 +97,44 @@ Status RefillWinner(LoserTree* tree, RunCursor* cursor) {
   return Status::OK();
 }
 
+/// Moves the winning way's next spans, while each qualifies, into
+/// `out` (or drops them when `out` is null, for a skipped prefix), at most
+/// `room` keys in all, and sets `*moved` to how many. A span is the
+/// winner's decoded keys up to the room or the end of its block; it
+/// qualifies when its last key, and so every key of it, still wins
+/// against the runner-up: smaller, or equal from a lower way. Kept out of
+/// line so the per-record loop stays as tight as without spans.
+[[gnu::noinline]] Status MoveSpans(LoserTree* tree, RunCursor* const* ways,
+                                   Key* out, size_t room, size_t* moved) {
+  size_t n = 0;
+  while (n < room && !tree->Exhausted()) {
+    const size_t way = tree->WinnerIndex();
+    RunCursor* cursor = ways[way];
+    const size_t m = std::min(room - n, cursor->buffered_count());
+    const Key last = cursor->buffered()[m - 1];
+    size_t runner_way;
+    const Key runner = tree->RunnerUp(&runner_way);
+    if (last > runner || (last == runner && way > runner_way)) break;
+    if (out != nullptr) std::copy_n(cursor->buffered(), m, out + n);
+    n += m;
+    if (cursor->SkipInBlock(m)) {
+      tree->ReplaceWinner(cursor->key());
+    } else {
+      TWRS_RETURN_IF_ERROR(RefillWinner(tree, cursor));
+    }
+  }
+  *moved = n;
+  return Status::OK();
+}
+
 /// The merge core: runs the loser tree over `cursors`, gathers the winners
 /// of `window` into output blocks and hands each to `flush(keys, n)`.
-/// Ties break by way index, so the order is stable across cursors.
+/// Ties break by way index, so the order is stable across cursors. Output
+/// records that moved in spans are added to `*span_records`.
 template <typename Flush>
 Status MergeBlocks(std::vector<std::unique_ptr<RunCursor>>* cursors,
                    const MergeIoOptions& io, const MergeWindow& window,
-                   Flush&& flush) {
+                   uint64_t* span_records, Flush&& flush) {
   const size_t k = cursors->size();
   std::vector<RunCursor*> ways(k);
   LoserTree tree(k);
@@ -121,7 +152,11 @@ Status MergeBlocks(std::vector<std::unique_ptr<RunCursor>>* cursors,
     // block and discards it.
     const size_t cap = static_cast<size_t>(std::min<uint64_t>(
         kOutputBlockKeys, to_skip > 0 ? to_skip : remaining));
+    Key* const out = to_skip > 0 ? nullptr : block.data();
+    size_t spans = 0;
     size_t n = 0;
+    TWRS_RETURN_IF_ERROR(MoveSpans(&tree, ways.data(), out, cap, &n));
+    spans += n;
     for (; n < cap && !tree.Exhausted(); ++n) {
       RunCursor* cursor = ways[tree.WinnerIndex()];
       block[n] = tree.WinnerKey();
@@ -129,12 +164,19 @@ Status MergeBlocks(std::vector<std::unique_ptr<RunCursor>>* cursors,
         tree.ReplaceWinner(cursor->key());
       } else {
         TWRS_RETURN_IF_ERROR(RefillWinner(&tree, cursor));
+        size_t moved = 0;
+        TWRS_RETURN_IF_ERROR(MoveSpans(&tree, ways.data(),
+                                       out == nullptr ? nullptr : out + n + 1,
+                                       cap - n - 1, &moved));
+        spans += moved;
+        n += moved;
       }
     }
     if (to_skip > 0) {
       to_skip -= n;
       continue;
     }
+    *span_records += spans;
     TWRS_RETURN_IF_ERROR(flush(block.data(), n));
     if (io.progress != nullptr) io.progress->AddRecordsMerged(n);
     remaining -= n;
@@ -157,13 +199,17 @@ Status MergeCursorsToSink(Env* env,
   // the first block and the last key of the last.
   Key min_key = 0;
   Key max_key = 0;
-  TWRS_RETURN_IF_ERROR(
-      MergeBlocks(cursors, io, window, [&](const Key* keys, size_t n) {
+  uint64_t span_records = 0;
+  TWRS_RETURN_IF_ERROR(MergeBlocks(
+      cursors, io, window, &span_records, [&](const Key* keys, size_t n) {
         if (writer->count() == 0) min_key = keys[0];
         max_key = keys[n - 1];
         return writer->AppendBatch(keys, n);
       }));
   TWRS_RETURN_IF_ERROR(writer->Finish());
+  if (io.span_records != nullptr) {
+    io.span_records->fetch_add(span_records, std::memory_order_relaxed);
+  }
   if (out != nullptr) {
     RunInfo info;
     RunSegment seg;

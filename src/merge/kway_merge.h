@@ -1,6 +1,8 @@
 #ifndef TWRS_MERGE_KWAY_MERGE_H_
 #define TWRS_MERGE_KWAY_MERGE_H_
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -35,6 +37,11 @@ struct MergeIoOptions {
   /// When non-null, the wall time of every block write of the merge output
   /// is recorded here (see MakeRecordWriter). Must outlive the merge.
   LatencyHistogram* flush_histogram = nullptr;
+
+  /// When non-null, the merge adds to it, once it returns OK, the output
+  /// records it moved in whole-span copies (see MergeCursorsToSink). One
+  /// counter may serve merges that run at once. Must outlive the merge.
+  std::atomic<uint64_t>* span_records = nullptr;
 
   /// Force the merge output to stable storage before it is closed, through
   /// RecordWriter::set_sync_on_finish.
@@ -75,6 +82,15 @@ class RunCursor {
   /// block is used up; the caller then calls Refill.
   bool StepInBlock() { return ++pos_ < end_; }
 
+  /// The decoded keys from the current one on, in run order: the current
+  /// key and buffered_count() - 1 more. Requires valid().
+  const Key* buffered() const { return keys_.data() + pos_; }
+  size_t buffered_count() const { return end_ - pos_; }
+
+  /// Steps over the next `m` decoded keys, 1 <= m <= buffered_count().
+  /// Returns false once the block is used up, as StepInBlock does.
+  bool SkipInBlock(size_t m) { return (pos_ += m) < end_; }
+
   /// Decodes the next block, opening later segments as earlier ones
   /// drain; valid() turns false at the end of the run (or slice).
   Status Refill();
@@ -106,7 +122,8 @@ inline constexpr uint64_t kMergeNoLimit = ~uint64_t{0};
 /// once the window is served — with a limit of K, a top-K merge does k-way
 /// work proportional to skip+K, not to the input volume. Skipped records
 /// are merged (their cursors advance) but never reach the output or the
-/// progress counter. The default window is the whole stream.
+/// progress counter; a skipped span advances its cursor without being
+/// copied. The default window is the whole stream.
 struct MergeWindow {
   uint64_t skip = 0;
   uint64_t limit = kMergeNoLimit;
@@ -122,7 +139,22 @@ struct MergeWindow {
 /// `range.positioned`, that range of the existing file — written through
 /// MakeRecordWriter. Winners are gathered into blocks of keys; each
 /// block is appended in one span, and the cancel token and progress
-/// counter are consulted once per block. The writer is finished before
+/// counter are consulted once per block.
+///
+/// Winners move in spans where the inputs allow it. A span is a run of
+/// the winning cursor's decoded keys that all win before the tree's
+/// runner-up, in the tree's (key, way) order; since a cursor's keys are
+/// sorted, comparing the last key of the candidate span with the
+/// runner-up decides it. At the start of each output block and after
+/// each refill of the winning way, the merge takes the winner's keys up
+/// to the block's room (or the end of the cursor's block) as one span if
+/// they qualify: one std::copy and one replay instead of one replay a
+/// record. Otherwise it merges record by record until the next block or
+/// refill. With one input the runner-up is a retired way, so every key
+/// qualifies and the merge is a block copy; disjoint or trending runs
+/// merge mostly in spans. On random runs the check fails almost always
+/// and costs one runner-up walk and one compare per block or refill,
+/// outside the per-record loop. The writer is finished before
 /// this returns, so a range's exact-fill check has run. `*out` (if
 /// non-null) receives the single forward segment at `output_path` with
 /// its record count and key bounds.

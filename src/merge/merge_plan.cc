@@ -1,6 +1,7 @@
 #include "merge/merge_plan.h"
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
 #include <queue>
 #include <utility>
@@ -62,7 +63,9 @@ Status MergeRuns(Env* env, std::vector<RunInfo> runs,
   }
   MergeStats local;
 
-  const MergeIoOptions io = MergeIoOptionsFor(options, /*final_pass=*/false);
+  MergeIoOptions io = MergeIoOptionsFor(options, /*final_pass=*/false);
+  std::atomic<uint64_t> span_records{0};
+  io.span_records = &span_records;
 
   if (runs.empty()) {
     // Sorting an empty input produces an empty output file.
@@ -135,6 +138,7 @@ Status MergeRuns(Env* env, std::vector<RunInfo> runs,
     }
   }
 
+  local.span_records = span_records.load(std::memory_order_relaxed);
   const std::vector<RunInfo> final_batch = inputs_of(num_intermediate);
   TWRS_RETURN_IF_ERROR(
       FinalMergeToOutput(env, final_batch, options, output_path, &local));

@@ -92,6 +92,12 @@ struct MergeStats {
   uint64_t records_written = 0;  ///< total records written (I/O volume proxy)
   uint64_t intermediate_runs = 0;
 
+  /// Records MergeRuns' merges (intermediate, final and every partial
+  /// merge of a partitioned final merge) moved in whole-span copies rather
+  /// than one loser-tree step each: every record of a one-run final pass,
+  /// few on random runs (see MergeCursorsToSink).
+  uint64_t span_records = 0;
+
   /// Limited (top-K) merges only: runs the final pass never opened, and
   /// records its pruning excluded from the merge. (Intermediate passes
   /// prune too; their savings surface directly in bytes_read.) Both 0 for

@@ -1,6 +1,7 @@
 #include "merge/partitioned_merge.h"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <string>
 #include <utility>
@@ -378,7 +379,9 @@ Status SampleRunKeys(Env* env, const std::vector<RunInfo>& runs,
 Status FinalMergeToOutput(Env* env, const std::vector<RunInfo>& runs,
                           const MergeOptions& options,
                           const std::string& output_path, MergeStats* stats) {
-  const MergeIoOptions io = MergeIoOptionsFor(options, /*final_pass=*/true);
+  MergeIoOptions io = MergeIoOptionsFor(options, /*final_pass=*/true);
+  std::atomic<uint64_t> span_records{0};
+  io.span_records = &span_records;
   const bool take_last = options.limit_last;
   uint64_t total_records = 0;
   for (const RunInfo& run : runs) total_records += run.length;
@@ -423,13 +426,16 @@ Status FinalMergeToOutput(Env* env, const std::vector<RunInfo>& runs,
 
   if (splitters.empty()) {
     if (kept < total_records) {
-      return PrunedSerialMerge(env, runs, io, take_last, kept, total_records,
-                               output_path, stats);
+      TWRS_RETURN_IF_ERROR(PrunedSerialMerge(env, runs, io, take_last, kept,
+                                             total_records, output_path,
+                                             stats));
+    } else {
+      RunInfo written;
+      TWRS_RETURN_IF_ERROR(KWayMergeToFile(env, runs, io, output_path,
+                                           &written));
+      stats->records_written += written.length;
     }
-    RunInfo written;
-    TWRS_RETURN_IF_ERROR(KWayMergeToFile(env, runs, io, output_path,
-                                         &written));
-    stats->records_written += written.length;
+    stats->span_records += span_records.load(std::memory_order_relaxed);
     return Status::OK();
   }
 
@@ -513,6 +519,7 @@ Status FinalMergeToOutput(Env* env, const std::vector<RunInfo>& runs,
   for (size_t r = 0; r < runs.size(); ++r) {
     if (!run_used[r] && runs[r].length > 0) ++stats->runs_pruned;
   }
+  stats->span_records += span_records.load(std::memory_order_relaxed);
   return Status::OK();
 }
 

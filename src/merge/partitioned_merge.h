@@ -44,10 +44,10 @@ Status SampleRunKeys(Env* env, const std::vector<RunInfo>& runs,
 /// whole runs whose sampled key bounds put them past the K-th record and
 /// clamps the rest to the K-record prefix or suffix that can still
 /// matter; the partitioned path drops partitions wholly outside the kept
-/// window and clamps the straddling one. Adds the step, its records and
-/// what pruning avoided (runs never opened, records never read) to
-/// `stats`. On failure a partitioned output is removed: a torn positioned
-/// file has holes, unlike the append path's clean prefix.
+/// window and clamps the straddling one. Adds the step, its records, its
+/// span records and what pruning avoided (runs never opened, records
+/// never read) to `stats`. On failure a partitioned output is removed: a
+/// torn positioned file has holes, unlike the append path's clean prefix.
 Status FinalMergeToOutput(Env* env, const std::vector<RunInfo>& runs,
                           const MergeOptions& options,
                           const std::string& output_path, MergeStats* stats);

@@ -556,6 +556,37 @@ TEST(ExternalSorterTest, ReportsEngineIoVolume) {
   EXPECT_GE(result.bytes_read, input_bytes);
 }
 
+TEST(ExternalSorterTest, OneRunMergesInSpansAndRandomRunsDoNot) {
+  // 2WRS turns trending input into one run, whose final pass moves every
+  // record in whole-span copies; ten random LSS runs interleave record by
+  // record, so almost none qualify.
+  WorkloadOptions wl;
+  wl.num_records = 200000;
+  wl.seed = 27;
+  MemEnv env;
+  ExternalSortOptions options;
+  options.memory_records = 8192;
+  options.temp_dir = "tmp";
+  options.block_bytes = 4096;  // cursors refill every 512 records
+  {
+    ExternalSorter sorter(&env, options);
+    VectorSource source(Drain(MakeWorkload(Dataset::kMixed, wl).get()));
+    ExternalSortResult result;
+    ASSERT_TWRS_OK(sorter.Sort(&source, "mixed", &result));
+    ASSERT_EQ(result.run_gen.num_runs(), 1u);
+    EXPECT_EQ(result.merge.span_records, wl.num_records);
+  }
+  options.algorithm = RunGenAlgorithm::kLoadSortStore;
+  wl.num_records = 10 * options.memory_records;
+  ExternalSorter sorter(&env, options);
+  VectorSource source(Drain(MakeWorkload(Dataset::kRandom, wl).get()));
+  ExternalSortResult result;
+  ASSERT_TWRS_OK(sorter.Sort(&source, "random", &result));
+  ASSERT_EQ(result.run_gen.num_runs(), 10u);
+  EXPECT_EQ(result.merge.merge_steps, 1u);
+  EXPECT_LT(result.merge.span_records, wl.num_records / 100);
+}
+
 TEST(ExternalSorterTest, SerialSortTimesItsPhasesAndWrites) {
   // Every write that reaches a file is timed when a registry is given —
   // also without a pool, where nothing is flushed in the background — and

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <vector>
 
@@ -266,6 +267,216 @@ TEST(KWayMergeTest, DifferentialAgainstStdSort) {
     DifferentialTrial(seed);
     if (::testing::Test::HasFailure()) break;  // the trace names the seed
   }
+}
+
+// ------------------------------------------------------------------ spans
+
+// What std::merge makes of `ways`, each already ascending.
+std::vector<Key> StdMergeAll(const std::vector<std::vector<Key>>& ways) {
+  std::vector<Key> merged;
+  for (const std::vector<Key>& way : ways) {
+    std::vector<Key> next(merged.size() + way.size());
+    std::merge(merged.begin(), merged.end(), way.begin(), way.end(),
+               next.begin());
+    merged = std::move(next);
+  }
+  return merged;
+}
+
+struct SpanMerge {
+  std::vector<Key> out;
+  uint64_t span_records = 0;
+};
+
+// Merges `runs` with `window` over cursors of `block_bytes`, counting the
+// records that moved in spans.
+SpanMerge MergeCountingSpans(Env* env, const std::vector<RunInfo>& runs,
+                             size_t block_bytes,
+                             const MergeWindow& window = MergeWindow()) {
+  std::atomic<uint64_t> span_records{0};
+  MergeIoOptions io;
+  io.block_bytes = block_bytes;
+  io.span_records = &span_records;
+  std::vector<std::unique_ptr<RunCursor>> cursors;
+  for (const RunInfo& run : runs) {
+    cursors.push_back(std::make_unique<RunCursor>(env, run, block_bytes));
+    EXPECT_TWRS_OK(cursors.back()->Init());
+  }
+  EXPECT_TWRS_OK(MergeCursorsToSink(env, &cursors, io, window, "out",
+                                    MergeOutputRange(), nullptr));
+  SpanMerge result;
+  EXPECT_TWRS_OK(ReadAllRecords(env, "out", &result.out));
+  result.span_records = span_records.load();
+  return result;
+}
+
+// Writes every way as a plain forward run and merges them.
+SpanMerge MergeWays(const std::vector<std::vector<Key>>& ways,
+                    size_t block_bytes,
+                    const MergeWindow& window = MergeWindow()) {
+  MemEnv env;
+  std::vector<RunInfo> runs;
+  for (size_t w = 0; w < ways.size(); ++w) {
+    runs.push_back(MakeForwardRun(&env, "w" + std::to_string(w), ways[w]));
+  }
+  return MergeCountingSpans(&env, runs, block_bytes, window);
+}
+
+std::vector<Key> Iota(Key from, size_t n) {
+  std::vector<Key> keys(n);
+  for (size_t i = 0; i < n; ++i) keys[i] = from + static_cast<Key>(i);
+  return keys;
+}
+
+TEST(RunCursorTest, BufferedKeysAndSkipInBlock) {
+  MemEnv env;
+  RunInfo run = MakeForwardRun(&env, "a", Iota(0, 10));
+  RunCursor cursor(&env, run, /*block_bytes=*/4 * kRecordBytes);
+  ASSERT_TWRS_OK(cursor.Init());
+  ASSERT_EQ(cursor.buffered_count(), 4u);
+  EXPECT_EQ(cursor.buffered()[0], 0);
+  EXPECT_EQ(cursor.buffered()[3], 3);
+  EXPECT_TRUE(cursor.SkipInBlock(3));
+  EXPECT_EQ(cursor.key(), 3);
+  EXPECT_EQ(cursor.buffered_count(), 1u);
+  EXPECT_FALSE(cursor.SkipInBlock(1));
+  ASSERT_TWRS_OK(cursor.Refill());
+  EXPECT_EQ(cursor.key(), 4);
+  EXPECT_EQ(cursor.buffered_count(), 4u);
+}
+
+TEST(KWayMergeSpanTest, OneTwoWayRunIsOneBlockCopy) {
+  // One input, cut into forward and reverse segments as 2WRS writes it:
+  // with no other way the runner-up is a retired sentinel, so every
+  // record moves in a span.
+  Random rng(41);
+  MemEnv env;
+  std::vector<Key> keys(5000);
+  for (Key& key : keys) key = static_cast<Key>(rng.Uniform(1 << 20));
+  std::sort(keys.begin(), keys.end());
+  const RunInfo run = WriteRun(&env, "r", keys, /*split=*/true, &rng);
+  ASSERT_GT(run.segments.size(), 2u);
+  const SpanMerge merged = MergeCountingSpans(&env, {run}, 256);
+  EXPECT_EQ(merged.out, keys);
+  EXPECT_EQ(merged.span_records, keys.size());
+}
+
+TEST(KWayMergeSpanTest, LongDisjointSpansMergeInSpans) {
+  // Three ways taking turns at 700-key stretches of the key space.
+  std::vector<std::vector<Key>> ways(3);
+  for (size_t stretch = 0; stretch < 30; ++stretch) {
+    const std::vector<Key> keys = Iota(static_cast<Key>(stretch * 700), 700);
+    ways[stretch % 3].insert(ways[stretch % 3].end(), keys.begin(),
+                             keys.end());
+  }
+  const SpanMerge merged = MergeWays(ways, 128 * kRecordBytes);
+  EXPECT_EQ(merged.out, StdMergeAll(ways));
+  // A stretch falls back to single records only from a block or refill
+  // where its end is in reach until the next one.
+  EXPECT_GT(merged.span_records, merged.out.size() * 8 / 10);
+}
+
+TEST(KWayMergeSpanTest, InterleavedSingleKeysMergeRecordByRecord) {
+  const size_t k = 4;
+  std::vector<std::vector<Key>> ways(k);
+  for (size_t i = 0; i < 8000; ++i) {
+    ways[i % k].push_back(static_cast<Key>(i));
+  }
+  const SpanMerge merged = MergeWays(ways, 64 * kRecordBytes);
+  EXPECT_EQ(merged.out, StdMergeAll(ways));
+  // The ways' blocks drain together, so after one way's refill the next
+  // winner may hold a single buffered key, a one-record span; no longer
+  // span ever qualifies.
+  EXPECT_LT(merged.span_records, merged.out.size() / 50);
+}
+
+TEST(KWayMergeSpanTest, EqualKeysSpreadAcrossWaysWinByWay) {
+  // Equal keys win by way index, so way 0's run of 5s is a span against
+  // way 1's head of 5, and way 1's 5s follow once way 0 moves on.
+  std::vector<std::vector<Key>> ways(3);
+  for (size_t w = 0; w < ways.size(); ++w) {
+    ways[w].assign(3000, 5);
+    ways[w].insert(ways[w].end(), 3000, static_cast<Key>(9 - w));
+  }
+  const SpanMerge merged = MergeWays(ways, 256 * kRecordBytes);
+  EXPECT_EQ(merged.out, StdMergeAll(ways));
+  EXPECT_GT(merged.span_records, merged.out.size() * 8 / 10);
+}
+
+TEST(KWayMergeSpanTest, LiveMaxKeysOutlastRetiredWays) {
+  // A retired way is INT64_MAX too, but ranks after every live way, so a
+  // live run of INT64_MAX keys is still a span.
+  constexpr Key kMax = std::numeric_limits<Key>::max();
+  std::vector<std::vector<Key>> ways = {
+      Iota(0, 100), Iota(50, 900), Iota(kMax - 3, 4), Iota(kMax - 1, 2)};
+  ways[2].insert(ways[2].end(), 2000, kMax);
+  ways[3].insert(ways[3].end(), 1500, kMax);
+  const SpanMerge merged = MergeWays(ways, 128 * kRecordBytes);
+  EXPECT_EQ(merged.out, StdMergeAll(ways));
+  EXPECT_GT(merged.span_records, 3000u);
+}
+
+TEST(KWayMergeSpanTest, WindowBoundariesInsideSpans) {
+  // Windows whose ends fall inside spans, on one input and on disjoint
+  // inputs: the skipped prefix advances spans uncopied, and a span never
+  // crosses the window's end.
+  const std::vector<std::vector<Key>> one = {Iota(0, 5000)};
+  const std::vector<std::vector<Key>> disjoint = {Iota(0, 2500),
+                                                  Iota(2500, 2500)};
+  for (const auto* ways : {&one, &disjoint}) {
+    const std::vector<Key> all = StdMergeAll(*ways);
+    for (const MergeWindow window :
+         {MergeWindow{1500, 2100}, MergeWindow{0, 1500},
+          MergeWindow{3777, kMergeNoLimit}, MergeWindow{2500, 1}}) {
+      SCOPED_TRACE(::testing::Message() << ways->size() << " ways, skip "
+                                        << window.skip);
+      const SpanMerge merged = MergeWays(*ways, 300 * kRecordBytes, window);
+      const size_t to = static_cast<size_t>(std::min<uint64_t>(
+          all.size(), window.skip + std::min<uint64_t>(window.limit,
+                                                       all.size())));
+      EXPECT_EQ(merged.out,
+                std::vector<Key>(all.begin() + window.skip, all.begin() + to));
+      if (ways->size() == 1) {
+        EXPECT_EQ(merged.span_records, merged.out.size());
+      }
+    }
+  }
+  // Top-K windows through the entry point that clamps the runs first.
+  for (const bool take_last : {false, true}) {
+    MemEnv env;
+    std::vector<RunInfo> runs;
+    for (size_t w = 0; w < disjoint.size(); ++w) {
+      runs.push_back(
+          MakeForwardRun(&env, "w" + std::to_string(w), disjoint[w]));
+    }
+    MergeIoOptions io;
+    io.block_bytes = 300 * kRecordBytes;
+    ASSERT_TWRS_OK(
+        KWayMergeLimitToFile(&env, runs, io, 3333, take_last, "top", nullptr));
+    std::vector<Key> got;
+    ASSERT_TWRS_OK(ReadAllRecords(&env, "top", &got));
+    const std::vector<Key> all = StdMergeAll(disjoint);
+    EXPECT_EQ(got, take_last ? std::vector<Key>(all.end() - 3333, all.end())
+                             : std::vector<Key>(all.begin(),
+                                                all.begin() + 3333))
+        << "take_last " << take_last;
+  }
+}
+
+TEST(KWayMergeSpanTest, CursorBlockDrainingAtAnOutputBlockBoundary) {
+  // With 1024-key cursor blocks, one input's block drains exactly where
+  // each output block ends; with 512-key blocks over two interleaved
+  // ways, way 1 drains on the last record of every output block, which
+  // leaves no room for a span after its refill.
+  const std::vector<std::vector<Key>> one = {Iota(0, 4096 + 7)};
+  SpanMerge merged = MergeWays(one, 1024 * kRecordBytes);
+  EXPECT_EQ(merged.out, one[0]);
+  EXPECT_EQ(merged.span_records, merged.out.size());
+
+  std::vector<std::vector<Key>> two(2);
+  for (size_t i = 0; i < 4096; ++i) two[i % 2].push_back(static_cast<Key>(i));
+  merged = MergeWays(two, 512 * kRecordBytes);
+  EXPECT_EQ(merged.out, StdMergeAll(two));
 }
 
 }  // namespace
