@@ -202,9 +202,9 @@ void BM_KWayMergeToFile(benchmark::State& state) {
     run.segments.push_back(std::move(seg));
     runs.push_back(std::move(run));
   }
-  std::atomic<uint64_t> span_records{0};
+  MergeCounters counters;
   MergeIoOptions io;
-  io.span_records = &span_records;
+  io.counters = &counters;
   for (auto _ : state) {
     if (!KWayMergeToFile(&env, runs, io, "out", nullptr).ok()) {
       state.SkipWithError("merge failed");
@@ -214,7 +214,7 @@ void BM_KWayMergeToFile(benchmark::State& state) {
   state.SetLabel(disjoint ? "disjoint" : "random");
   // The share of records that moved in whole-span copies.
   state.counters["span_frac"] =
-      static_cast<double>(span_records.load()) /
+      static_cast<double>(counters.span_records.load()) /
       static_cast<double>(state.iterations() * ways * per_way);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * ways *
                           per_way);

@@ -340,10 +340,14 @@ int main(int argc, char** argv) {
          result.run_gen.AverageRunLengthRelative(options.memory_records),
          result.run_gen_seconds, result.merge_seconds,
          result.total_seconds);
-  printf("merge: %llu steps, %llu records written, %llu of them in spans\n",
+  printf("merge: %llu steps, %llu records written, %llu of them in spans; "
+         "output sync %.4fs after %llu writeback kicks\n",
          static_cast<unsigned long long>(result.merge.merge_steps),
          static_cast<unsigned long long>(result.merge.records_written),
-         static_cast<unsigned long long>(result.merge.span_records));
+         static_cast<unsigned long long>(result.merge.span_records),
+         result.merge.output_sync_seconds,
+         static_cast<unsigned long long>(
+             result.merge.output_writeback_kicks));
   if (verify) {
     uint64_t count = 0;
     s = twrs::VerifySortedFile(env, positional[1], &count, nullptr);

@@ -12,7 +12,8 @@ namespace twrs {
 
 /// Env decorator that counts the bytes every handle it opens moves, so
 /// ExternalSortResult reports a sort's real I/O volume (runs written and
-/// re-read, intermediate merges, output). One instance is shared by every
+/// re-read, intermediate merges, output). Writeback kicks move no bytes of
+/// their own and are not counted. One instance is shared by every
 /// concurrent generator, merge and flush of a sort, so the counters are
 /// atomic; they are exact once the operation has completed. Set the
 /// mirrors and the watched path before the operation starts.

@@ -24,6 +24,18 @@ class WritableFile {
   /// pipeline calls it once on the final output before Close.
   virtual Status Sync() { return Status::OK(); }
 
+  /// Starts writeback of bytes [offset, offset + n) of the file, already
+  /// appended, without waiting for it to finish, so that a later Sync
+  /// finds less dirty data to flush. A hint, not a durability point: only
+  /// Sync makes data durable. The default is a no-op, like Sync's.
+  /// PosixEnv issues sync_file_range(SYNC_FILE_RANGE_WRITE); IoUringEnv
+  /// does the same for bytes whose write has already completed. The sort
+  /// pipeline calls it only on the final output, as that output grows
+  /// (see RecordWriter::set_start_writeback).
+  virtual Status StartWriteback(uint64_t /*offset*/, uint64_t /*n*/) {
+    return Status::OK();
+  }
+
   /// Flushes buffered data and closes the handle. Idempotent.
   virtual Status Close() = 0;
 };
@@ -55,6 +67,12 @@ class RandomRWFile {
   /// Forces written data to stable storage (fdatasync semantics). Default
   /// no-op; see WritableFile::Sync.
   virtual Status Sync() { return Status::OK(); }
+
+  /// Starts writeback of bytes [offset, offset + n) without waiting.
+  /// Default no-op; see WritableFile::StartWriteback.
+  virtual Status StartWriteback(uint64_t /*offset*/, uint64_t /*n*/) {
+    return Status::OK();
+  }
 
   virtual Status Close() = 0;
 };

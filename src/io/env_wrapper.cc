@@ -73,6 +73,12 @@ class HookedWritableFile : public WritableFile {
                       [&](IoOp*) { return base_->Sync(); });
   }
 
+  Status StartWriteback(uint64_t offset, uint64_t n) override {
+    return hooks_.Run(IoOpKind::kWriteback, offset, n, [&](IoOp*) {
+      return base_->StartWriteback(offset, n);
+    });
+  }
+
   Status Close() override { return hooks_.Close(base_.get(), offset_); }
 
  private:
@@ -131,6 +137,12 @@ class HookedRandomRWFile : public RandomRWFile {
   Status Sync() override {
     return hooks_.Run(IoOpKind::kSync, 0, 0,
                       [&](IoOp*) { return base_->Sync(); });
+  }
+
+  Status StartWriteback(uint64_t offset, uint64_t n) override {
+    return hooks_.Run(IoOpKind::kWriteback, offset, n, [&](IoOp*) {
+      return base_->StartWriteback(offset, n);
+    });
   }
 
   Status Close() override { return hooks_.Close(base_.get(), 0); }

@@ -11,7 +11,7 @@
 namespace twrs {
 
 /// What an I/O operation does.
-enum class IoOpKind { kOpen, kRead, kWrite, kSync, kClose };
+enum class IoOpKind { kOpen, kRead, kWrite, kSync, kWriteback, kClose };
 
 /// The Env method that opened a handle.
 enum class OpenMethod {
@@ -30,19 +30,21 @@ struct IoOp {
   const std::string& path;
   /// Where a read or write starts: the handle's logical offset for
   /// Append and Read (which Append, Read and Skip advance), the caller's
-  /// offset for WriteAt and ReadAt. The logical offset for sync and close
-  /// (0 on a positioned handle), and 0 for open.
+  /// offset for WriteAt and ReadAt. The caller's offset for a writeback
+  /// (StartWriteback). The logical offset for sync and close (0 on a
+  /// positioned handle), and 0 for open.
   uint64_t offset;
-  /// Bytes a read or write asks for. A read's After sees the bytes it
-  /// actually read; 0 for open, sync and close.
+  /// Bytes a read or write asks for, or a writeback covers. A read's After
+  /// sees the bytes it actually read; 0 for open, sync and close.
   uint64_t bytes;
 };
 
 /// Env decorator base: forwards every Env method to `base` and wraps each
 /// handle the five open methods return, so that a decorator is one or two
-/// hooks. Before runs ahead of each open, read, write, sync and close; a
-/// non-OK result fails the operation without calling the base. After runs
-/// once the operation finished, with its result (or Before's failure).
+/// hooks. Before runs ahead of each open, read, write, sync, writeback and
+/// close; a non-OK result fails the operation without calling the base.
+/// After runs once the operation finished, with its result (or Before's
+/// failure).
 /// Close fires once per handle, on the first Close() or on destruction
 /// (after the base handle is gone); a SequentialFile has no Close(), so
 /// its close is its destruction. Skip advances the logical offset and

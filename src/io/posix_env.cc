@@ -32,6 +32,19 @@ Status ErrnoStatus(const std::string& context) {
   return Status::IOError(context + ": " + msg);
 }
 
+/// Starts writeback of [offset, offset + n) of `fd` without waiting for
+/// it (WritableFile::StartWriteback). On a closed handle (fd -1) it fails
+/// with EBADF, as fdatasync does.
+Status StartFdWriteback(int fd, const std::string& path, uint64_t offset,
+                        uint64_t n) {
+  if (::sync_file_range(fd, static_cast<off_t>(offset),
+                        static_cast<off_t>(n),
+                        SYNC_FILE_RANGE_WRITE) != 0) {
+    return ErrnoStatus("sync_file_range " + path);
+  }
+  return Status::OK();
+}
+
 class PosixWritableFile : public WritableFile {
  public:
   explicit PosixWritableFile(int fd, std::string path)
@@ -60,6 +73,10 @@ class PosixWritableFile : public WritableFile {
     // output bytes (and the size needed to read them), not about mtime.
     if (::fdatasync(fd_) != 0) return ErrnoStatus("fdatasync " + path_);
     return Status::OK();
+  }
+
+  Status StartWriteback(uint64_t offset, uint64_t n) override {
+    return StartFdWriteback(fd_, path_, offset, n);
   }
 
   Status Close() override {
@@ -157,6 +174,10 @@ class PosixRandomRWFile : public RandomRWFile {
   Status Sync() override {
     if (::fdatasync(fd_) != 0) return ErrnoStatus("fdatasync " + path_);
     return Status::OK();
+  }
+
+  Status StartWriteback(uint64_t offset, uint64_t n) override {
+    return StartFdWriteback(fd_, path_, offset, n);
   }
 
   Status Close() override {

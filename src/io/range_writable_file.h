@@ -47,6 +47,11 @@ class RangeWritableFile : public WritableFile {
   Status Append(const void* data, size_t n) override;
   Status Sync() override { return file_->Sync(); }
 
+  /// `offset` counts from the start of the range, as Append's bytes do.
+  Status StartWriteback(uint64_t offset, uint64_t n) override {
+    return file_->StartWriteback(offset_ + offset, n);
+  }
+
   /// Closes the handle; Corruption when the range is not exactly filled.
   /// Idempotent.
   Status Close() override;

@@ -28,8 +28,10 @@ RecordWriter::RecordWriter(std::unique_ptr<WritableFile> file,
 RecordWriter::~RecordWriter() {
   // Callers that need the flush outcome call Finish() themselves; by the
   // time the destructor runs there is nowhere left to report it. An
-  // unfinished writer is being abandoned, so it is not worth a Sync.
+  // unfinished writer is being abandoned, so it is not worth a Sync or a
+  // writeback kick.
   sync_on_finish_ = false;
+  start_writeback_ = false;
   if (!finished_ && file_ != nullptr) TWRS_IGNORE_STATUS(Finish());
 }
 
@@ -42,6 +44,14 @@ Status RecordWriter::WriteBuffer() {
     flush_histogram_->RecordSeconds(watch.ElapsedSeconds());
   }
   buffer_used_ = 0;
+  // Every record counted so far has now been handed to the file.
+  const uint64_t written = count_ * kRecordBytes;
+  if (status_.ok() && start_writeback_ &&
+      written - kicked_end_ >= kWritebackBytes) {
+    status_ = file_->StartWriteback(kicked_end_, written - kicked_end_);
+    kicked_end_ = written;
+    ++writeback_kicks_;
+  }
   return status_;
 }
 
@@ -77,7 +87,9 @@ Status RecordWriter::Finish() {
   TWRS_RETURN_IF_ERROR(status_);
   if (buffer_used_ > 0) TWRS_RETURN_IF_ERROR(WriteBuffer());
   if (sync_on_finish_) {
+    Stopwatch watch;
     status_ = file_->Sync();
+    sync_seconds_ = watch.ElapsedSeconds();
     TWRS_RETURN_IF_ERROR(status_);
   }
   status_ = file_->Close();

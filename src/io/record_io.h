@@ -18,6 +18,10 @@ class LatencyHistogram;
 /// buffer several pages per sequential stream, as real systems do.
 inline constexpr size_t kDefaultBlockBytes = 64 * 1024;
 
+/// Bytes a RecordWriter with set_start_writeback hands to its file between
+/// two writeback kicks (WritableFile::StartWriteback).
+inline constexpr uint64_t kWritebackBytes = 1024 * 1024;
+
 /// Block-buffered sequential writer of fixed-size records.
 class RecordWriter {
  public:
@@ -50,10 +54,24 @@ class RecordWriter {
   Status Finish();
 
   /// Makes Finish Sync the file before closing. Set on final outputs
-  /// (merge outputs with MergeIoOptions::sync_output, top-K results, empty
-  /// sort outputs) — not on scratch runs. A writer destroyed without
-  /// Finish is not synced.
+  /// (final merge outputs, top-K results, empty sort outputs) — not on
+  /// scratch runs. A writer destroyed without Finish is not synced.
   void set_sync_on_finish(bool sync) { sync_on_finish_ = sync; }
+
+  /// Makes the writer start writeback (WritableFile::StartWriteback) of
+  /// the bytes it handed to the file since its previous kick, each time
+  /// they reach kWritebackBytes, so that the disk writes the output while
+  /// the sort still produces it and the final Sync waits only for the
+  /// tail. Set on streams of the user-visible output only: writing back
+  /// scratch runs, which are re-read and deleted, would spend disk
+  /// bandwidth for nothing. A failed kick fails the writer.
+  void set_start_writeback(bool on) { start_writeback_ = on; }
+
+  /// Writeback kicks issued so far.
+  uint64_t writeback_kicks() const { return writeback_kicks_; }
+
+  /// Wall time Finish spent in Sync (0 without set_sync_on_finish).
+  double sync_seconds() const { return sync_seconds_; }
 
   /// Records the wall time of every block write that reaches the file into
   /// `histogram`, which must outlive the writer. Null (the default)
@@ -67,7 +85,7 @@ class RecordWriter {
 
  private:
   /// Writes the buffered bytes to the file (timed when a histogram is
-  /// set) and empties the buffer.
+  /// set), empties the buffer and kicks writeback when it is due.
   Status WriteBuffer();
 
   Status status_;
@@ -78,6 +96,10 @@ class RecordWriter {
   LatencyHistogram* flush_histogram_ = nullptr;
   bool finished_ = false;
   bool sync_on_finish_ = false;
+  bool start_writeback_ = false;
+  uint64_t kicked_end_ = 0;  // end of the last writeback kick
+  uint64_t writeback_kicks_ = 0;
+  double sync_seconds_ = 0;
 };
 
 /// Block-buffered sequential reader of fixed-size records.

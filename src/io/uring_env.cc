@@ -15,6 +15,7 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -500,6 +501,26 @@ class UringWriteFile : public WritableFile, public RandomRWFile {
     return status_;
   }
 
+  /// Starts writeback only of bytes whose write completion was already
+  /// reaped, so a kick never waits on the ring. The rest of an ascending
+  /// stream's requested bytes wait for the next kick, and Sync flushes
+  /// whatever is left at the end.
+  Status StartWriteback(uint64_t offset, uint64_t n) override {
+    if (!status_.ok()) return status_;
+    if (closed_) return Status::IOError("writeback of closed " + path_);
+    if (offset != kick_end_) kick_begin_ = offset;
+    kick_end_ = offset + n;
+    const uint64_t end = std::min(kick_end_, completed_end_);
+    if (end <= kick_begin_) return Status::OK();
+    if (::sync_file_range(fd_, static_cast<off_t>(kick_begin_),
+                          static_cast<off_t>(end - kick_begin_),
+                          SYNC_FILE_RANGE_WRITE) != 0) {
+      return ErrnoStatus("sync_file_range " + path_, errno);
+    }
+    kick_begin_ = end;
+    return Status::OK();
+  }
+
   Status Close() override {
     if (closed_) return Status::OK();
     closed_ = true;
@@ -578,6 +599,7 @@ class UringWriteFile : public WritableFile, public RandomRWFile {
         TWRS_RETURN_IF_ERROR(PrepWrite());
       }
     }
+    completed_end_ = inflight_off_ + inflight_len_;
     return Status::OK();
   }
 
@@ -614,6 +636,11 @@ class UringWriteFile : public WritableFile, public RandomRWFile {
   uint64_t inflight_off_ = 0;
   size_t inflight_len_ = 0;   // total bytes of the inflight submission
   size_t inflight_done_ = 0;  // bytes the kernel confirmed so far
+  uint64_t completed_end_ = 0;  // end of the last write known complete
+
+  // Requested writeback not yet started: [kick_begin_, kick_end_).
+  uint64_t kick_begin_ = 0;
+  uint64_t kick_end_ = 0;
 
   bool closed_ = false;
   Status status_;

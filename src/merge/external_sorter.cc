@@ -156,12 +156,15 @@ Status SelectToOutput(Env* env, const ExternalSortOptions& options,
   const std::vector<Key> selected = selector.Take();
   RecordWriter writer(env, output_path, options.block_bytes);
   TWRS_RETURN_IF_ERROR(writer.status());
-  // The selection writes the user-visible output directly — same durability
-  // contract as the final merge pass of a full sort.
+  // The selection writes the user-visible output directly — same writeback
+  // and durability contract as the final merge pass of a full sort.
+  writer.set_start_writeback(true);
   writer.set_sync_on_finish(true);
   TWRS_RETURN_IF_ERROR(writer.AppendBatch(selected.data(), selected.size()));
   TWRS_RETURN_IF_ERROR(writer.Finish());
   result->output_records = writer.count();
+  result->merge.output_sync_seconds = writer.sync_seconds();
+  result->merge.output_writeback_kicks = writer.writeback_kicks();
   if (options.progress != nullptr) {
     options.progress->AddRecordsMerged(writer.count());
   }

@@ -194,7 +194,8 @@ Status MergeCursorsToSink(Env* env,
   std::unique_ptr<RecordWriter> writer;
   TWRS_RETURN_IF_ERROR(MakeRecordWriter(env, output_path, io.block_bytes,
                                         &writer, io.flush_histogram, range));
-  writer->set_sync_on_finish(io.sync_output);
+  writer->set_start_writeback(io.final_output);
+  writer->set_sync_on_finish(io.final_output && !range.positioned);
   // Blocks arrive in merge order, so the run's bounds are the first key of
   // the first block and the last key of the last.
   Key min_key = 0;
@@ -207,8 +208,14 @@ Status MergeCursorsToSink(Env* env,
         return writer->AppendBatch(keys, n);
       }));
   TWRS_RETURN_IF_ERROR(writer->Finish());
-  if (io.span_records != nullptr) {
-    io.span_records->fetch_add(span_records, std::memory_order_relaxed);
+  if (io.counters != nullptr) {
+    MergeCounters& counters = *io.counters;
+    counters.span_records.fetch_add(span_records, std::memory_order_relaxed);
+    counters.writeback_kicks.fetch_add(writer->writeback_kicks(),
+                                       std::memory_order_relaxed);
+    counters.sync_nanos.fetch_add(
+        static_cast<uint64_t>(writer->sync_seconds() * 1e9),
+        std::memory_order_relaxed);
   }
   if (out != nullptr) {
     RunInfo info;

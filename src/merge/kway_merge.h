@@ -19,6 +19,17 @@
 
 namespace twrs {
 
+/// What merges add up once each returns OK. One instance may serve merges
+/// that run at once, hence the atomics.
+struct MergeCounters {
+  /// Output records moved in whole-span copies (see MergeCursorsToSink).
+  std::atomic<uint64_t> span_records{0};
+  /// Writeback kicks of final outputs (RecordWriter::set_start_writeback).
+  std::atomic<uint64_t> writeback_kicks{0};
+  /// Nanoseconds final outputs' writers waited in Sync.
+  std::atomic<uint64_t> sync_nanos{0};
+};
+
 /// I/O configuration of one k-way merge.
 struct MergeIoOptions {
   /// Read/write buffer per stream.
@@ -38,17 +49,17 @@ struct MergeIoOptions {
   /// is recorded here (see MakeRecordWriter). Must outlive the merge.
   LatencyHistogram* flush_histogram = nullptr;
 
-  /// When non-null, the merge adds to it, once it returns OK, the output
-  /// records it moved in whole-span copies (see MergeCursorsToSink). One
-  /// counter may serve merges that run at once. Must outlive the merge.
-  std::atomic<uint64_t>* span_records = nullptr;
+  /// When non-null, the merge adds its counts to it once it returns OK.
+  /// Must outlive the merge.
+  MergeCounters* counters = nullptr;
 
-  /// Force the merge output to stable storage before it is closed, through
-  /// RecordWriter::set_sync_on_finish.
-  /// Set only on the final pass writing the user-visible output;
-  /// intermediate runs are re-read and deleted, so syncing them would buy
-  /// nothing but write stalls.
-  bool sync_output = false;
+  /// The merge writes (a range of) the user-visible output: its writer
+  /// starts writeback as the output grows (RecordWriter::
+  /// set_start_writeback) and, unless it writes a range of a shared output
+  /// that its owner syncs once, syncs it before closing. Set only on the
+  /// final pass; intermediate runs are re-read and deleted, so syncing or
+  /// writing them back would buy nothing but disk traffic and stalls.
+  bool final_output = false;
 };
 
 /// Block cursor over one generated run: iterates its segments in order,

@@ -51,7 +51,7 @@ MergeIoOptions MergeIoOptionsFor(const MergeOptions& options,
   io.cancel = options.cancel;
   io.progress = options.progress;
   io.flush_histogram = options.flush_histogram;
-  io.sync_output = final_pass;
+  io.final_output = final_pass;
   return io;
 }
 
@@ -64,8 +64,8 @@ Status MergeRuns(Env* env, std::vector<RunInfo> runs,
   MergeStats local;
 
   MergeIoOptions io = MergeIoOptionsFor(options, /*final_pass=*/false);
-  std::atomic<uint64_t> span_records{0};
-  io.span_records = &span_records;
+  MergeCounters counters;
+  io.counters = &counters;
 
   if (runs.empty()) {
     // Sorting an empty input produces an empty output file.
@@ -73,6 +73,7 @@ Status MergeRuns(Env* env, std::vector<RunInfo> runs,
     TWRS_RETURN_IF_ERROR(writer.status());
     writer.set_sync_on_finish(true);
     TWRS_RETURN_IF_ERROR(writer.Finish());
+    local.output_sync_seconds = writer.sync_seconds();
     if (stats != nullptr) *stats = local;
     return Status::OK();
   }
@@ -138,7 +139,7 @@ Status MergeRuns(Env* env, std::vector<RunInfo> runs,
     }
   }
 
-  local.span_records = span_records.load(std::memory_order_relaxed);
+  local.span_records = counters.span_records.load(std::memory_order_relaxed);
   const std::vector<RunInfo> final_batch = inputs_of(num_intermediate);
   TWRS_RETURN_IF_ERROR(
       FinalMergeToOutput(env, final_batch, options, output_path, &local));

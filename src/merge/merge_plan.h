@@ -80,9 +80,9 @@ struct MergeOptions {
 };
 
 /// The I/O options of one merge under `options`. Only the final pass
-/// (`final_pass`) syncs its output before closing it, so "sort returned
+/// (`final_pass`) writes back and syncs its output, so "sort returned
 /// OK" means the output is durable; intermediate runs are scratch and
-/// never synced.
+/// never written back or synced.
 MergeIoOptions MergeIoOptionsFor(const MergeOptions& options,
                                  bool final_pass);
 
@@ -97,6 +97,13 @@ struct MergeStats {
   /// than one loser-tree step each: every record of a one-run final pass,
   /// few on random runs (see MergeCursorsToSink).
   uint64_t span_records = 0;
+
+  /// The final output's durability cost: seconds its one Sync waited, and
+  /// the writeback kicks its writers issued before it (see
+  /// RecordWriter::set_start_writeback), summed over a partitioned final
+  /// merge's ranges.
+  double output_sync_seconds = 0;
+  uint64_t output_writeback_kicks = 0;
 
   /// Limited (top-K) merges only: runs the final pass never opened, and
   /// records its pruning excluded from the merge. (Intermediate passes

@@ -10,6 +10,7 @@
 #include "exec/thread_pool.h"
 #include "io/reverse_run_file.h"
 #include "merge/splitters.h"
+#include "util/stopwatch.h"
 
 namespace twrs {
 
@@ -380,8 +381,14 @@ Status FinalMergeToOutput(Env* env, const std::vector<RunInfo>& runs,
                           const MergeOptions& options,
                           const std::string& output_path, MergeStats* stats) {
   MergeIoOptions io = MergeIoOptionsFor(options, /*final_pass=*/true);
-  std::atomic<uint64_t> span_records{0};
-  io.span_records = &span_records;
+  MergeCounters counters;
+  io.counters = &counters;
+  const auto add_counters = [&counters, stats] {
+    stats->span_records += counters.span_records.load();
+    stats->output_writeback_kicks += counters.writeback_kicks.load();
+    stats->output_sync_seconds +=
+        static_cast<double>(counters.sync_nanos.load()) * 1e-9;
+  };
   const bool take_last = options.limit_last;
   uint64_t total_records = 0;
   for (const RunInfo& run : runs) total_records += run.length;
@@ -435,7 +442,7 @@ Status FinalMergeToOutput(Env* env, const std::vector<RunInfo>& runs,
                                            &written));
       stats->records_written += written.length;
     }
-    stats->span_records += span_records.load(std::memory_order_relaxed);
+    add_counters();
     return Status::OK();
   }
 
@@ -503,13 +510,27 @@ Status FinalMergeToOutput(Env* env, const std::vector<RunInfo>& runs,
     ranges[j].length = windows[j].limit * kRecordBytes;
     merged.push_back(j);
   }
-  const Status s = RunAll(options.pool, merged.size(), 0, [&](size_t i) {
+  Status s = RunAll(options.pool, merged.size(), 0, [&](size_t i) {
     const size_t j = merged[i];
     return MergeRunSlices(env, runs, slices[j], io, windows[j], output_path,
                           ranges[j], nullptr);
   });
+  // The ranges only started their writeback; the output is synced once,
+  // now that every range is on file, through a handle opened for it (so
+  // no more handles are open at once than during the merge).
+  if (s.ok()) {
+    std::unique_ptr<RandomRWFile> file;
+    s = env->ReopenRandomRWFile(output_path, &file);
+    if (s.ok()) {
+      Stopwatch watch;
+      s = file->Sync();
+      stats->output_sync_seconds += watch.ElapsedSeconds();
+    }
+    if (s.ok()) s = file->Close();
+  }
   if (!s.ok()) {
-    // A torn positioned file has holes rather than a clean prefix.
+    // A torn positioned file has holes rather than a clean prefix, and an
+    // unsynced one is not the durable output the sort promises.
     TWRS_IGNORE_STATUS(env->RemoveFile(output_path));
     return s;
   }
@@ -519,7 +540,7 @@ Status FinalMergeToOutput(Env* env, const std::vector<RunInfo>& runs,
   for (size_t r = 0; r < runs.size(); ++r) {
     if (!run_used[r] && runs[r].length > 0) ++stats->runs_pruned;
   }
-  stats->span_records += span_records.load(std::memory_order_relaxed);
+  add_counters();
   return Status::OK();
 }
 

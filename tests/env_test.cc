@@ -325,6 +325,66 @@ TEST_P(EnvTest, RandomRWSyncThenCloseKeepsContents) {
   EXPECT_EQ(size, 8u);
 }
 
+// Writeback kicks in the middle of a stream, as the final output's
+// writer issues them, on both write handles: each covers bytes written
+// since the previous one (some of them, on io_uring, still in flight).
+// The bytes read back unchanged, and a kick on a closed handle fails
+// exactly when Sync on it does (on the durable backends, both fail).
+TEST_P(EnvTest, WritebackKicksMidStreamKeepTheBytes) {
+  constexpr size_t kChunk = 3 * 1024;
+  constexpr size_t kChunks = 300;  // ~900 KiB
+  constexpr size_t kKickEvery = 40;
+  std::vector<uint8_t> expect(kChunk * kChunks);
+  for (size_t i = 0; i < expect.size(); ++i) {
+    expect[i] = static_cast<uint8_t>(i * 131 + i / 7);
+  }
+  const bool durable =
+      GetParam() == EnvKind::kPosix || GetParam() == EnvKind::kUring;
+
+  std::unique_ptr<WritableFile> w;
+  ASSERT_TWRS_OK(env_->NewWritableFile(Path("append"), &w));
+  std::unique_ptr<RandomRWFile> rw;
+  ASSERT_TWRS_OK(env_->NewRandomRWFile(Path("positioned"), &rw));
+  uint64_t kicked = 0;
+  for (size_t c = 0; c < kChunks; ++c) {
+    const uint64_t offset = c * kChunk;
+    ASSERT_TWRS_OK(w->Append(expect.data() + offset, kChunk));
+    ASSERT_TWRS_OK(rw->WriteAt(offset, expect.data() + offset, kChunk));
+    if ((c + 1) % kKickEvery == 0) {
+      const uint64_t end = offset + kChunk;
+      ASSERT_TWRS_OK(w->StartWriteback(kicked, end - kicked));
+      ASSERT_TWRS_OK(rw->StartWriteback(kicked, end - kicked));
+      kicked = end;
+    }
+  }
+  std::vector<uint8_t> got(expect.size());
+  ASSERT_TWRS_OK(rw->ReadAt(0, got.data(), got.size()));
+  EXPECT_TRUE(got == expect) << "positioned bytes differ before Close";
+  ASSERT_TWRS_OK(w->Sync());
+  ASSERT_TWRS_OK(rw->Sync());
+  ASSERT_TWRS_OK(w->Close());
+  ASSERT_TWRS_OK(rw->Close());
+  for (const char* name : {"append", "positioned"}) {
+    SCOPED_TRACE(name);
+    std::unique_ptr<SequentialFile> r;
+    ASSERT_TWRS_OK(env_->NewSequentialFile(Path(name), &r));
+    size_t n = 0;
+    std::fill(got.begin(), got.end(), 0);
+    ASSERT_TWRS_OK(r->Read(got.data(), got.size(), &n));
+    EXPECT_EQ(n, expect.size());
+    EXPECT_TRUE(got == expect) << "bytes differ after a reopen";
+  }
+
+  const Status kick_w = w->StartWriteback(0, kChunk);
+  EXPECT_EQ(kick_w.ok(), w->Sync().ok());
+  const Status kick_rw = rw->StartWriteback(0, kChunk);
+  EXPECT_EQ(kick_rw.ok(), rw->Sync().ok());
+  if (durable) {
+    EXPECT_TRUE(kick_w.IsIOError()) << kick_w.ToString();
+    EXPECT_TRUE(kick_rw.IsIOError()) << kick_rw.ToString();
+  }
+}
+
 // The write patterns of a sort on one handle: a range writer's ascending
 // blocks (which io_uring coalesces into 256 KiB buffers), reverse-run
 // pages written back to front, then a header patched at offset 0. Every
@@ -433,8 +493,8 @@ class RecordingEnv : public EnvWrapper {
   void After(const IoOp& op, const Status& status) override {
     static const char* const kOpeners[] = {"writable", "sequential", "rw",
                                            "reopen", "read-only"};
-    static const char* const kKinds[] = {"open", "read", "write", "sync",
-                                         "close"};
+    static const char* const kKinds[] = {"open", "read",      "write",
+                                         "sync", "writeback", "close"};
     ops.push_back(std::string(kOpeners[static_cast<int>(op.opened_by)]) +
                   " " + op.path + ": " + kKinds[static_cast<int>(op.kind)] +
                   " " + std::to_string(op.offset) + "+" +
@@ -458,6 +518,7 @@ TEST(EnvWrapperTest, HooksSeeEachOpAtItsOffset) {
   std::unique_ptr<WritableFile> w;
   ASSERT_TWRS_OK(env.NewWritableFile("f", &w));
   ASSERT_TWRS_OK(w->Append("abc", 3));
+  ASSERT_TWRS_OK(w->StartWriteback(0, 3));
   ASSERT_TWRS_OK(w->Append("defg", 4));
   ASSERT_TWRS_OK(w->Sync());
   ASSERT_TWRS_OK(w->Close());
@@ -473,6 +534,7 @@ TEST(EnvWrapperTest, HooksSeeEachOpAtItsOffset) {
   std::unique_ptr<RandomRWFile> rw;
   ASSERT_TWRS_OK(env.NewRandomRWFile("g", &rw));
   ASSERT_TWRS_OK(rw->WriteAt(4, "xy", 2));
+  ASSERT_TWRS_OK(rw->StartWriteback(4, 2));
   ASSERT_TWRS_OK(rw->ReadAt(4, buf, 2));
   ASSERT_TWRS_OK(rw->Close());
   rw.reset();
@@ -485,6 +547,7 @@ TEST(EnvWrapperTest, HooksSeeEachOpAtItsOffset) {
   EXPECT_EQ(env.ops, (std::vector<std::string>{
                          "writable f: open 0+0",
                          "writable f: write 0+3",
+                         "writable f: writeback 0+3",
                          "writable f: write 3+4",
                          "writable f: sync 7+0",
                          "writable f: close 7+0",
@@ -494,6 +557,7 @@ TEST(EnvWrapperTest, HooksSeeEachOpAtItsOffset) {
                          "sequential f: close 7+0",
                          "rw g: open 0+0",
                          "rw g: write 4+2",
+                         "rw g: writeback 4+2",
                          "rw g: read 4+2",
                          "rw g: close 0+0",
                          "reopen g: open 0+0",
@@ -557,6 +621,10 @@ TEST(EnvWrapperTest, FailingBeforeLeavesTheBaseUntouched) {
   env.fail.reset();
   ASSERT_TWRS_OK(w->Append("de", 2));
   EXPECT_EQ(env.ops.back(), "writable f: write 0+2");
+
+  env.fail = IoOpKind::kWriteback;
+  EXPECT_TRUE(w->StartWriteback(0, 2).IsIOError());
+  EXPECT_TRUE(rw->StartWriteback(0, 0).IsIOError());
 
   env.fail = IoOpKind::kRead;
   std::unique_ptr<SequentialFile> r;

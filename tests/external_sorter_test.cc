@@ -620,79 +620,235 @@ TEST(ExternalSorterTest, SerialSortTimesItsPhasesAndWrites) {
   EXPECT_EQ(snapshot.FindHistogram("sort.merge_planning_seconds"), nullptr);
 }
 
-/// Env decorator counting Sync calls per path, on append and positioned
-/// handles alike.
-class SyncCountingEnv : public EnvWrapper {
+/// Env decorator recording, per path, the Sync calls and the writeback
+/// kicks, on append and positioned handles alike, and the bytes each
+/// handle of "out" writes and kicks. A handle's operations run on the
+/// thread that opened it, so a thread's last open of "out" names the
+/// handle its later operations on "out" use. With fail_writeback set,
+/// every kick fails with EIO.
+class DurabilityRecordingEnv : public EnvWrapper {
  public:
   using EnvWrapper::EnvWrapper;
+
+  /// [offset, offset + bytes) stretches of one handle of "out", in order.
+  struct Handle {
+    std::vector<std::pair<uint64_t, uint64_t>> writes;
+    std::vector<std::pair<uint64_t, uint64_t>> kicks;
+  };
 
   std::map<std::string, int> syncs() const {
     std::lock_guard<std::mutex> lock(mu_);
     return syncs_;
   }
+  std::map<std::string, int> kicks() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return kicks_;
+  }
+  std::vector<Handle> handles() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return handles_;
+  }
 
   Status Before(const IoOp& op) override {
-    if (op.kind == IoOpKind::kSync) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++syncs_[op.path];
+    if (op.kind == IoOpKind::kWriteback && fail_writeback) {
+      return Status::IOError("injected writeback failure: " + op.path);
     }
     return Status::OK();
   }
 
+  void After(const IoOp& op, const Status& status) override {
+    if (!status.ok()) return;
+    std::lock_guard<std::mutex> lock(mu_);
+    if (op.kind == IoOpKind::kSync) ++syncs_[op.path];
+    if (op.kind == IoOpKind::kWriteback) ++kicks_[op.path];
+    if (op.path != "out") return;
+    const std::thread::id thread = std::this_thread::get_id();
+    if (op.kind == IoOpKind::kOpen) {
+      current_[thread] = handles_.size();
+      handles_.emplace_back();
+    } else if (op.kind == IoOpKind::kWrite) {
+      handles_[current_.at(thread)].writes.emplace_back(op.offset, op.bytes);
+    } else if (op.kind == IoOpKind::kWriteback) {
+      handles_[current_.at(thread)].kicks.emplace_back(op.offset, op.bytes);
+    }
+  }
+
+  std::atomic<bool> fail_writeback{false};
+
  private:
   mutable std::mutex mu_;
   std::map<std::string, int> syncs_;
+  std::map<std::string, int> kicks_;
+  std::vector<Handle> handles_;
+  std::map<std::thread::id, size_t> current_;
 };
 
+/// The final-merge paths that write the user-visible output.
+struct FinalOutputCase {
+  const char* name;
+  size_t worker_threads;
+  size_t final_merge_threads;
+  uint64_t limit;
+};
+constexpr FinalOutputCase kFinalOutputCases[] = {
+    {"serial", 0, 1, 0},
+    {"pooled", 2, 1, 0},
+    {"partitioned", 4, 4, 0},
+    {"run-pruning top-K", 0, 1, 400000}};
+
+ExternalSortOptions FinalOutputOptions(const FinalOutputCase& c) {
+  ExternalSortOptions options;
+  options.temp_dir = "tmp";
+  options.parallel.worker_threads = c.worker_threads;
+  options.parallel.final_merge_threads = c.final_merge_threads;
+  options.limit = c.limit;
+  if (c.limit > 0) options.topk_strategy = TopKStrategy::kRunPruningMerge;
+  return options;
+}
+
 TEST(ExternalSorterTest, OnlyTheFinalOutputIsSynced) {
-  // Durability is paid once, on the user-visible output: every final-merge
-  // writer (serial, pooled, each partition's range, the pruned top-K
-  // merge) syncs before closing, while run files and intermediate
+  // Durability is paid once, on the user-visible output: the final merge
+  // (serial, pooled, the pruned top-K merge) syncs its writer before
+  // closing it, and the partitioned final merge syncs the shared output
+  // once after every range is written. Run files and intermediate
   // merges — scratch that is re-read and deleted — never sync.
   WorkloadOptions wl;
   wl.num_records = 40000;
   wl.seed = 27;
   const std::vector<Key> input =
       Drain(MakeWorkload(Dataset::kRandom, wl).get());
-  struct Case {
-    const char* name;
-    size_t worker_threads;
-    size_t final_merge_threads;
-    uint64_t limit;
-  };
-  const Case cases[] = {{"serial", 0, 1, 0},
-                        {"pooled", 2, 1, 0},
-                        {"partitioned", 4, 4, 0},
-                        {"run-pruning top-K", 0, 1, 300}};
-  for (const Case& c : cases) {
+  for (FinalOutputCase c : kFinalOutputCases) {
     SCOPED_TRACE(c.name);
+    c.limit = std::min<uint64_t>(c.limit, 300);
     MemEnv mem;
-    SyncCountingEnv env(&mem);
-    ExternalSortOptions options;
+    DurabilityRecordingEnv env(&mem);
+    ExternalSortOptions options = FinalOutputOptions(c);
     options.memory_records = 256;
     options.fan_in = 4;  // intermediate merges too
-    options.temp_dir = "tmp";
     options.block_bytes = 4096;
-    options.parallel.worker_threads = c.worker_threads;
-    options.parallel.final_merge_threads = c.final_merge_threads;
-    options.limit = c.limit;
-    if (c.limit > 0) options.topk_strategy = TopKStrategy::kRunPruningMerge;
     ExternalSorter sorter(&env, options);
     VectorSource source(input);
     ExternalSortResult result;
     ASSERT_TWRS_OK(sorter.Sort(&source, "out", &result));
     EXPECT_GT(result.merge.merge_steps, 1u);
+    EXPECT_EQ(env.syncs(), (std::map<std::string, int>{{"out", 1}}));
+  }
+}
 
-    const std::map<std::string, int> syncs = env.syncs();
-    ASSERT_EQ(syncs.count("out"), 1u) << "output never synced";
-    if (c.final_merge_threads > 1) {
-      EXPECT_GT(syncs.at("out"), 1);  // once per partition's range writer
-    } else {
-      EXPECT_EQ(syncs.at("out"), 1);
+TEST(ExternalSorterTest, OnlyTheFinalOutputIsWrittenBack) {
+  // Every writer of the user-visible output kicks writeback of each
+  // kWritebackBytes it writes, in ascending, adjacent stretches inside the
+  // bytes that handle wrote (a partition's range, for the partitioned
+  // merge), leaving less than kWritebackBytes to the one Sync. Run files
+  // and intermediate merges are never kicked.
+  WorkloadOptions wl;
+  wl.num_records = 800000;  // 6.4 MB: every partition spans a kick
+  wl.seed = 33;
+  const std::vector<Key> input =
+      Drain(MakeWorkload(Dataset::kRandom, wl).get());
+  for (const FinalOutputCase& c : kFinalOutputCases) {
+    SCOPED_TRACE(c.name);
+    MemEnv mem;
+    DurabilityRecordingEnv env(&mem);
+    ExternalSortOptions options = FinalOutputOptions(c);
+    // 1.6 MB forward runs, merged two at a time: run files and
+    // intermediate merges are big enough to be kicked if they were.
+    options.algorithm = RunGenAlgorithm::kLoadSortStore;
+    options.memory_records = 200000;
+    options.fan_in = 2;
+    ExternalSorter sorter(&env, options);
+    VectorSource source(input);
+    ExternalSortResult result;
+    ASSERT_TWRS_OK(sorter.Sort(&source, "out", &result));
+    EXPECT_GT(result.merge.merge_steps, 1u);
+    EXPECT_EQ(env.syncs(), (std::map<std::string, int>{{"out", 1}}));
+    const std::map<std::string, int> kicks = env.kicks();
+    ASSERT_EQ(kicks.size(), 1u) << "a scratch file was kicked";
+    ASSERT_EQ(kicks.count("out"), 1u);
+    EXPECT_EQ(static_cast<uint64_t>(kicks.at("out")),
+              result.merge.output_writeback_kicks);
+    uint64_t size = 0;
+    ASSERT_TWRS_OK(mem.GetFileSize("out", &size));
+    EXPECT_EQ(size, result.output_records * kRecordBytes);
+    EXPECT_GE(static_cast<uint64_t>(kicks.at("out")),
+              size / kWritebackBytes - (c.final_merge_threads - 1));
+
+    std::vector<std::pair<uint64_t, uint64_t>> all_kicks;
+    size_t writing_handles = 0;
+    for (const DurabilityRecordingEnv::Handle& handle : env.handles()) {
+      if (handle.writes.empty()) {
+        EXPECT_TRUE(handle.kicks.empty());
+        continue;
+      }
+      ++writing_handles;
+      const uint64_t begin = handle.writes.front().first;
+      const uint64_t end =
+          handle.writes.back().first + handle.writes.back().second;
+      uint64_t kicked = begin;
+      for (const auto& [offset, bytes] : handle.kicks) {
+        EXPECT_EQ(offset, kicked) << "kicks are not adjacent and ascending";
+        EXPECT_GE(bytes, kWritebackBytes);
+        kicked = offset + bytes;
+        all_kicks.emplace_back(offset, bytes);
+      }
+      EXPECT_LE(kicked, end) << "kicked past the handle's bytes";
+      EXPECT_LT(end - kicked, kWritebackBytes) << "a due kick was skipped";
     }
-    for (const auto& [path, count] : syncs) {
-      EXPECT_EQ(path, "out") << "scratch file synced " << count << " times";
+    EXPECT_EQ(writing_handles, c.final_merge_threads);
+    std::sort(all_kicks.begin(), all_kicks.end());
+    uint64_t last_end = 0;
+    for (const auto& [offset, bytes] : all_kicks) {
+      EXPECT_GE(offset, last_end) << "kicks overlap";
+      last_end = offset + bytes;
     }
+    EXPECT_LE(last_end, size);
+  }
+}
+
+TEST(ExternalSorterTest, DualHeapOutputBelowTheKickSizeIsOnlySynced) {
+  WorkloadOptions wl;
+  wl.num_records = 200000;
+  wl.seed = 34;
+  MemEnv mem;
+  DurabilityRecordingEnv env(&mem);
+  ExternalSortOptions options;
+  options.temp_dir = "tmp";
+  options.limit = 100;
+  options.topk_strategy = TopKStrategy::kDualHeap;
+  ExternalSorter sorter(&env, options);
+  VectorSource source(Drain(MakeWorkload(Dataset::kRandom, wl).get()));
+  ExternalSortResult result;
+  ASSERT_TWRS_OK(sorter.Sort(&source, "out", &result));
+  EXPECT_EQ(result.topk_strategy, TopKStrategy::kDualHeap);
+  EXPECT_EQ(env.syncs(), (std::map<std::string, int>{{"out", 1}}));
+  EXPECT_TRUE(env.kicks().empty());
+  EXPECT_EQ(result.merge.output_writeback_kicks, 0u);
+}
+
+TEST(ExternalSorterTest, FailedWritebackFailsTheSortAndLeavesNothing) {
+  // A kick is a hint, but one the disk refuses is an I/O error all the
+  // same: the sort fails and removes its scratch and its torn output.
+  WorkloadOptions wl;
+  wl.num_records = 800000;
+  wl.seed = 35;
+  const std::vector<Key> input =
+      Drain(MakeWorkload(Dataset::kRandom, wl).get());
+  for (const FinalOutputCase& c : kFinalOutputCases) {
+    SCOPED_TRACE(c.name);
+    MemEnv mem;
+    DurabilityRecordingEnv env(&mem);
+    env.fail_writeback = true;
+    ExternalSortOptions options = FinalOutputOptions(c);
+    options.memory_records = 4096;
+    options.fan_in = 4;  // intermediate merges too
+    ExternalSorter sorter(&env, options);
+    VectorSource source(input);
+    const Status status = sorter.Sort(&source, "out", nullptr);
+    EXPECT_TRUE(status.IsIOError()) << status.ToString();
+    EXPECT_NE(status.message().find("injected writeback failure"),
+              std::string::npos)
+        << status.ToString();
+    EXPECT_EQ(mem.FileCount(), 0u);  // neither output nor scratch
   }
 }
 

@@ -293,10 +293,10 @@ struct SpanMerge {
 SpanMerge MergeCountingSpans(Env* env, const std::vector<RunInfo>& runs,
                              size_t block_bytes,
                              const MergeWindow& window = MergeWindow()) {
-  std::atomic<uint64_t> span_records{0};
+  MergeCounters counters;
   MergeIoOptions io;
   io.block_bytes = block_bytes;
-  io.span_records = &span_records;
+  io.counters = &counters;
   std::vector<std::unique_ptr<RunCursor>> cursors;
   for (const RunInfo& run : runs) {
     cursors.push_back(std::make_unique<RunCursor>(env, run, block_bytes));
@@ -306,7 +306,7 @@ SpanMerge MergeCountingSpans(Env* env, const std::vector<RunInfo>& runs,
                                     MergeOutputRange(), nullptr));
   SpanMerge result;
   EXPECT_TWRS_OK(ReadAllRecords(env, "out", &result.out));
-  result.span_records = span_records.load();
+  result.span_records = counters.span_records.load();
   return result;
 }
 

@@ -409,8 +409,9 @@ TEST(PartitionedMergeTest, FullSortByteIdenticalWithReverseSegments) {
   }
 }
 
-/// Env decorator that counts how often an `out*` file is reopened for
-/// positioned writes, which of the final pass only a partial merge does.
+/// Env decorator that counts how often an `out*` file is reopened without
+/// truncation, which of the final pass only a partitioned merge does:
+/// once for each partial merge's range and once for its one Sync.
 class PositionedOpenCountingEnv : public EnvWrapper {
  public:
   using EnvWrapper::EnvWrapper;
@@ -432,7 +433,8 @@ class PositionedOpenCountingEnv : public EnvWrapper {
 TEST(PartitionedMergeTest, FinalMergeThreadsAloneBorrowThePool) {
   // With worker_threads at 0, final_merge_threads > 1 borrows the pool on
   // its own: the final pass splits into partial merges, each reopening
-  // the output for its range, and the output is the serial one.
+  // the output for its range, the output is reopened once more to be
+  // synced, and it is the serial one.
   std::vector<Key> input;
   Random rng(37);
   for (size_t i = 0; i < 100000; ++i) {
@@ -455,7 +457,7 @@ TEST(PartitionedMergeTest, FinalMergeThreadsAloneBorrowThePool) {
     ASSERT_TWRS_OK(
         sorter.Sort(&source, "out" + std::to_string(partitions), nullptr));
   }
-  EXPECT_EQ(env.opens(), 2);
+  EXPECT_EQ(env.opens(), 3);
   ASSERT_NE(mem.FileContents("out2"), nullptr);
   EXPECT_TRUE(*mem.FileContents("out2") == *mem.FileContents("out1"));
 }

@@ -7,8 +7,10 @@
 #include <numeric>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "io/env_wrapper.h"
 #include "io/mem_env.h"
 #include "io/posix_env.h"
 #include "io/record_io.h"
@@ -248,6 +250,51 @@ TEST(RangeWritableFileTest, RecordWriterWritesThroughARange) {
   ASSERT_TWRS_OK(ReadAllRecords(&env, "out", &keys));
   ASSERT_EQ(keys.size(), kRecords);
   for (Key k = 0; k < kRecords; ++k) EXPECT_EQ(keys[k], k);
+}
+
+/// Records the [offset, offset + bytes) of every writeback kick.
+class KickRecordingEnv : public EnvWrapper {
+ public:
+  using EnvWrapper::EnvWrapper;
+  void After(const IoOp& op, const Status& status) override {
+    if (status.ok() && op.kind == IoOpKind::kWriteback) {
+      kicks.emplace_back(op.offset, op.bytes);
+    }
+  }
+  std::vector<std::pair<uint64_t, uint64_t>> kicks;
+};
+
+TEST(RangeWritableFileTest, RecordWriterKicksAtTheRangesAbsoluteOffsets) {
+  // A writer with set_start_writeback kicks each kWritebackBytes it hands
+  // to its file, from where the previous kick ended; through a range, at
+  // the file's absolute offsets. Without it, a writer never kicks.
+  MemEnv mem;
+  KickRecordingEnv env(&mem);
+  constexpr uint64_t kBase = 3 * kRecordBytes;
+  const uint64_t bytes = 2 * kWritebackBytes + kWritebackBytes / 2;
+  std::vector<Key> keys(bytes / kRecordBytes);
+  std::iota(keys.begin(), keys.end(), 0);
+  CreateShared(&env, "out");
+  for (const bool kick : {true, false}) {
+    SCOPED_TRACE(kick ? "kicking" : "not kicking");
+    env.kicks.clear();
+    std::unique_ptr<RecordWriter> writer;
+    ASSERT_TWRS_OK(MakeRecordWriter(&env, "out", kDefaultBlockBytes, &writer,
+                                    nullptr, Range(kBase, bytes)));
+    writer->set_start_writeback(kick);
+    ASSERT_TWRS_OK(writer->AppendBatch(keys.data(), keys.size()));
+    ASSERT_TWRS_OK(writer->Finish());
+    if (kick) {
+      using Kick = std::pair<uint64_t, uint64_t>;
+      EXPECT_EQ(env.kicks,
+                (std::vector<Kick>{{kBase, kWritebackBytes},
+                                   {kBase + kWritebackBytes, kWritebackBytes}}));
+      EXPECT_EQ(writer->writeback_kicks(), 2u);
+    } else {
+      EXPECT_TRUE(env.kicks.empty());
+      EXPECT_EQ(writer->writeback_kicks(), 0u);
+    }
+  }
 }
 
 TEST(RangeWritableFileTest, FactoryTimesEveryBlockWrite) {
