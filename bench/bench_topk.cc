@@ -1,7 +1,9 @@
 // Measures the top-K selection paths (src/select) against the full-sort
-// baseline: for K/N ratios of 0.1%, 1% and 10% the same input is answered
-// three ways — full sort then truncate, bounded dual-heap selection, and
-// run generation plus the run-pruning merge. All three run over a
+// baseline: for K/N ratios of 0.1%, 1% and 10%, and K either side of the
+// memory, the same input is answered by a LIMIT sort, which runs the
+// bounded dual-heap selection while K fits the memory and run generation
+// plus the run-pruning merge past it (the strategy column says which);
+// the full sort then truncate is the baseline. All of them run over a
 // real-time simulated disk (default profile), so wall time reflects the
 // I/O each plan actually issues: the dual heap reads the input once and
 // writes K records; the pruning merge still writes every run but clamps
@@ -28,20 +30,15 @@ namespace twrs {
 namespace bench {
 namespace {
 
-struct TopKCase {
-  std::string name;
-  uint64_t limit = 0;  ///< 0 = full sort baseline
-  TopKStrategy strategy = TopKStrategy::kAuto;
-};
-
 struct TopKRun {
   double wall_seconds = 0.0;
   double sim_seconds = 0.0;
   ExternalSortResult result;
 };
 
+/// One sort of `input` at `limit` (0 = the full-sort baseline).
 TopKRun RunOne(PosixEnv* posix, const std::string& input,
-               const std::string& dir, size_t memory, const TopKCase& c) {
+               const std::string& dir, size_t memory, uint64_t limit) {
   DiskModelConfig disk;
   disk.realtime = true;
   SimDiskEnv env(posix, disk);
@@ -49,26 +46,26 @@ TopKRun RunOne(PosixEnv* posix, const std::string& input,
   ExternalSortOptions options;
   options.memory_records = memory;
   options.temp_dir = dir + "/tmp";
-  options.limit = c.limit;
-  options.topk_strategy = c.strategy;
+  options.limit = limit;
   ExternalSorter sorter(&env, options);
 
   FileRecordSource source(&env, input);
   env.model().Reset();
   Stopwatch wall;
   TopKRun run;
-  CheckOk(sorter.Sort(&source, dir + "/out", &run.result), c.name.c_str());
+  CheckOk(sorter.Sort(&source, dir + "/out", &run.result), "sort");
   run.wall_seconds = wall.ElapsedSeconds();
   run.sim_seconds = env.model().SimulatedSeconds();
 
   uint64_t count = 0;
   CheckOk(VerifySortedFile(posix, dir + "/out", &count, nullptr), "verify");
   const uint64_t expected =
-      c.limit > 0 ? std::min(c.limit, run.result.run_gen.total_records)
-                  : run.result.run_gen.total_records;
+      limit > 0 ? std::min(limit, run.result.run_gen.total_records)
+                : run.result.run_gen.total_records;
   if (count != expected) {
-    fprintf(stderr, "FATAL %s wrote %llu records, want %llu\n",
-            c.name.c_str(), static_cast<unsigned long long>(count),
+    fprintf(stderr, "FATAL K=%llu wrote %llu records, want %llu\n",
+            static_cast<unsigned long long>(limit),
+            static_cast<unsigned long long>(count),
             static_cast<unsigned long long>(expected));
     abort();
   }
@@ -96,18 +93,18 @@ void Run() {
       static_cast<unsigned long long>(records), memory);
 
   // The baseline is K-independent: one full sort serves every ratio.
-  const TopKCase baseline{"full-sort", 0, TopKStrategy::kAuto};
-  const TopKRun full = RunOne(&posix, input, dir, memory, baseline);
+  const TopKRun full = RunOne(&posix, input, dir, memory, 0);
 
   TablePrinter table({"K", "strategy", "wall s", "sim s", "MiB read",
                       "MiB written", "runs pruned", "rec pruned",
                       "speedup"});
-  const auto add = [&](uint64_t limit, const TopKCase& c,
-                       const TopKRun& run) {
+  const auto add = [&](uint64_t limit, const TopKRun& run) {
     const double speedup =
         run.wall_seconds > 0 ? full.wall_seconds / run.wall_seconds : 0.0;
+    const char* strategy =
+        limit > 0 ? TopKStrategyName(run.result.topk_strategy) : "full-sort";
     table.AddRow(
-        {std::to_string(limit), c.name,
+        {std::to_string(limit), strategy,
          TablePrinter::Num(run.wall_seconds, 3),
          TablePrinter::Num(run.sim_seconds, 3),
          TablePrinter::Num(
@@ -122,7 +119,7 @@ void Run() {
 
     JsonEntry entry;
     entry.Str("bench_case", "topk")
-        .Str("strategy", c.name)
+        .Str("strategy", strategy)
         .Str("order", "asc")
         .Int("limit", limit)
         .Int("records", records)
@@ -137,17 +134,14 @@ void Run() {
         .Num("speedup_vs_full_sort", speedup);
     JsonReporter::Global().Add(entry);
   };
-  add(0, baseline, full);
+  add(0, full);
 
-  for (const double ratio : {0.001, 0.01, 0.1}) {
-    const uint64_t k = static_cast<uint64_t>(
-        static_cast<double>(records) * ratio);
-    for (const TopKCase& c :
-         {TopKCase{"dual-heap", k, TopKStrategy::kDualHeap},
-          TopKCase{"run-pruning-merge", k,
-                   TopKStrategy::kRunPruningMerge}}) {
-      add(k, c, RunOne(&posix, input, dir, memory, c));
-    }
+  const auto at_ratio = [&](double ratio) {
+    return static_cast<uint64_t>(static_cast<double>(records) * ratio);
+  };
+  for (const uint64_t k : {at_ratio(0.001), at_ratio(0.01), uint64_t{memory},
+                           uint64_t{memory} + 1, at_ratio(0.1)}) {
+    add(k, RunOne(&posix, input, dir, memory, k));
   }
   table.Print(std::cout);
 

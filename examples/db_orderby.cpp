@@ -5,17 +5,20 @@
 // `discount`, or the paper's example of rows physically ordered by A while
 // a query wants ORDER BY B. Scanning the table in A-order feeds the sort
 // operator a reverse-sorted stream of B values. Most such queries carry a
-// LIMIT, and the engine answers it three ways:
+// LIMIT, and the engine answers it one of two ways, picked by K against
+// the sort's memory:
 //
-//   full sort + truncate   sort everything, keep the first K (the naive
-//                          plan every strategy must beat)
-//   dual-heap selection    one bounded pass: a K-capacity key heap keeps
-//                          the current top K, no runs, no merge
-//   run-pruning merge      normal run generation, then a merge that clamps
-//                          every run to its first K records and prunes
-//                          runs the sampled bounds prove irrelevant
+//   dual-heap selection    K fits the memory: one bounded pass, a
+//                          K-capacity key heap keeps the current top K,
+//                          no runs, no merge
+//   run-pruning merge      K past the memory: normal run generation, then
+//                          a merge that clamps every run to its first K
+//                          records and prunes runs the sampled bounds
+//                          prove irrelevant
 //
-// All three produce byte-identical output; the point of this example is
+// This example runs LIMIT k and LIMIT 4 x memory next to the full sort +
+// truncate (the naive plan both must beat). Each LIMIT plan's output is
+// byte-identical to the full sort's first K; the point of this example is
 // their radically different costs.
 //
 //   ./db_orderby [num_rows] [k]
@@ -62,27 +65,29 @@ class AnticorrelatedColumnScan : public twrs::RecordSource {
 
 struct PlanCost {
   const char* name = "";
+  uint64_t limit = 0;
   twrs::ExternalSortResult sort;
   std::string output;
   bool ok = false;
 };
 
-// Runs `SELECT b FROM t ORDER BY b LIMIT k` with a pinned strategy.
-// limit == 0 is the full-sort baseline (truncated to K afterwards by the
-// comparison below, the way a naive plan would).
+constexpr uint64_t kMemoryRecords = 32 * 1024;  // the operator's quantum
+
+// Runs `SELECT b FROM t ORDER BY b LIMIT k`. limit == 0 is the full-sort
+// baseline (truncated to K afterwards by the comparison below, the way a
+// naive plan would).
 PlanCost RunQuery(twrs::Env* env, const char* name, uint64_t rows,
-                  uint64_t limit, twrs::TopKStrategy strategy,
-                  const std::string& dir) {
+                  uint64_t limit, const std::string& dir) {
   twrs::ExternalSortOptions options;
-  options.memory_records = 32 * 1024;  // the operator's memory quantum
+  options.memory_records = kMemoryRecords;
   options.temp_dir = dir + "/tmp_" + name;
   options.limit = limit;
-  options.topk_strategy = strategy;
   twrs::ExternalSorter sorter(env, options);
 
   AnticorrelatedColumnScan scan(rows, /*seed=*/7);
   PlanCost result;
   result.name = name;
+  result.limit = limit;
   result.output = dir + "/orderby_" + name;
   twrs::Status status = sorter.Sort(&scan, result.output, &result.sort);
   if (!status.ok()) {
@@ -109,59 +114,57 @@ int main(int argc, char** argv) {
   const char* dir = "/tmp/twrs_orderby";
   if (!env.CreateDirIfMissing(dir).ok()) return 1;
 
-  printf("SELECT b FROM t ORDER BY b LIMIT %" PRIu64
-         "  -- rows stored in a-order, b ~ -a\n",
-         k);
+  const uint64_t big_k = 4 * kMemoryRecords;
+  printf("SELECT b FROM t ORDER BY b LIMIT %" PRIu64 " (and LIMIT %" PRIu64
+         ")  -- rows stored in a-order, b ~ -a\n",
+         k, big_k);
   printf("table: %" PRIu64 " rows, sort memory: 32Ki records\n\n", rows);
 
-  const PlanCost full =
-      RunQuery(&env, "full-sort", rows, /*limit=*/0,
-               twrs::TopKStrategy::kAuto, dir);
-  const PlanCost dual = RunQuery(&env, "dual-heap", rows, k,
-                                 twrs::TopKStrategy::kDualHeap, dir);
-  const PlanCost pruned = RunQuery(&env, "run-pruning", rows, k,
-                                   twrs::TopKStrategy::kRunPruningMerge, dir);
-  if (!full.ok || !dual.ok || !pruned.ok) return 1;
+  const PlanCost full = RunQuery(&env, "full-sort", rows, /*limit=*/0, dir);
+  const PlanCost small = RunQuery(&env, "limit-k", rows, k, dir);
+  const PlanCost big = RunQuery(&env, "limit-big", rows, big_k, dir);
+  if (!full.ok || !small.ok || !big.ok) return 1;
 
-  // The LIMIT plans must return exactly the first K records of the full
+  // A LIMIT plan must return exactly the first K records of the full
   // sort — compare bytes, not just counts.
   std::vector<twrs::Key> reference, got;
   if (!twrs::ReadAllRecords(&env, full.output, &reference).ok()) return 1;
-  reference.resize(std::min<size_t>(reference.size(), k));
-  for (const PlanCost* plan : {&dual, &pruned}) {
+  for (const PlanCost* plan : {&small, &big}) {
     if (!twrs::ReadAllRecords(&env, plan->output, &got).ok()) return 1;
-    if (got != reference) {
+    const size_t want = std::min<size_t>(reference.size(), plan->limit);
+    if (got != std::vector<twrs::Key>(reference.begin(),
+                                      reference.begin() + want)) {
       fprintf(stderr, "%s: output differs from full sort truncated to K\n",
               plan->name);
       return 1;
     }
   }
 
-  printf("%-28s %14s %14s %14s\n", "", "full sort", "dual-heap",
-         "run-pruning");
-  printf("%-28s %14" PRIu64 " %14" PRIu64 " %14" PRIu64 "\n",
+  printf("%-28s %18s %18s %18s\n", "", "full sort",
+         twrs::TopKStrategyName(small.sort.topk_strategy),
+         twrs::TopKStrategyName(big.sort.topk_strategy));
+  printf("%-28s %18s %18" PRIu64 " %18" PRIu64 "\n", "LIMIT", "-", k, big_k);
+  printf("%-28s %18" PRIu64 " %18" PRIu64 " %18" PRIu64 "\n",
          "records written", full.sort.output_records,
-         dual.sort.output_records, pruned.sort.output_records);
-  printf("%-28s %14" PRIu64 " %14" PRIu64 " %14" PRIu64 "\n", "runs generated",
-         full.sort.run_gen.num_runs(), dual.sort.run_gen.num_runs(),
-         pruned.sort.run_gen.num_runs());
-  printf("%-28s %14" PRIu64 " %14" PRIu64 " %14" PRIu64 "\n",
-         "MiB read", full.sort.bytes_read >> 20, dual.sort.bytes_read >> 20,
-         pruned.sort.bytes_read >> 20);
-  printf("%-28s %14" PRIu64 " %14" PRIu64 " %14" PRIu64 "\n",
+         small.sort.output_records, big.sort.output_records);
+  printf("%-28s %18" PRIu64 " %18" PRIu64 " %18" PRIu64 "\n", "runs generated",
+         full.sort.run_gen.num_runs(), small.sort.run_gen.num_runs(),
+         big.sort.run_gen.num_runs());
+  printf("%-28s %18" PRIu64 " %18" PRIu64 " %18" PRIu64 "\n",
+         "MiB read", full.sort.bytes_read >> 20, small.sort.bytes_read >> 20,
+         big.sort.bytes_read >> 20);
+  printf("%-28s %18" PRIu64 " %18" PRIu64 " %18" PRIu64 "\n",
          "MiB written", full.sort.bytes_written >> 20,
-         dual.sort.bytes_written >> 20, pruned.sort.bytes_written >> 20);
-  printf("%-28s %14s %14" PRIu64 " %14" PRIu64 "\n", "runs pruned", "-",
-         dual.sort.merge.runs_pruned, pruned.sort.merge.runs_pruned);
-  printf("%-28s %14.3f %14.3f %14.3f\n", "total seconds",
-         full.sort.total_seconds, dual.sort.total_seconds,
-         pruned.sort.total_seconds);
+         small.sort.bytes_written >> 20, big.sort.bytes_written >> 20);
+  printf("%-28s %18s %18" PRIu64 " %18" PRIu64 "\n", "runs pruned", "-",
+         small.sort.merge.runs_pruned, big.sort.merge.runs_pruned);
+  printf("%-28s %18.3f %18.3f %18.3f\n", "total seconds",
+         full.sort.total_seconds, small.sort.total_seconds,
+         big.sort.total_seconds);
 
-  printf("\nAll three plans verified byte-identical on the first %" PRIu64
-         " keys.\n"
-         "The dual-heap plan did no run I/O at all; the run-pruning plan\n"
-         "read back only the slice of each run that could reach the top "
-         "%" PRIu64 ".\n",
-         k, k);
+  printf("\nBoth LIMIT plans verified byte-identical to the full sort's "
+         "first K keys.\n"
+         "A dual-heap plan does no run I/O at all; a run-pruning plan reads\n"
+         "back only the slice of each run that could reach its top K.\n");
   return 0;
 }

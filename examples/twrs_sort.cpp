@@ -28,17 +28,17 @@
 //                                     (1 = serial, default): N partial merges
 //                                     run concurrently, each writing its own
 //                                     byte range of the output; `auto` takes
-//                                     the planner's choice (or the executor
-//                                     workers the run generators leave over
-//                                     when --rungen-threads is fixed).
+//                                     the planner's count: the workers the
+//                                     generators leave over, at most one per
+//                                     expected run (1 for a dual-heap --limit).
 //                                     N > 1 borrows the pool, --threads or not
 //   --executor-threads N              capacity of the process-wide shared
 //                                     executor (0 = hardware concurrency)
 //   --limit K                         top-K selection: write only the K
 //                                     smallest (or largest, with
 //                                     --order desc) keys, still ascending.
-//                                     Small K runs the bounded dual-heap
-//                                     selector; large K sorts normally and
+//                                     K <= --memory runs the bounded dual-heap
+//                                     selector; a larger K sorts normally and
 //                                     prunes the merge
 //   --order asc|desc                  which end of the key space --limit
 //                                     keeps (default asc = smallest)
@@ -48,7 +48,6 @@
 //   --records N                       records for --generate (default 1M)
 //   --seed N                          workload seed (default 1)
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -111,10 +110,9 @@ int main(int argc, char** argv) {
   options.memory_records = 64 * 1024;
   options.temp_dir = "/tmp/twrs_sort";
   twrs::IoBackend io_backend = twrs::IoBackend::kDefault;
+  // 0 stands for `auto`: PlanParallelism picks the count.
   uint64_t rungen_threads = 1;
-  bool rungen_auto = false;
   uint64_t final_merge_threads = 1;
-  bool final_merge_auto = false;
   uint64_t executor_threads = 0;
   bool verify = false;
   bool generate = false;
@@ -158,7 +156,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--rungen-threads") {
       const char* v = next();
       if (v != nullptr && std::string(v) == "auto") {
-        rungen_auto = true;
+        rungen_threads = 0;
       } else {
         uint64_t n = 0;
         if (!ParseCount(v, &n) || n > 1024) return Usage();
@@ -173,7 +171,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--final-merge-threads") {
       const char* v = next();
       if (v != nullptr && std::string(v) == "auto") {
-        final_merge_auto = true;
+        final_merge_threads = 0;
       } else {
         uint64_t n = 0;
         if (!ParseCount(v, &n) || n > 1024) return Usage();
@@ -270,47 +268,36 @@ int main(int argc, char** argv) {
     fprintf(stderr, "twrs_sort: %s\n", s.ToString().c_str());
     return 1;
   }
-  if (rungen_auto) {
-    twrs::ParallelPlanInputs plan_inputs;
-    uint64_t input_bytes = 0;
-    s = env->GetFileSize(positional[0], &input_bytes);
-    if (!s.ok()) {
-      fprintf(stderr, "twrs_sort: %s\n", s.ToString().c_str());
-      return 1;
-    }
-    plan_inputs.input_records = input_bytes / twrs::kRecordBytes;
-    plan_inputs.memory_records = options.memory_records;
-    plan_inputs.algorithm = options.algorithm;
-    plan_inputs.fan_in = options.fan_in;
-    plan_inputs.executor_capacity = twrs::Executor::Shared().capacity();
-    plan_inputs.executor_inflight = twrs::Executor::Shared().inflight_tasks();
-    twrs::ParallelPlan plan;
-    if (twrs::ResolveTopKStrategy(options.limit, options.topk_strategy,
-                                  options.memory_records) ==
-        twrs::TopKStrategy::kDualHeap) {
-      plan.limit = twrs::ParallelPlanLimit::kTopKSelection;  // no runs
-    } else {
-      plan = twrs::PlanParallelism(plan_inputs);
-    }
-    rungen_threads = plan.run_generation_threads;
-    if (final_merge_auto) final_merge_threads = plan.final_merge_threads;
-    printf("--rungen-threads auto: planned %llu run generators (%s)\n",
-           static_cast<unsigned long long>(rungen_threads),
+  // One plan step, as the service's: the counts given on the command
+  // line stand, `auto` ones are planned.
+  uint64_t input_bytes = 0;
+  s = env->GetFileSize(positional[0], &input_bytes);
+  if (!s.ok()) {
+    fprintf(stderr, "twrs_sort: %s\n", s.ToString().c_str());
+    return 1;
+  }
+  twrs::ParallelPlanInputs plan_inputs;
+  plan_inputs.input_records = input_bytes / twrs::kRecordBytes;
+  plan_inputs.memory_records = options.memory_records;
+  plan_inputs.algorithm = options.algorithm;
+  plan_inputs.fan_in = options.fan_in;
+  plan_inputs.limit = options.limit;
+  plan_inputs.run_generation_threads = static_cast<size_t>(rungen_threads);
+  plan_inputs.final_merge_threads = static_cast<size_t>(final_merge_threads);
+  plan_inputs.executor_capacity = twrs::Executor::Shared().capacity();
+  plan_inputs.executor_inflight = twrs::Executor::Shared().inflight_tasks();
+  const twrs::ParallelPlan plan = twrs::PlanParallelism(plan_inputs);
+  if (rungen_threads == 0) {
+    printf("--rungen-threads auto: planned %zu run generators (%s)\n",
+           plan.run_generation_threads,
            twrs::ParallelPlanLimitName(plan.limit));
-  } else if (final_merge_auto) {
-    // No plan to borrow from: spread the executor over the fixed
-    // generator count.
-    final_merge_threads = std::max<uint64_t>(
-        1, twrs::Executor::Shared().capacity() / rungen_threads);
   }
-  if (final_merge_auto) {
-    printf("--final-merge-threads auto: %llu partitions per final merge\n",
-           static_cast<unsigned long long>(final_merge_threads));
+  if (final_merge_threads == 0) {
+    printf("--final-merge-threads auto: %zu partitions per final merge\n",
+           plan.final_merge_threads);
   }
-  options.parallel.run_generation_threads =
-      static_cast<size_t>(rungen_threads);
-  options.parallel.final_merge_threads =
-      static_cast<size_t>(final_merge_threads);
+  options.parallel.run_generation_threads = plan.run_generation_threads;
+  options.parallel.final_merge_threads = plan.final_merge_threads;
   twrs::ExternalSorter sorter(env, options);
   twrs::FileRecordSource source(env, positional[0]);
   twrs::ExternalSortResult result;
@@ -332,22 +319,25 @@ int main(int argc, char** argv) {
              static_cast<unsigned long long>(result.merge.records_pruned));
     }
   }
-  printf("%s: %llu records, %llu runs (avg %.2fx memory), "
-         "gen %.3fs + merge %.3fs = %.3fs\n",
-         twrs::RunGenAlgorithmName(options.algorithm),
-         static_cast<unsigned long long>(result.output_records),
-         static_cast<unsigned long long>(result.run_gen.num_runs()),
-         result.run_gen.AverageRunLengthRelative(options.memory_records),
-         result.run_gen_seconds, result.merge_seconds,
-         result.total_seconds);
-  printf("merge: %llu steps, %llu records written, %llu of them in spans; "
-         "output sync %.4fs after %llu writeback kicks\n",
-         static_cast<unsigned long long>(result.merge.merge_steps),
-         static_cast<unsigned long long>(result.merge.records_written),
-         static_cast<unsigned long long>(result.merge.span_records),
-         result.merge.output_sync_seconds,
-         static_cast<unsigned long long>(
-             result.merge.output_writeback_kicks));
+  // A dual-heap top-K makes no runs and no merge: nothing to report there.
+  if (result.topk_strategy != twrs::TopKStrategy::kDualHeap) {
+    printf("%s: %llu records, %llu runs (avg %.2fx memory), "
+           "gen %.3fs + merge %.3fs = %.3fs\n",
+           twrs::RunGenAlgorithmName(options.algorithm),
+           static_cast<unsigned long long>(result.output_records),
+           static_cast<unsigned long long>(result.run_gen.num_runs()),
+           result.run_gen.AverageRunLengthRelative(options.memory_records),
+           result.run_gen_seconds, result.merge_seconds,
+           result.total_seconds);
+    printf("merge: %llu steps, %llu records written, %llu of them in "
+           "spans; output sync %.4fs after %llu writeback kicks\n",
+           static_cast<unsigned long long>(result.merge.merge_steps),
+           static_cast<unsigned long long>(result.merge.records_written),
+           static_cast<unsigned long long>(result.merge.span_records),
+           result.merge.output_sync_seconds,
+           static_cast<unsigned long long>(
+               result.merge.output_writeback_kicks));
+  }
   if (verify) {
     uint64_t count = 0;
     s = twrs::VerifySortedFile(env, positional[1], &count, nullptr);

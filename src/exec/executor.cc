@@ -36,11 +36,6 @@ bool Executor::SetCapacity(size_t capacity) {
   return true;
 }
 
-bool Executor::started() const {
-  MutexLock lock(&mu_);
-  return pool_ != nullptr;
-}
-
 size_t Executor::inflight_tasks() const {
   MutexLock lock(&mu_);
   return pool_ == nullptr ? 0 : pool_->inflight_tasks();

@@ -44,9 +44,6 @@ class Executor {
   /// running pool cannot be resized.
   bool SetCapacity(size_t capacity) TWRS_EXCLUDES(mu_);
 
-  /// True once the pool has been created.
-  bool started() const TWRS_EXCLUDES(mu_);
-
   /// Load gauge: tasks submitted but not yet finished. Approximate (see
   /// ThreadPool::inflight_tasks); the admission and planning layers use it
   /// to avoid oversubscribing the executor, not for exact accounting.

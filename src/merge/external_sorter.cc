@@ -352,8 +352,8 @@ Status ExternalSorter::Sort(RecordSource* source,
   // Top-K dispatch. The dual-heap strategy replaces run generation and the
   // merge with one bounded selection pass; the run-pruning strategy is
   // the full sort with options_.limit threaded into its merge.
-  local.topk_strategy = ResolveTopKStrategy(
-      options_.limit, options_.topk_strategy, options_.memory_records);
+  local.topk_strategy =
+      PlanTopKStrategy(options_.limit, options_.memory_records);
   if (local.topk_strategy == TopKStrategy::kDualHeap) {
     s = SelectToOutput(&env, options_, &input, output_path, &local);
   } else {

@@ -90,17 +90,13 @@ struct ExternalSortOptions {
   /// Top-K selection (the LIMIT of an ORDER BY): when non-zero only
   /// `limit` records reach the output — the smallest (order == kAscending)
   /// or largest (kDescending) of the stream, written ascending-sorted
-  /// either way. 0 sorts everything.
+  /// either way. 0 sorts everything. A K that fits `memory_records` runs
+  /// the dual-heap selection, a larger one the run-pruning merge
+  /// (PlanTopKStrategy).
   uint64_t limit = 0;
 
   /// Which end of the key domain `limit` keeps. Ignored when limit == 0.
   SelectOrder order = SelectOrder::kAscending;
-
-  /// Execution strategy for limit > 0. kAuto picks dual-heap selection
-  /// when K fits `memory_records` and the run-pruning merge otherwise;
-  /// the explicit values force a strategy (tests, benchmarks, and
-  /// db_orderby use this to compare them on equal footing).
-  TopKStrategy topk_strategy = TopKStrategy::kAuto;
 
   /// Directory for runs and intermediate merge files (created if missing).
   /// Every Sort call works inside a unique subdirectory of this, so
@@ -158,9 +154,9 @@ struct ExternalSortResult {
   double total_seconds = 0.0;
   uint64_t output_records = 0;
 
-  /// Strategy that actually executed: kDualHeap or kRunPruningMerge for a
-  /// top-K sort (options.limit > 0), kAuto for a plain full sort.
-  TopKStrategy topk_strategy = TopKStrategy::kAuto;
+  /// Strategy that executed (PlanTopKStrategy of the limit and memory):
+  /// kDualHeap or kRunPruningMerge for a top-K sort, kNone for a full sort.
+  TopKStrategy topk_strategy = TopKStrategy::kNone;
 
   /// Engine I/O volume: bytes moved through the sorter's Env (runs written
   /// and re-read, intermediate merges, final output). Reads of the input

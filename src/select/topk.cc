@@ -8,8 +8,8 @@ const char* SelectOrderName(SelectOrder order) {
 
 const char* TopKStrategyName(TopKStrategy strategy) {
   switch (strategy) {
-    case TopKStrategy::kAuto:
-      return "auto";
+    case TopKStrategy::kNone:
+      return "none";
     case TopKStrategy::kDualHeap:
       return "dual-heap";
     case TopKStrategy::kRunPruningMerge:
@@ -19,16 +19,9 @@ const char* TopKStrategyName(TopKStrategy strategy) {
 }
 
 TopKStrategy PlanTopKStrategy(uint64_t limit, size_t memory_records) {
+  if (limit == 0) return TopKStrategy::kNone;
   return limit <= memory_records ? TopKStrategy::kDualHeap
                                  : TopKStrategy::kRunPruningMerge;
-}
-
-TopKStrategy ResolveTopKStrategy(uint64_t limit, TopKStrategy strategy,
-                                 size_t memory_records) {
-  if (limit == 0) return TopKStrategy::kAuto;
-  return strategy != TopKStrategy::kAuto
-             ? strategy
-             : PlanTopKStrategy(limit, memory_records);
 }
 
 }  // namespace twrs

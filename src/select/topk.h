@@ -19,15 +19,15 @@ enum class SelectOrder {
 /// Returns "asc"/"desc" for flags, logging and bench JSON.
 const char* SelectOrderName(SelectOrder order);
 
-/// How a top-K sort is executed.
+/// How a top-K sort is executed: PlanTopKStrategy's choice, which
+/// ExternalSortResult::topk_strategy reports.
 enum class TopKStrategy {
-  /// Let the planner choose (options), or: this was not a top-K sort
-  /// (result). PlanTopKStrategy resolves it against the memory budget.
-  kAuto,
+  /// Not a top-K sort (limit 0).
+  kNone,
 
   /// Bounded streaming selection: a K-capacity DualHeapSelector consumes
   /// the source in one pass and the K survivors are written directly —
-  /// no runs, no merge, no scratch I/O. Requires K records of heap.
+  /// no runs, no merge, no scratch I/O. Holds K records of heap.
   kDualHeap,
 
   /// Normal run generation, then a limit-aware merge: every merge pass
@@ -37,21 +37,15 @@ enum class TopKStrategy {
   kRunPruningMerge,
 };
 
-/// Returns "auto"/"dual-heap"/"run-pruning-merge".
+/// Returns "none"/"dual-heap"/"run-pruning-merge".
 const char* TopKStrategyName(TopKStrategy strategy);
 
-/// Picks the execution strategy for a top-K sort: dual-heap whenever the
-/// K-record selector fits the record budget that run generation would
-/// otherwise occupy, run-pruning merge when it does not. `limit` must be
-/// non-zero.
+/// The strategy a sort with `limit` runs in `memory_records`: kNone when
+/// `limit` is 0, the dual heap whenever its K-record selector fits the
+/// budget run generation would otherwise hold, the run-pruning merge when
+/// it does not. The one dispatch rule: ExternalSorter::Sort runs what it
+/// returns, and PlanParallelism plans for it.
 TopKStrategy PlanTopKStrategy(uint64_t limit, size_t memory_records);
-
-/// The strategy a sort with `limit` and the requested `strategy` runs: the
-/// requested one when it is explicit, PlanTopKStrategy otherwise, and
-/// kAuto when `limit` is 0 (not a top-K sort). The one dispatch rule
-/// shared by ExternalSorter::Sort and the sort service's planner.
-TopKStrategy ResolveTopKStrategy(uint64_t limit, TopKStrategy strategy,
-                                 size_t memory_records);
 
 }  // namespace twrs
 

@@ -73,23 +73,6 @@ Status MemoryGovernor::Reserve(size_t nominal_records, MemoryLease* lease,
   return Status::OK();
 }
 
-bool MemoryGovernor::TryReserve(size_t nominal_records, MemoryLease* lease) {
-  if (nominal_records == 0) return false;
-  const size_t ask = std::min(nominal_records, options_.capacity_records);
-  const size_t floor = FloorFor(ask);
-  MutexLock lock(&mu_);
-  // No barging: a try-reservation never jumps the FIFO queue.
-  if (!waiters_.empty()) return false;
-  const size_t free = options_.capacity_records - reserved_;
-  if (free < floor) return false;
-  const size_t granted = std::min(ask, free);
-  reserved_ += granted;
-  ++total_leases_;
-  if (granted < nominal_records) ++shrunk_leases_;
-  *lease = MemoryLease(this, granted);
-  return true;
-}
-
 void MemoryGovernor::WakeWaiters() {
   MutexLock lock(&mu_);
   cv_.NotifyAll();

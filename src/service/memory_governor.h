@@ -116,11 +116,6 @@ class MemoryGovernor {
   Status Reserve(size_t nominal_records, MemoryLease* lease,
                  const CancelToken* cancel = nullptr) TWRS_EXCLUDES(mu_);
 
-  /// Non-blocking variant: grants only if no one is waiting (no barging
-  /// past the FIFO queue) and the floor is free right now.
-  bool TryReserve(size_t nominal_records, MemoryLease* lease)
-      TWRS_EXCLUDES(mu_);
-
   /// Wakes blocked Reserve calls so they can observe their CancelToken.
   void WakeWaiters() TWRS_EXCLUDES(mu_);
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "select/topk.h"
+
 namespace twrs {
 
 namespace {
@@ -72,11 +74,9 @@ size_t PlanTopKLeaseRecords(uint64_t limit, size_t nominal_memory_records) {
 
 ParallelPlan PlanParallelism(const ParallelPlanInputs& inputs) {
   ParallelPlan plan;
-  const size_t memory = std::max<size_t>(1, inputs.memory_records);
-  if (inputs.input_records <= memory) {
-    // One memory load: a serial generator makes one run, and the final
-    // merge has nothing to split.
-    plan.limit = ParallelPlanLimit::kInputFitsInMemory;
+  if (PlanTopKStrategy(inputs.limit, inputs.memory_records) ==
+      TopKStrategy::kDualHeap) {
+    plan.limit = ParallelPlanLimit::kTopKSelection;
     return plan;
   }
 
@@ -86,30 +86,44 @@ ParallelPlan PlanParallelism(const ParallelPlanInputs& inputs) {
   const size_t free_workers =
       capacity > inputs.executor_inflight ? capacity - inputs.executor_inflight
                                           : 1;
-  // Each generator needs the smallest memory its algorithm accepts.
-  const size_t most = std::min(
-      free_workers,
-      std::max<size_t>(1, memory / MinRunGenMemoryRecords(inputs.algorithm)));
-
-  const uint64_t serial_passes =
-      MergePasses(ExpectedRuns(inputs, 1), inputs.fan_in);
-  size_t threads = 1;
-  while (threads < most &&
-         MergePasses(ExpectedRuns(inputs, threads + 1), inputs.fan_in) <=
-             serial_passes) {
-    ++threads;
+  const size_t memory = std::max<size_t>(1, inputs.memory_records);
+  if (inputs.run_generation_threads != kAutoRunGenerationThreads) {
+    plan.run_generation_threads = inputs.run_generation_threads;
+    plan.limit = ParallelPlanLimit::kFixedByCaller;
+  } else if (inputs.input_records <= memory) {
+    // One memory load: a serial generator makes one run, and the final
+    // merge has nothing to split.
+    plan.limit = ParallelPlanLimit::kInputFitsInMemory;
+  } else {
+    // Each generator needs the smallest memory its algorithm accepts.
+    const size_t most = std::min(
+        free_workers,
+        std::max<size_t>(1,
+                         memory / MinRunGenMemoryRecords(inputs.algorithm)));
+    const uint64_t serial_passes =
+        MergePasses(ExpectedRuns(inputs, 1), inputs.fan_in);
+    size_t threads = 1;
+    while (threads < most &&
+           MergePasses(ExpectedRuns(inputs, threads + 1), inputs.fan_in) <=
+               serial_passes) {
+      ++threads;
+    }
+    plan.run_generation_threads = threads;
+    plan.limit = threads == most ? ParallelPlanLimit::kExecutorLoad
+                                 : ParallelPlanLimit::kMergePasses;
   }
-  plan.run_generation_threads = threads;
-  plan.limit = threads == most ? ParallelPlanLimit::kExecutorLoad
-                               : ParallelPlanLimit::kMergePasses;
 
-  // The final merge gives the workers the generators left over an equal
-  // share, capped by its expected run count: more partitions than runs
-  // would mostly merge air.
-  const uint64_t final_threads = std::min<uint64_t>(
-      std::max<size_t>(1, free_workers / threads),
-      ExpectedRuns(inputs, threads));
-  plan.final_merge_threads = static_cast<size_t>(final_threads);
+  if (inputs.final_merge_threads != 0) {
+    plan.final_merge_threads = inputs.final_merge_threads;
+  } else if (plan.limit != ParallelPlanLimit::kInputFitsInMemory) {
+    // The final merge gives the workers the generators left over an equal
+    // share, capped by its expected run count: more partitions than runs
+    // would mostly merge air.
+    const size_t threads = plan.run_generation_threads;
+    plan.final_merge_threads = static_cast<size_t>(std::min<uint64_t>(
+        std::max<size_t>(1, free_workers / threads),
+        ExpectedRuns(inputs, threads)));
+  }
   return plan;
 }
 

@@ -8,6 +8,10 @@
 
 namespace twrs {
 
+/// A thread count in ParallelPlanInputs (and SortJobSpec) that asks
+/// PlanParallelism to pick it.
+inline constexpr size_t kAutoRunGenerationThreads = 0;
+
 /// Inputs of one parallelism decision for a sort.
 struct ParallelPlanInputs {
   /// Records to sort (from the input file size for file sorts).
@@ -23,6 +27,13 @@ struct ParallelPlanInputs {
   RunGenAlgorithm algorithm = RunGenAlgorithm::kTwoWayReplacementSelection;
   size_t fan_in = 10;
 
+  /// The sort's top-K limit (ExternalSortOptions::limit); 0 = full sort.
+  uint64_t limit = 0;
+
+  /// Counts the caller fixed; 0 (kAutoRunGenerationThreads) = plan it.
+  size_t run_generation_threads = kAutoRunGenerationThreads;
+  size_t final_merge_threads = 0;
+
   /// Executor worker count and its current load (tasks submitted but not
   /// yet finished), from Executor::capacity() / inflight_tasks().
   size_t executor_capacity = 1;
@@ -35,7 +46,7 @@ enum class ParallelPlanLimit {
   kInputFitsInMemory,  ///< 1 generator: the input fits one memory load
   kMergePasses,        ///< one more generator would add a merge pass
   kExecutorLoad,       ///< clipped to the executor's free workers
-  kFixedByCaller,      ///< the planner never ran: the spec pinned a count
+  kFixedByCaller,      ///< the caller fixed the generator count
   kTopKSelection,      ///< 1 generator: dual-heap selection makes no runs
 };
 
@@ -46,13 +57,22 @@ struct ParallelPlan {
   size_t run_generation_threads = 1;
   ParallelPlanLimit limit = ParallelPlanLimit::kInputFitsInMemory;
 
-  /// Partitions of the sort's final merge pass (1 = serial): the free
-  /// workers the run generators left over, at most one per expected run.
+  /// Partitions of the sort's final merge pass (1 = serial): the caller's
+  /// count, or the free workers the run generators left over, at most one
+  /// per expected run.
   size_t final_merge_threads = 1;
 };
 
-/// Picks the run-generation thread count P of one sort from the input
-/// size, the memory lease, the algorithm and the executor's current load.
+/// Decides the shape of one sort: its run-generation thread count P and
+/// its final-merge partition count, from the input size, the memory lease,
+/// the algorithm, the top-K limit, the counts the caller fixed and the
+/// executor's current load. The one plan step of twrs_sort and SortService.
+///
+/// A top-K sort whose K fits the memory (PlanTopKStrategy) runs the
+/// dual-heap selection, which makes no runs: one generator, no final merge
+/// to split (kTopKSelection). Otherwise a caller-fixed P stands
+/// (kFixedByCaller), an input of one memory load keeps one generator
+/// (kInputFitsInMemory), and the rest is planned.
 ///
 /// Rationale: P generators share one lease, so each holds memory / P and
 /// run length, a function of memory (Chapter 6), falls by P: RS and 2WRS
@@ -65,8 +85,9 @@ struct ParallelPlan {
 /// than P = 1. bench_parallel_sort's planner-regime rows measure this: 1M
 /// random records, 300K memory, 4 workers, planned P = 3 beat P = 1 in
 /// 10 of 10 rounds on the emulated disk and on the real filesystem, with
-/// one merge pass and the same bytes written. Free workers the generators
-/// leave over go to the final merge (final_merge_threads).
+/// one merge pass and the same bytes written. Unless the caller fixed it,
+/// the final merge gets the free workers the P generators leave over, at
+/// most one partition per expected run.
 ParallelPlan PlanParallelism(const ParallelPlanInputs& inputs);
 
 /// Selection-aware admission ask for a top-K job: a job that will run the

@@ -295,9 +295,9 @@ void SortService::SchedulerLoop() {
     }
 
     // Best-effort input-size probe: gives the job's progress snapshot its
-    // denominator and, in auto mode, feeds the planner. On error
-    // total_records stays 0 (unknown) and the planner sees zero records,
-    // so it simply plans a single generator.
+    // denominator and feeds the planner. On error total_records stays 0
+    // (unknown) and the planner sees zero records, so unless the spec
+    // fixed a count it simply plans a single generator.
     uint64_t input_bytes = 0;
     TWRS_IGNORE_STATUS(env_->GetFileSize(job->spec.input_path, &input_bytes));
     const uint64_t input_records = input_bytes / kRecordBytes;
@@ -307,31 +307,19 @@ void SortService::SchedulerLoop() {
             ? std::min<uint64_t>(job->spec.sort.limit, input_records)
             : input_records);
 
-    // Plan step: fixed generator count from the spec, or adaptive from
+    // Plan step: the generator count the spec fixed, or one planned from
     // input size, the lease actually granted and the executor's current
-    // load. A top-K job that will run the dual-heap selection makes no
-    // runs, so it plans one generator whatever the spec pinned.
-    const ExternalSortOptions& sort = job->spec.sort;
-    const bool dual_heap =
-        ResolveTopKStrategy(sort.limit, sort.topk_strategy,
-                            lease.records()) == TopKStrategy::kDualHeap;
-    ParallelPlan plan;
-    if (dual_heap) {
-      plan.limit = ParallelPlanLimit::kTopKSelection;
-    } else if (job->spec.run_generation_threads !=
-               kAutoRunGenerationThreads) {
-      plan.run_generation_threads = job->spec.run_generation_threads;
-      plan.limit = ParallelPlanLimit::kFixedByCaller;
-    } else {
-      ParallelPlanInputs inputs;
-      inputs.input_records = input_records;
-      inputs.memory_records = lease.records();
-      inputs.algorithm = sort.algorithm;
-      inputs.fan_in = sort.fan_in;
-      inputs.executor_capacity = executor_->capacity();
-      inputs.executor_inflight = executor_->inflight_tasks();
-      plan = PlanParallelism(inputs);
-    }
+    // load; the final merge's partitions; one thread for a dual-heap top-K.
+    ParallelPlanInputs inputs;
+    inputs.input_records = input_records;
+    inputs.memory_records = lease.records();
+    inputs.algorithm = job->spec.sort.algorithm;
+    inputs.fan_in = job->spec.sort.fan_in;
+    inputs.limit = job->spec.sort.limit;
+    inputs.run_generation_threads = job->spec.run_generation_threads;
+    inputs.executor_capacity = executor_->capacity();
+    inputs.executor_inflight = executor_->inflight_tasks();
+    const ParallelPlan plan = PlanParallelism(inputs);
 
     {
       MutexLock lock(&mu_);
@@ -354,15 +342,11 @@ void SortService::SchedulerLoop() {
 void SortService::RunJob(std::shared_ptr<SortJob> job,
                          std::shared_ptr<MemoryLease> lease,
                          ParallelPlan plan) {
-  // A pinned spec value overrides the planner; 0 means planner's choice.
-  const size_t final_merge_threads = job->spec.final_merge_threads != 0
-                                         ? job->spec.final_merge_threads
-                                         : plan.final_merge_threads;
   {
     MutexLock lock(&job->mu);
     job->state = JobState::kRunning;
     job->planned_run_generation_threads = plan.run_generation_threads;
-    job->planned_final_merge_threads = final_merge_threads;
+    job->planned_final_merge_threads = plan.final_merge_threads;
     job->plan_limit = plan.limit;
   }
 
@@ -371,10 +355,8 @@ void SortService::RunJob(std::shared_ptr<SortJob> job,
   options.cancel = &job->cancel;
   options.progress = &job->progress;
   options.metrics = metrics_.get();
-  options.parallel.run_generation_threads =
-      std::max<size_t>(1, plan.run_generation_threads);
-  options.parallel.final_merge_threads =
-      std::max<size_t>(1, final_merge_threads);
+  options.parallel.run_generation_threads = plan.run_generation_threads;
+  options.parallel.final_merge_threads = plan.final_merge_threads;
   if (options.parallel.executor == nullptr) {
     options.parallel.executor = executor_;
   }

@@ -24,11 +24,6 @@ namespace twrs {
 class Executor;
 class SortService;
 
-/// SortJobSpec::run_generation_threads value asking the service to pick
-/// the count adaptively (PlanParallelism over input size, lease and
-/// executor load).
-inline constexpr size_t kAutoRunGenerationThreads = 0;
-
 /// One sort job: a record file sorted into an output file under the
 /// service's memory governance.
 struct SortJobSpec {
@@ -38,18 +33,16 @@ struct SortJobSpec {
   /// Per-job sort configuration. `memory_records` is the job's *nominal*
   /// memory ask — the MemoryGovernor may grant less under load. The
   /// `cancel` field is ignored: cancellation goes through JobHandle, which
-  /// owns the job's token.
+  /// owns the job's token. The service owns `parallel`'s two counts: it
+  /// sets run_generation_threads and final_merge_threads from the job's
+  /// PlanParallelism, whatever the spec holds there.
   ExternalSortOptions sort;
 
-  /// Run generators sharing the job's lease (ParallelOptions::
-  /// run_generation_threads): kAutoRunGenerationThreads = plan
-  /// adaptively; 1 = serial run generation; otherwise a fixed count.
+  /// Run generators sharing the job's lease: kAutoRunGenerationThreads =
+  /// plan adaptively; otherwise a fixed count (1 = serial run generation).
+  /// Either way the planner picks the final merge's partitions, and a
+  /// top-K job whose K fits its lease runs the selection on one thread.
   size_t run_generation_threads = kAutoRunGenerationThreads;
-
-  /// Partitions of the sort's final merge pass. 0 = let the planner pick
-  /// (the free executor workers the generators leave over); 1 = serial
-  /// last pass; otherwise a fixed partition count.
-  size_t final_merge_threads = 0;
 };
 
 /// Lifecycle of a job: Submit enqueues it (kQueued); the scheduler admits

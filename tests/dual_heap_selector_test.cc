@@ -202,7 +202,7 @@ TEST(DualHeapSelectorTest, AddAllReadsFullBatchesAndStopsOnAnError) {
 TEST(DualHeapSelectorTest, OrderAndStrategyNames) {
   EXPECT_STREQ(SelectOrderName(SelectOrder::kAscending), "asc");
   EXPECT_STREQ(SelectOrderName(SelectOrder::kDescending), "desc");
-  EXPECT_STREQ(TopKStrategyName(TopKStrategy::kAuto), "auto");
+  EXPECT_STREQ(TopKStrategyName(TopKStrategy::kNone), "none");
   EXPECT_STREQ(TopKStrategyName(TopKStrategy::kDualHeap), "dual-heap");
   EXPECT_STREQ(TopKStrategyName(TopKStrategy::kRunPruningMerge),
                "run-pruning-merge");
@@ -214,6 +214,8 @@ TEST(DualHeapSelectorTest, PlanTopKStrategyBoundaries) {
   EXPECT_EQ(PlanTopKStrategy(1024, 1024), TopKStrategy::kDualHeap);
   EXPECT_EQ(PlanTopKStrategy(1025, 1024), TopKStrategy::kRunPruningMerge);
   EXPECT_EQ(PlanTopKStrategy(1, 0), TopKStrategy::kRunPruningMerge);
+  // No limit: not a top-K sort, whatever the budget.
+  EXPECT_EQ(PlanTopKStrategy(0, 1024), TopKStrategy::kNone);
 }
 
 }  // namespace

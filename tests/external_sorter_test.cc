@@ -701,8 +701,7 @@ ExternalSortOptions FinalOutputOptions(const FinalOutputCase& c) {
   options.temp_dir = "tmp";
   options.parallel.worker_threads = c.worker_threads;
   options.parallel.final_merge_threads = c.final_merge_threads;
-  options.limit = c.limit;
-  if (c.limit > 0) options.topk_strategy = TopKStrategy::kRunPruningMerge;
+  options.limit = c.limit;  // above the default memory: run pruning
   return options;
 }
 
@@ -814,7 +813,6 @@ TEST(ExternalSorterTest, DualHeapOutputBelowTheKickSizeIsOnlySynced) {
   ExternalSortOptions options;
   options.temp_dir = "tmp";
   options.limit = 100;
-  options.topk_strategy = TopKStrategy::kDualHeap;
   ExternalSorter sorter(&env, options);
   VectorSource source(Drain(MakeWorkload(Dataset::kRandom, wl).get()));
   ExternalSortResult result;
@@ -853,8 +851,9 @@ TEST(ExternalSorterTest, FailedWritebackFailsTheSortAndLeavesNothing) {
 }
 
 // ---------------------------------------------------------------------------
-// Top-K selection (options.limit): every strategy must produce output
-// byte-identical to a full sort truncated to the requested end.
+// Top-K selection (options.limit): both strategies must produce output
+// byte-identical to a full sort truncated to the requested end. K and the
+// memory pick the strategy: the dual heap while K fits, else run pruning.
 
 /// The reference a LIMIT plan must match: full sort, keep K from the
 /// requested end, ascending.
@@ -887,26 +886,31 @@ TEST(ExternalSorterTopKTest, EveryStrategyMatchesFullSortTruncation) {
   auto input = Drain(MakeWorkload(Dataset::kRandom, wl).get());
 
   const uint64_t limits[] = {1, 37, 500, 2500, 5000, 9999};
-  const TopKStrategy strategies[] = {TopKStrategy::kAuto,
-                                     TopKStrategy::kDualHeap,
-                                     TopKStrategy::kRunPruningMerge};
   for (SelectOrder order :
        {SelectOrder::kAscending, SelectOrder::kDescending}) {
     for (uint64_t limit : limits) {
       const auto reference = TruncatedReference(input, limit, order);
-      for (TopKStrategy strategy : strategies) {
+      // 128 (several merge passes for a pruned K), and either side of the
+      // strategy boundary: K itself, and K - 1 where 2WRS can run on it.
+      std::vector<size_t> memories = {128, limit};
+      if (limit - 1 >= TwoWayOptions::kMinMemoryRecords) {
+        memories.push_back(limit - 1);
+      }
+      for (size_t memory : memories) {
         ExternalSortOptions options = TopKTestOptions();
+        options.memory_records = memory;
         options.limit = limit;
         options.order = order;
-        options.topk_strategy = strategy;
         ExternalSorter sorter(&env, options);
         VectorSource source(input);
         ExternalSortResult result;
-        SCOPED_TRACE(std::string(TopKStrategyName(strategy)) + "/" +
-                     SelectOrderName(order) + "/K=" + std::to_string(limit));
+        SCOPED_TRACE(std::string(SelectOrderName(order)) + "/K=" +
+                     std::to_string(limit) + "/M=" + std::to_string(memory));
         ASSERT_TWRS_OK(sorter.Sort(&source, "out", &result));
         EXPECT_EQ(result.output_records, reference.size());
-        EXPECT_NE(result.topk_strategy, TopKStrategy::kAuto);
+        EXPECT_EQ(result.topk_strategy, limit <= memory
+                                            ? TopKStrategy::kDualHeap
+                                            : TopKStrategy::kRunPruningMerge);
 
         std::vector<Key> got;
         ASSERT_TWRS_OK(ReadAllRecords(&env, "out", &got));
@@ -918,22 +922,25 @@ TEST(ExternalSorterTopKTest, EveryStrategyMatchesFullSortTruncation) {
   }
 }
 
-TEST(ExternalSorterTopKTest, AutoPlansDualHeapOnlyWhenKFitsMemory) {
+TEST(ExternalSorterTopKTest, PlansDualHeapOnlyWhenKFitsMemory) {
   MemEnv env;
   WorkloadOptions wl;
   wl.num_records = 3000;
   wl.seed = 32;
   auto input = Drain(MakeWorkload(Dataset::kRandom, wl).get());
-  for (uint64_t limit : {uint64_t{64}, uint64_t{2000}}) {
+  for (uint64_t limit : {uint64_t{0}, uint64_t{64}, uint64_t{128},
+                         uint64_t{129}, uint64_t{2000}}) {
     ExternalSortOptions options = TopKTestOptions();  // memory_records = 128
     options.limit = limit;
     ExternalSorter sorter(&env, options);
     VectorSource source(input);
     ExternalSortResult result;
     ASSERT_TWRS_OK(sorter.Sort(&source, "out", &result));
-    EXPECT_EQ(result.topk_strategy, limit <= options.memory_records
-                                        ? TopKStrategy::kDualHeap
-                                        : TopKStrategy::kRunPruningMerge);
+    const TopKStrategy expected =
+        limit == 0                        ? TopKStrategy::kNone
+        : limit <= options.memory_records ? TopKStrategy::kDualHeap
+                                          : TopKStrategy::kRunPruningMerge;
+    EXPECT_EQ(result.topk_strategy, expected) << "K=" << limit;
     ASSERT_TWRS_OK(env.RemoveFile("out"));
   }
 }
@@ -946,11 +953,11 @@ TEST(ExternalSorterTopKTest, DualHeapDoesNoRunIo) {
   auto input = Drain(MakeWorkload(Dataset::kRandom, wl).get());
   ExternalSortOptions options = TopKTestOptions();
   options.limit = 50;
-  options.topk_strategy = TopKStrategy::kDualHeap;
   ExternalSorter sorter(&env, options);
   VectorSource source(input);
   ExternalSortResult result;
   ASSERT_TWRS_OK(sorter.Sort(&source, "out", &result));
+  EXPECT_EQ(result.topk_strategy, TopKStrategy::kDualHeap);
   EXPECT_EQ(result.run_gen.num_runs(), 0u);
   EXPECT_EQ(result.bytes_read, 0u);  // streamed source, no scratch reads
   EXPECT_EQ(result.bytes_written, 50u * kRecordBytes);
@@ -986,8 +993,8 @@ TEST(ExternalSorterTopKTest, RunPruningMergeReadsStrictlyFewerBytes) {
     ASSERT_TWRS_OK(sorter.Sort(&source, "out_full", &full));
   }
 
-  options.limit = 100;
-  options.topk_strategy = TopKStrategy::kRunPruningMerge;
+  // The smallest K past the memory: the run-pruning merge.
+  options.limit = options.memory_records + 1;
   ExternalSortResult pruned;
   {
     ExternalSorter sorter(&env, options);
@@ -1002,7 +1009,9 @@ TEST(ExternalSorterTopKTest, RunPruningMergeReadsStrictlyFewerBytes) {
 
   std::vector<Key> got;
   ASSERT_TWRS_OK(ReadAllRecords(&env, "out_topk", &got));
-  EXPECT_EQ(got, TruncatedReference(input, 100, SelectOrder::kAscending));
+  EXPECT_EQ(pruned.topk_strategy, TopKStrategy::kRunPruningMerge);
+  EXPECT_EQ(got, TruncatedReference(input, options.limit,
+                                    SelectOrder::kAscending));
 }
 
 TEST(ExternalSorterTopKTest, PartitionedFinalMergeHonorsTheLimit) {
@@ -1015,9 +1024,8 @@ TEST(ExternalSorterTopKTest, PartitionedFinalMergeHonorsTheLimit) {
        {SelectOrder::kAscending, SelectOrder::kDescending}) {
     ExternalSortOptions options = TopKTestOptions();
     options.fan_in = 128;  // all runs reach the final merge
-    options.limit = 3000;
+    options.limit = 3000;  // run pruning: above the 128-record memory
     options.order = order;
-    options.topk_strategy = TopKStrategy::kRunPruningMerge;
     options.parallel.worker_threads = 4;
     options.parallel.final_merge_threads = 4;
     ExternalSorter sorter(&env, options);
@@ -1034,11 +1042,10 @@ TEST(ExternalSorterTopKTest, PartitionedFinalMergeHonorsTheLimit) {
 
 TEST(ExternalSorterTopKTest, LimitOnEmptyAndTinyInputs) {
   MemEnv env;
-  for (TopKStrategy strategy :
-       {TopKStrategy::kDualHeap, TopKStrategy::kRunPruningMerge}) {
+  // K = 10 fits the 128-record memory (dual heap), K = 200 does not.
+  for (uint64_t limit : {uint64_t{10}, uint64_t{200}}) {
     ExternalSortOptions options = TopKTestOptions();
-    options.limit = 10;
-    options.topk_strategy = strategy;
+    options.limit = limit;
     ExternalSorter sorter(&env, options);
     {
       VectorSource source({});
@@ -1076,7 +1083,6 @@ TEST(ExternalSorterTopKTest, DualHeapProgressCountsAreExact) {
     ProgressCounters progress;
     ExternalSortOptions options = TopKTestOptions();
     options.limit = 10;
-    options.topk_strategy = TopKStrategy::kDualHeap;
     options.progress = &progress;
     ExternalSorter sorter(&env, options);
     FileRecordSource source(&env, "in", options.block_bytes);
@@ -1100,7 +1106,6 @@ TEST(ExternalSorterTopKTest, CancelDuringDualHeapSelectionCleansUp) {
   ExternalSortOptions options = TopKTestOptions();
   options.cancel = &token;
   options.limit = 10;
-  options.topk_strategy = TopKStrategy::kDualHeap;
   ProgressCounters progress;
   options.progress = &progress;
   ExternalSorter sorter(&env, options);
@@ -1117,29 +1122,22 @@ TEST(ExternalSorterTest, InputReadErrorFailsFullAndTopKSorts) {
   const auto input = Drain(MakeWorkload(Dataset::kRandom, wl).get());
   const size_t input_bytes = input.size() * kRecordBytes;
 
-  struct Mode {
-    uint64_t limit;
-    TopKStrategy strategy;
-  };
-  // Every generator and every top-K path must surface the error.
+  // Every generator and every top-K path must surface the error: the full
+  // sort, the dual heap (K = 10 fits the 128-record memory) and run
+  // pruning (K = 200 does not).
   for (const RunGenAlgorithm algorithm :
        {RunGenAlgorithm::kReplacementSelection,
         RunGenAlgorithm::kTwoWayReplacementSelection,
         RunGenAlgorithm::kLoadSortStore}) {
-    for (const Mode mode : {Mode{0, TopKStrategy::kAuto},
-                            Mode{10, TopKStrategy::kDualHeap},
-                            Mode{10, TopKStrategy::kRunPruningMerge}}) {
-      SCOPED_TRACE(::testing::Message()
-                   << RunGenAlgorithmName(algorithm) << " limit "
-                   << mode.limit << " strategy "
-                   << static_cast<int>(mode.strategy));
+    for (const uint64_t limit : {uint64_t{0}, uint64_t{10}, uint64_t{200}}) {
+      SCOPED_TRACE(::testing::Message() << RunGenAlgorithmName(algorithm)
+                                        << " limit " << limit);
       MemEnv mem;
       ASSERT_TWRS_OK(WriteAllRecords(&mem, "in", input));
       FailingInputReadEnv env(&mem, "in", input_bytes / 2);
       ExternalSortOptions options = TopKTestOptions();
       options.algorithm = algorithm;
-      options.limit = mode.limit;
-      options.topk_strategy = mode.strategy;
+      options.limit = limit;
       ExternalSorter sorter(&env, options);
       FileRecordSource source(&env, "in", options.block_bytes);
       const Status status = sorter.Sort(&source, "out", nullptr);

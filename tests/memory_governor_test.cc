@@ -74,7 +74,6 @@ TEST(MemoryGovernorTest, ZeroAskIsInvalid) {
   MemoryGovernor governor(Options(500, 10));
   MemoryLease lease;
   EXPECT_TRUE(governor.Reserve(0, &lease).IsInvalidArgument());
-  EXPECT_FALSE(governor.TryReserve(0, &lease));
 }
 
 TEST(MemoryGovernorTest, ShrinksUnderLoadInsteadOfWaiting) {
@@ -153,33 +152,6 @@ TEST(MemoryGovernorTest, DownsizedLeaseReleasesOnlyTheRemainder) {
     EXPECT_EQ(governor.Stats().reserved_records, 100u);
   }  // RAII release of the remaining 100
   EXPECT_EQ(governor.Stats().reserved_records, 0u);
-}
-
-TEST(MemoryGovernorTest, TryReserveShrinksButRespectsFloor) {
-  MemoryGovernor governor(Options(1000, 100));
-  MemoryLease hog;
-  ASSERT_TRUE(governor.Reserve(800, &hog).ok());
-  MemoryLease lease;
-  ASSERT_TRUE(governor.TryReserve(500, &lease));  // 200 free >= floor
-  EXPECT_EQ(lease.records(), 200u);
-  MemoryLease denied;
-  EXPECT_FALSE(governor.TryReserve(500, &denied));  // 0 free < floor
-}
-
-TEST(MemoryGovernorTest, TryReserveDoesNotBargePastWaiters) {
-  MemoryGovernor governor(Options(1000, 100));
-  MemoryLease hog;
-  ASSERT_TRUE(governor.Reserve(1000, &hog).ok());
-  MemoryLease queued;
-  std::thread waiter([&] {
-    ASSERT_TRUE(governor.Reserve(400, &queued).ok());
-  });
-  AwaitWaiters(governor, 1);
-  MemoryLease barger;
-  EXPECT_FALSE(governor.TryReserve(100, &barger));
-  hog.Release();
-  waiter.join();
-  EXPECT_EQ(queued.records(), 400u);
 }
 
 TEST(MemoryGovernorTest, CancelUnblocksAWaiter) {

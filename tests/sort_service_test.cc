@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "exec/executor.h"
 #include "io/mem_env.h"
 #include "service/parallel_planner.h"
 #include "tests/test_util.h"
@@ -27,10 +28,74 @@ TEST(ParallelPlannerTest, InputFittingInMemoryStaysSerial) {
   inputs.input_records = 1000;
   inputs.memory_records = 2000;
   inputs.executor_capacity = 32;
-  const ParallelPlan plan = PlanParallelism(inputs);
+  ParallelPlan plan = PlanParallelism(inputs);
   EXPECT_EQ(plan.run_generation_threads, 1u);
   EXPECT_EQ(plan.limit, ParallelPlanLimit::kInputFitsInMemory);
   EXPECT_EQ(plan.final_merge_threads, 1u);
+  // A final-merge count the caller fixed stands.
+  inputs.final_merge_threads = 3;
+  plan = PlanParallelism(inputs);
+  EXPECT_EQ(plan.limit, ParallelPlanLimit::kInputFitsInMemory);
+  EXPECT_EQ(plan.final_merge_threads, 3u);
+}
+
+TEST(ParallelPlannerTest, TopKThatFitsTheMemoryPlansTheSelection) {
+  ParallelPlanInputs inputs;
+  inputs.input_records = 1000000;
+  inputs.memory_records = 1000;
+  inputs.limit = 1000;  // K = memory: the dual heap holds it
+  inputs.executor_capacity = 16;
+  // The selection makes no runs, whatever counts the caller fixed.
+  inputs.run_generation_threads = 4;
+  inputs.final_merge_threads = 4;
+  const ParallelPlan plan = PlanParallelism(inputs);
+  EXPECT_EQ(plan.limit, ParallelPlanLimit::kTopKSelection);
+  EXPECT_EQ(plan.run_generation_threads, 1u);
+  EXPECT_EQ(plan.final_merge_threads, 1u);
+}
+
+TEST(ParallelPlannerTest, TopKPastTheMemoryIsPlannedLikeAFullSort) {
+  ParallelPlanInputs inputs;
+  inputs.input_records = 1000000;
+  inputs.memory_records = 200000;
+  inputs.executor_capacity = 16;
+  const ParallelPlan full = PlanParallelism(inputs);
+  inputs.limit = 200001;  // K = memory + 1: run generation and pruning
+  const ParallelPlan pruned = PlanParallelism(inputs);
+  EXPECT_EQ(pruned.limit, ParallelPlanLimit::kMergePasses);
+  EXPECT_EQ(pruned.limit, full.limit);
+  EXPECT_EQ(pruned.run_generation_threads, 2u);
+  EXPECT_EQ(pruned.run_generation_threads, full.run_generation_threads);
+  EXPECT_EQ(pruned.final_merge_threads, full.final_merge_threads);
+}
+
+TEST(ParallelPlannerTest, FixedGeneratorCountGetsPlannedPartitions) {
+  ParallelPlanInputs inputs;
+  inputs.input_records = 1000000;
+  inputs.memory_records = 200000;
+  inputs.executor_capacity = 16;
+  inputs.run_generation_threads = 4;
+  ParallelPlan plan = PlanParallelism(inputs);
+  EXPECT_EQ(plan.limit, ParallelPlanLimit::kFixedByCaller);
+  EXPECT_EQ(plan.run_generation_threads, 4u);
+  // 16 free workers over 4 generators.
+  EXPECT_EQ(plan.final_merge_threads, 4u);
+
+  // Capped by the expected runs: 6000 records in 1000 of memory make
+  // 2 x (3 + 1) = 8 runs with two generators, below 64 / 2 workers.
+  inputs.input_records = 6000;
+  inputs.memory_records = 1000;
+  inputs.executor_capacity = 64;
+  inputs.run_generation_threads = 2;
+  plan = PlanParallelism(inputs);
+  EXPECT_EQ(plan.limit, ParallelPlanLimit::kFixedByCaller);
+  EXPECT_EQ(plan.final_merge_threads, 8u);
+
+  // An input of one memory load still runs the generators it was given.
+  inputs.input_records = 500;
+  plan = PlanParallelism(inputs);
+  EXPECT_EQ(plan.limit, ParallelPlanLimit::kFixedByCaller);
+  EXPECT_EQ(plan.run_generation_threads, 2u);
 }
 
 TEST(ParallelPlannerTest, StopsBeforeAnExtraMergePass) {
@@ -381,8 +446,6 @@ TEST(SortServiceTest, DownsizedLeaseAdmitsTheNextJobMidMerge) {
   spec1.run_generation_threads = 1;
   SortJobSpec spec2 = SpecFor("in2", "out2", 150000);
   spec2.run_generation_threads = 1;
-  const size_t merge_records = MergePhaseMemoryRecords(spec1.sort);
-  ASSERT_LT(merge_records, 150000u);
 
   JobHandle job1;
   JobHandle job2;
@@ -392,6 +455,11 @@ TEST(SortServiceTest, DownsizedLeaseAdmitsTheNextJobMidMerge) {
   ASSERT_TWRS_OK(job2.Wait());
 
   const SortJobStats stats1 = job1.stats();
+  // The merge footprint of the partitions the service planned for job 1.
+  ExternalSortOptions planned = spec1.sort;
+  planned.parallel.final_merge_threads = stats1.planned_final_merge_threads;
+  const size_t merge_records = MergePhaseMemoryRecords(planned);
+  ASSERT_LT(merge_records, 150000u);
   EXPECT_EQ(stats1.granted_memory_records, 150000u);
   EXPECT_EQ(stats1.downsized_memory_records, merge_records);
 
@@ -682,6 +750,67 @@ TEST(SortServiceTest, RunPruningTopKJobGeneratesRunsInParallel) {
 
   std::sort(input.begin(), input.end());
   input.resize(5000);
+  std::vector<Key> got;
+  ASSERT_TWRS_OK(ReadAllRecords(&env, "out", &got));
+  EXPECT_EQ(got, input);
+}
+
+TEST(SortServiceTest, TopKJobWhoseLeaseShrinksBelowKRunsRunPruning) {
+  MemEnv env;
+  auto input = WriteWorkload(&env, "in", 30000, 37);
+
+  // The governor holds 10000 records, so a K = 12000 job asks for 12000
+  // and is granted 10000: a selector of K keys would overrun its lease,
+  // so the job generates runs and prunes the merge instead.
+  SortServiceOptions options;
+  options.governor.capacity_records = 10000;
+  options.governor.min_lease_records = 1024;
+  SortService service(&env, options);
+
+  JobHandle handle;
+  SortJobSpec spec = SpecFor("in", "out", 16384);
+  spec.sort.limit = 12000;
+  ASSERT_TWRS_OK(service.Submit(spec, &handle));
+  ASSERT_TWRS_OK(handle.Wait());
+
+  const SortJobStats stats = handle.stats();
+  EXPECT_EQ(stats.granted_memory_records, 10000u);
+  EXPECT_EQ(service.Stats().shrunk_admissions, 1u);
+  EXPECT_NE(stats.plan_limit, ParallelPlanLimit::kTopKSelection);
+  EXPECT_EQ(stats.result.topk_strategy, TopKStrategy::kRunPruningMerge);
+  EXPECT_GT(stats.result.run_gen.num_runs(), 0u);
+
+  std::sort(input.begin(), input.end());
+  input.resize(12000);
+  std::vector<Key> got;
+  ASSERT_TWRS_OK(ReadAllRecords(&env, "out", &got));
+  EXPECT_EQ(got, input);
+}
+
+TEST(SortServiceTest, FixedGeneratorJobGetsPlannedPartitions) {
+  MemEnv env;
+  auto input = WriteWorkload(&env, "in", 50000, 41);
+
+  SortServiceOptions options;
+  options.governor.capacity_records = 1 << 16;
+  Executor executor(ExecutorOptions{4});
+  options.executor = &executor;
+  SortService service(&env, options);
+
+  // A fixed generator count keeps the planner's final-merge rule: the
+  // idle executor's 4 workers over 2 generators.
+  JobHandle handle;
+  SortJobSpec spec = SpecFor("in", "out", 1024);
+  spec.run_generation_threads = 2;
+  ASSERT_TWRS_OK(service.Submit(spec, &handle));
+  ASSERT_TWRS_OK(handle.Wait());
+
+  const SortJobStats stats = handle.stats();
+  EXPECT_EQ(stats.plan_limit, ParallelPlanLimit::kFixedByCaller);
+  EXPECT_EQ(stats.planned_run_generation_threads, 2u);
+  EXPECT_EQ(stats.planned_final_merge_threads, 2u);
+
+  std::sort(input.begin(), input.end());
   std::vector<Key> got;
   ASSERT_TWRS_OK(ReadAllRecords(&env, "out", &got));
   EXPECT_EQ(got, input);
